@@ -59,7 +59,7 @@ func E6(cfg Config) (*E6Result, error) {
 	inc := saturation.Increment(g, sat, batch)
 	res.IncrementTime = time.Since(start)
 
-	if err := g.AddData(batchRaw); err != nil {
+	if _, err := g.AddData(batchRaw); err != nil {
 		return nil, err
 	}
 	start = time.Now()
@@ -72,8 +72,12 @@ func E6(cfg Config) (*E6Result, error) {
 
 	// Deletion maintenance with the counting-based maintained closure.
 	maintained := saturation.NewMaintained(g)
+	removed, err := g.RemoveData(batchRaw)
+	if err != nil {
+		return nil, err
+	}
 	start = time.Now()
-	maintained.Delete(batch)
+	maintained.Delete(removed)
 	res.DeleteTime = time.Since(start)
 
 	// Ref preparation cost for one representative query.

@@ -38,7 +38,7 @@ func seedGraph(t *testing.T, n int) *graph.Graph {
 	for i := 0; i < n; i++ {
 		ts = append(ts, dataTriple("s"+string(rune('a'+i%26))+string(rune('a'+i/26)), "o"))
 	}
-	if err := g.AddData(ts); err != nil {
+	if _, err := g.AddData(ts); err != nil {
 		t.Fatal(err)
 	}
 	return g

@@ -104,11 +104,24 @@ type Answer struct {
 	FragmentSigs []string
 }
 
-// Engine answers queries over one graph with any strategy. It lazily
-// builds and caches the store, statistics, saturation and reformulators.
-// An Engine is not safe for concurrent use.
+// Engine answers queries over one graph with any strategy. What it computes
+// from the graph — store, statistics, saturation, reformulators, plans — is
+// one version of derived state (see derived.go), built lazily and at most
+// once per version.
+//
+// Concurrency: an Engine has one writer. EnableSharding, EnableViewCache,
+// SetPlanCacheCapacity, InsertData, DeleteData and UpdateSchema, and
+// assignments to the exported fields of the shared engine, must be
+// serialized against each other and against readers by the caller's lock.
+// Readers take a shallow copy (eng := *e) under that lock's read side, set
+// their own Budget, Tracer and Logger on it, and may answer, plan and call
+// every accessor concurrently: the copies share the derived state, the view
+// cache, the admission gate and the metrics registry by pointer, and each of
+// those is safe for concurrent use.
 type Engine struct {
 	g *graph.Graph
+	// d is the current version of the derived state; never nil.
+	d *derived
 
 	// Budget bounds each evaluation (zero: unlimited).
 	Budget exec.Budget
@@ -124,9 +137,9 @@ type Engine struct {
 	Metrics *metrics.Registry
 	// Tracer, when non-nil, records a span tree per answered query:
 	// reformulate / plan / eval phases and one span per executor operator
-	// with estimated next to actual cardinalities. Like the engine itself
-	// a tracer is per-query state — the HTTP layer sets a fresh one on
-	// each per-request engine copy.
+	// with estimated next to actual cardinalities. A tracer is per-query
+	// state — the HTTP layer sets a fresh one on each per-request engine
+	// copy.
 	Tracer *trace.Tracer
 	// Logger, when non-nil, receives structured warnings, e.g. cost-model
 	// misestimates detected on traced queries.
@@ -144,86 +157,68 @@ type Engine struct {
 	// /v1/stats aggregator is consuming them.
 	CaptureFragmentSigs bool
 
-	store    *storage.Store
-	shards   int
-	sharded  *shard.Store
-	st       *stats.Stats
-	model    *cost.Model
-	satModel *cost.Model
-	ref      *core.Reformulator
-	incRef   *core.Reformulator
-	rangeRef *core.RangeReformulator
-	satRes   *saturation.Result
-	satStore *storage.Store
-	satStats *stats.Stats
-	satTime  time.Duration
-	plans    *planCache
+	shards  int // < 2: unsharded
+	planCap int // GCov plan cache capacity (0: defaultPlanCacheSize)
+	// closure is the counting closure behind Sat once the data has been
+	// updated (see update.go); nil before. It is the writer's: changed in
+	// place between versions, read only by the Sat lazy of the version
+	// swapped in after the change.
+	closure *saturation.Maintained
 
 	// views, when non-nil, is the fragment-level view cache
-	// (internal/viewcache). Like the plan cache it is shared — by pointer
-	// — across the per-request engine copies the HTTP layer makes, and
-	// invalidated on InsertData/DeleteData.
+	// (internal/viewcache), invalidated whenever the derived state is
+	// swapped.
 	views *viewcache.Cache
 	// viewStrategies restricts which strategies consult views; nil means
 	// every fragment-evaluating strategy (RefSCQ, RefJUCQ, RefGCov).
 	viewStrategies map[Strategy]bool
-
-	// maintained is the counting-based closure backing live updates
-	// (see update.go); nil until the first Insert/DeleteData.
-	maintained *saturation.Maintained
 }
 
 // New returns an engine over the graph.
-func New(g *graph.Graph) *Engine { return &Engine{g: g, plans: newPlanCache(0)} }
+func New(g *graph.Graph) *Engine {
+	e := &Engine{g: g}
+	e.swap(nil)
+	return e
+}
 
 // Graph returns the underlying graph.
 func (e *Engine) Graph() *graph.Graph { return e.g }
 
-// Store returns the store over explicit data plus the closed schema (the
-// database Ref strategies evaluate against), building it on first use.
-func (e *Engine) Store() *storage.Store {
-	if e.store == nil {
-		e.store = storage.Build(e.g.Dict(), e.g.AllTriples())
-	}
-	return e.store
+// Warm builds every artefact of the current derived-state version, so that
+// no request pays for one.
+func (e *Engine) Warm() {
+	e.CostModel()
+	e.SatCostModel()
+	e.Reformulator()
+	e.IncompleteReformulator()
+	e.RangeReformulator()
 }
+
+// Store returns the store over explicit data plus the closed schema (the
+// database Ref strategies evaluate against).
+func (e *Engine) Store() *storage.Store { return e.d.store() }
 
 // EnableSharding hash-partitions the explicit-data store into n shards:
 // Source() then returns a shard.Store whose scans the executor scatters
 // across shards in parallel, and the cost model prices scans at 1/n.
-// n < 2 disables sharding. Call before serving: per-request engine
-// copies share the built shard store by pointer. The saturated store
-// (Sat strategy) stays unsharded — saturation is the paper's baseline
-// and its store is rebuilt wholesale on every schema change anyway.
+// n < 2 disables sharding. The saturated store (Sat strategy) stays
+// unsharded — saturation is the paper's baseline and its store is rebuilt
+// wholesale on every schema change anyway.
 func (e *Engine) EnableSharding(n int) {
 	if n < 2 {
 		n = 0
 	}
 	e.shards = n
-	e.sharded, e.store, e.st, e.model = nil, nil, nil, nil
+	e.swap(e.d)
 }
 
-// Shards returns the configured shard count (0 or 1 when unsharded).
-func (e *Engine) Shards() int {
-	if e.shards < 2 {
-		return 1
-	}
-	return e.shards
-}
+// Shards returns the configured shard count (1 when unsharded).
+func (e *Engine) Shards() int { return max(e.shards, 1) }
 
 // Sharded returns the partitioned store when sharding is enabled (nil
-// otherwise), building it on first use. The admin topology surface uses
-// the concrete type; evaluation paths go through Source().
-func (e *Engine) Sharded() *shard.Store {
-	if e.shards < 2 {
-		return nil
-	}
-	if e.sharded == nil {
-		e.sharded = shard.Build(e.g.Dict(), e.g.AllTriples(), e.shards)
-		e.sharded.PublishMetrics(e.Metrics)
-	}
-	return e.sharded
-}
+// otherwise). The admin topology surface uses the concrete type;
+// evaluation paths go through Source().
+func (e *Engine) Sharded() *shard.Store { return e.d.sharded() }
 
 // Source returns the scan source the Ref strategies evaluate against:
 // the sharded store when sharding is enabled, the plain store otherwise.
@@ -235,92 +230,37 @@ func (e *Engine) Source() exec.Source {
 }
 
 // Stats returns collected statistics over Source().
-func (e *Engine) Stats() *stats.Stats {
-	if e.st == nil {
-		if sh := e.Sharded(); sh != nil {
-			e.st = stats.Collect(sh)
-		} else {
-			e.st = stats.Collect(e.Store())
-		}
-	}
-	return e.st
-}
+func (e *Engine) Stats() *stats.Stats { return e.d.stats() }
 
 // CostModel returns the cost model over Stats().
-func (e *Engine) CostModel() *cost.Model {
-	if e.model == nil {
-		e.model = cost.NewModel(e.Stats())
-		e.model.SetShards(e.Shards())
-	}
-	return e.model
-}
+func (e *Engine) CostModel() *cost.Model { return e.d.model() }
 
 // SatCostModel returns a cost model over the saturated store's statistics
 // (the estimates relevant to the Sat strategy's operators).
-func (e *Engine) SatCostModel() *cost.Model {
-	if e.satModel == nil {
-		e.satModel = cost.NewModel(e.SatStats())
-	}
-	return e.satModel
-}
+func (e *Engine) SatCostModel() *cost.Model { return e.d.satModel() }
 
 // Reformulator returns the complete reformulator for the graph's schema.
-func (e *Engine) Reformulator() *core.Reformulator {
-	if e.ref == nil {
-		e.ref = core.NewReformulator(e.g.Schema())
-	}
-	return e.ref
-}
+func (e *Engine) Reformulator() *core.Reformulator { return e.d.ref() }
 
 // RangeReformulator returns the interval-encoding reformulator for the
 // graph's schema.
-func (e *Engine) RangeReformulator() *core.RangeReformulator {
-	if e.rangeRef == nil {
-		e.rangeRef = core.NewRangeReformulator(e.g.Schema())
-	}
-	return e.rangeRef
-}
+func (e *Engine) RangeReformulator() *core.RangeReformulator { return e.d.rangeRef() }
 
 // IncompleteReformulator returns the subsumption-only reformulator.
-func (e *Engine) IncompleteReformulator() *core.Reformulator {
-	if e.incRef == nil {
-		e.incRef = core.NewIncompleteReformulator(e.g.Schema())
-	}
-	return e.incRef
-}
+func (e *Engine) IncompleteReformulator() *core.Reformulator { return e.d.incRef() }
 
-// Saturation returns the cached saturation result, computing it on first
-// use.
-func (e *Engine) Saturation() *saturation.Result {
-	if e.satRes == nil {
-		start := time.Now()
-		e.satRes = saturation.Saturate(e.g)
-		e.satTime = time.Since(start)
-	}
-	return e.satRes
-}
+// Saturation returns G∞: saturated from scratch before the first data
+// update, read off the maintained closure after.
+func (e *Engine) Saturation() *saturation.Result { return e.d.sat().res }
 
-// SaturationTime returns the wall-clock time the (first) saturation took.
-func (e *Engine) SaturationTime() time.Duration {
-	e.Saturation()
-	return e.satTime
-}
+// SaturationTime returns the wall-clock time producing Saturation() took.
+func (e *Engine) SaturationTime() time.Duration { return e.d.sat().took }
 
 // SatStore returns the store over G∞.
-func (e *Engine) SatStore() *storage.Store {
-	if e.satStore == nil {
-		e.satStore = storage.Build(e.g.Dict(), e.Saturation().Triples)
-	}
-	return e.satStore
-}
+func (e *Engine) SatStore() *storage.Store { return e.d.satStore() }
 
 // SatStats returns statistics over the saturated store.
-func (e *Engine) SatStats() *stats.Stats {
-	if e.satStats == nil {
-		e.satStats = stats.Collect(e.SatStore())
-	}
-	return e.satStats
-}
+func (e *Engine) SatStats() *stats.Stats { return e.d.satStats() }
 
 func (e *Engine) evaluator(st exec.Source, ss *stats.Stats) *exec.Evaluator {
 	ev := exec.New(st, ss)
@@ -333,8 +273,7 @@ func (e *Engine) evaluator(st exec.Source, ss *stats.Stats) *exec.Evaluator {
 // EnableViewCache attaches a fragment-level view cache to the engine. The
 // cache inherits the engine's metrics registry unless cfg names its own.
 // With no strategies given, every fragment-evaluating strategy (RefSCQ,
-// RefJUCQ, RefGCov) consults it; otherwise only the listed ones do. Call
-// before serving: per-request engine copies share the cache by pointer.
+// RefJUCQ, RefGCov) consults it; otherwise only the listed ones do.
 func (e *Engine) EnableViewCache(cfg viewcache.Config, strategies ...Strategy) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = e.Metrics
@@ -348,9 +287,6 @@ func (e *Engine) EnableViewCache(cfg viewcache.Config, strategies ...Strategy) {
 		}
 	}
 }
-
-// DisableViewCache detaches the view cache.
-func (e *Engine) DisableViewCache() { e.views, e.viewStrategies = nil, nil }
 
 // ViewCache returns the attached view cache, nil when disabled.
 func (e *Engine) ViewCache() *viewcache.Cache { return e.views }
@@ -371,8 +307,11 @@ func (e *Engine) attachViewCache(ev *exec.Evaluator, s Strategy) *exec.CacheStat
 }
 
 // SetPlanCacheCapacity resizes the GCov plan cache (default 128),
-// dropping any cached plans. Call before serving.
-func (e *Engine) SetPlanCacheCapacity(n int) { e.plans = newPlanCache(n) }
+// dropping any cached plans.
+func (e *Engine) SetPlanCacheCapacity(n int) {
+	e.planCap = n
+	e.d.plans.resize(n)
+}
 
 func (e *Engine) fragmentBound() int {
 	if e.MaxFragmentCQs > 0 {
@@ -787,7 +726,7 @@ func (e *Engine) answerGCov(ctx context.Context, q query.CQ, sp *trace.Span) (*A
 		psp = sp.Child("plan")
 		defer psp.End()
 	}
-	entry, cached := e.plans.get(key)
+	entry, cached := e.d.plans.get(key)
 	e.observePlanCache(cached)
 	if !cached {
 		res, err := core.GCov(e.Reformulator(), e.CostModel(), q, core.GCovOptions{MaxFragmentCQs: e.fragmentBound()})
@@ -795,7 +734,7 @@ func (e *Engine) answerGCov(ctx context.Context, q query.CQ, sp *trace.Span) (*A
 			return nil, err
 		}
 		entry = newPlanEntry(key, res)
-		evicted := e.plans.put(entry)
+		evicted := e.d.plans.put(entry)
 		e.Metrics.Counter("engine.plancache.evictions").Add(int64(evicted))
 	}
 	if psp != nil {
@@ -862,12 +801,7 @@ func (e *Engine) observePlanCache(hit bool) {
 }
 
 // PlanCacheLen reports how many GCov plans the engine currently caches.
-func (e *Engine) PlanCacheLen() int {
-	if e.plans == nil {
-		return 0
-	}
-	return e.plans.len()
-}
+func (e *Engine) PlanCacheLen() int { return e.d.plans.len() }
 
 func (e *Engine) answerDat(ctx context.Context, q query.CQ, sp *trace.Span) (*Answer, error) {
 	// The fixpoint touches the whole graph regardless of the query, so

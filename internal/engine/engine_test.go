@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/query"
 	"repro/internal/rdf"
+	"repro/internal/saturation"
 	"repro/internal/testutil"
 )
 
@@ -212,8 +214,10 @@ func TestBooleanQueryAllStrategies(t *testing.T) {
 
 func TestLazyAccessors(t *testing.T) {
 	e, _ := mustEngine(t)
+	e.Warm()
 	if e.Store() == nil || e.Stats() == nil || e.CostModel() == nil ||
 		e.Reformulator() == nil || e.IncompleteReformulator() == nil ||
+		e.RangeReformulator() == nil || e.SatCostModel() == nil ||
 		e.SatStore() == nil || e.SatStats() == nil {
 		t.Fatal("accessors must build on demand")
 	}
@@ -426,6 +430,51 @@ func TestDeleteUnknownTriples(t *testing.T) {
 	}
 	if removed != 0 {
 		t.Fatalf("removed %d, want 0", removed)
+	}
+}
+
+// TestUpdateIdempotency: the graph owns set semantics, so the closure must
+// count a triple inserted twice once, and never uncount an absent one — a
+// miscount would keep doi2 a Publication (entailed by its being a Book)
+// after the Book triple is gone, or retract it while the triple is there.
+func TestUpdateIdempotency(t *testing.T) {
+	e, g := mustEngine(t)
+	q := mustQuery(t, g, `q(x) :- x rdf:type ex:Publication`)
+	doi2 := rdf.NewTriple(ex("doi2"), rdf.Type, ex("Book"))
+	check := func(step string, want int) {
+		t.Helper()
+		sat, err := e.Answer(q, Sat)
+		if err != nil {
+			t.Fatalf("%s: sat: %v", step, err)
+		}
+		ref, err := e.Answer(q, RefGCov)
+		if err != nil {
+			t.Fatalf("%s: ref-gcov: %v", step, err)
+		}
+		if sat.Rows.Len() != want || !sat.Rows.Equal(ref.Rows) {
+			t.Fatalf("%s: sat %d rows, ref-gcov %d, want %d", step, sat.Rows.Len(), ref.Rows.Len(), want)
+		}
+		if got, fresh := e.Saturation(), saturation.Saturate(e.Graph()); !slices.Equal(got.Triples, fresh.Triples) ||
+			got.DataTriples != fresh.DataTriples || got.Derived != fresh.Derived {
+			t.Fatalf("%s: maintained closure (%d triples, %d data, %d derived) != fresh saturation (%d, %d, %d)", step,
+				len(got.Triples), got.DataTriples, got.Derived, len(fresh.Triples), fresh.DataTriples, fresh.Derived)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if err := e.InsertData([]rdf.Triple{doi2, doi2}); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("insert %d", i), 2)
+	}
+	for i, want := range []int{1, 0} { // the second delete finds nothing
+		removed, err := e.DeleteData([]rdf.Triple{doi2, doi2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if removed != want {
+			t.Fatalf("delete %d removed %d, want %d", i, removed, want)
+		}
+		check(fmt.Sprintf("delete %d", i), 1)
 	}
 }
 

@@ -142,7 +142,7 @@ func (e *Engine) planCover(q query.CQ, cover query.Cover, s Strategy) (*Plan, er
 //reflint:nospanend plan spans are a rendered tree, never timed; Plan.Tree omits durations
 func (e *Engine) planGCov(q query.CQ) (*Plan, error) {
 	key := query.FormatCQ(e.g.Dict(), q)
-	entry, cached := e.plans.get(key)
+	entry, cached := e.d.plans.get(key)
 	e.observePlanCache(cached)
 	if !cached {
 		res, err := core.GCov(e.Reformulator(), e.CostModel(), q, core.GCovOptions{MaxFragmentCQs: e.fragmentBound()})
@@ -150,7 +150,7 @@ func (e *Engine) planGCov(q query.CQ) (*Plan, error) {
 			return nil, err
 		}
 		entry = newPlanEntry(key, res)
-		evicted := e.plans.put(entry)
+		evicted := e.d.plans.put(entry)
 		e.Metrics.Counter("engine.plancache.evictions").Add(int64(evicted))
 	}
 	p, root := e.newPlan(q, RefGCov)

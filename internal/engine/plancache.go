@@ -12,11 +12,11 @@ import (
 // planCache memoizes GCov outcomes per query text (prepared-statement
 // style): the cover search costs tens of milliseconds — paid once, not per
 // execution. Keys are the exact formatted query (constants included);
-// renamed variants miss, which only costs a fresh search. The cache is
-// invalidated implicitly by being per-Engine: constraint changes require a
-// new graph, hence a new engine.
-// The cache is safe for concurrent use: engines sharing warmed caches
-// (e.g. per-request shallow copies in the HTTP endpoint) share it too.
+// renamed variants miss, which only costs a fresh search. A cache belongs
+// to one version of the engine's derived state and is dropped with it:
+// every data or schema change moves the statistics the cached costs were
+// estimated from. It is safe for concurrent use, as the engine copies
+// sharing a version share it too.
 type planCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -55,10 +55,22 @@ func newPlanEntry(key string, res *core.GCovResult) *planEntry {
 const defaultPlanCacheSize = 128
 
 func newPlanCache(capacity int) *planCache {
+	c := &planCache{order: list.New(), byKey: map[string]*list.Element{}}
+	c.resize(capacity)
+	return c
+}
+
+// resize sets the capacity (non-positive: the default) and drops every
+// cached plan.
+func (c *planCache) resize(capacity int) {
 	if capacity <= 0 {
 		capacity = defaultPlanCacheSize
 	}
-	return &planCache{capacity: capacity, order: list.New(), byKey: map[string]*list.Element{}}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.capacity = capacity
+	c.order.Init()
+	clear(c.byKey)
 }
 
 func (c *planCache) get(key string) (*planEntry, bool) {

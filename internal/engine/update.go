@@ -10,55 +10,46 @@ import (
 )
 
 // Live updates. The paper's §1 charges Sat with maintenance cost after
-// changes; this file implements both sides of that ledger in the engine:
-// Ref-side caches are simply rebuilt from the new data (dropping the store
-// and statistics), while the Sat side is maintained *incrementally* with
-// the counting-based closure — the entailed triple set never has to be
-// re-derived from scratch.
+// changes; this file implements both sides of that ledger in the engine.
+// The Ref side pays nothing but the write: the next version of the derived
+// state (derived.go) rebuilds store and statistics from the new data when
+// a query first needs them. The Sat side is maintained *incrementally* with
+// the counting-based closure, and G∞ is read off it only when a Sat query
+// arrives — the entailed triple set never has to be re-derived from scratch.
 
-// maintainedClosure lazily materializes the counting-based closure used to
-// refresh satRes after updates.
-func (e *Engine) maintainedClosure() *saturation.Maintained {
-	if e.maintained == nil {
-		e.maintained = saturation.NewMaintained(e.g)
-	}
-	return e.maintained
-}
-
-// InsertData adds instance triples and refreshes the engine: the explicit
-// store and statistics are invalidated (rebuilt lazily on next use), the
-// saturated side is maintained incrementally, and cached GCov plans are
-// dropped (their cost estimates refer to outdated statistics).
+// InsertData adds instance triples (those already present are ignored) and
+// moves the engine to a new version of its derived state.
 func (e *Engine) InsertData(ts []rdf.Triple) error {
-	m := e.maintainedClosure() // build on pre-update data
-	if err := e.g.AddData(ts); err != nil {
+	added, err := e.g.AddData(ts)
+	if err != nil {
 		return err
 	}
-	enc := make([]dict.Triple, 0, len(ts))
-	for _, t := range ts {
-		enc = append(enc, e.g.Dict().EncodeTriple(t))
-	}
-	m.Insert(enc)
-	e.invalidateAfterUpdate()
+	e.dataChanged(added, (*saturation.Maintained).Insert)
 	return nil
 }
 
-// DeleteData removes instance triples (absent ones are ignored) and
-// refreshes the engine like InsertData; it returns how many triples were
-// actually removed.
+// DeleteData removes instance triples (absent ones are ignored) and moves
+// the engine to a new version like InsertData; it returns how many triples
+// were actually removed.
 func (e *Engine) DeleteData(ts []rdf.Triple) (int, error) {
-	m := e.maintainedClosure()
 	removed, err := e.g.RemoveData(ts)
 	if err != nil {
 		return 0, err
 	}
-	enc := make([]dict.Triple, 0, len(ts))
-	for _, t := range ts {
-		enc = append(enc, e.g.Dict().EncodeTriple(t))
+	e.dataChanged(removed, (*saturation.Maintained).Delete)
+	return len(removed), nil
+}
+
+// dataChanged folds the delta the graph reported into the writer's counting
+// closure and swaps in the next version of the derived state.
+func (e *Engine) dataChanged(delta []dict.Triple, fold func(*saturation.Maintained, []dict.Triple)) {
+	if e.closure == nil {
+		// The first data change: count the graph as it is now, delta included.
+		e.closure = saturation.NewMaintained(e.g)
+	} else {
+		fold(e.closure, delta)
 	}
-	m.Delete(enc)
-	e.invalidateAfterUpdate()
-	return removed, nil
+	e.swap(e.d)
 }
 
 // isSchemaAssertion reports whether the triple belongs to the TBox: an
@@ -76,9 +67,10 @@ func isSchemaAssertion(t rdf.Triple) bool {
 // the re-closed schema. The rebuild re-encodes the dictionary so hierarchy
 // subtrees stay interval-contiguous; every derived structure (stores,
 // statistics, cost models, reformulators, the saturation, cached GCov
-// plans and materialized view-cache fragments) refers to the old IDs or
-// the old entailments, so all of them are dropped. Answers computed after
-// UpdateSchema returns therefore never see a stale fragment or plan.
+// plans, the maintained closure and materialized view-cache fragments)
+// refers to the old IDs or the old entailments, so the next version of the
+// derived state keeps none of them. Answers computed after UpdateSchema
+// returns therefore never see a stale fragment or plan.
 func (e *Engine) UpdateSchema(add []rdf.Triple) error {
 	for i, t := range add {
 		if !t.WellFormed() {
@@ -110,51 +102,6 @@ func (e *Engine) UpdateSchema(add []rdf.Triple) error {
 		return err
 	}
 	e.g = g
-	e.invalidateAfterSchemaChange()
+	e.swap(nil)
 	return nil
-}
-
-// invalidateAfterSchemaChange drops every cache: a schema change both
-// re-encodes the dictionary (so all cached IDs are stale) and changes the
-// entailments (so the maintained closure and all reformulators are stale).
-func (e *Engine) invalidateAfterSchemaChange() {
-	e.store = nil
-	e.sharded = nil
-	e.st = nil
-	e.model = nil
-	e.satModel = nil
-	e.ref = nil
-	e.incRef = nil
-	e.rangeRef = nil
-	e.satRes = nil
-	e.satStore = nil
-	e.satStats = nil
-	e.maintained = nil
-	e.plans = newPlanCache(0)
-	if e.views != nil {
-		e.views.Invalidate()
-	}
-}
-
-// invalidateAfterUpdate drops data-dependent caches and refreshes the
-// saturation result from the maintained closure.
-func (e *Engine) invalidateAfterUpdate() {
-	e.store = nil
-	e.sharded = nil
-	e.st = nil
-	e.model = nil
-	e.satStore = nil
-	e.satStats = nil
-	e.plans = newPlanCache(0)
-	if e.views != nil {
-		// Bump the view cache's generation stamp and drop every
-		// materialized fragment: they describe the pre-update database.
-		e.views.Invalidate()
-	}
-	closure := e.maintained.Triples()
-	e.satRes = &saturation.Result{
-		Triples:     closure,
-		DataTriples: e.g.DataCount(),
-		Derived:     len(closure) - e.g.DataCount() - len(e.g.Schema().Triples()),
-	}
 }

@@ -7,8 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/query"
 	"repro/internal/rdf"
+	"repro/internal/stats"
+	"repro/internal/storage"
 	"repro/internal/viewcache"
 )
 
@@ -88,6 +92,12 @@ func TestUpdateSchemaInvalidatesViewCacheAndPlans(t *testing.T) {
 // query observes a settled database; the assertion is that its answer counts
 // exactly the Publications present at that point, i.e. no cache layer serves
 // results from before a completed schema change.
+//
+// The readers also pin how derived state is shared: every engine copy taken
+// between the same two writes must get the very same store, statistics, cost
+// models and range reformulator — built once by whichever copy asked first,
+// not once per copy — and the test ends with eight copies racing the first
+// use of a version no one has touched yet.
 func TestUpdateSchemaConcurrentNoStaleReads(t *testing.T) {
 	e, _ := mustEngine(t)
 	e.EnableViewCache(viewcache.Config{MinCost: -1})
@@ -98,8 +108,33 @@ func TestUpdateSchemaConcurrentNoStaleReads(t *testing.T) {
 		mu       sync.RWMutex
 		expected = 1 // ex:doi1 is a Book, hence a Publication
 	)
-	errs := make(chan error, 8)
+	errs := make(chan error, 2+8+8) // each goroutine sends at most one
 	var wg sync.WaitGroup
+
+	// artefacts are what one engine copy sees of the derived state; shared
+	// checks that every copy of one version (identified by the expected
+	// count, which every write bumps) sees the same ones.
+	type artefacts struct {
+		store    *storage.Store
+		stats    *stats.Stats
+		model    *cost.Model
+		satModel *cost.Model
+		rangeRef *core.RangeReformulator
+	}
+	var (
+		seenMu sync.Mutex
+		seen   = map[int]artefacts{}
+	)
+	shared := func(eng *Engine, version int) error {
+		got := artefacts{eng.Store(), eng.Stats(), eng.CostModel(), eng.SatCostModel(), eng.RangeReformulator()}
+		seenMu.Lock()
+		defer seenMu.Unlock()
+		if first, ok := seen[version]; ok && first != got {
+			return fmt.Errorf("version %d: one copy got %+v, another %+v — derived state rebuilt per copy", version, first, got)
+		}
+		seen[version] = got
+		return nil
+	}
 
 	// Schema writer: grafts a new subclass of Publication and one instance.
 	wg.Add(1)
@@ -146,7 +181,7 @@ func TestUpdateSchemaConcurrentNoStaleReads(t *testing.T) {
 		}
 	}()
 
-	for r := 0; r < 4; r++ {
+	for r := 0; r < 8; r++ {
 		r := r
 		wg.Add(1)
 		go func() {
@@ -166,6 +201,9 @@ func TestUpdateSchemaConcurrentNoStaleReads(t *testing.T) {
 				if err == nil {
 					ans, err = eng.AnswerContext(context.Background(), q, s)
 				}
+				if err == nil {
+					err = shared(&eng, want)
+				}
 				mu.RUnlock()
 				if err != nil {
 					errs <- err
@@ -179,6 +217,26 @@ func TestUpdateSchemaConcurrentNoStaleReads(t *testing.T) {
 			}
 		}()
 	}
+	wg.Wait()
+
+	// One more write, then eight copies released at once onto a version
+	// with nothing built.
+	if err := e.InsertData([]rdf.Triple{rdf.NewTriple(ex("doiLast"), rdf.Type, ex("Book"))}); err != nil {
+		t.Fatal(err)
+	}
+	start := make(chan struct{})
+	for r := 0; r < 8; r++ {
+		eng := *e
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if err := shared(&eng, -1); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	close(start)
 	wg.Wait()
 	close(errs)
 	for err := range errs {

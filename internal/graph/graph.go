@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 
 	"repro/internal/dict"
 	"repro/internal/ntriples"
@@ -122,54 +122,77 @@ func (g *Graph) AllTriples() []dict.Triple {
 	return sortDedup(all)
 }
 
-// AddData appends instance triples to the graph (schema triples are
+// AddData adds instance triples to the graph and returns, sorted, the
+// encoded triples that were not already in it (schema triples are
 // rejected: constraint changes require rebuilding the graph so the closure
 // stays consistent — see experiment E5).
-func (g *Graph) AddData(ts []rdf.Triple) error {
+func (g *Graph) AddData(ts []rdf.Triple) ([]dict.Triple, error) {
 	add := make([]dict.Triple, 0, len(ts))
 	for i, t := range ts {
-		if !t.WellFormed() {
-			return fmt.Errorf("graph: triple %d is ill-formed: %s", i, t)
+		if err := checkDataTriple(i, t); err != nil {
+			return nil, err
 		}
-		if rdf.IsSchemaTriple(t) {
-			return fmt.Errorf("graph: triple %d declares a constraint (%s); rebuild the graph to change constraints", i, t)
+		if enc := g.d.EncodeTriple(t); !g.has(enc) {
+			add = append(add, enc)
 		}
-		add = append(add, g.d.EncodeTriple(t))
 	}
-	g.data = sortDedup(append(g.data, add...))
-	return nil
+	add = sortDedup(add)
+	// Merge the sorted batch in from the back: one pass over the tail of
+	// the data it lands in, no re-sort of what was already in order.
+	i, w := len(g.data)-1, len(g.data)+len(add)-1
+	g.data = append(g.data, add...)
+	for j := len(add) - 1; j >= 0; w-- {
+		if i >= 0 && CompareTriples(g.data[i], add[j]) > 0 {
+			g.data[w] = g.data[i]
+			i--
+		} else {
+			g.data[w] = add[j]
+			j--
+		}
+	}
+	return add, nil
 }
 
-// RemoveData deletes instance triples from the graph (absent triples are
-// ignored; schema triples are rejected like in AddData). It returns the
-// number of triples actually removed.
-func (g *Graph) RemoveData(ts []rdf.Triple) (int, error) {
-	drop := make(map[dict.Triple]bool, len(ts))
+// RemoveData deletes instance triples from the graph and returns, sorted,
+// the encoded triples that were in it (absent triples are ignored; schema
+// triples are rejected like in AddData).
+func (g *Graph) RemoveData(ts []rdf.Triple) ([]dict.Triple, error) {
+	var drop []dict.Triple
 	for i, t := range ts {
-		if !t.WellFormed() {
-			return 0, fmt.Errorf("graph: triple %d is ill-formed: %s", i, t)
+		if err := checkDataTriple(i, t); err != nil {
+			return nil, err
 		}
-		if rdf.IsSchemaTriple(t) {
-			return 0, fmt.Errorf("graph: triple %d declares a constraint (%s); rebuild the graph to change constraints", i, t)
-		}
-		if enc, ok := g.lookupTriple(t); ok {
-			drop[enc] = true
+		if enc, ok := g.lookupTriple(t); ok && g.has(enc) {
+			drop = append(drop, enc)
 		}
 	}
-	if len(drop) == 0 {
-		return 0, nil
-	}
-	kept := g.data[:0]
-	removed := 0
+	drop = sortDedup(drop)
+	kept, j := g.data[:0], 0
 	for _, t := range g.data {
-		if drop[t] {
-			removed++
+		if j < len(drop) && t == drop[j] {
+			j++
 			continue
 		}
 		kept = append(kept, t)
 	}
 	g.data = kept
-	return removed, nil
+	return drop, nil
+}
+
+func checkDataTriple(i int, t rdf.Triple) error {
+	if !t.WellFormed() {
+		return fmt.Errorf("graph: triple %d is ill-formed: %s", i, t)
+	}
+	if rdf.IsSchemaTriple(t) {
+		return fmt.Errorf("graph: triple %d declares a constraint (%s); rebuild the graph to change constraints", i, t)
+	}
+	return nil
+}
+
+// has reports whether the encoded triple is an instance triple of the graph.
+func (g *Graph) has(t dict.Triple) bool {
+	_, ok := slices.BinarySearchFunc(g.data, t, CompareTriples)
+	return ok
 }
 
 // lookupTriple encodes a triple without growing the dictionary; ok is
@@ -231,15 +254,6 @@ func CompareTriples(a, b dict.Triple) int {
 }
 
 func sortDedup(ts []dict.Triple) []dict.Triple {
-	if len(ts) < 2 {
-		return ts
-	}
-	sort.Slice(ts, func(i, j int) bool { return CompareTriples(ts[i], ts[j]) < 0 })
-	out := ts[:1]
-	for _, t := range ts[1:] {
-		if t != out[len(out)-1] {
-			out = append(out, t)
-		}
-	}
-	return out
+	slices.SortFunc(ts, CompareTriples)
+	return slices.Compact(ts)
 }

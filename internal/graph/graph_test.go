@@ -3,6 +3,7 @@ package graph
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -67,19 +68,26 @@ func TestAddData(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := g.DataCount()
-	add := []rdf.Triple{rdf.NewTriple(rdf.NewIRI("http://example.org/doi2"), rdf.Type, rdf.NewIRI("http://example.org/Book"))}
-	if err := g.AddData(add); err != nil {
+	doi2 := rdf.NewTriple(rdf.NewIRI("http://example.org/doi2"), rdf.Type, rdf.NewIRI("http://example.org/Book"))
+	added, err := g.AddData([]rdf.Triple{doi2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if g.DataCount() != n+1 {
-		t.Fatalf("want %d triples, got %d", n+1, g.DataCount())
+	if g.DataCount() != n+1 || len(added) != 1 || g.Dict().DecodeTriple(added[0]) != doi2 {
+		t.Fatalf("want %d triples and doi2 reported added, got %d and %v", n+1, g.DataCount(), added)
 	}
-	// Duplicates are set-semantics no-ops.
-	if err := g.AddData(add); err != nil {
+	// Duplicates are set-semantics no-ops, within a batch and against the
+	// graph: only what is new is reported, and the data stays sorted.
+	doi0 := rdf.NewTriple(rdf.NewIRI("http://example.org/doi0"), rdf.Type, rdf.NewIRI("http://example.org/Book"))
+	added, err = g.AddData([]rdf.Triple{doi2, doi0, doi2, doi0})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if g.DataCount() != n+1 {
-		t.Fatal("duplicate insert must not grow the graph")
+	if g.DataCount() != n+2 || len(added) != 1 || g.Dict().DecodeTriple(added[0]) != doi0 {
+		t.Fatalf("want %d triples and doi0 alone reported added, got %d and %v", n+2, g.DataCount(), added)
+	}
+	if !slices.IsSortedFunc(g.Data(), CompareTriples) {
+		t.Fatalf("data not sorted after merge: %v", g.Data())
 	}
 }
 
@@ -89,7 +97,7 @@ func TestAddDataRejectsSchemaTriples(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []rdf.Triple{rdf.NewTriple(rdf.NewIRI("http://c"), rdf.SubClassOf, rdf.NewIRI("http://d"))}
-	if err := g.AddData(bad); err == nil {
+	if _, err := g.AddData(bad); err == nil {
 		t.Fatal("schema triple insertion must be rejected")
 	}
 }
@@ -167,22 +175,21 @@ func TestRemoveData(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := g.DataCount()
-	doi1 := rdf.NewIRI("http://example.org/doi1")
-	removed, err := g.RemoveData([]rdf.Triple{
-		rdf.NewTriple(doi1, rdf.Type, rdf.NewIRI("http://example.org/Book")),
-	})
-	if err != nil || removed != 1 {
-		t.Fatalf("removed=%d err=%v", removed, err)
+	book := rdf.NewTriple(rdf.NewIRI("http://example.org/doi1"), rdf.Type, rdf.NewIRI("http://example.org/Book"))
+	unknown := rdf.NewTriple(rdf.NewIRI("http://x"), rdf.NewIRI("http://y"), rdf.NewIRI("http://z"))
+	// Known terms, absent triple: must not be reported removed.
+	absent := rdf.NewTriple(rdf.NewIRI("http://example.org/doi1"), rdf.Type, rdf.NewIRI("http://example.org/Publication"))
+	removed, err := g.RemoveData([]rdf.Triple{book, unknown, absent, book})
+	if err != nil || len(removed) != 1 || g.Dict().DecodeTriple(removed[0]) != book {
+		t.Fatalf("removed=%v err=%v", removed, err)
 	}
 	if g.DataCount() != n-1 {
 		t.Fatalf("data count %d, want %d", g.DataCount(), n-1)
 	}
-	// Unknown triple: no-op.
-	removed, err = g.RemoveData([]rdf.Triple{
-		rdf.NewTriple(rdf.NewIRI("http://x"), rdf.NewIRI("http://y"), rdf.NewIRI("http://z")),
-	})
-	if err != nil || removed != 0 {
-		t.Fatalf("unknown removal: removed=%d err=%v", removed, err)
+	// Already gone: no-op.
+	removed, err = g.RemoveData([]rdf.Triple{book})
+	if err != nil || len(removed) != 0 || g.DataCount() != n-1 {
+		t.Fatalf("second removal: removed=%v err=%v count=%d", removed, err, g.DataCount())
 	}
 	// Schema triple rejected.
 	if _, err := g.RemoveData([]rdf.Triple{

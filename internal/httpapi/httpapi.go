@@ -39,9 +39,10 @@
 // none) echoed on the response and attached to logs, slow-query entries
 // and traces.
 //
-// Handlers are safe for concurrent use once the engine caches are warm
-// (the server warms them at construction); /v1/update serializes writes
-// against everything else via stateMu (see update.go).
+// Handlers are safe for concurrent use: /v1/update is the engine's one
+// writer and takes stateMu exclusively (see update.go); every other handler
+// reads under its shared side, and what the engine derives from the graph
+// is built once per version whichever request asks first.
 //
 // Every evaluation runs under the request's context: a client disconnect
 // or server shutdown (via http.Server.BaseContext) cancels the in-flight
@@ -130,8 +131,8 @@ type Server struct {
 }
 
 // New builds a server over the graph; prefixes apply to rule-notation
-// queries. Engine caches (store, statistics, saturation) are built eagerly
-// so concurrent requests only read.
+// queries. The engine's derived state (store, statistics, saturation, …) is
+// built eagerly so the first requests do not pay for it.
 func New(g *graph.Graph, prefixes map[string]string) *Server {
 	return NewWith(g, prefixes, metrics.NewRegistry())
 }
@@ -171,15 +172,7 @@ func NewWithOptions(g *graph.Graph, prefixes map[string]string, reg *metrics.Reg
 	// fragment frequency with cache behavior via fragment signatures.
 	s.eng.CaptureFragmentSigs = true
 	s.eng.EnableSharding(opts.Shards)
-	// Warm the scan source (the sharded store when opts.Shards ≥ 2, the
-	// plain store otherwise) so concurrent requests only read.
-	s.eng.Source()
-	s.eng.Stats()
-	s.eng.SatStore()
-	s.eng.SatStats()
-	s.eng.Reformulator()
-	s.eng.IncompleteReformulator()
-	s.eng.CostModel()
+	s.eng.Warm()
 
 	s.mux.HandleFunc("/", s.handleRoot)
 	// The /v1 surface.
@@ -255,9 +248,10 @@ func (s *Server) EnablePprof() {
 // executor), for embedding callers that want their own exposition.
 func (s *Server) Metrics() *metrics.Registry { return s.metrics }
 
-// Engine returns the server's engine for pre-serving configuration —
-// enabling the view cache, resizing the plan cache. Do not mutate it once
-// the server is handling requests: handlers shallow-copy it per request.
+// Engine returns the server's engine for configuration — enabling the view
+// cache, resizing the plan cache. The server's update handler is the
+// engine's writer (see engine.Engine): configure before the server handles
+// requests, or not at all. Handlers shallow-copy the engine per request.
 func (s *Server) Engine() *engine.Engine { return s.eng }
 
 func (s *Server) slowThreshold() time.Duration {
@@ -597,9 +591,9 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, v apiVersion
 	id := requestID(r)
 	path := r.URL.Path
 	s.metrics.Counter("http.requests." + path).Inc()
-	// Hold the read side for the whole evaluation: the engine copy's
-	// lazily (re)built caches read the live graph, and an update's
-	// in-place mutation must not interleave with that.
+	// Hold the read side for the whole evaluation: derived state is built
+	// lazily from the live graph, and an update's in-place mutation must
+	// not interleave with that.
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
 	req, err := s.parseRequest(r)
@@ -611,8 +605,8 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, v apiVersion
 	if req.Strategy == "" {
 		strategy = engine.RefGCov
 	}
-	// Each request gets its own engine view sharing the warmed caches
-	// (and the shared plan cache + metrics registry); Budget, Tracer and
+	// Each request gets its own engine view sharing the current version of
+	// the derived state (and the metrics registry); Budget, Tracer and
 	// Logger are per-request state, so shallow-copy the engine.
 	eng := *s.eng
 	eng.Budget = exec.Budget{Timeout: s.Timeout}

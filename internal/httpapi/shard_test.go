@@ -1,10 +1,12 @@
 package httpapi
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync"
 	"testing"
 
@@ -139,5 +141,44 @@ func TestShardedConcurrentQueriesDuringSchemaUpdate(t *testing.T) {
 	}
 	if resp.Total != 1 {
 		t.Fatalf("final query: %d rows, want 1", resp.Total)
+	}
+}
+
+// TestReadersShareDerivedStateAfterUpdate is the regression test for the
+// read-lock data race: an update leaves the engine without store, shards
+// or statistics, and /v1/stats and /v1/admin/shards used to rebuild them
+// into the shared engine's fields while holding only stateMu's read side —
+// racing each other and every query's engine copy. Run under -race: one
+// update, then eight concurrent readers of each kind, sharded and not.
+func TestReadersShareDerivedStateAfterUpdate(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		_, srv := newShardedServer(t, shards)
+		serve := func(method, path, body string) *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+			return rec
+		}
+		update := `{"insert":"<http://example.org/doi2> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/Book> ."}`
+		if rec := serve(http.MethodPost, "/v1/update", update); rec.Code != http.StatusOK {
+			t.Fatalf("shards=%d: update status %d: %s", shards, rec.Code, rec.Body)
+		}
+		var wg sync.WaitGroup
+		for r := 0; r < 8; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, path := range []string{"/v1/stats", "/v1/admin/shards"} {
+					if rec := serve(http.MethodGet, path, ""); rec.Code != http.StatusOK {
+						t.Errorf("shards=%d: GET %s status %d", shards, path, rec.Code)
+					}
+				}
+				rec := serve(http.MethodPost, "/v1/query", `{"query":"q(x) :- x rdf:type ex:Publication"}`)
+				var resp QueryResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Total != 2 {
+					t.Errorf("shards=%d: query status %d, total %d (err %v), want 2 Publications", shards, rec.Code, resp.Total, err)
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

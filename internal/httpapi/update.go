@@ -25,8 +25,9 @@ import (
 // Concurrency: Server.stateMu serializes updates (write lock) against
 // everything that reads the graph or engine (read lock — queries, dumps,
 // stats, checkpoints). Queries hold the read lock for their whole
-// evaluation: the engine's lazily rebuilt caches read the live graph, so
-// releasing early would race a concurrent update's in-place mutation.
+// evaluation: the engine builds its derived state lazily from the live
+// graph, so releasing early would race a concurrent update's in-place
+// mutation.
 //
 // Durability ordering: an update applies in memory first, then stages its
 // WAL record, both under the write lock — so WAL order always equals

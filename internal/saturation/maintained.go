@@ -1,12 +1,11 @@
 package saturation
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/dict"
 	"repro/internal/graph"
 	"repro/internal/rdf"
-	"repro/internal/schema"
 )
 
 // Maintained keeps a saturation incrementally correct under both inserts
@@ -17,50 +16,45 @@ import (
 // triple's consequences, deletion decrements them, and an entailed triple
 // is in the closure while its counter is positive (or it is explicit).
 // Constraint changes still require a rebuild (experiment E5).
+//
+// The explicit triples are held once, by the graph: Maintained keeps the
+// counters only and reads g.Data() for the rest. The graph is therefore
+// the owner of set semantics — Insert and Delete must be given exactly the
+// triples Graph.AddData and Graph.RemoveData reported as added or removed,
+// after the graph changed.
 type Maintained struct {
-	s      *schema.Schema
+	g      *graph.Graph
 	typeID dict.ID
 
-	explicit map[dict.Triple]bool
-	derived  map[dict.Triple]int // derivation counts (explicit or not)
+	derived map[dict.Triple]int // derivation counts (explicit or not)
 }
 
 // NewMaintained initializes the maintained saturation from the graph's
 // current data.
 func NewMaintained(g *graph.Graph) *Maintained {
 	m := &Maintained{
-		s:        g.Schema(),
-		typeID:   g.Dict().EncodeIRI(rdf.TypeIRI),
-		explicit: make(map[dict.Triple]bool, g.DataCount()),
-		derived:  make(map[dict.Triple]int, g.DataCount()),
+		g:       g,
+		typeID:  g.Dict().EncodeIRI(rdf.TypeIRI),
+		derived: make(map[dict.Triple]int, g.DataCount()),
 	}
 	m.Insert(g.Data())
 	return m
 }
 
-// Insert adds data triples (duplicates of already-explicit triples are
-// ignored) and updates the closure.
-func (m *Maintained) Insert(ts []dict.Triple) {
-	for _, t := range ts {
-		if m.explicit[t] {
-			continue
-		}
-		m.explicit[t] = true
-		deriveOne(m.s, m.typeID, t, func(d dict.Triple) {
+// Insert counts the consequences of triples that just became explicit.
+func (m *Maintained) Insert(added []dict.Triple) {
+	for _, t := range added {
+		deriveOne(m.g.Schema(), m.typeID, t, func(d dict.Triple) {
 			m.derived[d]++
 		})
 	}
 }
 
-// Delete removes data triples (absent triples are ignored) and updates the
-// closure, retracting entailed triples whose last derivation disappeared.
-func (m *Maintained) Delete(ts []dict.Triple) {
-	for _, t := range ts {
-		if !m.explicit[t] {
-			continue
-		}
-		delete(m.explicit, t)
-		deriveOne(m.s, m.typeID, t, func(d dict.Triple) {
+// Delete uncounts the consequences of triples that just stopped being
+// explicit, retracting entailed triples whose last derivation disappeared.
+func (m *Maintained) Delete(removed []dict.Triple) {
+	for _, t := range removed {
+		deriveOne(m.g.Schema(), m.typeID, t, func(d dict.Triple) {
 			if m.derived[d] <= 1 {
 				delete(m.derived, d)
 			} else {
@@ -73,42 +67,35 @@ func (m *Maintained) Delete(ts []dict.Triple) {
 // Contains reports whether the triple is in the current closure (explicit,
 // entailed, or part of the closed schema).
 func (m *Maintained) Contains(t dict.Triple) bool {
-	if m.explicit[t] || m.derived[t] > 0 {
+	if _, explicit := slices.BinarySearchFunc(m.g.Data(), t, graph.CompareTriples); explicit {
 		return true
 	}
-	for _, st := range m.s.Triples() {
-		if st == t {
-			return true
-		}
-	}
-	return false
+	return m.derived[t] > 0 || slices.Contains(m.g.Schema().Triples(), t)
 }
 
 // ExplicitCount returns the number of explicit data triples.
-func (m *Maintained) ExplicitCount() int { return len(m.explicit) }
+func (m *Maintained) ExplicitCount() int { return m.g.DataCount() }
 
 // Triples returns the current closure G∞ (explicit + entailed + closed
 // schema), sorted and deduplicated.
 func (m *Maintained) Triples() []dict.Triple {
-	out := make([]dict.Triple, 0, len(m.explicit)+len(m.derived)+len(m.s.Triples()))
-	for t := range m.explicit {
+	data := m.g.Data()
+	out := make([]dict.Triple, 0, len(data)+len(m.derived)+len(m.g.Schema().Triples()))
+	out = append(out, data...)
+	for t := range m.derived {
 		out = append(out, t)
 	}
-	for t, n := range m.derived {
-		if n > 0 && !m.explicit[t] {
-			out = append(out, t)
-		}
+	out = append(out, m.g.Schema().Triples()...)
+	return sortDedupTriples(out)
+}
+
+// Result returns the current closure in the shape Saturate reports it.
+func (m *Maintained) Result() *Result {
+	closure := m.Triples()
+	data := m.g.DataCount()
+	return &Result{
+		Triples:     closure,
+		DataTriples: data,
+		Derived:     len(closure) - data - len(m.g.Schema().Triples()),
 	}
-	out = append(out, m.s.Triples()...)
-	sort.Slice(out, func(i, j int) bool { return graph.CompareTriples(out[i], out[j]) < 0 })
-	// Deduplicate (schema triples can coincide with derived ones only if
-	// a constraint triple were derivable, which validation prevents; the
-	// dedup still guards the invariant cheaply).
-	dedup := out[:0]
-	for i, t := range out {
-		if i == 0 || t != dedup[len(dedup)-1] {
-			dedup = append(dedup, t)
-		}
-	}
-	return dedup
 }

@@ -30,32 +30,23 @@ func TestMaintainedMatchesRecompute(t *testing.T) {
 			g := sc.Graph
 			m := NewMaintained(g)
 
-			// Live set mirrors the maintained explicit triples.
-			live := map[dict.Triple]bool{}
-			for _, tr := range g.Data() {
-				live[tr] = true
-			}
-			pool := append([]dict.Triple(nil), g.Data()...)
-
+			// Re-inserting a present triple and deleting an absent one are
+			// both drawn: the graph filters them, the closure never sees them.
+			pool := g.DecodedData()
 			for step := 0; step < 20; step++ {
 				if len(pool) == 0 {
 					break
 				}
 				tr := pool[rng.Intn(len(pool))]
 				if rng.Intn(2) == 0 {
-					m.Delete([]dict.Triple{tr})
-					delete(live, tr)
+					remove(t, g, m, tr)
 				} else {
-					m.Insert([]dict.Triple{tr})
-					live[tr] = true
+					insert(t, g, m, tr)
 				}
 			}
 
 			// Recompute from scratch over the surviving data.
-			surviving := make([]rdf.Triple, 0, len(live))
-			for tr := range live {
-				surviving = append(surviving, g.Dict().DecodeTriple(tr))
-			}
+			surviving := g.DecodedData()
 			var schemaTriples []rdf.Triple
 			for _, tr := range sc.Raw {
 				if rdf.IsSchemaTriple(tr) {
@@ -110,14 +101,14 @@ ex:doi2 ex:writtenBy ex:borges .
 	if !m.Contains(person) {
 		t.Fatal("borges must be a Person while a writtenBy triple exists")
 	}
-	data := g.Data()
+	data := g.DecodedData()
 	// Delete one of the two derivations: still a Person.
-	m.Delete(data[:1])
+	remove(t, g, m, data[0])
 	if !m.Contains(person) {
 		t.Fatal("one derivation remains; Person must persist")
 	}
 	// Delete the second: retracted.
-	m.Delete(data[1:])
+	remove(t, g, m, data[1])
 	if m.Contains(person) {
 		t.Fatal("no derivation remains; Person must be retracted")
 	}
@@ -136,15 +127,25 @@ ex:a ex:p ex:b .
 		t.Fatal(err)
 	}
 	m := NewMaintained(g)
+	data := g.DecodedData()
 	before := len(m.Triples())
-	m.Insert(g.Data()) // duplicate insert
+	if added := insert(t, g, m, data...); len(added) != 0 { // duplicate insert
+		t.Fatalf("duplicate insert reported %v as added", added)
+	}
 	if len(m.Triples()) != before {
 		t.Fatal("duplicate insert changed the closure")
 	}
-	m.Delete(g.Data())
-	m.Delete(g.Data()) // double delete
+	if removed := remove(t, g, m, data...); len(removed) != len(data) {
+		t.Fatalf("removed %v, want all of %v", removed, data)
+	}
+	if removed := remove(t, g, m, data...); len(removed) != 0 { // double delete
+		t.Fatalf("double delete reported %v as removed", removed)
+	}
 	if got := len(m.Triples()); got != len(g.Schema().Triples()) {
 		t.Fatalf("after full delete only schema should remain, got %d triples", got)
+	}
+	if m.ExplicitCount() != 0 {
+		t.Fatalf("explicit count %d, want 0", m.ExplicitCount())
 	}
 }
 
@@ -168,7 +169,7 @@ ex:a rdf:type ex:C .
 		O: mustID(t, d, rdf.NewIRI("http://example.org/C")),
 	}
 	// Delete the explicit type assertion: domain derivation remains.
-	m.Delete([]dict.Triple{typeTriple})
+	remove(t, g, m, d.DecodeTriple(typeTriple))
 	if !m.Contains(typeTriple) {
 		t.Fatal("type triple still derivable via the domain constraint")
 	}
@@ -178,10 +179,32 @@ ex:a rdf:type ex:C .
 		P: mustID(t, d, rdf.NewIRI("http://example.org/p")),
 		O: mustID(t, d, rdf.NewIRI("http://example.org/b")),
 	}
-	m.Delete([]dict.Triple{propTriple})
+	remove(t, g, m, d.DecodeTriple(propTriple))
 	if m.Contains(typeTriple) {
 		t.Fatal("type triple must be retracted with its last derivation")
 	}
+}
+
+// insert and remove apply an update the way the engine does: the graph
+// decides what actually changed, the closure counts exactly that.
+func insert(t *testing.T, g *graph.Graph, m *Maintained, ts ...rdf.Triple) []dict.Triple {
+	t.Helper()
+	added, err := g.AddData(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Insert(added)
+	return added
+}
+
+func remove(t *testing.T, g *graph.Graph, m *Maintained, ts ...rdf.Triple) []dict.Triple {
+	t.Helper()
+	removed, err := g.RemoveData(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Delete(removed)
+	return removed
 }
 
 func mustID(t *testing.T, d *dict.Dict, term rdf.Term) dict.ID {

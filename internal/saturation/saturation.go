@@ -13,7 +13,7 @@
 package saturation
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/dict"
 	"repro/internal/graph"
@@ -181,15 +181,6 @@ func immediate(a, b dict.Triple, typeID, scID, spID, domID, rngID dict.ID) []dic
 }
 
 func sortDedupTriples(ts []dict.Triple) []dict.Triple {
-	if len(ts) < 2 {
-		return ts
-	}
-	sort.Slice(ts, func(i, j int) bool { return graph.CompareTriples(ts[i], ts[j]) < 0 })
-	out := ts[:1]
-	for _, t := range ts[1:] {
-		if t != out[len(out)-1] {
-			out = append(out, t)
-		}
-	}
-	return out
+	slices.SortFunc(ts, graph.CompareTriples)
+	return slices.Compact(ts)
 }
