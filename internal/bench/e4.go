@@ -9,6 +9,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/lubm"
 	"repro/internal/query"
+	"repro/internal/trace"
 )
 
 // E4Result reproduces demo step 3: introspection of one answering run —
@@ -62,20 +63,21 @@ func E4(cfg Config) (*E4Result, error) {
 	}
 
 	// Operator trace of the full JUCQ evaluation.
-	tr := &exec.Trace{}
+	root := trace.New(0).StartSpan("eval")
+	defer root.End()
 	tev := exec.New(e.Store(), e.Stats())
-	tev.Trace = tr
+	tev.Span = root
 	if _, err := tev.EvalJUCQ(gres.JUCQ); err != nil {
 		return nil, err
 	}
 	res.Operators.Header = []string{"operator", "left rows", "right rows", "out rows"}
-	for _, j := range tr.Joins {
-		// Only the materialized fragment-level joins; the per-CQ index
-		// probes inside fragment UCQs would drown the table.
-		if j.Method == "inlj" {
-			continue
+	// Only the fragment-level joins, the eval span's own children; the
+	// per-CQ operators nested inside fragment UCQs would drown the table.
+	for _, op := range trace.ToJSON(root).Children {
+		if on, ok := op.Attrs["on"]; ok {
+			res.Operators.Add(fmt.Sprintf("%s on %s", op.Name, on),
+				op.Attrs["left_rows"], op.Attrs["right_rows"], op.Attrs["rows"])
 		}
-		res.Operators.Add(j.Method+" on "+strings.Join(j.SharedVars, ","), j.LeftRows, j.RightRows, j.OutRows)
 	}
 	return res, nil
 }

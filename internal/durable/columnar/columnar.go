@@ -1,8 +1,8 @@
 // Package columnar implements the v2 on-disk snapshot format: the
 // dictionary term table plus the graph's ID triples, laid out as
 // delta-encoded sorted columns, flate-compressed and CRC32C-checksummed
-// per section. It replaces the gob blob of the v1 format (which package
-// graph keeps read compatibility for) with a layout that is both smaller
+// per section. It replaced the gob blob of the v1 format (which package
+// graph now refuses by its magic) with a layout that is both smaller
 // — the sorted subject column delta-encodes into mostly one-byte varints,
 // and flate squeezes the term table's shared IRI prefixes — and loadable
 // with per-column parallelism: every section is independently framed and
@@ -43,7 +43,7 @@ import (
 )
 
 // Magic identifies a v2 columnar snapshot stream. It is the same length
-// as the v1 magic so readers can sniff either with one fixed-size read.
+// as the retired v1 magic, so a reader's one fixed-size peek names either.
 const Magic = "repro-rdf-snapshot-v2\n"
 
 // Section identifiers. The decoder requires exactly this set, in this

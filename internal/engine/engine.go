@@ -7,7 +7,6 @@ package engine
 
 import (
 	"context"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/datalog"
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -78,8 +76,9 @@ type Answer struct {
 	EvalTime time.Duration
 	// Explored is GCov's explored cover space (RefGCov only).
 	Explored []core.Explored
-	// EstimatedCost is the model's estimate for the evaluated
-	// reformulation (JUCQ strategies only).
+	// EstimatedCost is the cost model's estimate for what was evaluated
+	// (zero where the model has no price: the lazily enumerated UCQ
+	// strategies and Dat).
 	EstimatedCost float64
 	// CachedPlan reports that the cover came from the engine's plan cache
 	// (RefGCov only): PrepTime then excludes the cover search.
@@ -125,8 +124,6 @@ type Engine struct {
 
 	// Budget bounds each evaluation (zero: unlimited).
 	Budget exec.Budget
-	// Parallel enables parallel UCQ evaluation.
-	Parallel bool
 	// MaxFragmentCQs bounds per-fragment reformulation sizes for the
 	// JUCQ strategies (zero: core.DefaultMaxFragmentCQs).
 	MaxFragmentCQs int
@@ -169,9 +166,6 @@ type Engine struct {
 	// (internal/viewcache), invalidated whenever the derived state is
 	// swapped.
 	views *viewcache.Cache
-	// viewStrategies restricts which strategies consult views; nil means
-	// every fragment-evaluating strategy (RefSCQ, RefJUCQ, RefGCov).
-	viewStrategies map[Strategy]bool
 }
 
 // New returns an engine over the graph.
@@ -262,45 +256,32 @@ func (e *Engine) SatStore() *storage.Store { return e.d.satStore() }
 // SatStats returns statistics over the saturated store.
 func (e *Engine) SatStats() *stats.Stats { return e.d.satStats() }
 
-func (e *Engine) evaluator(st exec.Source, ss *stats.Stats) *exec.Evaluator {
-	ev := exec.New(st, ss)
-	ev.Budget = e.Budget
-	ev.Parallel = e.Parallel
-	ev.Metrics = e.Metrics
-	return ev
-}
-
-// EnableViewCache attaches a fragment-level view cache to the engine. The
+// EnableViewCache attaches a fragment-level view cache to the engine, which
+// every fragment-evaluating strategy (RefSCQ, RefJUCQ, RefGCov) consults. The
 // cache inherits the engine's metrics registry unless cfg names its own.
-// With no strategies given, every fragment-evaluating strategy (RefSCQ,
-// RefJUCQ, RefGCov) consults it; otherwise only the listed ones do.
-func (e *Engine) EnableViewCache(cfg viewcache.Config, strategies ...Strategy) {
+func (e *Engine) EnableViewCache(cfg viewcache.Config) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = e.Metrics
 	}
 	e.views = viewcache.New(cfg)
-	e.viewStrategies = nil
-	if len(strategies) > 0 {
-		e.viewStrategies = make(map[Strategy]bool, len(strategies))
-		for _, s := range strategies {
-			e.viewStrategies[s] = true
-		}
-	}
 }
 
 // ViewCache returns the attached view cache, nil when disabled.
 func (e *Engine) ViewCache() *viewcache.Cache { return e.views }
 
-// attachViewCache hooks the view cache into one evaluator when the cache
-// is on for the strategy; returns the per-answer outcome accumulator (nil
-// when detached). Admission needs fragment cost estimates, so the cost
-// model is attached even on untraced queries.
-func (e *Engine) attachViewCache(ev *exec.Evaluator, s Strategy) *exec.CacheStats {
-	if e.views == nil || (e.viewStrategies != nil && !e.viewStrategies[s]) {
+// attachViewCache hooks the view cache into one evaluator when the cache is
+// on and p evaluates fragments; returns the per-answer outcome accumulator
+// (nil when detached). Cache admission needs fragment cost estimates, so the
+// cost model is attached even on untraced queries; a cached plan also hands
+// over its precomputed fragment keys, so warm executions skip per-fragment
+// canonicalization.
+func (e *Engine) attachViewCache(ev *exec.Evaluator, p *prepared) *exec.CacheStats {
+	if e.views == nil || p.jucq == nil {
 		return nil
 	}
 	ev.FragCache = e.views
-	ev.Cost = e.CostModel()
+	ev.FragKeys = p.fragKeys
+	ev.Cost = p.model
 	cs := &exec.CacheStats{}
 	ev.CacheStats = cs
 	return cs
@@ -331,59 +312,47 @@ func (e *Engine) Answer(q query.CQ, s Strategy) (*Answer, error) {
 // wrapping exec.ErrCanceled. The context and the Budget's timeout are
 // checked together at every operator checkpoint.
 func (e *Engine) AnswerContext(ctx context.Context, q query.CQ, s Strategy) (*Answer, error) {
+	return e.answer(ctx, q, s, nil)
+}
+
+// AnswerWithCover answers q with the JUCQ induced by the given cover.
+func (e *Engine) AnswerWithCover(q query.CQ, cover query.Cover) (*Answer, error) {
+	return e.AnswerWithCoverContext(context.Background(), q, cover)
+}
+
+// AnswerWithCoverContext is AnswerWithCover bounded by ctx.
+func (e *Engine) AnswerWithCoverContext(ctx context.Context, q query.CQ, cover query.Cover) (*Answer, error) {
+	return e.answer(ctx, q, RefJUCQ, cover)
+}
+
+// answer is the query lifecycle: prepare, then execute, under one "answer"
+// span — the trace root when the tracer is fresh, a child of it when an
+// outer layer (HTTP handler) already opened one — and one metrics
+// observation.
+func (e *Engine) answer(ctx context.Context, q query.CQ, s Strategy, cover query.Cover) (*Answer, error) {
 	start := time.Now()
-	sp := e.startAnswerSpan(q, s)
+	sp := e.Tracer.StartSpan("answer")
 	defer sp.End()
-	ans, err := e.answer(ctx, q, s, sp)
-	e.endAnswerSpan(sp, s, ans, err)
+	if sp != nil {
+		sp.SetStr("strategy", string(s))
+		sp.SetStr("query", query.FormatCQ(e.g.Dict(), q))
+	}
+	var ans *Answer
+	p, err := e.prepare(q, s, cover, sp)
+	if err == nil {
+		ans, err = e.execute(ctx, &p, sp)
+	}
+	if sp != nil {
+		if err != nil {
+			sp.SetStr("error", err.Error())
+		} else {
+			sp.SetInt("rows", int64(ans.Rows.Len()))
+		}
+		sp.End()
+		e.reportMisestimates(sp, s)
+	}
 	e.observe(s, start, ans, err)
 	return ans, err
-}
-
-// startAnswerSpan opens the per-query lifecycle span: the trace root when
-// the tracer is fresh, a child of it when an outer layer (HTTP handler)
-// already opened one. Nil-safe without a tracer.
-func (e *Engine) startAnswerSpan(q query.CQ, s Strategy) *trace.Span {
-	sp := e.Tracer.StartSpan("answer")
-	sp.SetStr("strategy", string(s))
-	sp.SetStr("query", query.FormatCQ(e.g.Dict(), q))
-	return sp
-}
-
-func (e *Engine) endAnswerSpan(sp *trace.Span, s Strategy, ans *Answer, err error) {
-	if sp == nil {
-		return
-	}
-	if err != nil {
-		sp.SetStr("error", err.Error())
-	} else if ans != nil && ans.Rows != nil {
-		sp.SetInt("rows", int64(ans.Rows.Len()))
-	}
-	sp.End()
-	e.reportMisestimates(sp, s)
-}
-
-func (e *Engine) answer(ctx context.Context, q query.CQ, s Strategy, sp *trace.Span) (*Answer, error) {
-	switch s {
-	case Sat:
-		return e.answerSat(ctx, q, sp)
-	case RefUCQ:
-		return e.answerUCQ(ctx, q, e.Reformulator(), RefUCQ, sp)
-	case RefSCQ:
-		return e.answerCover(ctx, q, query.SingletonCover(len(q.Atoms)), RefSCQ, sp)
-	case RefGCov:
-		return e.answerGCov(ctx, q, sp)
-	case RefRange:
-		return e.answerRange(ctx, q, sp)
-	case RefIncomplete:
-		return e.answerUCQ(ctx, q, e.IncompleteReformulator(), RefIncomplete, sp)
-	case Dat:
-		return e.answerDat(ctx, q, sp)
-	case RefJUCQ:
-		return nil, fmt.Errorf("engine: strategy %s needs a cover; use AnswerWithCover", s)
-	default:
-		return nil, fmt.Errorf("engine: unknown strategy %q", s)
-	}
 }
 
 // misestimateFactor is the est-vs-actual deviation beyond which a traced
@@ -456,22 +425,6 @@ func (e *Engine) reportMisestimates(sp *trace.Span, s Strategy) {
 			"actual_rows", worst.act,
 			"ratio", worstRatio)
 	}
-}
-
-// AnswerWithCover answers q with the JUCQ induced by the given cover.
-func (e *Engine) AnswerWithCover(q query.CQ, cover query.Cover) (*Answer, error) {
-	return e.AnswerWithCoverContext(context.Background(), q, cover)
-}
-
-// AnswerWithCoverContext is AnswerWithCover bounded by ctx.
-func (e *Engine) AnswerWithCoverContext(ctx context.Context, q query.CQ, cover query.Cover) (*Answer, error) {
-	start := time.Now()
-	sp := e.startAnswerSpan(q, RefJUCQ)
-	defer sp.End()
-	ans, err := e.answerCover(ctx, q, cover, RefJUCQ, sp)
-	e.endAnswerSpan(sp, RefJUCQ, ans, err)
-	e.observe(RefJUCQ, start, ans, err)
-	return ans, err
 }
 
 // observe records one answered (or failed) query into the metrics
@@ -570,223 +523,6 @@ func endEval(es *trace.Span, rows *exec.Relation) {
 	es.End()
 }
 
-func (e *Engine) answerSat(ctx context.Context, q query.CQ, sp *trace.Span) (*Answer, error) {
-	st := e.SatStore()
-	ss := e.SatStats()
-	est, _ := e.SatCostModel().CQPlan(q)
-	tkt, err := e.admit(ctx, sp, est.Cost)
-	if err != nil {
-		return nil, err
-	}
-	defer tkt.Release()
-	ev := e.evaluator(st, ss)
-	ev.MaxParallel = tkt.Weight()
-	es := startEval(sp, ev, e.SatCostModel())
-	defer es.End()
-	start := time.Now()
-	rows, err := ev.EvalCQContext(ctx, query.HeadVarNames(q), q)
-	if err != nil {
-		endEval(es, nil)
-		return nil, err
-	}
-	endEval(es, rows)
-	ans := &Answer{Strategy: Sat, Rows: rows, ReformulationCQs: 1, EvalTime: time.Since(start)}
-	stampAdmission(ans, tkt)
-	return ans, nil
-}
-
-func (e *Engine) answerUCQ(ctx context.Context, q query.CQ, r *core.Reformulator, s Strategy, sp *trace.Span) (*Answer, error) {
-	ev := e.evaluator(e.Source(), e.Stats())
-	head := query.HeadVarNames(q)
-	prepStart := time.Now()
-	var rsp *trace.Span
-	if sp != nil {
-		rsp = sp.Child("reformulate")
-		defer rsp.End()
-	}
-	count, _ := r.CombinationCount(q)
-	if rsp != nil {
-		rsp.SetInt("cqs", int64(count))
-		rsp.End()
-	}
-	prep := time.Since(prepStart)
-	// The stream enumerates reformulations lazily, so there is no JUCQ
-	// plan to price; a per-CQ estimate times the reformulation count is
-	// the natural upper-bound proxy.
-	est, _ := e.CostModel().CQPlan(q)
-	tkt, err := e.admit(ctx, sp, est.Cost*float64(count))
-	if err != nil {
-		return nil, err
-	}
-	defer tkt.Release()
-	ev.MaxParallel = tkt.Weight()
-	es := startEval(sp, ev, e.CostModel())
-	defer es.End()
-	start := time.Now()
-	rows, err := ev.EvalUCQStreamContext(ctx, head, func(fn func(query.CQ) bool) {
-		r.EnumerateCQ(q, fn)
-	})
-	if err != nil {
-		endEval(es, nil)
-		return nil, err
-	}
-	endEval(es, rows)
-	ans := &Answer{
-		Strategy: s, Rows: rows, ReformulationCQs: count,
-		PrepTime: prep, EvalTime: time.Since(start),
-	}
-	stampAdmission(ans, tkt)
-	return ans, nil
-}
-
-func (e *Engine) answerCover(ctx context.Context, q query.CQ, cover query.Cover, s Strategy, sp *trace.Span) (*Answer, error) {
-	prepStart := time.Now()
-	var rsp *trace.Span
-	if sp != nil {
-		rsp = sp.Child("reformulate")
-		defer rsp.End()
-		rsp.SetStr("cover", cover.String())
-	}
-	bound := e.fragmentBound()
-	if s == RefSCQ {
-		// The SCQ is a fixed strategy: it is built regardless of size.
-		bound = 0
-	}
-	j, err := e.Reformulator().ReformulateJUCQ(q, cover, bound)
-	if err != nil {
-		return nil, err
-	}
-	est := e.CostModel().JUCQ(j)
-	n := 0
-	for _, f := range j.Fragments {
-		n += len(f.UCQ.CQs)
-	}
-	if rsp != nil {
-		rsp.SetInt("cqs", int64(n))
-		rsp.SetFloat("est_cost", est.Cost)
-		rsp.End()
-	}
-	prep := time.Since(prepStart)
-	tkt, err := e.admit(ctx, sp, est.Cost)
-	if err != nil {
-		return nil, err
-	}
-	defer tkt.Release()
-	ev := e.evaluator(e.Source(), e.Stats())
-	ev.MaxParallel = tkt.Weight()
-	cs := e.attachViewCache(ev, s)
-	es := startEval(sp, ev, e.CostModel())
-	defer es.End()
-	start := time.Now()
-	rows, err := ev.EvalJUCQContext(ctx, j)
-	if err != nil {
-		endEval(es, nil)
-		return nil, err
-	}
-	endEval(es, rows)
-	ans := &Answer{
-		Strategy: s, Rows: rows, Cover: cover, ReformulationCQs: n,
-		PrepTime: prep, EvalTime: time.Since(start), EstimatedCost: est.Cost,
-	}
-	if cs != nil {
-		ans.CachedFragments = int(cs.Hits.Load())
-	}
-	if e.CaptureFragmentSigs {
-		ans.FragmentSigs = fragmentSigsJUCQ(j)
-	}
-	stampAdmission(ans, tkt)
-	return ans, nil
-}
-
-// fragmentSigsJUCQ computes each fragment's view-cache signature,
-// hex-encoded for JSON/journal friendliness.
-func fragmentSigsJUCQ(j query.JUCQ) []string {
-	out := make([]string, len(j.Fragments))
-	for i, f := range j.Fragments {
-		out[i] = hex.EncodeToString([]byte(viewcache.Signature(f.UCQ)))
-	}
-	return out
-}
-
-// hexSigs hex-encodes raw view-cache signatures (e.g. a plan-cache
-// entry's precomputed fragment keys).
-func hexSigs(raw []string) []string {
-	out := make([]string, len(raw))
-	for i, s := range raw {
-		out[i] = hex.EncodeToString([]byte(s))
-	}
-	return out
-}
-
-func (e *Engine) answerGCov(ctx context.Context, q query.CQ, sp *trace.Span) (*Answer, error) {
-	key := query.FormatCQ(e.g.Dict(), q)
-	prepStart := time.Now()
-	var psp *trace.Span
-	if sp != nil {
-		psp = sp.Child("plan")
-		defer psp.End()
-	}
-	entry, cached := e.d.plans.get(key)
-	e.observePlanCache(cached)
-	if !cached {
-		res, err := core.GCov(e.Reformulator(), e.CostModel(), q, core.GCovOptions{MaxFragmentCQs: e.fragmentBound()})
-		if err != nil {
-			return nil, err
-		}
-		entry = newPlanEntry(key, res)
-		evicted := e.d.plans.put(entry)
-		e.Metrics.Counter("engine.plancache.evictions").Add(int64(evicted))
-	}
-	if psp != nil {
-		psp.SetBool("cached", cached)
-		psp.SetStr("cover", entry.cover.String())
-		psp.SetFloat("est_cost", entry.cost)
-		psp.SetInt("explored", int64(len(entry.explored)))
-		psp.End()
-	}
-	prep := time.Since(prepStart)
-	tkt, err := e.admit(ctx, sp, entry.cost)
-	if err != nil {
-		return nil, err
-	}
-	defer tkt.Release()
-	ev := e.evaluator(e.Source(), e.Stats())
-	ev.MaxParallel = tkt.Weight()
-	cs := e.attachViewCache(ev, RefGCov)
-	if cs != nil {
-		// The plan's fragment signatures were computed when it was built;
-		// hand them to the evaluator so warm executions skip per-fragment
-		// canonicalization.
-		ev.FragKeys = entry.fragKeys
-	}
-	es := startEval(sp, ev, e.CostModel())
-	defer es.End()
-	start := time.Now()
-	rows, err := ev.EvalJUCQContext(ctx, entry.jucq)
-	if err != nil {
-		endEval(es, nil)
-		return nil, err
-	}
-	endEval(es, rows)
-	n := 0
-	for _, f := range entry.jucq.Fragments {
-		n += len(f.UCQ.CQs)
-	}
-	ans := &Answer{
-		Strategy: RefGCov, Rows: rows, Cover: entry.cover, ReformulationCQs: n,
-		PrepTime: prep, EvalTime: time.Since(start),
-		Explored: entry.explored, EstimatedCost: entry.cost, CachedPlan: cached,
-	}
-	if cs != nil {
-		ans.CachedFragments = int(cs.Hits.Load())
-	}
-	if e.CaptureFragmentSigs {
-		ans.FragmentSigs = hexSigs(entry.fragKeys)
-	}
-	stampAdmission(ans, tkt)
-	return ans, nil
-}
-
 // observePlanCache records one plan-cache lookup. The lookup-site counters
 // (plancache.hit / plancache.miss, exposed as plancache_total{event=...})
 // complement the per-successful-answer engine.plancache.* counters in
@@ -802,69 +538,6 @@ func (e *Engine) observePlanCache(hit bool) {
 
 // PlanCacheLen reports how many GCov plans the engine currently caches.
 func (e *Engine) PlanCacheLen() int { return e.d.plans.len() }
-
-func (e *Engine) answerDat(ctx context.Context, q query.CQ, sp *trace.Span) (*Answer, error) {
-	// The fixpoint touches the whole graph regardless of the query, so
-	// the data size is the natural cost proxy. Admit before the timeout
-	// wrap below: queue wait must not consume the evaluation budget.
-	tkt, err := e.admit(ctx, sp, float64(e.g.DataCount()))
-	if err != nil {
-		return nil, err
-	}
-	defer tkt.Release()
-	// The exec strategies convert Budget.Timeout into a guard deadline;
-	// the Datalog fixpoint has no guard, so carry the budget as a context
-	// deadline instead and let RunContext's per-round poll enforce it.
-	if t := e.Budget.Timeout; t > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, t)
-		defer cancel()
-	}
-	prepStart := time.Now()
-	var rsp *trace.Span
-	if sp != nil {
-		rsp = sp.Child("reformulate")
-		defer rsp.End()
-	}
-	p := datalog.EncodeGraph(e.g)
-	if err := datalog.AddQuery(p, q); err != nil {
-		return nil, err
-	}
-	if rsp != nil {
-		rsp.SetInt("rules", int64(len(p.Rules)))
-		rsp.End()
-	}
-	prep := time.Since(prepStart)
-	var es *trace.Span
-	if sp != nil {
-		es = sp.Child("eval")
-		defer es.End()
-	}
-	start := time.Now()
-	eng, err := datalog.RunContext(ctx, p)
-	if err != nil {
-		switch {
-		case errors.Is(ctx.Err(), context.DeadlineExceeded):
-			return nil, fmt.Errorf("%w: timeout: %v", exec.ErrBudgetExceeded, err)
-		case ctx.Err() != nil:
-			return nil, fmt.Errorf("%w: %v", exec.ErrCanceled, err)
-		}
-		return nil, err
-	}
-	tuples := eng.Tuples(datalog.AnswerPred)
-	rows := exec.NewRelation(query.HeadVarNames(q))
-	for _, t := range tuples {
-		rows.Append(t)
-	}
-	rows.Distinct()
-	endEval(es, rows)
-	ans := &Answer{
-		Strategy: Dat, Rows: rows, ReformulationCQs: 1,
-		PrepTime: prep, EvalTime: time.Since(start),
-	}
-	stampAdmission(ans, tkt)
-	return ans, nil
-}
 
 // AnswerUnion answers a union of BGPs (the full dialect of §3) with the
 // given strategy: each member is answered independently and the answers

@@ -265,7 +265,7 @@ func TestGCovPlanCache(t *testing.T) {
 func TestPlanCacheEviction(t *testing.T) {
 	c := newPlanCache(2)
 	for _, k := range []string{"a", "b", "c"} {
-		c.put(&planEntry{key: k})
+		c.put(&prepared{key: k})
 	}
 	if c.len() != 2 {
 		t.Fatalf("len %d, want 2", c.len())
@@ -277,13 +277,13 @@ func TestPlanCacheEviction(t *testing.T) {
 		t.Fatal("newest entry must remain")
 	}
 	// Re-putting an existing key refreshes rather than duplicates.
-	c.put(&planEntry{key: "c"})
+	c.put(&prepared{key: "c"})
 	if c.len() != 2 {
 		t.Fatalf("len %d after refresh, want 2", c.len())
 	}
 	// LRU order: touching b keeps it when d arrives.
 	c.get("b")
-	c.put(&planEntry{key: "d"})
+	c.put(&prepared{key: "d"})
 	if _, ok := c.get("b"); !ok {
 		t.Fatal("recently used entry must survive")
 	}

@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/dict"
 	"repro/internal/exec"
@@ -13,8 +11,8 @@ import (
 )
 
 // Plan is the EXPLAIN (without ANALYZE) surface: how a strategy would
-// answer a query, derived entirely from the reformulator and the cost
-// model without touching the data. Its tree mirrors the span tree an
+// answer a query, rendered from the same prepared value an execution
+// consumes, without touching the data. Its tree mirrors the span tree an
 // actual execution records, so EXPLAIN and EXPLAIN ANALYZE output line up
 // node for node, but carries only estimates — rendering it is
 // deterministic, which the golden tests rely on.
@@ -49,167 +47,152 @@ const explainMaxUCQPlans = 3
 // Plan explains how strategy s would answer q without executing it.
 // RefJUCQ requires a cover via PlanWithCover.
 func (e *Engine) Plan(q query.CQ, s Strategy) (*Plan, error) {
-	switch s {
-	case Sat:
-		return e.planSat(q)
-	case RefUCQ:
-		return e.planUCQ(q, e.Reformulator(), RefUCQ)
-	case RefIncomplete:
-		return e.planUCQ(q, e.IncompleteReformulator(), RefIncomplete)
-	case RefSCQ:
-		return e.planCover(q, query.SingletonCover(len(q.Atoms)), RefSCQ)
-	case RefGCov:
-		return e.planGCov(q)
-	case RefRange:
-		return e.planRange(q)
-	case Dat:
-		return e.planDat(q)
-	case RefJUCQ:
-		return nil, fmt.Errorf("engine: strategy %s needs a cover; use PlanWithCover", s)
-	default:
-		return nil, fmt.Errorf("engine: unknown strategy %q", s)
-	}
+	return e.plan(q, s, nil)
 }
 
 // PlanWithCover explains the JUCQ plan induced by a caller-chosen cover.
 func (e *Engine) PlanWithCover(q query.CQ, cover query.Cover) (*Plan, error) {
-	if err := cover.Validate(len(q.Atoms)); err != nil {
-		return nil, err
-	}
-	return e.planCover(q, cover, RefJUCQ)
+	return e.plan(q, RefJUCQ, cover)
 }
 
-// newPlan starts a plan tree rooted at a "plan" span.
-func (e *Engine) newPlan(q query.CQ, s Strategy) (*Plan, *trace.Span) {
-	tr := trace.New(0)
-	root := tr.StartSpan("plan")
-	root.SetStr("strategy", string(s))
-	root.SetStr("query", query.FormatCQ(e.g.Dict(), q))
-	return &Plan{Strategy: s, root: root}, root
-}
-
-//reflint:nospanend plan spans are a rendered tree, never timed; Plan.Tree omits durations
-func (e *Engine) planSat(q query.CQ) (*Plan, error) {
-	p, root := e.newPlan(q, Sat)
-	// The saturated store stays unsharded, so Sat plans carry no scatter.
-	est := explainCQ(root, e.SatCostModel(), e.g.Dict(), q, 1)
-	p.ReformulationCQs = 1
-	p.EstimatedCost, p.EstimatedRows = est.Cost, est.Card
-	return p, nil
-}
-
-//reflint:nospanend plan spans are a rendered tree, never timed; Plan.Tree omits durations
-func (e *Engine) planUCQ(q query.CQ, r *core.Reformulator, s Strategy) (*Plan, error) {
-	p, root := e.newPlan(q, s)
-	count, _ := r.CombinationCount(q)
-	p.ReformulationCQs = count
-	u := root.Child("union")
-	u.SetInt("cqs", int64(count))
-	m := e.CostModel()
-	shown := 0
-	r.EnumerateCQ(q, func(cq query.CQ) bool {
-		if shown >= explainMaxUCQPlans {
-			return false
-		}
-		explainCQ(u, m, e.g.Dict(), cq, e.Shards())
-		shown++
-		return true
-	})
-	if count > shown {
-		el := u.Child("elided")
-		el.SetInt("cqs", int64(count-shown))
-	}
-	return p, nil
-}
-
-//reflint:nospanend plan spans are a rendered tree, never timed; Plan.Tree omits durations
-func (e *Engine) planCover(q query.CQ, cover query.Cover, s Strategy) (*Plan, error) {
-	bound := e.fragmentBound()
-	if s == RefSCQ {
-		bound = 0
-	}
-	j, err := e.Reformulator().ReformulateJUCQ(q, cover, bound)
+func (e *Engine) plan(q query.CQ, s Strategy, cover query.Cover) (*Plan, error) {
+	p, err := e.prepare(q, s, cover, nil)
 	if err != nil {
 		return nil, err
 	}
-	p, root := e.newPlan(q, s)
-	root.SetStr("cover", cover.String())
-	e.explainJUCQ(root, p, j)
-	p.Cover = cover
-	return p, nil
+	return e.explain(&p), nil
 }
 
-//reflint:nospanend plan spans are a rendered tree, never timed; Plan.Tree omits durations
-func (e *Engine) planGCov(q query.CQ) (*Plan, error) {
-	key := query.FormatCQ(e.g.Dict(), q)
-	entry, cached := e.d.plans.get(key)
-	e.observePlanCache(cached)
-	if !cached {
-		res, err := core.GCov(e.Reformulator(), e.CostModel(), q, core.GCovOptions{MaxFragmentCQs: e.fragmentBound()})
-		if err != nil {
-			return nil, err
-		}
-		entry = newPlanEntry(key, res)
-		evicted := e.d.plans.put(entry)
-		e.Metrics.Counter("engine.plancache.evictions").Add(int64(evicted))
-	}
-	p, root := e.newPlan(q, RefGCov)
-	root.SetStr("cover", entry.cover.String())
-	root.SetBool("cached", cached)
-	root.SetInt("explored", int64(len(entry.explored)))
-	e.explainJUCQ(root, p, entry.jucq)
-	p.Cover = entry.cover
-	p.CachedPlan = cached
-	return p, nil
-}
-
-//reflint:nospanend plan spans are a rendered tree, never timed; Plan.Tree omits durations
-func (e *Engine) planDat(q query.CQ) (*Plan, error) {
-	p, root := e.newPlan(q, Dat)
-	// The Datalog engine evaluates bottom-up to fixpoint; the cost model
-	// does not price it, so the plan is purely structural.
-	root.Child("encode")
-	root.Child("fixpoint")
-	p.ReformulationCQs = 1
-	return p, nil
-}
-
-// explainJUCQ renders a fragment-join plan: one "fragment" node per cover
-// block, then "join" nodes in the cost model's greedy order with the
-// running estimated cardinality — the same order EXPLAIN ANALYZE traces
-// show when the estimates track reality.
+// explain renders a prepared query as the Plan tree: the shape it would
+// evaluate, node for node as the executor would record it, with the cost
+// model's estimates in place of actuals. Against a sharded source the tree
+// shows the executor's scatter nodes; the saturated store stays unsharded,
+// so Sat plans carry none.
 //
 //reflint:nospanend plan spans are a rendered tree, never timed; Plan.Tree omits durations
-func (e *Engine) explainJUCQ(root *trace.Span, p *Plan, j query.JUCQ) {
-	m := e.CostModel()
+func (e *Engine) explain(p *prepared) *Plan {
+	e.price(p)
 	d := e.g.Dict()
-	shards := e.Shards()
-	frags := make([]cost.Estimate, len(j.Fragments))
-	n := 0
-	for i, f := range j.Fragments {
-		frags[i] = m.UCQ(f.UCQ)
-		n += len(f.UCQ.CQs)
-		fsp := root.Child("fragment")
-		fsp.SetInt("idx", int64(i))
-		fsp.SetStr("atoms", query.Cover{f.AtomIndexes}.String())
-		fsp.SetStr("q", query.FormatCQ(d, f.CQ))
-		fsp.SetInt("cqs", int64(len(f.UCQ.CQs)))
-		fsp.SetFloat("est_rows", frags[i].Card)
-		fsp.SetFloat("est_cost", frags[i].Cost)
-		if op := fragmentScatterOp(f.UCQ, shards); op != "" {
-			sc := fsp.Child("scatter")
-			sc.SetInt("n", int64(shards))
-			sc.SetStr("op", op)
-		}
+	root := trace.New(0).StartSpan("plan")
+	root.SetStr("strategy", string(p.strategy))
+	root.SetStr("query", query.FormatCQ(d, p.q))
+	plan := &Plan{
+		Strategy: p.strategy, Cover: p.cover, ReformulationCQs: p.cqs,
+		EstimatedCost: p.est.Cost, EstimatedRows: p.est.Card, CachedPlan: p.cachedPlan,
+		root: root,
 	}
-	p.ReformulationCQs = n
-	// Mirror cost.JoinFragments' greedy order: connected fragments first,
-	// smaller estimated cardinality breaking ties.
+	switch {
+	case p.stream != nil:
+		u := root.Child("union")
+		u.SetInt("cqs", int64(p.cqs))
+		shown := 0
+		p.stream.EnumerateCQ(p.q, func(cq query.CQ) bool {
+			if shown >= explainMaxUCQPlans {
+				return false
+			}
+			explainCQ(u, p.model, d, cq, e.Shards())
+			shown++
+			return true
+		})
+		if p.cqs > shown {
+			u.Child("elided").SetInt("cqs", int64(p.cqs-shown))
+		}
+
+	case p.jucq != nil:
+		// One "fragment" node per cover block, then "join" nodes in the
+		// cost model's greedy order with the running estimated cardinality
+		// — the same order EXPLAIN ANALYZE traces show when the estimates
+		// track reality.
+		root.SetStr("cover", p.cover.String())
+		if p.key != "" {
+			root.SetBool("cached", p.cachedPlan)
+			root.SetInt("explored", int64(len(p.explored)))
+		}
+		root.SetFloat("est_cost", p.est.Cost)
+		frags := make([]cost.Estimate, len(p.jucq.Fragments))
+		for i, f := range p.jucq.Fragments {
+			frags[i] = p.model.UCQ(f.UCQ)
+			fsp := root.Child("fragment")
+			fsp.SetInt("idx", int64(i))
+			fsp.SetStr("atoms", query.Cover{f.AtomIndexes}.String())
+			fsp.SetStr("q", query.FormatCQ(d, f.CQ))
+			fsp.SetInt("cqs", int64(len(f.UCQ.CQs)))
+			fsp.SetFloat("est_rows", frags[i].Card)
+			fsp.SetFloat("est_cost", frags[i].Cost)
+			if op := fragmentScatterOp(f.UCQ, e.Shards()); op != "" {
+				sc := fsp.Child("scatter")
+				sc.SetInt("n", int64(e.Shards()))
+				sc.SetStr("op", op)
+			}
+		}
+		out := frags[0]
+		for _, step := range joinOrder(frags) {
+			jsp := root.Child("join")
+			jsp.SetInt("fragment", int64(step.fragment))
+			jsp.SetFloat("est_rows", step.out.Card)
+			out = step.out
+		}
+		// GCov reports its cover's cost only; the cardinality is the last
+		// join's (the same number p.est carries for a caller's cover).
+		plan.EstimatedRows = out.Card
+		root.Child("project").SetStr("cols", strings.Join(p.jucq.HeadNames, ","))
+
+	case p.ranges != nil:
+		// One "cq" node per range CQ; range reformulations are small, so no
+		// elision is needed.
+		u := root.Child("union")
+		u.SetInt("cqs", int64(p.cqs))
+		u.SetInt("range_atoms", int64(p.ranges.RangeAtoms()))
+		u.SetInt("expansions", int64(p.ranges.Expansions()))
+		parent := u
+		if n := e.Shards(); n > 1 && exec.CoPartitionedRangeUCQ(*p.ranges) {
+			// A fully co-partitioned range union evaluates shard-locally.
+			sc := u.Child("scatter")
+			sc.SetInt("n", int64(n))
+			sc.SetStr("op", "rangeucq")
+			parent = sc
+		}
+		for _, cq := range p.ranges.CQs {
+			ce := p.model.RangeCQ(cq)
+			parts := make([]string, len(cq.Atoms))
+			for i, a := range cq.Atoms {
+				parts[i] = query.FormatRangeAtom(a)
+			}
+			csp := parent.Child("cq")
+			csp.SetStr("q", strings.Join(parts, ", "))
+			csp.SetFloat("est_rows", ce.Card)
+			csp.SetFloat("est_cost", ce.Cost)
+		}
+
+	case p.program != nil:
+		// The Datalog engine evaluates bottom-up to fixpoint; the cost model
+		// does not price it, so the plan is purely structural.
+		root.Child("encode")
+		root.Child("fixpoint")
+
+	default:
+		explainCQ(root, p.model, d, p.q, 1)
+	}
+	return plan
+}
+
+// joinStep is one fragment join of a JUCQ plan: the fragment joined in and
+// the estimate of the running result after it.
+type joinStep struct {
+	fragment int
+	out      cost.Estimate
+}
+
+// joinOrder mirrors cost.JoinFragments' greedy order over fragment
+// estimates: start from fragment 0, then connected fragments first, smaller
+// estimated cardinality breaking ties.
+func joinOrder(frags []cost.Estimate) []joinStep {
 	cur := frags[0]
 	rest := make([]int, 0, len(frags)-1)
 	for i := 1; i < len(frags); i++ {
 		rest = append(rest, i)
 	}
+	steps := make([]joinStep, 0, len(rest))
 	for len(rest) > 0 {
 		best, bestConnected := -1, false
 		for i, fi := range rest {
@@ -224,15 +207,9 @@ func (e *Engine) explainJUCQ(root *trace.Span, p *Plan, j query.JUCQ) {
 		fi := rest[best]
 		rest = append(rest[:best], rest[best+1:]...)
 		cur = cost.Join(cur, frags[fi])
-		jsp := root.Child("join")
-		jsp.SetInt("fragment", int64(fi))
-		jsp.SetFloat("est_rows", cur.Card)
+		steps = append(steps, joinStep{fragment: fi, out: cur})
 	}
-	est := m.JoinFragments(frags)
-	root.SetFloat("est_cost", est.Cost)
-	p.EstimatedCost, p.EstimatedRows = est.Cost, est.Card
-	prj := root.Child("project")
-	prj.SetStr("cols", strings.Join(j.HeadNames, ","))
+	return steps
 }
 
 // fragmentScatterOp summarizes how a fragment fans out against a
@@ -287,7 +264,7 @@ func sharesEstVar(a, b cost.Estimate) bool {
 // unbound-subject scans individually.
 //
 //reflint:nospanend plan spans are a rendered tree, never timed; Plan.Tree omits durations
-func explainCQ(parent *trace.Span, m *cost.Model, d *dict.Dict, q query.CQ, shards int) cost.Estimate {
+func explainCQ(parent *trace.Span, m *cost.Model, d *dict.Dict, q query.CQ, shards int) {
 	est, steps := m.CQPlan(q)
 	csp := parent.Child("cq")
 	csp.SetStr("q", query.FormatCQ(d, q))
@@ -318,5 +295,4 @@ func explainCQ(parent *trace.Span, m *cost.Model, d *dict.Dict, q query.CQ, shar
 		op.SetStr("atom", query.FormatAtom(d, q.Atoms[st.AtomIndex]))
 		op.SetFloat("est_rows", st.Out.Card)
 	}
-	return est
 }

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/lubm"
@@ -116,40 +118,103 @@ func TestExplainMetadata(t *testing.T) {
 	}
 }
 
-// EXPLAIN ANALYZE semantics: answering with a Tracer set must produce a
-// span tree where every executor operator carries the estimated
-// cardinality next to the actual row count.
+// EXPLAIN ANALYZE semantics, over every strategy, sharded and not: answering
+// with a Tracer set must produce a span tree where every executor operator
+// carries the estimated cardinality next to the actual row count — and
+// EXPLAIN must describe that very execution: Plan and Answer for the same
+// query on the same version agree on strategy, cover, reformulation size and
+// estimate, and the plan's fragment nodes are the trace's. (Join order is not
+// compared: EXPLAIN orders by estimated, the executor by actual cardinality.)
 func TestAnswerTraceEstimatesAndActuals(t *testing.T) {
-	e, g := mustEngine(t)
-	q := mustQuery(t, g, `q(x3) :- x1 ex:hasAuthor x2, x2 ex:hasName x3, x1 x4 "1949"`)
-	for _, s := range []Strategy{RefUCQ, RefSCQ, RefGCov, Sat} {
-		e.Tracer = trace.New(0)
-		ans, err := e.Answer(q, s)
-		if err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
-		root := trace.ToJSON(e.Tracer.Root())
-		if root == nil || root.Name != "answer" {
-			t.Fatalf("%s: missing answer span", s)
-		}
-		if got := root.Attrs["rows"].(int64); int(got) != ans.Rows.Len() {
-			t.Fatalf("%s: root rows %v != %d", s, got, ans.Rows.Len())
-		}
-		eval := root.Find("eval")
-		if eval == nil {
-			t.Fatalf("%s: missing eval span", s)
-		}
-		scan := root.Find("scan")
-		if scan == nil {
-			t.Fatalf("%s: no scan operator traced", s)
-		}
-		if _, ok := scan.Attrs["est_rows"]; !ok {
-			t.Fatalf("%s: scan missing est_rows: %+v", s, scan.Attrs)
-		}
-		if _, ok := scan.Attrs["rows"]; !ok {
-			t.Fatalf("%s: scan missing rows: %+v", s, scan.Attrs)
+	cases := []struct {
+		s     Strategy
+		cover query.Cover
+		scans bool // unsharded, the trace holds plain "scan" operators
+	}{
+		{s: Sat, scans: true},
+		{s: RefUCQ, scans: true},
+		{s: RefSCQ, scans: true},
+		{s: RefJUCQ, cover: query.Cover{{0, 1}, {2}}, scans: true},
+		{s: RefGCov, scans: true},
+		{s: RefRange},
+		{s: RefIncomplete, scans: true},
+		{s: Dat},
+	}
+	for _, shards := range []int{1, 4} {
+		e, g := mustEngine(t)
+		e.EnableSharding(shards)
+		q := mustQuery(t, g, `q(x3) :- x1 ex:hasAuthor x2, x2 ex:hasName x3, x1 x4 "1949"`)
+		for _, c := range cases {
+			name := fmt.Sprintf("%s/shards=%d", c.s, shards)
+			e.Tracer = trace.New(0)
+			var (
+				plan *Plan
+				ans  *Answer
+				err  error
+			)
+			if c.cover != nil {
+				plan, err = e.PlanWithCover(q, c.cover)
+			} else {
+				plan, err = e.Plan(q, c.s)
+			}
+			if err != nil {
+				t.Fatalf("%s: plan: %v", name, err)
+			}
+			if c.cover != nil {
+				ans, err = e.AnswerWithCover(q, c.cover)
+			} else {
+				ans, err = e.Answer(q, c.s)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			root := trace.ToJSON(e.Tracer.Root())
+			if root == nil || root.Name != "answer" {
+				t.Fatalf("%s: missing answer span", name)
+			}
+			if got := root.Attrs["rows"].(int64); int(got) != ans.Rows.Len() {
+				t.Fatalf("%s: root rows %v != %d", name, got, ans.Rows.Len())
+			}
+			if root.Find("eval") == nil {
+				t.Fatalf("%s: missing eval span", name)
+			}
+			if c.scans && shards == 1 {
+				scan := root.Find("scan")
+				if scan == nil {
+					t.Fatalf("%s: no scan operator traced", name)
+				}
+				if _, ok := scan.Attrs["est_rows"]; !ok {
+					t.Fatalf("%s: scan missing est_rows: %+v", name, scan.Attrs)
+				}
+				if _, ok := scan.Attrs["rows"]; !ok {
+					t.Fatalf("%s: scan missing rows: %+v", name, scan.Attrs)
+				}
+			}
+			if plan.Strategy != ans.Strategy || plan.Cover.String() != ans.Cover.String() ||
+				plan.ReformulationCQs != ans.ReformulationCQs || plan.EstimatedCost != ans.EstimatedCost {
+				t.Fatalf("%s: EXPLAIN says (%s, %s, %d CQs, cost %v), the execution (%s, %s, %d CQs, cost %v)", name,
+					plan.Strategy, plan.Cover, plan.ReformulationCQs, plan.EstimatedCost,
+					ans.Strategy, ans.Cover, ans.ReformulationCQs, ans.EstimatedCost)
+			}
+			if got, want := fragmentNodes(root), fragmentNodes(plan.Tree()); !slices.Equal(got, want) {
+				t.Fatalf("%s: traced fragments %v, EXPLAIN fragments %v", name, got, want)
+			}
 		}
 	}
+}
+
+// fragmentNodes lists the "fragment" nodes of a span tree as "idx atoms",
+// in fragment order (parallel evaluation records them in any order).
+func fragmentNodes(n *trace.SpanJSON) []string {
+	var out []string
+	if n.Name == "fragment" {
+		out = append(out, fmt.Sprint(n.Attrs["idx"], " ", n.Attrs["atoms"]))
+	}
+	for _, c := range n.Children {
+		out = append(out, fragmentNodes(c)...)
+	}
+	slices.Sort(out)
+	return out
 }
 
 func TestMisestimateCounterAndWarning(t *testing.T) {

@@ -3,10 +3,6 @@ package engine
 import (
 	"container/list"
 	"sync"
-
-	"repro/internal/core"
-	"repro/internal/query"
-	"repro/internal/viewcache"
 )
 
 // planCache memoizes GCov outcomes per query text (prepared-statement
@@ -20,35 +16,8 @@ import (
 type planCache struct {
 	mu       sync.Mutex
 	capacity int
-	order    *list.List // front = most recent; values are *planEntry
+	order    *list.List // front = most recent; values are *prepared
 	byKey    map[string]*list.Element
-}
-
-type planEntry struct {
-	key      string
-	jucq     query.JUCQ
-	cover    query.Cover
-	cost     float64
-	explored []core.Explored
-	// fragKeys are the view-cache signatures of jucq's fragments, aligned
-	// positionally. The plan — and its reformulated fragment UCQs — is
-	// reused verbatim across executions, so the canonicalization behind
-	// each signature (microseconds per member CQ, over hundreds of member
-	// CQs) is paid once per plan instead of once per execution.
-	fragKeys []string
-}
-
-// newPlanEntry builds a cache entry from a GCov outcome, precomputing the
-// fragments' view-cache keys.
-func newPlanEntry(key string, res *core.GCovResult) *planEntry {
-	fragKeys := make([]string, len(res.JUCQ.Fragments))
-	for i, f := range res.JUCQ.Fragments {
-		fragKeys[i] = viewcache.Signature(f.UCQ)
-	}
-	return &planEntry{
-		key: key, jucq: res.JUCQ, cover: res.Cover, cost: res.Cost,
-		explored: res.Explored, fragKeys: fragKeys,
-	}
 }
 
 // defaultPlanCacheSize bounds the number of cached covers per engine.
@@ -73,7 +42,7 @@ func (c *planCache) resize(capacity int) {
 	clear(c.byKey)
 }
 
-func (c *planCache) get(key string) (*planEntry, bool) {
+func (c *planCache) get(key string) (*prepared, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
@@ -81,12 +50,12 @@ func (c *planCache) get(key string) (*planEntry, bool) {
 		return nil, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*planEntry), true
+	return el.Value.(*prepared), true
 }
 
 // put inserts or refreshes an entry and returns how many entries were
 // evicted to make room (feeds the plan-cache eviction counter).
-func (c *planCache) put(e *planEntry) int {
+func (c *planCache) put(e *prepared) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[e.key]; ok {
@@ -99,7 +68,7 @@ func (c *planCache) put(e *planEntry) int {
 	for c.order.Len() > c.capacity {
 		last := c.order.Back()
 		c.order.Remove(last)
-		delete(c.byKey, last.Value.(*planEntry).key)
+		delete(c.byKey, last.Value.(*prepared).key)
 		evicted++
 	}
 	return evicted

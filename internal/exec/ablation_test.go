@@ -77,7 +77,6 @@ func TestForceHashJoinsNoINLJInTrace(t *testing.T) {
 	st, ss := tinyStore([][3]dict.ID{{1, 10, 2}, {2, 11, 3}, {4, 10, 5}})
 	e := New(st, ss)
 	e.ForceHashJoins = true
-	e.Trace = &Trace{}
 	q := query.CQ{
 		Head: []query.Arg{v("x")},
 		Atoms: []query.Atom{
@@ -85,15 +84,11 @@ func TestForceHashJoinsNoINLJInTrace(t *testing.T) {
 			{S: v("y"), P: c(11), O: v("z")},
 		},
 	}
-	if _, err := e.EvalCQ([]string{"x"}, q); err != nil {
-		t.Fatal(err)
+	_, ops := evalTraced(t, e, []string{"x"}, q)
+	if ops.Find("inlj") != nil {
+		t.Fatal("ForceHashJoins must prevent index joins")
 	}
-	for _, j := range e.Trace.Joins {
-		if j.Method == "inlj" {
-			t.Fatal("ForceHashJoins must prevent index joins")
-		}
-	}
-	if len(e.Trace.Joins) == 0 {
+	if ops.Find("hashjoin") == nil {
 		t.Fatal("expected a hash join in the trace")
 	}
 }
@@ -146,7 +141,6 @@ func TestMergeJoinCrossProductFallback(t *testing.T) {
 	e := New(st, ss)
 	e.ForceHashJoins = true
 	e.Join = JoinMerge
-	e.Trace = &Trace{}
 	q := query.CQ{
 		Head: []query.Arg{v("x"), v("u")},
 		Atoms: []query.Atom{
@@ -154,17 +148,12 @@ func TestMergeJoinCrossProductFallback(t *testing.T) {
 			{S: v("u"), P: c(11), O: v("w")},
 		},
 	}
-	res, err := e.EvalCQ([]string{"x", "u"}, q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, ops := evalTraced(t, e, []string{"x", "u"}, q)
 	if res.Len() != 2 {
 		t.Fatalf("cross product rows %d, want 2", res.Len())
 	}
-	for _, j := range e.Trace.Joins {
-		if j.Method == "merge" && len(j.SharedVars) == 0 {
-			t.Fatal("cross products must not go through merge join")
-		}
+	if ops.Find("merge") != nil || ops.Find("cross") == nil {
+		t.Fatal("cross products must go through the hash path, not merge join")
 	}
 }
 

@@ -66,9 +66,6 @@ type Evaluator struct {
 	// Join selects the algorithm for materialized joins (hash by
 	// default; merge sorts both sides — the second ablation knob).
 	Join JoinAlgorithm
-	// Trace, when non-nil, records per-operator cardinalities (demo step
-	// 3 introspection). Tracing disables parallelism.
-	Trace *Trace
 	// Metrics, when non-nil, receives executor counters (rows scanned /
 	// joined / unioned, parallel worker utilization). Safe to share
 	// across evaluators and goroutines.
@@ -97,28 +94,6 @@ type Evaluator struct {
 	// CacheStats, when non-nil, accumulates FragCache outcomes for this
 	// evaluation; the engine attaches a fresh value per answered query.
 	CacheStats *CacheStats
-}
-
-// Trace records what an evaluation did.
-type Trace struct {
-	Scans []ScanInfo
-	Joins []JoinInfo
-	CQs   int
-}
-
-// ScanInfo records one index scan.
-type ScanInfo struct {
-	Atom string
-	Rows int
-}
-
-// JoinInfo records one join step.
-type JoinInfo struct {
-	Method     string // "inlj", "hash" or "cross"
-	SharedVars []string
-	LeftRows   int
-	RightRows  int // -1 for INLJ (the right side is probed, not materialized)
-	OutRows    int
 }
 
 // New returns an evaluator over the source with the given statistics
@@ -461,9 +436,6 @@ func (e *Evaluator) scanAtom(a query.Atom, g guard, sp *trace.Span, est float64)
 		ssp.SetInt("rows", int64(rel.Len()))
 		ssp.End()
 	}
-	if e.Trace != nil {
-		e.Trace.Scans = append(e.Trace.Scans, ScanInfo{Atom: fmt.Sprintf("%v", a), Rows: rel.Len()})
-	}
 	return rel, nil
 }
 
@@ -588,12 +560,6 @@ func (e *Evaluator) indexJoin(cur *Relation, a query.Atom, g guard, sp *trace.Sp
 		jsp.SetInt("rows", int64(out.Len()))
 		jsp.End()
 	}
-	if e.Trace != nil {
-		e.Trace.Joins = append(e.Trace.Joins, JoinInfo{
-			Method: "inlj", SharedVars: boundVars(a, cur.Vars),
-			LeftRows: cur.Len(), RightRows: -1, OutRows: out.Len(),
-		})
-	}
 	return out, nil
 }
 
@@ -609,6 +575,7 @@ func (e *Evaluator) hashJoin(l, r *Relation, g guard, sp *trace.Span, est float6
 		}
 		jsp = sp.Child(name)
 		defer jsp.End()
+		jsp.SetStr("on", strings.Join(shared, ","))
 		jsp.SetInt("left_rows", int64(l.Len()))
 		jsp.SetInt("right_rows", int64(r.Len()))
 		if est >= 0 {
@@ -694,16 +661,6 @@ func (e *Evaluator) hashJoin(l, r *Relation, g guard, sp *trace.Span, est float6
 		jsp.SetInt("rows", int64(out.Len()))
 		jsp.End()
 	}
-	if e.Trace != nil {
-		method := "hash"
-		if len(shared) == 0 {
-			method = "cross"
-		}
-		e.Trace.Joins = append(e.Trace.Joins, JoinInfo{
-			Method: method, SharedVars: shared,
-			LeftRows: l.Len(), RightRows: r.Len(), OutRows: out.Len(),
-		})
-	}
 	return out, nil
 }
 
@@ -765,7 +722,7 @@ func (e *Evaluator) evalUCQ(u query.UCQ, g guard, sp *trace.Span) (*Relation, er
 			return e.evalUCQScatter(sh, u, co, rest, g, usp)
 		}
 	}
-	if e.Parallel && e.Trace == nil && len(u.CQs) >= 8 {
+	if e.Parallel && len(u.CQs) >= 8 {
 		return e.evalUCQParallel(u, g, usp)
 	}
 	out := NewRelation(u.HeadNames)
@@ -779,9 +736,6 @@ func (e *Evaluator) evalUCQ(u query.UCQ, g guard, sp *trace.Span) (*Relation, er
 			return nil, err
 		}
 		done++
-		if e.Trace != nil {
-			e.Trace.CQs++
-		}
 		if err := appendRelation(out, r, g.err); err != nil {
 			return nil, err
 		}
@@ -1038,7 +992,7 @@ func (e *Evaluator) EvalJUCQContext(ctx context.Context, j query.JUCQ) (*Relatio
 		}
 	}
 	rels := make([]*Relation, len(j.Fragments))
-	if e.Parallel && e.Trace == nil && len(j.Fragments) > 1 {
+	if e.Parallel && len(j.Fragments) > 1 {
 		var wg sync.WaitGroup
 		errs := make([]error, len(j.Fragments))
 		// MaxParallel bounds how many fragments evaluate at once; without
@@ -1184,22 +1138,6 @@ func atomSharesVar(a query.Atom, vars []string) bool {
 		}
 	}
 	return false
-}
-
-func boundVars(a query.Atom, vars []string) []string {
-	var out []string
-	for _, arg := range a.Args() {
-		if !arg.IsVar() {
-			continue
-		}
-		for _, v := range vars {
-			if v == arg.Var {
-				out = append(out, v)
-				break
-			}
-		}
-	}
-	return out
 }
 
 func appendRelation(dst, src *Relation, check func() error) error {

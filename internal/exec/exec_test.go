@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -12,15 +13,21 @@ import (
 	"repro/internal/query"
 	"repro/internal/stats"
 	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
-// tinyStore builds a store from (s,p,o) integer triples.
+// tinyStore builds a store from (s,p,o) integer triples; its dictionary
+// names every ID up to the largest one used, so traced runs can print atoms.
 func tinyStore(triples [][3]dict.ID) (*storage.Store, *stats.Stats) {
 	ts := make([]dict.Triple, len(triples))
+	d := dict.New()
 	for i, t := range triples {
 		ts[i] = dict.Triple{S: t[0], P: t[1], O: t[2]}
+		for d.Len() < int(max(t[0], t[1], t[2])) {
+			d.EncodeIRI(fmt.Sprintf("t%d", d.Len()+1))
+		}
 	}
-	st := storage.Build(dict.New(), ts)
+	st := storage.Build(d, ts)
 	return st, stats.Collect(st)
 }
 
@@ -218,10 +225,23 @@ func TestParallelUCQMatchesSerial(t *testing.T) {
 	}
 }
 
+// evalTraced evaluates q on e under a fresh span tree and returns the answer
+// with the recorded tree.
+func evalTraced(t *testing.T, e *Evaluator, head []string, q query.CQ) (*Relation, *trace.SpanJSON) {
+	t.Helper()
+	root := trace.New(0).StartSpan("eval")
+	e.Span = root
+	res, err := e.EvalCQ(head, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	return res, trace.ToJSON(root)
+}
+
 func TestTraceRecordsOperators(t *testing.T) {
 	st, ss := tinyStore([][3]dict.ID{{1, 10, 2}, {2, 11, 3}})
 	e := New(st, ss)
-	e.Trace = &Trace{}
 	q := query.CQ{
 		Head: []query.Arg{v("x")},
 		Atoms: []query.Atom{
@@ -229,11 +249,13 @@ func TestTraceRecordsOperators(t *testing.T) {
 			{S: v("y"), P: c(11), O: v("z")},
 		},
 	}
-	if _, err := e.EvalCQ([]string{"x"}, q); err != nil {
-		t.Fatal(err)
+	_, ops := evalTraced(t, e, []string{"x"}, q)
+	scan, join := ops.Find("scan"), ops.Find("inlj")
+	if scan == nil || join == nil {
+		t.Fatalf("trace lacks a scan or a join: %+v", ops)
 	}
-	if len(e.Trace.Scans) == 0 || len(e.Trace.Joins) == 0 {
-		t.Fatalf("trace empty: %+v", e.Trace)
+	if scan.Attrs["rows"] != int64(1) || join.Attrs["left_rows"] != int64(1) || join.Attrs["rows"] != int64(1) {
+		t.Fatalf("operator cardinalities: scan %v, join %v", scan.Attrs, join.Attrs)
 	}
 }
 

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"sort"
+	"strings"
 
 	"repro/internal/dict"
 	"repro/internal/trace"
@@ -33,6 +34,7 @@ func (e *Evaluator) mergeJoin(l, r *Relation, g guard, sp *trace.Span, est float
 	if sp != nil {
 		msp = sp.Child("merge")
 		defer msp.End()
+		msp.SetStr("on", strings.Join(shared, ","))
 		msp.SetInt("left_rows", int64(l.Len()))
 		msp.SetInt("right_rows", int64(r.Len()))
 		if est >= 0 {
@@ -143,12 +145,6 @@ func (e *Evaluator) mergeJoin(l, r *Relation, g guard, sp *trace.Span, est float
 	if msp != nil {
 		msp.SetInt("rows", int64(out.Len()))
 		msp.End()
-	}
-	if e.Trace != nil {
-		e.Trace.Joins = append(e.Trace.Joins, JoinInfo{
-			Method: "merge", SharedVars: shared,
-			LeftRows: l.Len(), RightRows: r.Len(), OutRows: out.Len(),
-		})
 	}
 	return out, nil
 }

@@ -21,13 +21,9 @@ import (
 // range atoms across the union's CQs share one scan via a per-evaluation
 // memo.
 
-// EvalRangeUCQ evaluates a union of range CQs with set semantics.
-func (e *Evaluator) EvalRangeUCQ(u query.RangeUCQ) (*Relation, error) {
-	return e.EvalRangeUCQContext(context.Background(), u)
-}
-
-// EvalRangeUCQContext is EvalRangeUCQ bounded by ctx; the whole union
-// shares one deadline and one cancellation signal.
+// EvalRangeUCQContext evaluates a union of range CQs with set semantics,
+// bounded by ctx; the whole union shares one deadline and one cancellation
+// signal.
 func (e *Evaluator) EvalRangeUCQContext(ctx context.Context, u query.RangeUCQ) (*Relation, error) {
 	if len(u.CQs) == 0 {
 		return NewRelation(u.HeadNames), nil
@@ -59,9 +55,6 @@ func (e *Evaluator) EvalRangeUCQContext(ctx context.Context, u query.RangeUCQ) (
 			return nil, err
 		}
 		done++
-		if e.Trace != nil {
-			e.Trace.CQs++
-		}
 		if err := appendRelation(out, r, g.err); err != nil {
 			return nil, err
 		}
@@ -518,9 +511,6 @@ func (e *Evaluator) scanRangeAtom(a query.RangeAtom, g guard, sp *trace.Span, me
 			ssp.SetInt("rows", int64(rel.Len()))
 			ssp.End()
 		}
-	}
-	if e.Trace != nil {
-		e.Trace.Scans = append(e.Trace.Scans, ScanInfo{Atom: query.FormatRangeAtom(a), Rows: rel.Len()})
 	}
 	canonical := make([]string, len(vars))
 	for i := range canonical {

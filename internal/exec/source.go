@@ -54,12 +54,10 @@ type ShardedSource interface {
 }
 
 // scatterSource returns the evaluator's source as a sharded source when
-// scatter-gather applies: more than one shard and no legacy trace (the
-// Trace slices are not mutex-protected, so traced runs stay sequential —
-// the Source interface still answers them correctly, shard by shard).
+// scatter-gather applies: more than one shard.
 func (e *Evaluator) scatterSource() ShardedSource {
 	sh, ok := e.st.(ShardedSource)
-	if !ok || sh.NumShards() < 2 || e.Trace != nil {
+	if !ok || sh.NumShards() < 2 {
 		return nil
 	}
 	return sh

@@ -2,8 +2,6 @@ package graph
 
 import (
 	"bufio"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -14,27 +12,6 @@ import (
 	"repro/internal/rdf"
 	"repro/internal/schema"
 )
-
-// snapshotMagicV1 versions the original gob-encoded snapshot format.
-// WriteSnapshot now emits the v2 columnar format (see
-// internal/durable/columnar); v1 files remain readable.
-const snapshotMagicV1 = "repro-rdf-snapshot-v1\n"
-
-// snapshot is the v1 gob payload: the dictionary's term table (IDs are the
-// 1-based positions) plus encoded data and closed-schema triples. Reloads
-// rebuild the same IDs, so stores and statistics computed after a reload
-// match the original exactly. Classes and Properties record the declared
-// class/property sets — the closed constraint triples alone lose
-// constraint-free declarations, and the interval re-encoding needs the full
-// sets to reproduce the same DFS layout (gob tolerates the fields being
-// absent in pre-interval snapshots).
-type snapshot struct {
-	Terms      []rdf.Term
-	Data       []dict.Triple
-	Schema     []dict.Triple
-	Classes    []dict.ID
-	Properties []dict.ID
-}
 
 // WriteSnapshot serializes the graph (dictionary, data, closed schema) in
 // the v2 columnar format: delta-encoded sorted ID-triple columns plus the
@@ -107,59 +84,34 @@ func syncDir(dir string) error {
 	return df.Sync()
 }
 
-// ReadSnapshot reconstructs a graph from a snapshot stream, sniffing the
-// format by magic: v2 columnar snapshots (the current write format) load
-// their sections with per-column parallelism; v1 gob snapshots stay
-// readable. The rebuilt dictionary assigns the identical IDs, and
+// ReadSnapshot reconstructs a graph from a columnar snapshot stream (see
+// internal/durable/columnar), whose sections load with per-column
+// parallelism. The rebuilt dictionary assigns the identical IDs, and
 // re-closing the (already closed) schema is idempotent, so the result is
-// indistinguishable from the original. Short reads are hard errors in
-// both formats: a truncated snapshot never loads as a smaller graph.
+// indistinguishable from the original. Anything else — the gob format of
+// the early repo included — is refused by its magic, and short reads are
+// hard errors: a truncated snapshot never loads as a smaller graph.
 func ReadSnapshot(r io.Reader) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	magic, err := br.Peek(len(snapshotMagicV1))
+	magic, err := br.Peek(len(columnar.Magic))
 	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("graph: snapshot header: %w", io.ErrUnexpectedEOF)
 		}
 		return nil, fmt.Errorf("graph: snapshot header: %w", err)
 	}
-	switch string(magic) {
-	case columnar.Magic:
-		snap, err := columnar.Read(br)
-		if err != nil {
-			return nil, fmt.Errorf("graph: %w", err)
-		}
-		return buildFromSnapshot(snap.Terms, snap.Data, snap.Schema, snap.Classes, snap.Properties)
-	case snapshotMagicV1:
-		return readSnapshotV1(br)
-	default:
+	if string(magic) != columnar.Magic {
 		return nil, fmt.Errorf("graph: not a snapshot (bad magic %q)", string(magic))
 	}
-}
-
-// readSnapshotV1 decodes the legacy gob payload. The decoder is strict
-// about truncation: gob frames are length-prefixed, so a short read inside
-// a message surfaces as unexpected EOF, and a stream that ends cleanly
-// before the value message is still an error (io.EOF from Decode).
-func readSnapshotV1(br *bufio.Reader) (*Graph, error) {
-	if _, err := br.Discard(len(snapshotMagicV1)); err != nil {
-		return nil, fmt.Errorf("graph: snapshot header: %w", err)
-	}
-	var snap snapshot
-	if err := gob.NewDecoder(br).Decode(&snap); err != nil {
-		if errors.Is(err, io.EOF) {
-			// Decode returns a bare io.EOF when the stream ends cleanly
-			// before the value arrives — for a snapshot file that is a
-			// truncated payload, not a graceful end.
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, fmt.Errorf("graph: snapshot decode: %w", err)
+	snap, err := columnar.Read(br)
+	if err != nil {
+		return nil, fmt.Errorf("graph: %w", err)
 	}
 	return buildFromSnapshot(snap.Terms, snap.Data, snap.Schema, snap.Classes, snap.Properties)
 }
 
 // buildFromSnapshot validates decoded snapshot components and assembles
-// the graph; shared by the v1 and v2 readers.
+// the graph.
 func buildFromSnapshot(terms []rdf.Term, data, schemaTriples []dict.Triple, classes, properties []dict.ID) (*Graph, error) {
 	d := dict.New()
 	for i, term := range terms {

@@ -2,9 +2,7 @@ package graph
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/dict"
-	"repro/internal/rdf"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -98,58 +95,19 @@ func TestSnapshotRejectsTruncation(t *testing.T) {
 	}
 }
 
-// writeSnapshotV1 emits the legacy gob format, preserved here so the
-// read-compat and truncation-hardening tests can exercise the v1 path
-// without an archived fixture.
-func writeSnapshotV1(g *Graph, w io.Writer) error {
-	if _, err := io.WriteString(w, snapshotMagicV1); err != nil {
-		return err
-	}
-	snap := snapshot{
-		Data:       g.data,
-		Schema:     g.schema.Triples(),
-		Classes:    g.schema.Classes(),
-		Properties: g.schema.Properties(),
-	}
-	snap.Terms = make([]rdf.Term, g.d.Len())
-	for i := range snap.Terms {
-		snap.Terms[i] = g.d.Decode(dict.ID(i + 1))
-	}
-	return gob.NewEncoder(w).Encode(&snap)
-}
-
-// TestSnapshotV1ReadCompat: snapshots written by the pre-columnar format
-// must keep loading, ID-identically.
-func TestSnapshotV1ReadCompat(t *testing.T) {
-	g, err := ParseString(sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := writeSnapshotV1(g, &buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("v1 snapshot unreadable: %v", err)
-	}
-	a, b := g.AllTriples(), back.AllTriples()
-	if len(a) != len(b) {
-		t.Fatalf("triple counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("triple %d: %v != %v", i, a[i], b[i])
-		}
+// TestSnapshotV1Refused: the gob format of the early repo is no longer
+// read; a file carrying its magic ends in the named bad-magic error.
+func TestSnapshotV1Refused(t *testing.T) {
+	_, err := ReadSnapshot(strings.NewReader("repro-rdf-snapshot-v1\n" + strings.Repeat("x", 64)))
+	if err == nil || !strings.Contains(err.Error(), "not a snapshot (bad magic") {
+		t.Fatalf("v1 snapshot: got %v, want the bad-magic error", err)
 	}
 }
 
 // TestSnapshotRejectsTruncationExhaustive cuts a valid snapshot at every
-// byte offset, in both formats. A partially copied snapshot file must
-// never load as a smaller graph — short reads are hard errors everywhere,
-// including a clean EOF right after the magic or between gob messages
-// (the paths where the v1 decoder's bare io.EOF used to look like a
-// normal end of stream).
+// byte offset. A partially copied snapshot file must never load as a
+// smaller graph — short reads are hard errors everywhere, including a
+// clean EOF right after the magic.
 func TestSnapshotRejectsTruncationExhaustive(t *testing.T) {
 	g, err := ParseString(sample)
 	if err != nil {
@@ -159,16 +117,10 @@ func TestSnapshotRejectsTruncationExhaustive(t *testing.T) {
 	if err := g.WriteSnapshot(&v2); err != nil {
 		t.Fatal(err)
 	}
-	var v1 bytes.Buffer
-	if err := writeSnapshotV1(g, &v1); err != nil {
-		t.Fatal(err)
-	}
-	for name, full := range map[string][]byte{"v1": v1.Bytes(), "v2": v2.Bytes()} {
-		for cut := 0; cut < len(full); cut++ {
-			if _, err := ReadSnapshot(bytes.NewReader(full[:cut])); err == nil {
-				t.Fatalf("%s: truncation at %d of %d bytes loaded without error",
-					name, cut, len(full))
-			}
+	full := v2.Bytes()
+	for cut := 0; cut < len(full); cut++ {
+		if _, err := ReadSnapshot(bytes.NewReader(full[:cut])); err == nil {
+			t.Fatalf("truncation at %d of %d bytes loaded without error", cut, len(full))
 		}
 	}
 }

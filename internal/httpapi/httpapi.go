@@ -65,7 +65,6 @@ import (
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/core"
 	"repro/internal/dict"
 	"repro/internal/durable"
 	"repro/internal/engine"
@@ -181,7 +180,7 @@ func NewWithOptions(g *graph.Graph, prefixes map[string]string, reg *metrics.Reg
 	s.mux.HandleFunc("/v1/healthz", s.handleHealth)
 	s.mux.HandleFunc("/v1/readyz", s.handleReady)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
-	s.mux.HandleFunc("/v1/metrics", s.handleMetrics)
+	s.mux.HandleFunc("/v1/metrics", func(w http.ResponseWriter, r *http.Request) { s.handleMetrics(w, r, apiV1) })
 	s.mux.HandleFunc("/v1/slowlog", s.handleSlowlog)
 	s.mux.HandleFunc("/v1/debug/costmodel", s.handleCostModel)
 	s.mux.HandleFunc("/v1/dump", s.handleDump)
@@ -192,7 +191,7 @@ func NewWithOptions(g *graph.Graph, prefixes map[string]string, reg *metrics.Reg
 	// concrete Sunset date. Prometheus scrapers conventionally expect
 	// /metrics at the root, so the legacy spelling will outlive the others
 	// — but it advertises its /v1 successor like the rest.
-	s.mux.HandleFunc("/metrics", s.legacy("/metrics", s.handleMetrics))
+	s.mux.HandleFunc("/metrics", s.legacy("/metrics", func(w http.ResponseWriter, r *http.Request) { s.handleMetrics(w, r, apiLegacy) }))
 	s.mux.HandleFunc("/query", s.legacy("/query", func(w http.ResponseWriter, r *http.Request) { s.serveQuery(w, r, apiLegacy) }))
 	s.mux.HandleFunc("/explain", s.legacy("/explain", func(w http.ResponseWriter, r *http.Request) { s.serveExplain(w, r, apiLegacy) }))
 	s.mux.HandleFunc("/healthz", s.legacy("/healthz", s.handleHealth))
@@ -876,8 +875,9 @@ type MetricsResponse struct {
 }
 
 // handleMetrics serves Prometheus text format by default and the JSON
-// snapshot (including the slow-query ring) at /metrics?format=json.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// snapshot (including the slow-query ring) at /metrics?format=json; v
+// selects the error dialect.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, v apiVersion) {
 	// Burn-rate gauges are derived from the SLO rings on demand: scrapes
 	// see current windows without a background ticker.
 	s.slo.Publish(time.Now())
@@ -898,7 +898,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, resp)
 	default:
-		s.writeError(w, apiLegacy, http.StatusBadRequest, CodeInvalidRequest,
+		s.writeError(w, v, http.StatusBadRequest, CodeInvalidRequest,
 			fmt.Sprintf("bad format %q (want prometheus or json)", r.URL.Query().Get("format")))
 	}
 }
@@ -938,30 +938,13 @@ func (s *Server) serveExplain(w http.ResponseWriter, r *http.Request, v apiVersi
 		s.writeError(w, v, http.StatusBadRequest, CodeParseError, err.Error())
 		return
 	}
+	// The cover search, the admission gate and the evaluation are the
+	// engine's, exactly as for a ref-gcov query: same plan and view caches,
+	// same metrics. Only the UCQ size is this route's own.
 	eng := *s.eng
 	eng.Budget = exec.Budget{Timeout: s.Timeout}
 	total, per := eng.Reformulator().CombinationCount(q)
-	res, err := core.GCov(eng.Reformulator(), eng.CostModel(), q, core.GCovOptions{})
-	if err != nil {
-		s.writeError(w, v, http.StatusUnprocessableEntity, CodeQueryError, err.Error())
-		return
-	}
-	// This path evaluates outside the engine, so it passes the admission
-	// gate itself: GCov's plan estimate is exactly what the gate prices.
-	var tkt *admission.Ticket
-	if s.gate != nil {
-		tkt, err = s.gate.Acquire(r.Context(), res.Cost)
-		if err != nil {
-			s.writeAnswerError(w, v, err)
-			return
-		}
-	}
-	defer tkt.Release()
-	ev := exec.New(eng.Source(), eng.Stats())
-	ev.Budget = exec.Budget{Timeout: s.Timeout}
-	ev.Metrics = s.metrics
-	ev.MaxParallel = tkt.Weight()
-	rows, err := ev.EvalJUCQContext(r.Context(), res.JUCQ)
+	ans, err := eng.AnswerContext(r.Context(), q, engine.RefGCov)
 	if err != nil {
 		s.writeAnswerError(w, v, err)
 		return
@@ -970,11 +953,11 @@ func (s *Server) serveExplain(w http.ResponseWriter, r *http.Request, v apiVersi
 		Query:       query.FormatCQ(s.g.Dict(), q),
 		UCQSize:     total,
 		PerAtom:     per,
-		GCovCover:   res.Cover.String(),
-		GCovCost:    res.Cost,
-		AnswerCount: rows.Len(),
+		GCovCover:   ans.Cover.String(),
+		GCovCost:    ans.EstimatedCost,
+		AnswerCount: ans.Rows.Len(),
 	}
-	for _, e := range res.Explored {
+	for _, e := range ans.Explored {
 		resp.Explored = append(resp.Explored, ExploredJSON{
 			Cover: e.Cover.String(), Cost: e.Cost, Card: e.Card,
 			Adopted: e.Adopted, Pruned: e.Pruned, Reason: e.Reason,

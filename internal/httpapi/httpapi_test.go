@@ -246,6 +246,33 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 }
 
+// /v1/explain answers through the engine like any ref-gcov query: it
+// reuses the plan /v1/query cached for the same text and is metered as one.
+func TestExplainSharesEnginePlanAndMetrics(t *testing.T) {
+	ts, srv := newTestServerAndAPI(t)
+	req := QueryRequest{Query: `q(x) :- x rdf:type ex:Publication, x ex:hasAuthor y`, Strategy: "ref-gcov"}
+	var ans QueryResponse
+	if code := postJSON(t, ts.URL+"/v1/query", req, &ans); code != http.StatusOK {
+		t.Fatalf("query status %d", code)
+	}
+	hits := srv.Metrics().Snapshot().Counters["plancache.hit"]
+	var exp ExplainResponse
+	if code := postJSON(t, ts.URL+"/v1/explain", QueryRequest{Query: req.Query}, &exp); code != http.StatusOK {
+		t.Fatalf("explain status %d", code)
+	}
+	if exp.GCovCover != ans.Meta.Cover || exp.GCovCost != ans.Meta.EstimatedCost || exp.AnswerCount != ans.Total {
+		t.Fatalf("explain (%s, %v, %d answers) disagrees with the query's meta %+v, total %d",
+			exp.GCovCover, exp.GCovCost, exp.AnswerCount, ans.Meta, ans.Total)
+	}
+	snap := srv.Metrics().Snapshot()
+	if got := snap.Counters["plancache.hit"]; got != hits+1 {
+		t.Fatalf("plancache.hit = %d after explain, want %d: explain must reuse the query's plan", got, hits+1)
+	}
+	if got := snap.Counters["engine.queries.ref-gcov"]; got != 2 {
+		t.Fatalf("engine.queries.ref-gcov = %d, want 2 (query + explain)", got)
+	}
+}
+
 // The endpoint must survive concurrent mixed queries (engine caches are
 // warmed at construction; the dictionary is mutex-protected).
 func TestConcurrentQueries(t *testing.T) {

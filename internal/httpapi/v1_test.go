@@ -130,6 +130,7 @@ func TestV1ErrorEnvelope(t *testing.T) {
 		{"bad limit", "/v1/query?q=" + url.QueryEscape("q(x) :- x rdf:type ex:Book") + "&limit=zap", http.StatusBadRequest, CodeInvalidRequest},
 		{"unknown strategy", "/v1/query?strategy=nope&q=" + url.QueryEscape("q(x) :- x rdf:type ex:Book"), http.StatusUnprocessableEntity, CodeQueryError},
 		{"explain parse error", "/v1/explain?q=" + url.QueryEscape("q(x :- broken"), http.StatusBadRequest, CodeParseError},
+		{"bad metrics format", "/v1/metrics?format=bogus", http.StatusBadRequest, CodeInvalidRequest},
 	}
 	for _, c := range cases {
 		var envelope v1Error
