@@ -7,6 +7,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -259,7 +260,7 @@ func BenchmarkExec_HashJoinChain(b *testing.B) {
 	ev := exec.New(f.eng.Store(), f.eng.Stats())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.EvalCQ(query.HeadVarNames(q), q); err != nil {
+		if _, err := ev.EvalCQContext(context.Background(), query.HeadVarNames(q), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -330,7 +331,7 @@ func BenchmarkAblation_GCovCover_Default(b *testing.B) {
 	ev := exec.New(f.eng.Store(), f.eng.Stats())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.EvalJUCQ(res.JUCQ); err != nil {
+		if _, err := ev.EvalJUCQContext(context.Background(), res.JUCQ); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -346,7 +347,7 @@ func BenchmarkAblation_GCovCover_ForceHashJoins(b *testing.B) {
 	ev.ForceHashJoins = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.EvalJUCQ(res.JUCQ); err != nil {
+		if _, err := ev.EvalJUCQContext(context.Background(), res.JUCQ); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -379,7 +380,7 @@ func benchQ6UCQ(b *testing.B, parallel bool) {
 	ev.Parallel = parallel
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.EvalUCQ(u); err != nil {
+		if _, err := ev.EvalUCQContext(context.Background(), u); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -427,7 +428,7 @@ func BenchmarkAblation_GCovCover_MergeJoins(b *testing.B) {
 	ev.Join = exec.JoinMerge
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.EvalJUCQ(res.JUCQ); err != nil {
+		if _, err := ev.EvalJUCQContext(context.Background(), res.JUCQ); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -293,7 +294,7 @@ func printWhy(e *engine.Engine, q query.CQ) {
 	d := e.Graph().Dict()
 	u := e.Reformulator().ReformulateCQ(q)
 	ev := exec.New(e.Store(), e.Stats())
-	rows, prov, err := ev.EvalUCQWithProvenance(u)
+	rows, prov, err := ev.EvalUCQWithProvenanceContext(context.Background(), u)
 	if err != nil {
 		fail(err)
 	}

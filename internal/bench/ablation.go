@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -41,6 +42,8 @@ func Ablation(cfg Config) (*AblationResult, error) {
 		return nil, err
 	}
 	e := engine.New(g)
+	//reflint:ctxbg experiment driver: nothing upstream cancels it, cfg.Timeout bounds each evaluation
+	ctx := context.Background()
 	res := &AblationResult{}
 	res.Table.Header = []string{"ablation", "variant", "time", "note"}
 
@@ -54,7 +57,7 @@ func Ablation(cfg Config) (*AblationResult, error) {
 		ev.ForceHashJoins = force
 		ev.Budget = exec.Budget{Timeout: cfg.Timeout}
 		start := time.Now()
-		rows, err := ev.EvalJUCQ(gres.JUCQ)
+		rows, err := ev.EvalJUCQContext(ctx, gres.JUCQ)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -79,7 +82,7 @@ func Ablation(cfg Config) (*AblationResult, error) {
 	evMerge.Join = exec.JoinMerge
 	evMerge.Budget = exec.Budget{Timeout: cfg.Timeout}
 	start0 := time.Now()
-	rowsMerge, err := evMerge.EvalJUCQ(gres.JUCQ)
+	rowsMerge, err := evMerge.EvalJUCQContext(ctx, gres.JUCQ)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +124,7 @@ func Ablation(cfg Config) (*AblationResult, error) {
 		ev.Parallel = parallel
 		ev.Budget = exec.Budget{Timeout: cfg.Timeout}
 		start := time.Now()
-		if _, err := ev.EvalUCQ(u); err != nil {
+		if _, err := ev.EvalUCQContext(ctx, u); err != nil {
 			return 0, err
 		}
 		return time.Since(start), nil

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -39,6 +40,8 @@ func E4(cfg Config) (*E4Result, error) {
 		return nil, err
 	}
 	e := engine.New(g)
+	//reflint:ctxbg experiment driver: nothing upstream cancels it, cfg.Timeout bounds each evaluation
+	ctx := context.Background()
 	res := &E4Result{Query: query.FormatCQ(g.Dict(), q)}
 
 	gres, err := core.GCov(e.Reformulator(), e.CostModel(), q, core.GCovOptions{})
@@ -54,7 +57,7 @@ func E4(cfg Config) (*E4Result, error) {
 	m := e.CostModel()
 	for _, f := range gres.JUCQ.Fragments {
 		est := m.UCQ(f.UCQ)
-		actual, err := ev.EvalUCQ(f.UCQ)
+		actual, err := ev.EvalUCQContext(ctx, f.UCQ)
 		if err != nil {
 			return nil, err
 		}
@@ -67,7 +70,7 @@ func E4(cfg Config) (*E4Result, error) {
 	defer root.End()
 	tev := exec.New(e.Store(), e.Stats())
 	tev.Span = root
-	if _, err := tev.EvalJUCQ(gres.JUCQ); err != nil {
+	if _, err := tev.EvalJUCQContext(ctx, gres.JUCQ); err != nil {
 		return nil, err
 	}
 	res.Operators.Header = []string{"operator", "left rows", "right rows", "out rows"}

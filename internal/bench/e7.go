@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -59,6 +60,8 @@ func E7(cfg Config) (*E7Result, error) {
 		return nil, err
 	}
 	e := engine.New(g)
+	//reflint:ctxbg experiment driver: nothing upstream cancels it, cfg.Timeout bounds each evaluation
+	ctx := context.Background()
 	r := e.Reformulator()
 	m := e.CostModel()
 
@@ -75,7 +78,7 @@ func E7(cfg Config) (*E7Result, error) {
 		// skipped, like the paper's infeasible points).
 		ev.Budget = exec.Budget{Timeout: cfg.Timeout, MaxRows: 2_000_000}
 		start := time.Now()
-		rows, err := ev.EvalJUCQ(j)
+		rows, err := ev.EvalJUCQContext(ctx, j)
 		if err != nil {
 			return nil, nil // infeasible under the budget: skipped
 		}

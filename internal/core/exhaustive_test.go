@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -104,11 +105,11 @@ func TestExhaustiveVsGCovRandom(t *testing.T) {
 			}
 			// Both picks must produce identical answers.
 			refEval, _ := buildEvaluators(t, g)
-			a, err := refEval.EvalJUCQ(ex.JUCQ)
+			a, err := refEval.EvalJUCQContext(context.Background(), ex.JUCQ)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := refEval.EvalJUCQ(gc.JUCQ)
+			b, err := refEval.EvalJUCQContext(context.Background(), gc.JUCQ)
 			if err != nil {
 				t.Fatal(err)
 			}

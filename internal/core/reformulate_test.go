@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -62,7 +63,7 @@ func TestPaperExampleQuery(t *testing.T) {
 	}
 	refEval, satEval := buildEvaluators(t, g)
 
-	direct, err := refEval.EvalCQ(query.HeadVarNames(q), q)
+	direct, err := refEval.EvalCQContext(context.Background(), query.HeadVarNames(q), q)
 	if err != nil {
 		t.Fatalf("direct eval: %v", err)
 	}
@@ -72,7 +73,7 @@ func TestPaperExampleQuery(t *testing.T) {
 
 	r := NewReformulator(g.Schema())
 	u := r.ReformulateCQ(q)
-	got, err := refEval.EvalUCQ(u)
+	got, err := refEval.EvalUCQContext(context.Background(), u)
 	if err != nil {
 		t.Fatalf("reformulated eval: %v", err)
 	}
@@ -84,7 +85,7 @@ func TestPaperExampleQuery(t *testing.T) {
 		t.Fatalf("want J. L. Borges, got %s", name)
 	}
 
-	want, err := satEval.EvalCQ(query.HeadVarNames(q), q)
+	want, err := satEval.EvalCQContext(context.Background(), query.HeadVarNames(q), q)
 	if err != nil {
 		t.Fatalf("sat eval: %v", err)
 	}
@@ -123,11 +124,11 @@ func TestReformulationRulesSmall(t *testing.T) {
 				t.Fatalf("parse: %v", err)
 			}
 			u := r.ReformulateCQ(q)
-			got, err := refEval.EvalUCQ(u)
+			got, err := refEval.EvalUCQContext(context.Background(), u)
 			if err != nil {
 				t.Fatalf("eval: %v", err)
 			}
-			want, err := satEval.EvalCQ(query.HeadVarNames(q), q)
+			want, err := satEval.EvalCQContext(context.Background(), query.HeadVarNames(q), q)
 			if err != nil {
 				t.Fatalf("sat eval: %v", err)
 			}
@@ -162,12 +163,12 @@ func TestReformulationMatchesSaturationRandom(t *testing.T) {
 			r := NewReformulator(sc.Graph.Schema())
 			for qi := 0; qi < 4; qi++ {
 				q := sc.RandomQuery(rng)
-				want, err := satEval.EvalCQ(query.HeadVarNames(q), q)
+				want, err := satEval.EvalCQContext(context.Background(), query.HeadVarNames(q), q)
 				if err != nil {
 					t.Fatalf("sat eval: %v", err)
 				}
 				u := r.ReformulateCQ(q)
-				got, err := refEval.EvalUCQ(u)
+				got, err := refEval.EvalUCQContext(context.Background(), u)
 				if err != nil {
 					t.Fatalf("ucq eval: %v", err)
 				}
@@ -200,7 +201,7 @@ func TestCoversMatchUCQRandom(t *testing.T) {
 			r := NewReformulator(sc.Graph.Schema())
 			q := sc.RandomQuery(rng)
 			u := r.ReformulateCQ(q)
-			want, err := refEval.EvalUCQ(u)
+			want, err := refEval.EvalUCQContext(context.Background(), u)
 			if err != nil {
 				t.Fatalf("ucq eval: %v", err)
 			}
@@ -214,7 +215,7 @@ func TestCoversMatchUCQRandom(t *testing.T) {
 				if err != nil {
 					t.Fatalf("jucq %v: %v", c, err)
 				}
-				got, err := refEval.EvalJUCQ(j)
+				got, err := refEval.EvalJUCQContext(context.Background(), j)
 				if err != nil {
 					t.Fatalf("jucq eval %v: %v", c, err)
 				}
@@ -271,11 +272,11 @@ func TestIncompleteReformulationMissesAnswers(t *testing.T) {
 	refEval, _ := buildEvaluators(t, g)
 	complete := NewReformulator(g.Schema())
 	incomplete := NewIncompleteReformulator(g.Schema())
-	full, err := refEval.EvalUCQ(complete.ReformulateCQ(q))
+	full, err := refEval.EvalUCQContext(context.Background(), complete.ReformulateCQ(q))
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := refEval.EvalUCQ(incomplete.ReformulateCQ(q))
+	part, err := refEval.EvalUCQContext(context.Background(), incomplete.ReformulateCQ(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,13 +356,13 @@ func TestMinimizedReformulationEquivalent(t *testing.T) {
 			if len(u.CQs) > 250 {
 				continue // keep the quadratic minimization fast in tests
 			}
-			want, err := refEval.EvalUCQ(u)
+			want, err := refEval.EvalUCQContext(context.Background(), u)
 			if err != nil {
 				t.Fatal(err)
 			}
 			min := query.UCQ{HeadNames: u.HeadNames, CQs: append([]query.CQ(nil), u.CQs...)}
 			totalDropped += min.Minimize()
-			got, err := refEval.EvalUCQ(min)
+			got, err := refEval.EvalUCQContext(context.Background(), min)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package datasets
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/engine"
@@ -87,7 +88,7 @@ func TestScenarioStrategiesAgree(t *testing.T) {
 					}
 				}
 				// Direct evaluation (no reasoning) for the gain check.
-				direct, err := newDirect(e).EvalCQ(query.HeadVarNames(q), q)
+				direct, err := newDirect(e).EvalCQContext(context.Background(), query.HeadVarNames(q), q)
 				if err != nil {
 					t.Fatalf("q%d direct: %v", qi, err)
 				}

@@ -144,15 +144,26 @@ func (e *Engine) explain(p *prepared) *Plan {
 		u.SetInt("cqs", int64(p.cqs))
 		u.SetInt("range_atoms", int64(p.ranges.RangeAtoms()))
 		u.SetInt("expansions", int64(p.ranges.Expansions()))
-		parent := u
-		if n := e.Shards(); n > 1 && exec.CoPartitionedRangeUCQ(*p.ranges) {
-			// A fully co-partitioned range union evaluates shard-locally.
-			sc := u.Child("scatter")
-			sc.SetInt("n", int64(n))
-			sc.SetStr("op", "rangeucq")
-			parent = sc
+		// Against shards the union's co-partitioned members (two or more)
+		// evaluate shard-locally in one scatter; the rest stay central.
+		var scatter *trace.Span
+		if n, co := e.Shards(), 0; n > 1 {
+			for _, cq := range p.ranges.CQs {
+				if exec.CoPartitionedCQ(cq) {
+					co++
+				}
+			}
+			if co >= 2 {
+				scatter = u.Child("scatter")
+				scatter.SetInt("n", int64(n))
+				scatter.SetStr("op", "ucq")
+			}
 		}
 		for _, cq := range p.ranges.CQs {
+			parent := u
+			if scatter != nil && exec.CoPartitionedCQ(cq) {
+				parent = scatter
+			}
 			ce := p.model.RangeCQ(cq)
 			parts := make([]string, len(cq.Atoms))
 			for i, a := range cq.Atoms {

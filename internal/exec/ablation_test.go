@@ -54,13 +54,13 @@ func TestForceHashJoinsEquivalence(t *testing.T) {
 			}
 			for qi, q := range queries {
 				def := New(st, ss)
-				want, err := def.EvalCQ(query.HeadVarNames(q), q)
+				want, err := def.cq(query.HeadVarNames(q), q)
 				if err != nil {
 					t.Fatal(err)
 				}
 				forced := New(st, ss)
 				forced.ForceHashJoins = true
-				got, err := forced.EvalCQ(query.HeadVarNames(q), q)
+				got, err := forced.cq(query.HeadVarNames(q), q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -117,14 +117,14 @@ func TestMergeJoinEquivalence(t *testing.T) {
 			}
 			hash := New(st, ss)
 			hash.ForceHashJoins = true
-			want, err := hash.EvalCQ(query.HeadVarNames(q), q)
+			want, err := hash.cq(query.HeadVarNames(q), q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			merge := New(st, ss)
 			merge.ForceHashJoins = true
 			merge.Join = JoinMerge
-			got, err := merge.EvalCQ(query.HeadVarNames(q), q)
+			got, err := merge.cq(query.HeadVarNames(q), q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,7 +176,7 @@ func TestMergeJoinBudget(t *testing.T) {
 		},
 	}
 	// 40×40 = 1600 joined rows on the single shared x > budget 100.
-	if _, err := e.EvalCQ([]string{"x"}, q); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := e.cq([]string{"x"}, q); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("want budget error, got %v", err)
 	}
 }

@@ -48,7 +48,7 @@ func TestParallelUCQSharedTimeout(t *testing.T) {
 	// Unbudgeted serial baseline: how long the real work takes.
 	base := New(st, ss)
 	start := time.Now()
-	if _, err := base.EvalUCQ(u); err != nil {
+	if _, err := base.ucq(u); err != nil {
 		t.Fatalf("unbudgeted baseline failed: %v", err)
 	}
 	baseline := time.Since(start)
@@ -57,7 +57,7 @@ func TestParallelUCQSharedTimeout(t *testing.T) {
 	e.Parallel = true
 	e.Budget.Timeout = time.Millisecond
 	start = time.Now()
-	_, err := e.EvalUCQ(u)
+	_, err := e.ucq(u)
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
@@ -77,7 +77,7 @@ func TestSerialUCQSharedTimeout(t *testing.T) {
 	e := New(st, ss)
 	e.Budget.Timeout = time.Millisecond
 	start := time.Now()
-	_, err := e.EvalUCQ(u)
+	_, err := e.ucq(u)
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
 	}
@@ -104,7 +104,7 @@ func TestJUCQSharedTimeout(t *testing.T) {
 
 	base := New(st, ss)
 	start := time.Now()
-	if _, err := base.EvalJUCQ(j); err != nil {
+	if _, err := base.jucq(j); err != nil {
 		t.Fatalf("unbudgeted baseline failed: %v", err)
 	}
 	baseline := time.Since(start)
@@ -114,7 +114,7 @@ func TestJUCQSharedTimeout(t *testing.T) {
 		e.Parallel = parallel
 		e.Budget.Timeout = time.Millisecond
 		start = time.Now()
-		_, err := e.EvalJUCQ(j)
+		_, err := e.jucq(j)
 		elapsed := time.Since(start)
 		if !errors.Is(err, ErrBudgetExceeded) {
 			t.Fatalf("parallel=%v: want ErrBudgetExceeded, got %v", parallel, err)
@@ -143,7 +143,7 @@ func TestCancelMidEval(t *testing.T) {
 
 	base := New(st, ss)
 	start := time.Now()
-	if _, err := base.EvalCQ([]string{"x", "z"}, crossCQ()); err != nil {
+	if _, err := base.cq([]string{"x", "z"}, crossCQ()); err != nil {
 		t.Fatalf("unbudgeted baseline failed: %v", err)
 	}
 	baseline := time.Since(start)
@@ -188,7 +188,7 @@ func TestParallelBudgetedEvalRace(t *testing.T) {
 		e := New(st, ss)
 		e.Parallel = true
 		e.Budget.Timeout = 30 * time.Second
-		r, err := e.EvalUCQ(u)
+		r, err := e.ucq(u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestParallelBudgetedEvalRace(t *testing.T) {
 		e := New(st, ss)
 		e.Parallel = true
 		e.Budget.Timeout = 30 * time.Second
-		if _, err := e.EvalJUCQ(j); err != nil {
+		if _, err := e.jucq(j); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -40,11 +40,13 @@ type Budget struct {
 	Timeout time.Duration
 }
 
-// Evaluator evaluates CQs, UCQs and JUCQs against one store. Conjunctive
-// bodies are evaluated with a greedy plan mixing index-nested-loop joins
-// (when the running result is small relative to the next atom's extent —
-// what a cost-based RDBMS picks for the paper's selective cover fragments)
-// and hash joins.
+// Evaluator evaluates CQs, UCQs, range UCQs and JUCQs against one source,
+// all through one path: every atom is a query.RangeAtom (a plain atom is one
+// without ranges), every conjunctive body runs one greedy plan mixing
+// index-nested-loop joins (when the running result is small relative to the
+// next atom's extent — what a cost-based RDBMS picks for the paper's
+// selective cover fragments) and hash joins, and every union runs one
+// member loop. The Eval* entry points only lift their input into that form.
 type Evaluator struct {
 	st    Source
 	stats *stats.Stats
@@ -97,15 +99,24 @@ type Evaluator struct {
 }
 
 // New returns an evaluator over the source with the given statistics
-// (statistics drive join ordering; they may be nil, in which case plans
-// fall back to left-to-right atom order). A ShardedSource additionally
-// enables scatter-gather evaluation (see source.go).
+// (statistics rank plain atoms for join ordering; they may be nil, in which
+// case every atom is ranked by its exact index count). A ShardedSource
+// additionally enables scatter-gather evaluation (see source.go).
 func New(st Source, s *stats.Stats) *Evaluator {
 	return &Evaluator{st: st, stats: s}
 }
 
-// Store returns the evaluator's source.
-func (e *Evaluator) Store() Source { return e.st }
+// sub returns the evaluator a fan-out hands one of its workers: the same
+// knobs over the given source and statistics, with its own fan-out off —
+// the caller owns the parallelism, and nesting it would overrun the
+// admitted weight.
+func (e *Evaluator) sub(st Source, s *stats.Stats) *Evaluator {
+	return &Evaluator{
+		st: st, stats: s,
+		Budget: e.Budget, ForceHashJoins: e.ForceHashJoins, Join: e.Join, Cost: e.Cost,
+		MaxParallel: 1,
+	}
+}
 
 // checkEvery is how many rows an operator processes between guard checks;
 // it bounds how stale a timeout/cancellation can go inside a single scan
@@ -200,35 +211,42 @@ func (e *Evaluator) checkRows(n int) error {
 	return nil
 }
 
-// EvalCQ evaluates one conjunctive query and returns its distinct answers
-// over the CQ's head (column names follow headNames, which must align with
-// q.Head).
-func (e *Evaluator) EvalCQ(headNames []string, q query.CQ) (*Relation, error) {
-	return e.EvalCQContext(context.Background(), headNames, q)
-}
-
-// EvalCQContext is EvalCQ bounded by ctx: cancellation aborts the
-// evaluation at the next operator checkpoint (at most checkEvery rows
-// away) with an error wrapping ErrCanceled.
+// EvalCQContext evaluates one conjunctive query and returns its distinct
+// answers over the CQ's head (column names follow headNames, which must
+// align with q.Head). Cancelling ctx aborts the evaluation at the next
+// operator checkpoint (at most checkEvery rows away) with an error wrapping
+// ErrCanceled.
 func (e *Evaluator) EvalCQContext(ctx context.Context, headNames []string, q query.CQ) (*Relation, error) {
 	g := e.newGuard(ctx)
 	defer g.flush(e.Metrics)
-	return e.evalCQ(headNames, q, g, e.Span)
+	return e.evalCQ(headNames, liftCQ(q), nil, g, e.Span)
 }
 
-func (e *Evaluator) evalCQ(headNames []string, q query.CQ, g guard, sp *trace.Span) (*Relation, error) {
-	if sh := e.scatterSource(); sh != nil && coPartitionedCQ(q) {
+// evalCQ evaluates one CQ in the evaluator's atom form: join the body,
+// apply the atoms' expansions, project the head. m is the enclosing union's
+// memo (nil outside a serial member loop).
+func (e *Evaluator) evalCQ(headNames []string, q query.RangeCQ, m *memo, g guard, sp *trace.Span) (*Relation, error) {
+	if sh := e.scatterSource(); sh != nil && coPartitioned(q) {
 		return e.evalCQScatter(sh, headNames, q, g, sp)
 	}
 	var csp *trace.Span
 	if sp != nil {
 		csp = sp.Child("cq")
 		defer csp.End()
-		csp.SetStr("q", query.FormatCQ(e.st.Dict(), q))
+		csp.SetStr("q", formatCQ(e.st.Dict(), q))
 	}
-	body, err := e.evalBody(q.Atoms, g, csp)
+	body, err := e.evalBody(q.Atoms, m, g, csp)
 	if err != nil {
 		return nil, err
+	}
+	// Expansions run after the joins, in atom order.
+	for _, a := range q.Atoms {
+		if a.Expand == nil {
+			continue
+		}
+		if body, err = e.expandRelation(body, a.Expand, g, csp); err != nil {
+			return nil, err
+		}
 	}
 	var psp *trace.Span
 	if csp != nil {
@@ -265,19 +283,48 @@ func estCard(ests []cost.Estimate, i int) float64 {
 	return ests[i].Card
 }
 
+// atomCard is the cardinality the greedy order ranks an atom by: the
+// statistics estimate when the evaluator has statistics and the atom is
+// not ranged, the exact index count (two binary searches) otherwise — so an
+// evaluator without statistics still orders by size, and evaluating a
+// range union never needs statistics built.
+func (e *Evaluator) atomCard(a query.RangeAtom) float64 {
+	switch {
+	case ranged(a):
+		return float64(e.st.CountRange(rangePattern(a)))
+	case e.stats != nil:
+		return e.stats.PatternCard(plainAtom(a).Pattern())
+	}
+	return float64(e.st.Count(plainAtom(a).Pattern()))
+}
+
+// atomEstimate is the cost model's estimate of one atom scan.
+func (e *Evaluator) atomEstimate(a query.RangeAtom) cost.Estimate {
+	if ranged(a) {
+		return e.Cost.RangeAtom(a)
+	}
+	return e.Cost.Atom(plainAtom(a))
+}
+
 // evalBody evaluates the join of all atoms and returns a relation over all
-// body variables.
-func (e *Evaluator) evalBody(atoms []query.Atom, g guard, sp *trace.Span) (*Relation, error) {
+// body variables. The order is greedy: start from the smallest atom, then
+// take atoms sharing a variable with the running result first, smaller
+// first (cost.Model simulates the same order, so EXPLAIN predicts it). Each
+// connected atom is either probed per row of the running result or
+// materialized and joined (preferINLJ). Inside a union, scans and the
+// intermediates of proper body prefixes go through the union's memo; the
+// whole body never does — a union's members are distinct.
+func (e *Evaluator) evalBody(atoms []query.RangeAtom, m *memo, g guard, sp *trace.Span) (*Relation, error) {
 	if len(atoms) == 0 {
 		return nil, errors.New("exec: empty BGP")
 	}
-	est := make([]float64, len(atoms))
+	// Planning state lives on the stack for bodies of up to eight atoms.
+	var cardBuf [8]float64
+	var remBuf [8]int
+	card, remaining := cardBuf[:0], remBuf[:0]
 	for i, a := range atoms {
-		if e.stats != nil {
-			est[i] = e.stats.PatternCard(a.Pattern())
-		} else {
-			est[i] = float64(len(atoms) - i) // left-to-right fallback
-		}
+		card = append(card, e.atomCard(a))
+		remaining = append(remaining, i)
 	}
 	// When tracing, carry the cost model's running estimate beside the
 	// actual result so every operator span records est next to actual.
@@ -288,26 +335,23 @@ func (e *Evaluator) evalBody(atoms []query.Atom, g guard, sp *trace.Span) (*Rela
 	if e.tracing(sp) {
 		ests = make([]cost.Estimate, len(atoms))
 		for i, a := range atoms {
-			ests[i] = e.Cost.Atom(a)
+			ests[i] = e.atomEstimate(a)
 		}
-	}
-	remaining := make([]int, len(atoms))
-	for i := range remaining {
-		remaining[i] = i
 	}
 	// Start from the most selective atom.
 	start := 0
 	for i := range remaining {
-		if est[remaining[i]] < est[remaining[start]] {
+		if card[i] < card[start] {
 			start = i
 		}
 	}
 	first := remaining[start]
 	remaining = append(remaining[:start], remaining[start+1:]...)
-	cur, err := e.scanAtom(atoms[first], g, sp, estCard(ests, first))
+	cur, err := e.scanAtom(atoms[first], m, g, sp, estCard(ests, first))
 	if err != nil {
 		return nil, err
 	}
+	m.begin(atoms[first])
 	if ests != nil {
 		run = ests[first]
 	}
@@ -316,14 +360,14 @@ func (e *Evaluator) evalBody(atoms []query.Atom, g guard, sp *trace.Span) (*Rela
 			return nil, err
 		}
 		// Pick the next atom: prefer ones sharing a variable with the
-		// current result, then lowest estimated extent.
+		// current result, then lowest cardinality.
 		best, bestConnected := -1, false
 		for i, ai := range remaining {
 			connected := atomSharesVar(atoms[ai], cur.Vars)
 			switch {
 			case best == -1,
 				connected && !bestConnected,
-				connected == bestConnected && est[ai] < est[remaining[best]]:
+				connected == bestConnected && card[ai] < card[remaining[best]]:
 				best, bestConnected = i, connected
 			}
 		}
@@ -335,11 +379,18 @@ func (e *Evaluator) evalBody(atoms []query.Atom, g guard, sp *trace.Span) (*Rela
 			run = cost.Join(run, ests[ai])
 			estOut = run.Card
 		}
-		if bestConnected && e.preferINLJ(cur.Len(), est[ai]) {
+		shared := len(remaining) > 0 // a proper prefix of the body
+		if shared {
+			if hit := m.join(atom); hit != nil {
+				cur = hit
+				continue
+			}
+		}
+		if bestConnected && e.preferINLJ(cur.Len(), card[ai]) {
 			cur, err = e.indexJoin(cur, atom, g, sp, estOut)
 		} else {
 			var right *Relation
-			right, err = e.scanAtom(atom, g, sp, estCard(ests, ai))
+			right, err = e.scanAtom(atom, m, g, sp, estCard(ests, ai))
 			if err != nil {
 				return nil, err
 			}
@@ -347,6 +398,9 @@ func (e *Evaluator) evalBody(atoms []query.Atom, g guard, sp *trace.Span) (*Rela
 		}
 		if err != nil {
 			return nil, err
+		}
+		if shared {
+			m.putJoin(cur)
 		}
 	}
 	return cur, nil
@@ -361,29 +415,35 @@ func (e *Evaluator) preferINLJ(curRows int, extent float64) bool {
 	return float64(curRows)*8 < extent || curRows <= 64
 }
 
-// scanAtom materializes one triple pattern into a relation over the atom's
-// distinct variables, enforcing repeated-variable equality. Against a
-// sharded source an unbound-subject scan fans out to every shard in
-// parallel (a bound subject needs no scatter: the source routes it to
-// the subject's home shard).
-func (e *Evaluator) scanAtom(a query.Atom, g guard, sp *trace.Span, est float64) (*Relation, error) {
-	args := a.Args()
-	var vars []string
-	varPos := map[string][]int{}
-	for i, arg := range args {
-		if arg.IsVar() {
-			if len(varPos[arg.Var]) == 0 {
-				vars = append(vars, arg.Var)
-			}
-			varPos[arg.Var] = append(varPos[arg.Var], i)
-		}
+// scanAtom materializes one atom into a relation over its distinct
+// variables (plain and capture), enforcing repeated-variable equality — a
+// ranged atom through the range scan primitive, any other through the plain
+// one. Against a sharded source a scan whose subject is unconstrained fans
+// out to every shard in parallel (a bound subject needs no scatter: the
+// source routes it to the subject's home shard).
+func (e *Evaluator) scanAtom(a query.RangeAtom, m *memo, g guard, sp *trace.Span, est float64) (*Relation, error) {
+	vars, col := atomVars(a)
+	if rel := m.scan(a, vars, col); rel != nil {
+		return rel, nil
 	}
-	pat := a.Pattern()
+	// repeat[p]: position p's variable was bound by an earlier position.
+	var repeat [3]bool
+	for p := 1; p < 3; p++ {
+		repeat[p] = col[p] != -1 && (col[p] == col[0] || (p == 2 && col[p] == col[1]))
+	}
+	isRanged := ranged(a)
+	var pat storage.Pattern
+	var rpat storage.RangePattern
+	if isRanged {
+		rpat = rangePattern(a)
+	} else {
+		pat = plainAtom(a).Pattern()
+	}
 	scan := func(src Source, rel *Relation) error {
 		row := make([]dict.ID, len(vars))
 		var stopErr error
 		steps := 0
-		src.Each(pat, func(t dict.Triple) bool {
+		emit := func(t dict.Triple) bool {
 			steps++
 			if steps&(checkEvery-1) == 0 {
 				if err := g.err(); err != nil {
@@ -392,100 +452,153 @@ func (e *Evaluator) scanAtom(a query.Atom, g guard, sp *trace.Span, est float64)
 				}
 			}
 			trip := [3]dict.ID{t.S, t.P, t.O}
-			for vi, v := range vars {
-				positions := varPos[v]
-				row[vi] = trip[positions[0]]
-				for _, p := range positions[1:] {
-					if trip[p] != row[vi] {
-						goto skip
-					}
+			for p, c := range col {
+				switch {
+				case c == -1:
+				case !repeat[p]:
+					row[c] = trip[p]
+				case row[c] != trip[p]:
+					return true
 				}
 			}
-			if len(row) == 0 {
-				rel.AppendEmpty()
-			} else {
-				rel.Append(row)
-			}
+			rel.Append(row)
 			if e.Budget.MaxRows > 0 && rel.Len() > e.Budget.MaxRows {
 				stopErr = fmt.Errorf("%w: scan of %d+ rows exceeds cap %d", ErrBudgetExceeded, rel.Len(), e.Budget.MaxRows)
 				return false
 			}
-		skip:
 			return true
-		})
+		}
+		if isRanged {
+			src.EachRange(rpat, emit)
+		} else {
+			src.Each(pat, emit)
+		}
 		return stopErr
 	}
-	if sh := e.scatterSource(); sh != nil && pat.S == dict.None {
-		return e.scatterScan(sh, "scan", query.FormatAtom(e.st.Dict(), a), vars, g, sp, est, scan)
-	}
-	var ssp *trace.Span
-	if sp != nil {
-		ssp = sp.Child("scan")
-		defer ssp.End()
-		ssp.SetStr("atom", query.FormatAtom(e.st.Dict(), a))
-		if est >= 0 {
-			ssp.SetFloat("est_rows", est)
+	var rel *Relation
+	if sh := e.scatterSource(); sh != nil && a.S.Ranges == nil && a.S.Arg.IsVar() {
+		var err error
+		if rel, err = e.scatterScan(sh, a, vars, g, sp, est, scan); err != nil {
+			return nil, err
+		}
+	} else {
+		var ssp *trace.Span
+		if sp != nil {
+			ssp = sp.Child("scan")
+			defer ssp.End()
+			ssp.SetStr("atom", formatAtom(e.st.Dict(), a))
+			if est >= 0 {
+				ssp.SetFloat("est_rows", est)
+			}
+		}
+		rel = NewRelation(vars)
+		if err := scan(e.st, rel); err != nil {
+			return nil, err
+		}
+		g.addScanned(rel.Len())
+		if ssp != nil {
+			ssp.SetInt("rows", int64(rel.Len()))
+			ssp.End()
 		}
 	}
-	rel := NewRelation(vars)
-	if err := scan(e.st, rel); err != nil {
-		return nil, err
-	}
-	g.addScanned(rel.Len())
-	if ssp != nil {
-		ssp.SetInt("rows", int64(rel.Len()))
-		ssp.End()
-	}
+	m.putScan(rel)
 	return rel, nil
 }
 
 // indexJoin extends each row of cur with the atom's matches, looking the
 // atom up in the store with the row's bindings applied (index nested-loop
-// join).
-func (e *Evaluator) indexJoin(cur *Relation, a query.Atom, g guard, sp *trace.Span, est float64) (*Relation, error) {
+// join). A probe of an atom that is not ranged is a storage.Pattern built
+// on the stack; a ranged atom's probe narrows its range pattern to the
+// row's IDs, and a row whose binding falls outside the atom's ranges
+// matches nothing. The triples the probes read are scanned rows.
+func (e *Evaluator) indexJoin(cur *Relation, a query.RangeAtom, g guard, sp *trace.Span, est float64) (*Relation, error) {
 	var jsp *trace.Span
 	if sp != nil {
 		jsp = sp.Child("inlj")
 		defer jsp.End()
-		jsp.SetStr("atom", query.FormatAtom(e.st.Dict(), a))
+		jsp.SetStr("atom", formatAtom(e.st.Dict(), a))
 		jsp.SetInt("left_rows", int64(cur.Len()))
 		if est >= 0 {
 			jsp.SetFloat("est_rows", est)
 		}
 	}
-	args := a.Args()
-	// For each position: constant, bound variable (column index in cur),
-	// or free variable.
+	// Each position is a constant, an uncaptured range, a variable cur
+	// binds (a probe key), or a free variable (a new output column).
 	type pos struct {
-		constant dict.ID // dict.None if variable
-		col      int     // column in cur, -1 if free or constant
-		outIdx   int     // index among new output columns, -1 otherwise
+		constant dict.ID // dict.None unless a plain constant
+		col      int     // column in cur, -1 unless bound by cur
+		outIdx   int     // index among the new output columns, -1 otherwise
+		repeat   bool    // outIdx was filled by an earlier position
 	}
 	var positions [3]pos
-	newVarIdx := map[string]int{}
 	var newVars []string
-	for i, arg := range args {
-		if !arg.IsVar() {
-			positions[i] = pos{constant: arg.ID, col: -1, outIdx: -1}
-			continue
+	for i, ra := range [3]query.RangeArg{a.S, a.P, a.O} {
+		p := pos{col: -1, outIdx: -1}
+		switch {
+		case !ra.Arg.IsVar():
+			if ra.Ranges == nil {
+				p.constant = ra.Arg.ID
+			}
+		case cur.ColumnIndex(ra.Arg.Var) != -1:
+			p.col = cur.ColumnIndex(ra.Arg.Var)
+		default:
+			for k, v := range newVars {
+				if v == ra.Arg.Var {
+					p.outIdx, p.repeat = k, true
+				}
+			}
+			if !p.repeat {
+				p.outIdx = len(newVars)
+				newVars = append(newVars, ra.Arg.Var)
+			}
 		}
-		if c := cur.ColumnIndex(arg.Var); c != -1 {
-			positions[i] = pos{col: c, outIdx: -1}
-			continue
-		}
-		idx, ok := newVarIdx[arg.Var]
-		if !ok {
-			idx = len(newVars)
-			newVarIdx[arg.Var] = idx
-			newVars = append(newVars, arg.Var)
-		}
-		positions[i] = pos{col: -1, outIdx: idx}
+		positions[i] = p
 	}
 	outVars := append(append([]string(nil), cur.Vars...), newVars...)
 	out := NewRelation(outVars)
 	outRow := make([]dict.ID, len(outVars))
-	var stopErr error
-	steps := 0
+	var (
+		row     []dict.ID
+		stopErr error
+		steps   int
+		scanned int
+	)
+	match := func(t dict.Triple) bool {
+		steps++
+		scanned++
+		if steps&(checkEvery-1) == 0 {
+			if err := g.err(); err != nil {
+				stopErr = err
+				return false
+			}
+		}
+		trip := [3]dict.ID{t.S, t.P, t.O}
+		copy(outRow, row)
+		// Fill free variables, checking repeated occurrences agree (bound
+		// ones are pinned by the probe pattern).
+		for k, p := range positions {
+			switch {
+			case p.outIdx == -1:
+			case !p.repeat:
+				outRow[len(row)+p.outIdx] = trip[k]
+			case outRow[len(row)+p.outIdx] != trip[k]:
+				return true
+			}
+		}
+		out.Append(outRow)
+		if e.Budget.MaxRows > 0 && out.Len() > e.Budget.MaxRows {
+			stopErr = fmt.Errorf("%w: join result exceeds cap %d", ErrBudgetExceeded, e.Budget.MaxRows)
+			return false
+		}
+		return true
+	}
+	isRanged := ranged(a)
+	var base [3][]storage.IDRange
+	var exact [3][1]storage.IDRange // backing for the narrowed positions: no allocation per probe
+	if isRanged {
+		rpat := rangePattern(a)
+		base = [3][]storage.IDRange{rpat.S, rpat.P, rpat.O}
+	}
 	for i := 0; i < cur.Len(); i++ {
 		steps++
 		if steps&(checkEvery-1) == 0 {
@@ -493,68 +606,40 @@ func (e *Evaluator) indexJoin(cur *Relation, a query.Atom, g guard, sp *trace.Sp
 				return nil, err
 			}
 		}
-		row := cur.Row(i)
-		var pat storage.Pattern
-		if positions[0].constant != dict.None {
-			pat.S = positions[0].constant
-		} else if positions[0].col != -1 {
-			pat.S = row[positions[0].col]
-		}
-		if positions[1].constant != dict.None {
-			pat.P = positions[1].constant
-		} else if positions[1].col != -1 {
-			pat.P = row[positions[1].col]
-		}
-		if positions[2].constant != dict.None {
-			pat.O = positions[2].constant
-		} else if positions[2].col != -1 {
-			pat.O = row[positions[2].col]
-		}
-		e.st.Each(pat, func(t dict.Triple) bool {
-			steps++
-			if steps&(checkEvery-1) == 0 {
-				if err := g.err(); err != nil {
-					stopErr = err
-					return false
+		row = cur.Row(i)
+		if !isRanged {
+			var ids [3]dict.ID
+			for k, p := range positions {
+				if p.col != -1 {
+					ids[k] = row[p.col]
+				} else {
+					ids[k] = p.constant
 				}
 			}
-			trip := [3]dict.ID{t.S, t.P, t.O}
-			copy(outRow, row)
-			// Fill free variables, checking repeated occurrences agree.
-			for k := 0; k < 3; k++ {
-				if positions[k].outIdx == -1 {
+			e.st.Each(storage.Pattern{S: ids[0], P: ids[1], O: ids[2]}, match)
+		} else {
+			probe, feasible := base, true
+			for k, p := range positions {
+				if p.col == -1 {
 					continue
 				}
-				oi := len(row) + positions[k].outIdx
-				v := trip[k]
-				// If this output var was already set by an earlier
-				// position of this same atom, require equality.
-				set := false
-				for k2 := 0; k2 < k; k2++ {
-					if positions[k2].outIdx == positions[k].outIdx {
-						set = true
-						break
-					}
+				id := row[p.col]
+				if base[k] != nil && !storage.InRanges(base[k], id) {
+					feasible = false
+					break
 				}
-				if set {
-					if outRow[oi] != v {
-						return true
-					}
-				} else {
-					outRow[oi] = v
-				}
+				exact[k][0] = storage.Exact(id)
+				probe[k] = exact[k][:]
 			}
-			out.Append(outRow)
-			if e.Budget.MaxRows > 0 && out.Len() > e.Budget.MaxRows {
-				stopErr = fmt.Errorf("%w: join result exceeds cap %d", ErrBudgetExceeded, e.Budget.MaxRows)
-				return false
+			if feasible {
+				e.st.EachRange(storage.RangePattern{S: probe[0], P: probe[1], O: probe[2]}, match)
 			}
-			return true
-		})
+		}
 		if stopErr != nil {
 			return nil, stopErr
 		}
 	}
+	g.addScanned(scanned)
 	g.addJoined(out.Len())
 	if jsp != nil {
 		jsp.SetInt("rows", int64(out.Len()))
@@ -603,23 +688,17 @@ func (e *Evaluator) hashJoin(l, r *Relation, g guard, sp *trace.Span, est float6
 	}
 	out := NewRelation(outVars)
 
-	table := make(map[string][]int32, build.Len())
-	key := make([]byte, 0, len(shared)*4)
-	keyRow := make([]dict.ID, len(shared))
+	// Build in descending row order, so that a chain lists its rows ascending.
+	table := newRowTable(build.Len())
 	steps := 0
-	for i := 0; i < build.Len(); i++ {
+	for i := build.Len() - 1; i >= 0; i-- {
 		steps++
 		if steps&(checkEvery-1) == 0 {
 			if err := g.err(); err != nil {
 				return nil, err
 			}
 		}
-		row := build.Row(i)
-		for k, c := range bIdx {
-			keyRow[k] = row[c]
-		}
-		key = rowKey(key[:0], keyRow)
-		table[string(key)] = append(table[string(key)], int32(i))
+		table.add(hashCols(build.Row(i), bIdx), i)
 	}
 	outRow := make([]dict.ID, len(outVars))
 	for i := 0; i < probe.Len(); i++ {
@@ -630,27 +709,25 @@ func (e *Evaluator) hashJoin(l, r *Relation, g guard, sp *trace.Span, est float6
 			}
 		}
 		prow := probe.Row(i)
-		for k, c := range pIdx {
-			keyRow[k] = prow[c]
-		}
-		key = rowKey(key[:0], keyRow)
-		for _, bi := range table[string(key)] {
+	match:
+		for bi := table.head[hashCols(prow, pIdx)]; bi != 0; bi = table.next[bi-1] {
 			steps++
 			if steps&(checkEvery-1) == 0 {
 				if err := g.err(); err != nil {
 					return nil, err
 				}
 			}
-			brow := build.Row(int(bi))
+			brow := build.Row(int(bi - 1))
+			for k, c := range pIdx {
+				if prow[c] != brow[bIdx[k]] {
+					continue match
+				}
+			}
 			copy(outRow, prow)
 			for j, c := range extraCols {
 				outRow[len(prow)+j] = brow[c]
 			}
-			if len(outRow) == 0 {
-				out.AppendEmpty()
-			} else {
-				out.Append(outRow)
-			}
+			out.Append(outRow)
 			if err := e.checkRows(out.Len()); err != nil {
 				return nil, err
 			}
@@ -688,80 +765,126 @@ func (e *Evaluator) projectHead(headNames []string, head []query.Arg, body *Rela
 	return body.ProjectCheck(headNames, sources, consts, g.err)
 }
 
-// EvalUCQ evaluates a union of CQs with set semantics.
-func (e *Evaluator) EvalUCQ(u query.UCQ) (*Relation, error) {
-	return e.EvalUCQContext(context.Background(), u)
-}
-
-// EvalUCQContext is EvalUCQ bounded by ctx. The whole union — serial or
-// parallel — shares one deadline and one cancellation signal.
+// EvalUCQContext evaluates a union of CQs with set semantics, bounded by
+// ctx. The whole union — serial or parallel — shares one deadline and one
+// cancellation signal.
 func (e *Evaluator) EvalUCQContext(ctx context.Context, u query.UCQ) (*Relation, error) {
-	if len(u.CQs) == 0 {
-		return NewRelation(u.HeadNames), nil
-	}
 	g := e.newGuard(ctx)
 	defer g.flush(e.Metrics)
 	return e.evalUCQ(u, g, e.Span)
 }
 
-// evalUCQ evaluates the union under an existing guard — the entry point
-// JUCQ fragments use so that fragments never restart the deadline. Span
-// tracing records a "union" span under sp with one "cq" child per member.
+// EvalRangeUCQContext evaluates a union of range CQs (the ref-range
+// reformulation) with set semantics, bounded by ctx.
+func (e *Evaluator) EvalRangeUCQContext(ctx context.Context, u query.RangeUCQ) (*Relation, error) {
+	g := e.newGuard(ctx)
+	defer g.flush(e.Metrics)
+	return e.evalUnion(u.HeadNames, u.CQs, g, e.Span)
+}
+
+// evalUCQ evaluates a plain union under an existing guard — the entry point
+// JUCQ fragments use so that fragments never restart the deadline.
 func (e *Evaluator) evalUCQ(u query.UCQ, g guard, sp *trace.Span) (*Relation, error) {
-	if len(u.CQs) == 0 {
-		return NewRelation(u.HeadNames), nil
+	cqs, err := liftUCQ(u.CQs, g.err)
+	if err != nil {
+		return nil, err
+	}
+	return e.evalUnion(u.HeadNames, cqs, g, sp)
+}
+
+// union is the one member loop of the executor: however a union runs —
+// serially, streamed, per shard or in parallel — each member's answers
+// reach the result through merge.
+type union struct {
+	ev   *Evaluator
+	g    guard
+	out  *Relation
+	memo *memo
+	done int
+}
+
+// newUnion starts a serially evaluated union, whose members share a memo.
+func (e *Evaluator) newUnion(headNames []string, g guard) *union {
+	return &union{ev: e, g: g, out: NewRelation(headNames), memo: &memo{}}
+}
+
+// add evaluates one member and merges its answers.
+func (u *union) add(q query.RangeCQ, sp *trace.Span) error {
+	r, err := u.ev.evalCQ(u.out.Vars, q, u.memo, u.g, sp)
+	if err != nil {
+		return err
+	}
+	return u.merge(r)
+}
+
+// merge appends one member's answers under the row cap.
+func (u *union) merge(r *Relation) error {
+	u.done++
+	if err := appendRelation(u.out, r, u.g.err); err != nil {
+		return err
+	}
+	u.g.addUnioned(r.Len())
+	return u.ev.checkRows(u.out.Len())
+}
+
+// addAll evaluates the members in order, polling the guard between them.
+func (u *union) addAll(cqs []query.RangeCQ, sp *trace.Span) error {
+	for _, cq := range cqs {
+		if err := u.g.err(); err != nil {
+			return fmt.Errorf("%w (after %d/%d CQs)", err, u.done, len(cqs))
+		}
+		if err := u.add(cq, sp); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// finish deduplicates the union and closes its span.
+func (u *union) finish(sp *trace.Span) (*Relation, error) {
+	if err := u.out.DistinctCheck(u.g.err); err != nil {
+		return nil, err
+	}
+	if sp != nil {
+		sp.SetInt("rows", int64(u.out.Len()))
+		sp.End()
+	}
+	return u.out, nil
+}
+
+// evalUnion evaluates a union's members under one guard. Span tracing
+// records a "union" span under sp with one "cq" child per member. Against
+// a sharded source the co-partitioned members run in one scatter (see
+// evalUnionScatter).
+func (e *Evaluator) evalUnion(headNames []string, cqs []query.RangeCQ, g guard, sp *trace.Span) (*Relation, error) {
+	if len(cqs) == 0 {
+		return NewRelation(headNames), nil
 	}
 	var usp *trace.Span
 	if sp != nil {
 		usp = sp.Child("union")
 		defer usp.End()
-		usp.SetInt("cqs", int64(len(u.CQs)))
+		usp.SetInt("cqs", int64(len(cqs)))
 	}
 	if sh := e.scatterSource(); sh != nil {
-		if co, rest := splitCoPartitioned(u); len(co) >= 2 {
-			return e.evalUCQScatter(sh, u, co, rest, g, usp)
+		if co, rest := splitCoPartitioned(cqs); len(co) >= 2 {
+			return e.evalUnionScatter(sh, headNames, co, rest, g, usp)
 		}
 	}
-	if e.Parallel && len(u.CQs) >= 8 {
-		return e.evalUCQParallel(u, g, usp)
+	if e.Parallel && len(cqs) >= 8 {
+		return e.evalUnionParallel(headNames, cqs, g, usp)
 	}
-	out := NewRelation(u.HeadNames)
-	done := 0
-	for _, cq := range u.CQs {
-		if err := g.err(); err != nil {
-			return nil, fmt.Errorf("%w (after %d/%d CQs)", err, done, len(u.CQs))
-		}
-		r, err := e.evalCQ(u.HeadNames, cq, g, usp)
-		if err != nil {
-			return nil, err
-		}
-		done++
-		if err := appendRelation(out, r, g.err); err != nil {
-			return nil, err
-		}
-		g.addUnioned(r.Len())
-		if err := e.checkRows(out.Len()); err != nil {
-			return nil, err
-		}
-	}
-	if err := out.DistinctCheck(g.err); err != nil {
+	u := e.newUnion(headNames, g)
+	if err := u.addAll(cqs, usp); err != nil {
 		return nil, err
 	}
-	if usp != nil {
-		usp.SetInt("rows", int64(out.Len()))
-		usp.End()
-	}
-	return out, nil
+	return u.finish(usp)
 }
 
-// EvalUCQStream evaluates the CQs produced by a streaming enumeration
-// (used when the UCQ is too large to materialize); enumerate must call its
-// argument once per CQ and stop when it returns false.
-func (e *Evaluator) EvalUCQStream(headNames []string, enumerate func(func(query.CQ) bool)) (*Relation, error) {
-	return e.EvalUCQStreamContext(context.Background(), headNames, enumerate)
-}
-
-// EvalUCQStreamContext is EvalUCQStream bounded by ctx.
+// EvalUCQStreamContext evaluates the CQs produced by a streaming
+// enumeration (used when the UCQ is too large to materialize), bounded by
+// ctx; enumerate must call its argument once per CQ and stop when it
+// returns false.
 func (e *Evaluator) EvalUCQStreamContext(ctx context.Context, headNames []string, enumerate func(func(query.CQ) bool)) (*Relation, error) {
 	g := e.newGuard(ctx)
 	defer g.flush(e.Metrics)
@@ -770,62 +893,51 @@ func (e *Evaluator) EvalUCQStreamContext(ctx context.Context, headNames []string
 		usp = e.Span.Child("union")
 		defer usp.End()
 	}
-	out := NewRelation(headNames)
+	u := e.newUnion(headNames, g)
+	var atoms []query.RangeAtom // reused: a member's atoms are not retained
 	var evalErr error
-	done := 0
 	enumerate(func(cq query.CQ) bool {
 		if err := g.err(); err != nil {
-			evalErr = fmt.Errorf("%w (after %d CQs)", err, done)
+			evalErr = fmt.Errorf("%w (after %d CQs)", err, u.done)
 			return false
 		}
-		r, err := e.evalCQ(headNames, cq, g, usp)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		done++
-		if err := appendRelation(out, r, g.err); err != nil {
-			evalErr = err
-			return false
-		}
-		g.addUnioned(r.Len())
-		if err := e.checkRows(out.Len()); err != nil {
-			evalErr = err
-			return false
-		}
-		return true
+		atoms = liftAtoms(atoms[:0], cq.Atoms)
+		evalErr = u.add(query.RangeCQ{Head: cq.Head, Atoms: atoms}, usp)
+		return evalErr == nil
 	})
 	if evalErr != nil {
 		return nil, evalErr
 	}
-	if err := out.DistinctCheck(g.err); err != nil {
-		return nil, err
-	}
 	if usp != nil {
-		usp.SetInt("cqs", int64(done))
-		usp.SetInt("rows", int64(out.Len()))
-		usp.End()
+		usp.SetInt("cqs", int64(u.done))
 	}
-	return out, nil
+	return u.finish(usp)
 }
 
-func (e *Evaluator) evalUCQParallel(u query.UCQ, g guard, sp *trace.Span) (*Relation, error) {
+// evalUnionParallel evaluates the members on a bounded set of workers. The
+// workers share the caller's guard — one deadline for the union, not one
+// per CQ — and no memo (it is unsynchronized); the span tree is
+// mutex-protected, so they may record operator spans concurrently.
+func (e *Evaluator) evalUnionParallel(headNames []string, cqs []query.RangeCQ, g guard, sp *trace.Span) (*Relation, error) {
 	nw := runtime.GOMAXPROCS(0)
 	if e.MaxParallel > 0 && e.MaxParallel < nw {
 		nw = e.MaxParallel
 	}
-	if nw > len(u.CQs) {
-		nw = len(u.CQs)
+	if nw > len(cqs) {
+		nw = len(cqs)
 	}
 	e.Metrics.Counter("exec.parallel_evals").Inc()
 	e.Metrics.Histogram("exec.parallel_workers", 1, 2, 4, 8, 16, 32, 64).Observe(float64(nw))
 	busy := e.Metrics.Gauge("exec.parallel_workers_busy")
 	var (
 		mu    sync.Mutex
-		out   = NewRelation(u.HeadNames)
+		u     = &union{ev: e, g: g, out: NewRelation(headNames)}
 		first error
 		idx   int
 	)
+	// The union already owns the fan-out, so a sharded source evaluates its
+	// shards serially per CQ instead of multiplying workers.
+	sub := e.sub(e.st, e.stats)
 	var wg sync.WaitGroup
 	for w := 0; w < nw; w++ {
 		wg.Add(1)
@@ -835,43 +947,24 @@ func (e *Evaluator) evalUCQParallel(u query.UCQ, g guard, sp *trace.Span) (*Rela
 			defer busy.Add(-1)
 			for {
 				mu.Lock()
-				if first != nil || idx >= len(u.CQs) {
+				if first != nil || idx >= len(cqs) {
 					mu.Unlock()
 					return
 				}
-				cq := u.CQs[idx]
+				cq := cqs[idx]
 				idx++
 				mu.Unlock()
-				if err := g.err(); err != nil {
-					mu.Lock()
-					if first == nil {
-						first = err
-					}
-					mu.Unlock()
-					return
+				err := g.err()
+				var r *Relation
+				if err == nil {
+					r, err = sub.evalCQ(headNames, cq, nil, g, sp)
 				}
-				// Workers evaluate whole CQs, but every sub-evaluation
-				// runs under the caller's guard: the union shares one
-				// deadline instead of restarting Budget.Timeout per CQ.
-				// The span tree is mutex-protected, so workers may record
-				// operator spans concurrently.
-				// MaxParallel 1: the union already owns the fan-out, so a
-				// sharded source evaluates its shards serially per CQ
-				// instead of multiplying workers.
-				sub := &Evaluator{st: e.st, stats: e.stats, Budget: e.Budget, ForceHashJoins: e.ForceHashJoins, Join: e.Join, Cost: e.Cost, MaxParallel: 1}
-				r, err := sub.evalCQ(u.HeadNames, cq, g, sp)
 				mu.Lock()
+				if err == nil && first == nil {
+					err = u.merge(r)
+				}
 				if err != nil && first == nil {
 					first = err
-				}
-				if err == nil && first == nil {
-					if aerr := appendRelation(out, r, g.err); aerr != nil {
-						first = aerr
-					}
-					g.addUnioned(r.Len())
-					if berr := e.checkRows(out.Len()); berr != nil && first == nil {
-						first = berr
-					}
 				}
 				mu.Unlock()
 			}
@@ -881,26 +974,14 @@ func (e *Evaluator) evalUCQParallel(u query.UCQ, g guard, sp *trace.Span) (*Rela
 	if first != nil {
 		return nil, first
 	}
-	if err := out.DistinctCheck(g.err); err != nil {
-		return nil, err
-	}
-	if sp != nil {
-		sp.SetInt("rows", int64(out.Len()))
-		sp.End()
-	}
-	return out, nil
+	return u.finish(sp)
 }
 
-// EvalJUCQ evaluates a join of UCQs: each fragment's UCQ is evaluated
-// (concurrently when Parallel is set — fragments are independent) and the
-// fragment results are joined, then projected on the head.
-func (e *Evaluator) EvalJUCQ(j query.JUCQ) (*Relation, error) {
-	return e.EvalJUCQContext(context.Background(), j)
-}
-
-// EvalJUCQContext is EvalJUCQ bounded by ctx. All fragments — serial or
-// parallel — share one deadline: a JUCQ of N fragments gets one
-// Budget.Timeout, not N.
+// EvalJUCQContext evaluates a join of UCQs, bounded by ctx: each fragment's
+// UCQ is evaluated (concurrently when Parallel is set — fragments are
+// independent) and the fragment results are joined, then projected on the
+// head. All fragments — serial or parallel — share one deadline: a JUCQ of N
+// fragments gets one Budget.Timeout, not N.
 func (e *Evaluator) EvalJUCQContext(ctx context.Context, j query.JUCQ) (*Relation, error) {
 	if len(j.Fragments) == 0 {
 		return nil, errors.New("exec: JUCQ without fragments")
@@ -1013,9 +1094,7 @@ func (e *Evaluator) EvalJUCQContext(ctx context.Context, j query.JUCQ) (*Relatio
 				}
 				fsp := newFragSpan(i)
 				defer fsp.End()
-				sub := &Evaluator{st: e.st, stats: e.stats, Budget: e.Budget,
-					ForceHashJoins: e.ForceHashJoins, Join: e.Join, Parallel: false, Cost: e.Cost, MaxParallel: 1}
-				rels[i], errs[i] = evalFragment(sub, f, i, fsp)
+				rels[i], errs[i] = evalFragment(e.sub(e.st, e.stats), f, i, fsp)
 				endFragSpan(fsp, rels[i])
 			}()
 		}
@@ -1126,13 +1205,13 @@ func sharedVars(a, b []string) []string {
 	return out
 }
 
-func atomSharesVar(a query.Atom, vars []string) bool {
-	for _, arg := range a.Args() {
-		if !arg.IsVar() {
+func atomSharesVar(a query.RangeAtom, vars []string) bool {
+	for _, ra := range [3]query.RangeArg{a.S, a.P, a.O} {
+		if !ra.Arg.IsVar() {
 			continue
 		}
 		for _, v := range vars {
-			if v == arg.Var {
+			if v == ra.Arg.Var {
 				return true
 			}
 		}

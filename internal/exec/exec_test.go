@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -31,6 +32,23 @@ func tinyStore(triples [][3]dict.ID) (*storage.Store, *stats.Stats) {
 	return st, stats.Collect(st)
 }
 
+// One helper per query shape: the entry point under a background context.
+func (e *Evaluator) cq(headNames []string, q query.CQ) (*Relation, error) {
+	return e.EvalCQContext(context.Background(), headNames, q)
+}
+func (e *Evaluator) ucq(u query.UCQ) (*Relation, error) {
+	return e.EvalUCQContext(context.Background(), u)
+}
+func (e *Evaluator) ucqStream(headNames []string, enumerate func(func(query.CQ) bool)) (*Relation, error) {
+	return e.EvalUCQStreamContext(context.Background(), headNames, enumerate)
+}
+func (e *Evaluator) jucq(j query.JUCQ) (*Relation, error) {
+	return e.EvalJUCQContext(context.Background(), j)
+}
+func (e *Evaluator) ucqWhy(u query.UCQ) (*Relation, [][]int, error) {
+	return e.EvalUCQWithProvenanceContext(context.Background(), u)
+}
+
 func v(n string) query.Arg   { return query.Variable(n) }
 func c(id dict.ID) query.Arg { return query.Constant(id) }
 
@@ -38,7 +56,7 @@ func TestEvalSingleAtom(t *testing.T) {
 	st, ss := tinyStore([][3]dict.ID{{1, 10, 2}, {3, 10, 4}, {5, 11, 6}})
 	e := New(st, ss)
 	q := query.CQ{Head: []query.Arg{v("x"), v("y")}, Atoms: []query.Atom{{S: v("x"), P: c(10), O: v("y")}}}
-	r, err := e.EvalCQ([]string{"x", "y"}, q)
+	r, err := e.cq([]string{"x", "y"}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +69,7 @@ func TestEvalRepeatedVariable(t *testing.T) {
 	st, ss := tinyStore([][3]dict.ID{{1, 10, 1}, {2, 10, 3}})
 	e := New(st, ss)
 	q := query.CQ{Head: []query.Arg{v("x")}, Atoms: []query.Atom{{S: v("x"), P: c(10), O: v("x")}}}
-	r, err := e.EvalCQ([]string{"x"}, q)
+	r, err := e.cq([]string{"x"}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +90,7 @@ func TestEvalJoin(t *testing.T) {
 			{S: v("y"), P: c(11), O: v("z")},
 		},
 	}
-	r, err := e.EvalCQ([]string{"x", "z"}, q)
+	r, err := e.cq([]string{"x", "z"}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +109,7 @@ func TestEvalCrossProduct(t *testing.T) {
 			{S: v("u"), P: c(11), O: v("w")},
 		},
 	}
-	r, err := e.EvalCQ([]string{"x", "u"}, q)
+	r, err := e.cq([]string{"x", "u"}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +125,7 @@ func TestEvalConstantHead(t *testing.T) {
 		Head:  []query.Arg{v("x"), c(99)},
 		Atoms: []query.Atom{{S: v("x"), P: c(10), O: v("y")}},
 	}
-	r, err := e.EvalCQ([]string{"x", "u"}, q)
+	r, err := e.cq([]string{"x", "u"}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +138,7 @@ func TestEvalBooleanQuery(t *testing.T) {
 	st, ss := tinyStore([][3]dict.ID{{1, 10, 2}})
 	e := New(st, ss)
 	q := query.CQ{Atoms: []query.Atom{{S: v("x"), P: c(10), O: v("y")}}}
-	r, err := e.EvalCQ(nil, q)
+	r, err := e.cq(nil, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +146,7 @@ func TestEvalBooleanQuery(t *testing.T) {
 		t.Fatalf("boolean true should give one empty row, got %d x %d", r.Len(), r.Width())
 	}
 	q2 := query.CQ{Atoms: []query.Atom{{S: v("x"), P: c(99), O: v("y")}}}
-	r2, err := e.EvalCQ(nil, q2)
+	r2, err := e.cq(nil, q2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +165,7 @@ func TestEvalUCQUnionDistinct(t *testing.T) {
 			{Head: []query.Arg{v("x")}, Atoms: []query.Atom{{S: v("x"), P: c(11), O: v("y")}}},
 		},
 	}
-	r, err := e.EvalUCQ(u)
+	r, err := e.ucq(u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +183,7 @@ func TestBudgetMaxRows(t *testing.T) {
 	e := New(st, ss)
 	e.Budget = Budget{MaxRows: 10}
 	q := query.CQ{Head: []query.Arg{v("x")}, Atoms: []query.Atom{{S: v("x"), P: c(200), O: v("y")}}}
-	_, err := e.EvalCQ([]string{"x"}, q)
+	_, err := e.cq([]string{"x"}, q)
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
 	}
@@ -183,7 +201,7 @@ func TestBudgetTimeout(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		cqs = append(cqs, query.CQ{Head: []query.Arg{v("x")}, Atoms: []query.Atom{{S: v("x"), P: c(200), O: v("y")}}})
 	}
-	_, err := e.EvalUCQ(query.UCQ{HeadNames: []string{"x"}, CQs: cqs})
+	_, err := e.ucq(query.UCQ{HeadNames: []string{"x"}, CQs: cqs})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("want timeout, got %v", err)
 	}
@@ -210,13 +228,13 @@ func TestParallelUCQMatchesSerial(t *testing.T) {
 	}
 	u := query.UCQ{HeadNames: []string{"x", "z"}, CQs: cqs}
 	serial := New(st, ss)
-	want, err := serial.EvalUCQ(u)
+	want, err := serial.ucq(u)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := New(st, ss)
 	par.Parallel = true
-	got, err := par.EvalUCQ(u)
+	got, err := par.ucq(u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +249,7 @@ func evalTraced(t *testing.T, e *Evaluator, head []string, q query.CQ) (*Relatio
 	t.Helper()
 	root := trace.New(0).StartSpan("eval")
 	e.Span = root
-	res, err := e.EvalCQ(head, q)
+	res, err := e.cq(head, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +337,7 @@ func TestEvalMatchesBruteForce(t *testing.T) {
 				{S: v("z"), P: c(p3), O: v("w")},
 			},
 		}
-		got, err := e.EvalCQ([]string{"x", "w"}, q)
+		got, err := e.cq([]string{"x", "w"}, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +389,7 @@ func TestEvalJUCQ(t *testing.T) {
 		}},
 	}
 	j := query.JUCQ{HeadNames: []string{"x", "z"}, Fragments: []query.Fragment{f1, f2}}
-	r, err := e.EvalJUCQ(j)
+	r, err := e.jucq(j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,19 +401,19 @@ func TestEvalJUCQ(t *testing.T) {
 func TestEvalErrors(t *testing.T) {
 	st, ss := tinyStore([][3]dict.ID{{1, 10, 2}})
 	e := New(st, ss)
-	if _, err := e.EvalCQ(nil, query.CQ{}); err == nil {
+	if _, err := e.cq(nil, query.CQ{}); err == nil {
 		t.Fatal("empty body must error")
 	}
 	// Head variable missing from body.
 	q := query.CQ{Head: []query.Arg{v("missing")}, Atoms: []query.Atom{{S: v("x"), P: c(10), O: v("y")}}}
-	if _, err := e.EvalCQ([]string{"missing"}, q); err == nil {
+	if _, err := e.cq([]string{"missing"}, q); err == nil {
 		t.Fatal("unsafe head must error")
 	}
 	// Mismatched head name count.
-	if _, err := e.EvalCQ([]string{"a", "b"}, query.CQ{Head: []query.Arg{v("x")}, Atoms: []query.Atom{{S: v("x"), P: c(10), O: v("y")}}}); err == nil {
+	if _, err := e.cq([]string{"a", "b"}, query.CQ{Head: []query.Arg{v("x")}, Atoms: []query.Atom{{S: v("x"), P: c(10), O: v("y")}}}); err == nil {
 		t.Fatal("head arity mismatch must error")
 	}
-	if _, err := e.EvalJUCQ(query.JUCQ{}); err == nil {
+	if _, err := e.jucq(query.JUCQ{}); err == nil {
 		t.Fatal("JUCQ without fragments must error")
 	}
 }
@@ -404,7 +422,7 @@ func TestEvalStreamBudget(t *testing.T) {
 	st, ss := tinyStore([][3]dict.ID{{1, 10, 2}})
 	e := New(st, ss)
 	e.Budget = Budget{MaxRows: 1000}
-	got, err := e.EvalUCQStream([]string{"x"}, func(fn func(query.CQ) bool) {
+	got, err := e.ucqStream([]string{"x"}, func(fn func(query.CQ) bool) {
 		for i := 0; i < 5; i++ {
 			if !fn(query.CQ{Head: []query.Arg{v("x")}, Atoms: []query.Atom{{S: v("x"), P: c(10), O: v("y")}}}) {
 				return
@@ -437,7 +455,7 @@ ex:c ex:knows ex:a .
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := e.EvalCQ(query.HeadVarNames(q), q)
+	r, err := e.cq(query.HeadVarNames(q), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +501,7 @@ func TestEvalUCQWithProvenance(t *testing.T) {
 			{Head: []query.Arg{v("x")}, Atoms: []query.Atom{{S: v("x"), P: c(11), O: v("y")}}},
 		},
 	}
-	rows, prov, err := e.EvalUCQWithProvenance(u)
+	rows, prov, err := e.ucqWhy(u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +520,7 @@ func TestEvalUCQWithProvenance(t *testing.T) {
 		t.Fatalf("provenance of 3: %v", byVal[3])
 	}
 	// Provenance agrees with plain union evaluation.
-	plain, err := e.EvalUCQ(u)
+	plain, err := e.ucq(u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +537,7 @@ func TestEvalUCQWithProvenanceBoolean(t *testing.T) {
 		{Atoms: []query.Atom{{S: v("x"), P: c(99), O: v("y")}}},
 		{Atoms: []query.Atom{{S: v("x"), P: c(10), O: c(2)}}},
 	}}
-	rows, prov, err := e.EvalUCQWithProvenance(u)
+	rows, prov, err := e.ucqWhy(u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,13 +566,13 @@ func TestEvalJUCQParallelMatchesSerial(t *testing.T) {
 		Fragments: []query.Fragment{mkFrag(200, "x", "y"), mkFrag(201, "y", "z"), mkFrag(202, "x", "w")},
 	}
 	serial := New(st, ss)
-	want, err := serial.EvalJUCQ(j)
+	want, err := serial.jucq(j)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := New(st, ss)
 	par.Parallel = true
-	got, err := par.EvalJUCQ(j)
+	got, err := par.jucq(j)
 	if err != nil {
 		t.Fatal(err)
 	}

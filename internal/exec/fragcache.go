@@ -7,7 +7,7 @@ import (
 )
 
 // FragmentCache is the executor's hook for cross-query reuse of fragment
-// results: EvalJUCQ consults it once per fragment (the single-atom UCQs of
+// results: EvalJUCQContext consults it once per fragment (the single-atom UCQs of
 // the SCQ strategy and the cover fragments of the JUCQ strategies are both
 // fragments), letting a serving deployment answer repeated workloads
 // without re-evaluating reformulations it has already computed. The

@@ -128,11 +128,7 @@ func (e *Evaluator) mergeJoin(l, r *Relation, g guard, sp *trace.Span, est float
 					for j, c := range extraCols {
 						outRow[len(la)+j] = rb[c]
 					}
-					if len(outRow) == 0 {
-						out.AppendEmpty()
-					} else {
-						out.Append(outRow)
-					}
+					out.Append(outRow)
 					if err := e.checkRows(out.Len()); err != nil {
 						return nil, err
 					}

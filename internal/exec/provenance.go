@@ -7,17 +7,12 @@ import (
 	"repro/internal/query"
 )
 
-// EvalUCQWithProvenance evaluates a union like EvalUCQ but additionally
-// reports, for every distinct answer row, which member CQs produced it —
-// the demo-style explanation of *why* an implicit answer exists (each
-// non-identity member corresponds to a chain of constraint applications).
-// provenance[i] lists the 0-based indexes into u.CQs for row i of the
-// result, in ascending order.
-func (e *Evaluator) EvalUCQWithProvenance(u query.UCQ) (*Relation, [][]int, error) {
-	return e.EvalUCQWithProvenanceContext(context.Background(), u)
-}
-
-// EvalUCQWithProvenanceContext is EvalUCQWithProvenance bounded by ctx.
+// EvalUCQWithProvenanceContext evaluates a union like EvalUCQContext but
+// additionally reports, for every distinct answer row, which member CQs
+// produced it — the demo-style explanation of *why* an implicit answer
+// exists (each non-identity member corresponds to a chain of constraint
+// applications). provenance[i] lists the 0-based indexes into u.CQs for row
+// i of the result, in ascending order.
 func (e *Evaluator) EvalUCQWithProvenanceContext(ctx context.Context, u query.UCQ) (*Relation, [][]int, error) {
 	out := NewRelation(u.HeadNames)
 	var provenance [][]int
@@ -30,7 +25,7 @@ func (e *Evaluator) EvalUCQWithProvenanceContext(ctx context.Context, u query.UC
 		if err := g.err(); err != nil {
 			return nil, nil, fmt.Errorf("%w (after %d/%d CQs)", err, ci, len(u.CQs))
 		}
-		r, err := e.evalCQ(u.HeadNames, cq, g, nil)
+		r, err := e.evalCQ(u.HeadNames, liftCQ(cq), nil, g, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -48,11 +43,7 @@ func (e *Evaluator) EvalUCQWithProvenanceContext(ctx context.Context, u query.UC
 				continue
 			}
 			seen[string(key)] = out.Len()
-			if len(row) == 0 {
-				out.AppendEmpty()
-			} else {
-				out.Append(row)
-			}
+			out.Append(row)
 			//reflint:hotalloc the slice is the returned provenance entry for a new distinct row — output shape, not per-iteration scratch
 			provenance = append(provenance, []int{ci})
 			if err := e.checkRows(out.Len()); err != nil {

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -14,517 +12,246 @@ import (
 	"repro/internal/trace"
 )
 
-// This file evaluates range UCQs (the ref-range reformulation): each range
-// CQ scans its atoms with interval-constrained patterns (one "rangescan"
-// operator per atom), joins them with the greedy materialized-join order,
-// then applies the hierarchy expansions and projects the head. Identical
-// range atoms across the union's CQs share one scan via a per-evaluation
-// memo.
+// The evaluator has one atom form, query.RangeAtom: a plain atom is a range
+// atom with no Ranges and no Expand, and every operator takes it as such.
+// This file holds the lift from the plain forms and what an atom needs only
+// when it *has* a range or an expansion — the range pattern its scan and
+// probes run, and the post-join hierarchy expansion — plus the memo a union
+// shares between its members.
 
-// EvalRangeUCQContext evaluates a union of range CQs with set semantics,
-// bounded by ctx; the whole union shares one deadline and one cancellation
-// signal.
-func (e *Evaluator) EvalRangeUCQContext(ctx context.Context, u query.RangeUCQ) (*Relation, error) {
-	if len(u.CQs) == 0 {
-		return NewRelation(u.HeadNames), nil
+// liftAtoms appends the range form of the plain atoms to dst.
+func liftAtoms(dst []query.RangeAtom, atoms []query.Atom) []query.RangeAtom {
+	for _, a := range atoms {
+		dst = append(dst, query.RangeAtom{S: query.PlainArg(a.S), P: query.PlainArg(a.P), O: query.PlainArg(a.O)})
 	}
-	g := e.newGuard(ctx)
-	defer g.flush(e.Metrics)
-	if sh := e.scatterSource(); sh != nil && rangeUCQCoPartitioned(u) {
-		// Every CQ shares one subject variable across its atoms: evaluate
-		// the whole union per shard (keeping the scan/join-prefix memos
-		// shard-local) and merge once at the end.
-		return e.evalRangeUCQScatter(sh, u, g, e.Span)
-	}
-	var usp *trace.Span
-	if e.Span != nil {
-		usp = e.Span.Child("union")
-		defer usp.End()
-		usp.SetInt("cqs", int64(len(u.CQs)))
-	}
-	memo := map[string]*Relation{}
-	jmemo := map[string]*Relation{}
-	out := NewRelation(u.HeadNames)
-	done := 0
-	for _, cq := range u.CQs {
-		if err := g.err(); err != nil {
-			return nil, fmt.Errorf("%w (after %d/%d range CQs)", err, done, len(u.CQs))
-		}
-		r, err := e.evalRangeCQ(u.HeadNames, cq, g, usp, memo, jmemo)
-		if err != nil {
-			return nil, err
-		}
-		done++
-		if err := appendRelation(out, r, g.err); err != nil {
-			return nil, err
-		}
-		g.addUnioned(r.Len())
-		if err := e.checkRows(out.Len()); err != nil {
-			return nil, err
-		}
-	}
-	if err := out.DistinctCheck(g.err); err != nil {
-		return nil, err
-	}
-	if usp != nil {
-		usp.SetInt("rows", int64(out.Len()))
-		usp.End()
-	}
-	return out, nil
+	return dst
 }
 
-// rangeProbeFactor decides when a connected atom is probed instead of
-// materialized: probe when its range count exceeds the current relation's
-// size by this factor (each probe is a couple of binary searches, so a
-// small relation probing a huge range beats scanning the range).
-const rangeProbeFactor = 8
+// liftCQ returns the range form of a plain CQ.
+func liftCQ(q query.CQ) query.RangeCQ {
+	return query.RangeCQ{Head: q.Head, Atoms: liftAtoms(make([]query.RangeAtom, 0, len(q.Atoms)), q.Atoms)}
+}
 
-// evalRangeCQ evaluates one range CQ: materialize the smallest atom, then
-// greedy-join the rest (connected first, then smallest range count). A
-// connected atom whose range count dwarfs the current relation is probed
-// with per-binding index lookups (rangeprobe) rather than materialized;
-// expansions are applied in atom order afterwards, then the head projects.
-// The union's CQs differ in only a few alternatives per atom, so the join
-// prefixes they share are memoized in jmemo (keyed by the sequence of
-// joined atoms): the greedy order is deterministic in the atom set, and
-// joins never mutate their inputs, so a memoized intermediate is reusable
-// as-is.
-func (e *Evaluator) evalRangeCQ(headNames []string, q query.RangeCQ, g guard, sp *trace.Span, memo, jmemo map[string]*Relation) (*Relation, error) {
-	if len(q.Atoms) == 0 {
-		return nil, errors.New("exec: empty range BGP")
+// liftUCQ returns the range form of a plain union's members. The atoms of
+// all members share one backing array, so a union costs two allocations
+// however many members it has.
+func liftUCQ(cqs []query.CQ, check func() error) ([]query.RangeCQ, error) {
+	if len(cqs) == 0 {
+		return nil, nil
 	}
-	var csp *trace.Span
-	if sp != nil {
-		csp = sp.Child("cq")
-		defer csp.End()
-		parts := make([]string, len(q.Atoms))
-		for i, a := range q.Atoms {
-			parts[i] = query.FormatRangeAtom(a)
-		}
-		csp.SetStr("q", strings.Join(parts, ", "))
-	}
-	counts := make([]int, len(q.Atoms))
-	varsOf := make([][]string, len(q.Atoms))
-	for i, a := range q.Atoms {
-		pat, _ := rangeAtomPattern(a)
-		counts[i] = e.st.CountRange(pat)
-		_, varsOf[i] = rangeAtomKey(a)
-	}
-	start := 0
-	//reflint:noguard bookkeeping bounded by atom count
-	for i := 1; i < len(counts); i++ {
-		if counts[i] < counts[start] {
-			start = i
-		}
-	}
-	cur, err := e.scanRangeAtom(q.Atoms[start], g, csp, memo)
-	if err != nil {
-		return nil, err
-	}
-	prefix := query.FormatRangeAtom(q.Atoms[start])
-	remaining := make([]int, 0, len(q.Atoms)-1)
-	for i := range q.Atoms {
-		if i != start {
-			remaining = append(remaining, i)
-		}
-	}
-	for len(remaining) > 0 {
-		if err := g.err(); err != nil {
-			return nil, err
-		}
-		// Pick the atom with the least estimated work: a connected atom
-		// costs about its range count (scan or probe), a disconnected one
-		// costs the cross-product size. A 10-row disconnected atom is a
-		// better next step than probing a 10k-row connected one: the tiny
-		// cross product binds more variables for the probes that follow.
-		best, bestConnected := -1, false
-		bestWork := 0.0
-		for i, ai := range remaining {
-			connected := len(sharedVars(cur.Vars, varsOf[ai])) > 0
-			w := float64(counts[ai])
-			if !connected {
-				w = float64(maxInt(cur.Len(), 1)) * float64(maxInt(counts[ai], 1))
-			}
-			if best == -1 || w < bestWork || (w == bestWork && connected && !bestConnected) {
-				best, bestConnected, bestWork = i, connected, w
-			}
-		}
-		ai := remaining[best]
-		remaining = append(remaining[:best], remaining[best+1:]...)
-		prefix += "‖" + query.FormatRangeAtom(q.Atoms[ai])
-		if cached, ok := jmemo[prefix]; ok {
-			cur = cached
-			continue
-		}
-		if bestConnected && counts[ai] > rangeProbeFactor*maxInt(cur.Len(), 1) {
-			cur, err = e.rangeProbeJoin(cur, q.Atoms[ai], g, csp)
-			if err != nil {
+	out := make([]query.RangeCQ, len(cqs))
+	// Members of one reformulation have one body size; append absorbs the
+	// exceptions.
+	slab := make([]query.RangeAtom, 0, len(cqs)*len(cqs[0].Atoms))
+	for i, cq := range cqs {
+		if i&(checkEvery-1) == checkEvery-1 {
+			if err := check(); err != nil {
 				return nil, err
 			}
-			jmemo[prefix] = cur
-			continue
 		}
-		next, err := e.scanRangeAtom(q.Atoms[ai], g, csp, memo)
-		if err != nil {
-			return nil, err
-		}
-		joined, err := e.materializedJoin(cur, next, g, csp, -1)
-		if err != nil {
-			return nil, err
-		}
-		cur = joined
-		jmemo[prefix] = cur
-	}
-	// Expansions run after the joins, in atom order: an unbound output
-	// appends hierarchy ancestors as new bindings; a bound output (an
-	// earlier expansion or a reformulation constant) filters instead,
-	// which is exactly the binding-consistency intersection of the UCQ
-	// enumeration.
-	for _, a := range q.Atoms {
-		if a.Expand == nil {
-			continue
-		}
-		var err error
-		cur, err = e.expandRelation(cur, a.Expand, g, csp)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var psp *trace.Span
-	if csp != nil {
-		psp = csp.Child("project")
-		defer psp.End()
-	}
-	out, err := e.projectHead(headNames, q.Head, cur, g)
-	if err != nil {
-		return nil, err
-	}
-	if err := out.DistinctCheck(g.err); err != nil {
-		return nil, err
-	}
-	if psp != nil {
-		psp.SetInt("rows", int64(out.Len()))
-		psp.End()
-	}
-	if csp != nil {
-		csp.SetInt("rows", int64(out.Len()))
-		csp.End()
+		start := len(slab)
+		slab = liftAtoms(slab, cq.Atoms)
+		out[i] = query.RangeCQ{Head: cq.Head, Atoms: slab[start:len(slab):len(slab)]}
 	}
 	return out, nil
 }
 
-// rangeAtomKey canonicalizes a range atom for the scan memo: constants and
-// ranges by value, variables by first-occurrence index (the scan result is
-// the same relation up to column names). It also returns the atom's
-// distinct variables in column order.
-func rangeAtomKey(a query.RangeAtom) (string, []string) {
-	var sb strings.Builder
-	var vars []string
-	varNum := map[string]int{}
-	num := func(v string) int {
-		n, ok := varNum[v]
-		if !ok {
-			n = len(vars)
-			varNum[v] = n
-			vars = append(vars, v)
-		}
-		return n
-	}
-	for _, ra := range [3]query.RangeArg{a.S, a.P, a.O} {
-		switch {
-		case ra.Ranges != nil:
-			sb.WriteByte('r')
-			for _, r := range ra.Ranges {
-				fmt.Fprintf(&sb, "%d-%d,", r.Lo, r.Hi)
-			}
-			if ra.Arg.IsVar() {
-				fmt.Fprintf(&sb, "v%d", num(ra.Arg.Var))
-			}
-		case ra.Arg.IsVar():
-			fmt.Fprintf(&sb, "v%d", num(ra.Arg.Var))
-		default:
-			fmt.Fprintf(&sb, "c%d", ra.Arg.ID)
-		}
-		sb.WriteByte(';')
-	}
-	return sb.String(), vars
+// ranged reports whether any position of the atom is range-constrained:
+// such an atom scans and probes with a storage.RangePattern, any other with
+// the plain storage.Pattern.
+func ranged(a query.RangeAtom) bool {
+	return a.S.Ranges != nil || a.P.Ranges != nil || a.O.Ranges != nil
 }
 
-// maxInt returns the larger of two ints.
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+// plainAtom is the plain form of an atom that is not ranged.
+func plainAtom(a query.RangeAtom) query.Atom {
+	return query.Atom{S: a.S.Arg, P: a.P.Arg, O: a.O.Arg}
 }
 
-// rangeAtomPattern converts a range atom into the range pattern its scan
-// runs (constants become exact ranges) plus the positions each variable
-// occupies.
-func rangeAtomPattern(a query.RangeAtom) (storage.RangePattern, map[string][]int) {
-	var pat storage.RangePattern
-	varPos := map[string][]int{}
-	for i, ra := range [3]query.RangeArg{a.S, a.P, a.O} {
-		var rs []storage.IDRange
+// rangePattern is the range pattern a ranged atom's scan runs: range
+// positions keep their ranges, constants become exact ranges, variables are
+// wildcards.
+func rangePattern(a query.RangeAtom) storage.RangePattern {
+	conv := func(ra query.RangeArg) []storage.IDRange {
 		switch {
 		case ra.Ranges != nil:
-			rs = ra.Ranges
+			return ra.Ranges
 		case !ra.Arg.IsVar():
-			rs = []storage.IDRange{storage.Exact(ra.Arg.ID)}
+			return []storage.IDRange{storage.Exact(ra.Arg.ID)}
 		}
-		switch i {
-		case 0:
-			pat.S = rs
-		case 1:
-			pat.P = rs
-		default:
-			pat.O = rs
-		}
-		if ra.Arg.IsVar() {
-			varPos[ra.Arg.Var] = append(varPos[ra.Arg.Var], i)
-		}
+		return nil
 	}
-	return pat, varPos
+	return storage.RangePattern{S: conv(a.S), P: conv(a.P), O: conv(a.O)}
 }
 
-// rangeProbeJoin joins the current relation with a range atom by probing
-// the indexes once per distinct binding of the shared variables, instead of
-// materializing the atom's full range scan: each probe narrows the shared
-// positions to the bound IDs, so only matching triples are ever touched.
-func (e *Evaluator) rangeProbeJoin(cur *Relation, a query.RangeAtom, g guard, sp *trace.Span) (*Relation, error) {
-	var jsp *trace.Span
-	if sp != nil {
-		jsp = sp.Child("rangeprobe")
-		defer jsp.End()
-		jsp.SetStr("atom", query.FormatRangeAtom(a))
-		jsp.SetInt("left_rows", int64(cur.Len()))
-	}
-	pat, varPos := rangeAtomPattern(a)
-	_, vars := rangeAtomKey(a)
-	// Split the atom's variables into bound (probe keys) and free (new
-	// output columns), keeping the atom's column order for the free ones.
-	var bound, free []string
-	var boundCols []int
-	for _, v := range vars {
-		if c := cur.ColumnIndex(v); c != -1 {
-			bound = append(bound, v)
-			boundCols = append(boundCols, c)
-		} else {
-			free = append(free, v)
+// atomVars returns the atom's distinct variables (plain and capture) in
+// first-occurrence order — the columns of its scan — and, per position, the
+// column that position binds (-1: a constant or an uncaptured range).
+func atomVars(a query.RangeAtom) (vars []string, col [3]int) {
+	for i, ra := range [3]query.RangeArg{a.S, a.P, a.O} {
+		col[i] = -1
+		if !ra.Arg.IsVar() {
+			continue
+		}
+		for c, v := range vars {
+			if v == ra.Arg.Var {
+				col[i] = c
+			}
+		}
+		if col[i] == -1 {
+			col[i] = len(vars)
+			vars = append(vars, ra.Arg.Var)
 		}
 	}
-	out := NewRelation(append(append([]string(nil), cur.Vars...), free...))
-	row := make([]dict.ID, len(out.Vars))
-	// Probe once per distinct key: rows sharing bound values reuse the
-	// matched triples.
-	type probeResult struct{ rows [][3]dict.ID }
-	cache := map[string]*probeResult{}
-	// Probe keys are built into a reused byte buffer; the only string
-	// materialized per *distinct* key is the one the cache insert needs
-	// (map lookups on string(keyBuf) don't allocate).
-	keyBuf := make([]byte, 0, 64)
-	steps := 0
-	scanned := 0
-	for i := 0; i < cur.Len(); i++ {
-		steps++
-		if steps&(checkEvery-1) == 0 {
-			if err := g.err(); err != nil {
-				return nil, err
-			}
-		}
-		r := cur.Row(i)
-		keyBuf = keyBuf[:0]
-		for _, c := range boundCols {
-			keyBuf = strconv.AppendUint(keyBuf, uint64(r[c]), 10)
-			keyBuf = append(keyBuf, ',')
-		}
-		pr, ok := cache[string(keyBuf)]
-		if !ok {
-			pr = &probeResult{}
-			cache[string(keyBuf)] = pr
-			// Narrow the probe pattern: every bound position becomes the
-			// row's exact ID, unless it falls outside the atom's ranges
-			// (then the probe is empty).
-			ppat := pat
-			feasible := true
-			for bi, v := range bound {
-				id := r[boundCols[bi]]
-				for _, pos := range varPos[v] {
-					base := [3][]storage.IDRange{pat.S, pat.P, pat.O}[pos]
-					if base != nil && !storage.InRanges(base, id) {
-						feasible = false
-						break
-					}
-					switch pos {
-					case 0:
-						ppat.S = []storage.IDRange{storage.Exact(id)}
-					case 1:
-						ppat.P = []storage.IDRange{storage.Exact(id)}
-					default:
-						ppat.O = []storage.IDRange{storage.Exact(id)}
-					}
-				}
-				if !feasible {
-					break
-				}
-			}
-			if feasible {
-				var stopErr error
-				e.st.EachRange(ppat, func(t dict.Triple) bool {
-					steps++
-					if steps&(checkEvery-1) == 0 {
-						if err := g.err(); err != nil {
-							stopErr = err
-							return false
-						}
-					}
-					trip := [3]dict.ID{t.S, t.P, t.O}
-					// Enforce repeated free variables (bound ones are
-					// already pinned by the probe pattern).
-					for _, v := range free {
-						positions := varPos[v]
-						for _, p := range positions[1:] {
-							if trip[p] != trip[positions[0]] {
-								return true
-							}
-						}
-					}
-					pr.rows = append(pr.rows, trip)
-					return true
-				})
-				if stopErr != nil {
-					return nil, stopErr
-				}
-				scanned += len(pr.rows)
-			}
-		}
-		for _, trip := range pr.rows {
-			steps++
-			if steps&(checkEvery-1) == 0 {
-				if err := g.err(); err != nil {
-					return nil, err
-				}
-			}
-			copy(row, r)
-			for fi, v := range free {
-				row[len(cur.Vars)+fi] = trip[varPos[v][0]]
-			}
-			if len(row) == 0 {
-				out.AppendEmpty()
-			} else {
-				out.Append(row)
-			}
-			if err := e.checkRows(out.Len()); err != nil {
-				return nil, err
-			}
-		}
-	}
-	g.addScanned(scanned)
-	g.addJoined(out.Len())
-	if jsp != nil {
-		jsp.SetInt("scanned", int64(scanned))
-		jsp.SetInt("rows", int64(out.Len()))
-		jsp.End()
-	}
-	return out, nil
+	return vars, col
 }
 
-// rangeUCQCoPartitioned reports whether every CQ of the union is
-// co-partitioned (see coPartitionedRangeCQ) — the shape where the whole
-// union can be evaluated shard-locally and merged once.
-func rangeUCQCoPartitioned(u query.RangeUCQ) bool {
-	for _, cq := range u.CQs {
-		if !coPartitionedRangeCQ(cq) {
-			return false
-		}
+// formatAtom renders an atom for operator spans: a plain atom with its
+// terms decoded, an atom with a range or an expansion in the range notation.
+func formatAtom(d *dict.Dict, a query.RangeAtom) string {
+	if ranged(a) || a.Expand != nil {
+		return query.FormatRangeAtom(a)
 	}
-	return len(u.CQs) > 0
+	return query.FormatAtom(d, plainAtom(a))
 }
 
-// scanRangeAtom materializes one range atom into a relation over its
-// variables (plain and capture), enforcing repeated-variable equality.
-// Results are memoized per evaluation under the canonical atom key.
-// Against a sharded source, a scan whose subject is unconstrained fans
-// out to every shard in parallel.
-func (e *Evaluator) scanRangeAtom(a query.RangeAtom, g guard, sp *trace.Span, memo map[string]*Relation) (*Relation, error) {
-	key, vars := rangeAtomKey(a)
-	if cached, ok := memo[key]; ok {
-		return cached.RenamedView(vars)
+// formatCQ renders a member for its "cq" span in the paper's notation.
+func formatCQ(d *dict.Dict, q query.RangeCQ) string {
+	head := make([]string, len(q.Head))
+	for i, h := range q.Head {
+		head[i] = query.FormatArg(d, h)
 	}
-	pat, varPos := rangeAtomPattern(a)
-	scan := func(src Source, rel *Relation) error {
-		row := make([]dict.ID, len(vars))
-		var stopErr error
-		steps := 0
-		src.EachRange(pat, func(t dict.Triple) bool {
-			steps++
-			if steps&(checkEvery-1) == 0 {
-				if err := g.err(); err != nil {
-					stopErr = err
-					return false
-				}
-			}
-			trip := [3]dict.ID{t.S, t.P, t.O}
-			for vi, v := range vars {
-				positions := varPos[v]
-				row[vi] = trip[positions[0]]
-				for _, p := range positions[1:] {
-					if trip[p] != row[vi] {
-						goto skip
-					}
-				}
-			}
-			if len(row) == 0 {
-				rel.AppendEmpty()
-			} else {
-				rel.Append(row)
-			}
-			if e.Budget.MaxRows > 0 && rel.Len() > e.Budget.MaxRows {
-				stopErr = fmt.Errorf("%w: range scan of %d+ rows exceeds cap %d", ErrBudgetExceeded, rel.Len(), e.Budget.MaxRows)
-				return false
-			}
-		skip:
-			return true
-		})
-		return stopErr
+	atoms := make([]string, len(q.Atoms))
+	for i, a := range q.Atoms {
+		atoms[i] = formatAtom(d, a)
 	}
-	var rel *Relation
-	if sh := e.scatterSource(); sh != nil && pat.S == nil {
-		r, err := e.scatterScan(sh, "rangescan", query.FormatRangeAtom(a), vars, g, sp, -1, scan)
-		if err != nil {
-			return nil, err
-		}
-		rel = r
-	} else {
-		var ssp *trace.Span
-		if sp != nil {
-			ssp = sp.Child("rangescan")
-			defer ssp.End()
-			ssp.SetStr("atom", query.FormatRangeAtom(a))
-		}
-		rel = NewRelation(vars)
-		if err := scan(e.st, rel); err != nil {
-			return nil, err
-		}
-		g.addScanned(rel.Len())
-		if ssp != nil {
-			ssp.SetInt("rows", int64(rel.Len()))
-			ssp.End()
-		}
-	}
-	canonical := make([]string, len(vars))
-	for i := range canonical {
-		canonical[i] = fmt.Sprintf("v%d", i)
-	}
-	view, err := rel.RenamedView(canonical)
-	if err != nil {
-		return nil, err
-	}
-	memo[key] = view
-	return rel, nil
+	return "q(" + strings.Join(head, ", ") + ") :- " + strings.Join(atoms, ", ")
 }
 
-// expandRelation applies one hierarchy expansion to the joined relation.
+// memo shares work between the members of one union. The members of a
+// reformulation differ in only a few alternatives per atom, so they repeat
+// each other's scans and the first joins of each other's plans:
+//
+//   - scans: canonical atom → its scan, under canonical column names (the
+//     scan of an atom is the same relation whatever its variables are
+//     called);
+//   - joins: the sequence of atoms joined so far → that intermediate. Joins
+//     never mutate their inputs, so a memoized intermediate is reusable
+//     as-is.
+//
+// What a memo retains stays live until the union ends, so it admits
+// relations only up to memoCap IDs in total: a union of hundreds of
+// thousands of members over large scans shares what fits and re-reads the
+// rest, instead of doubling the evaluation's peak heap.
+//
+// A memo is unsynchronized: it belongs to one serial member loop. All
+// methods accept a nil memo (a CQ evaluated on its own), which shares
+// nothing.
+type memo struct {
+	scans, joins map[string]*Relation
+	held         int    // IDs retained so far
+	key          []byte // the scan key of the last lookup
+	prefix       []byte // the running member's join-prefix key
+}
+
+// memoCap bounds the IDs one memo retains (16 MiB of row storage).
+const memoCap = 4 << 20
+
+// admit reports whether the memo may retain rel, and charges it.
+func (m *memo) admit(rel *Relation) bool {
+	if m == nil || m.held+len(rel.data) > memoCap {
+		return false
+	}
+	m.held += len(rel.data)
+	return true
+}
+
+// canonVars names scan columns in the memo; an atom has at most three.
+var canonVars = [3]string{"v0", "v1", "v2"}
+
+// appendAtomKey appends the atom's scan identity to dst: constants and
+// ranges by value, variables by column number — or, with no columns given,
+// by name, which is what a join prefix needs (which columns join depends
+// on the names).
+func appendAtomKey(dst []byte, a query.RangeAtom, col *[3]int) []byte {
+	for i, ra := range [3]query.RangeArg{a.S, a.P, a.O} {
+		for _, r := range ra.Ranges {
+			dst = strconv.AppendUint(append(dst, 'r'), uint64(r.Lo), 10)
+			dst = strconv.AppendUint(append(dst, '-'), uint64(r.Hi), 10)
+		}
+		switch {
+		case ra.Arg.IsVar() && col == nil:
+			dst = append(append(dst, 'v'), ra.Arg.Var...)
+		case ra.Arg.IsVar():
+			dst = strconv.AppendUint(append(dst, 'v'), uint64(col[i]), 10)
+		case ra.Ranges == nil:
+			dst = strconv.AppendUint(append(dst, 'c'), uint64(ra.Arg.ID), 10)
+		}
+		dst = append(dst, ';')
+	}
+	return dst
+}
+
+// scan returns the memoized scan of the atom renamed to vars, or nil. It
+// leaves the atom's key in m.key for the putScan that follows a miss.
+func (m *memo) scan(a query.RangeAtom, vars []string, col [3]int) *Relation {
+	if m == nil {
+		return nil
+	}
+	m.key = appendAtomKey(m.key[:0], a, &col)
+	cached := m.scans[string(m.key)]
+	if cached == nil {
+		return nil
+	}
+	view, _ := cached.RenamedView(vars) // same key, same width
+	return view
+}
+
+// putScan records the scan the last lookup missed.
+func (m *memo) putScan(rel *Relation) {
+	if !m.admit(rel) {
+		return
+	}
+	if m.scans == nil {
+		m.scans = map[string]*Relation{}
+	}
+	view, _ := rel.RenamedView(canonVars[:rel.Width()])
+	m.scans[string(m.key)] = view
+}
+
+// begin starts a member's join prefix at its first atom.
+func (m *memo) begin(a query.RangeAtom) {
+	if m != nil {
+		m.prefix = appendAtomKey(m.prefix[:0], a, nil)
+	}
+}
+
+// join extends the prefix by the atom and returns the memoized
+// intermediate for it, or nil (then putJoin records the one computed).
+func (m *memo) join(a query.RangeAtom) *Relation {
+	if m == nil {
+		return nil
+	}
+	m.prefix = appendAtomKey(append(m.prefix, '|'), a, nil)
+	return m.joins[string(m.prefix)]
+}
+
+// putJoin records the intermediate of the current prefix.
+func (m *memo) putJoin(rel *Relation) {
+	if !m.admit(rel) {
+		return
+	}
+	if m.joins == nil {
+		m.joins = map[string]*Relation{}
+	}
+	m.joins[string(m.prefix)] = rel
+}
+
+// expandRelation applies one hierarchy expansion to the joined relation: an
+// unbound output appends hierarchy ancestors as new bindings; a bound
+// output (an earlier expansion or a reformulation constant) filters
+// instead, which is exactly the binding-consistency intersection of the UCQ
+// enumeration.
 func (e *Evaluator) expandRelation(rel *Relation, exp *query.Expansion, g guard, sp *trace.Span) (*Relation, error) {
 	var esp *trace.Span
 	if sp != nil {

@@ -8,6 +8,7 @@ package exec
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -40,7 +41,7 @@ func (r *Relation) Row(i int) []dict.ID {
 	return r.data[i*r.width : (i+1)*r.width]
 }
 
-// Append adds one row (copied).
+// Append adds one row (copied); a zero-width row only counts.
 func (r *Relation) Append(row []dict.ID) {
 	if len(row) != r.width {
 		panic(fmt.Sprintf("exec: row width %d != relation width %d", len(row), r.width))
@@ -85,8 +86,11 @@ func (r *Relation) DistinctCheck(check func() error) error {
 	if r.rows < 2 {
 		return nil
 	}
-	seen := make(map[string]bool, r.rows)
-	key := make([]byte, 0, r.width*4)
+	cols := make([]int, r.width)
+	for c := range cols {
+		cols[c] = c
+	}
+	seen := newRowTable(r.rows)
 	out := r.data[:0]
 	kept := 0
 	for i := 0; i < r.rows; i++ {
@@ -96,12 +100,16 @@ func (r *Relation) DistinctCheck(check func() error) error {
 			}
 		}
 		row := r.Row(i)
-		key = rowKey(key[:0], row)
-		if seen[string(key)] {
+		h := hashCols(row, cols)
+		dup := false
+		for k := seen.head[h]; k != 0 && !dup; k = seen.next[k-1] {
+			dup = slices.Equal(out[int(k-1)*r.width:int(k)*r.width], row)
+		}
+		if dup {
 			continue
 		}
-		seen[string(key)] = true
 		out = append(out, row...)
+		seen.add(h, kept)
 		kept++
 	}
 	r.data = out
@@ -109,16 +117,11 @@ func (r *Relation) DistinctCheck(check func() error) error {
 	return nil
 }
 
-// Project returns a new relation with the given output columns; each output
-// column is either an existing column name or a constant (via consts, keyed
-// by output position). outNames gives the result's column names.
-func (r *Relation) Project(outNames []string, sources []int, consts map[int]dict.ID) *Relation {
-	out, _ := r.ProjectCheck(outNames, sources, consts, nil)
-	return out
-}
-
-// ProjectCheck is Project with an early-stop check polled every
-// checkEvery rows (nil check never stops).
+// ProjectCheck returns a new relation with the given output columns; each
+// output column is either an existing column (sources, by output position)
+// or a constant (consts, keyed by output position). outNames gives the
+// result's column names. check is an early-stop check polled every
+// checkEvery rows (nil never stops).
 func (r *Relation) ProjectCheck(outNames []string, sources []int, consts map[int]dict.ID, check func() error) (*Relation, error) {
 	out := NewRelation(outNames)
 	row := make([]dict.ID, len(outNames))
@@ -136,11 +139,7 @@ func (r *Relation) ProjectCheck(outNames []string, sources []int, consts map[int
 				row[j] = src[sources[j]]
 			}
 		}
-		if len(row) == 0 {
-			out.AppendEmpty()
-		} else {
-			out.Append(row)
-		}
+		out.Append(row)
 	}
 	return out, nil
 }
@@ -215,40 +214,19 @@ func (r *Relation) SortRows() {
 
 // Equal reports whether two relations hold the same row *sets* over the
 // same columns (order-insensitive); used by tests comparing strategies.
-//
-//reflint:noguard test-comparison helper, never on the guarded answering path
 func (r *Relation) Equal(o *Relation) bool {
-	if r.width != o.width || len(r.Vars) != len(o.Vars) {
+	if r.width != o.width || !slices.Equal(r.Vars, o.Vars) {
 		return false
-	}
-	for i := range r.Vars {
-		if r.Vars[i] != o.Vars[i] {
-			return false
-		}
-	}
-	set := make(map[string]int, r.rows)
-	key := make([]byte, 0, r.width*4)
-	for i := 0; i < r.rows; i++ {
-		key = rowKey(key[:0], r.Row(i))
-		set[string(key)] = 1
-	}
-	oset := make(map[string]int, o.rows)
-	for i := 0; i < o.rows; i++ {
-		key = rowKey(key[:0], o.Row(i))
-		oset[string(key)] = 1
-	}
-	if len(set) != len(oset) {
-		return false
-	}
-	for k := range set {
-		if oset[k] == 0 {
-			return false
-		}
 	}
 	if r.width == 0 {
 		return (r.rows > 0) == (o.rows > 0)
 	}
-	return true
+	a, b := r.Snapshot(), o.Snapshot()
+	a.Distinct()
+	b.Distinct()
+	a.SortRows()
+	b.SortRows()
+	return slices.Equal(a.data, b.data)
 }
 
 // String renders the relation (sorted) for debugging, decoding IDs with d
@@ -257,6 +235,31 @@ func (r *Relation) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "(%s) %d rows", strings.Join(r.Vars, ", "), r.rows)
 	return sb.String()
+}
+
+// rowTable chains row numbers by a hash of some of their columns. A lookup
+// walks the chain and compares the columns themselves, so a hash collision
+// costs a comparison, never a wrong match.
+type rowTable struct {
+	head map[uint64]int32 // hash → 1 + the row added last under it
+	next []int32          // row → 1 + the row added before it under the same hash
+}
+
+func newRowTable(rows int) rowTable {
+	return rowTable{head: make(map[uint64]int32, rows), next: make([]int32, rows)}
+}
+
+func (t rowTable) add(h uint64, row int) {
+	t.next[row], t.head[h] = t.head[h], int32(row+1)
+}
+
+// hashCols hashes the given columns of a row (FNV-1a over the IDs).
+func hashCols(row []dict.ID, cols []int) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range cols {
+		h = (h ^ uint64(row[c])) * 1099511628211
+	}
+	return h
 }
 
 // rowKey encodes a row into dst as a byte key.

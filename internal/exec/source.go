@@ -80,18 +80,16 @@ func (e *Evaluator) shardWorkers(n int) int {
 	return w
 }
 
-// shardSub returns a sub-evaluator over one shard, planning with that
-// shard's own statistics. Parallel is left off: the scatter already owns
-// the fan-out, and nested parallelism would overrun the admitted weight.
+// shardSub returns a sub-evaluator over one shard. It plans like its
+// parent: against the shard's own statistics when the parent has
+// statistics, by exact counts otherwise — so a parent that needed no
+// statistics (a cold range union) never makes a shard collect them.
 func (e *Evaluator) shardSub(sh ShardedSource, i int) *Evaluator {
-	return &Evaluator{
-		st:             sh.Shard(i),
-		stats:          sh.ShardStats(i),
-		Budget:         e.Budget,
-		ForceHashJoins: e.ForceHashJoins,
-		Join:           e.Join,
-		Cost:           e.Cost,
+	var ss *stats.Stats
+	if e.stats != nil {
+		ss = sh.ShardStats(i)
 	}
+	return e.sub(sh.Shard(i), ss)
 }
 
 // newScatterSpan opens the scatter node EXPLAIN ANALYZE shows: one
@@ -175,80 +173,56 @@ func (e *Evaluator) gather(parts []*Relation, vars []string, g guard) (*Relation
 	return out, nil
 }
 
-// coPartitionedCQ reports whether every atom's subject is one shared
-// variable — the co-partitioned shape: any embedding maps that variable
-// to a single subject, so all of its matched triples live on one shard
-// and the CQ decomposes into independent shard-local evaluations whose
-// projected answers union. A constant subject or a second subject
+// coPartitioned reports whether every atom's subject is one shared,
+// range-free variable — the co-partitioned shape: any embedding maps that
+// variable to a single subject, so all of its matched triples live on one
+// shard and the CQ decomposes into independent shard-local evaluations
+// whose projected answers union. A constant subject or a second subject
 // variable breaks the rule (the embedding could span shards), so those
-// bodies keep central joins over scattered scans.
-func coPartitionedCQ(q query.CQ) bool {
-	if len(q.Atoms) == 0 {
-		return false
-	}
-	v := ""
-	for _, a := range q.Atoms {
-		s := a.Args()[0]
-		if !s.IsVar() {
-			return false
-		}
-		if v == "" {
-			v = s.Var
-		} else if v != s.Var {
-			return false
-		}
-	}
-	return true
-}
-
-// coPartitionedRangeCQ is coPartitionedCQ for range CQs: every atom's
-// subject must be one shared, range-free variable (a subject interval
+// bodies keep central joins over scattered scans. (A subject interval
 // constrains which subjects match but not where they live, so it would
-// still be shard-safe — kept out for symmetry with the scan router,
-// which only recognizes unconstrained subjects as scatter-safe).
-func coPartitionedRangeCQ(q query.RangeCQ) bool {
+// still be shard-safe — kept out for symmetry with the scan router, which
+// only recognizes unconstrained subjects as scatter-safe.)
+func coPartitioned(q query.RangeCQ) bool {
 	if len(q.Atoms) == 0 {
 		return false
 	}
-	v := ""
 	for _, a := range q.Atoms {
-		if a.S.Ranges != nil || !a.S.Arg.IsVar() {
-			return false
-		}
-		if v == "" {
-			v = a.S.Arg.Var
-		} else if v != a.S.Arg.Var {
+		if a.S.Ranges != nil || !a.S.Arg.IsVar() || a.S.Arg.Var != q.Atoms[0].S.Arg.Var {
 			return false
 		}
 	}
 	return true
 }
 
-// CoPartitionedCQ reports whether a sharded evaluation would run q
-// entirely shard-locally (every atom's subject is one shared variable) —
-// exported so EXPLAIN can show the same scatter shape the executor uses.
-func CoPartitionedCQ(q query.CQ) bool { return coPartitionedCQ(q) }
-
-// CoPartitionedRangeUCQ reports whether a sharded evaluation would run
-// the whole range union shard-locally — the range-strategy analogue of
-// CoPartitionedCQ, exported for EXPLAIN.
-func CoPartitionedRangeUCQ(u query.RangeUCQ) bool { return rangeUCQCoPartitioned(u) }
+// CoPartitionedCQ reports whether a sharded evaluation would run q — a
+// plain or a range CQ — entirely shard-locally; exported so EXPLAIN can
+// show the same scatter shape the executor uses.
+func CoPartitionedCQ[Q query.CQ | query.RangeCQ](q Q) bool {
+	switch q := any(q).(type) {
+	case query.CQ:
+		return coPartitioned(liftCQ(q))
+	case query.RangeCQ:
+		return coPartitioned(q)
+	}
+	return false
+}
 
 // evalCQScatter evaluates a co-partitioned CQ shard-locally: each shard
 // runs the full body plan (ordered by its own statistics), projects the
 // head, and the per-shard answers merge under one distinct pass — the
 // only cross-shard step is that final union, after projection.
-func (e *Evaluator) evalCQScatter(sh ShardedSource, headNames []string, q query.CQ, g guard, sp *trace.Span) (*Relation, error) {
+func (e *Evaluator) evalCQScatter(sh ShardedSource, headNames []string, q query.RangeCQ, g guard, sp *trace.Span) (*Relation, error) {
 	ssp := newScatterSpan(sp, "cq", sh.NumShards())
 	if ssp != nil {
 		defer ssp.End()
-		ssp.SetStr("q", query.FormatCQ(e.st.Dict(), q))
+		ssp.SetStr("q", formatCQ(e.st.Dict(), q))
 	}
 	if e.Metrics != nil {
 		e.Metrics.Counter("shard.local_cqs").Inc()
 	}
 	parts, err := e.runScatter(sh, g, func(i int) (*Relation, error) {
-		return e.shardSub(sh, i).evalCQ(headNames, q, g, ssp)
+		return e.shardSub(sh, i).evalCQ(headNames, q, nil, g, ssp)
 	})
 	if err != nil {
 		return nil, err
@@ -276,10 +250,9 @@ func (e *Evaluator) evalCQScatter(sh ShardedSource, headNames []string, q query.
 // this: hundreds of tiny single-subject-variable members per fragment,
 // interleaved with range-rule rewritings whose fresh subject variables
 // break co-partitioning (those stay on the parent path).
-func splitCoPartitioned(u query.UCQ) (co, rest []query.CQ) {
-	//reflint:noguard classification-only pass over member CQs — no rows materialize; callers poll the guard per member during evaluation
-	for _, cq := range u.CQs {
-		if coPartitionedCQ(cq) {
+func splitCoPartitioned(cqs []query.RangeCQ) (co, rest []query.RangeCQ) {
+	for _, cq := range cqs {
+		if coPartitioned(cq) {
 			co = append(co, cq)
 		} else {
 			rest = append(rest, cq)
@@ -288,14 +261,14 @@ func splitCoPartitioned(u query.UCQ) (co, rest []query.CQ) {
 	return co, rest
 }
 
-// evalUCQScatter evaluates a union with ≥2 co-partitioned members against
+// evalUnionScatter evaluates a union with ≥2 co-partitioned members against
 // a sharded source: the co-partitioned group runs shard-locally in one
 // scatter (each shard evaluates the whole group serially with its own
-// statistics, per-shard unions merge in shard order), then the remaining
-// members evaluate on the parent path — their unbound-subject scans still
-// scatter individually — and one distinct pass lands at the end. The
-// answer is the unsharded union's exact row set.
-func (e *Evaluator) evalUCQScatter(sh ShardedSource, u query.UCQ, co, rest []query.CQ, g guard, sp *trace.Span) (*Relation, error) {
+// statistics and its own memo, per-shard unions merge in shard order), then
+// the remaining members evaluate on the parent path — their unbound-subject
+// scans still scatter individually — and one distinct pass lands at the
+// end. The answer is the unsharded union's exact row set.
+func (e *Evaluator) evalUnionScatter(sh ShardedSource, headNames []string, co, rest []query.RangeCQ, g guard, sp *trace.Span) (*Relation, error) {
 	ssp := newScatterSpan(sp, "ucq", sh.NumShards())
 	if ssp != nil {
 		defer ssp.End()
@@ -306,111 +279,20 @@ func (e *Evaluator) evalUCQScatter(sh ShardedSource, u query.UCQ, co, rest []que
 		e.Metrics.Counter("shard.local_cqs").Add(int64(len(co)))
 	}
 	parts, err := e.runScatter(sh, g, func(i int) (*Relation, error) {
-		sub := e.shardSub(sh, i)
-		out := NewRelation(u.HeadNames)
-		for _, cq := range co {
-			if err := g.err(); err != nil {
-				return nil, err
-			}
-			r, err := sub.evalCQ(u.HeadNames, cq, g, ssp)
-			if err != nil {
-				return nil, err
-			}
-			if err := appendRelation(out, r, g.err); err != nil {
-				return nil, err
-			}
-			g.addUnioned(r.Len())
-			if err := sub.checkRows(out.Len()); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
+		u := e.shardSub(sh, i).newUnion(headNames, g)
+		return u.out, u.addAll(co, ssp)
 	})
 	if err != nil {
 		return nil, err
 	}
-	out, err := e.gather(parts, u.HeadNames, g)
-	if err != nil {
+	u := e.newUnion(headNames, g)
+	if u.out, err = e.gather(parts, headNames, g); err != nil {
 		return nil, err
 	}
-	for _, cq := range rest {
-		if err := g.err(); err != nil {
-			return nil, err
-		}
-		r, err := e.evalCQ(u.HeadNames, cq, g, sp)
-		if err != nil {
-			return nil, err
-		}
-		if err := appendRelation(out, r, g.err); err != nil {
-			return nil, err
-		}
-		g.addUnioned(r.Len())
-		if err := e.checkRows(out.Len()); err != nil {
-			return nil, err
-		}
-	}
-	if err := out.DistinctCheck(g.err); err != nil {
+	if err := u.addAll(rest, sp); err != nil {
 		return nil, err
 	}
-	if ssp != nil {
-		ssp.SetInt("rows", int64(out.Len()))
-		ssp.End()
-	}
-	return out, nil
-}
-
-// evalRangeUCQScatter evaluates a range union whose every CQ is
-// co-partitioned: each shard evaluates the whole union serially with its
-// own scan and join-prefix memos (the memo reuse the union depends on
-// stays intact per shard), and the per-shard unions merge under one
-// distinct pass.
-func (e *Evaluator) evalRangeUCQScatter(sh ShardedSource, u query.RangeUCQ, g guard, sp *trace.Span) (*Relation, error) {
-	ssp := newScatterSpan(sp, "rangeucq", sh.NumShards())
-	if ssp != nil {
-		defer ssp.End()
-		ssp.SetInt("cqs", int64(len(u.CQs)))
-	}
-	if e.Metrics != nil {
-		e.Metrics.Counter("shard.local_cqs").Add(int64(len(u.CQs)))
-	}
-	parts, err := e.runScatter(sh, g, func(i int) (*Relation, error) {
-		sub := e.shardSub(sh, i)
-		memo := map[string]*Relation{}
-		jmemo := map[string]*Relation{}
-		out := NewRelation(u.HeadNames)
-		for _, cq := range u.CQs {
-			if err := g.err(); err != nil {
-				return nil, err
-			}
-			r, err := sub.evalRangeCQ(u.HeadNames, cq, g, ssp, memo, jmemo)
-			if err != nil {
-				return nil, err
-			}
-			if err := appendRelation(out, r, g.err); err != nil {
-				return nil, err
-			}
-			g.addUnioned(r.Len())
-			if err := sub.checkRows(out.Len()); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out, err := e.gather(parts, u.HeadNames, g)
-	if err != nil {
-		return nil, err
-	}
-	if err := out.DistinctCheck(g.err); err != nil {
-		return nil, err
-	}
-	if ssp != nil {
-		ssp.SetInt("rows", int64(out.Len()))
-		ssp.End()
-	}
-	return out, nil
+	return u.finish(ssp)
 }
 
 // scatterScan fans one scan body out to every shard in parallel and
@@ -418,11 +300,11 @@ func (e *Evaluator) evalRangeUCQScatter(sh ShardedSource, u query.RangeUCQ, g gu
 // the triples, so the concatenation is exactly the unsharded scan's
 // multiset (in a different order — every consumer is order-insensitive:
 // joins hash or probe, projections dedup).
-func (e *Evaluator) scatterScan(sh ShardedSource, op, atom string, vars []string, g guard, sp *trace.Span, est float64, scan func(src Source, rel *Relation) error) (*Relation, error) {
-	ssp := newScatterSpan(sp, op, sh.NumShards())
+func (e *Evaluator) scatterScan(sh ShardedSource, a query.RangeAtom, vars []string, g guard, sp *trace.Span, est float64, scan func(src Source, rel *Relation) error) (*Relation, error) {
+	ssp := newScatterSpan(sp, "scan", sh.NumShards())
 	if ssp != nil {
 		defer ssp.End()
-		ssp.SetStr("atom", atom)
+		ssp.SetStr("atom", formatAtom(e.st.Dict(), a))
 		if est >= 0 {
 			ssp.SetFloat("est_rows", est)
 		}

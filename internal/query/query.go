@@ -8,6 +8,7 @@ package query
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/dict"
@@ -178,9 +179,9 @@ func (q CQ) CanonicalKey() string {
 					names[a.Var] = n
 					next++
 				}
-				fmt.Fprintf(&sb, "?%d", n)
+				sb.WriteString("?" + strconv.Itoa(n))
 			} else {
-				fmt.Fprintf(&sb, "#%d", a.ID)
+				sb.WriteString("#" + strconv.FormatUint(uint64(a.ID), 10))
 			}
 			sb.WriteByte(' ')
 		}
@@ -215,7 +216,7 @@ func (q CQ) CanonicalKey() string {
 			if a.IsVar() {
 				sb.WriteString("?")
 			} else {
-				fmt.Fprintf(&sb, "#%d", a.ID)
+				sb.WriteString("#" + strconv.FormatUint(uint64(a.ID), 10))
 			}
 			sb.WriteByte(' ')
 		}

@@ -1,0 +1,313 @@
+package shard_test
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/dict"
+	"repro/internal/exec"
+	"repro/internal/query"
+	"repro/internal/shard"
+	"repro/internal/stats"
+	"repro/internal/storage"
+)
+
+// The executor's own differential: random small graphs and random unions
+// of 1–4-atom CQs — constants, repeated variables, disconnected atoms,
+// boolean and partial heads, one-interval range constraints with and
+// without a capture variable, hierarchy expansions — answered by
+// brute-force nested loops and by the evaluator, with and without
+// statistics, on a single store and on a 3-shard store. Range-free unions
+// additionally go through the plain entry points.
+func TestEvalMatchesBruteForceRandom(t *testing.T) {
+	seeds := 3000
+	if testing.Short() {
+		seeds = 300
+	}
+	for seed := 0; seed < seeds; seed++ {
+		r := rand.New(rand.NewSource(int64(seed)))
+		triples := randomGraph(r)
+		u, plain := randomUnion(r)
+		want := bruteForce(triples, u)
+
+		d := dict.New()
+		for d.Len() < maxID {
+			d.EncodeIRI(fmt.Sprintf("t%d", d.Len()+1))
+		}
+		single := storage.Build(d, triples)
+		sharded := shard.Build(d, triples, 3)
+		for _, src := range []struct {
+			name string
+			src  exec.Source
+			ss   *stats.Stats
+		}{
+			{"store", single, nil},
+			{"store+stats", single, stats.Collect(single)},
+			{"shards", sharded, nil},
+			{"shards+stats", sharded, stats.Collect(sharded)},
+		} {
+			ev := exec.New(src.src, src.ss)
+			check := func(entry string, got *exec.Relation, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("seed %d, %s, %s: %v", seed, src.name, entry, err)
+				}
+				if g := rowSet(got); g != want {
+					t.Fatalf("seed %d, %s, %s:\n got %s\nwant %s\nunion %s", seed, src.name, entry, g, want, formatUnion(u))
+				}
+			}
+			got, err := ev.EvalRangeUCQContext(context.Background(), u)
+			check("EvalRangeUCQContext", got, err)
+			if plain == nil {
+				continue
+			}
+			got, err = ev.EvalUCQContext(context.Background(), *plain)
+			check("EvalUCQContext", got, err)
+			if len(plain.CQs) == 1 {
+				got, err = ev.EvalCQContext(context.Background(), plain.HeadNames, plain.CQs[0])
+				check("EvalCQContext", got, err)
+			}
+		}
+	}
+}
+
+// IDs: nodes 1..nodeIDs are subjects and objects, the next propIDs are
+// properties; a small domain makes joins, repeats and range hits likely.
+const (
+	nodeIDs = 8
+	propIDs = 4
+	maxID   = nodeIDs + propIDs
+)
+
+func randomGraph(r *rand.Rand) []dict.Triple {
+	n := 1 + r.Intn(40)
+	ts := make([]dict.Triple, n)
+	for i := range ts {
+		ts[i] = dict.Triple{
+			S: dict.ID(1 + r.Intn(nodeIDs)),
+			P: dict.ID(nodeIDs + 1 + r.Intn(propIDs)),
+			O: dict.ID(1 + r.Intn(nodeIDs)),
+		}
+	}
+	return ts
+}
+
+// randomUnion draws a union of 1–3 CQs over one head width. plain is the
+// same union in the plain form when no member has a range or an expansion.
+func randomUnion(r *rand.Rand) (u query.RangeUCQ, plain *query.UCQ) {
+	width := r.Intn(3)
+	for i := 0; i < width; i++ {
+		u.HeadNames = append(u.HeadNames, fmt.Sprintf("h%d", i))
+	}
+	rangeFree := r.Intn(3) == 0
+	varNames := []string{"x", "y", "z", "w"}
+	for m := 1 + r.Intn(3); m > 0; m-- {
+		var cq query.RangeCQ
+		var bound []string // variables a head position may use
+		fresh := 0
+		for n := 1 + r.Intn(4); n > 0; n-- {
+			var a query.RangeAtom
+			for pos, ra := range []*query.RangeArg{&a.S, &a.P, &a.O} {
+				lo, span := 1, nodeIDs
+				if pos == 1 {
+					lo, span = nodeIDs+1, propIDs
+				}
+				switch k := r.Intn(10); {
+				case k < 5 || (pos != 1 && k < 7):
+					ra.Arg = query.Variable(varNames[r.Intn(len(varNames))])
+					bound = append(bound, ra.Arg.Var)
+				case k < 8 || rangeFree:
+					ra.Arg = query.Constant(dict.ID(lo + r.Intn(span)))
+				default:
+					from := lo + r.Intn(span)
+					to := from + r.Intn(lo+span-from)
+					ra.Ranges = []storage.IDRange{{Lo: dict.ID(from), Hi: dict.ID(to)}}
+					if r.Intn(2) == 0 {
+						// Usually a fresh capture name, as the reformulator
+						// emits; sometimes a body variable, so that probes
+						// meet a range on a position the running result binds.
+						fresh++
+						ra.Arg = query.Variable(fmt.Sprintf("c%d", fresh))
+						if r.Intn(3) == 0 {
+							ra.Arg = query.Variable(varNames[r.Intn(len(varNames))])
+						}
+						bound = append(bound, ra.Arg.Var)
+						if a.Expand == nil && r.Intn(2) == 0 {
+							a.Expand = randomExpansion(r, ra.Arg.Var, varNames)
+							if a.Expand.Out.IsVar() {
+								bound = append(bound, a.Expand.Out.Var)
+							}
+						}
+					}
+				}
+			}
+			cq.Atoms = append(cq.Atoms, a)
+		}
+		for i := 0; i < width; i++ {
+			if len(bound) == 0 || r.Intn(8) == 0 {
+				cq.Head = append(cq.Head, query.Constant(dict.ID(1+r.Intn(maxID))))
+			} else {
+				cq.Head = append(cq.Head, query.Variable(bound[r.Intn(len(bound))]))
+			}
+		}
+		u.CQs = append(u.CQs, cq)
+	}
+	if !rangeFree {
+		return u, nil
+	}
+	plain = &query.UCQ{HeadNames: u.HeadNames}
+	for _, cq := range u.CQs {
+		p := query.CQ{Head: cq.Head}
+		for _, a := range cq.Atoms {
+			p.Atoms = append(p.Atoms, query.Atom{S: a.S.Arg, P: a.P.Arg, O: a.O.Arg})
+		}
+		plain.CQs = append(plain.CQs, p)
+	}
+	return u, plain
+}
+
+// randomExpansion maps the captured ID through a random sorted ancestor
+// table into a body variable, a fresh variable or a constant.
+func randomExpansion(r *rand.Rand, in string, varNames []string) *query.Expansion {
+	e := &query.Expansion{In: in, Table: map[dict.ID][]dict.ID{}, Reflexive: r.Intn(2) == 0}
+	for id := 1; id <= maxID; id++ {
+		for anc := 1; anc <= maxID; anc++ {
+			if r.Intn(6) == 0 {
+				e.Table[dict.ID(id)] = append(e.Table[dict.ID(id)], dict.ID(anc))
+			}
+		}
+	}
+	switch r.Intn(3) {
+	case 0:
+		e.Out = query.Variable(varNames[r.Intn(len(varNames))])
+	case 1:
+		e.Out = query.Variable("e_" + in)
+	default:
+		e.Out = query.Constant(dict.ID(1 + r.Intn(maxID)))
+	}
+	return e
+}
+
+// bruteForce answers the union by nested loops over the triples, one atom
+// at a time, then the expansions in atom order, and returns the distinct
+// head rows in canonical form.
+func bruteForce(triples []dict.Triple, u query.RangeUCQ) string {
+	rows := map[string]bool{}
+	for _, cq := range u.CQs {
+		var match func(i int, env map[string]dict.ID)
+		var expand func(i int, env map[string]dict.ID)
+		emit := func(env map[string]dict.ID) {
+			row := make([]string, len(cq.Head))
+			for i, h := range cq.Head {
+				id := h.ID
+				if h.IsVar() {
+					id = env[h.Var]
+				}
+				row[i] = fmt.Sprint(id)
+			}
+			rows[strings.Join(row, ",")] = true
+		}
+		expand = func(i int, env map[string]dict.ID) {
+			if i == len(cq.Atoms) {
+				emit(env)
+				return
+			}
+			e := cq.Atoms[i].Expand
+			if e == nil {
+				expand(i+1, env)
+				return
+			}
+			outs := append([]dict.ID(nil), e.Table[env[e.In]]...)
+			if e.Reflexive {
+				outs = append(outs, env[e.In])
+			}
+			for _, out := range outs {
+				want, isBound := e.Out.ID, !e.Out.IsVar()
+				if e.Out.IsVar() {
+					want, isBound = env[e.Out.Var], env[e.Out.Var] != dict.None
+				}
+				switch {
+				case isBound && want == out:
+					expand(i+1, env)
+				case !isBound:
+					env[e.Out.Var] = out
+					expand(i+1, env)
+					delete(env, e.Out.Var)
+				}
+			}
+		}
+		match = func(i int, env map[string]dict.ID) {
+			if i == len(cq.Atoms) {
+				expand(0, env)
+				return
+			}
+			a := cq.Atoms[i]
+			for _, t := range triples {
+				var set []string
+				ok := true
+				for pos, ra := range [3]query.RangeArg{a.S, a.P, a.O} {
+					id := [3]dict.ID{t.S, t.P, t.O}[pos]
+					if ra.Ranges != nil && !storage.InRanges(ra.Ranges, id) {
+						ok = false
+					}
+					switch {
+					case !ra.Arg.IsVar():
+						ok = ok && (ra.Ranges != nil || ra.Arg.ID == id)
+					case env[ra.Arg.Var] == dict.None:
+						env[ra.Arg.Var] = id
+						set = append(set, ra.Arg.Var)
+					default:
+						ok = ok && env[ra.Arg.Var] == id
+					}
+				}
+				if ok {
+					match(i+1, env)
+				}
+				for _, v := range set {
+					delete(env, v)
+				}
+			}
+		}
+		match(0, map[string]dict.ID{})
+	}
+	return canonical(rows)
+}
+
+func rowSet(r *exec.Relation) string {
+	rows := map[string]bool{}
+	for i := 0; i < r.Len(); i++ {
+		row := make([]string, r.Width())
+		for j, id := range r.Row(i) {
+			row[j] = fmt.Sprint(id)
+		}
+		rows[strings.Join(row, ",")] = true
+	}
+	if len(rows) != r.Len() {
+		return fmt.Sprintf("%d rows, %d distinct", r.Len(), len(rows))
+	}
+	return canonical(rows)
+}
+
+func canonical(rows map[string]bool) string {
+	out := make([]string, 0, len(rows))
+	for row := range rows {
+		out = append(out, "("+row+")")
+	}
+	sort.Strings(out)
+	return strings.Join(out, " ")
+}
+
+func formatUnion(u query.RangeUCQ) string {
+	var sb strings.Builder
+	for _, cq := range u.CQs {
+		fmt.Fprintf(&sb, "\n  %v :-", cq.Head)
+		for _, a := range cq.Atoms {
+			sb.WriteString(" " + query.FormatRangeAtom(a) + ",")
+		}
+	}
+	return sb.String()
+}

@@ -8,6 +8,7 @@
 package storage
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -224,19 +225,17 @@ func rangeOf(idx []dict.Triple, key func(dict.Triple) [3]dict.ID, prefix [3]dict
 	}
 	cmp := func(t dict.Triple) int {
 		k := key(t)
-		for i := 0; i < n; i++ {
-			if k[i] != prefix[i] {
-				if k[i] < prefix[i] {
-					return -1
-				}
-				return 1
-			}
-		}
-		return 0
+		return slices.Compare(k[:n], prefix[:n])
 	}
 	lo := sort.Search(len(idx), func(i int) bool { return cmp(idx[i]) >= 0 })
-	hi := sort.Search(len(idx), func(i int) bool { return cmp(idx[i]) > 0 })
-	return lo, hi
+	// Matching ranges are short next to the index (a probe's is a handful of
+	// triples): gallop from lo to bracket the end, then search the bracket.
+	step := 1
+	for lo+step < len(idx) && cmp(idx[lo+step]) == 0 {
+		step *= 2
+	}
+	tail := idx[lo:min(lo+step, len(idx))]
+	return lo, lo + sort.Search(len(tail), func(i int) bool { return cmp(tail[i]) > 0 })
 }
 
 // DistinctInPosition returns the number of distinct values in the given

@@ -374,7 +374,8 @@ func (db *DB) Why(queryText string, opt Options) (string, error) {
 	u := eng.Reformulator().ReformulateCQ(q)
 	ev := exec.New(eng.Store(), eng.Stats())
 	ev.Budget = exec.Budget{Timeout: opt.Timeout, MaxRows: opt.MaxRows}
-	rows, prov, err := ev.EvalUCQWithProvenance(u)
+	//reflint:ctxbg Why is the context-free explanation entry point; the budget above bounds it
+	rows, prov, err := ev.EvalUCQWithProvenanceContext(context.Background(), u)
 	if err != nil {
 		return "", err
 	}
