@@ -200,6 +200,17 @@ func TestE6Mini(t *testing.T) {
 	if !strings.Contains(res.String(), "saturation") {
 		t.Fatal("report incomplete")
 	}
+	// The paper's "Ref: zero per update", measured: at every size the first
+	// answer after a write arrives sooner under Ref than under Sat.
+	if len(res.Updates) != 3 {
+		t.Fatalf("%d update rows, want 3 sizes", len(res.Updates))
+	}
+	for _, u := range res.Updates {
+		if u.RefInsert <= 0 || u.RefInsert >= u.SatInsert || u.RefDelete <= 0 || u.RefDelete >= u.SatDelete {
+			t.Fatalf("at %d triples Ref answers %v/%v after an insert/delete, Sat %v/%v",
+				u.DataTriples, u.RefInsert, u.RefDelete, u.SatInsert, u.SatDelete)
+		}
+	}
 }
 
 func TestAblationMini(t *testing.T) {

@@ -2,12 +2,14 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
 	"repro/internal/dict"
 	"repro/internal/engine"
 	"repro/internal/lubm"
+	"repro/internal/rdf"
 	"repro/internal/saturation"
 )
 
@@ -30,6 +32,81 @@ type E6Result struct {
 	// query, zero per update.
 	RefPrepTime time.Duration
 	Table       Table
+	// Updates is the other half of the ledger, at half the profile's
+	// departments, the profile and five times its universities: how long
+	// after a 20-triple write the first answer of LUBM Q1 arrives.
+	Updates     []E6Update
+	UpdateTable Table
+}
+
+// E6Update is one size's row: write → first answer, the median of five
+// insert/delete cycles. Ref's is the merge of the delta into the store and
+// statistics (nothing at the write itself); Sat's is the maintenance of the
+// closure plus the rebuild of G∞'s store from it.
+type E6Update struct {
+	DataTriples                                int
+	RefInsert, RefDelete, SatInsert, SatDelete time.Duration
+}
+
+// e6Update measures one row of E6Result.Updates on profile p.
+func e6Update(p lubm.Profile, seed int64) (row E6Update, err error) {
+	g, err := lubm.NewGraph(p, seed)
+	if err != nil {
+		return row, err
+	}
+	qs, err := lubm.ParseQueries(g.Dict(), 0, 0)
+	if err != nil {
+		return row, err
+	}
+	q, dept := qs[0].CQ, lubm.DeptIRI(0, 0).Value // Q1: graduate students taking the department's GraduateCourse0
+	var batch []rdf.Triple
+	for i := 0; i < 10; i++ {
+		st := rdf.NewIRI(fmt.Sprintf("%s/E6Student%d", dept, i))
+		batch = append(batch, rdf.NewTriple(st, rdf.Type, lubm.Class("GraduateStudent")),
+			rdf.NewTriple(st, lubm.Prop("takesCourse"), rdf.NewIRI(dept+"/GraduateCourse0")))
+	}
+	e := engine.New(g)
+	row.DataTriples = g.DataCount()
+	// after times a write and the first answer behind it, and counts its
+	// rows; it starts from a collected heap, so that what is timed is the
+	// work and not the previous cycle's garbage.
+	after := func(s engine.Strategy, write func() error) (time.Duration, int) {
+		runtime.GC()
+		start := time.Now()
+		if werr := write(); werr != nil {
+			err = werr
+		}
+		ans, aerr := e.Answer(q, s)
+		if aerr != nil {
+			err = aerr
+			return 0, 0
+		}
+		return time.Since(start), ans.Rows.Len()
+	}
+	insert := func() error { return e.InsertData(batch) }
+	remove := func() error { _, derr := e.DeleteData(batch); return derr }
+	// Ref first, while nobody has read G∞ and the writer keeps no closure. A
+	// strategy's first cycle is not counted: it searches Ref's plan, and
+	// starts Sat's closure.
+	for _, m := range []struct {
+		s        engine.Strategy
+		ins, del *time.Duration
+	}{{engine.RefGCov, &row.RefInsert, &row.RefDelete}, {engine.Sat, &row.SatInsert, &row.SatDelete}} {
+		var ins, del []time.Duration
+		for cycle := 0; cycle < 6; cycle++ {
+			ti, with := after(m.s, insert)
+			td, without := after(m.s, remove)
+			if err == nil && with != without+10 {
+				err = fmt.Errorf("bench: %s answers %d rows with the batch, %d without", m.s, with, without)
+			}
+			if err != nil {
+				return row, err
+			}
+			ins, del = append(ins, ti), append(del, td)
+		}
+		*m.ins, *m.del = p50(ins[1:]), p50(del[1:])
+	}
+	return row, nil
 }
 
 // E6 measures saturation and maintenance costs on LUBM.
@@ -45,7 +122,7 @@ func E6(cfg Config) (*E6Result, error) {
 	sat := saturation.Saturate(g)
 	res.SaturateTime = time.Since(start)
 	res.DerivedTriples = sat.Derived
-	res.GrowthPercent = 100 * float64(sat.Derived) / float64(maxIntE6(res.DataTriples, 1))
+	res.GrowthPercent = 100 * float64(sat.Derived) / float64(max(res.DataTriples, 1))
 
 	// Batch insert: new triples from a different seed (fresh entities).
 	batchRaw := lubm.Generate(lubm.Mini(), cfg.Seed+99)
@@ -106,14 +183,21 @@ func E6(cfg Config) (*E6Result, error) {
 	res.Table.Add("recompute saturation from scratch", res.ResaturateTime)
 	res.Table.Add("Ref: data/maintenance cost", "none (data untouched)")
 	res.Table.Add("Ref: per-query preparation (GCov)", res.RefPrepTime)
-	return res, nil
-}
 
-func maxIntE6(a, b int) int {
-	if a > b {
-		return a
+	half, five := cfg.Profile, cfg.Profile
+	half.DeptMin = max(1, (cfg.Profile.DeptMin+cfg.Profile.DeptMax)/4)
+	half.DeptMax = half.DeptMin
+	five.Universities *= 5
+	res.UpdateTable.Header = []string{"data triples", "Ref after insert", "Ref after delete", "Sat after insert", "Sat after delete"}
+	for _, p := range []lubm.Profile{half, cfg.Profile, five} {
+		row, err := e6Update(p, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
+		res.Updates = append(res.Updates, row)
+		res.UpdateTable.Add(row.DataTriples, row.RefInsert, row.RefDelete, row.SatInsert, row.SatDelete)
 	}
-	return b
+	return res, nil
 }
 
 // String renders the report.
@@ -121,5 +205,7 @@ func (r *E6Result) String() string {
 	var sb strings.Builder
 	sb.WriteString("E6 — Sat maintenance costs vs Ref (§1 motivation)\n")
 	sb.WriteString(r.Table.String())
+	sb.WriteString("after a 20-triple write, the first answer of Q1 (Ref: merge the delta; Sat: maintain the closure, rebuild G∞'s store):\n")
+	sb.WriteString(r.UpdateTable.String())
 	return sb.String()
 }

@@ -2,11 +2,13 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/rdf"
 )
 
 // Concurrent Answer calls through per-request shallow copies of one
@@ -86,5 +88,68 @@ func TestAnswerContextCanceled(t *testing.T) {
 	}
 	if snap.Counters["engine.errors"] == 0 {
 		t.Fatalf("engine.errors not recorded: %+v", snap.Counters)
+	}
+}
+
+// A reader that took its engine copy before an update finishes on the
+// version it took, whatever the writer swaps in meanwhile: its answers and
+// its store stay those of its version, although the plan it executes may
+// have been cached by a reader of a later one. Run under -race.
+func TestReaderKeepsItsVersionAcrossSwap(t *testing.T) {
+	e, g := mustEngine(t)
+	var grow []rdf.Triple
+	for i := 0; i < 100; i++ { // so that the writes below carry plans and bases over
+		grow = append(grow, rdf.NewTriple(ex(fmt.Sprintf("doiR%d", i)), rdf.Type, ex("Book")))
+	}
+	if err := e.InsertData(grow); err != nil {
+		t.Fatal(err)
+	}
+	q := mustQuery(t, g, "q(x) :- x rdf:type ex:Publication")
+
+	var (
+		mu   sync.RWMutex // the caller's lock of the Engine contract
+		wg   sync.WaitGroup
+		errs = make(chan error, 8)
+	)
+	for r := 0; r < 8; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for round := 0; round < 5; round++ {
+				mu.RLock()
+				eng := *e
+				first, err := eng.Answer(q, RefGCov) // builds what the version has not built yet
+				mu.RUnlock()
+				if err != nil {
+					errs <- err
+					return
+				}
+				store := eng.Store()
+				for i := 0; i < 10; i++ {
+					ans, err := eng.Answer(q, []Strategy{RefGCov, RefSCQ}[(r+i)%2])
+					if err != nil {
+						errs <- err
+						return
+					}
+					if ans.Rows.Len() != first.Rows.Len() || eng.Store() != store {
+						errs <- fmt.Errorf("reader %d: %d rows, then %d on the same copy", r, first.Rows.Len(), ans.Rows.Len())
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < 40; i++ {
+		mu.Lock()
+		err := e.InsertData([]rdf.Triple{rdf.NewTriple(ex(fmt.Sprintf("doiS%d", i)), rdf.Type, ex("Book"))})
+		mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

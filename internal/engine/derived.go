@@ -1,11 +1,15 @@
 package engine
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/dict"
+	"repro/internal/exec"
 	"repro/internal/saturation"
 	"repro/internal/shard"
 	"repro/internal/stats"
@@ -21,20 +25,79 @@ import (
 // replaces it whole (Engine.swap), and a reader keeps the version it
 // started with for as long as it holds its copy.
 type derived struct {
-	plans *planCache
+	plans  *planCache
+	shards int // what Engine.shards was when the version was made
 
 	// Functions of the schema alone: a data change carries them over.
 	ref, incRef func() *core.Reformulator
 	rangeRef    func() *core.RangeReformulator
 
+	// from is what data makes the scan source and statistics of, and what
+	// the next version starts from (see basis); nil: the graph.
+	from            atomic.Pointer[basis]
+	data            func() *basis
 	store           func() *storage.Store
-	sharded         func() *shard.Store // nil result when unsharded
-	stats           func() *stats.Stats
 	model, satModel func() *cost.Model
 	sat             func() saturated
+	satRead         atomic.Bool // sat ran: somebody read this version's G∞
 	satStore        func() *storage.Store
 	satStats        func() *stats.Stats
 }
+
+// basis is the scan source (store or sharded) and statistics some version
+// built, and the net delta from there to the version holding the basis. A
+// version starts on the basis of the one it replaces, one delta further, so
+// the writer does no store or statistics work; its first reader applies the
+// delta once and leaves the version a basis of its own, with no delta and
+// no hold on the older source.
+type basis struct {
+	store          *storage.Store
+	sharded        *shard.Store
+	stats          *stats.Stats
+	added, removed []dict.Triple
+}
+
+// source is what a store and a sharded store both are.
+type source interface {
+	exec.Source
+	stats.Source
+}
+
+func (b *basis) source() source {
+	if b.sharded != nil {
+		return b.sharded
+	}
+	return b.store
+}
+
+// then returns b one delta further. A triple added after it was removed, or
+// removed after it was added, cancels: exact, because the graph reports
+// only the changes that took effect.
+func (b *basis) then(added, removed []dict.Triple) *basis {
+	nb := *b
+	nb.added = slices.Concat(minus(b.added, removed), minus(added, b.removed))
+	nb.removed = slices.Concat(minus(b.removed, added), minus(removed, b.added))
+	return &nb
+}
+
+// minus returns, in a fresh slice, the triples of a that are not in b.
+func minus(a, b []dict.Triple) []dict.Triple {
+	in := make(map[dict.Triple]bool, len(b))
+	for _, t := range b {
+		in[t] = true
+	}
+	return slices.DeleteFunc(slices.Clone(a), func(t dict.Triple) bool { return in[t] })
+}
+
+// maxDrift is the share of the data that may change before what was made
+// for the earlier data is made afresh: a pending delta larger than that
+// share of its basis is forgotten with it, and the next reader builds from
+// the graph; and the plan cache — its plans are right on any data, cheapest
+// on data like what they were searched on — is started over once the data
+// count has moved that far from what it was when the cache was started.
+const maxDrift = 1.0 / 8
+
+func drifted(moved, of int) bool { return float64(moved) > maxDrift*float64(of) }
 
 // saturated is G∞ and how long it took to produce.
 type saturated struct {
@@ -43,13 +106,15 @@ type saturated struct {
 }
 
 // swap installs a new version of the derived state, computed from the
-// engine's graph and configuration as they are now (the shard gauges go to
-// the Metrics registry set at this point). It is the only place derived
-// state is discarded. keep is the version being replaced when only the
-// data changed — its schema-only artefacts carry over, and so does the
-// writer's closure — and nil when the schema changed, which keeps nothing.
-func (e *Engine) swap(keep *derived) {
-	d := &derived{plans: newPlanCache(e.planCap)}
+// engine's graph and configuration as they are now (metrics go to the
+// Metrics registry set at this point). It is the only place derived state
+// is discarded. keep is the version being replaced when only the data
+// changed, by added and removed — its schema-only artefacts carry over, so
+// does the writer's closure, and while the shard count stands so do its
+// plans and the basis of its source and statistics, up to maxDrift — and
+// nil when the schema changed, which keeps nothing.
+func (e *Engine) swap(keep *derived, added, removed []dict.Triple) {
+	d := &derived{shards: e.shards}
 	if keep != nil {
 		d.ref, d.incRef, d.rangeRef = keep.ref, keep.incRef, keep.rangeRef
 	} else {
@@ -59,28 +124,61 @@ func (e *Engine) swap(keep *derived) {
 		d.incRef = sync.OnceValue(func() *core.Reformulator { return core.NewIncompleteReformulator(s) })
 		d.rangeRef = sync.OnceValue(func() *core.RangeReformulator { return core.NewRangeReformulator(s) })
 	}
-	g, shards, reg, closure := e.g, e.shards, e.Metrics, e.closure
-	d.store = sync.OnceValue(func() *storage.Store { return storage.Build(g.Dict(), g.AllTriples()) })
-	d.sharded = sync.OnceValue(func() *shard.Store {
-		if shards < 2 {
-			return nil
+	if keep != nil && keep.shards == d.shards {
+		if b := keep.from.Load(); b != nil {
+			if b = b.then(added, removed); !drifted(len(b.added)+len(b.removed), b.source().Len()) {
+				d.from.Store(b)
+			}
 		}
-		sh := shard.Build(g.Dict(), g.AllTriples(), shards)
-		sh.PublishMetrics(reg)
-		return sh
+		if n, was := e.g.DataCount(), keep.plans.dataCount; !drifted(max(n-was, was-n), was) {
+			d.plans = keep.plans
+		}
+	}
+	if d.plans == nil {
+		d.plans = newPlanCache(e.planCap, e.g.DataCount())
+	}
+	g, reg, closure := e.g, e.Metrics, e.closure
+	d.data = sync.OnceValue(func() *basis {
+		start := time.Now()
+		b, own := d.from.Load(), &basis{}
+		switch {
+		case b == nil && d.shards < 2:
+			own.store = storage.Build(g.Dict(), g.AllTriples())
+		case b == nil:
+			own.sharded = shard.Build(g.Dict(), g.AllTriples(), d.shards)
+		case b.sharded != nil:
+			own.sharded = b.sharded.Apply(b.added, b.removed)
+		default:
+			own.store = b.store.Apply(b.added, b.removed)
+		}
+		if own.sharded != nil {
+			own.sharded.PublishMetrics(reg)
+		}
+		if b == nil {
+			own.stats = stats.Collect(own.source())
+			reg.Counter("engine.derived.rebuilt").Inc()
+		} else {
+			own.stats = b.stats.Apply(own.source(), b.added, b.removed)
+			reg.Counter("engine.derived.applied").Inc()
+			reg.Histogram("engine.derived.apply_ms").Observe(float64(time.Since(start)) / float64(time.Millisecond))
+		}
+		d.from.Store(own)
+		return own
 	})
-	d.stats = sync.OnceValue(func() *stats.Stats {
-		if sh := d.sharded(); sh != nil {
-			return stats.Collect(sh)
+	d.store = sync.OnceValue(func() *storage.Store {
+		b := d.data()
+		if b.sharded != nil {
+			return storage.Build(g.Dict(), b.sharded.Triples())
 		}
-		return stats.Collect(d.store())
+		return b.store
 	})
 	d.model = sync.OnceValue(func() *cost.Model {
-		m := cost.NewModel(d.stats())
-		m.SetShards(shards)
+		m := cost.NewModel(d.data().stats)
+		m.SetShards(d.shards)
 		return m
 	})
 	d.sat = sync.OnceValue(func() saturated {
+		d.satRead.Store(true)
 		start := time.Now()
 		var res *saturation.Result
 		if closure != nil {

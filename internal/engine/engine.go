@@ -156,10 +156,10 @@ type Engine struct {
 
 	shards  int // < 2: unsharded
 	planCap int // GCov plan cache capacity (0: defaultPlanCacheSize)
-	// closure is the counting closure behind Sat once the data has been
-	// updated (see update.go); nil before. It is the writer's: changed in
-	// place between versions, read only by the Sat lazy of the version
-	// swapped in after the change.
+	// closure is the counting closure behind Sat while data updates and Sat
+	// reads alternate (see update.go); nil otherwise. It is the writer's:
+	// changed in place between versions, read only by the Sat lazy of the
+	// version swapped in after the change.
 	closure *saturation.Maintained
 
 	// views, when non-nil, is the fragment-level view cache
@@ -171,7 +171,7 @@ type Engine struct {
 // New returns an engine over the graph.
 func New(g *graph.Graph) *Engine {
 	e := &Engine{g: g}
-	e.swap(nil)
+	e.swap(nil, nil, nil)
 	return e
 }
 
@@ -203,7 +203,7 @@ func (e *Engine) EnableSharding(n int) {
 		n = 0
 	}
 	e.shards = n
-	e.swap(e.d)
+	e.swap(e.d, nil, nil)
 }
 
 // Shards returns the configured shard count (1 when unsharded).
@@ -212,19 +212,14 @@ func (e *Engine) Shards() int { return max(e.shards, 1) }
 // Sharded returns the partitioned store when sharding is enabled (nil
 // otherwise). The admin topology surface uses the concrete type;
 // evaluation paths go through Source().
-func (e *Engine) Sharded() *shard.Store { return e.d.sharded() }
+func (e *Engine) Sharded() *shard.Store { return e.d.data().sharded }
 
 // Source returns the scan source the Ref strategies evaluate against:
 // the sharded store when sharding is enabled, the plain store otherwise.
-func (e *Engine) Source() exec.Source {
-	if sh := e.Sharded(); sh != nil {
-		return sh
-	}
-	return e.Store()
-}
+func (e *Engine) Source() exec.Source { return e.d.data().source() }
 
 // Stats returns collected statistics over Source().
-func (e *Engine) Stats() *stats.Stats { return e.d.stats() }
+func (e *Engine) Stats() *stats.Stats { return e.d.data().stats }
 
 // CostModel returns the cost model over Stats().
 func (e *Engine) CostModel() *cost.Model { return e.d.model() }

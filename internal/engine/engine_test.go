@@ -263,7 +263,7 @@ func TestGCovPlanCache(t *testing.T) {
 }
 
 func TestPlanCacheEviction(t *testing.T) {
-	c := newPlanCache(2)
+	c := newPlanCache(2, 0)
 	for _, k := range []string{"a", "b", "c"} {
 		c.put(&prepared{key: k})
 	}

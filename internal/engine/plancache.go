@@ -8,12 +8,16 @@ import (
 // planCache memoizes GCov outcomes per query text (prepared-statement
 // style): the cover search costs tens of milliseconds — paid once, not per
 // execution. Keys are the exact formatted query (constants included);
-// renamed variants miss, which only costs a fresh search. A cache belongs
-// to one version of the engine's derived state and is dropped with it:
-// every data or schema change moves the statistics the cached costs were
-// estimated from. It is safe for concurrent use, as the engine copies
+// renamed variants miss, which only costs a fresh search. A cached plan
+// depends on the schema for its correctness and on the statistics only for
+// its price, so a cache is handed from version to version across data
+// changes, holding nothing of any version's data, and is left behind when
+// the schema or the shard count changes or the data count has drifted
+// (Engine.swap). It is safe for concurrent use, as the engine copies
 // sharing a version share it too.
 type planCache struct {
+	dataCount int // the graph's data count when the cache was started
+
 	mu       sync.Mutex
 	capacity int
 	order    *list.List // front = most recent; values are *prepared
@@ -23,8 +27,8 @@ type planCache struct {
 // defaultPlanCacheSize bounds the number of cached covers per engine.
 const defaultPlanCacheSize = 128
 
-func newPlanCache(capacity int) *planCache {
-	c := &planCache{order: list.New(), byKey: map[string]*list.Element{}}
+func newPlanCache(capacity, dataCount int) *planCache {
+	c := &planCache{dataCount: dataCount, order: list.New(), byKey: map[string]*list.Element{}}
 	c.resize(capacity)
 	return c
 }

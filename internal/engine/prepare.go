@@ -26,10 +26,11 @@ import (
 // execute (answering) and explain (EXPLAIN) both consume the value it
 // returns, so the two cannot drift apart.
 //
-// A prepared holds pointers into the version it was built on and is dropped
-// with it: the plan cache that shares the cost-chosen ones across requests
-// belongs to the version too. A shared value is never written to — prepare
-// hands each request its own copy.
+// A request's prepared holds pointers into the version it was built on (src,
+// stats, model) and lives as long as the request. The ones the plan cache
+// shares across requests, and across data changes, hold none: prepare hands
+// each request its own copy of a shared value — which is never written to —
+// and binds that copy to the request's version.
 type prepared struct {
 	key      string // plan-cache key; empty for a plan that is not cached
 	strategy Strategy
@@ -53,7 +54,7 @@ type prepared struct {
 	// (Source, Stats, CostModel), or G∞ for Sat (SatStore, SatStats,
 	// SatCostModel). A Datalog program reads the graph itself and has no
 	// src; a range union counts exactly from the indexes and has no stats,
-	// and no model until it is priced.
+	// and no model until it is priced. All nil on a plan in the cache.
 	src   exec.Source
 	stats *stats.Stats
 	model *cost.Model
@@ -162,7 +163,8 @@ func (p *prepared) setJUCQ(j query.JUCQ, cover query.Cover, est cost.Estimate) {
 
 // prepareGCov: the JUCQ of the cover the greedy cost-based search chooses.
 // The search costs tens of milliseconds, so its outcome is kept in the
-// version's plan cache, keyed by the query text.
+// plan cache, keyed by the query text; what is kept there is bound to no
+// version's data, and a hit is bound to this one's exactly as a miss is.
 func (e *Engine) prepareGCov(p *prepared, sp *trace.Span) error {
 	psp := sp.Child("plan")
 	defer psp.End()
@@ -172,8 +174,9 @@ func (e *Engine) prepareGCov(p *prepared, sp *trace.Span) error {
 	if cached {
 		*p = *hit
 		p.cachedPlan = true
-	} else {
-		e.onExplicitData(p)
+	}
+	e.onExplicitData(p)
+	if !cached {
 		res, err := core.GCov(e.Reformulator(), p.model, p.q, core.GCovOptions{MaxFragmentCQs: e.fragmentBound()})
 		if err != nil {
 			return err
@@ -185,6 +188,7 @@ func (e *Engine) prepareGCov(p *prepared, sp *trace.Span) error {
 			p.fragKeys[i] = viewcache.Signature(f.UCQ)
 		}
 		shared := *p
+		shared.src, shared.stats, shared.model = nil, nil, nil
 		evicted := e.d.plans.put(&shared)
 		e.Metrics.Counter("engine.plancache.evictions").Add(int64(evicted))
 	}
@@ -223,9 +227,8 @@ func (e *Engine) prepareRange(p *prepared, sp *trace.Span) {
 }
 
 // price estimates a range union, the one shape prepare leaves unpriced:
-// evaluating it needs no statistics, so the statistics scan and the cost
-// model behind the estimate are only built when something consumes it — a
-// trace, the admission gate, EXPLAIN. A cold ref-range answer skips them.
+// evaluating it needs no statistics, so the estimate is only made when
+// something consumes it — a trace, the admission gate, EXPLAIN.
 func (e *Engine) price(p *prepared) {
 	if p.ranges != nil && p.model == nil {
 		p.model = e.CostModel()

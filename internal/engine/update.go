@@ -11,11 +11,13 @@ import (
 
 // Live updates. The paper's §1 charges Sat with maintenance cost after
 // changes; this file implements both sides of that ledger in the engine.
-// The Ref side pays nothing but the write: the next version of the derived
-// state (derived.go) rebuilds store and statistics from the new data when
-// a query first needs them. The Sat side is maintained *incrementally* with
-// the counting-based closure, and G∞ is read off it only when a Sat query
-// arrives — the entailed triple set never has to be re-derived from scratch.
+// The Ref side pays nothing but the write: the writer hands the delta the
+// graph reported to the next version of the derived state (derived.go),
+// whose first reader merges it into the previous version's store and
+// adjusts the statistics by it. The Sat side is maintained *incrementally*
+// with the counting-based closure for as long as Sat is being read, and G∞
+// is read off it when a Sat query arrives — the entailed triple set is
+// re-derived from scratch only after writes nobody read through Sat.
 
 // InsertData adds instance triples (those already present are ignored) and
 // moves the engine to a new version of its derived state.
@@ -24,7 +26,7 @@ func (e *Engine) InsertData(ts []rdf.Triple) error {
 	if err != nil {
 		return err
 	}
-	e.dataChanged(added, (*saturation.Maintained).Insert)
+	e.dataChanged(added, nil)
 	return nil
 }
 
@@ -36,20 +38,30 @@ func (e *Engine) DeleteData(ts []rdf.Triple) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	e.dataChanged(removed, (*saturation.Maintained).Delete)
+	e.dataChanged(nil, removed)
 	return len(removed), nil
 }
 
-// dataChanged folds the delta the graph reported into the writer's counting
-// closure and swaps in the next version of the derived state.
-func (e *Engine) dataChanged(delta []dict.Triple, fold func(*saturation.Maintained, []dict.Triple)) {
-	if e.closure == nil {
-		// The first data change: count the graph as it is now, delta included.
+// dataChanged swaps in the next version of the derived state, one delta —
+// what the graph reported — further. Sat pays for Sat: the delta is folded
+// into the writer's counting closure only if G∞ was read on the version
+// being replaced; otherwise the closure is dropped, and the next Sat query
+// saturates the graph.
+func (e *Engine) dataChanged(added, removed []dict.Triple) {
+	switch {
+	case !e.d.satRead.Load():
+		if e.closure != nil {
+			e.closure = nil
+			e.Metrics.Counter("engine.closure.dropped").Inc()
+		}
+	case e.closure == nil:
+		// The first change since: count the graph as it is now, delta included.
 		e.closure = saturation.NewMaintained(e.g)
-	} else {
-		fold(e.closure, delta)
+	default:
+		e.closure.Insert(added)
+		e.closure.Delete(removed)
 	}
-	e.swap(e.d)
+	e.swap(e.d, added, removed)
 }
 
 // isSchemaAssertion reports whether the triple belongs to the TBox: an
@@ -102,6 +114,6 @@ func (e *Engine) UpdateSchema(add []rdf.Triple) error {
 		return err
 	}
 	e.g = g
-	e.swap(nil)
+	e.swap(nil, nil, nil)
 	return nil
 }

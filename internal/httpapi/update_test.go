@@ -108,6 +108,18 @@ func TestUpdateInsertDeleteSchema(t *testing.T) {
 		t.Fatalf("count after delete %d, want 1", n)
 	}
 
+	// The write side says what it cost. Three versions were read: the boot's
+	// was built from the graph, and on a graph this small one triple is past
+	// the drift bound when the insert lands and within it when the delete
+	// does. The second write found G∞ unread (the boot warm-up read it, the queries above did
+	// not) and dropped the closure.
+	var m MetricsResponse
+	getJSON(t, ts.URL+"/v1/metrics?format=json", &m)
+	if m.Counters["engine.derived.applied"] != 1 || m.Counters["engine.derived.rebuilt"] != 2 ||
+		m.Counters["engine.closure.dropped"] != 1 || m.Histograms["engine.derived.apply_ms"].Count != 1 {
+		t.Fatalf("write-side metrics: %+v, apply_ms %+v", m.Counters, m.Histograms["engine.derived.apply_ms"])
+	}
+
 	// A schema update re-encodes intervals; queries through the new
 	// subclass edge must see old instances.
 	code = postJSON(t, ts.URL+"/v1/update", UpdateRequest{

@@ -14,7 +14,7 @@
 package shard
 
 import (
-	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/dict"
@@ -62,52 +62,65 @@ func Of(s dict.ID, n int) int {
 	return int(hashSubject(s) % uint64(n))
 }
 
-// Build partitions the triples by hash(subject) % n and builds one
-// storage.Store per shard, in parallel. n < 2 builds a single shard
-// (still a valid Store, with scatter disabled by the executor).
-func Build(d *dict.Dict, triples []dict.Triple, n int) *Store {
-	if n < 1 {
-		n = 1
-	}
-	parts := make([][]dict.Triple, n)
+// partition splits the triples by hash(subject) % n.
+func partition(triples []dict.Triple, n int) [][]dict.Triple {
 	if n == 1 {
-		parts[0] = triples
-	} else {
-		// Size the buckets with a counting pass so the split pass never
-		// reallocates.
-		counts := make([]int, n)
-		for _, t := range triples {
-			counts[Of(t.S, n)]++
-		}
-		for i, c := range counts {
-			parts[i] = make([]dict.Triple, 0, c)
-		}
-		for _, t := range triples {
-			parts[Of(t.S, n)] = append(parts[Of(t.S, n)], t)
-		}
+		return [][]dict.Triple{triples}
 	}
+	// Size the buckets with a counting pass so the split pass never
+	// reallocates.
+	parts, counts := make([][]dict.Triple, n), make([]int, n)
+	for _, t := range triples {
+		counts[Of(t.S, n)]++
+	}
+	for i, c := range counts {
+		parts[i] = make([]dict.Triple, 0, c)
+	}
+	for _, t := range triples {
+		parts[Of(t.S, n)] = append(parts[Of(t.S, n)], t)
+	}
+	return parts
+}
+
+// Build partitions the triples by subject and builds one storage.Store per
+// shard, in parallel. n < 2 builds a single shard (still a valid Store,
+// with scatter disabled by the executor).
+func Build(d *dict.Dict, triples []dict.Triple, n int) *Store {
+	n = max(n, 1)
+	parts := partition(triples, n)
 	st := &Store{d: d, shards: make([]*storage.Store, n), stats: make([]*stats.Stats, n), total: len(triples)}
-	nw := runtime.GOMAXPROCS(0)
-	if nw > n {
-		nw = n
-	}
 	var wg sync.WaitGroup
-	next := make(chan int, n)
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	for w := 0; w < nw; w++ {
+	for i := range parts {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				st.shards[i] = storage.Build(d, parts[i])
-			}
+			st.shards[i] = storage.Build(d, parts[i])
 		}()
 	}
 	wg.Wait()
 	return st
+}
+
+// Apply returns the sharded store over s's triples without removed and with
+// added. The delta is partitioned like the triples and applied to the shards
+// it touches, whose statistics — where collected — follow it; the other
+// shards and their statistics are shared with s.
+func (s *Store) Apply(added, removed []dict.Triple) *Store {
+	add, del := partition(added, len(s.shards)), partition(removed, len(s.shards))
+	out := &Store{d: s.d, shards: slices.Clone(s.shards)}
+	s.mu.Lock()
+	out.stats = slices.Clone(s.stats)
+	s.mu.Unlock()
+	for i, sh := range out.shards {
+		if len(add[i])+len(del[i]) > 0 {
+			out.shards[i] = sh.Apply(add[i], del[i])
+			if st := out.stats[i]; st != nil {
+				out.stats[i] = st.Apply(out.shards[i], add[i], del[i])
+			}
+		}
+		out.total += out.shards[i].Len()
+	}
+	return out
 }
 
 // --- exec.Source -------------------------------------------------------------
@@ -233,8 +246,8 @@ func (s *Store) ShardStats(i int) *stats.Stats {
 // --- stats.Source ------------------------------------------------------------
 
 // Triples returns all triples in shard order (sorted SPO within each
-// shard, not globally). Statistics collection re-sorts for its POS pass;
-// other callers needing global order must sort.
+// shard, not globally), which is all statistics collection needs; callers
+// needing global order must sort.
 func (s *Store) Triples() []dict.Triple {
 	out := make([]dict.Triple, 0, s.total)
 	for _, sh := range s.shards {

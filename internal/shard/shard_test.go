@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -310,4 +311,83 @@ func formatUnion(u query.RangeUCQ) string {
 		}
 	}
 	return sb.String()
+}
+
+// Apply ≡ Build of the set result, shard by shard; untouched shards are
+// shared; per-shard statistics that had been collected follow the delta and
+// equal a fresh collection, as do the statistics of the whole.
+func TestApplyMatchesBuild(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	d := dict.New()
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + r.Intn(3)
+		base := randomGraph(r)
+		prev := shard.Build(d, base, n)
+		whole := stats.Collect(prev)
+		for i := 0; i < n; i += 2 {
+			prev.ShardStats(i) // collected on some shards only
+		}
+		var added, removed []dict.Triple
+		set := map[dict.Triple]bool{}
+		for _, x := range base {
+			set[x] = true
+		}
+		delta := randomGraph(r)
+		delta = delta[:min(len(delta), 1+r.Intn(4))]
+		for i, x := range delta {
+			switch {
+			case slices.Contains(delta[:i], x):
+			case set[x]:
+				removed = append(removed, x)
+			default:
+				added = append(added, x)
+			}
+		}
+		for _, x := range added {
+			set[x] = true
+		}
+		for _, x := range removed {
+			set[x] = false
+		}
+		var result []dict.Triple
+		for x, in := range set {
+			if in {
+				result = append(result, x)
+			}
+		}
+		got, want := prev.Apply(added, removed), shard.Build(d, result, n)
+		if got.Len() != want.Len() {
+			t.Fatalf("trial %d: Len %d, want %d", trial, got.Len(), want.Len())
+		}
+		touched := map[int]bool{}
+		for _, x := range append(added, removed...) {
+			touched[shard.Of(x.S, n)] = true
+		}
+		for i := 0; i < n; i++ {
+			if !slices.Equal(got.ShardStore(i).Triples(), want.ShardStore(i).Triples()) {
+				t.Fatalf("trial %d shard %d: %v, want %v", trial, i, got.ShardStore(i).Triples(), want.ShardStore(i).Triples())
+			}
+			if !touched[i] && got.ShardStore(i) != prev.ShardStore(i) {
+				t.Fatalf("trial %d: untouched shard %d was copied", trial, i)
+			}
+			sameStats(t, got.ShardStats(i), want.ShardStats(i), result)
+		}
+		sameStats(t, whole.Apply(got, added, removed), stats.Collect(want), result)
+	}
+}
+
+func sameStats(t *testing.T, got, want *stats.Stats, triples []dict.Triple) {
+	t.Helper()
+	if got.N() != want.N() || got.DistinctSubjects() != want.DistinctSubjects() ||
+		got.DistinctProperties() != want.DistinctProperties() || got.DistinctObjects() != want.DistinctObjects() {
+		t.Fatalf("statistics: %d/%d/%d/%d, want %d/%d/%d/%d", got.N(), got.DistinctSubjects(), got.DistinctProperties(), got.DistinctObjects(),
+			want.N(), want.DistinctSubjects(), want.DistinctProperties(), want.DistinctObjects())
+	}
+	for _, x := range triples {
+		g, gok := got.Property(x.P)
+		w, wok := want.Property(x.P)
+		if g != w || gok != wok {
+			t.Fatalf("property %d: %+v %v, want %+v %v", x.P, g, gok, w, wok)
+		}
+	}
 }

@@ -6,6 +6,8 @@ package stats
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -59,66 +61,69 @@ type Stats struct {
 	distinctO int
 }
 
-// Collect scans the store once per index and gathers statistics.
+// Collect gathers the statistics of the store in two passes over runs it
+// already keeps sorted, so nothing is copied or re-sorted.
 func Collect(st Source) *Stats {
 	s := &Stats{store: st, n: st.Len(), props: map[dict.ID]PropertyStats{}}
-
-	// Per-property stats: the POS index is contiguous per property and
-	// sorted by object within it, so distinct objects are a run count; a
-	// set is needed for distinct subjects.
-	var (
-		cur      dict.ID
-		have     bool
-		count    int
-		distO    int
-		lastO    dict.ID
-		firstO   bool
-		subjects map[dict.ID]bool
-	)
-	flush := func() {
-		if have {
-			s.props[cur] = PropertyStats{Count: count, DistinctS: len(subjects), DistinctO: distO}
+	// Triples() is in (S,P,O) order — within each shard of a sharded source,
+	// and shards share no subject — so a property's distinct subjects are
+	// the (S,P) runs it appears in.
+	var last dict.Triple
+	for _, t := range st.Triples() {
+		ps := s.props[t.P]
+		ps.Count++
+		if t.S != last.S || t.P != last.P {
+			ps.DistinctS++
 		}
+		s.props[t.P], last = ps, t
 	}
-	for _, t := range posIndex(st) {
-		if !have || t.P != cur {
-			flush()
-			cur, have = t.P, true
-			count, distO, firstO = 0, 0, true
-			subjects = map[dict.ID]bool{}
-		}
-		count++
-		if firstO || t.O != lastO {
-			distO++
-			lastO, firstO = t.O, false
-		}
-		subjects[t.S] = true
+	// Its distinct objects are the runs of its (P,O,S) range.
+	for p, ps := range s.props {
+		ps.DistinctO = st.DistinctInPosition(storage.Pattern{P: p}, 'o')
+		s.props[p] = ps
 	}
-	flush()
-
 	s.distinctS = st.DistinctInPosition(storage.Pattern{}, 's')
 	s.distinctP = len(s.props)
 	s.distinctO = st.DistinctInPosition(storage.Pattern{}, 'o')
 	return s
 }
 
-// posIndex exposes the POS-ordered triples for one sequential pass; the
-// store keeps them sorted by (P,O,S).
-func posIndex(st Source) []dict.Triple {
-	out := make([]dict.Triple, 0, st.Len())
-	// Iterate properties in ascending ID order via pattern scans would be
-	// wasteful; the unfiltered Each walks SPO order, so re-sort locally.
-	out = append(out, st.Triples()...)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.P != b.P {
-			return a.P < b.P
+// Apply returns the statistics of next — the source s describes, without
+// removed and with added — equal field by field to Collect(next). Only a
+// key some triple of the delta has can appear or disappear, so each such
+// key is counted once in both sources: O(|delta| log n) for Collect's O(n).
+func (s *Stats) Apply(next Source, added, removed []dict.Triple) *Stats {
+	out := &Stats{store: next, n: next.Len(), props: maps.Clone(s.props), distinctS: s.distinctS, distinctO: s.distinctO}
+	seen := map[storage.Pattern]bool{}
+	// moved is +1 when next has triples matching key and s's source had
+	// none, -1 the other way round, 0 otherwise and on a key already seen.
+	moved := func(key storage.Pattern) int {
+		if seen[key] {
+			return 0
 		}
-		if a.O != b.O {
-			return a.O < b.O
+		seen[key] = true
+		was, is := s.store.Count(key) > 0, next.Count(key) > 0
+		switch {
+		case is && !was:
+			return 1
+		case was && !is:
+			return -1
 		}
-		return a.S < b.S
-	})
+		return 0
+	}
+	for _, t := range slices.Concat(added, removed) {
+		out.distinctS += moved(storage.Pattern{S: t.S})
+		out.distinctO += moved(storage.Pattern{O: t.O})
+		ps := out.props[t.P]
+		ps.DistinctS += moved(storage.Pattern{S: t.S, P: t.P})
+		ps.DistinctO += moved(storage.Pattern{P: t.P, O: t.O})
+		if ps.Count = next.Count(storage.Pattern{P: t.P}); ps.Count > 0 {
+			out.props[t.P] = ps
+		} else {
+			delete(out.props, t.P)
+		}
+	}
+	out.distinctP = len(out.props)
 	return out
 }
 

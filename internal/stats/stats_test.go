@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"maps"
 	"math/rand"
 	"strings"
 	"testing"
@@ -155,5 +156,36 @@ func TestPropertyStatsConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Apply must give, field by field, what Collect gives on the new store —
+// across keys that appear, disappear and are shared by several delta
+// triples, and properties that come and go.
+func TestApplyMatchesCollect(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	random := func(n int) []dict.Triple {
+		ts := make([]dict.Triple, n)
+		for i := range ts {
+			ts[i] = dict.Triple{S: dict.ID(1 + r.Intn(6)), P: dict.ID(10 + r.Intn(4)), O: dict.ID(1 + r.Intn(6))}
+		}
+		return ts
+	}
+	for trial := 0; trial < 500; trial++ {
+		prev := storage.Build(dict.New(), random(r.Intn(30)))
+		var added, removed []dict.Triple
+		for _, x := range random(r.Intn(10)) {
+			if prev.Contains(x) {
+				removed = append(removed, x)
+			} else {
+				added = append(added, x)
+			}
+		}
+		next := prev.Apply(added, removed)
+		got, want := Collect(prev).Apply(next, added, removed), Collect(next)
+		if got.store != Source(next) || got.n != want.n || got.distinctS != want.distinctS ||
+			got.distinctP != want.distinctP || got.distinctO != want.distinctO || !maps.Equal(got.props, want.props) {
+			t.Fatalf("trial %d: %v +%v -%v:\n applied   %+v\n collected %+v", trial, prev.Triples(), added, removed, *got, *want)
+		}
 	}
 }

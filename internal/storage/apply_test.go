@@ -1,0 +1,100 @@
+package storage
+
+import (
+	"math/rand"
+	"slices"
+	"strconv"
+	"testing"
+
+	"repro/internal/dict"
+)
+
+// checkApply applies the delta to Build(base) and compares all three runs
+// with Build of the set result, (base \ removed) ∪ added.
+func checkApply(t *testing.T, base, added, removed []dict.Triple) {
+	t.Helper()
+	var want []dict.Triple
+	for _, x := range base {
+		if !slices.Contains(removed, x) {
+			want = append(want, x)
+		}
+	}
+	want = append(want, added...)
+	prev := buildStore(base)
+	before := slices.Clone(prev.spo)
+	got, ref := prev.Apply(added, removed), Build(prev.d, want)
+	for _, run := range []struct {
+		name      string
+		got, want []dict.Triple
+		key       func(dict.Triple) [3]dict.ID
+	}{{"spo", got.spo, ref.spo, keySPO}, {"pos", got.pos, ref.pos, keyPOS}, {"osp", got.osp, ref.osp, keyOSP}} {
+		if !slices.Equal(run.got, run.want) {
+			t.Fatalf("%s: Apply gave %v, Build %v (base %v +%v -%v)", run.name, run.got, run.want, base, added, removed)
+		}
+		for i := 1; i < len(run.got); i++ {
+			a, b := run.key(run.got[i-1]), run.key(run.got[i])
+			if slices.Compare(a[:], b[:]) >= 0 {
+				t.Fatalf("%s: not strictly ascending at %d: %v", run.name, i, run.got)
+			}
+		}
+	}
+	if !slices.Equal(prev.spo, before) {
+		t.Fatal("Apply changed the store it was applied to")
+	}
+}
+
+func TestApplyMatchesBuild(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		base := randomTriples(r, r.Intn(60), 6)
+		// Deltas that hit and miss the base, repeat themselves and overlap.
+		added := randomTriples(r, r.Intn(12), 6)
+		removed := randomTriples(r, r.Intn(12), 6)
+		if len(base) > 0 {
+			removed = append(removed, base[r.Intn(len(base))], base[0], base[len(base)-1])
+			added = append(added, base[r.Intn(len(base))])
+		}
+		checkApply(t, base, added, removed)
+	}
+	checkApply(t, nil, nil, nil)
+}
+
+// FuzzStoreApply: the bytes are three triple lists over a small domain.
+func FuzzStoreApply(f *testing.F) {
+	f.Add([]byte{3, 1, 1, 1, 2, 1, 2, 3, 2, 1, 1, 2, 2, 2, 1, 1, 1, 1})
+	f.Add([]byte{0, 1, 1, 2, 3})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var lists [3][]dict.Triple
+		for i := range lists {
+			if len(data) == 0 {
+				break
+			}
+			n := min(int(data[0]), (len(data)-1)/3)
+			for j := 0; j < n; j++ {
+				b := data[1+3*j:]
+				lists[i] = append(lists[i], dict.Triple{S: dict.ID(1 + b[0]%8), P: dict.ID(1 + b[1]%4), O: dict.ID(1 + b[2]%8)})
+			}
+			data = data[1+3*n:]
+		}
+		checkApply(t, lists[0], lists[1], lists[2])
+	})
+}
+
+func BenchmarkApplyVsBuild(b *testing.B) {
+	r := rand.New(rand.NewSource(7))
+	for _, n := range []int{45_000, 100_000, 650_000} {
+		triples := randomTriples(r, n, n/4)
+		base, delta := buildStore(triples), randomTriples(r, 20, n/4)
+		b.Run("apply/"+strconv.Itoa(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				base.Apply(delta, nil)
+			}
+		})
+		b.Run("build/"+strconv.Itoa(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Build(base.d, triples)
+			}
+		})
+	}
+}

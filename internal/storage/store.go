@@ -51,43 +51,70 @@ type Store struct {
 	osp []dict.Triple // sorted by (O,S,P)
 }
 
-// parallelBuildThreshold is the input size above which the three
-// permutation indexes are sorted concurrently; below it the goroutine
-// overhead outweighs the sort work.
-const parallelBuildThreshold = 1 << 14
-
 // Build sorts the given triples into the three permutations and returns the
-// store. The input slice is not retained; duplicates are removed. Large
-// inputs sort the three indexes in parallel — duplicates are identical
-// triples, so they are adjacent under every permutation ordering and each
-// index can sort+dedup the raw input independently, yielding the same set.
+// store. The input slice is not retained; duplicates are removed.
 func Build(d *dict.Dict, triples []dict.Triple) *Store {
-	if len(triples) < parallelBuildThreshold {
-		spo := append([]dict.Triple(nil), triples...)
-		sortBy(spo, keySPO)
-		spo = dedupSorted(spo)
-		pos := append([]dict.Triple(nil), spo...)
-		sortBy(pos, keyPOS)
-		osp := append([]dict.Triple(nil), spo...)
-		sortBy(osp, keyOSP)
-		return &Store{d: d, spo: spo, pos: pos, osp: osp}
-	}
-	st := &Store{d: d}
+	return (&Store{d: d}).Apply(triples, nil)
+}
+
+// Apply returns the store over st's triples without removed and with added
+// (set semantics: a triple in both ends up present); st is not changed. The
+// three orderings are made concurrently, each sorting the delta its own way
+// and merging it into st's run in one pass: a copy of the runs where Build,
+// which merges everything into nothing, pays for the sorts.
+func (st *Store) Apply(added, removed []dict.Triple) *Store {
+	out := &Store{d: st.d}
 	var wg sync.WaitGroup
 	for _, ix := range []struct {
 		dst *[]dict.Triple
+		run []dict.Triple
 		key func(dict.Triple) [3]dict.ID
-	}{{&st.spo, keySPO}, {&st.pos, keyPOS}, {&st.osp, keyOSP}} {
+	}{{&out.spo, st.spo, keySPO}, {&out.pos, st.pos, keyPOS}, {&out.osp, st.osp, keyOSP}} {
 		wg.Add(1)
-		go func(dst *[]dict.Triple, key func(dict.Triple) [3]dict.ID) {
+		go func() {
 			defer wg.Done()
-			ts := append([]dict.Triple(nil), triples...)
-			sortBy(ts, key)
-			*dst = dedupSorted(ts)
-		}(ix.dst, ix.key)
+			*ix.dst = merge(ix.run, added, removed, ix.key)
+		}()
 	}
 	wg.Wait()
-	return st
+	return out
+}
+
+// merge returns a fresh run: run, which is sorted by key and duplicate
+// free, without the triples of del and with those of add.
+func merge(run, add, del []dict.Triple, key func(dict.Triple) [3]dict.ID) []dict.Triple {
+	byKey := func(a, b dict.Triple) int {
+		ka, kb := key(a), key(b)
+		return slices.Compare(ka[:], kb[:])
+	}
+	add, del = slices.Clone(add), slices.Clone(del)
+	sortBy(add, key)
+	sortBy(del, key)
+	if add = dedupSorted(add); len(run) == 0 {
+		return add
+	}
+	out := make([]dict.Triple, 0, len(run)+len(add))
+	for len(add)+len(del) > 0 {
+		// The next edit in key order, an insertion after a deletion of the
+		// same triple. What precedes it in run is copied as one block; run's
+		// own copy of the triple, if it has one, is passed over either way.
+		isDel := len(add) == 0 || len(del) > 0 && byKey(del[0], add[0]) <= 0
+		var t dict.Triple
+		if isDel {
+			t, del = del[0], del[1:]
+		} else {
+			t, add = add[0], add[1:]
+		}
+		n, found := slices.BinarySearchFunc(run, t, byKey)
+		out = append(out, run[:n]...)
+		if run = run[n:]; found {
+			run = run[1:]
+		}
+		if !isDel {
+			out = append(out, t)
+		}
+	}
+	return append(out, run...)
 }
 
 // Dict returns the dictionary the store is encoded against.
@@ -242,42 +269,36 @@ func rangeOf(idx []dict.Triple, key func(dict.Triple) [3]dict.ID, prefix [3]dict
 // position ('s', 'p' or 'o') among triples matching the pattern; used by
 // the statistics module for join selectivity estimation.
 func (st *Store) DistinctInPosition(pat Pattern, pos byte) int {
-	seen := dict.None
-	first := true
-	n := 0
-	// Choose an ordering where the requested position varies contiguously
-	// where possible; otherwise fall back to a set.
+	// Where an ordering keeps the position's values in runs — any position
+	// with nothing bound, a property's objects — count the runs; otherwise
+	// fall back to a set.
 	var ordered []dict.Triple
-	switch pos {
-	case 's':
-		if pat.Bound() == 0 {
-			ordered = st.spo
-		}
-	case 'p':
-		if pat.Bound() == 0 {
-			ordered = st.pos
-		}
-	case 'o':
-		if pat.Bound() == 0 {
-			ordered = st.osp
+	switch {
+	case pat.Bound() == 0 && pos == 's':
+		ordered = st.spo
+	case pat.Bound() == 0 && pos == 'p':
+		ordered = st.pos
+	case pat.Bound() == 0:
+		ordered = st.osp
+	case pos == 'o' && pat == (Pattern{P: pat.P}):
+		lo, hi := rangeOf(st.pos, keyPOS, [3]dict.ID{pat.P}, 1)
+		ordered = st.pos[lo:hi]
+	default:
+		set := map[dict.ID]bool{}
+		st.Each(pat, func(t dict.Triple) bool {
+			set[position(t, pos)] = true
+			return true
+		})
+		return len(set)
+	}
+	n, last := 0, dict.None // no triple holds None
+	for _, t := range ordered {
+		if v := position(t, pos); v != last {
+			n++
+			last = v
 		}
 	}
-	if ordered != nil {
-		for _, t := range ordered {
-			v := position(t, pos)
-			if first || v != seen {
-				n++
-				seen, first = v, false
-			}
-		}
-		return n
-	}
-	set := map[dict.ID]bool{}
-	st.Each(pat, func(t dict.Triple) bool {
-		set[position(t, pos)] = true
-		return true
-	})
-	return len(set)
+	return n
 }
 
 func position(t dict.Triple, pos byte) dict.ID {
