@@ -166,6 +166,10 @@ func BenchmarkE4_GCovSearch(b *testing.B) {
 	f, _ := fixtures(b)
 	r := f.eng.Reformulator()
 	m := f.eng.CostModel()
+	// The search prices each candidate cover through Model.CQ/JoinFragments:
+	// allocs/op is where a plan loop that started allocating would show.
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.GCov(r, m, f.q, core.GCovOptions{}); err != nil {
 			b.Fatal(err)

@@ -21,7 +21,7 @@ import (
 //  4. its condition calls the builtin len on a slice (greedy join-order
 //     loops);
 //  5. its body directly (not inside a nested loop or function literal)
-//     appends rows via Relation.Append / Relation.AppendEmpty.
+//     appends rows via Relation.Append.
 //
 // Independently, every function literal taking a dict.Triple or query.CQ
 // parameter is a per-row / per-CQ callback and must poll somewhere in its
@@ -198,9 +198,9 @@ func (g *guardpollCheck) isRelation(e ast.Expr) bool {
 	return ok && namedTypeName(tv.Type) == "Relation"
 }
 
-// appendsDirectly reports whether the loop body calls Relation.Append /
-// AppendEmpty outside any nested loop or function literal — the
-// "producing rows" signature of rule 5.
+// appendsDirectly reports whether the loop body calls Relation.Append
+// outside any nested loop or function literal — the "producing rows"
+// signature of rule 5.
 func (g *guardpollCheck) appendsDirectly(body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -212,8 +212,7 @@ func (g *guardpollCheck) appendsDirectly(body *ast.BlockStmt) bool {
 			return false // nested loops/callbacks are checked on their own
 		case *ast.CallExpr:
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok &&
-				(sel.Sel.Name == "Append" || sel.Sel.Name == "AppendEmpty") &&
-				g.isRelation(sel.X) {
+				sel.Sel.Name == "Append" && g.isRelation(sel.X) {
 				found = true
 				return false
 			}

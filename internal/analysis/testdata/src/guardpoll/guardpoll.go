@@ -22,7 +22,6 @@ type Relation struct {
 
 func (r *Relation) Len() int         { return r.rows }
 func (r *Relation) Append(row []int) { r.rows++ }
-func (r *Relation) AppendEmpty()     { r.rows++ }
 
 // DistinctCheck mirrors the polling dedup helper.
 func (r *Relation) DistinctCheck(check func() error) error { return check() }

@@ -210,7 +210,7 @@ func (fc *fragmentCache) estimateCover(c query.Cover) (cost.Estimate, bool, erro
 		}
 		ests = append(ests, e.est)
 	}
-	return fc.m.JoinFragments(ests), true, nil
+	return fc.m.JoinFragments(ests, nil), true, nil
 }
 
 // materialize assembles the JUCQ for a cover from cached fragments.

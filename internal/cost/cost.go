@@ -4,6 +4,11 @@
 // collected statistics (scan extents, hash-join build/probe costs, and
 // join output cardinalities under the independence and containment-of-value
 // assumptions). GCov searches the cover space with this function.
+//
+// The package also owns the plan rule the function prices — the greedy join
+// order (Pick) and the probe-or-hash policy (PreferINLJ), stated in DESIGN
+// §10 "Evaluation": the executor runs its plans by calling them, so what is
+// priced here is what runs.
 package cost
 
 import (
@@ -79,101 +84,136 @@ func (m *Model) Atom(a query.Atom) Estimate {
 	return est
 }
 
-// CQ estimates a conjunctive query, simulating the executor's greedy plan:
-// start from the most selective atom, then join connected atoms first,
-// choosing index-nested-loop when the running result is small relative to
-// the next atom's extent (the executor's own policy) and hash join
-// otherwise.
-func (m *Model) CQ(q query.CQ) Estimate {
-	return m.cq(q, nil)
+// The plan rule. A conjunctive body — a CQ's atoms, a JUCQ's fragment
+// results — is joined greedily, and this is the one statement of how: Pick
+// orders the operands, PreferINLJ decides how an atom is joined in. The
+// executor calls both to run a plan, plan (below) calls both to price one,
+// and EXPLAIN prints the steps plan emits — so the three cannot disagree
+// about anything but cardinalities (the executor sees actual ones).
+
+// Operator names of a greedy plan's steps: the executor's span names and
+// EXPLAIN's node names.
+const (
+	OpScan     = "scan"
+	OpINLJ     = "inlj"
+	OpHashJoin = "hashjoin"
+	OpCross    = "cross" // a hash join with no shared variable
+)
+
+// Pick is the greedy join order: of the remaining operands take one
+// connected to the running result (sharing a variable with it) before one
+// that is not, within each kind the one of lowest cardinality, the earliest
+// on a tie. It returns the position in remaining and whether that operand
+// is connected. A nil connected means nothing is — the first pick, which
+// starts a plan from its smallest operand.
+func Pick(remaining []int, card func(int) float64, connected func(int) bool) (pos int, isConnected bool) {
+	best, bestConnected := -1, false
+	var bestCard float64
+	for i, op := range remaining {
+		c, conn := card(op), connected != nil && connected(op)
+		switch {
+		case best == -1,
+			conn && !bestConnected,
+			conn == bestConnected && c < bestCard:
+			best, bestConnected, bestCard = i, conn, c
+		}
+	}
+	return best, bestConnected
 }
 
-// PlanStep is one step of the simulated greedy plan: the first step is
-// always a scan, each later step joins one more atom into the running
-// result.
+// PreferINLJ decides how a connected atom joins a running result of curRows
+// rows: probed through the index once per row (true), or scanned in full —
+// extent rows — and hash-joined. Probing costs ~|cur|·log N, hashing the
+// atom's whole extent.
+func PreferINLJ(curRows, extent float64) bool {
+	return curRows*8 < extent || curRows <= 64
+}
+
+// PlanStep is one step of a greedy plan: the scan a plan over atoms starts
+// with, then one join per further operand.
 type PlanStep struct {
-	// Op is "scan" for the first step, then "inlj" or "hash".
+	// Op is OpScan, OpINLJ, OpHashJoin or OpCross.
 	Op string
-	// AtomIndex indexes q.Atoms.
-	AtomIndex int
-	// Atom is the joined atom's own estimate.
+	// Index is the operand's position among the plan's inputs (q.Atoms,
+	// the fragment estimates).
+	Index int
+	// Atom is the operand's own estimate.
 	Atom Estimate
 	// Out is the running estimate after this step.
 	Out Estimate
 }
 
-// CQPlan is CQ exposing the simulated plan steps — the estimate tree
-// EXPLAIN renders next to the executor's actual operator spans.
-func (m *Model) CQPlan(q query.CQ) (Estimate, []PlanStep) {
-	var steps []PlanStep
-	est := m.cq(q, func(s PlanStep) { steps = append(steps, s) })
-	return est, steps
-}
-
-// cq is the shared core; emit (when non-nil) receives one PlanStep per
-// operator so CQ stays allocation-free on the GCov hot path.
-func (m *Model) cq(q query.CQ, emit func(PlanStep)) Estimate {
-	atoms := q.Atoms
-	if len(atoms) == 0 {
+// plan prices the greedy plan over already-estimated operands and reports
+// its steps to emit (nil on the GCov hot path). The operands are a CQ's
+// atoms — the plan starts by scanning the smallest, a connected atom is
+// probed when PreferINLJ says so and otherwise scanned and hashed — or,
+// with atoms false, materialized fragment results: their own costs are
+// already paid, the plan starts from the first and can only hash.
+func (m *Model) plan(ops []Estimate, atoms bool, emit func(PlanStep)) Estimate {
+	if len(ops) == 0 {
 		return Estimate{}
 	}
-	ests := make([]Estimate, len(atoms))
-	for i, a := range atoms {
-		ests[i] = m.Atom(a)
+	var buf [8]int
+	remaining := buf[:0]
+	for i := range ops {
+		remaining = append(remaining, i)
 	}
-	remaining := make([]int, len(atoms))
-	for i := range remaining {
-		remaining[i] = i
-	}
-	start := 0
-	for i := range remaining {
-		if ests[remaining[i]].Card < ests[remaining[start]].Card {
-			start = i
+	card := func(i int) float64 { return ops[i].Card }
+	start, total := 0, 0.0
+	if atoms {
+		start, _ = Pick(remaining, card, nil)
+	} else {
+		for _, f := range ops {
+			total += f.Cost
 		}
 	}
 	first := remaining[start]
-	cur := ests[first]
-	cur.Cost = m.scanCost(cur.Card)
 	remaining = append(remaining[:start], remaining[start+1:]...)
-	total := cur.Cost
-	if emit != nil {
-		emit(PlanStep{Op: "scan", AtomIndex: first, Atom: ests[first], Out: cur})
-	}
-	for len(remaining) > 0 {
-		best, bestConnected := -1, false
-		for i, ai := range remaining {
-			connected := sharesVar(ests[ai].V, cur.V)
-			switch {
-			case best == -1,
-				connected && !bestConnected,
-				connected == bestConnected && ests[ai].Card < ests[remaining[best]].Card:
-				best, bestConnected = i, connected
-			}
+	cur := ops[first]
+	if atoms {
+		cur.Cost = m.scanCost(cur.Card)
+		total = cur.Cost
+		if emit != nil {
+			emit(PlanStep{Op: OpScan, Index: first, Atom: ops[first], Out: cur})
 		}
-		ai := remaining[best]
-		remaining = append(remaining[:best], remaining[best+1:]...)
-		next := ests[ai]
+	}
+	connected := func(i int) bool { return sharesVar(ops[i].V, cur.V) }
+	for len(remaining) > 0 {
+		pos, conn := Pick(remaining, card, connected)
+		i := remaining[pos]
+		remaining = append(remaining[:pos], remaining[pos+1:]...)
+		next := ops[i]
 		out := joinEstimate(cur, next)
-		op := "hash"
-		if bestConnected && preferINLJ(cur.Card, next.Card) {
+		op := OpHashJoin
+		if !conn {
+			op = OpCross
+		}
+		switch {
+		case !atoms:
+			total += CBuild*minF(cur.Card, next.Card) + CScan*maxF(cur.Card, next.Card) + COut*out.Card
+		case conn && PreferINLJ(cur.Card, next.Card):
 			total += CProbe*cur.Card + COut*out.Card
-			op = "inlj"
-		} else {
+			op = OpINLJ
+		default:
 			total += m.scanCost(next.Card) + CBuild*minF(cur.Card, next.Card) + COut*out.Card
 		}
 		cur = out
 		if emit != nil {
-			emit(PlanStep{Op: op, AtomIndex: ai, Atom: next, Out: cur})
+			emit(PlanStep{Op: op, Index: i, Atom: next, Out: cur})
 		}
 	}
 	cur.Cost = total
 	return cur
 }
 
-// preferINLJ mirrors exec.Evaluator's choice so estimates track the actual
-// plans.
-func preferINLJ(curRows, extent float64) bool {
-	return curRows*8 < extent || curRows <= 64
+// CQ estimates a conjunctive query by the plan the executor runs for it.
+func (m *Model) CQ(q query.CQ) Estimate {
+	var buf [8]Estimate
+	ests := buf[:0]
+	for _, a := range q.Atoms {
+		ests = append(ests, m.Atom(a))
+	}
+	return m.plan(ests, true, nil)
 }
 
 // UCQ estimates a union: costs and cardinalities add up (set-semantics
@@ -197,53 +237,22 @@ func (m *Model) UCQ(u query.UCQ) Estimate {
 	return out
 }
 
-// JUCQ estimates a join of fragment UCQs: per-fragment costs plus a greedy
-// hash-join simulation over the fragment results (fragment relations are
-// materialized, so nested-loop probing is not available to them).
+// JUCQ estimates a join of fragment UCQs: the fragments' own costs plus the
+// plan joining their results.
 func (m *Model) JUCQ(j query.JUCQ) Estimate {
-	if len(j.Fragments) == 0 {
-		return Estimate{}
-	}
 	frags := make([]Estimate, len(j.Fragments))
 	for i, f := range j.Fragments {
 		frags[i] = m.UCQ(f.UCQ)
 	}
-	return m.JoinFragments(frags)
+	return m.JoinFragments(frags, nil)
 }
 
 // JoinFragments combines precomputed fragment estimates into the JUCQ
 // estimate; GCov uses it to re-price candidate covers without
-// re-estimating cached fragments.
-func (m *Model) JoinFragments(frags []Estimate) Estimate {
-	if len(frags) == 0 {
-		return Estimate{}
-	}
-	frags = append([]Estimate(nil), frags...)
-	total := 0.0
-	for _, f := range frags {
-		total += f.Cost
-	}
-	cur := frags[0]
-	rest := frags[1:]
-	for len(rest) > 0 {
-		best, bestConnected := -1, false
-		for i, f := range rest {
-			connected := sharesVar(f.V, cur.V)
-			switch {
-			case best == -1,
-				connected && !bestConnected,
-				connected == bestConnected && f.Card < rest[best].Card:
-				best, bestConnected = i, connected
-			}
-		}
-		next := rest[best]
-		rest = append(rest[:best], rest[best+1:]...)
-		out := joinEstimate(cur, next)
-		total += CBuild*minF(cur.Card, next.Card) + CScan*maxF(cur.Card, next.Card) + COut*out.Card
-		cur = out
-	}
-	cur.Cost = total
-	return cur
+// re-estimating cached fragments. emit, when non-nil, receives the join
+// steps in order (EXPLAIN's "join" nodes).
+func (m *Model) JoinFragments(frags []Estimate, emit func(PlanStep)) Estimate {
+	return m.plan(frags, false, emit)
 }
 
 // Join applies the textbook join-size formula to two sub-estimates — the

@@ -1,55 +1,13 @@
 package cost
 
-import (
-	"repro/internal/query"
-	"repro/internal/storage"
-)
+import "repro/internal/query"
 
 // This file prices range CQs (the ref-range reformulation) so the planner
-// can compare ref-range against the UCQ/SCQ/JUCQ/GCov strategies. Range
-// atoms are materialized and hash-joined by the executor (no nested-loop
-// probing into a range pattern), so the simulation mirrors JoinFragments;
-// expansions multiply cardinality by the average hierarchy fan-out.
-
-// rangePatternOf converts a range atom to the storage pattern its scan
-// runs: constants become exact ranges, range positions keep their ranges,
-// variables are wildcards.
-func rangePatternOf(a query.RangeAtom) storage.RangePattern {
-	var pat storage.RangePattern
-	conv := func(ra query.RangeArg) []storage.IDRange {
-		switch {
-		case ra.Ranges != nil:
-			return ra.Ranges
-		case !ra.Arg.IsVar():
-			return []storage.IDRange{storage.Exact(ra.Arg.ID)}
-		}
-		return nil
-	}
-	pat.S, pat.P, pat.O = conv(a.S), conv(a.P), conv(a.O)
-	return pat
-}
-
-// relaxedPattern drops range constraints down to the exact-only Pattern the
-// per-variable distinct statistics understand.
-func relaxedPattern(a query.RangeAtom) storage.Pattern {
-	var pat storage.Pattern
-	set := func(ra query.RangeArg, dst *storage.Pattern, pos byte) {
-		if ra.Ranges == nil && !ra.Arg.IsVar() {
-			switch pos {
-			case 's':
-				dst.S = ra.Arg.ID
-			case 'p':
-				dst.P = ra.Arg.ID
-			default:
-				dst.O = ra.Arg.ID
-			}
-		}
-	}
-	set(a.S, &pat, 's')
-	set(a.P, &pat, 'p')
-	set(a.O, &pat, 'o')
-	return pat
-}
+// can compare ref-range against the UCQ/SCQ/JUCQ/GCov strategies. A range
+// atom is an atom like any other to the executor — scanned or probed, in
+// the one greedy order — so a range CQ is priced by the same plan as a
+// plain one; what is range-specific is an atom's own estimate and the
+// expansions, which multiply cardinality by the average hierarchy fan-out.
 
 // expansionFanout returns the average number of output bindings an
 // expansion emits per input row (1 for reflexivity plus the mean table
@@ -69,13 +27,17 @@ func expansionFanout(e *query.Expansion) float64 {
 	return maxF(fan+float64(total)/float64(len(e.Table)), 1)
 }
 
-// RangeAtom estimates one range-atom scan: exact range-pattern count for
-// the cardinality, per-variable distinct counts from the relaxed pattern
-// (capped by the cardinality).
+// RangeAtom estimates one atom scan in the executor's atom form: an atom
+// that is not ranged is Atom of its plain form; a ranged one takes the exact
+// range-pattern count for its cardinality and its per-variable distinct
+// counts from the pattern without the ranges (capped by the cardinality).
 func (m *Model) RangeAtom(a query.RangeAtom) Estimate {
-	card := m.st.RangeCard(rangePatternOf(a))
-	est := Estimate{Cost: CScan * card, Card: card, V: map[string]float64{}}
-	relaxed := relaxedPattern(a)
+	if !a.Ranged() {
+		return m.Atom(a.Plain())
+	}
+	card := m.st.RangeCard(a.RangePattern())
+	est := Estimate{Cost: m.scanCost(card), Card: card, V: map[string]float64{}}
+	relaxed := a.Plain().Pattern()
 	for i, ra := range [3]query.RangeArg{a.S, a.P, a.O} {
 		if !ra.Arg.IsVar() {
 			continue
@@ -92,50 +54,28 @@ func (m *Model) RangeAtom(a query.RangeAtom) Estimate {
 	return est
 }
 
-// RangeCQ estimates one range CQ, simulating the executor's plan: scan
-// every atom, greedy hash joins (connected first, then smallest), then the
-// expansion fan-outs.
-func (m *Model) RangeCQ(q query.RangeCQ) Estimate {
-	if len(q.Atoms) == 0 {
-		return Estimate{}
+// RangeCQ estimates one range CQ by the plan the executor runs for it —
+// the plan of CQ, over range atoms — followed by the expansion fan-outs.
+// emit, when non-nil, receives the plan's steps in order (EXPLAIN's
+// operator nodes).
+func (m *Model) RangeCQ(q query.RangeCQ, emit func(PlanStep)) Estimate {
+	var buf [8]Estimate
+	ests := buf[:0]
+	for _, a := range q.Atoms {
+		ests = append(ests, m.RangeAtom(a))
 	}
-	ests := make([]Estimate, len(q.Atoms))
-	total := 0.0
-	for i, a := range q.Atoms {
-		ests[i] = m.RangeAtom(a)
-		total += ests[i].Cost
-	}
-	cur := ests[0]
-	rest := append([]Estimate(nil), ests[1:]...)
-	for len(rest) > 0 {
-		best, bestConnected := -1, false
-		for i, f := range rest {
-			connected := sharesVar(f.V, cur.V)
-			switch {
-			case best == -1,
-				connected && !bestConnected,
-				connected == bestConnected && f.Card < rest[best].Card:
-				best, bestConnected = i, connected
-			}
-		}
-		next := rest[best]
-		rest = append(rest[:best], rest[best+1:]...)
-		out := joinEstimate(cur, next)
-		total += CBuild*minF(cur.Card, next.Card) + CScan*maxF(cur.Card, next.Card) + COut*out.Card
-		cur = out
-	}
+	cur := m.plan(ests, true, emit)
 	for _, a := range q.Atoms {
 		if a.Expand == nil {
 			continue
 		}
 		fan := expansionFanout(a.Expand)
 		cur.Card *= fan
-		total += COut * cur.Card
+		cur.Cost += COut * cur.Card
 		if a.Expand.Out.IsVar() {
 			cur.V[a.Expand.Out.Var] = maxF(minF(float64(len(a.Expand.Table)), cur.Card), 1)
 		}
 	}
-	cur.Cost = total
 	return cur
 }
 
@@ -144,7 +84,7 @@ func (m *Model) RangeCQ(q query.RangeCQ) Estimate {
 func (m *Model) RangeUCQ(u query.RangeUCQ) Estimate {
 	out := Estimate{V: map[string]float64{}}
 	for _, cq := range u.CQs {
-		e := m.RangeCQ(cq)
+		e := m.RangeCQ(cq, nil)
 		out.Cost += e.Cost
 		out.Card += e.Card
 		for v, n := range e.V {

@@ -565,11 +565,7 @@ func (e *Engine) AnswerUnionContext(ctx context.Context, u query.UCQ, s Strategy
 			combined.AdmissionWeight = ans.AdmissionWeight
 		}
 		for i := 0; i < ans.Rows.Len(); i++ {
-			if ans.Rows.Width() == 0 {
-				combined.Rows.AppendEmpty()
-			} else {
-				combined.Rows.Append(ans.Rows.Row(i))
-			}
+			combined.Rows.Append(ans.Rows.Row(i))
 		}
 	}
 	combined.Rows.Distinct()

@@ -81,6 +81,7 @@ func (e *Engine) explain(p *prepared) *Plan {
 		EstimatedCost: p.est.Cost, EstimatedRows: p.est.Card, CachedPlan: p.cachedPlan,
 		root: root,
 	}
+	shards := e.Shards()
 	switch {
 	case p.stream != nil:
 		u := root.Child("union")
@@ -90,7 +91,7 @@ func (e *Engine) explain(p *prepared) *Plan {
 			if shown >= explainMaxUCQPlans {
 				return false
 			}
-			explainCQ(u, p.model, d, cq, e.Shards())
+			explainCQ(u, p.model, d, cq.Lift(), shards)
 			shown++
 			return true
 		})
@@ -99,10 +100,10 @@ func (e *Engine) explain(p *prepared) *Plan {
 		}
 
 	case p.jucq != nil:
-		// One "fragment" node per cover block, then "join" nodes in the
-		// cost model's greedy order with the running estimated cardinality
-		// — the same order EXPLAIN ANALYZE traces show when the estimates
-		// track reality.
+		// One "fragment" node per cover block, then one "join" node per
+		// step of the plan the cost model prices over the fragment
+		// estimates, with the running estimated cardinality — the order
+		// EXPLAIN ANALYZE traces show when the estimates track reality.
 		root.SetStr("cover", p.cover.String())
 		if p.key != "" {
 			root.SetBool("cached", p.cachedPlan)
@@ -119,60 +120,40 @@ func (e *Engine) explain(p *prepared) *Plan {
 			fsp.SetInt("cqs", int64(len(f.UCQ.CQs)))
 			fsp.SetFloat("est_rows", frags[i].Card)
 			fsp.SetFloat("est_cost", frags[i].Cost)
-			if op := fragmentScatterOp(f.UCQ, e.Shards()); op != "" {
-				sc := fsp.Child("scatter")
-				sc.SetInt("n", int64(e.Shards()))
-				sc.SetStr("op", op)
+			if op := fragmentScatterOp(f.UCQ, shards); op != "" {
+				scatterNode(fsp, op, shards)
 			}
-		}
-		out := frags[0]
-		for _, step := range joinOrder(frags) {
-			jsp := root.Child("join")
-			jsp.SetInt("fragment", int64(step.fragment))
-			jsp.SetFloat("est_rows", step.out.Card)
-			out = step.out
 		}
 		// GCov reports its cover's cost only; the cardinality is the last
 		// join's (the same number p.est carries for a caller's cover).
-		plan.EstimatedRows = out.Card
+		plan.EstimatedRows = p.model.JoinFragments(frags, func(st cost.PlanStep) {
+			jsp := root.Child("join")
+			jsp.SetInt("fragment", int64(st.Index))
+			jsp.SetFloat("est_rows", st.Out.Card)
+		}).Card
 		root.Child("project").SetStr("cols", strings.Join(p.jucq.HeadNames, ","))
 
 	case p.ranges != nil:
 		// One "cq" node per range CQ; range reformulations are small, so no
-		// elision is needed.
+		// elision is needed. Against shards the union's co-partitioned group
+		// evaluates shard-locally in one scatter; the rest stay central.
 		u := root.Child("union")
 		u.SetInt("cqs", int64(p.cqs))
 		u.SetInt("range_atoms", int64(p.ranges.RangeAtoms()))
 		u.SetInt("expansions", int64(p.ranges.Expansions()))
-		// Against shards the union's co-partitioned members (two or more)
-		// evaluate shard-locally in one scatter; the rest stay central.
-		var scatter *trace.Span
-		if n, co := e.Shards(), 0; n > 1 {
-			for _, cq := range p.ranges.CQs {
-				if exec.CoPartitionedCQ(cq) {
-					co++
+		members := p.ranges.CQs
+		if shards > 1 {
+			co, rest := exec.SplitCoPartitioned(members)
+			if co != nil {
+				sc := scatterNode(u, "ucq", shards)
+				for _, cq := range co {
+					explainCQ(sc, p.model, d, cq, 1)
 				}
 			}
-			if co >= 2 {
-				scatter = u.Child("scatter")
-				scatter.SetInt("n", int64(n))
-				scatter.SetStr("op", "ucq")
-			}
+			members = rest
 		}
-		for _, cq := range p.ranges.CQs {
-			parent := u
-			if scatter != nil && exec.CoPartitionedCQ(cq) {
-				parent = scatter
-			}
-			ce := p.model.RangeCQ(cq)
-			parts := make([]string, len(cq.Atoms))
-			for i, a := range cq.Atoms {
-				parts[i] = query.FormatRangeAtom(a)
-			}
-			csp := parent.Child("cq")
-			csp.SetStr("q", strings.Join(parts, ", "))
-			csp.SetFloat("est_rows", ce.Card)
-			csp.SetFloat("est_cost", ce.Cost)
+		for _, cq := range members {
+			explainCQ(u, p.model, d, cq, shards)
 		}
 
 	case p.program != nil:
@@ -182,128 +163,90 @@ func (e *Engine) explain(p *prepared) *Plan {
 		root.Child("fixpoint")
 
 	default:
-		explainCQ(root, p.model, d, p.q, 1)
+		explainCQ(root, p.model, d, p.q.Lift(), 1)
 	}
 	return plan
 }
 
-// joinStep is one fragment join of a JUCQ plan: the fragment joined in and
-// the estimate of the running result after it.
-type joinStep struct {
-	fragment int
-	out      cost.Estimate
+// scatterNode adds the node of a fan-out over n shards: the executor's
+// "scatter" span with its shard count and the scattered operator.
+func scatterNode(parent *trace.Span, op string, n int) *trace.Span {
+	sc := parent.Child("scatter")
+	sc.SetInt("n", int64(n))
+	sc.SetStr("op", op)
+	return sc
 }
 
-// joinOrder mirrors cost.JoinFragments' greedy order over fragment
-// estimates: start from fragment 0, then connected fragments first, smaller
-// estimated cardinality breaking ties.
-func joinOrder(frags []cost.Estimate) []joinStep {
-	cur := frags[0]
-	rest := make([]int, 0, len(frags)-1)
-	for i := 1; i < len(frags); i++ {
-		rest = append(rest, i)
-	}
-	steps := make([]joinStep, 0, len(rest))
-	for len(rest) > 0 {
-		best, bestConnected := -1, false
-		for i, fi := range rest {
-			connected := sharesEstVar(frags[fi], cur)
-			switch {
-			case best == -1,
-				connected && !bestConnected,
-				connected == bestConnected && frags[fi].Card < frags[rest[best]].Card:
-				best, bestConnected = i, connected
-			}
-		}
-		fi := rest[best]
-		rest = append(rest[:best], rest[best+1:]...)
-		cur = cost.Join(cur, frags[fi])
-		steps = append(steps, joinStep{fragment: fi, out: cur})
-	}
-	return steps
-}
-
-// fragmentScatterOp summarizes how a fragment fans out against a
-// sharded source, mirroring the executor: "ucq" when ≥2 member CQs are
-// co-partitioned (the group evaluates shard-locally in one scatter, the
-// rest on the parent path), "cq" when exactly one member scatters
-// shard-locally on its own, "scan" when only unbound-subject scans
-// scatter, "" when nothing scatters.
+// fragmentScatterOp summarizes how a fragment's union fans out against a
+// sharded source: "ucq" when its co-partitioned members evaluate
+// shard-locally in one scatter (the rest on the parent path), "cq" when a
+// lone co-partitioned member scatters on its own, "scan" when only
+// unbound-subject scans scatter, "" when nothing scatters.
 func fragmentScatterOp(u query.UCQ, shards int) string {
 	if shards < 2 || len(u.CQs) == 0 {
 		return ""
 	}
-	co, anyScan := 0, false
-	for _, cq := range u.CQs {
-		if exec.CoPartitionedCQ(cq) {
-			co++
-			continue
+	cqs := make([]query.RangeCQ, len(u.CQs))
+	for i, cq := range u.CQs {
+		cqs[i] = cq.Lift()
+	}
+	co, rest := exec.SplitCoPartitioned(cqs)
+	if co != nil {
+		return "ucq"
+	}
+	op := ""
+	for _, cq := range rest {
+		if exec.CoPartitioned(cq) {
+			return "cq"
 		}
 		for _, a := range cq.Atoms {
-			if a.Args()[0].IsVar() {
-				anyScan = true
-				break
+			if a.S.Arg.IsVar() {
+				op = "scan" // unless a later member is co-partitioned
 			}
 		}
 	}
-	switch {
-	case co >= 2:
-		return "ucq"
-	case co == 1:
-		return "cq"
-	case anyScan:
-		return "scan"
-	}
-	return ""
+	return op
 }
 
-func sharesEstVar(a, b cost.Estimate) bool {
-	for v := range a.V {
-		if _, ok := b.V[v]; ok {
-			return true
-		}
-	}
-	return false
-}
-
-// explainCQ adds the cost model's simulated greedy operator plan for one
-// CQ under parent: a "cq" node with one child per operator (scan, then
-// inlj/hash joins) carrying the running estimated cardinality. Against a
-// sharded source the tree shows the executor's scatter shape: a
+// explainCQ adds under parent the plan the cost model prices — and the
+// executor runs — for one CQ in the evaluator's atom form: a "cq" node with
+// the operators of each step as the executor records them, a scan for the
+// first atom, then per atom an index-nested-loop join or a scan and the
+// materialized join of its result, carrying the estimated cardinalities.
+// Against a sharded source the tree shows the executor's scatter shape: a
 // co-partitioned body nests its whole plan under one scatter node
 // (evaluated shard-locally N ways), any other body scatters its
 // unbound-subject scans individually.
 //
 //reflint:nospanend plan spans are a rendered tree, never timed; Plan.Tree omits durations
-func explainCQ(parent *trace.Span, m *cost.Model, d *dict.Dict, q query.CQ, shards int) {
-	est, steps := m.CQPlan(q)
+func explainCQ(parent *trace.Span, m *cost.Model, d *dict.Dict, q query.RangeCQ, shards int) {
 	csp := parent.Child("cq")
-	csp.SetStr("q", query.FormatCQ(d, q))
+	csp.SetStr("q", q.Format(d))
+	var steps []cost.PlanStep
+	est := m.RangeCQ(q, func(st cost.PlanStep) { steps = append(steps, st) })
 	csp.SetFloat("est_rows", est.Card)
 	csp.SetFloat("est_cost", est.Cost)
-	opParent := csp
-	if shards > 1 && exec.CoPartitionedCQ(q) {
-		sc := csp.Child("scatter")
-		sc.SetInt("n", int64(shards))
-		sc.SetStr("op", "cq")
-		opParent = sc
+	ops, local := csp, shards > 1 && exec.CoPartitioned(q)
+	if local {
+		ops = scatterNode(csp, "cq", shards)
 	}
 	for _, st := range steps {
-		name := st.Op
-		if name == "hash" {
-			// The executor names its materialized hash-join spans
-			// "hashjoin"; keep EXPLAIN and EXPLAIN ANALYZE aligned.
-			name = "hashjoin"
+		a := q.Atoms[st.Index]
+		if st.Op == cost.OpINLJ {
+			op := ops.Child(cost.OpINLJ)
+			op.SetStr("atom", a.Format(d))
+			op.SetFloat("est_rows", st.Out.Card)
+			continue
 		}
-		sp := opParent
-		if sp == csp && shards > 1 && name == "scan" && q.Atoms[st.AtomIndex].S.IsVar() {
-			sc := csp.Child("scatter")
-			sc.SetInt("n", int64(shards))
-			sc.SetStr("op", "scan")
-			sp = sc
+		sp := ops
+		if shards > 1 && !local && a.S.Ranges == nil && a.S.Arg.IsVar() {
+			sp = scatterNode(csp, "scan", shards)
 		}
-		op := sp.Child(name)
-		op.SetStr("atom", query.FormatAtom(d, q.Atoms[st.AtomIndex]))
-		op.SetFloat("est_rows", st.Out.Card)
+		scan := sp.Child(cost.OpScan)
+		scan.SetStr("atom", a.Format(d))
+		scan.SetFloat("est_rows", st.Atom.Card)
+		if st.Op != cost.OpScan {
+			ops.Child(st.Op).SetFloat("est_rows", st.Out.Card)
+		}
 	}
 }

@@ -57,9 +57,10 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 // The Explain renderer's output over Example 1 is pinned by golden files
-// for the three plan shapes the paper compares: the plain UCQ (huge union,
+// for the three plan shapes the paper compares — the plain UCQ (huge union,
 // elided), the SCQ (singleton cover), and the cost-chosen JUCQ plus the
-// paper's hand-picked cover.
+// paper's hand-picked cover — and for the two single-union shapes beside
+// them: the range reformulation and the plain query on G∞.
 func TestExplainGolden(t *testing.T) {
 	e, q := exampleOneEngine(t)
 	cases := []struct {
@@ -72,6 +73,8 @@ func TestExplainGolden(t *testing.T) {
 		{"explain_jucq_paper.golden", func() (*Plan, error) {
 			return e.PlanWithCover(q, lubm.ExampleOneCover())
 		}},
+		{"explain_range.golden", func() (*Plan, error) { return e.Plan(q, RefRange) }},
+		{"explain_sat.golden", func() (*Plan, error) { return e.Plan(q, Sat) }},
 	}
 	for _, c := range cases {
 		t.Run(c.golden, func(t *testing.T) {
@@ -123,8 +126,10 @@ func TestExplainMetadata(t *testing.T) {
 // carries the estimated cardinality next to the actual row count — and
 // EXPLAIN must describe that very execution: Plan and Answer for the same
 // query on the same version agree on strategy, cover, reformulation size and
-// estimate, and the plan's fragment nodes are the trace's. (Join order is not
-// compared: EXPLAIN orders by estimated, the executor by actual cardinality.)
+// estimate, and the plan's fragment nodes are the trace's. (The order of the
+// fragment joins is not compared: EXPLAIN ranks fragment results by estimated,
+// the executor by actual size. The order of a CQ's atoms is compared, by
+// TestPlanOrderIsTraceOrder.)
 func TestAnswerTraceEstimatesAndActuals(t *testing.T) {
 	cases := []struct {
 		s     Strategy

@@ -1,0 +1,207 @@
+package engine
+
+import (
+	"fmt"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/cost"
+	"repro/internal/lubm"
+	"repro/internal/query"
+	"repro/internal/trace"
+)
+
+// lubmWorkload is the engine of the EXPLAIN golden tests with the queries the
+// plan-rule tests run: LUBM Q1–Q14 and the paper's Example 1.
+func lubmWorkload(t *testing.T) (*Engine, []string, []query.CQ) {
+	t.Helper()
+	e, ex1 := exampleOneEngine(t)
+	parsed, err := lubm.ParseQueries(e.g.Dict(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	var qs []query.CQ
+	for _, p := range parsed {
+		names, qs = append(names, p.Name), append(qs, p.CQ)
+	}
+	return e, append(names, "Ex1"), append(qs, ex1)
+}
+
+// fmtEst prints a number of the cost model to twelve significant digits.
+// Not to the last bit: the join-size formula divides by its shared
+// variables' distinct counts in map order, so an estimate over a join on two
+// variables varies in its last bits from one call to the next.
+func fmtEst(f float64) string { return strconv.FormatFloat(f, 'g', 12, 64) }
+
+func formatEstimate(e cost.Estimate) string {
+	g := fmtEst
+	vars := make([]string, 0, len(e.V))
+	for v, n := range e.V {
+		vars = append(vars, v+"="+g(n))
+	}
+	sort.Strings(vars)
+	return fmt.Sprintf("cost=%s card=%s V{%s}", g(e.Cost), g(e.Card), strings.Join(vars, " "))
+}
+
+// TestEstimatesUnchanged pins what the plain strategies compute: every
+// estimate of Model.CQ (explicit and saturated statistics), UCQ, JUCQ and
+// JoinFragments on LUBM Q1–Q14 and Example 1, and the cover GCov picks from
+// them. estimates.golden was recorded before the join-order
+// rule moved behind cost.Pick and the three simulations became one.
+func TestEstimatesUnchanged(t *testing.T) {
+	e, names, qs := lubmWorkload(t)
+	ref, m, sat := e.Reformulator(), e.CostModel(), e.SatCostModel()
+	var sb strings.Builder
+	for i, q := range qs {
+		fmt.Fprintf(&sb, "%s CQ %s\n", names[i], formatEstimate(m.CQ(q)))
+		fmt.Fprintf(&sb, "%s CQ(sat) %s\n", names[i], formatEstimate(sat.CQ(q)))
+		if names[i] != "Ex1" { // Example 1's union has 189K members
+			fmt.Fprintf(&sb, "%s UCQ %s\n", names[i], formatEstimate(m.UCQ(ref.ReformulateCQ(q))))
+		}
+		res, err := core.GCov(ref, m, q, core.GCovOptions{MaxFragmentCQs: e.fragmentBound()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&sb, "%s GCov %s cost=%s explored=%d\n", names[i], res.Cover, fmtEst(res.Cost), len(res.Explored))
+		for _, cover := range []query.Cover{query.SingletonCover(len(q.Atoms)), res.Cover} {
+			j, err := ref.ReformulateJUCQ(q, cover, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frags := make([]cost.Estimate, len(j.Fragments))
+			for k, f := range j.Fragments {
+				frags[k] = m.UCQ(f.UCQ)
+			}
+			fmt.Fprintf(&sb, "%s JUCQ %s %s\n", names[i], cover, formatEstimate(m.JUCQ(j)))
+			fmt.Fprintf(&sb, "%s JoinFragments %s %s\n", names[i], cover, formatEstimate(m.JoinFragments(frags, nil)))
+		}
+	}
+	checkGolden(t, "estimates.golden", sb.String())
+}
+
+// planOp is one operator of a conjunctive plan: its name, for the operators
+// that read an atom the atom, and for a traced join the actual size of the
+// running result it joined into.
+type planOp struct {
+	op, atom string
+	left     float64
+}
+
+func (o planOp) String() string { return o.op + " " + o.atom }
+
+// cqOps lists, per "cq" node of a plan or trace tree, the node's plan
+// operators in order.
+func cqOps(n *trace.SpanJSON) [][]planOp {
+	var out [][]planOp
+	if n.Name == "cq" {
+		var ops []planOp
+		for _, c := range n.Children {
+			switch c.Name {
+			case cost.OpScan, cost.OpINLJ, cost.OpHashJoin, cost.OpCross:
+				atom, _ := c.Attrs["atom"].(string)
+				left, _ := c.Attrs["left_rows"].(int64)
+				ops = append(ops, planOp{c.Name, atom, float64(left)})
+			}
+		}
+		return append(out, ops)
+	}
+	for _, c := range n.Children {
+		out = append(out, cqOps(c)...)
+	}
+	return out
+}
+
+// opStrings renders the operators; atomsOnly keeps the atoms alone.
+func opStrings(ops []planOp, atomsOnly bool) []string {
+	var out []string
+	for _, o := range ops {
+		switch {
+		case !atomsOnly:
+			out = append(out, o.String())
+		case o.atom != "":
+			out = append(out, o.atom)
+		}
+	}
+	return out
+}
+
+// TestPlanOrderIsTraceOrder: the plan EXPLAIN prints is the plan the
+// executor runs. For LUBM Q1–Q14 and Example 1 under sat, and under
+// ref-range wherever the reformulation is a single range CQ, the atoms of
+// Plan().Tree() come in the order of the traced answer's — always: both
+// sides order by cost.Pick over the same cardinalities — and the operators
+// are the same too whenever the estimated and the actual size of the
+// running result fall on the same side of cost.PreferINLJ at every join.
+func TestPlanOrderIsTraceOrder(t *testing.T) {
+	e, names, qs := lubmWorkload(t)
+	compared := 0
+	for i, q := range qs {
+		for _, s := range []Strategy{Sat, RefRange} {
+			name := names[i] + "/" + string(s)
+			model, member := e.SatCostModel(), q.Lift()
+			if s == RefRange {
+				ru := e.RangeReformulator().Reformulate(q)
+				if len(ru.CQs) != 1 {
+					continue
+				}
+				model, member = e.CostModel(), ru.CQs[0]
+			}
+			plan, err := e.Plan(q, s)
+			if err != nil {
+				t.Fatalf("%s: plan: %v", name, err)
+			}
+			e.Tracer = trace.New(0)
+			if _, err := e.Answer(q, s); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			planned, traced := cqOps(plan.Tree()), cqOps(trace.ToJSON(e.Tracer.Root()))
+			e.Tracer = nil
+			if len(planned) != 1 || len(traced) != 1 {
+				t.Fatalf("%s: %d planned and %d traced cq nodes, want one each", name, len(planned), len(traced))
+			}
+			if got, want := opStrings(planned[0], true), opStrings(traced[0], true); !slices.Equal(got, want) {
+				t.Fatalf("%s: EXPLAIN orders the atoms\n  %q\nthe executor\n  %q", name, got, want)
+			}
+			if !sameSide(model, member, traced[0]) {
+				continue
+			}
+			compared++
+			if got, want := opStrings(planned[0], false), opStrings(traced[0], false); !slices.Equal(got, want) {
+				t.Errorf("%s: EXPLAIN plans\n  %q\nthe executor ran\n  %q", name, got, want)
+			}
+		}
+	}
+	if compared < len(qs) {
+		t.Errorf("operators compared on %d plans only, of %d queries under two strategies", compared, len(qs))
+	}
+}
+
+// sameSide reports whether, at every join of the member's plan, the
+// estimated size of the running result (the model's) and the actual one
+// (the traced join's left_rows) lead cost.PreferINLJ to the same decision.
+// The joins of plan and trace pair up in order: their atoms are in the same
+// order.
+func sameSide(m *cost.Model, member query.RangeCQ, traced []planOp) bool {
+	var actual []float64
+	for _, o := range traced {
+		if o.op != cost.OpScan {
+			actual = append(actual, o.left)
+		}
+	}
+	same, est, join := true, 0.0, 0
+	m.RangeCQ(member, func(st cost.PlanStep) {
+		if st.Op != cost.OpScan {
+			if st.Op != cost.OpCross {
+				same = same && cost.PreferINLJ(est, st.Atom.Card) == cost.PreferINLJ(actual[join], st.Atom.Card)
+			}
+			join++
+		}
+		est = st.Out.Card
+	})
+	return same
+}

@@ -87,7 +87,7 @@ func (e *Engine) prepare(q query.CQ, s Strategy, cover query.Cover, sp *trace.Sp
 		// G∞ is shared across queries and reported by SaturationTime: a Sat
 		// query has no preparation of its own, so took stays zero.
 		p.src, p.stats, p.model = e.SatStore(), e.SatStats(), e.SatCostModel()
-		p.est, _ = p.model.CQPlan(q)
+		p.est = p.model.CQ(q)
 		return p, nil
 	case RefUCQ:
 		e.prepareStream(&p, e.Reformulator(), sp)
@@ -125,8 +125,7 @@ func (e *Engine) prepareStream(p *prepared, r *core.Reformulator, sp *trace.Span
 	p.cqs, _ = r.CombinationCount(p.q)
 	rsp.SetInt("cqs", int64(p.cqs))
 	e.onExplicitData(p)
-	one, _ := p.model.CQPlan(p.q)
-	p.proxy = one.Cost * float64(p.cqs)
+	p.proxy = p.model.CQ(p.q).Cost * float64(p.cqs)
 }
 
 // prepareCover: the JUCQ a cover induces, each fragment reformulated into

@@ -219,21 +219,21 @@ func (e *Evaluator) checkRows(n int) error {
 func (e *Evaluator) EvalCQContext(ctx context.Context, headNames []string, q query.CQ) (*Relation, error) {
 	g := e.newGuard(ctx)
 	defer g.flush(e.Metrics)
-	return e.evalCQ(headNames, liftCQ(q), nil, g, e.Span)
+	return e.evalCQ(headNames, q.Lift(), nil, g, e.Span)
 }
 
 // evalCQ evaluates one CQ in the evaluator's atom form: join the body,
 // apply the atoms' expansions, project the head. m is the enclosing union's
 // memo (nil outside a serial member loop).
 func (e *Evaluator) evalCQ(headNames []string, q query.RangeCQ, m *memo, g guard, sp *trace.Span) (*Relation, error) {
-	if sh := e.scatterSource(); sh != nil && coPartitioned(q) {
+	if sh := e.scatterSource(); sh != nil && CoPartitioned(q) {
 		return e.evalCQScatter(sh, headNames, q, g, sp)
 	}
 	var csp *trace.Span
 	if sp != nil {
 		csp = sp.Child("cq")
 		defer csp.End()
-		csp.SetStr("q", formatCQ(e.st.Dict(), q))
+		csp.SetStr("q", q.Format(e.st.Dict()))
 	}
 	body, err := e.evalBody(q.Atoms, m, g, csp)
 	if err != nil {
@@ -290,30 +290,22 @@ func estCard(ests []cost.Estimate, i int) float64 {
 // range union never needs statistics built.
 func (e *Evaluator) atomCard(a query.RangeAtom) float64 {
 	switch {
-	case ranged(a):
-		return float64(e.st.CountRange(rangePattern(a)))
+	case a.Ranged():
+		return float64(e.st.CountRange(a.RangePattern()))
 	case e.stats != nil:
-		return e.stats.PatternCard(plainAtom(a).Pattern())
+		return e.stats.PatternCard(a.Plain().Pattern())
 	}
-	return float64(e.st.Count(plainAtom(a).Pattern()))
-}
-
-// atomEstimate is the cost model's estimate of one atom scan.
-func (e *Evaluator) atomEstimate(a query.RangeAtom) cost.Estimate {
-	if ranged(a) {
-		return e.Cost.RangeAtom(a)
-	}
-	return e.Cost.Atom(plainAtom(a))
+	return float64(e.st.Count(a.Plain().Pattern()))
 }
 
 // evalBody evaluates the join of all atoms and returns a relation over all
-// body variables. The order is greedy: start from the smallest atom, then
-// take atoms sharing a variable with the running result first, smaller
-// first (cost.Model simulates the same order, so EXPLAIN predicts it). Each
-// connected atom is either probed per row of the running result or
-// materialized and joined (preferINLJ). Inside a union, scans and the
-// intermediates of proper body prefixes go through the union's memo; the
-// whole body never does — a union's members are distinct.
+// body variables, by the greedy plan of package cost: cost.Pick orders the
+// atoms (smallest first, then connected ones first, smaller first) and
+// cost.PreferINLJ decides whether a connected atom is probed per row of the
+// running result or materialized and joined — the calls the cost model
+// makes to price this plan and EXPLAIN to print it. Inside a union, scans
+// and the intermediates of proper body prefixes go through the union's
+// memo; the whole body never does — a union's members are distinct.
 func (e *Evaluator) evalBody(atoms []query.RangeAtom, m *memo, g guard, sp *trace.Span) (*Relation, error) {
 	if len(atoms) == 0 {
 		return nil, errors.New("exec: empty BGP")
@@ -326,6 +318,7 @@ func (e *Evaluator) evalBody(atoms []query.RangeAtom, m *memo, g guard, sp *trac
 		card = append(card, e.atomCard(a))
 		remaining = append(remaining, i)
 	}
+	cardOf := func(i int) float64 { return card[i] }
 	// When tracing, carry the cost model's running estimate beside the
 	// actual result so every operator span records est next to actual.
 	var (
@@ -335,16 +328,10 @@ func (e *Evaluator) evalBody(atoms []query.RangeAtom, m *memo, g guard, sp *trac
 	if e.tracing(sp) {
 		ests = make([]cost.Estimate, len(atoms))
 		for i, a := range atoms {
-			ests[i] = e.atomEstimate(a)
+			ests[i] = e.Cost.RangeAtom(a)
 		}
 	}
-	// Start from the most selective atom.
-	start := 0
-	for i := range remaining {
-		if card[i] < card[start] {
-			start = i
-		}
-	}
+	start, _ := cost.Pick(remaining, cardOf, nil)
 	first := remaining[start]
 	remaining = append(remaining[:start], remaining[start+1:]...)
 	cur, err := e.scanAtom(atoms[first], m, g, sp, estCard(ests, first))
@@ -355,22 +342,12 @@ func (e *Evaluator) evalBody(atoms []query.RangeAtom, m *memo, g guard, sp *trac
 	if ests != nil {
 		run = ests[first]
 	}
+	connected := func(i int) bool { return atomSharesVar(atoms[i], cur.Vars) }
 	for len(remaining) > 0 {
 		if err := g.err(); err != nil {
 			return nil, err
 		}
-		// Pick the next atom: prefer ones sharing a variable with the
-		// current result, then lowest cardinality.
-		best, bestConnected := -1, false
-		for i, ai := range remaining {
-			connected := atomSharesVar(atoms[ai], cur.Vars)
-			switch {
-			case best == -1,
-				connected && !bestConnected,
-				connected == bestConnected && card[ai] < card[remaining[best]]:
-				best, bestConnected = i, connected
-			}
-		}
+		best, isConnected := cost.Pick(remaining, cardOf, connected)
 		ai := remaining[best]
 		remaining = append(remaining[:best], remaining[best+1:]...)
 		atom := atoms[ai]
@@ -386,7 +363,7 @@ func (e *Evaluator) evalBody(atoms []query.RangeAtom, m *memo, g guard, sp *trac
 				continue
 			}
 		}
-		if bestConnected && e.preferINLJ(cur.Len(), card[ai]) {
+		if isConnected && !e.ForceHashJoins && cost.PreferINLJ(float64(cur.Len()), card[ai]) {
 			cur, err = e.indexJoin(cur, atom, g, sp, estOut)
 		} else {
 			var right *Relation
@@ -406,15 +383,6 @@ func (e *Evaluator) evalBody(atoms []query.RangeAtom, m *memo, g guard, sp *trac
 	return cur, nil
 }
 
-// preferINLJ decides index-nested-loop vs. materialize-and-hash: probing
-// costs ~|cur|·log N per lookup; hashing costs the atom's full extent.
-func (e *Evaluator) preferINLJ(curRows int, extent float64) bool {
-	if e.ForceHashJoins {
-		return false
-	}
-	return float64(curRows)*8 < extent || curRows <= 64
-}
-
 // scanAtom materializes one atom into a relation over its distinct
 // variables (plain and capture), enforcing repeated-variable equality — a
 // ranged atom through the range scan primitive, any other through the plain
@@ -431,13 +399,13 @@ func (e *Evaluator) scanAtom(a query.RangeAtom, m *memo, g guard, sp *trace.Span
 	for p := 1; p < 3; p++ {
 		repeat[p] = col[p] != -1 && (col[p] == col[0] || (p == 2 && col[p] == col[1]))
 	}
-	isRanged := ranged(a)
+	isRanged := a.Ranged()
 	var pat storage.Pattern
 	var rpat storage.RangePattern
 	if isRanged {
-		rpat = rangePattern(a)
+		rpat = a.RangePattern()
 	} else {
-		pat = plainAtom(a).Pattern()
+		pat = a.Plain().Pattern()
 	}
 	scan := func(src Source, rel *Relation) error {
 		row := make([]dict.ID, len(vars))
@@ -484,9 +452,9 @@ func (e *Evaluator) scanAtom(a query.RangeAtom, m *memo, g guard, sp *trace.Span
 	} else {
 		var ssp *trace.Span
 		if sp != nil {
-			ssp = sp.Child("scan")
+			ssp = sp.Child(cost.OpScan)
 			defer ssp.End()
-			ssp.SetStr("atom", formatAtom(e.st.Dict(), a))
+			ssp.SetStr("atom", a.Format(e.st.Dict()))
 			if est >= 0 {
 				ssp.SetFloat("est_rows", est)
 			}
@@ -514,9 +482,9 @@ func (e *Evaluator) scanAtom(a query.RangeAtom, m *memo, g guard, sp *trace.Span
 func (e *Evaluator) indexJoin(cur *Relation, a query.RangeAtom, g guard, sp *trace.Span, est float64) (*Relation, error) {
 	var jsp *trace.Span
 	if sp != nil {
-		jsp = sp.Child("inlj")
+		jsp = sp.Child(cost.OpINLJ)
 		defer jsp.End()
-		jsp.SetStr("atom", formatAtom(e.st.Dict(), a))
+		jsp.SetStr("atom", a.Format(e.st.Dict()))
 		jsp.SetInt("left_rows", int64(cur.Len()))
 		if est >= 0 {
 			jsp.SetFloat("est_rows", est)
@@ -592,11 +560,11 @@ func (e *Evaluator) indexJoin(cur *Relation, a query.RangeAtom, g guard, sp *tra
 		}
 		return true
 	}
-	isRanged := ranged(a)
+	isRanged := a.Ranged()
 	var base [3][]storage.IDRange
 	var exact [3][1]storage.IDRange // backing for the narrowed positions: no allocation per probe
 	if isRanged {
-		rpat := rangePattern(a)
+		rpat := a.RangePattern()
 		base = [3][]storage.IDRange{rpat.S, rpat.P, rpat.O}
 	}
 	for i := 0; i < cur.Len(); i++ {
@@ -654,9 +622,9 @@ func (e *Evaluator) hashJoin(l, r *Relation, g guard, sp *trace.Span, est float6
 	shared := sharedVars(l.Vars, r.Vars)
 	var jsp *trace.Span
 	if sp != nil {
-		name := "hashjoin"
+		name := cost.OpHashJoin
 		if len(shared) == 0 {
-			name = "cross"
+			name = cost.OpCross
 		}
 		jsp = sp.Child(name)
 		defer jsp.End()
@@ -867,7 +835,7 @@ func (e *Evaluator) evalUnion(headNames []string, cqs []query.RangeCQ, g guard, 
 		usp.SetInt("cqs", int64(len(cqs)))
 	}
 	if sh := e.scatterSource(); sh != nil {
-		if co, rest := splitCoPartitioned(cqs); len(co) >= 2 {
+		if co, rest := SplitCoPartitioned(cqs); co != nil {
 			return e.evalUnionScatter(sh, headNames, co, rest, g, usp)
 		}
 	}
@@ -901,7 +869,7 @@ func (e *Evaluator) EvalUCQStreamContext(ctx context.Context, headNames []string
 			evalErr = fmt.Errorf("%w (after %d CQs)", err, u.done)
 			return false
 		}
-		atoms = liftAtoms(atoms[:0], cq.Atoms)
+		atoms = query.LiftAtoms(atoms[:0], cq.Atoms)
 		evalErr = u.add(query.RangeCQ{Head: cq.Head, Atoms: atoms}, usp)
 		return evalErr == nil
 	})
@@ -1127,40 +1095,34 @@ func (e *Evaluator) EvalJUCQContext(ctx context.Context, j query.JUCQ) (*Relatio
 			}
 		}
 	}
+	// The fragment results join by the same greedy order, from the first
+	// fragment; they are materialized, so every join is a materialized one.
 	cur := rels[0]
 	var runEst cost.Estimate
 	if fragEsts != nil {
 		runEst = fragEsts[0]
 	}
-	remaining := append([]*Relation(nil), rels[1:]...)
-	remainingIdx := make([]int, 0, len(rels)-1)
+	var remBuf [8]int
+	remaining := remBuf[:0]
 	//reflint:noguard index bookkeeping, bounded by fragment count
 	for i := 1; i < len(rels); i++ {
-		remainingIdx = append(remainingIdx, i)
+		remaining = append(remaining, i)
 	}
+	rows := func(i int) float64 { return float64(rels[i].Len()) }
+	connected := func(i int) bool { return len(sharedVars(cur.Vars, rels[i].Vars)) > 0 }
 	for len(remaining) > 0 {
 		if err := g.err(); err != nil {
 			return nil, err
 		}
-		best, bestConnected := -1, false
-		for i, r := range remaining {
-			connected := len(sharedVars(cur.Vars, r.Vars)) > 0
-			if best == -1 ||
-				(connected && !bestConnected) ||
-				(connected == bestConnected && r.Len() < remaining[best].Len()) {
-				best, bestConnected = i, connected
-			}
-		}
-		next := remaining[best]
-		fi := remainingIdx[best]
+		best, _ := cost.Pick(remaining, rows, connected)
+		fi := remaining[best]
 		remaining = append(remaining[:best], remaining[best+1:]...)
-		remainingIdx = append(remainingIdx[:best], remainingIdx[best+1:]...)
 		estOut := -1.0
 		if fragEsts != nil {
 			runEst = cost.Join(runEst, fragEsts[fi])
 			estOut = runEst.Card
 		}
-		joined, err := e.materializedJoin(cur, next, g, sp, estOut)
+		joined, err := e.materializedJoin(cur, rels[fi], g, sp, estOut)
 		if err != nil {
 			return nil, err
 		}
@@ -1222,7 +1184,7 @@ func atomSharesVar(a query.RangeAtom, vars []string) bool {
 func appendRelation(dst, src *Relation, check func() error) error {
 	if dst.width == 0 {
 		if src.rows > 0 {
-			dst.AppendEmpty()
+			dst.Append(nil)
 		}
 		return nil
 	}

@@ -580,3 +580,27 @@ func TestEvalJUCQParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("parallel JUCQ %d rows != serial %d rows", got.Len(), want.Len())
 	}
 }
+
+// Planning a body allocates nothing: the cardinalities, the remaining-atom
+// list and the closures cost.Pick calls live on evalBody's stack, so a
+// one-atom body costs exactly its scan. A reformulation's union runs
+// evalBody once per member, hundreds of times per query.
+func TestPlanningStaysOnStack(t *testing.T) {
+	st, ss := tinyStore([][3]dict.ID{{1, 10, 2}, {3, 10, 4}, {5, 11, 6}})
+	e := New(st, ss)
+	atoms := query.LiftAtoms(nil, []query.Atom{{S: v("x"), P: c(10), O: v("y")}})
+	g := e.newGuard(context.Background())
+	scan := testing.AllocsPerRun(100, func() {
+		if _, err := e.scanAtom(atoms[0], nil, g, nil, -1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	body := testing.AllocsPerRun(100, func() {
+		if _, err := e.evalBody(atoms, nil, g, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if body != scan {
+		t.Fatalf("a one-atom body allocates %v per run, its scan %v", body, scan)
+	}
+}

@@ -67,7 +67,7 @@ func TestProbedTriplesCountAsScanned(t *testing.T) {
 		{S: v("x"), P: c(10), O: v("y")},
 		{S: v("y"), P: c(11), O: v("z")},
 	}}
-	widened := liftCQ(plain)
+	widened := plain.Lift()
 	widened.Atoms[1].P = query.RangeArg{Ranges: []storage.IDRange{storage.Exact(11)}}
 	for name, eval := range map[string]func(*Evaluator) (*Relation, error){
 		"plain": func(e *Evaluator) (*Relation, error) { return e.cq([]string{"x", "z"}, plain) },

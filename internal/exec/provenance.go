@@ -25,7 +25,7 @@ func (e *Evaluator) EvalUCQWithProvenanceContext(ctx context.Context, u query.UC
 		if err := g.err(); err != nil {
 			return nil, nil, fmt.Errorf("%w (after %d/%d CQs)", err, ci, len(u.CQs))
 		}
-		r, err := e.evalCQ(u.HeadNames, liftCQ(cq), nil, g, nil)
+		r, err := e.evalCQ(u.HeadNames, cq.Lift(), nil, g, nil)
 		if err != nil {
 			return nil, nil, err
 		}

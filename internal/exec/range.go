@@ -4,33 +4,17 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/dict"
 	"repro/internal/query"
-	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
 // The evaluator has one atom form, query.RangeAtom: a plain atom is a range
-// atom with no Ranges and no Expand, and every operator takes it as such.
-// This file holds the lift from the plain forms and what an atom needs only
-// when it *has* a range or an expansion — the range pattern its scan and
-// probes run, and the post-join hierarchy expansion — plus the memo a union
-// shares between its members.
-
-// liftAtoms appends the range form of the plain atoms to dst.
-func liftAtoms(dst []query.RangeAtom, atoms []query.Atom) []query.RangeAtom {
-	for _, a := range atoms {
-		dst = append(dst, query.RangeAtom{S: query.PlainArg(a.S), P: query.PlainArg(a.P), O: query.PlainArg(a.O)})
-	}
-	return dst
-}
-
-// liftCQ returns the range form of a plain CQ.
-func liftCQ(q query.CQ) query.RangeCQ {
-	return query.RangeCQ{Head: q.Head, Atoms: liftAtoms(make([]query.RangeAtom, 0, len(q.Atoms)), q.Atoms)}
-}
+// atom with no Ranges and no Expand (query.LiftAtoms, CQ.Lift), and every
+// operator takes it as such. This file holds the lift of a whole union and
+// what an atom needs only when it *has* an expansion — the post-join
+// hierarchy expansion — plus the memo a union shares between its members.
 
 // liftUCQ returns the range form of a plain union's members. The atoms of
 // all members share one backing array, so a union costs two allocations
@@ -50,38 +34,10 @@ func liftUCQ(cqs []query.CQ, check func() error) ([]query.RangeCQ, error) {
 			}
 		}
 		start := len(slab)
-		slab = liftAtoms(slab, cq.Atoms)
+		slab = query.LiftAtoms(slab, cq.Atoms)
 		out[i] = query.RangeCQ{Head: cq.Head, Atoms: slab[start:len(slab):len(slab)]}
 	}
 	return out, nil
-}
-
-// ranged reports whether any position of the atom is range-constrained:
-// such an atom scans and probes with a storage.RangePattern, any other with
-// the plain storage.Pattern.
-func ranged(a query.RangeAtom) bool {
-	return a.S.Ranges != nil || a.P.Ranges != nil || a.O.Ranges != nil
-}
-
-// plainAtom is the plain form of an atom that is not ranged.
-func plainAtom(a query.RangeAtom) query.Atom {
-	return query.Atom{S: a.S.Arg, P: a.P.Arg, O: a.O.Arg}
-}
-
-// rangePattern is the range pattern a ranged atom's scan runs: range
-// positions keep their ranges, constants become exact ranges, variables are
-// wildcards.
-func rangePattern(a query.RangeAtom) storage.RangePattern {
-	conv := func(ra query.RangeArg) []storage.IDRange {
-		switch {
-		case ra.Ranges != nil:
-			return ra.Ranges
-		case !ra.Arg.IsVar():
-			return []storage.IDRange{storage.Exact(ra.Arg.ID)}
-		}
-		return nil
-	}
-	return storage.RangePattern{S: conv(a.S), P: conv(a.P), O: conv(a.O)}
 }
 
 // atomVars returns the atom's distinct variables (plain and capture) in
@@ -104,28 +60,6 @@ func atomVars(a query.RangeAtom) (vars []string, col [3]int) {
 		}
 	}
 	return vars, col
-}
-
-// formatAtom renders an atom for operator spans: a plain atom with its
-// terms decoded, an atom with a range or an expansion in the range notation.
-func formatAtom(d *dict.Dict, a query.RangeAtom) string {
-	if ranged(a) || a.Expand != nil {
-		return query.FormatRangeAtom(a)
-	}
-	return query.FormatAtom(d, plainAtom(a))
-}
-
-// formatCQ renders a member for its "cq" span in the paper's notation.
-func formatCQ(d *dict.Dict, q query.RangeCQ) string {
-	head := make([]string, len(q.Head))
-	for i, h := range q.Head {
-		head[i] = query.FormatArg(d, h)
-	}
-	atoms := make([]string, len(q.Atoms))
-	for i, a := range q.Atoms {
-		atoms[i] = formatAtom(d, a)
-	}
-	return "q(" + strings.Join(head, ", ") + ") :- " + strings.Join(atoms, ", ")
 }
 
 // memo shares work between the members of one union. The members of a

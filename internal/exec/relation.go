@@ -50,14 +50,6 @@ func (r *Relation) Append(row []dict.ID) {
 	r.rows++
 }
 
-// AppendEmpty adds one zero-width row (for boolean results).
-func (r *Relation) AppendEmpty() {
-	if r.width != 0 {
-		panic("exec: AppendEmpty on non-empty-width relation")
-	}
-	r.rows++
-}
-
 // ColumnIndex returns the index of the named column, or -1.
 func (r *Relation) ColumnIndex(name string) int {
 	for i, v := range r.Vars {

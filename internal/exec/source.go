@@ -173,7 +173,7 @@ func (e *Evaluator) gather(parts []*Relation, vars []string, g guard) (*Relation
 	return out, nil
 }
 
-// coPartitioned reports whether every atom's subject is one shared,
+// CoPartitioned reports whether every atom's subject is one shared,
 // range-free variable — the co-partitioned shape: any embedding maps that
 // variable to a single subject, so all of its matched triples live on one
 // shard and the CQ decomposes into independent shard-local evaluations
@@ -182,8 +182,9 @@ func (e *Evaluator) gather(parts []*Relation, vars []string, g guard) (*Relation
 // bodies keep central joins over scattered scans. (A subject interval
 // constrains which subjects match but not where they live, so it would
 // still be shard-safe — kept out for symmetry with the scan router, which
-// only recognizes unconstrained subjects as scatter-safe.)
-func coPartitioned(q query.RangeCQ) bool {
+// only recognizes unconstrained subjects as scatter-safe.) Exported, like
+// SplitCoPartitioned, so EXPLAIN shows the scatter shape the executor uses.
+func CoPartitioned(q query.RangeCQ) bool {
 	if len(q.Atoms) == 0 {
 		return false
 	}
@@ -195,19 +196,6 @@ func coPartitioned(q query.RangeCQ) bool {
 	return true
 }
 
-// CoPartitionedCQ reports whether a sharded evaluation would run q — a
-// plain or a range CQ — entirely shard-locally; exported so EXPLAIN can
-// show the same scatter shape the executor uses.
-func CoPartitionedCQ[Q query.CQ | query.RangeCQ](q Q) bool {
-	switch q := any(q).(type) {
-	case query.CQ:
-		return coPartitioned(liftCQ(q))
-	case query.RangeCQ:
-		return coPartitioned(q)
-	}
-	return false
-}
-
 // evalCQScatter evaluates a co-partitioned CQ shard-locally: each shard
 // runs the full body plan (ordered by its own statistics), projects the
 // head, and the per-shard answers merge under one distinct pass — the
@@ -216,7 +204,7 @@ func (e *Evaluator) evalCQScatter(sh ShardedSource, headNames []string, q query.
 	ssp := newScatterSpan(sp, "cq", sh.NumShards())
 	if ssp != nil {
 		defer ssp.End()
-		ssp.SetStr("q", formatCQ(e.st.Dict(), q))
+		ssp.SetStr("q", q.Format(e.st.Dict()))
 	}
 	if e.Metrics != nil {
 		e.Metrics.Counter("shard.local_cqs").Inc()
@@ -241,22 +229,27 @@ func (e *Evaluator) evalCQScatter(sh ShardedSource, headNames []string, q query.
 	return out, nil
 }
 
-// splitCoPartitioned partitions a union's members into the co-partitioned
-// group (evaluable shard-locally) and the rest. Members are independent —
-// a union is just a distinct concatenation — so the co-partitioned group
-// can evaluate in ONE scatter, each shard running the whole group
-// serially, paying the scatter/gather overhead once per union instead of
-// once per member. JUCQ fragment materialization is the shape that earns
-// this: hundreds of tiny single-subject-variable members per fragment,
-// interleaved with range-rule rewritings whose fresh subject variables
-// break co-partitioning (those stay on the parent path).
-func splitCoPartitioned(cqs []query.RangeCQ) (co, rest []query.RangeCQ) {
+// SplitCoPartitioned partitions a union's members into the co-partitioned
+// group a sharded evaluation runs shard-locally and the rest. Members are
+// independent — a union is just a distinct concatenation — so the
+// co-partitioned group can evaluate in ONE scatter, each shard running the
+// whole group serially, paying the scatter/gather overhead once per union
+// instead of once per member. JUCQ fragment materialization is the shape
+// that earns this: hundreds of tiny single-subject-variable members per
+// fragment, interleaved with range-rule rewritings whose fresh subject
+// variables break co-partitioning (those stay on the parent path). The
+// group takes at least two members: a lone co-partitioned member stays in
+// rest, where evalCQ scatters it on its own.
+func SplitCoPartitioned(cqs []query.RangeCQ) (co, rest []query.RangeCQ) {
 	for _, cq := range cqs {
-		if coPartitioned(cq) {
+		if CoPartitioned(cq) {
 			co = append(co, cq)
 		} else {
 			rest = append(rest, cq)
 		}
+	}
+	if len(co) < 2 {
+		return nil, cqs
 	}
 	return co, rest
 }
@@ -304,7 +297,7 @@ func (e *Evaluator) scatterScan(sh ShardedSource, a query.RangeAtom, vars []stri
 	ssp := newScatterSpan(sp, "scan", sh.NumShards())
 	if ssp != nil {
 		defer ssp.End()
-		ssp.SetStr("atom", formatAtom(e.st.Dict(), a))
+		ssp.SetStr("atom", a.Format(e.st.Dict()))
 		if est >= 0 {
 			ssp.SetFloat("est_rows", est)
 		}

@@ -575,12 +575,33 @@ func (s *Server) parseRequest(r *http.Request) (QueryRequest, error) {
 	return req, nil
 }
 
-func (s *Server) parseCQ(text string) (query.CQ, error) {
-	upper := strings.ToUpper(strings.TrimSpace(text))
-	if strings.HasPrefix(upper, "SELECT") || strings.HasPrefix(upper, "PREFIX") {
-		return query.ParseSPARQL(s.g.Dict(), text)
+// parseQuery parses a request's query text into the union it denotes — the
+// paper's rule notation, or SPARQL when the text starts with SELECT or
+// PREFIX; a single BGP is a union of one. Whether a SPARQL query is a union
+// is what its parse says, never what its text contains: an IRI or a literal
+// may well spell UNION.
+func (s *Server) parseQuery(text string) (query.UCQ, error) {
+	head := strings.TrimSpace(text)
+	if len(head) >= 6 && (strings.EqualFold(head[:6], "SELECT") || strings.EqualFold(head[:6], "PREFIX")) {
+		return query.ParseSPARQLUnion(s.g.Dict(), text)
 	}
-	return query.ParseRuleWithPrefixes(s.g.Dict(), s.prefixes, text)
+	q, err := query.ParseRuleWithPrefixes(s.g.Dict(), s.prefixes, text)
+	if err != nil {
+		return query.UCQ{}, err
+	}
+	return query.UCQ{HeadNames: query.HeadVarNames(q), CQs: []query.CQ{q}}, nil
+}
+
+// parseCQ is parseQuery for the routes that take a single BGP.
+func (s *Server) parseCQ(text string) (query.CQ, error) {
+	u, err := s.parseQuery(text)
+	if err != nil {
+		return query.CQ{}, err
+	}
+	if len(u.CQs) != 1 {
+		return query.CQ{}, fmt.Errorf("a single-BGP query is required, got a union of %d", len(u.CQs))
+	}
+	return u.CQs[0], nil
 }
 
 // serveQuery answers /query and /v1/query; v selects the response
@@ -630,36 +651,15 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, v apiVersion
 	parseStart := time.Now()
 	psp := root.Child("parse")
 	defer psp.End()
-	upper := strings.ToUpper(req.Query)
-	isUnion := (strings.HasPrefix(strings.TrimSpace(upper), "SELECT") || strings.HasPrefix(strings.TrimSpace(upper), "PREFIX")) &&
-		strings.Contains(upper, "UNION")
-	if isUnion {
-		u, uerr := query.ParseSPARQLUnion(s.g.Dict(), req.Query)
-		psp.End()
-		parseMillis = millisSince(parseStart)
-		if uerr != nil {
-			s.writeError(w, v, http.StatusBadRequest, CodeParseError, uerr.Error())
-			return
-		}
-		if req.Explain == ExplainPlan {
-			s.writeError(w, v, http.StatusBadRequest, CodeInvalidRequest,
-				"explain (without analyze) supports single-BGP queries only")
-			return
-		}
-		keys := make([]string, len(u.CQs))
-		for i, cq := range u.CQs {
-			keys[i] = cq.CanonicalKey()
-		}
-		sig = journal.QuerySig(keys...)
-		ans, err = eng.AnswerUnionContext(ctx, u, strategy)
-	} else {
-		q, perr := s.parseCQ(req.Query)
-		psp.End()
-		parseMillis = millisSince(parseStart)
-		if perr != nil {
-			s.writeError(w, v, http.StatusBadRequest, CodeParseError, perr.Error())
-			return
-		}
+	u, perr := s.parseQuery(req.Query)
+	psp.End()
+	parseMillis = millisSince(parseStart)
+	if perr != nil {
+		s.writeError(w, v, http.StatusBadRequest, CodeParseError, perr.Error())
+		return
+	}
+	if len(u.CQs) == 1 {
+		q := u.CQs[0]
 		if req.Explain == ExplainPlan {
 			s.serveExplainPlan(w, &eng, req, q, strategy, id, parseMillis, start, v)
 			return
@@ -674,6 +674,18 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, v apiVersion
 		} else {
 			ans, err = eng.AnswerContext(ctx, q, strategy)
 		}
+	} else {
+		if req.Explain == ExplainPlan {
+			s.writeError(w, v, http.StatusBadRequest, CodeInvalidRequest,
+				"explain (without analyze) supports single-BGP queries only")
+			return
+		}
+		keys := make([]string, len(u.CQs))
+		for i, cq := range u.CQs {
+			keys[i] = cq.CanonicalKey()
+		}
+		sig = journal.QuerySig(keys...)
+		ans, err = eng.AnswerUnionContext(ctx, u, strategy)
 	}
 	root.End()
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -369,5 +370,44 @@ SELECT ?x WHERE { { ?x a ex:Person } UNION { ?x a ex:Publication } }`,
 	}, &er)
 	if code != http.StatusBadRequest {
 		t.Fatalf("unsafe union status %d", code)
+	}
+}
+
+// A query is a union when it parses as one, not when its text contains the
+// word: a single BGP naming <http://example.org/CreditUnion> or the literal
+// "European Union" takes the single-BGP path — EXPLAIN explains it, ref-jucq
+// takes its cover — and answers as the same query about another constant.
+func TestQueryMentioningUnionIsNotAUnion(t *testing.T) {
+	g, err := graph.ParseString(bookGraph + `
+ex:acct1 ex:heldAt ex:CreditUnion .
+ex:acct1 ex:heldAt ex:CreditCoop .
+ex:acct1 ex:region "European Union" .
+ex:acct1 ex:region "Europe" .
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(g, map[string]string{"ex": "http://example.org/"}))
+	t.Cleanup(ts.Close)
+	for _, c := range []struct{ with, without string }{
+		{`SELECT ?x WHERE { ?x <http://example.org/heldAt> <http://example.org/CreditUnion> }`,
+			`SELECT ?x WHERE { ?x <http://example.org/heldAt> <http://example.org/CreditCoop> }`},
+		{`PREFIX ex: <http://example.org/> SELECT ?x WHERE { ?x ex:region "European Union" }`,
+			`PREFIX ex: <http://example.org/> SELECT ?x WHERE { ?x ex:region "Europe" }`},
+	} {
+		var plan QueryResponse
+		if code := postJSON(t, ts.URL+"/v1/query", QueryRequest{Query: c.with, Explain: ExplainPlan}, &plan); code != http.StatusOK {
+			t.Fatalf("explain=plan of %s: status %d", c.with, code)
+		}
+		var got, want QueryResponse
+		for q, resp := range map[string]*QueryResponse{c.with: &got, c.without: &want} {
+			req := QueryRequest{Query: q, Strategy: "ref-jucq", Cover: [][]int{{0}}}
+			if code := postJSON(t, ts.URL+"/v1/query", req, resp); code != http.StatusOK {
+				t.Fatalf("ref-jucq of %s: status %d", q, code)
+			}
+		}
+		if got.Total != 1 || !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Fatalf("%s answers %v, the same query without the word %v", c.with, got.Rows, want.Rows)
+		}
 	}
 }

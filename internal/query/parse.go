@@ -468,6 +468,9 @@ func (p *qparser) parseSPARQLUnion() (UCQ, error) {
 	for i, body := range bodies {
 		cq := NewCQ(headVars, body)
 		if err := cq.Validate(); err != nil {
+			if len(bodies) == 1 {
+				return UCQ{}, p.errf("%v", err)
+			}
 			return UCQ{}, p.errf("UNION branch %d: %v", i+1, err)
 		}
 		u.CQs = append(u.CQs, cq)

@@ -85,11 +85,54 @@ func (t RangeAtom) Vars(dst []string) []string {
 	return dst
 }
 
+// Ranged reports whether any position of the atom is range-constrained:
+// such an atom scans and probes with its RangePattern, any other with the
+// plain storage.Pattern of its Plain form.
+func (t RangeAtom) Ranged() bool {
+	return t.S.Ranges != nil || t.P.Ranges != nil || t.O.Ranges != nil
+}
+
+// Plain is the atom without its ranges and expansion: the plain form of an
+// atom that is not ranged, and of a ranged one the pattern its per-variable
+// statistics are read from (a ranged position holds a capture variable or
+// nothing, so it is a wildcard there).
+func (t RangeAtom) Plain() Atom { return Atom{S: t.S.Arg, P: t.P.Arg, O: t.O.Arg} }
+
+// RangePattern is the range pattern a ranged atom's scan runs: range
+// positions keep their ranges, constants become exact ranges, variables are
+// wildcards.
+func (t RangeAtom) RangePattern() storage.RangePattern {
+	conv := func(ra RangeArg) []storage.IDRange {
+		switch {
+		case ra.Ranges != nil:
+			return ra.Ranges
+		case !ra.Arg.IsVar():
+			return []storage.IDRange{storage.Exact(ra.Arg.ID)}
+		}
+		return nil
+	}
+	return storage.RangePattern{S: conv(t.S), P: conv(t.P), O: conv(t.O)}
+}
+
+// LiftAtoms appends the range form of the plain atoms to dst: a plain atom
+// is a range atom with no Ranges and no Expand.
+func LiftAtoms(dst []RangeAtom, atoms []Atom) []RangeAtom {
+	for _, a := range atoms {
+		dst = append(dst, RangeAtom{S: PlainArg(a.S), P: PlainArg(a.P), O: PlainArg(a.O)})
+	}
+	return dst
+}
+
+// Lift returns the range form of a plain CQ.
+func (q CQ) Lift() RangeCQ {
+	return RangeCQ{Head: q.Head, Atoms: LiftAtoms(make([]RangeAtom, 0, len(q.Atoms)), q.Atoms)}
+}
+
 // RangeAtoms counts the atoms with at least one range-constrained position.
 func (q RangeCQ) RangeAtoms() int {
 	n := 0
 	for _, t := range q.Atoms {
-		if t.S.Ranges != nil || t.P.Ranges != nil || t.O.Ranges != nil {
+		if t.Ranged() {
 			n++
 		}
 	}
@@ -140,7 +183,31 @@ func (u RangeUCQ) Expansions() int {
 	return n
 }
 
-// FormatRangeAtom renders a range atom for traces and explain output.
+// Format renders the atom for operator spans and EXPLAIN: a plain atom with
+// its terms decoded, an atom with a range or an expansion in the range
+// notation.
+func (t RangeAtom) Format(d *dict.Dict) string {
+	if t.Ranged() || t.Expand != nil {
+		return FormatRangeAtom(t)
+	}
+	return FormatAtom(d, t.Plain())
+}
+
+// Format renders the CQ in the paper's notation, its atoms as
+// RangeAtom.Format does — for a lifted plain CQ, FormatCQ's text.
+func (q RangeCQ) Format(d *dict.Dict) string {
+	head := make([]string, len(q.Head))
+	for i, h := range q.Head {
+		head[i] = FormatArg(d, h)
+	}
+	atoms := make([]string, len(q.Atoms))
+	for i, a := range q.Atoms {
+		atoms[i] = a.Format(d)
+	}
+	return "q(" + strings.Join(head, ", ") + ") :- " + strings.Join(atoms, ", ")
+}
+
+// FormatRangeAtom renders a range atom in the range notation.
 func FormatRangeAtom(t RangeAtom) string {
 	var sb strings.Builder
 	pos := func(ra RangeArg) {

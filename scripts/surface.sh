@@ -27,11 +27,17 @@ fields() {
 echo "option and configuration fields:"
 printf '  %-32s %6d\n' "httpapi.Options" "$(fields ./internal/httpapi.Options)"
 printf '  %-32s %6d\n' "engine.Engine (exported)" "$(fields ./internal/engine.Engine)"
+printf '  %-32s %6d\n' "exec.Evaluator (exported)" "$(fields ./internal/exec.Evaluator)"
 
 echo "exported identifiers (package-level + methods):"
-for pkg in engine exec httpapi; do
+for pkg in cost engine exec httpapi; do
 	top=$(go doc -short "./internal/$pkg" | grep -cE '^ *(func|type|const|var) ' || true)
 	methods=$(go doc -all "./internal/$pkg" | grep -cE '^func \(' || true)
 	printf '  %-32s %6d  (%d + %d)\n' "$pkg" $((top + methods)) "$top" "$methods"
 done
 printf '  %-32s %6d\n' "engine.Engine methods" "$(go doc -all ./internal/engine | grep -cE '^func \(e \*Engine\) ' || true)"
+
+# One statement of the join-order rule (cost.Pick): every hand-written copy
+# of the greedy pick declares its running best this way.
+echo "greedy join-order implementations (non-test):"
+printf '  %d\n' "$(grep -rE 'best, bestConnected := -1, false' internal --include='*.go' --exclude='*_test.go' | wc -l)"
