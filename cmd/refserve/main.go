@@ -68,7 +68,7 @@ func main() {
 		logJSON      = flag.Bool("log-json", true, "emit structured JSON query logs on stderr")
 		viewCache    = flag.String("view-cache", "on", "fragment view cache: on or off")
 		viewMB       = flag.Int("view-cache-mb", 64, "view cache byte budget in MiB")
-		planCache    = flag.Int("plan-cache", 0, "GCov plan cache capacity (0 = default 128)")
+		planCache    = flag.Int("plan-cache", 0, "plan cache capacity, in query shapes (0 = default 128)")
 		maxConc      = flag.Int("max-concurrency", 0, "admission gate weight budget (0 disables admission control)")
 		queueLen     = flag.Int("queue-depth", admission.DefaultQueueDepth, "admission queue depth (0 = shed immediately when full)")
 		queueWait    = flag.Duration("queue-timeout", admission.DefaultQueueTimeout, "max time a query may wait in the admission queue")

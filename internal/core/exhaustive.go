@@ -31,7 +31,6 @@ func ExhaustiveCov(r *Reformulator, m *cost.Model, q query.CQ, opts GCovOptions)
 	if maxCQs <= 0 {
 		maxCQs = DefaultMaxFragmentCQs
 	}
-	_, perAtom := r.CombinationCount(q)
 	cache := newFragmentCache(r, m, q, maxCQs)
 
 	res := &GCovResult{}
@@ -42,7 +41,7 @@ func ExhaustiveCov(r *Reformulator, m *cost.Model, q query.CQ, opts GCovOptions)
 	partitions(n, func(c query.Cover) {
 		// Cheap pre-prune on the per-atom product bound.
 		for _, frag := range c {
-			if fragmentProduct(frag, perAtom) > maxCQs {
+			if cache.product(frag) > maxCQs {
 				res.Explored = append(res.Explored, Explored{
 					Cover: c.Clone(), Pruned: true,
 					Reason: fmt.Sprintf("fragment exceeds %d CQs", maxCQs),

@@ -58,12 +58,6 @@ func GCov(r *Reformulator, m *cost.Model, q query.CQ, opts GCovOptions) (*GCovRe
 	if maxCQs <= 0 {
 		maxCQs = DefaultMaxFragmentCQs
 	}
-	// Per-atom reformulation counts let us prune candidates whose
-	// fragment-CQ product already exceeds the bound, without assembling
-	// anything. Per-atom reformulation sets are cached inside r;
-	// per-fragment UCQs and estimates are cached across candidate covers
-	// here (the same fragment reappears in many candidates).
-	_, perAtom := r.CombinationCount(q)
 	cache := newFragmentCache(r, m, q, maxCQs)
 
 	res := &GCovResult{}
@@ -92,7 +86,7 @@ func GCov(r *Reformulator, m *cost.Model, q query.CQ, opts GCovOptions) (*GCovRe
 					continue
 				}
 				seen[key] = true
-				if prod := fragmentProduct(next[indexOfGrown(next, cur[fi], ai)], perAtom); prod > maxCQs {
+				if prod := cache.product(next[indexOfGrown(next, cur[fi], ai)]); prod > maxCQs {
 					res.Explored = append(res.Explored, Explored{
 						Cover: next, Pruned: true,
 						Reason: fmt.Sprintf("fragment would reach %d CQs (bound %d)", prod, maxCQs),
@@ -138,18 +132,7 @@ type fragmentCache struct {
 	q        query.CQ
 	maxCQs   int
 	entries  map[string]*fragEntry
-	atomSets [][]AtomRef // lazily filled per-atom reformulation sets
-}
-
-// atomRefs memoizes the per-atom reformulation closure.
-func (fc *fragmentCache) atomRefs(ai int) []AtomRef {
-	if fc.atomSets == nil {
-		fc.atomSets = make([][]AtomRef, len(fc.q.Atoms))
-	}
-	if fc.atomSets[ai] == nil {
-		fc.atomSets[ai] = fc.r.AtomReformulations(fc.q.Atoms[ai], ai)
-	}
-	return fc.atomSets[ai]
+	atomSets [][]AtomRef // the reformulation closure of each atom of q
 }
 
 type fragEntry struct {
@@ -158,8 +141,18 @@ type fragEntry struct {
 	tooBig bool
 }
 
+// newFragmentCache computes every atom's reformulation closure, once: the
+// sizes prune candidates whose fragment-CQ product already exceeds the bound
+// without assembling anything (product), and get combines the same sets into
+// the fragment UCQs it memoizes, with their estimates, across candidate
+// covers — the same fragment reappears in many.
 func newFragmentCache(r *Reformulator, m *cost.Model, q query.CQ, maxCQs int) *fragmentCache {
-	return &fragmentCache{r: r, m: m, q: q, maxCQs: maxCQs, entries: map[string]*fragEntry{}}
+	fc := &fragmentCache{r: r, m: m, q: q, maxCQs: maxCQs, entries: map[string]*fragEntry{}}
+	fc.atomSets = make([][]AtomRef, len(q.Atoms))
+	for i, a := range q.Atoms {
+		fc.atomSets[i] = r.AtomReformulations(a, i)
+	}
+	return fc
 }
 
 func (fc *fragmentCache) get(frag []int) (*fragEntry, error) {
@@ -171,7 +164,7 @@ func (fc *fragmentCache) get(frag []int) (*fragEntry, error) {
 	u := query.UCQ{HeadNames: query.HeadVarNames(fcq)}
 	perAtom := make([][]AtomRef, len(fcq.Atoms))
 	for i, ai := range frag {
-		perAtom[i] = fc.atomRefs(ai)
+		perAtom[i] = fc.atomSets[ai]
 	}
 	over := false
 	fc.r.enumerate(fcq, perAtom, func(cq query.CQ) bool {
@@ -260,12 +253,12 @@ func indexOfGrown(next query.Cover, old []int, ai int) int {
 	return 0 // unreachable by construction
 }
 
-// fragmentProduct upper-bounds the fragment's UCQ size as the product of
-// its atoms' reformulation counts.
-func fragmentProduct(frag []int, perAtom []int) int {
+// product upper-bounds the fragment's UCQ size as the product of its atoms'
+// reformulation counts.
+func (fc *fragmentCache) product(frag []int) int {
 	p := 1
 	for _, ai := range frag {
-		p *= perAtom[ai]
+		p *= len(fc.atomSets[ai])
 		if p < 0 { // overflow guard
 			return int(^uint(0) >> 1)
 		}

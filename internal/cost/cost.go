@@ -12,6 +12,7 @@
 package cost
 
 import (
+	"repro/internal/dict"
 	"repro/internal/query"
 	"repro/internal/stats"
 )
@@ -44,6 +45,9 @@ type Model struct {
 	// scales by 1/shards. Cardinalities are unaffected — the partition
 	// changes where tuples live, not how many match.
 	shards int
+	// params, when non-nil, are the values of the parameters in the shapes
+	// being priced (see Bind).
+	params []dict.ID
 }
 
 // NewModel returns a cost model over the statistics.
@@ -61,6 +65,17 @@ func (m *Model) SetShards(n int) {
 // Shards returns the declared partition count.
 func (m *Model) Shards() int { return m.shards }
 
+// Bind returns a model that prices query shapes (query.Lift) as the queries
+// they are with params bound: every plain atom's estimate reads the
+// statistics of the parameter's value. The plan cache searches a cover for a
+// shape with it, so the search is priced on the constants of the request
+// that missed. (A range union is priced after it is bound, never as a shape.)
+func (m *Model) Bind(params []dict.ID) *Model {
+	bound := *m
+	bound.params = params
+	return &bound
+}
+
 // scanCost prices scanning card tuples, spread across the shards.
 func (m *Model) scanCost(card float64) float64 {
 	return CScan * card / float64(m.shards)
@@ -68,6 +83,9 @@ func (m *Model) scanCost(card float64) float64 {
 
 // Atom estimates a single triple-pattern scan.
 func (m *Model) Atom(a query.Atom) Estimate {
+	if m.params != nil {
+		a.S, a.O = a.S.Bind(m.params), a.O.Bind(m.params)
+	}
 	pat := a.Pattern()
 	card := m.st.PatternCard(pat)
 	est := Estimate{Cost: m.scanCost(card), Card: card, V: map[string]float64{}}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/dict"
 	"repro/internal/exec"
+	"repro/internal/rdf"
 	"repro/internal/saturation"
 	"repro/internal/shard"
 	"repro/internal/stats"
@@ -18,7 +19,7 @@ import (
 
 // derived is everything the engine computes from one version of its graph:
 // the scan source, statistics, cost models, reformulators, the saturation
-// with its store and statistics, and the GCov plan cache. Each artefact is
+// with its store and statistics, and the plan cache. Each artefact is
 // built at most once, on first use, behind a sync.OnceValue; engine copies
 // share the version by pointer, so whichever request needs an artefact
 // first builds it for all of them. A version is never edited: the writer
@@ -27,6 +28,8 @@ import (
 type derived struct {
 	plans  *planCache
 	shards int // what Engine.shards was when the version was made
+	// typeID is rdf:type's ID — a schema change may re-encode it.
+	typeID dict.ID
 
 	// Functions of the schema alone: a data change carries them over.
 	ref, incRef func() *core.Reformulator
@@ -114,7 +117,7 @@ type saturated struct {
 // plans and the basis of its source and statistics, up to maxDrift — and
 // nil when the schema changed, which keeps nothing.
 func (e *Engine) swap(keep *derived, added, removed []dict.Triple) {
-	d := &derived{shards: e.shards}
+	d := &derived{shards: e.shards, typeID: e.g.Dict().EncodeIRI(rdf.TypeIRI)}
 	if keep != nil {
 		d.ref, d.incRef, d.rangeRef = keep.ref, keep.incRef, keep.rangeRef
 	} else {

@@ -74,14 +74,20 @@ type Answer struct {
 	PrepTime time.Duration
 	// EvalTime covers evaluation proper.
 	EvalTime time.Duration
-	// Explored is GCov's explored cover space (RefGCov only).
+	// Explored is GCov's explored cover space (RefGCov only). With
+	// CachedPlan set it is the space explored for the constants the query's
+	// shape was first planned with.
 	Explored []core.Explored
 	// EstimatedCost is the cost model's estimate for what was evaluated
 	// (zero where the model has no price: the lazily enumerated UCQ
-	// strategies and Dat).
+	// strategies and Dat). With CachedPlan set it is, for the JUCQ
+	// strategies, the estimate made for the constants the query's shape was
+	// first planned with — constants of the same selectivity classes.
 	EstimatedCost float64
-	// CachedPlan reports that the cover came from the engine's plan cache
-	// (RefGCov only): PrepTime then excludes the cover search.
+	// CachedPlan reports that the plan came from the engine's plan cache
+	// (RefSCQ, RefJUCQ, RefGCov, RefRange), which keeps one per query shape
+	// and selectivity class: PrepTime then excludes reformulation and the
+	// cover search.
 	CachedPlan bool
 	// CachedFragments counts the JUCQ fragments served from the view
 	// cache (zero when the cache is disabled or the strategy does not
@@ -93,13 +99,13 @@ type Answer struct {
 	// AdmissionWeight is the gate weight the evaluation held (zero
 	// without a gate). Union answers report the heaviest member.
 	AdmissionWeight int
-	// FragmentSigs are the hex-encoded canonical signatures of the
-	// evaluated JUCQ fragments, aligned with the plan's fragment order —
-	// the same identity the view cache keys on, so a workload journal can
-	// correlate fragment frequency with cache behavior. Populated for
+	// FragmentSigs are the hex-encoded view-cache keys of the evaluated
+	// JUCQ fragments, aligned with the plan's fragment order — the same
+	// identity the view cache keys on, so a workload journal can correlate
+	// fragment frequency with cache behavior. Populated for
 	// fragment-evaluating strategies only when Engine.CaptureFragmentSigs
-	// is set (GCov plans reuse the plan cache's precomputed keys, so the
-	// warm path pays only a hex encoding).
+	// is set (the keys derive from the cached plan's signatures, so an
+	// answer pays a hash and a hex encoding per fragment).
 	FragmentSigs []string
 }
 
@@ -155,7 +161,7 @@ type Engine struct {
 	CaptureFragmentSigs bool
 
 	shards  int // < 2: unsharded
-	planCap int // GCov plan cache capacity (0: defaultPlanCacheSize)
+	planCap int // plan cache capacity (0: defaultPlanCacheSize)
 	// closure is the counting closure behind Sat while data updates and Sat
 	// reads alternate (see update.go); nil otherwise. It is the writer's:
 	// changed in place between versions, read only by the Sat lazy of the
@@ -267,23 +273,23 @@ func (e *Engine) ViewCache() *viewcache.Cache { return e.views }
 // attachViewCache hooks the view cache into one evaluator when the cache is
 // on and p evaluates fragments; returns the per-answer outcome accumulator
 // (nil when detached). Cache admission needs fragment cost estimates, so the
-// cost model is attached even on untraced queries; a cached plan also hands
-// over its precomputed fragment keys, so warm executions skip per-fragment
-// canonicalization.
+// cost model is attached even on untraced queries; the plan hands over its
+// fragment keys, derived from its shape's signatures, so no execution
+// canonicalizes a fragment.
 func (e *Engine) attachViewCache(ev *exec.Evaluator, p *prepared) *exec.CacheStats {
 	if e.views == nil || p.jucq == nil {
 		return nil
 	}
 	ev.FragCache = e.views
-	ev.FragKeys = p.fragKeys
+	ev.FragKeys = p.fragmentKeys()
 	ev.Cost = p.model
 	cs := &exec.CacheStats{}
 	ev.CacheStats = cs
 	return cs
 }
 
-// SetPlanCacheCapacity resizes the GCov plan cache (default 128),
-// dropping any cached plans.
+// SetPlanCacheCapacity resizes the plan cache (default 128), dropping any
+// cached plans.
 func (e *Engine) SetPlanCacheCapacity(n int) {
 	e.planCap = n
 	e.d.plans.resize(n)
@@ -346,7 +352,7 @@ func (e *Engine) answer(ctx context.Context, q query.CQ, s Strategy, cover query
 		sp.End()
 		e.reportMisestimates(sp, s)
 	}
-	e.observe(s, start, ans, err)
+	e.observe(s, start, ans, err, p.key != "")
 	return ans, err
 }
 
@@ -423,8 +429,9 @@ func (e *Engine) reportMisestimates(sp *trace.Span, s Strategy) {
 }
 
 // observe records one answered (or failed) query into the metrics
-// registry; a no-op without one.
-func (e *Engine) observe(s Strategy, start time.Time, ans *Answer, err error) {
+// registry; a no-op without one. planned says the strategy's preparation
+// goes through the plan cache.
+func (e *Engine) observe(s Strategy, start time.Time, ans *Answer, err error, planned bool) {
 	m := e.Metrics
 	if m == nil {
 		return
@@ -447,7 +454,7 @@ func (e *Engine) observe(s Strategy, start time.Time, ans *Answer, err error) {
 	}
 	m.Histogram("engine.reformulation_cqs", metrics.DefaultSizeBuckets...).
 		Observe(float64(ans.ReformulationCQs))
-	if s == RefGCov {
+	if planned {
 		if ans.CachedPlan {
 			m.Counter("engine.plancache.hits").Inc()
 		} else {
@@ -531,7 +538,7 @@ func (e *Engine) observePlanCache(hit bool) {
 	}
 }
 
-// PlanCacheLen reports how many GCov plans the engine currently caches.
+// PlanCacheLen reports how many plans the engine currently caches.
 func (e *Engine) PlanCacheLen() int { return e.d.plans.len() }
 
 // AnswerUnion answers a union of BGPs (the full dialect of §3) with the

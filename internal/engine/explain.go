@@ -26,7 +26,9 @@ type Plan struct {
 	// plain-UCQ strategies whose reformulations are too large to price).
 	EstimatedCost float64
 	EstimatedRows float64
-	// CachedPlan reports the cover came from the plan cache (RefGCov).
+	// CachedPlan reports the plan came from the plan cache: EstimatedCost
+	// (for the JUCQ strategies) and the root's explored count are then those
+	// of the constants the query's shape was first planned with.
 	CachedPlan bool
 
 	root *trace.Span
@@ -76,6 +78,10 @@ func (e *Engine) explain(p *prepared) *Plan {
 	root := trace.New(0).StartSpan("plan")
 	root.SetStr("strategy", string(p.strategy))
 	root.SetStr("query", query.FormatCQ(d, p.q))
+	if p.key != "" {
+		root.SetStr("shape", p.shape)
+		root.SetStr("classes", p.classes)
+	}
 	plan := &Plan{
 		Strategy: p.strategy, Cover: p.cover, ReformulationCQs: p.cqs,
 		EstimatedCost: p.est.Cost, EstimatedRows: p.est.Card, CachedPlan: p.cachedPlan,
@@ -105,8 +111,8 @@ func (e *Engine) explain(p *prepared) *Plan {
 		// estimates, with the running estimated cardinality — the order
 		// EXPLAIN ANALYZE traces show when the estimates track reality.
 		root.SetStr("cover", p.cover.String())
-		if p.key != "" {
-			root.SetBool("cached", p.cachedPlan)
+		root.SetBool("cached", p.cachedPlan)
+		if p.explored != nil {
 			root.SetInt("explored", int64(len(p.explored)))
 		}
 		root.SetFloat("est_cost", p.est.Cost)
@@ -137,6 +143,7 @@ func (e *Engine) explain(p *prepared) *Plan {
 		// One "cq" node per range CQ; range reformulations are small, so no
 		// elision is needed. Against shards the union's co-partitioned group
 		// evaluates shard-locally in one scatter; the rest stay central.
+		root.SetBool("cached", p.cachedPlan)
 		u := root.Child("union")
 		u.SetInt("cqs", int64(p.cqs))
 		u.SetInt("range_atoms", int64(p.ranges.RangeAtoms()))

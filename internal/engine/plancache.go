@@ -5,16 +5,28 @@ import (
 	"sync"
 )
 
-// planCache memoizes GCov outcomes per query text (prepared-statement
-// style): the cover search costs tens of milliseconds — paid once, not per
-// execution. Keys are the exact formatted query (constants included);
-// renamed variants miss, which only costs a fresh search. A cached plan
-// depends on the schema for its correctness and on the statistics only for
-// its price, so a cache is handed from version to version across data
-// changes, holding nothing of any version's data, and is left behind when
-// the schema or the shard count changes or the data count has drifted
-// (Engine.swap). It is safe for concurrent use, as the engine copies
-// sharing a version share it too.
+// planCache keeps what the JUCQ and range strategies prepare — the
+// reformulation, and for GCov the cover search, tens of milliseconds on a
+// large query — once per query shape (prepared-statement style) instead of
+// once per execution. A key (planKey) is the strategy and the query with
+// every constant no reformulation rule reads replaced by a numbered
+// parameter: a constant in subject position, or in object position under a
+// constant property other than rdf:type (query.Lift). The rules read the
+// schema and an atom's property and class positions only, so the plan of a
+// shape is, with a request's constants bound in, the plan of the request. A
+// constant that selects rules — a property, the object of rdf:type, the
+// object under a property variable — stays in the key, and so does one
+// selectivity class per parameterized atom (classFactor): the cover was
+// searched on the costs of one request's constants, and a constant that
+// matches many times more or fewer triples gets a search of its own.
+// Renamed variables miss, which only costs a fresh search.
+//
+// A cached plan depends on the schema for its correctness and on the
+// statistics only for its price, so a cache is handed from version to
+// version across data changes, holding nothing of any version's data, and is
+// left behind when the schema or the shard count changes or the data count
+// has drifted (Engine.swap). It is safe for concurrent use, as the engine
+// copies sharing a version share it too; the plans in it are never written.
 type planCache struct {
 	dataCount int // the graph's data count when the cache was started
 
@@ -24,7 +36,7 @@ type planCache struct {
 	byKey    map[string]*list.Element
 }
 
-// defaultPlanCacheSize bounds the number of cached covers per engine.
+// defaultPlanCacheSize bounds the number of cached plans per engine.
 const defaultPlanCacheSize = 128
 
 func newPlanCache(capacity, dataCount int) *planCache {

@@ -5,11 +5,15 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
+	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/datalog"
+	"repro/internal/dict"
 	"repro/internal/exec"
 	"repro/internal/metrics"
 	"repro/internal/query"
@@ -28,13 +32,18 @@ import (
 //
 // A request's prepared holds pointers into the version it was built on (src,
 // stats, model) and lives as long as the request. The ones the plan cache
-// shares across requests, and across data changes, hold none: prepare hands
-// each request its own copy of a shared value — which is never written to —
-// and binds that copy to the request's version.
+// shares across requests, and across data changes, hold none, and stand for
+// a whole query shape: q, jucq and ranges carry parameters where the
+// requests' instance constants go (query.Lift). prepare hands each request
+// its own copy of a shared value — which is never written to — with the
+// request's constants bound in, and binds that copy to the request's version.
 type prepared struct {
 	key      string // plan-cache key; empty for a plan that is not cached
 	strategy Strategy
-	q        query.CQ
+	q        query.CQ // the request's query; in the plan cache, its shape
+	// A cached plan's identity in words: the shape as text, parameters as
+	// $1, $2, …, and the selectivity class of each atom holding one.
+	shape, classes string
 
 	// What to evaluate: exactly one of stream, jucq, ranges and program, or
 	// none of them — then it is q itself.
@@ -42,13 +51,11 @@ type prepared struct {
 	jucq    *query.JUCQ
 	ranges  *query.RangeUCQ
 	program *datalog.Program
-	// fragKeys are the view-cache signatures of jucq's fragments, aligned
-	// positionally; set on cached plans only. The plan — and its
-	// reformulated fragment UCQs — is reused verbatim across executions, so
-	// the canonicalization behind each signature (microseconds per member
-	// CQ, over hundreds of member CQs) is paid once per plan instead of once
-	// per execution.
+	// frags derives the view-cache keys of jucq's fragments; the request's
+	// are kept in fragKeys once something asked for them.
+	frags    *fragmentKeyer
 	fragKeys []string
+	params   []dict.ID // the request's constants, by parameter slot
 
 	// Against which database: the explicit data plus the closed schema
 	// (Source, Stats, CostModel), or G∞ for Sat (SatStore, SatStats,
@@ -64,7 +71,10 @@ type prepared struct {
 	cqs   int         // member CQs evaluated, over all fragments
 	// est is the model's estimate of what is evaluated; it stays zero where
 	// the model has no price (a lazily enumerated union, the Datalog
-	// fixpoint). There the admission gate is charged proxy instead.
+	// fixpoint). There the admission gate is charged proxy instead. On a
+	// plan out of the cache est and explored are those of the constants the
+	// shape was first planned with — in the same selectivity classes as the
+	// request's, so within classFactor per parameterized atom.
 	est        cost.Estimate
 	proxy      float64
 	explored   []core.Explored // the cover space GCov explored
@@ -78,6 +88,11 @@ type prepared struct {
 // up the cover, encodes the program — whatever s needs before anything is
 // evaluated — and records that work as a "reformulate" (or, for the cover
 // search, "plan") span under sp. The cover is the caller's, for RefJUCQ.
+//
+// What the JUCQ and range strategies prepare reads the schema and the
+// query's shape only, so it goes through the plan cache (planned); Sat has
+// nothing to prepare, the UCQ strategies enumerate their union lazily and
+// Dat encodes the data itself — nothing schema-only to keep.
 func (e *Engine) prepare(q query.CQ, s Strategy, cover query.Cover, sp *trace.Span) (prepared, error) {
 	p := prepared{strategy: s, q: q, cqs: 1}
 	start := time.Now()
@@ -95,16 +110,16 @@ func (e *Engine) prepare(q query.CQ, s Strategy, cover query.Cover, sp *trace.Sp
 		e.prepareStream(&p, e.IncompleteReformulator(), sp)
 	case RefSCQ:
 		// The SCQ is a fixed strategy: it is built regardless of size.
-		err = e.prepareCover(&p, query.SingletonCover(len(q.Atoms)), 0, sp)
+		err = e.planned(&p, sp, "reformulate", query.SingletonCover(len(q.Atoms)), 0, planCover)
 	case RefJUCQ:
 		if cover == nil {
 			return p, fmt.Errorf("engine: strategy %s needs a cover; use AnswerWithCover or PlanWithCover", s)
 		}
-		err = e.prepareCover(&p, cover, e.fragmentBound(), sp)
+		err = e.planned(&p, sp, "reformulate", cover, e.fragmentBound(), planCover)
 	case RefGCov:
-		err = e.prepareGCov(&p, sp)
+		err = e.planned(&p, sp, "plan", nil, e.fragmentBound(), planGCov)
 	case RefRange:
-		e.prepareRange(&p, sp)
+		err = e.planned(&p, sp, "reformulate", nil, 0, planRange)
 	case Dat:
 		err = e.prepareDatalog(&p, sp)
 	default:
@@ -124,33 +139,48 @@ func (e *Engine) prepareStream(p *prepared, r *core.Reformulator, sp *trace.Span
 	p.stream = r
 	p.cqs, _ = r.CombinationCount(p.q)
 	rsp.SetInt("cqs", int64(p.cqs))
-	e.onExplicitData(p)
+	p.src, p.stats, p.model = e.Source(), e.Stats(), e.CostModel()
 	p.proxy = p.model.CQ(p.q).Cost * float64(p.cqs)
 }
 
-// prepareCover: the JUCQ a cover induces, each fragment reformulated into
-// at most bound CQs (0: unbounded).
-func (e *Engine) prepareCover(p *prepared, cover query.Cover, bound int, sp *trace.Span) error {
-	rsp := sp.Child("reformulate")
-	defer rsp.End()
-	if rsp != nil {
-		rsp.SetStr("cover", cover.String())
-	}
-	j, err := e.Reformulator().ReformulateJUCQ(p.q, cover, bound)
+// planner plans one shape on a miss of the plan cache: it fills t — whose q
+// is the shape — with what to evaluate and what is known about it, for the
+// given cover and fragment bound where the strategy takes them, pricing with
+// m, which reads the missing request's constants through the parameters.
+type planner func(e *Engine, t *prepared, cover query.Cover, bound int, m *cost.Model) error
+
+// planCover: the JUCQ a cover induces, each fragment reformulated into at
+// most bound CQs (0: unbounded).
+func planCover(e *Engine, t *prepared, cover query.Cover, bound int, m *cost.Model) error {
+	j, err := e.Reformulator().ReformulateJUCQ(t.q, cover, bound)
 	if err != nil {
 		return err
 	}
-	e.onExplicitData(p)
-	p.setJUCQ(j, cover, p.model.JUCQ(j))
-	rsp.SetInt("cqs", int64(p.cqs))
-	rsp.SetFloat("est_cost", p.est.Cost)
+	t.setJUCQ(j, cover, m.JUCQ(j))
 	return nil
 }
 
-// onExplicitData points p at the database the Ref strategies evaluate
-// against: the explicit data plus the closed schema.
-func (e *Engine) onExplicitData(p *prepared) {
-	p.src, p.stats, p.model = e.Source(), e.Stats(), e.CostModel()
+// planGCov: the JUCQ of the cover the greedy cost-based search chooses —
+// tens of milliseconds on a query of Example 1's size.
+func planGCov(e *Engine, t *prepared, _ query.Cover, bound int, m *cost.Model) error {
+	res, err := core.GCov(e.Reformulator(), m, t.q, core.GCovOptions{MaxFragmentCQs: bound})
+	if err != nil {
+		return err
+	}
+	t.explored = res.Explored
+	t.setJUCQ(res.JUCQ, res.Cover, cost.Estimate{Cost: res.Cost})
+	return nil
+}
+
+// planRange: the range reformulation — a small union of range CQs, one per
+// combination of per-atom interval alternatives (a handful, not the
+// thousands of atomic CQs ref-ucq enumerates), evaluated with
+// interval-constrained scans plus hierarchy expansions. Evaluating it needs
+// no statistics, so it is left unpriced (see price).
+func planRange(e *Engine, t *prepared, _ query.Cover, _ int, _ *cost.Model) error {
+	ru := e.RangeReformulator().Reformulate(t.q)
+	t.ranges, t.cqs = &ru, len(ru.CQs)
+	return nil
 }
 
 func (p *prepared) setJUCQ(j query.JUCQ, cover query.Cover, est cost.Estimate) {
@@ -158,71 +188,207 @@ func (p *prepared) setJUCQ(j query.JUCQ, cover query.Cover, est cost.Estimate) {
 	for _, f := range j.Fragments {
 		p.cqs += len(f.UCQ.CQs)
 	}
+	p.frags = newFragmentKeyer(&j)
 }
 
-// prepareGCov: the JUCQ of the cover the greedy cost-based search chooses.
-// The search costs tens of milliseconds, so its outcome is kept in the
-// plan cache, keyed by the query text; what is kept there is bound to no
-// version's data, and a hit is bound to this one's exactly as a miss is.
-func (e *Engine) prepareGCov(p *prepared, sp *trace.Span) error {
-	psp := sp.Child("plan")
+// classFactor is the width of a selectivity class: two constants share a
+// cached plan when the atoms they sit in match numbers of triples within
+// the same power of it. A plan is right for any constant and cheapest for
+// ones like those its cover was searched on, so a constant in another class
+// is another entry of the plan cache, searched and priced on its own.
+const classFactor = 4
+
+// selectivityClasses renders the class of each atom of q that shape holds a
+// parameter in — the log-bucket of its exact pattern count — dot-separated.
+func selectivityClasses(st *stats.Stats, q, shape query.CQ) string {
+	var b []byte
+	for i, t := range shape.Atoms {
+		_, s := t.S.Slot()
+		_, o := t.O.Slot()
+		if !s && !o {
+			continue
+		}
+		if b != nil {
+			b = append(b, '.')
+		}
+		card := st.PatternCard(q.Atoms[i].Pattern())
+		b = strconv.AppendInt(b, int64(math.Log(card+1)/math.Log(classFactor)), 10)
+	}
+	return string(b)
+}
+
+// planKey is the plan-cache key: everything a plan depends on besides the
+// schema — strategy, fragment bound, the caller's cover, the shape and its
+// selectivity classes.
+func planKey(s Strategy, cover query.Cover, bound int, shape query.CQ, classes string) string {
+	b := make([]byte, 0, 64+32*len(shape.Atoms))
+	b = append(b, s...)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(bound), 10)
+	if cover != nil {
+		b = append(b, cover.String()...)
+	}
+	arg := func(a query.Arg) {
+		slot, isParam := a.Slot()
+		switch {
+		case a.IsVar():
+			b = append(append(b, '?'), a.Var...)
+		case isParam:
+			b = strconv.AppendInt(append(b, '$'), int64(slot), 10)
+		default:
+			b = strconv.AppendUint(append(b, '#'), uint64(a.ID), 10)
+		}
+		b = append(b, ' ')
+	}
+	b = append(b, '|')
+	for _, h := range shape.Head {
+		arg(h)
+	}
+	b = append(b, '|')
+	for _, t := range shape.Atoms {
+		arg(t.S)
+		arg(t.P)
+		arg(t.O)
+	}
+	b = append(b, '|')
+	b = append(b, classes...)
+	return string(b)
+}
+
+// planned prepares p through the plan cache, under a span of the given name:
+// the one get and the one put. The key is p.q's shape — every constant no
+// reformulation rule reads lifted into a parameter — plus the selectivity
+// class of each parameterized atom; a miss plans the shape, pricing on the
+// request's constants, and keeps the outcome, which holds nothing of any
+// version's data; hit or miss, the request gets a copy with its own
+// constants bound in, bound to this version's data.
+func (e *Engine) planned(p *prepared, sp *trace.Span, span string, cover query.Cover, bound int, plan planner) error {
+	psp := sp.Child(span)
 	defer psp.End()
-	key := query.FormatCQ(e.g.Dict(), p.q)
+	shape, params := query.Lift(p.q, e.d.typeID)
+	classes := selectivityClasses(e.Stats(), p.q, shape)
+	key := planKey(p.strategy, cover, bound, shape, classes)
 	hit, cached := e.d.plans.get(key)
 	e.observePlanCache(cached)
-	if cached {
-		*p = *hit
-		p.cachedPlan = true
-	}
-	e.onExplicitData(p)
 	if !cached {
-		res, err := core.GCov(e.Reformulator(), p.model, p.q, core.GCovOptions{MaxFragmentCQs: e.fragmentBound()})
-		if err != nil {
+		hit = &prepared{
+			key: key, strategy: p.strategy, q: shape,
+			shape: query.FormatCQ(e.g.Dict(), shape), classes: classes,
+		}
+		if err := plan(e, hit, cover, bound, e.CostModel().Bind(params)); err != nil {
 			return err
 		}
-		p.key, p.explored = key, res.Explored
-		p.setJUCQ(res.JUCQ, res.Cover, cost.Estimate{Cost: res.Cost})
-		p.fragKeys = make([]string, len(res.JUCQ.Fragments))
-		for i, f := range res.JUCQ.Fragments {
-			p.fragKeys[i] = viewcache.Signature(f.UCQ)
-		}
-		shared := *p
-		shared.src, shared.stats, shared.model = nil, nil, nil
-		evicted := e.d.plans.put(&shared)
-		e.Metrics.Counter("engine.plancache.evictions").Add(int64(evicted))
+		e.Metrics.Counter("engine.plancache.evictions").Add(int64(e.d.plans.put(hit)))
 	}
+	q := p.q
+	*p = *hit
+	p.q, p.params, p.cachedPlan = q, params, cached
+	p.bind()
 	if psp != nil {
+		psp.SetStr("shape", p.shape)
+		psp.SetStr("classes", p.classes)
 		psp.SetBool("cached", cached)
-		psp.SetStr("cover", p.cover.String())
-		psp.SetFloat("est_cost", p.est.Cost)
-		psp.SetInt("explored", int64(len(p.explored)))
+	}
+	switch {
+	case p.jucq != nil:
+		p.src, p.stats, p.model = e.Source(), e.Stats(), e.CostModel()
+		if psp != nil {
+			psp.SetStr("cover", p.cover.String())
+			psp.SetInt("cqs", int64(p.cqs))
+			psp.SetFloat("est_cost", p.est.Cost)
+			if p.explored != nil {
+				psp.SetInt("explored", int64(len(p.explored)))
+			}
+		}
+	case p.ranges != nil:
+		p.src = e.Source()
+		ru := p.ranges
+		if psp != nil {
+			e.price(p)
+			psp.SetInt("cqs", int64(len(ru.CQs)))
+			psp.SetInt("range_atoms", int64(ru.RangeAtoms()))
+			psp.SetInt("expansions", int64(ru.Expansions()))
+			psp.SetFloat("est_cost", p.est.Cost)
+		}
+		if m := e.Metrics; m != nil {
+			m.Counter("rangeref.queries").Inc()
+			m.Histogram("rangeref.cqs", metrics.DefaultSizeBuckets...).
+				Observe(float64(len(ru.CQs)))
+			m.Counter("rangeref.range_atoms").Add(int64(ru.RangeAtoms()))
+			m.Counter("rangeref.expansions").Add(int64(ru.Expansions()))
+		}
 	}
 	return nil
 }
 
-// prepareRange: the range reformulation — a small union of range CQs, one
-// per combination of per-atom interval alternatives (a handful, not the
-// thousands of atomic CQs ref-ucq enumerates), evaluated with
-// interval-constrained scans plus hierarchy expansions.
-func (e *Engine) prepareRange(p *prepared, sp *trace.Span) {
-	rsp := sp.Child("reformulate")
-	defer rsp.End()
-	ru := e.RangeReformulator().Reformulate(p.q)
-	p.ranges, p.cqs, p.src = &ru, len(ru.CQs), e.Source()
-	if rsp != nil {
-		e.price(p)
-		rsp.SetInt("cqs", int64(len(ru.CQs)))
-		rsp.SetInt("range_atoms", int64(ru.RangeAtoms()))
-		rsp.SetInt("expansions", int64(ru.Expansions()))
-		rsp.SetFloat("est_cost", p.est.Cost)
+// bind substitutes the request's constants for the parameters in what p
+// evaluates. A fragment that holds no parameter — and everything, when the
+// query has no liftable constant — stays the cache's own, shared and never
+// written; any other is copied, one allocation for all its members' atoms.
+func (p *prepared) bind() {
+	if len(p.params) == 0 {
+		return
 	}
-	if m := e.Metrics; m != nil {
-		m.Counter("rangeref.queries").Inc()
-		m.Histogram("rangeref.cqs", metrics.DefaultSizeBuckets...).
-			Observe(float64(len(ru.CQs)))
-		m.Counter("rangeref.range_atoms").Add(int64(ru.RangeAtoms()))
-		m.Counter("rangeref.expansions").Add(int64(ru.Expansions()))
+	if p.jucq != nil {
+		j := *p.jucq
+		j.Fragments = make([]query.Fragment, len(p.jucq.Fragments))
+		for i, f := range p.jucq.Fragments {
+			if len(p.frags.slots[i]) > 0 {
+				f.CQ, f.UCQ = f.CQ.Bind(p.params), f.UCQ.Bind(p.params)
+			}
+			j.Fragments[i] = f
+		}
+		p.jucq = &j
 	}
+	if p.ranges != nil {
+		ru := p.ranges.Bind(p.params)
+		p.ranges = &ru
+	}
+}
+
+// fragmentKeyer derives the view-cache keys of a cached JUCQ plan's
+// fragments. Canonicalizing a fragment costs microseconds per member CQ,
+// over hundreds of members, so it is done on the shape, once per plan and
+// only when something first asks for keys (an attached view cache, a
+// consumer of Answer.FragmentSigs); a request's key is then a hash of that
+// signature and the constants it binds in the fragment.
+type fragmentKeyer struct {
+	slots [][]int         // per fragment, the parameter slots occurring in it
+	sigs  func() []string // per fragment, viewcache.Signature of its shape
+}
+
+func newFragmentKeyer(shape *query.JUCQ) *fragmentKeyer {
+	k := &fragmentKeyer{slots: make([][]int, len(shape.Fragments))}
+	for i, f := range shape.Fragments {
+		// Every member carries the subject and object constants of the
+		// fragment's own atoms, so those atoms name the slots.
+		for _, t := range f.CQ.Atoms {
+			for _, a := range [2]query.Arg{t.S, t.O} {
+				if slot, ok := a.Slot(); ok {
+					k.slots[i] = append(k.slots[i], slot)
+				}
+			}
+		}
+	}
+	k.sigs = sync.OnceValue(func() []string {
+		sigs := make([]string, len(shape.Fragments))
+		for i, f := range shape.Fragments {
+			sigs[i] = viewcache.Signature(f.UCQ)
+		}
+		return sigs
+	})
+	return k
+}
+
+// fragmentKeys returns the view-cache key of each fragment of p's JUCQ.
+func (p *prepared) fragmentKeys() []string {
+	if p.fragKeys == nil {
+		p.fragKeys = make([]string, len(p.frags.slots))
+		for i, sig := range p.frags.sigs() {
+			p.fragKeys[i] = viewcache.BoundSignature(sig, p.params, p.frags.slots[i])
+		}
+	}
+	return p.fragKeys
 }
 
 // price estimates a range union, the one shape prepare leaves unpriced:
@@ -340,18 +506,12 @@ func runDatalog(ctx context.Context, prog *datalog.Program, head []string, timeo
 	return rows, nil
 }
 
-// fragmentSigs returns the view-cache signature of each JUCQ fragment,
-// hex-encoded for JSON and the journal. A cached plan reuses its
-// precomputed keys, so the warm path pays only the encoding.
+// fragmentSigs returns the view-cache key of each JUCQ fragment, hex-encoded
+// for JSON and the journal.
 func (p *prepared) fragmentSigs() []string {
-	out := make([]string, len(p.jucq.Fragments))
-	for i, f := range p.jucq.Fragments {
-		var key string
-		if i < len(p.fragKeys) {
-			key = p.fragKeys[i]
-		} else {
-			key = viewcache.Signature(f.UCQ)
-		}
+	keys := p.fragmentKeys()
+	out := make([]string, len(keys))
+	for i, key := range keys {
 		out[i] = hex.EncodeToString([]byte(key))
 	}
 	return out

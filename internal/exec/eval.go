@@ -88,10 +88,10 @@ type Evaluator struct {
 	// previously materialized result (internal/viewcache). Fragment
 	// evaluation and cache waits both respect the evaluation's guard.
 	FragCache FragmentCache
-	// FragKeys optionally carries precomputed FragCache keys aligned with
-	// the JUCQ's fragments (missing/empty entries are derived by the
-	// cache). Callers evaluating a cached plan set it so the per-fragment
-	// canonicalization is paid once per plan, not once per execution.
+	// FragKeys optionally carries FragCache keys aligned with the JUCQ's
+	// fragments (missing/empty entries are derived by the cache). Callers
+	// evaluating a cached plan set it so the per-fragment canonicalization
+	// is paid once per plan, not once per execution.
 	FragKeys []string
 	// CacheStats, when non-nil, accumulates FragCache outcomes for this
 	// evaluation; the engine attaches a fresh value per answered query.

@@ -23,11 +23,12 @@ import (
 //   - eval computes the fragment result on a miss; implementations must
 //     collapse concurrent identical misses so eval runs once (singleflight)
 //     and must poll stop while waiting so a canceled waiter unblocks.
-//   - key, when non-empty, is u's cache key as previously derived by the
-//     implementation for this exact fragment (viewcache.Signature); when
-//     empty the implementation derives it. Canonicalizing a reformulation
-//     of hundreds of member CQs costs real time, so callers holding a
-//     reused plan precompute the key once per plan (Evaluator.FragKeys).
+//   - key, when non-empty, is u's cache key as the implementation derives
+//     it for this exact fragment (viewcache.Signature, or BoundSignature
+//     from the signature of the fragment's shape and the constants bound
+//     in it); when empty the implementation derives it. Canonicalizing a
+//     reformulation of hundreds of member CQs costs real time, so callers
+//     holding a reused plan canonicalize once per plan (Evaluator.FragKeys).
 //   - estCost returns the cost model's estimate for evaluating the
 //     fragment (negative when unknown); implementations use it for
 //     cost-based admission. It is a thunk because estimating a large

@@ -127,8 +127,9 @@ func (s *Server) buildJournalEntry(rec queryRecord, totalMillis float64, strateg
 }
 
 // traceIntoEntry walks the finished span tree once, extracting phase
-// timings (reformulate / plan, summed across union members), one OpStat
-// per operator span carrying both est_rows and rows (capped at
+// timings (reformulate / plan, summed across union members), the plan-cache
+// shape and selectivity classes off the span that looked the plan up, one
+// OpStat per operator span carrying both est_rows and rows (capped at
 // journal.MaxOperators), and per-fragment est/actual/cache-hit matched
 // to Entry.Fragments by the fragment span's idx attribute.
 func (s *Server) traceIntoEntry(root *trace.Span, e *journal.Entry) {
@@ -142,8 +143,15 @@ func (s *Server) traceIntoEntry(root *trace.Span, e *journal.Entry) {
 	fragSeen := 0
 	root.Visit(func(name string, _ int, dur time.Duration, attrs []trace.Attr) {
 		est, act, cacheHit := -1.0, int64(-1), false
+		var shape, classes string // on the span that looked the plan up
 		for _, a := range attrs {
 			if !a.IsNumber() {
+				switch a.Key {
+				case "shape":
+					shape = a.String()
+				case "classes":
+					classes = a.String()
+				}
 				continue
 			}
 			switch a.Key {
@@ -154,6 +162,9 @@ func (s *Server) traceIntoEntry(root *trace.Span, e *journal.Entry) {
 			case "cache_hit":
 				cacheHit = a.Number() > 0
 			}
+		}
+		if shape != "" && e.Shape == "" {
+			e.Shape, e.Classes = shape, classes
 		}
 		switch name {
 		case "reformulate":

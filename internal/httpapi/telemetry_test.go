@@ -238,6 +238,11 @@ func TestJournalEndToEnd(t *testing.T) {
 		if e.Query != telemetryQuery {
 			t.Fatalf("entry %d query = %q", i, e.Query)
 		}
+		// The plan cache's view of the query: its shape (the class of
+		// rdf:type selects rules and stays), and a hit after the first.
+		if !strings.HasSuffix(e.Shape, "type> <http://example.org/Book>") || e.PlanCacheHit != (i > 0) {
+			t.Fatalf("entry %d shape = %q, planCacheHit = %v", i, e.Shape, e.PlanCacheHit)
+		}
 		if e.Rows != 1 {
 			t.Fatalf("entry %d rows = %d, want 1", i, e.Rows)
 		}

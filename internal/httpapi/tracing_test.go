@@ -111,6 +111,13 @@ func TestExplainPlanDoesNotExecute(t *testing.T) {
 	if resp.Explain.Tree.Find("fragment") == nil {
 		t.Fatalf("SCQ plan has no fragments:\n%s", resp.Explain.Text)
 	}
+	// The plan node says what the plan cache keyed the plan by, and that the
+	// first plan of a shape is not a cached one.
+	for _, attr := range []string{"shape=", "classes=", "cached=false"} {
+		if !strings.Contains(resp.Explain.Text, attr) {
+			t.Fatalf("plan node lacks %s:\n%s", attr, resp.Explain.Text)
+		}
+	}
 	if resp.Meta.ReformulationCQs <= 0 {
 		t.Fatalf("plan meta missing reformulation size: %+v", resp.Meta)
 	}

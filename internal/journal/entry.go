@@ -90,7 +90,16 @@ type Entry struct {
 	EvalMillis        float64 `json:"evalMillis,omitempty"`
 	TotalMillis       float64 `json:"totalMillis"`
 
+	// EstimatedCost is the cost model's estimate; with PlanCacheHit set, the
+	// one made for the constants the shape was first planned with.
 	EstimatedCost float64 `json:"estimatedCost,omitempty"`
+	// Shape is the plan-cache identity of the query (strategies that plan
+	// through the cache): the query with every constant no reformulation
+	// rule reads replaced by $1, $2, …; Classes are the selectivity classes
+	// of the atoms holding one, dot-separated. Of a union, the first
+	// member's.
+	Shape   string `json:"shape,omitempty"`
+	Classes string `json:"classes,omitempty"`
 	// PlanCacheHit reports the strategy's plan came from the plan cache;
 	// CachedFragments counts fragments served by the view cache.
 	PlanCacheHit    bool `json:"planCacheHit,omitempty"`

@@ -2,15 +2,20 @@ package query
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/dict"
 )
 
-// FormatArg renders one argument, decoding constants against d.
+// FormatArg renders one argument, decoding constants against d; a shape's
+// parameter renders as $1, $2, ….
 func FormatArg(d *dict.Dict, a Arg) string {
 	if a.IsVar() {
 		return a.Var
+	}
+	if slot, ok := a.Slot(); ok {
+		return "$" + strconv.Itoa(slot+1)
 	}
 	return d.Decode(a.ID).String()
 }

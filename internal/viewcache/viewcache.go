@@ -28,11 +28,13 @@ package viewcache
 import (
 	"container/list"
 	"crypto/sha256"
+	"encoding/binary"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/dict"
 	"repro/internal/exec"
 	"repro/internal/metrics"
 	"repro/internal/query"
@@ -174,6 +176,26 @@ func Signature(u query.UCQ) string {
 	return string(h.Sum(nil))
 }
 
+// BoundSignature derives the key of a fragment given as a shape: sig is the
+// Signature of the fragment with parameters in place of instance constants
+// (query.Lift; a parameter canonicalizes as the constant it is), and the
+// fragment itself binds params[slot] for each of slots. The signature fixes
+// the fragment up to those values and the values fix the rest, so hashing
+// the two identifies the bound fragment without canonicalizing its members
+// again; a fragment with no slots keeps its Signature.
+func BoundSignature(sig string, params []dict.ID, slots []int) string {
+	if len(slots) == 0 {
+		return sig
+	}
+	buf := make([]byte, 0, 128)
+	buf = append(buf, sig...)
+	for _, slot := range slots {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(params[slot]))
+	}
+	sum := sha256.Sum256(buf)
+	return string(sum[:])
+}
+
 // Generation returns the current update generation.
 func (c *Cache) Generation() uint64 { return c.gen.Load() }
 
@@ -235,9 +257,10 @@ func (c *Cache) gauges() {
 // permitting). stop is polled while waiting on another flight so a
 // canceled or timed-out caller unblocks promptly.
 //
-// key, when non-empty, must be Signature(u) precomputed by the caller —
-// plans are reused verbatim across executions, so a caller holding one can
-// canonicalize each fragment once per plan instead of once per execution.
+// key, when non-empty, must be u's key derived by the caller — Signature(u),
+// or BoundSignature for a u bound from a shape: plans are reused across
+// executions, so a caller holding one canonicalizes each fragment once per
+// plan instead of once per execution.
 // estCost is consulted lazily, on the first miss only: estimating a large
 // reformulation costs real time, and a hit must never pay it.
 func (c *Cache) GetOrEval(u query.UCQ, key string, estCost func() float64, stop func() error,

@@ -468,3 +468,25 @@ func TestMetricsCounters(t *testing.T) {
 		t.Fatalf("bytes gauge is zero with a resident entry")
 	}
 }
+
+// A bound fragment's key is its shape's signature hashed with the values in
+// its slots: a key per binding, the same key for the same binding, the plain
+// signature for a fragment with no slot — and always a key GetOrEval takes
+// as given.
+func TestBoundSignature(t *testing.T) {
+	sig := Signature(query.UCQ{HeadNames: []string{"x"}, CQs: []query.CQ{{
+		Head:  []query.Arg{query.Variable("x")},
+		Atoms: []query.Atom{{S: query.Variable("x"), P: query.Constant(7), O: query.Param(1)}},
+	}}})
+	params := []dict.ID{11, 12, 13}
+	if got := BoundSignature(sig, params, nil); got != sig {
+		t.Fatal("a fragment without slots must keep its signature")
+	}
+	a, b := BoundSignature(sig, params, []int{1}), BoundSignature(sig, []dict.ID{11, 99, 13}, []int{1})
+	if a == sig || a == b || len(a) != len(sig) {
+		t.Fatalf("bound keys %x and %x of signature %x", a, b, sig)
+	}
+	if again := BoundSignature(sig, []dict.ID{0, 12}, []int{1}); again != a {
+		t.Fatal("only the values in the fragment's slots may enter its key")
+	}
+}
