@@ -371,28 +371,6 @@ func BenchmarkAblation_ExhaustiveCov(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_ParallelUCQ measures parallel union evaluation against
-// the serial default on a mid-size reformulation (LUBM Q6's UCQ).
-func benchQ6UCQ(b *testing.B, parallel bool) {
-	f, _ := fixtures(b)
-	qs, err := lubm.ParseQueries(f.g.Dict(), 0, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	u := f.eng.Reformulator().ReformulateCQ(qs[5].CQ) // Q6: all Students
-	ev := exec.New(f.eng.Store(), f.eng.Stats())
-	ev.Parallel = parallel
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ev.EvalUCQContext(context.Background(), u); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblation_UCQSerial(b *testing.B)   { benchQ6UCQ(b, false) }
-func BenchmarkAblation_UCQParallel(b *testing.B) { benchQ6UCQ(b, true) }
-
 // BenchmarkE6_MaintainedDelete measures counting-based deletion.
 func BenchmarkE6_MaintainedDelete(b *testing.B) {
 	f, _ := fixtures(b)

@@ -17,7 +17,7 @@ import (
 //
 // Exemptions:
 //   - the creating function returns the span (factories such as
-//     startEval or newFragSpan; the *caller* is then checked);
+//     startEval or newScatterSpan; the *caller* is then checked);
 //   - calls to methods named Root (accessors, not creations);
 //   - spans stored into struct fields (their owner manages the
 //     lifecycle);

@@ -20,8 +20,8 @@ import (
 //     INLJ/hash mix vs. hash joins only;
 //   - cover search: GCov's greedy pick vs. the exhaustive partition-space
 //     optimum (estimated cost, search time, evaluation time);
-//   - union evaluation: serial vs. parallel UCQ branches on a mid-size
-//     reformulation.
+//   - UCQ minimization: the members subsumption pruning drops from a
+//     mid-size reformulation.
 type AblationResult struct {
 	Table Table
 }
@@ -111,37 +111,14 @@ func Ablation(cfg Config) (*AblationResult, error) {
 	res.Table.Add("cover search", "exhaustive partitions", tExh,
 		fmt.Sprintf("cover %v, est. cost %.0f, %d covers explored", eres.Cover, eres.Cost, len(eres.Explored)))
 
-	// 3. Serial vs parallel UCQ on the 145-CQ reformulation of the open
-	// type atom (Example 1's t1 evaluated alone).
+	// 3. UCQ minimization (CQ-subsumption pruning) on the 145-CQ
+	// reformulation of the open type atom (Example 1's t1 alone).
 	qT1, err := query.ParseRuleWithPrefixes(g.Dict(), map[string]string{"ub": lubm.NS},
 		`q(x, u) :- x rdf:type u`)
 	if err != nil {
 		return nil, err
 	}
 	u := e.Reformulator().ReformulateCQ(qT1)
-	timeUCQ := func(parallel bool) (time.Duration, error) {
-		ev := exec.New(e.Store(), e.Stats())
-		ev.Parallel = parallel
-		ev.Budget = exec.Budget{Timeout: cfg.Timeout}
-		start := time.Now()
-		if _, err := ev.EvalUCQContext(ctx, u); err != nil {
-			return 0, err
-		}
-		return time.Since(start), nil
-	}
-	tSerial, err := timeUCQ(false)
-	if err != nil {
-		return nil, err
-	}
-	tPar, err := timeUCQ(true)
-	if err != nil {
-		return nil, err
-	}
-	res.Table.Add("UCQ evaluation", "serial", tSerial, fmt.Sprintf("|UCQ| = %d CQs", len(u.CQs)))
-	res.Table.Add("UCQ evaluation", "parallel", tPar,
-		fmt.Sprintf("%.1fx", float64(tSerial)/float64(maxDur(tPar, time.Nanosecond))))
-
-	// 4. UCQ minimization (CQ-subsumption pruning) on the same union.
 	min := query.UCQ{HeadNames: u.HeadNames, CQs: append([]query.CQ(nil), u.CQs...)}
 	start = time.Now()
 	dropped := min.Minimize()

@@ -218,8 +218,8 @@ func TestAblationMini(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Table.Rows) != 8 {
-		t.Fatalf("want 8 ablation rows, got %d", len(res.Table.Rows))
+	if len(res.Table.Rows) != 6 {
+		t.Fatalf("want 6 ablation rows, got %d", len(res.Table.Rows))
 	}
 	if !strings.Contains(res.String(), "cover search") {
 		t.Fatal("report incomplete")

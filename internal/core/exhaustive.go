@@ -64,12 +64,9 @@ func ExhaustiveCov(r *Reformulator, m *cost.Model, q query.CQ, opts GCovOptions)
 	if best == nil {
 		return nil, fmt.Errorf("core: every partition cover exceeds the fragment bound %d", maxCQs)
 	}
-	jucq, err := cache.materialize(best)
-	if err != nil {
+	if err := cache.materialize(res, best); err != nil {
 		return nil, err
 	}
-	res.Cover = best
-	res.JUCQ = jucq
 	res.Cost = bestCost
 	return res, nil
 }

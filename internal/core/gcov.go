@@ -38,10 +38,11 @@ type Explored struct {
 
 // GCovResult is the outcome of the greedy search.
 type GCovResult struct {
-	Cover    query.Cover
-	JUCQ     query.JUCQ
-	Cost     float64
-	Explored []Explored
+	Cover     query.Cover
+	JUCQ      query.JUCQ
+	Estimates []cost.Estimate // JUCQ's fragments', as the search priced them
+	Cost      float64
+	Explored  []Explored
 }
 
 // GCov runs the paper's greedy cost-based cover selection (§4): starting
@@ -114,12 +115,9 @@ func GCov(r *Reformulator, m *cost.Model, q query.CQ, opts GCovOptions) (*GCovRe
 		cur, curEst = best.cover, best.est
 		res.Explored = append(res.Explored, Explored{Cover: cur.Clone(), Cost: curEst.Cost, Card: curEst.Card, Adopted: true})
 	}
-	jucq, err := cache.materialize(cur)
-	if err != nil {
+	if err := cache.materialize(res, cur); err != nil {
 		return nil, err
 	}
-	res.Cover = cur
-	res.JUCQ = jucq
 	res.Cost = curEst.Cost
 	return res, nil
 }
@@ -206,20 +204,24 @@ func (fc *fragmentCache) estimateCover(c query.Cover) (cost.Estimate, bool, erro
 	return fc.m.JoinFragments(ests, nil), true, nil
 }
 
-// materialize assembles the JUCQ for a cover from cached fragments.
-func (fc *fragmentCache) materialize(c query.Cover) (query.JUCQ, error) {
+// materialize sets res's cover, and the JUCQ and fragment estimates it
+// assembles for it from cached fragments.
+func (fc *fragmentCache) materialize(res *GCovResult, c query.Cover) error {
 	j := query.JUCQ{HeadNames: query.HeadVarNames(fc.q), Cover: c.Clone()}
+	ests := make([]cost.Estimate, 0, len(c))
 	for _, frag := range c {
 		e, err := fc.get(frag)
 		if err != nil {
-			return query.JUCQ{}, err
+			return err
 		}
 		if e.tooBig {
-			return query.JUCQ{}, fmt.Errorf("core: fragment %v reformulation exceeds %d CQs", frag, fc.maxCQs)
+			return fmt.Errorf("core: fragment %v reformulation exceeds %d CQs", frag, fc.maxCQs)
 		}
 		j.Fragments = append(j.Fragments, e.frag)
+		ests = append(ests, e.est)
 	}
-	return j, nil
+	res.Cover, res.JUCQ, res.Estimates = c, j, ests
+	return nil
 }
 
 // growCover returns cur with atom ai added to fragment fi; fragments that

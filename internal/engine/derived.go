@@ -191,7 +191,7 @@ func (e *Engine) swap(keep *derived, added, removed []dict.Triple) {
 		}
 		return saturated{res, time.Since(start)}
 	})
-	d.satStore = sync.OnceValue(func() *storage.Store { return storage.Build(g.Dict(), d.sat().res.Triples) })
+	d.satStore = sync.OnceValue(func() *storage.Store { return storage.BuildSorted(g.Dict(), d.sat().res.Triples) })
 	d.satStats = sync.OnceValue(func() *stats.Stats { return stats.Collect(d.satStore()) })
 	d.satModel = sync.OnceValue(func() *cost.Model { return cost.NewModel(d.satStats()) })
 	e.d = d

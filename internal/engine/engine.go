@@ -245,7 +245,8 @@ func (e *Engine) RangeReformulator() *core.RangeReformulator { return e.d.rangeR
 func (e *Engine) IncompleteReformulator() *core.Reformulator { return e.d.incRef() }
 
 // Saturation returns G∞: saturated from scratch before the first data
-// update, read off the maintained closure after.
+// update, read off the maintained closure after. Its Triples are the SPO run
+// of SatStore, shared: callers must not modify them.
 func (e *Engine) Saturation() *saturation.Result { return e.d.sat().res }
 
 // SaturationTime returns the wall-clock time producing Saturation() took.
@@ -269,24 +270,6 @@ func (e *Engine) EnableViewCache(cfg viewcache.Config) {
 
 // ViewCache returns the attached view cache, nil when disabled.
 func (e *Engine) ViewCache() *viewcache.Cache { return e.views }
-
-// attachViewCache hooks the view cache into one evaluator when the cache is
-// on and p evaluates fragments; returns the per-answer outcome accumulator
-// (nil when detached). Cache admission needs fragment cost estimates, so the
-// cost model is attached even on untraced queries; the plan hands over its
-// fragment keys, derived from its shape's signatures, so no execution
-// canonicalizes a fragment.
-func (e *Engine) attachViewCache(ev *exec.Evaluator, p *prepared) *exec.CacheStats {
-	if e.views == nil || p.jucq == nil {
-		return nil
-	}
-	ev.FragCache = e.views
-	ev.FragKeys = p.fragmentKeys()
-	ev.Cost = p.model
-	cs := &exec.CacheStats{}
-	ev.CacheStats = cs
-	return cs
-}
 
 // SetPlanCacheCapacity resizes the plan cache (default 128), dropping any
 // cached plans.
@@ -498,31 +481,6 @@ func stampAdmission(ans *Answer, tkt *admission.Ticket) {
 	}
 	ans.QueueWait = tkt.Wait()
 	ans.AdmissionWeight = tkt.Weight()
-}
-
-// startEval opens the "eval" phase span and wires the evaluator for
-// per-operator tracing (span parent plus the cost model used for operator
-// estimates). Returns nil (and leaves the evaluator untouched) without a
-// trace.
-func startEval(sp *trace.Span, ev *exec.Evaluator, m *cost.Model) *trace.Span {
-	if sp == nil {
-		return nil
-	}
-	es := sp.Child("eval")
-	ev.Span = es
-	ev.Cost = m
-	return es
-}
-
-// endEval closes the eval span, recording the result size.
-func endEval(es *trace.Span, rows *exec.Relation) {
-	if es == nil {
-		return
-	}
-	if rows != nil {
-		es.SetInt("rows", int64(rows.Len()))
-	}
-	es.End()
 }
 
 // observePlanCache records one plan-cache lookup. The lookup-site counters

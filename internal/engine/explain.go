@@ -106,19 +106,19 @@ func (e *Engine) explain(p *prepared) *Plan {
 		}
 
 	case p.jucq != nil:
-		// One "fragment" node per cover block, then one "join" node per
-		// step of the plan the cost model prices over the fragment
-		// estimates, with the running estimated cardinality — the order
-		// EXPLAIN ANALYZE traces show when the estimates track reality.
+		// One "fragment" node per cover block with the estimate the plan
+		// priced it at (the executor's), then one "join" node per step of the
+		// plan the cost model prices over those, with the running estimated
+		// cardinality — the order EXPLAIN ANALYZE traces show when the
+		// estimates track reality.
 		root.SetStr("cover", p.cover.String())
 		root.SetBool("cached", p.cachedPlan)
 		if p.explored != nil {
 			root.SetInt("explored", int64(len(p.explored)))
 		}
 		root.SetFloat("est_cost", p.est.Cost)
-		frags := make([]cost.Estimate, len(p.jucq.Fragments))
+		frags := p.fragEsts
 		for i, f := range p.jucq.Fragments {
-			frags[i] = p.model.UCQ(f.UCQ)
 			fsp := root.Child("fragment")
 			fsp.SetInt("idx", int64(i))
 			fsp.SetStr("atoms", query.Cover{f.AtomIndexes}.String())

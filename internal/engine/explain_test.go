@@ -209,7 +209,7 @@ func TestAnswerTraceEstimatesAndActuals(t *testing.T) {
 }
 
 // fragmentNodes lists the "fragment" nodes of a span tree as "idx atoms",
-// in fragment order (parallel evaluation records them in any order).
+// in fragment order.
 func fragmentNodes(n *trace.SpanJSON) []string {
 	var out []string
 	if n.Name == "fragment" {

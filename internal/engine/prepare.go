@@ -52,9 +52,11 @@ type prepared struct {
 	ranges  *query.RangeUCQ
 	program *datalog.Program
 	// frags derives the view-cache keys of jucq's fragments; the request's
-	// are kept in fragKeys once something asked for them.
+	// are kept in fragKeys once something asked for them. fragEsts, shared
+	// like frags, are the estimates the planner priced the fragments at.
 	frags    *fragmentKeyer
 	fragKeys []string
+	fragEsts []cost.Estimate
 	params   []dict.ID // the request's constants, by parameter slot
 
 	// Against which database: the explicit data plus the closed schema
@@ -156,7 +158,11 @@ func planCover(e *Engine, t *prepared, cover query.Cover, bound int, m *cost.Mod
 	if err != nil {
 		return err
 	}
-	t.setJUCQ(j, cover, m.JUCQ(j))
+	ests := make([]cost.Estimate, len(j.Fragments))
+	for i, f := range j.Fragments {
+		ests[i] = m.UCQ(f.UCQ)
+	}
+	t.setJUCQ(j, cover, ests, m.JoinFragments(ests, nil))
 	return nil
 }
 
@@ -168,7 +174,7 @@ func planGCov(e *Engine, t *prepared, _ query.Cover, bound int, m *cost.Model) e
 		return err
 	}
 	t.explored = res.Explored
-	t.setJUCQ(res.JUCQ, res.Cover, cost.Estimate{Cost: res.Cost})
+	t.setJUCQ(res.JUCQ, res.Cover, res.Estimates, cost.Estimate{Cost: res.Cost})
 	return nil
 }
 
@@ -183,8 +189,8 @@ func planRange(e *Engine, t *prepared, _ query.Cover, _ int, _ *cost.Model) erro
 	return nil
 }
 
-func (p *prepared) setJUCQ(j query.JUCQ, cover query.Cover, est cost.Estimate) {
-	p.jucq, p.cover, p.est, p.cqs = &j, cover, est, 0
+func (p *prepared) setJUCQ(j query.JUCQ, cover query.Cover, fragEsts []cost.Estimate, est cost.Estimate) {
+	p.jucq, p.cover, p.fragEsts, p.est, p.cqs = &j, cover, fragEsts, est, 0
 	for _, f := range j.Fragments {
 		p.cqs += len(f.UCQ.CQs)
 	}
@@ -380,6 +386,20 @@ func newFragmentKeyer(shape *query.JUCQ) *fragmentKeyer {
 	return k
 }
 
+// fragmentPlans returns what the evaluator is told about the fragments of
+// p's JUCQ: the estimates they were planned with and, keyed, their
+// view-cache keys.
+func (p *prepared) fragmentPlans(keyed bool) []exec.FragmentPlan {
+	plans := make([]exec.FragmentPlan, len(p.fragEsts))
+	for i := range plans {
+		plans[i].Est = p.fragEsts[i]
+		if keyed {
+			plans[i].Key = p.fragmentKeys()[i]
+		}
+	}
+	return plans
+}
+
 // fragmentKeys returns the view-cache key of each fragment of p's JUCQ.
 func (p *prepared) fragmentKeys() []string {
 	if p.fragKeys == nil {
@@ -436,22 +456,38 @@ func (e *Engine) execute(ctx context.Context, p *prepared, sp *trace.Span) (*Ans
 	ev.Budget = e.Budget
 	ev.Metrics = e.Metrics
 	ev.MaxParallel = tkt.Weight()
-	cs := e.attachViewCache(ev, p)
-	es := startEval(sp, ev, p.model)
+	// Traced, the evaluator records its operators under an "eval" span, with
+	// the model's estimates inside conjunctive bodies. What the view cache
+	// needs of a fragment besides its result — its key, and on a miss its
+	// estimate for admission — and what a trace records of one, the plan
+	// hands over.
+	es := sp.Child("eval")
 	defer es.End()
+	if es != nil {
+		ev.Span, ev.Cost = es, p.model
+	}
+	var cs *exec.CacheStats
+	if e.views != nil && p.jucq != nil {
+		cs = &exec.CacheStats{}
+		ev.FragCache, ev.CacheStats = e.views, cs
+	}
+	if p.jucq != nil && (cs != nil || es != nil) {
+		ev.Fragments = p.fragmentPlans(cs != nil)
+	}
 	start := time.Now()
 	rows, err := e.eval(ctx, p, ev)
 	if err != nil {
 		return nil, err
 	}
-	endEval(es, rows)
+	es.SetInt("rows", int64(rows.Len()))
+	es.End()
 	ans := &Answer{
 		Strategy: p.strategy, Rows: rows, Cover: p.cover, ReformulationCQs: p.cqs,
 		PrepTime: p.took, EvalTime: time.Since(start),
 		Explored: p.explored, EstimatedCost: p.est.Cost, CachedPlan: p.cachedPlan,
 	}
 	if cs != nil {
-		ans.CachedFragments = int(cs.Hits.Load())
+		ans.CachedFragments = cs.Hits
 	}
 	if e.CaptureFragmentSigs && p.jucq != nil {
 		ans.FragmentSigs = p.fragmentSigs()

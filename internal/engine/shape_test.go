@@ -12,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/rdf"
+	"repro/internal/trace"
 )
 
 // shapeGraph is a small schema with everything the lifting rule must be
@@ -354,7 +355,7 @@ func (p *prepared) fingerprint() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s|%s|%s|%v|%v|%d|%v|%v|", p.key, p.shape, p.classes, p.q, p.cover, p.cqs, p.est, p.explored)
 	if p.jucq != nil {
-		fmt.Fprintf(&sb, "%v|%v|%q", *p.jucq, p.frags.slots, p.frags.sigs())
+		fmt.Fprintf(&sb, "%v|%v|%q|%v", *p.jucq, p.frags.slots, p.frags.sigs(), p.fragEsts)
 	}
 	if p.ranges != nil {
 		fmt.Fprintf(&sb, "%v", *p.ranges)
@@ -367,7 +368,8 @@ func (p *prepared) fingerprint() string {
 // never written (the race detector watches; the fingerprints agree), every
 // answer after the first of a shape is a hit, and the cache stays at the
 // shape count. Readers copy the engine under the read side of the lock the
-// writer holds, as the HTTP layer does.
+// writer holds, and trace every answer, as the HTTP layer does — so the
+// plans' fragment estimates are read concurrently too.
 func TestReadersBindOneSharedPlan(t *testing.T) {
 	g, err := lubm.NewGraph(lubm.Mini(), 42)
 	if err != nil {
@@ -443,6 +445,7 @@ func TestReadersBindOneSharedPlan(t *testing.T) {
 				q, s := queries[(r+i)%len(queries)], strategies[i%len(strategies)]
 				mu.RLock()
 				eng := *e
+				eng.Tracer = trace.New(0)
 				a, err := eng.Answer(q, s)
 				mu.RUnlock()
 				if err != nil {

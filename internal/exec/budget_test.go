@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/dict"
+	"repro/internal/metrics"
 	"repro/internal/query"
 )
 
@@ -37,7 +38,8 @@ func crossCQ() query.CQ {
 // Regression for the headline bug: parallel UCQ workers used to restart
 // Budget.Timeout per CQ (fresh sub-Evaluator → EvalCQ → fresh deadline),
 // so a union of N CQs effectively got N budgets. The deadline must be set
-// once for the whole union and shared by every worker.
+// once for the whole union and shared by every worker — a scatter's shard
+// workers now, the executor's one fan-out.
 func TestParallelUCQSharedTimeout(t *testing.T) {
 	st, ss := tinyStore(crossStore(400))
 	u := query.UCQ{HeadNames: []string{"x", "z"}}
@@ -53,8 +55,7 @@ func TestParallelUCQSharedTimeout(t *testing.T) {
 	}
 	baseline := time.Since(start)
 
-	e := New(st, ss)
-	e.Parallel = true
+	e := New(newSplitStore(st, 4), ss)
 	e.Budget.Timeout = time.Millisecond
 	start = time.Now()
 	_, err := e.ucq(u)
@@ -88,7 +89,8 @@ func TestSerialUCQSharedTimeout(t *testing.T) {
 
 // Regression for the same defect in EvalJUCQ: each fragment's UCQ used to
 // be evaluated with a fresh deadline (serial and parallel paths alike), so
-// a 2-fragment JUCQ with timeout T could run for ~2T. It must fail in ≈T.
+// a 2-fragment JUCQ with timeout T could run for ~2T. It must fail in ≈T,
+// over one store and over shards.
 func TestJUCQSharedTimeout(t *testing.T) {
 	st, ss := tinyStore(crossStore(800))
 	frag := func() query.Fragment {
@@ -109,18 +111,17 @@ func TestJUCQSharedTimeout(t *testing.T) {
 	}
 	baseline := time.Since(start)
 
-	for _, parallel := range []bool{false, true} {
-		e := New(st, ss)
-		e.Parallel = parallel
+	for _, src := range []Source{st, newSplitStore(st, 4)} {
+		e := New(src, ss)
 		e.Budget.Timeout = time.Millisecond
 		start = time.Now()
 		_, err := e.jucq(j)
 		elapsed := time.Since(start)
 		if !errors.Is(err, ErrBudgetExceeded) {
-			t.Fatalf("parallel=%v: want ErrBudgetExceeded, got %v", parallel, err)
+			t.Fatalf("%T: want ErrBudgetExceeded, got %v", src, err)
 		}
 		if elapsed > baseline/2+100*time.Millisecond {
-			t.Fatalf("parallel=%v: budgeted JUCQ took %v (baseline %v): deadline looks restarted per fragment", parallel, elapsed, baseline)
+			t.Fatalf("%T: budgeted JUCQ took %v (baseline %v): deadline looks restarted per fragment", src, elapsed, baseline)
 		}
 	}
 }
@@ -175,9 +176,9 @@ func TestContextDeadlineMapsToBudgetError(t *testing.T) {
 	}
 }
 
-// Parallel UCQ and JUCQ evaluation with budgets must be race-free:
-// workers share one guard (ctx + absolute deadline + atomic tally).
-// Run under -race.
+// Parallel UCQ and JUCQ evaluation with budgets must be race-free: a
+// scatter's shard workers share one guard (ctx + absolute deadline + atomic
+// tally). Run under -race.
 func TestParallelBudgetedEvalRace(t *testing.T) {
 	st, ss := tinyStore(crossStore(64))
 	u := query.UCQ{HeadNames: []string{"x", "z"}}
@@ -185,8 +186,8 @@ func TestParallelBudgetedEvalRace(t *testing.T) {
 		u.CQs = append(u.CQs, crossCQ())
 	}
 	for i := 0; i < 4; i++ {
-		e := New(st, ss)
-		e.Parallel = true
+		e := New(newSplitStore(st, 4), ss)
+		e.Metrics = metrics.NewRegistry()
 		e.Budget.Timeout = 30 * time.Second
 		r, err := e.ucq(u)
 		if err != nil {
@@ -199,8 +200,8 @@ func TestParallelBudgetedEvalRace(t *testing.T) {
 	frag := query.Fragment{UCQ: query.UCQ{HeadNames: []string{"x", "z"}, CQs: []query.CQ{crossCQ()}}}
 	j := query.JUCQ{HeadNames: []string{"x", "z"}, Fragments: []query.Fragment{frag, frag}}
 	for i := 0; i < 4; i++ {
-		e := New(st, ss)
-		e.Parallel = true
+		e := New(newSplitStore(st, 4), ss)
+		e.Metrics = metrics.NewRegistry()
 		e.Budget.Timeout = 30 * time.Second
 		if _, err := e.jucq(j); err != nil {
 			t.Fatal(err)

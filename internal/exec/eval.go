@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,7 +34,8 @@ type Budget struct {
 	MaxRows int
 	// Timeout caps wall-clock evaluation time. The deadline is set once
 	// per top-level Eval* call and shared by every sub-evaluation it
-	// spawns (serial or parallel): a UCQ of N CQs gets one budget, not N.
+	// spawns (a scatter's shards included): a UCQ of N CQs gets one
+	// budget, not N.
 	Timeout time.Duration
 }
 
@@ -53,9 +52,7 @@ type Evaluator struct {
 
 	// Budget bounds every evaluation started afterwards.
 	Budget Budget
-	// Parallel enables concurrent evaluation of UCQ branches.
-	Parallel bool
-	// MaxParallel caps the workers a parallel evaluation may use
+	// MaxParallel caps the workers a scatter over a sharded source may use
 	// (0 = runtime.GOMAXPROCS). The admission layer sets it to the
 	// query's admitted gate weight, so an evaluation's CPU fan-out
 	// tracks the slots it holds instead of every admitted query
@@ -69,30 +66,34 @@ type Evaluator struct {
 	// default; merge sorts both sides — the second ablation knob).
 	Join JoinAlgorithm
 	// Metrics, when non-nil, receives executor counters (rows scanned /
-	// joined / unioned, parallel worker utilization). Safe to share
-	// across evaluators and goroutines.
+	// joined / unioned, shard traffic). Safe to share across evaluators and
+	// goroutines.
 	Metrics *metrics.Registry
 	// Span, when non-nil, is the parent under which every top-level Eval*
 	// call records one span per operator (scan, index/hash/merge join,
 	// union, projection) with its actual row count, wall time and — when
-	// Cost is also set — the cost model's estimated cardinality
-	// (EXPLAIN ANALYZE's est-vs-actual columns). Span tracing is
-	// concurrency-safe and does not disable parallel evaluation.
+	// an estimate is at hand — the estimated cardinality (EXPLAIN
+	// ANALYZE's est-vs-actual columns). Span tracing is concurrency-safe,
+	// scatters included.
 	Span *trace.Span
-	// Cost, when non-nil, supplies per-operator estimates next to the
-	// actuals recorded under Span. Only consulted while Span is set, so
-	// the untraced path never pays for estimation — except on a FragCache
-	// miss, which estimates the missed fragment for admission.
+	// Cost, when non-nil, supplies the estimates of the operators inside a
+	// conjunctive body next to the actuals recorded under Span. Only
+	// consulted while Span is set, so the untraced path never pays for
+	// estimation. A JUCQ's fragments and fragment joins read their
+	// estimates from Fragments; only without those does Cost price a
+	// fragment — for a traced span, or for a FragCache miss's admission.
 	Cost *cost.Model
 	// FragCache, when non-nil, is consulted once per JUCQ fragment for a
 	// previously materialized result (internal/viewcache). Fragment
 	// evaluation and cache waits both respect the evaluation's guard.
 	FragCache FragmentCache
-	// FragKeys optionally carries FragCache keys aligned with the JUCQ's
-	// fragments (missing/empty entries are derived by the cache). Callers
-	// evaluating a cached plan set it so the per-fragment canonicalization
-	// is paid once per plan, not once per execution.
-	FragKeys []string
+	// Fragments optionally carries what the caller already knows about each
+	// fragment of the JUCQ it evaluates, aligned with the fragments (any
+	// other length is ignored): the FragCache key and the estimate the plan
+	// was priced with. The engine sets it from its cached plan, so a
+	// fragment is canonicalized and priced once per plan, not once per
+	// execution.
+	Fragments []FragmentPlan
 	// CacheStats, when non-nil, accumulates FragCache outcomes for this
 	// evaluation; the engine attaches a fresh value per answered query.
 	CacheStats *CacheStats
@@ -106,16 +107,14 @@ func New(st Source, s *stats.Stats) *Evaluator {
 	return &Evaluator{st: st, stats: s}
 }
 
-// sub returns the evaluator a fan-out hands one of its workers: the same
-// knobs over the given source and statistics, with its own fan-out off —
-// the caller owns the parallelism, and nesting it would overrun the
-// admitted weight.
-func (e *Evaluator) sub(st Source, s *stats.Stats) *Evaluator {
-	return &Evaluator{
-		st: st, stats: s,
-		Budget: e.Budget, ForceHashJoins: e.ForceHashJoins, Join: e.Join, Cost: e.Cost,
-		MaxParallel: 1,
-	}
+// FragmentPlan is what a caller knows about one JUCQ fragment before
+// evaluating it (Evaluator.Fragments).
+type FragmentPlan struct {
+	// Key is the fragment's FragCache key; empty: the cache derives it.
+	Key string
+	// Est is the cost model's estimate of the fragment: its est_rows, and
+	// its cost for the cache's admission on a miss.
+	Est cost.Estimate
 }
 
 // checkEvery is how many rows an operator processes between guard checks;
@@ -124,7 +123,7 @@ func (e *Evaluator) sub(st Source, s *stats.Stats) *Evaluator {
 const checkEvery = 4096
 
 // tally accumulates executor row counts for one top-level evaluation;
-// atomics because parallel sub-evaluations share it. Flushed into the
+// atomics because a scatter's shard workers share it. Flushed into the
 // metrics registry once per evaluation, keeping registry traffic off the
 // per-row path.
 type tally struct {
@@ -137,8 +136,8 @@ type tally struct {
 // guard is the unified early-stop check every operator polls: the budget's
 // wall-clock deadline plus caller cancellation. One guard is created per
 // top-level Eval* call and threaded — by value, its fields immutable — into
-// every sub-evaluation, serial or parallel, so the whole evaluation shares
-// one deadline and one cancellation signal.
+// every sub-evaluation, a scatter's shard workers included, so the whole
+// evaluation shares one deadline and one cancellation signal.
 type guard struct {
 	ctx   context.Context // nil: not cancellable
 	at    time.Time
@@ -734,7 +733,7 @@ func (e *Evaluator) projectHead(headNames []string, head []query.Arg, body *Rela
 }
 
 // EvalUCQContext evaluates a union of CQs with set semantics, bounded by
-// ctx. The whole union — serial or parallel — shares one deadline and one
+// ctx. The whole union — scatters included — shares one deadline and one
 // cancellation signal.
 func (e *Evaluator) EvalUCQContext(ctx context.Context, u query.UCQ) (*Relation, error) {
 	g := e.newGuard(ctx)
@@ -761,8 +760,8 @@ func (e *Evaluator) evalUCQ(u query.UCQ, g guard, sp *trace.Span) (*Relation, er
 }
 
 // union is the one member loop of the executor: however a union runs —
-// serially, streamed, per shard or in parallel — each member's answers
-// reach the result through merge.
+// serially, streamed or per shard — each member's answers reach the result
+// through add.
 type union struct {
 	ev   *Evaluator
 	g    guard
@@ -771,22 +770,17 @@ type union struct {
 	done int
 }
 
-// newUnion starts a serially evaluated union, whose members share a memo.
+// newUnion starts a union, whose members share a memo.
 func (e *Evaluator) newUnion(headNames []string, g guard) *union {
 	return &union{ev: e, g: g, out: NewRelation(headNames), memo: &memo{}}
 }
 
-// add evaluates one member and merges its answers.
+// add evaluates one member and appends its answers under the row cap.
 func (u *union) add(q query.RangeCQ, sp *trace.Span) error {
 	r, err := u.ev.evalCQ(u.out.Vars, q, u.memo, u.g, sp)
 	if err != nil {
 		return err
 	}
-	return u.merge(r)
-}
-
-// merge appends one member's answers under the row cap.
-func (u *union) merge(r *Relation) error {
 	u.done++
 	if err := appendRelation(u.out, r, u.g.err); err != nil {
 		return err
@@ -839,9 +833,6 @@ func (e *Evaluator) evalUnion(headNames []string, cqs []query.RangeCQ, g guard, 
 			return e.evalUnionScatter(sh, headNames, co, rest, g, usp)
 		}
 	}
-	if e.Parallel && len(cqs) >= 8 {
-		return e.evalUnionParallel(headNames, cqs, g, usp)
-	}
 	u := e.newUnion(headNames, g)
 	if err := u.addAll(cqs, usp); err != nil {
 		return nil, err
@@ -882,73 +873,9 @@ func (e *Evaluator) EvalUCQStreamContext(ctx context.Context, headNames []string
 	return u.finish(usp)
 }
 
-// evalUnionParallel evaluates the members on a bounded set of workers. The
-// workers share the caller's guard — one deadline for the union, not one
-// per CQ — and no memo (it is unsynchronized); the span tree is
-// mutex-protected, so they may record operator spans concurrently.
-func (e *Evaluator) evalUnionParallel(headNames []string, cqs []query.RangeCQ, g guard, sp *trace.Span) (*Relation, error) {
-	nw := runtime.GOMAXPROCS(0)
-	if e.MaxParallel > 0 && e.MaxParallel < nw {
-		nw = e.MaxParallel
-	}
-	if nw > len(cqs) {
-		nw = len(cqs)
-	}
-	e.Metrics.Counter("exec.parallel_evals").Inc()
-	e.Metrics.Histogram("exec.parallel_workers", 1, 2, 4, 8, 16, 32, 64).Observe(float64(nw))
-	busy := e.Metrics.Gauge("exec.parallel_workers_busy")
-	var (
-		mu    sync.Mutex
-		u     = &union{ev: e, g: g, out: NewRelation(headNames)}
-		first error
-		idx   int
-	)
-	// The union already owns the fan-out, so a sharded source evaluates its
-	// shards serially per CQ instead of multiplying workers.
-	sub := e.sub(e.st, e.stats)
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			busy.Add(1)
-			defer busy.Add(-1)
-			for {
-				mu.Lock()
-				if first != nil || idx >= len(cqs) {
-					mu.Unlock()
-					return
-				}
-				cq := cqs[idx]
-				idx++
-				mu.Unlock()
-				err := g.err()
-				var r *Relation
-				if err == nil {
-					r, err = sub.evalCQ(headNames, cq, nil, g, sp)
-				}
-				mu.Lock()
-				if err == nil && first == nil {
-					err = u.merge(r)
-				}
-				if err != nil && first == nil {
-					first = err
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if first != nil {
-		return nil, first
-	}
-	return u.finish(sp)
-}
-
 // EvalJUCQContext evaluates a join of UCQs, bounded by ctx: each fragment's
-// UCQ is evaluated (concurrently when Parallel is set — fragments are
-// independent) and the fragment results are joined, then projected on the
-// head. All fragments — serial or parallel — share one deadline: a JUCQ of N
+// UCQ is evaluated in turn and the fragment results are joined, then
+// projected on the head. All fragments share one deadline: a JUCQ of N
 // fragments gets one Budget.Timeout, not N.
 func (e *Evaluator) EvalJUCQContext(ctx context.Context, j query.JUCQ) (*Relation, error) {
 	if len(j.Fragments) == 0 {
@@ -957,150 +884,41 @@ func (e *Evaluator) EvalJUCQContext(ctx context.Context, j query.JUCQ) (*Relatio
 	g := e.newGuard(ctx)
 	defer g.flush(e.Metrics)
 	sp := e.Span
-	// When tracing, estimate each fragment once so fragment spans and the
-	// fragment-join spans carry est_rows next to actuals. The view cache
-	// also needs estimates for cost-based admission, but only on a miss —
-	// estimating a large reformulation costs more than serving a warm hit —
-	// so untraced runs hand the cache a lazy per-fragment estimator instead
-	// of estimating up front.
-	var fragEsts []cost.Estimate
-	if e.Cost != nil && sp != nil {
-		fragEsts = make([]cost.Estimate, len(j.Fragments))
-		//reflint:noguard estimation only, bounded by the cover's fragment count
-		for i, f := range j.Fragments {
-			fragEsts[i] = e.Cost.UCQ(f.UCQ)
-		}
-	}
-	// evalFragment routes one fragment through the view cache when
-	// attached: a hit (or a join on a concurrent identical evaluation)
-	// skips evalUCQ entirely and returns an immutable renamed view; a miss
-	// evaluates under this JUCQ's guard and may be admitted. Outcomes land
-	// on the fragment span (cache_hit / cache_bytes in EXPLAIN ANALYZE)
-	// and on CacheStats for the per-answer cached_fragments count.
-	evalFragment := func(sub *Evaluator, f query.Fragment, i int, fsp *trace.Span) (*Relation, error) {
-		if e.FragCache == nil {
-			return sub.evalUCQ(f.UCQ, g, fsp)
-		}
-		est := func() float64 {
-			if fragEsts != nil {
-				return fragEsts[i].Cost
+	// What is known of each fragment beforehand: the caller's plans or, only
+	// for a trace (est_rows on fragment and join spans), the model's
+	// estimates made here. Without either the cache prices a miss itself.
+	plans := e.Fragments
+	if len(plans) != len(j.Fragments) {
+		plans = nil
+		if e.Cost != nil && sp != nil {
+			plans = make([]FragmentPlan, len(j.Fragments))
+			//reflint:noguard estimation only, bounded by the cover's fragment count
+			for i, f := range j.Fragments {
+				plans[i].Est = e.Cost.UCQ(f.UCQ)
 			}
-			if e.Cost != nil {
-				return e.Cost.UCQ(f.UCQ).Cost
-			}
-			return -1
-		}
-		key := ""
-		if i < len(e.FragKeys) {
-			key = e.FragKeys[i]
-		}
-		r, out, err := e.FragCache.GetOrEval(f.UCQ, key, est, g.err, func() (*Relation, error) {
-			return sub.evalUCQ(f.UCQ, g, fsp)
-		})
-		if err != nil {
-			return nil, err
-		}
-		if st := e.CacheStats; st != nil {
-			if out.Hit {
-				st.Hits.Add(1)
-			} else {
-				st.Misses.Add(1)
-			}
-			if out.Shared {
-				st.Shared.Add(1)
-			}
-		}
-		if fsp != nil {
-			hit := int64(0)
-			if out.Hit {
-				hit = 1
-			}
-			fsp.SetInt("cache_hit", hit)
-			if out.Bytes > 0 {
-				fsp.SetInt("cache_bytes", out.Bytes)
-			}
-		}
-		return r, nil
-	}
-	newFragSpan := func(i int) *trace.Span {
-		if sp == nil {
-			return nil
-		}
-		fsp := sp.Child("fragment")
-		fsp.SetInt("idx", int64(i))
-		fsp.SetStr("atoms", query.Cover{j.Fragments[i].AtomIndexes}.String())
-		if fragEsts != nil {
-			fsp.SetFloat("est_rows", fragEsts[i].Card)
-		}
-		return fsp
-	}
-	endFragSpan := func(fsp *trace.Span, r *Relation) {
-		if fsp != nil && r != nil {
-			fsp.SetInt("rows", int64(r.Len()))
-			fsp.End()
 		}
 	}
 	rels := make([]*Relation, len(j.Fragments))
-	if e.Parallel && len(j.Fragments) > 1 {
-		var wg sync.WaitGroup
-		errs := make([]error, len(j.Fragments))
-		// MaxParallel bounds how many fragments evaluate at once; without
-		// it every fragment gets its own goroutine as before.
-		var sem chan struct{}
-		if e.MaxParallel > 0 && e.MaxParallel < len(j.Fragments) {
-			sem = make(chan struct{}, e.MaxParallel)
+	for i, f := range j.Fragments {
+		if err := g.err(); err != nil {
+			return nil, err
 		}
-		//reflint:noguard spawn loop bounded by fragment count; workers poll inside evalUCQ
-		for i, f := range j.Fragments {
-			i, f := i, f
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if sem != nil {
-					sem <- struct{}{}
-					defer func() { <-sem }()
-				}
-				fsp := newFragSpan(i)
-				defer fsp.End()
-				rels[i], errs[i] = evalFragment(e.sub(e.st, e.stats), f, i, fsp)
-				endFragSpan(fsp, rels[i])
-			}()
+		var plan *FragmentPlan
+		if plans != nil {
+			plan = &plans[i]
 		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+		r, err := e.evalFragment(f, i, plan, g, sp)
+		if err != nil {
+			return nil, err
 		}
-	} else {
-		for i, f := range j.Fragments {
-			if err := g.err(); err != nil {
-				return nil, err
-			}
-			// Per-fragment closure so the fragment span's defer does not
-			// pile up across iterations.
-			err := func() error {
-				fsp := newFragSpan(i)
-				defer fsp.End()
-				r, err := evalFragment(e, f, i, fsp)
-				if err != nil {
-					return err
-				}
-				rels[i] = r
-				endFragSpan(fsp, r)
-				return nil
-			}()
-			if err != nil {
-				return nil, err
-			}
-		}
+		rels[i] = r
 	}
 	// The fragment results join by the same greedy order, from the first
 	// fragment; they are materialized, so every join is a materialized one.
 	cur := rels[0]
 	var runEst cost.Estimate
-	if fragEsts != nil {
-		runEst = fragEsts[0]
+	if plans != nil {
+		runEst = plans[0].Est
 	}
 	var remBuf [8]int
 	remaining := remBuf[:0]
@@ -1118,8 +936,8 @@ func (e *Evaluator) EvalJUCQContext(ctx context.Context, j query.JUCQ) (*Relatio
 		fi := remaining[best]
 		remaining = append(remaining[:best], remaining[best+1:]...)
 		estOut := -1.0
-		if fragEsts != nil {
-			runEst = cost.Join(runEst, fragEsts[fi])
+		if plans != nil {
+			runEst = cost.Join(runEst, plans[fi].Est)
 			estOut = runEst.Card
 		}
 		joined, err := e.materializedJoin(cur, rels[fi], g, sp, estOut)
@@ -1150,6 +968,73 @@ func (e *Evaluator) EvalJUCQContext(ctx context.Context, j query.JUCQ) (*Relatio
 		psp.End()
 	}
 	return out, nil
+}
+
+// evalFragment evaluates fragment i of a JUCQ under g, recording a
+// "fragment" span under sp with the plan's estimate, when there is one, next
+// to the actual rows.
+func (e *Evaluator) evalFragment(f query.Fragment, i int, plan *FragmentPlan, g guard, sp *trace.Span) (*Relation, error) {
+	var fsp *trace.Span
+	if sp != nil {
+		fsp = sp.Child("fragment")
+		defer fsp.End()
+		fsp.SetInt("idx", int64(i))
+		fsp.SetStr("atoms", query.Cover{f.AtomIndexes}.String())
+		if plan != nil {
+			fsp.SetFloat("est_rows", plan.Est.Card)
+		}
+	}
+	r, err := e.fragmentResult(f.UCQ, plan, g, fsp)
+	if err != nil {
+		return nil, err
+	}
+	fsp.SetInt("rows", int64(r.Len()))
+	return r, nil
+}
+
+// fragmentResult evaluates a fragment's union, through the view cache when
+// one is attached: a hit (or a join on a concurrent identical evaluation)
+// skips evaluation and returns an immutable renamed view; a miss evaluates
+// and may be admitted, priced by the fragment's plan when there is one.
+// Outcomes land on the fragment span (cache_hit / cache_bytes in EXPLAIN
+// ANALYZE) and on CacheStats for the per-answer cached_fragments count.
+func (e *Evaluator) fragmentResult(u query.UCQ, plan *FragmentPlan, g guard, fsp *trace.Span) (*Relation, error) {
+	if e.FragCache == nil {
+		return e.evalUCQ(u, g, fsp)
+	}
+	key := ""
+	if plan != nil {
+		key = plan.Key
+	}
+	est := func() float64 {
+		switch {
+		case plan != nil:
+			return plan.Est.Cost
+		case e.Cost != nil:
+			return e.Cost.UCQ(u).Cost
+		}
+		return -1
+	}
+	r, out, err := e.FragCache.GetOrEval(u, key, est, g.err, func() (*Relation, error) {
+		return e.evalUCQ(u, g, fsp)
+	})
+	if err != nil {
+		return nil, err
+	}
+	hit := int64(0)
+	if out.Hit {
+		hit = 1
+	}
+	if e.CacheStats != nil {
+		e.CacheStats.Hits += int(hit)
+	}
+	if fsp != nil {
+		fsp.SetInt("cache_hit", hit)
+		if out.Bytes > 0 {
+			fsp.SetInt("cache_bytes", out.Bytes)
+		}
+	}
+	return r, nil
 }
 
 // --- helpers ---------------------------------------------------------------

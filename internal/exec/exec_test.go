@@ -32,6 +32,33 @@ func tinyStore(triples [][3]dict.ID) (*storage.Store, *stats.Stats) {
 	return st, stats.Collect(st)
 }
 
+// splitStore is st as a ShardedSource: its triples split by subject modulo
+// n, each shard a store of its own, so an evaluation over it runs the
+// scatter paths, whose shard workers run concurrently.
+type splitStore struct {
+	*storage.Store
+	shards []*storage.Store
+	stats  []*stats.Stats
+}
+
+func newSplitStore(st *storage.Store, n int) *splitStore {
+	parts := make([][]dict.Triple, n)
+	for _, t := range st.Triples() {
+		parts[int(t.S)%n] = append(parts[int(t.S)%n], t)
+	}
+	s := &splitStore{Store: st}
+	for _, p := range parts {
+		sh := storage.Build(st.Dict(), p)
+		s.shards, s.stats = append(s.shards, sh), append(s.stats, stats.Collect(sh))
+	}
+	return s
+}
+
+func (s *splitStore) NumShards() int                { return len(s.shards) }
+func (s *splitStore) Shard(i int) Source            { return s.shards[i] }
+func (s *splitStore) ShardStats(i int) *stats.Stats { return s.stats[i] }
+func (s *splitStore) HomeShard(id dict.ID) int      { return int(id) % len(s.shards) }
+
 // One helper per query shape: the entry point under a background context.
 func (e *Evaluator) cq(headNames []string, q query.CQ) (*Relation, error) {
 	return e.EvalCQContext(context.Background(), headNames, q)
@@ -214,16 +241,19 @@ func TestParallelUCQMatchesSerial(t *testing.T) {
 		ts = append(ts, [3]dict.ID{dict.ID(1 + r.Intn(40)), dict.ID(200 + r.Intn(4)), dict.ID(1 + r.Intn(40))})
 	}
 	st, ss := tinyStore(ts)
+	// Paths, which join across shards, and stars, which scatter as one group.
 	var cqs []query.CQ
 	for p := dict.ID(200); p < 204; p++ {
 		for q := dict.ID(200); q < 204; q++ {
-			cqs = append(cqs, query.CQ{
-				Head: []query.Arg{v("x"), v("z")},
-				Atoms: []query.Atom{
-					{S: v("x"), P: c(p), O: v("y")},
-					{S: v("y"), P: c(q), O: v("z")},
-				},
-			})
+			for _, o := range []string{"y", "x"} {
+				cqs = append(cqs, query.CQ{
+					Head: []query.Arg{v("x"), v("z")},
+					Atoms: []query.Atom{
+						{S: v("x"), P: c(p), O: v("y")},
+						{S: v(o), P: c(q), O: v("z")},
+					},
+				})
+			}
 		}
 	}
 	u := query.UCQ{HeadNames: []string{"x", "z"}, CQs: cqs}
@@ -232,14 +262,12 @@ func TestParallelUCQMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := New(st, ss)
-	par.Parallel = true
-	got, err := par.ucq(u)
+	got, err := New(newSplitStore(st, 4), ss).ucq(u)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(want) {
-		t.Fatalf("parallel %d rows != serial %d rows", got.Len(), want.Len())
+		t.Fatalf("scattered %d rows != serial %d rows", got.Len(), want.Len())
 	}
 }
 
@@ -570,14 +598,12 @@ func TestEvalJUCQParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := New(st, ss)
-	par.Parallel = true
-	got, err := par.jucq(j)
+	got, err := New(newSplitStore(st, 4), ss).jucq(j)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(want) {
-		t.Fatalf("parallel JUCQ %d rows != serial %d rows", got.Len(), want.Len())
+		t.Fatalf("scattered JUCQ %d rows != serial %d rows", got.Len(), want.Len())
 	}
 }
 

@@ -1,10 +1,6 @@
 package exec
 
-import (
-	"sync/atomic"
-
-	"repro/internal/query"
-)
+import "repro/internal/query"
 
 // FragmentCache is the executor's hook for cross-query reuse of fragment
 // results: EvalJUCQContext consults it once per fragment (the single-atom UCQs of
@@ -28,12 +24,13 @@ import (
 //     from the signature of the fragment's shape and the constants bound
 //     in it); when empty the implementation derives it. Canonicalizing a
 //     reformulation of hundreds of member CQs costs real time, so callers
-//     holding a reused plan canonicalize once per plan (Evaluator.FragKeys).
+//     holding a reused plan canonicalize once per plan (Evaluator.Fragments).
 //   - estCost returns the cost model's estimate for evaluating the
 //     fragment (negative when unknown); implementations use it for
-//     cost-based admission. It is a thunk because estimating a large
-//     reformulation is itself costly: implementations must not call it on
-//     the hit path, only when deciding whether a miss is worth admitting.
+//     cost-based admission. It is a thunk because, without the plan's
+//     estimate, estimating a large reformulation is itself costly:
+//     implementations must not call it on the hit path, only when deciding
+//     whether a miss is worth admitting.
 type FragmentCache interface {
 	// GetOrEval returns the result of the fragment UCQ u, from cache when
 	// possible, running eval otherwise.
@@ -53,11 +50,10 @@ type CacheOutcome struct {
 	Bytes int64
 }
 
-// CacheStats accumulates view-cache outcomes for one top-level evaluation;
-// atomics because parallel fragments share it. The engine attaches a fresh
-// value per answered query and surfaces the totals on the Answer.
+// CacheStats accumulates view-cache outcomes for one top-level evaluation.
+// The engine attaches a fresh value per answered query and surfaces the
+// hits on the Answer.
 type CacheStats struct {
-	Hits   atomic.Int64
-	Misses atomic.Int64
-	Shared atomic.Int64
+	// Hits counts the fragments served from the cache.
+	Hits int
 }

@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/dict"
@@ -179,29 +178,32 @@ func (r *Relation) SizeBytes() int64 {
 	return n + 64 // struct + slice headers
 }
 
-// SortRows orders rows lexicographically, for deterministic output.
+// SortRows orders rows lexicographically, for deterministic output. Rows
+// already in order — a single index scan's, say — cost one comparison each;
+// otherwise the rows are copied in order, so a relation sharing its rows (a
+// view cache hit's) is never reordered under its other readers.
 func (r *Relation) SortRows() {
-	if r.rows < 2 || r.width == 0 {
+	if r.width == 0 {
 		return
 	}
-	idx := make([]int, r.rows)
+	sorted := true
+	//reflint:noguard one comparison per row of a finished answer, like the sort it spares
+	for i := 1; i < r.rows && sorted; i++ {
+		sorted = slices.Compare(r.Row(i-1), r.Row(i)) <= 0
+	}
+	if sorted {
+		return
+	}
+	idx := make([]int32, r.rows)
 	for i := range idx {
-		idx[i] = i
+		idx[i] = int32(i)
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ra, rb := r.Row(idx[a]), r.Row(idx[b])
-		for k := 0; k < r.width; k++ {
-			if ra[k] != rb[k] {
-				return ra[k] < rb[k]
-			}
-		}
-		return false
-	})
-	sorted := make([]dict.ID, 0, len(r.data))
+	slices.SortFunc(idx, func(a, b int32) int { return slices.Compare(r.Row(int(a)), r.Row(int(b))) })
+	data := make([]dict.ID, 0, len(r.data))
 	for _, i := range idx {
-		sorted = append(sorted, r.Row(i)...)
+		data = append(data, r.Row(int(i))...)
 	}
-	r.data = sorted
+	r.data = data
 }
 
 // Equal reports whether two relations hold the same row *sets* over the

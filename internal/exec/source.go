@@ -80,16 +80,19 @@ func (e *Evaluator) shardWorkers(n int) int {
 	return w
 }
 
-// shardSub returns a sub-evaluator over one shard. It plans like its
-// parent: against the shard's own statistics when the parent has
+// shardSub returns the evaluator a scatter hands the worker of one shard:
+// the same knobs, with its own fan-out off — the scatter owns the
+// parallelism, and nesting it would overrun the admitted weight. It plans
+// like its parent: against the shard's own statistics when the parent has
 // statistics, by exact counts otherwise — so a parent that needed no
 // statistics (a cold range union) never makes a shard collect them.
 func (e *Evaluator) shardSub(sh ShardedSource, i int) *Evaluator {
-	var ss *stats.Stats
+	sub := &Evaluator{st: sh.Shard(i), Budget: e.Budget, ForceHashJoins: e.ForceHashJoins,
+		Join: e.Join, Cost: e.Cost, MaxParallel: 1}
 	if e.stats != nil {
-		ss = sh.ShardStats(i)
+		sub.stats = sh.ShardStats(i)
 	}
-	return e.sub(sh.Shard(i), ss)
+	return sub
 }
 
 // newScatterSpan opens the scatter node EXPLAIN ANALYZE shows: one

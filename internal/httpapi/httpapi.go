@@ -65,7 +65,6 @@ import (
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/dict"
 	"repro/internal/durable"
 	"repro/internal/engine"
 	"repro/internal/exec"
@@ -402,7 +401,8 @@ type ExplainJSON struct {
 	Tree *trace.SpanJSON `json:"tree"`
 }
 
-// QueryResponse is the /query output.
+// QueryResponse is the /query output, as clients decode it; the server
+// writes it in one pass (writeQueryResponse), rows streamed from the answer.
 type QueryResponse struct {
 	Columns   []string     `json:"columns"`
 	Rows      [][]string   `json:"rows"`
@@ -415,7 +415,7 @@ type QueryResponse struct {
 
 // MetaJSON mirrors engine.Answer metadata plus the request's timing
 // breakdown: parse (query text → CQ), prep (reformulation / cover
-// search), eval (execution), serialize (rows → JSON strings).
+// search), eval (execution), serialize (rows sorted and written).
 type MetaJSON struct {
 	Strategy         string  `json:"strategy"`
 	Cover            string  `json:"cover,omitempty"`
@@ -714,15 +714,15 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, v apiVersion
 		w.Header().Set("X-Queue-Wait",
 			strconv.FormatFloat(float64(ans.QueueWait)/float64(time.Millisecond), 'f', 3, 64)+"ms")
 	}
+	s.finishQuery(queryRecord{req: req, strategy: strategy, start: start,
+		parseMillis: parseMillis, id: id, root: root, path: path, sig: sig,
+		ans: ans, rows: ans.Rows.Len()})
 	if v == apiV1 && wantsSPARQLJSON(r) {
 		// The W3C document has no slot for metadata; truncation moves to
 		// a header so standard clients still learn about capped answers.
 		if truncated {
 			w.Header().Set("X-Truncated", "true")
 		}
-		s.finishQuery(queryRecord{req: req, strategy: strategy, start: start,
-			parseMillis: parseMillis, id: id, root: root, path: path, sig: sig,
-			ans: ans, rows: ans.Rows.Len()})
 		writeSPARQLJSON(w, d, ans.Rows, n)
 		return
 	}
@@ -745,18 +745,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, v apiVersion
 			AdmissionWeight:  ans.AdmissionWeight,
 		},
 	}
-	if resp.Columns == nil {
-		resp.Columns = []string{}
-	}
-	resp.Rows = make([][]string, 0, n)
-	for i := 0; i < n; i++ {
-		row := ans.Rows.Row(i)
-		out := make([]string, len(row))
-		for j, id := range row {
-			out[j] = d.Decode(id).String()
-		}
-		resp.Rows = append(resp.Rows, out)
-	}
 	if req.Explain == ExplainAnalyze {
 		resp.Explain = &ExplainJSON{
 			Mode: ExplainAnalyze,
@@ -764,38 +752,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, v apiVersion
 			Tree: trace.ToJSON(root),
 		}
 	}
-	resp.Meta.SerializeMillis = millisSince(serStart)
-	resp.Meta.TotalMillis = millisSince(start)
-	s.finishQuery(queryRecord{req: req, strategy: strategy, start: start,
-		parseMillis: parseMillis, id: id, root: root, path: path, sig: sig,
-		ans: ans, rows: ans.Rows.Len()})
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// writeSPARQLJSON serializes the first n rows as a W3C SPARQL 1.1 JSON
-// results document. Unbound is impossible here (BGP answers are total),
-// so every variable appears in every binding.
-func writeSPARQLJSON(w http.ResponseWriter, d *dict.Dict, rows *exec.Relation, n int) {
-	doc := SPARQLResults{
-		Head:    SPARQLHead{Vars: rows.Vars},
-		Results: SPARQLResSet{Bindings: make([]map[string]SPARQLTerm, 0, n)},
-	}
-	if doc.Head.Vars == nil {
-		doc.Head.Vars = []string{}
-	}
-	for i := 0; i < n; i++ {
-		row := rows.Row(i)
-		b := make(map[string]SPARQLTerm, len(row))
-		for j, id := range row {
-			b[rows.Vars[j]] = sparqlTerm(d.Decode(id))
-		}
-		doc.Results.Bindings = append(doc.Results.Bindings, b)
-	}
-	w.Header().Set("Content-Type", sparqlResultsMIME)
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(doc)
+	writeQueryResponse(w, &resp, d, ans.Rows, n, start, serStart)
 }
 
 // serveExplainPlan answers an EXPLAIN (without ANALYZE) request: the
@@ -820,8 +777,6 @@ func (s *Server) serveExplainPlan(w http.ResponseWriter, eng *engine.Engine, req
 		return
 	}
 	resp := QueryResponse{
-		Columns:   []string{},
-		Rows:      [][]string{},
 		RequestID: id,
 		Explain: &ExplainJSON{
 			Mode: ExplainPlan,
@@ -835,10 +790,9 @@ func (s *Server) serveExplainPlan(w http.ResponseWriter, eng *engine.Engine, req
 			ParseMillis:      parseMillis,
 			CachedPlan:       plan.CachedPlan,
 			EstimatedCost:    plan.EstimatedCost,
-			TotalMillis:      millisSince(start),
 		},
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeQueryResponse(w, &resp, nil, nil, 0, start, time.Time{})
 }
 
 // requestLogger scopes the server's logger to one request; nil without a

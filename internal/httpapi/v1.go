@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/exec"
-	"repro/internal/rdf"
 )
 
 // This file holds the versioned /v1 surface: stable machine-readable
@@ -156,18 +155,6 @@ type SPARQLTerm struct {
 	Value    string `json:"value"`
 	Lang     string `json:"xml:lang,omitempty"`
 	Datatype string `json:"datatype,omitempty"`
-}
-
-// sparqlTerm converts one decoded term to its W3C JSON shape.
-func sparqlTerm(t rdf.Term) SPARQLTerm {
-	switch t.Kind {
-	case rdf.IRI:
-		return SPARQLTerm{Type: "uri", Value: t.Value}
-	case rdf.Blank:
-		return SPARQLTerm{Type: "bnode", Value: t.Value}
-	default:
-		return SPARQLTerm{Type: "literal", Value: t.Value, Lang: t.Lang, Datatype: t.Datatype}
-	}
 }
 
 // wantsSPARQLJSON reports whether the request negotiates the W3C results

@@ -8,6 +8,7 @@ package rdf
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Kind discriminates the three families of RDF values.
@@ -98,22 +99,28 @@ func (t Term) Valid() bool {
 
 // String renders the term in N-Triples syntax.
 func (t Term) String() string {
+	var buf [64]byte
+	return string(t.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the term's N-Triples form (String) to b.
+func (t Term) AppendTo(b []byte) []byte {
 	switch t.Kind {
 	case IRI:
-		return "<" + t.Value + ">"
+		return append(append(append(b, '<'), t.Value...), '>')
 	case Blank:
-		return "_:" + t.Value
+		return append(append(b, "_:"...), t.Value...)
 	case Literal:
-		s := `"` + escapeLiteral(t.Value) + `"`
-		if t.Lang != "" {
-			return s + "@" + t.Lang
+		b = append(appendLiteral(append(b, '"'), t.Value), '"')
+		switch {
+		case t.Lang != "":
+			b = append(append(b, '@'), t.Lang...)
+		case t.Datatype != "":
+			b = append(append(append(b, "^^<"...), t.Datatype...), '>')
 		}
-		if t.Datatype != "" {
-			return s + "^^<" + t.Datatype + ">"
-		}
-		return s
+		return b
 	default:
-		return fmt.Sprintf("?!invalid-term(%d)", uint8(t.Kind))
+		return fmt.Appendf(b, "?!invalid-term(%d)", uint8(t.Kind))
 	}
 }
 
@@ -160,27 +167,26 @@ func (t Term) Compare(u Term) int {
 	return strings.Compare(t.Lang, u.Lang)
 }
 
-func escapeLiteral(s string) string {
+// appendLiteral appends a literal's lexical form with N-Triples' escapes.
+func appendLiteral(b []byte, s string) []byte {
 	if !strings.ContainsAny(s, "\"\\\n\r\t") {
-		return s
+		return append(b, s...)
 	}
-	var sb strings.Builder
-	sb.Grow(len(s) + 8)
 	for _, r := range s {
 		switch r {
 		case '"':
-			sb.WriteString(`\"`)
+			b = append(b, `\"`...)
 		case '\\':
-			sb.WriteString(`\\`)
+			b = append(b, `\\`...)
 		case '\n':
-			sb.WriteString(`\n`)
+			b = append(b, `\n`...)
 		case '\r':
-			sb.WriteString(`\r`)
+			b = append(b, `\r`...)
 		case '\t':
-			sb.WriteString(`\t`)
+			b = append(b, `\t`...)
 		default:
-			sb.WriteRune(r)
+			b = utf8.AppendRune(b, r)
 		}
 	}
-	return sb.String()
+	return b
 }

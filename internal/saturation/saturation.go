@@ -24,7 +24,8 @@ import (
 // Result holds the outcome of a saturation.
 type Result struct {
 	// Triples is G∞: data, entailed instance triples, and the closed
-	// schema, sorted and deduplicated.
+	// schema, sorted and deduplicated; read-only once returned (a store may
+	// hold it as its SPO run).
 	Triples []dict.Triple
 	// DataTriples is the number of explicit instance triples.
 	DataTriples int
@@ -180,7 +181,9 @@ func immediate(a, b dict.Triple, typeID, scID, spID, domID, rngID dict.ID) []dic
 	return out
 }
 
+// sortDedupTriples sorts and deduplicates ts into an exactly sized slice: a
+// closure lives as long as its engine version, slack included.
 func sortDedupTriples(ts []dict.Triple) []dict.Triple {
 	slices.SortFunc(ts, graph.CompareTriples)
-	return slices.Compact(ts)
+	return slices.Clone(slices.Compact(ts))
 }

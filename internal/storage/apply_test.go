@@ -59,6 +59,23 @@ func TestApplyMatchesBuild(t *testing.T) {
 	checkApply(t, nil, nil, nil)
 }
 
+// BuildSorted holds the run it is given as its SPO run and builds the other
+// two as Build does.
+func TestBuildSortedSharesItsRun(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 50; trial++ {
+		ref := buildStore(randomTriples(r, r.Intn(60), 6))
+		spo := slices.Clone(ref.spo)
+		got := BuildSorted(ref.d, spo)
+		if len(spo) > 0 && &got.spo[0] != &spo[0] {
+			t.Fatal("BuildSorted copied its run")
+		}
+		if !slices.Equal(got.spo, ref.spo) || !slices.Equal(got.pos, ref.pos) || !slices.Equal(got.osp, ref.osp) {
+			t.Fatalf("BuildSorted gave %v / %v / %v, Build %v / %v / %v", got.spo, got.pos, got.osp, ref.spo, ref.pos, ref.osp)
+		}
+	}
+}
+
 // FuzzStoreApply: the bytes are three triple lists over a small domain.
 func FuzzStoreApply(f *testing.F) {
 	f.Add([]byte{3, 1, 1, 1, 2, 1, 2, 3, 2, 1, 1, 2, 2, 2, 1, 1, 1, 1})

@@ -57,6 +57,15 @@ func Build(d *dict.Dict, triples []dict.Triple) *Store {
 	return (&Store{d: d}).Apply(triples, nil)
 }
 
+// BuildSorted is Build over triples already sorted by (S,P,O) and duplicate
+// free, which the store keeps as its SPO run — shared, and never written by
+// either side — in place of the copy Build makes.
+func BuildSorted(d *dict.Dict, spo []dict.Triple) *Store {
+	st := Build(d, spo)
+	st.spo = slices.Clip(spo)
+	return st
+}
+
 // Apply returns the store over st's triples without removed and with added
 // (set semantics: a triple in both ends up present); st is not changed. The
 // three orderings are made concurrently, each sorting the delta its own way
@@ -88,8 +97,8 @@ func merge(run, add, del []dict.Triple, key func(dict.Triple) [3]dict.ID) []dict
 		return slices.Compare(ka[:], kb[:])
 	}
 	add, del = slices.Clone(add), slices.Clone(del)
-	sortBy(add, key)
-	sortBy(del, key)
+	slices.SortFunc(add, byKey)
+	slices.SortFunc(del, byKey)
 	if add = dedupSorted(add); len(run) == 0 {
 		return add
 	}
@@ -217,19 +226,6 @@ func (st *Store) choose(pat Pattern) (idx []dict.Triple, key func(dict.Triple) [
 func keySPO(t dict.Triple) [3]dict.ID { return [3]dict.ID{t.S, t.P, t.O} }
 func keyPOS(t dict.Triple) [3]dict.ID { return [3]dict.ID{t.P, t.O, t.S} }
 func keyOSP(t dict.Triple) [3]dict.ID { return [3]dict.ID{t.O, t.S, t.P} }
-
-func sortBy(ts []dict.Triple, key func(dict.Triple) [3]dict.ID) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := key(ts[i]), key(ts[j])
-		if a[0] != b[0] {
-			return a[0] < b[0]
-		}
-		if a[1] != b[1] {
-			return a[1] < b[1]
-		}
-		return a[2] < b[2]
-	})
-}
 
 func dedupSorted(ts []dict.Triple) []dict.Triple {
 	if len(ts) < 2 {
