@@ -205,7 +205,8 @@ func (fc *fragmentCache) estimateCover(c query.Cover) (cost.Estimate, bool, erro
 }
 
 // materialize sets res's cover, and the JUCQ and fragment estimates it
-// assembles for it from cached fragments.
+// assembles for it from cached fragments, merged (query.UCQ.Merged): the
+// search prices candidates member by member, only the chosen cover is merged.
 func (fc *fragmentCache) materialize(res *GCovResult, c query.Cover) error {
 	j := query.JUCQ{HeadNames: query.HeadVarNames(fc.q), Cover: c.Clone()}
 	ests := make([]cost.Estimate, 0, len(c))
@@ -217,7 +218,9 @@ func (fc *fragmentCache) materialize(res *GCovResult, c query.Cover) error {
 		if e.tooBig {
 			return fmt.Errorf("core: fragment %v reformulation exceeds %d CQs", frag, fc.maxCQs)
 		}
-		j.Fragments = append(j.Fragments, e.frag)
+		f := e.frag
+		f.Members = f.UCQ.Merged()
+		j.Fragments = append(j.Fragments, f)
 		ests = append(ests, e.est)
 	}
 	res.Cover, res.JUCQ, res.Estimates = c, j, ests

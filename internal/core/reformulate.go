@@ -368,9 +368,10 @@ func (r *Reformulator) CombinationCount(q query.CQ) (total int, perAtom []int) {
 
 // ReformulateJUCQ builds the JUCQ reformulation induced by the cover: each
 // fragment's subquery is reformulated to a UCQ, and the fragment UCQs are
-// joined on their shared variables (§4). maxFragmentCQs, when positive,
-// bounds any single fragment's UCQ size (an error reproduces the paper's
-// "reformulated query too large" failures).
+// joined on their shared variables (§4); each fragment carries its union
+// merged, as the executor evaluates it (query.Fragment.Members).
+// maxFragmentCQs, when positive, bounds any single fragment's UCQ size (an
+// error reproduces the paper's "reformulated query too large" failures).
 func (r *Reformulator) ReformulateJUCQ(q query.CQ, cover query.Cover, maxFragmentCQs int) (query.JUCQ, error) {
 	if err := cover.Validate(len(q.Atoms)); err != nil {
 		return query.JUCQ{}, err
@@ -402,6 +403,7 @@ func (r *Reformulator) ReformulateJUCQ(q query.CQ, cover query.Cover, maxFragmen
 			AtomIndexes: append([]int(nil), frag...),
 			CQ:          fcq,
 			UCQ:         u,
+			Members:     u.Merged(),
 		})
 	}
 	return j, nil

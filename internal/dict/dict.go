@@ -21,9 +21,13 @@ type ID uint32
 const None ID = 0
 
 // Dict maps RDF terms to dense IDs and back. It is safe for concurrent use.
+// Its index holds no copy of a term's bytes: an IRI, a plain literal or a
+// blank node is keyed by its Value — the string terms holds — in the map of
+// its kind; only a term with a datatype or a language is keyed whole.
 type Dict struct {
 	mu     sync.RWMutex
-	byKey  map[string]ID
+	byKind [rdf.Blank + 1]map[string]ID
+	tagged map[rdf.Term]ID
 	terms  []rdf.Term // terms[i] is the term with ID i+1
 	frozen bool
 
@@ -34,31 +38,39 @@ type Dict struct {
 
 // New returns an empty dictionary.
 func New() *Dict {
-	return &Dict{byKey: make(map[string]ID, 1024)}
+	return &Dict{byKind: [rdf.Blank + 1]map[string]ID{{}, {}, {}}, tagged: map[rdf.Term]ID{}}
+}
+
+// byValue returns the map that keys t by its Value, nil when t is keyed whole.
+func (d *Dict) byValue(t rdf.Term) map[string]ID {
+	if t.Kind > rdf.Blank || t.Datatype != "" || t.Lang != "" {
+		return nil
+	}
+	return d.byKind[t.Kind]
 }
 
 // Encode returns the ID for the term, assigning a fresh one if the term is
 // new. It panics if the dictionary has been frozen and the term is unknown
 // (programming error: freezing promises no further growth).
 func (d *Dict) Encode(t rdf.Term) ID {
-	key := t.Key()
-	d.mu.RLock()
-	id, ok := d.byKey[key]
-	d.mu.RUnlock()
-	if ok {
+	if id, ok := d.Lookup(t); ok {
 		return id
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if id, ok = d.byKey[key]; ok {
+	if id, ok := d.lookup(t); ok {
 		return id
 	}
 	if d.frozen {
 		panic(fmt.Sprintf("dict: encode of unknown term %s on frozen dictionary", t))
 	}
 	d.terms = append(d.terms, t)
-	id = ID(len(d.terms))
-	d.byKey[key] = id
+	id := ID(len(d.terms))
+	if m := d.byValue(t); m != nil {
+		m[t.Value] = id
+	} else {
+		d.tagged[t] = id
+	}
 	return id
 }
 
@@ -67,7 +79,16 @@ func (d *Dict) Encode(t rdf.Term) ID {
 func (d *Dict) Lookup(t rdf.Term) (ID, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	id, ok := d.byKey[t.Key()]
+	return d.lookup(t)
+}
+
+// lookup is Lookup for a caller holding mu.
+func (d *Dict) lookup(t rdf.Term) (id ID, ok bool) {
+	if m := d.byValue(t); m != nil {
+		id, ok = m[t.Value]
+	} else {
+		id, ok = d.tagged[t]
+	}
 	return id, ok
 }
 

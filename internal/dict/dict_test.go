@@ -104,27 +104,68 @@ func TestTripleRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: distinct terms get distinct IDs; equal terms get equal IDs.
+// Property: distinct terms get distinct IDs; equal terms get equal IDs —
+// across kinds, and for literals whose lexical form, datatype or language
+// differ in one field only, or hold the bytes another field could.
 func TestEncodeInjectiveQuick(t *testing.T) {
 	d := New()
+	vals := []string{"a", "b", "a\x00d", "http://x", ""}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
+		v := func() string { return vals[r.Intn(len(vals))] }
 		mk := func() rdf.Term {
-			switch r.Intn(3) {
+			switch r.Intn(5) {
 			case 0:
-				return rdf.NewIRI(fmt.Sprintf("http://x%d", r.Intn(20)))
+				return rdf.NewIRI(v())
 			case 1:
-				return rdf.NewLiteral(fmt.Sprintf("l%d", r.Intn(20)))
+				return rdf.NewLiteral(v())
+			case 2:
+				return rdf.NewLangLiteral(v(), []string{"en", "fr"}[r.Intn(2)])
+			case 3:
+				return rdf.NewTypedLiteral(v(), v())
 			default:
-				return rdf.NewBlank(fmt.Sprintf("b%d", r.Intn(20)))
+				return rdf.NewBlank(v())
 			}
 		}
 		a, b := mk(), mk()
 		ia, ib := d.Encode(a), d.Encode(b)
 		return (a == b) == (ia == ib)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Five terms with the same lexical form — an IRI, a plain literal, a blank
+// node, a typed and a language-tagged literal — are five terms, before and
+// after a re-encoding.
+func TestSameLexicalFormFiveIDs(t *testing.T) {
+	d := New()
+	terms := []rdf.Term{
+		rdf.NewIRI("1"), rdf.NewLiteral("1"), rdf.NewBlank("1"),
+		rdf.NewTypedLiteral("1", "http://www.w3.org/2001/XMLSchema#int"), rdf.NewLangLiteral("1", "en"),
+	}
+	check := func(when string, want func(i int) ID) {
+		t.Helper()
+		seen := map[ID]bool{}
+		for i, term := range terms {
+			id, ok := d.Lookup(term)
+			if !ok || id != want(i) || seen[id] || d.Decode(id) != term {
+				t.Fatalf("%s: %v has id %d (found %v), want %d, distinct", when, term, id, ok, want(i))
+			}
+			seen[id] = true
+		}
+	}
+	for _, term := range terms {
+		d.Encode(term)
+	}
+	check("encoded", func(i int) ID { return ID(i + 1) })
+	if err := d.Permute([]ID{None, 5, 4, 3, 2, 1}); err != nil {
+		t.Fatal(err)
+	}
+	check("permuted", func(i int) ID { return ID(5 - i) })
+	if d.Encode(rdf.NewTypedLiteral("1", "http://www.w3.org/2001/XMLSchema#int")) != 2 || d.Len() != 5 {
+		t.Fatal("re-encoding a known term after a permute added one")
 	}
 }
 

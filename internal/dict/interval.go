@@ -70,8 +70,13 @@ func (d *Dict) Permute(remap []ID) error {
 		terms[remap[old]-1] = d.terms[old-1]
 	}
 	d.terms = terms
-	for key, old := range d.byKey {
-		d.byKey[key] = remap[old]
+	for _, m := range d.byKind {
+		for v, old := range m {
+			m[v] = remap[old]
+		}
+	}
+	for t, old := range d.tagged {
+		d.tagged[t] = remap[old]
 	}
 	d.intervals = nil
 	return nil

@@ -66,8 +66,10 @@ func TestCachedPlanCarriesFragmentEstimates(t *testing.T) {
 				continue
 			}
 			hits++
+			// A request's fragment keeps the shape's UCQ; priced with the
+			// request's constants it is priced as the bound one.
 			for i, f := range p.jucq.Fragments {
-				repriced = repriced || p.model.UCQ(f.UCQ).Card != p.fragEsts[i].Card
+				repriced = repriced || p.model.Bind(p.params).UCQ(f.UCQ).Card != p.fragEsts[i].Card
 			}
 			ev := exec.New(p.src, p.stats)
 			root := trace.New(0).StartSpan("eval")

@@ -126,9 +126,7 @@ func (e *Engine) explain(p *prepared) *Plan {
 			fsp.SetInt("cqs", int64(len(f.UCQ.CQs)))
 			fsp.SetFloat("est_rows", frags[i].Card)
 			fsp.SetFloat("est_cost", frags[i].Cost)
-			if op := fragmentScatterOp(f.UCQ, shards); op != "" {
-				scatterNode(fsp, op, shards)
-			}
+			explainUnion(fsp, p.model, d, f.Members, shards)
 		}
 		// GCov reports its cover's cost only; the cardinality is the last
 		// join's (the same number p.est carries for a caller's cover).
@@ -140,28 +138,10 @@ func (e *Engine) explain(p *prepared) *Plan {
 		root.Child("project").SetStr("cols", strings.Join(p.jucq.HeadNames, ","))
 
 	case p.ranges != nil:
-		// One "cq" node per range CQ; range reformulations are small, so no
-		// elision is needed. Against shards the union's co-partitioned group
-		// evaluates shard-locally in one scatter; the rest stay central.
 		root.SetBool("cached", p.cachedPlan)
-		u := root.Child("union")
-		u.SetInt("cqs", int64(p.cqs))
+		u := explainUnion(root, p.model, d, p.ranges.CQs, shards)
 		u.SetInt("range_atoms", int64(p.ranges.RangeAtoms()))
 		u.SetInt("expansions", int64(p.ranges.Expansions()))
-		members := p.ranges.CQs
-		if shards > 1 {
-			co, rest := exec.SplitCoPartitioned(members)
-			if co != nil {
-				sc := scatterNode(u, "ucq", shards)
-				for _, cq := range co {
-					explainCQ(sc, p.model, d, cq, 1)
-				}
-			}
-			members = rest
-		}
-		for _, cq := range members {
-			explainCQ(u, p.model, d, cq, shards)
-		}
 
 	case p.program != nil:
 		// The Datalog engine evaluates bottom-up to fixpoint; the cost model
@@ -184,35 +164,30 @@ func scatterNode(parent *trace.Span, op string, n int) *trace.Span {
 	return sc
 }
 
-// fragmentScatterOp summarizes how a fragment's union fans out against a
-// sharded source: "ucq" when its co-partitioned members evaluate
-// shard-locally in one scatter (the rest on the parent path), "cq" when a
-// lone co-partitioned member scatters on its own, "scan" when only
-// unbound-subject scans scatter, "" when nothing scatters.
-func fragmentScatterOp(u query.UCQ, shards int) string {
-	if shards < 2 || len(u.CQs) == 0 {
-		return ""
-	}
-	cqs := make([]query.RangeCQ, len(u.CQs))
-	for i, cq := range u.CQs {
-		cqs[i] = cq.Lift()
-	}
-	co, rest := exec.SplitCoPartitioned(cqs)
-	if co != nil {
-		return "ucq"
-	}
-	op := ""
-	for _, cq := range rest {
-		if exec.CoPartitioned(cq) {
-			return "cq"
-		}
-		for _, a := range cq.Atoms {
-			if a.S.Arg.IsVar() {
-				op = "scan" // unless a later member is co-partitioned
+// explainUnion adds under parent the "union" node of a union's members — a
+// range reformulation's, a JUCQ fragment's merged ones — with one "cq" node
+// per member; range reformulations and merged fragments are small, so no
+// elision is needed. Against shards the co-partitioned group evaluates
+// shard-locally in one scatter, the rest stay central, as in the executor.
+//
+//reflint:nospanend plan spans are a rendered tree, never timed; Plan.Tree omits durations
+func explainUnion(parent *trace.Span, m *cost.Model, d *dict.Dict, members []query.RangeCQ, shards int) *trace.Span {
+	u := parent.Child("union")
+	u.SetInt("cqs", int64(len(members)))
+	if shards > 1 {
+		co, rest := exec.SplitCoPartitioned(members)
+		if co != nil {
+			sc := scatterNode(u, "ucq", shards)
+			for _, cq := range co {
+				explainCQ(sc, m, d, cq, 1)
 			}
 		}
+		members = rest
 	}
-	return op
+	for _, cq := range members {
+		explainCQ(u, m, d, cq, shards)
+	}
+	return u
 }
 
 // explainCQ adds under parent the plan the cost model prices — and the

@@ -179,6 +179,46 @@ func TestPlanOrderIsTraceOrder(t *testing.T) {
 	if compared < len(qs) {
 		t.Errorf("operators compared on %d plans only, of %d queries under two strategies", compared, len(qs))
 	}
+
+	// Under ref-gcov EXPLAIN shows every merged member of every fragment, in
+	// the order the executor evaluates them, and each member's atoms in the
+	// executor's order. The union's memo may serve a scan or a join prefix
+	// another member computed, so a traced member's operators are its plan's
+	// with those left out — all of them where the memo served none.
+	whole := 0
+	for i, q := range qs {
+		plan, err := e.Plan(q, RefGCov)
+		if err != nil {
+			t.Fatalf("%s: plan: %v", names[i], err)
+		}
+		e.Tracer = trace.New(0)
+		if _, err := e.Answer(q, RefGCov); err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+		planned, traced := cqOps(plan.Tree()), cqOps(trace.ToJSON(e.Tracer.Root()))
+		e.Tracer = nil
+		if len(planned) != len(traced) {
+			t.Fatalf("%s: EXPLAIN shows %d members, the executor ran %d", names[i], len(planned), len(traced))
+		}
+		for k := range planned {
+			got, want := opStrings(traced[k], false), opStrings(planned[k], false)
+			if len(got) == len(want) {
+				whole++
+			}
+			for len(got) > 0 && len(want) > 0 {
+				if got[0] == want[0] {
+					got = got[1:]
+				}
+				want = want[1:]
+			}
+			if len(got) > 0 {
+				t.Errorf("%s member %d: EXPLAIN plans\n  %q\nthe executor ran\n  %q", names[i], k, opStrings(planned[k], false), opStrings(traced[k], false))
+			}
+		}
+	}
+	if whole == 0 {
+		t.Error("no ref-gcov member ran its whole plan")
+	}
 }
 
 // sameSide reports whether, at every join of the member's plan, the

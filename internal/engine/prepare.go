@@ -328,9 +328,10 @@ func (e *Engine) planned(p *prepared, sp *trace.Span, span string, cover query.C
 }
 
 // bind substitutes the request's constants for the parameters in what p
-// evaluates. A fragment that holds no parameter — and everything, when the
-// query has no liftable constant — stays the cache's own, shared and never
-// written; any other is copied, one allocation for all its members' atoms.
+// evaluates: of a fragment, its CQ and its merged members (Fragment.Bind).
+// A fragment that holds no parameter — and everything, when the query has no
+// liftable constant — stays the cache's own, shared and never written; any
+// other is copied, one allocation for all its members' atoms.
 func (p *prepared) bind() {
 	if len(p.params) == 0 {
 		return
@@ -340,7 +341,7 @@ func (p *prepared) bind() {
 		j.Fragments = make([]query.Fragment, len(p.jucq.Fragments))
 		for i, f := range p.jucq.Fragments {
 			if len(p.frags.slots[i]) > 0 {
-				f.CQ, f.UCQ = f.CQ.Bind(p.params), f.UCQ.Bind(p.params)
+				f = f.Bind(p.params)
 			}
 			j.Fragments[i] = f
 		}

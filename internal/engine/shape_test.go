@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -15,49 +16,21 @@ import (
 	"repro/internal/trace"
 )
 
-// shapeGraph is a small schema with everything the lifting rule must be
-// sound under: a subclass cycle (A, B), multiple inheritance (D), a
-// subproperty cycle (p2, p3), domain and range on a sub-property (p1) and on
-// its super-property (p2) — and class and property IRIs that also occur as
-// plain subjects and objects of the data.
-const shapeGraph = `
-@prefix ex: <http://example.org/> .
-ex:A rdfs:subClassOf ex:B .
-ex:B rdfs:subClassOf ex:A .
-ex:D rdfs:subClassOf ex:B .
-ex:D rdfs:subClassOf ex:C .
-ex:p1 rdfs:subPropertyOf ex:p2 .
-ex:p2 rdfs:subPropertyOf ex:p3 .
-ex:p3 rdfs:subPropertyOf ex:p2 .
-ex:p1 rdfs:domain ex:A .
-ex:p1 rdfs:range ex:C .
-ex:p2 rdfs:domain ex:D .
-ex:e0 a ex:D .
-ex:e1 a ex:A .
-ex:e2 a ex:C .
-ex:e0 ex:p1 ex:e2 .
-ex:e1 ex:p2 ex:e3 .
-ex:e3 ex:p3 ex:e0 .
-ex:e4 ex:p1 ex:e0 .
-ex:e2 ex:likes ex:A .
-ex:e3 ex:likes ex:D .
-ex:A ex:likes ex:e1 .
-ex:D ex:p1 ex:e4 .
-ex:e5 ex:likes ex:e1 .
-ex:e6 ex:likes ex:e1 .
-ex:e7 ex:likes ex:e1 .
-ex:e8 ex:likes ex:e1 .
-ex:e9 ex:likes ex:e1 .
-ex:e5 ex:likes ex:p1 .
-ex:e10 ex:p3 ex:e11 .
-ex:e11 ex:p2 ex:e12 .
-ex:e12 ex:p1 ex:e13 .
-ex:e13 ex:likes ex:e14 .
-ex:e14 ex:likes ex:C .
-ex:e15 a ex:B .
-ex:e15 ex:p3 ex:e16 .
-ex:e16 ex:likes ex:e17 .
-`
+// hostileGraph parses the small schema every rule of lifting and merging must
+// be sound under (see the file's header): cycles, multiple inheritance,
+// domain and range on sub-properties, schema IRIs used as data.
+func hostileGraph(t *testing.T) *graph.Graph {
+	t.Helper()
+	text, err := os.ReadFile("../query/testdata/hostile.ttl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.ParseString(string(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
 
 // shapeTemplate is one query text with %[1]s and %[2]s where constants go.
 type shapeTemplate struct {
@@ -127,16 +100,14 @@ func spread(pool []string, n int) []string {
 
 // TestShapeHitsAnswerLikeFreshPlans is the soundness of lifting: for every
 // template and every constant, on every strategy the plan cache serves, at 1
-// and 4 shards, the answer of an engine that binds cached shapes equals the
-// answer of an engine that plans every query afresh and equals Sat's. It
-// also holds the cache to what a shape cache promises: an answer that added
-// no entry was a hit, and a template takes a handful of entries (one per
-// selectivity class), not one per constant.
+// and 4 shards, the answer of an engine that binds cached shapes — their
+// fragments' merged members — equals the answer of an engine that plans
+// every query afresh and equals Sat's. It also holds the cache to what a
+// shape cache promises: an answer that added no entry was a hit, and a
+// template takes a handful of entries (one per selectivity class), not one
+// per constant.
 func TestShapeHitsAnswerLikeFreshPlans(t *testing.T) {
-	small, err := graph.ParseString(shapeGraph)
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := hostileGraph(t)
 	mini, err := lubm.NewGraph(lubm.Mini(), 42)
 	if err != nil {
 		t.Fatal(err)
@@ -192,6 +163,20 @@ func TestShapeHitsAnswerLikeFreshPlans(t *testing.T) {
 						t.Errorf("%d constants left %d plans in the cache: the constants are in the key", len(bindings), grew)
 					}
 				})
+			}
+			// The hits bound merged fragments, not only member-by-member ones.
+			merged := 0
+			for _, el := range cached.d.plans.byKey {
+				if p := el.Value.(*prepared); p.jucq != nil {
+					for _, f := range p.jucq.Fragments {
+						if len(f.Members) < len(f.UCQ.CQs) {
+							merged++
+						}
+					}
+				}
+			}
+			if merged == 0 {
+				t.Errorf("%s/shards=%d: no cached plan has a merged fragment", fx.name, shards)
 			}
 		}
 	}
@@ -310,13 +295,10 @@ func TestLiftKeepsWhatSelectsRules(t *testing.T) {
 }
 
 // A constant of another selectivity class is another entry, planned and
-// priced afresh: of the objects of ex:likes in shapeGraph, ex:e1 matches six
-// triples and ex:D one.
+// priced afresh: of the objects of ex:likes in the hostile graph, ex:e1
+// matches six triples and ex:D one.
 func TestSelectivityClassIsPartOfTheKey(t *testing.T) {
-	g, err := graph.ParseString(shapeGraph)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := hostileGraph(t)
 	e := New(g)
 	answer := func(c string) *Answer {
 		t.Helper()

@@ -677,7 +677,7 @@ func (e *Evaluator) hashJoin(l, r *Relation, g guard, sp *trace.Span, est float6
 		}
 		prow := probe.Row(i)
 	match:
-		for bi := table.head[hashCols(prow, pIdx)]; bi != 0; bi = table.next[bi-1] {
+		for bi := table.chain(hashCols(prow, pIdx)); bi != 0; bi = table.next[bi-1] {
 			steps++
 			if steps&(checkEvery-1) == 0 {
 				if err := g.err(); err != nil {
@@ -750,13 +750,10 @@ func (e *Evaluator) EvalRangeUCQContext(ctx context.Context, u query.RangeUCQ) (
 }
 
 // evalUCQ evaluates a plain union under an existing guard — the entry point
-// JUCQ fragments use so that fragments never restart the deadline.
+// JUCQ fragments without merged members use, so that fragments never restart
+// the deadline.
 func (e *Evaluator) evalUCQ(u query.UCQ, g guard, sp *trace.Span) (*Relation, error) {
-	cqs, err := liftUCQ(u.CQs, g.err)
-	if err != nil {
-		return nil, err
-	}
-	return e.evalUnion(u.HeadNames, cqs, g, sp)
+	return e.evalUnion(u.HeadNames, u.Lift(), g, sp)
 }
 
 // union is the one member loop of the executor: however a union runs —
@@ -984,7 +981,7 @@ func (e *Evaluator) evalFragment(f query.Fragment, i int, plan *FragmentPlan, g 
 			fsp.SetFloat("est_rows", plan.Est.Card)
 		}
 	}
-	r, err := e.fragmentResult(f.UCQ, plan, g, fsp)
+	r, err := e.fragmentResult(f, plan, g, fsp)
 	if err != nil {
 		return nil, err
 	}
@@ -992,15 +989,22 @@ func (e *Evaluator) evalFragment(f query.Fragment, i int, plan *FragmentPlan, g 
 	return r, nil
 }
 
-// fragmentResult evaluates a fragment's union, through the view cache when
+// fragmentResult evaluates a fragment's union — its merged Members when it
+// has them, its UCQ member by member otherwise — through the view cache when
 // one is attached: a hit (or a join on a concurrent identical evaluation)
 // skips evaluation and returns an immutable renamed view; a miss evaluates
 // and may be admitted, priced by the fragment's plan when there is one.
 // Outcomes land on the fragment span (cache_hit / cache_bytes in EXPLAIN
 // ANALYZE) and on CacheStats for the per-answer cached_fragments count.
-func (e *Evaluator) fragmentResult(u query.UCQ, plan *FragmentPlan, g guard, fsp *trace.Span) (*Relation, error) {
+func (e *Evaluator) fragmentResult(f query.Fragment, plan *FragmentPlan, g guard, fsp *trace.Span) (*Relation, error) {
+	eval := func() (*Relation, error) {
+		if f.Members != nil {
+			return e.evalUnion(f.UCQ.HeadNames, f.Members, g, fsp)
+		}
+		return e.evalUCQ(f.UCQ, g, fsp)
+	}
 	if e.FragCache == nil {
-		return e.evalUCQ(u, g, fsp)
+		return eval()
 	}
 	key := ""
 	if plan != nil {
@@ -1011,13 +1015,11 @@ func (e *Evaluator) fragmentResult(u query.UCQ, plan *FragmentPlan, g guard, fsp
 		case plan != nil:
 			return plan.Est.Cost
 		case e.Cost != nil:
-			return e.Cost.UCQ(u).Cost
+			return e.Cost.UCQ(f.UCQ).Cost
 		}
 		return -1
 	}
-	r, out, err := e.FragCache.GetOrEval(u, key, est, g.err, func() (*Relation, error) {
-		return e.evalUCQ(u, g, fsp)
-	})
+	r, out, err := e.FragCache.GetOrEval(f.UCQ, key, est, g.err, eval)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -628,5 +629,52 @@ func TestPlanningStaysOnStack(t *testing.T) {
 	})
 	if body != scan {
 		t.Fatalf("a one-atom body allocates %v per run, its scan %v", body, scan)
+	}
+}
+
+// With every row in one bucket of the flat hash tables, a hash join and a
+// dedup give the rows they give with the rows spread — in the same order,
+// since a chain lists its rows ascending — and the brute-force answer:
+// a bucket collision costs comparisons, never a wrong match.
+func TestOneBucketJoinAndDedup(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	rel := func(vars ...string) *Relation {
+		out := NewRelation(vars)
+		for i := 0; i < 300; i++ {
+			out.Append([]dict.ID{dict.ID(1 + r.Intn(12)), dict.ID(1 + r.Intn(12))})
+		}
+		return out
+	}
+	left, right, dups := rel("x", "y"), rel("y", "z"), rel("a", "b")
+	run := func() (joined, distinct []dict.ID) {
+		j, err := New(nil, nil).hashJoin(left, right, guard{}, nil, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := dups.Snapshot()
+		d.Distinct()
+		return j.data, d.data
+	}
+	spreadJoin, spreadDistinct := run()
+	defer func(m uint64) { hashMix = m }(hashMix)
+	hashMix = 0
+	oneJoin, oneDistinct := run()
+	if !slices.Equal(oneJoin, spreadJoin) || !slices.Equal(oneDistinct, spreadDistinct) {
+		t.Fatal("one bucket changed the join's or the dedup's rows or their order")
+	}
+	want := 0
+	for i := 0; i < left.Len(); i++ {
+		for k := 0; k < right.Len(); k++ {
+			if left.Row(i)[1] == right.Row(k)[0] {
+				want++
+			}
+		}
+	}
+	seen := map[[2]dict.ID]bool{}
+	for i := 0; i < dups.Len(); i++ {
+		seen[[2]dict.ID(dups.Row(i))] = true
+	}
+	if len(oneJoin) != 3*want || len(oneDistinct) != 2*len(seen) {
+		t.Fatalf("one bucket: %d join rows, %d distinct; brute force %d and %d", len(oneJoin)/3, len(oneDistinct)/2, want, len(seen))
 	}
 }

@@ -12,33 +12,9 @@ import (
 
 // The evaluator has one atom form, query.RangeAtom: a plain atom is a range
 // atom with no Ranges and no Expand (query.LiftAtoms, CQ.Lift), and every
-// operator takes it as such. This file holds the lift of a whole union and
-// what an atom needs only when it *has* an expansion — the post-join
-// hierarchy expansion — plus the memo a union shares between its members.
-
-// liftUCQ returns the range form of a plain union's members. The atoms of
-// all members share one backing array, so a union costs two allocations
-// however many members it has.
-func liftUCQ(cqs []query.CQ, check func() error) ([]query.RangeCQ, error) {
-	if len(cqs) == 0 {
-		return nil, nil
-	}
-	out := make([]query.RangeCQ, len(cqs))
-	// Members of one reformulation have one body size; append absorbs the
-	// exceptions.
-	slab := make([]query.RangeAtom, 0, len(cqs)*len(cqs[0].Atoms))
-	for i, cq := range cqs {
-		if i&(checkEvery-1) == checkEvery-1 {
-			if err := check(); err != nil {
-				return nil, err
-			}
-		}
-		start := len(slab)
-		slab = query.LiftAtoms(slab, cq.Atoms)
-		out[i] = query.RangeCQ{Head: cq.Head, Atoms: slab[start:len(slab):len(slab)]}
-	}
-	return out, nil
-}
+// operator takes it as such. This file holds what an atom needs only when it
+// *has* an expansion — the post-join hierarchy expansion — plus the memo a
+// union shares between its members.
 
 // atomVars returns the atom's distinct variables (plain and capture) in
 // first-occurrence order — the columns of its scan — and, per position, the

@@ -8,6 +8,7 @@ package exec
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -93,7 +94,7 @@ func (r *Relation) DistinctCheck(check func() error) error {
 		row := r.Row(i)
 		h := hashCols(row, cols)
 		dup := false
-		for k := seen.head[h]; k != 0 && !dup; k = seen.next[k-1] {
+		for k := seen.chain(h); k != 0 && !dup; k = seen.next[k-1] {
 			dup = slices.Equal(out[int(k-1)*r.width:int(k)*r.width], row)
 		}
 		if dup {
@@ -231,20 +232,31 @@ func (r *Relation) String() string {
 	return sb.String()
 }
 
-// rowTable chains row numbers by a hash of some of their columns. A lookup
-// walks the chain and compares the columns themselves, so a hash collision
-// costs a comparison, never a wrong match.
+// rowTable chains row numbers by a hash of some of their columns: a
+// power-of-two array of chain heads indexed by the top bits of the hash times
+// hashMix. A lookup walks the chain and compares the columns themselves, so a
+// bucket collision costs a comparison, never a wrong match.
 type rowTable struct {
-	head map[uint64]int32 // hash → 1 + the row added last under it
-	next []int32          // row → 1 + the row added before it under the same hash
+	head  []int32 // bucket → 1 + the row added last to it
+	next  []int32 // row → 1 + the row added before it to the same bucket
+	shift uint    // 64 − log2(len(head))
 }
+
+// hashMix spreads a hash over the bucket bits; a variable so that a test can
+// send every row to one bucket.
+var hashMix uint64 = 0x9e3779b97f4a7c15
 
 func newRowTable(rows int) rowTable {
-	return rowTable{head: make(map[uint64]int32, rows), next: make([]int32, rows)}
+	b := uint(bits.Len(uint(rows)))
+	return rowTable{head: make([]int32, 1<<b), next: make([]int32, rows), shift: 64 - b}
 }
 
+// chain returns 1 + the last row added under hash h's bucket (0: none).
+func (t rowTable) chain(h uint64) int32 { return t.head[(h*hashMix)>>t.shift] }
+
 func (t rowTable) add(h uint64, row int) {
-	t.next[row], t.head[h] = t.head[h], int32(row+1)
+	b := (h * hashMix) >> t.shift
+	t.next[row], t.head[b] = t.head[b], int32(row+1)
 }
 
 // hashCols hashes the given columns of a row (FNV-1a over the IDs).

@@ -422,6 +422,10 @@ type Fragment struct {
 	AtomIndexes []int
 	CQ          CQ
 	UCQ         UCQ
+	// Members is what the executor evaluates of UCQ: its members merged
+	// (UCQ.Merged), computed once where the fragment is built. Nil: UCQ's
+	// members one by one.
+	Members []RangeCQ
 }
 
 // JUCQ is a join of UCQs: the query answering strategy induced by a cover

@@ -128,6 +128,19 @@ func (q CQ) Lift() RangeCQ {
 	return RangeCQ{Head: q.Head, Atoms: LiftAtoms(make([]RangeAtom, 0, len(q.Atoms)), q.Atoms)}
 }
 
+// Lift returns the range form of the union's members, whose atoms share one
+// allocation.
+func (u UCQ) Lift() []RangeCQ {
+	out := make([]RangeCQ, len(u.CQs))
+	slab := make([]RangeAtom, 0, u.Atoms())
+	for i, cq := range u.CQs {
+		n := len(slab)
+		slab = LiftAtoms(slab, cq.Atoms)
+		out[i] = RangeCQ{Head: cq.Head, Atoms: slab[n:len(slab):len(slab)]}
+	}
+	return out
+}
+
 // RangeAtoms counts the atoms with at least one range-constrained position.
 func (q RangeCQ) RangeAtoms() int {
 	n := 0
@@ -185,10 +198,10 @@ func (u RangeUCQ) Expansions() int {
 
 // Format renders the atom for operator spans and EXPLAIN: a plain atom with
 // its terms decoded, an atom with a range or an expansion in the range
-// notation.
+// notation, its constants decoded.
 func (t RangeAtom) Format(d *dict.Dict) string {
 	if t.Ranged() || t.Expand != nil {
-		return FormatRangeAtom(t)
+		return FormatRangeAtom(d, t)
 	}
 	return FormatAtom(d, t.Plain())
 }
@@ -207,9 +220,16 @@ func (q RangeCQ) Format(d *dict.Dict) string {
 	return "q(" + strings.Join(head, ", ") + ") :- " + strings.Join(atoms, ", ")
 }
 
-// FormatRangeAtom renders a range atom in the range notation.
-func FormatRangeAtom(t RangeAtom) string {
+// FormatRangeAtom renders a range atom in the range notation, constants
+// decoded against d (as #ID when d is nil).
+func FormatRangeAtom(d *dict.Dict, t RangeAtom) string {
 	var sb strings.Builder
+	constant := func(a Arg) string {
+		if d == nil {
+			return fmt.Sprintf("#%d", a.ID)
+		}
+		return FormatArg(d, a)
+	}
 	pos := func(ra RangeArg) {
 		switch {
 		case ra.Ranges != nil && ra.Arg.IsVar():
@@ -219,7 +239,7 @@ func FormatRangeAtom(t RangeAtom) string {
 		case ra.Arg.IsVar():
 			sb.WriteString(ra.Arg.Var)
 		default:
-			fmt.Fprintf(&sb, "#%d", ra.Arg.ID)
+			sb.WriteString(constant(ra.Arg))
 		}
 	}
 	pos(t.S)
@@ -234,7 +254,7 @@ func FormatRangeAtom(t RangeAtom) string {
 		}
 		out := t.Expand.Out.Var
 		if !t.Expand.Out.IsVar() {
-			out = fmt.Sprintf("#%d", t.Expand.Out.ID)
+			out = constant(t.Expand.Out)
 		}
 		fmt.Fprintf(&sb, " [%s%s%s]", t.Expand.In, op, out)
 	}

@@ -73,55 +73,53 @@ func Lift(q CQ, typeID dict.ID) (shape CQ, params []dict.ID) {
 	return shape, params
 }
 
-// bindAtoms substitutes the parameters in the subject and object positions,
-// the only ones Lift puts them in.
-func bindAtoms(atoms []Atom, params []dict.ID) {
-	for i := range atoms {
-		atoms[i].S = atoms[i].S.Bind(params)
-		atoms[i].O = atoms[i].O.Bind(params)
-	}
-}
-
-// Bind returns the CQ with its parameters bound; the head, which holds
-// none, is shared.
+// Bind returns the CQ with its parameters bound — in the subject and object
+// positions, the only ones Lift puts them in; the head, which holds none, is
+// shared.
 func (q CQ) Bind(params []dict.ID) CQ {
 	atoms := append([]Atom(nil), q.Atoms...)
-	bindAtoms(atoms, params)
+	for i := range atoms {
+		atoms[i].S, atoms[i].O = atoms[i].S.Bind(params), atoms[i].O.Bind(params)
+	}
 	return CQ{Head: q.Head, Atoms: atoms}
 }
 
 // Bind returns the union with the parameters of every member bound. The
 // members' atoms are copied into one allocation; their heads (variables and
-// schema constants the rules bound) are shared with u, which is not written.
-func (u UCQ) Bind(params []dict.ID) UCQ {
-	flat := make([]Atom, 0, u.Atoms())
-	cqs := make([]CQ, len(u.CQs))
-	for i, cq := range u.CQs {
-		n := len(flat)
-		flat = append(flat, cq.Atoms...)
-		cqs[i] = CQ{Head: cq.Head, Atoms: flat[n:len(flat):len(flat)]}
-	}
-	bindAtoms(flat, params)
-	return UCQ{HeadNames: u.HeadNames, CQs: cqs}
+// schema constants the rules bound), ranges and expansions come from the
+// head, property and class positions, hold no parameter and are shared with
+// u, which is not written.
+func (u RangeUCQ) Bind(params []dict.ID) RangeUCQ {
+	return RangeUCQ{HeadNames: u.HeadNames, CQs: bindMembers(u.CQs, params)}
 }
 
-// Bind is UCQ.Bind for a range union: ranges and expansions come from the
-// property and class positions, hold no parameter and are shared.
-func (u RangeUCQ) Bind(params []dict.ID) RangeUCQ {
+// Bind returns the fragment with what is evaluated of it bound: its CQ, and
+// its Members — UCQ's, lifted, when it has none. UCQ stays the shape's, read
+// for its size, signature and price only: binding it would copy every member
+// of the reformulation once more.
+func (f Fragment) Bind(params []dict.ID) Fragment {
+	if f.Members == nil {
+		f.Members = f.UCQ.Lift()
+	}
+	f.CQ, f.Members = f.CQ.Bind(params), bindMembers(f.Members, params)
+	return f
+}
+
+// bindMembers binds the members' parameters, copying their atoms into one allocation.
+func bindMembers(cqs []RangeCQ, params []dict.ID) []RangeCQ {
 	total := 0
-	for _, cq := range u.CQs {
+	for _, cq := range cqs {
 		total += len(cq.Atoms)
 	}
 	flat := make([]RangeAtom, 0, total)
-	cqs := make([]RangeCQ, len(u.CQs))
-	for i, cq := range u.CQs {
+	out := make([]RangeCQ, len(cqs))
+	for i, cq := range cqs {
 		n := len(flat)
 		flat = append(flat, cq.Atoms...)
-		cqs[i] = RangeCQ{Head: cq.Head, Atoms: flat[n:len(flat):len(flat)]}
+		out[i] = RangeCQ{Head: cq.Head, Atoms: flat[n:len(flat):len(flat)]}
 	}
 	for i := range flat {
-		flat[i].S.Arg = flat[i].S.Arg.Bind(params)
-		flat[i].O.Arg = flat[i].O.Arg.Bind(params)
+		flat[i].S.Arg, flat[i].O.Arg = flat[i].S.Arg.Bind(params), flat[i].O.Arg.Bind(params)
 	}
-	return RangeUCQ{HeadNames: u.HeadNames, CQs: cqs}
+	return out
 }

@@ -68,53 +68,6 @@ func TestTermString(t *testing.T) {
 	}
 }
 
-// TestTermKeyInjective: distinct terms have distinct keys (the dictionary
-// depends on this).
-func TestTermKeyInjective(t *testing.T) {
-	gen := func(r *rand.Rand) Term {
-		vals := []string{"a", "b", "a\x00d", "http://x", ""}
-		switch r.Intn(3) {
-		case 0:
-			return NewIRI(vals[r.Intn(4)+0])
-		case 1:
-			switch r.Intn(3) {
-			case 0:
-				return NewLiteral(vals[r.Intn(len(vals))])
-			case 1:
-				return NewLangLiteral(vals[r.Intn(len(vals))], []string{"en", "fr"}[r.Intn(2)])
-			default:
-				return NewTypedLiteral(vals[r.Intn(len(vals))], vals[r.Intn(4)])
-			}
-		default:
-			return NewBlank(vals[r.Intn(4)])
-		}
-	}
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a, b := gen(r), gen(r)
-		if a == b {
-			return a.Key() == b.Key()
-		}
-		return a.Key() != b.Key()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Key must also distinguish the tricky datatype/lang boundary cases.
-func TestTermKeyBoundary(t *testing.T) {
-	a := NewTypedLiteral("v", "x")
-	b := NewLangLiteral("v", "x")
-	if a.Key() == b.Key() {
-		t.Fatal("typed and lang literal keys collide")
-	}
-	c := NewLiteral("v\x00dx")
-	if a.Key() == c.Key() {
-		t.Fatal("escape collision in keys")
-	}
-}
-
 func TestCompareTotalOrder(t *testing.T) {
 	terms := []Term{
 		NewIRI("a"), NewIRI("b"),

@@ -124,30 +124,6 @@ func (t Term) AppendTo(b []byte) []byte {
 	}
 }
 
-// Key returns a compact unique string identifying the term, suitable as a
-// map key in dictionaries. Unlike String it avoids quoting overhead.
-func (t Term) Key() string {
-	var sb strings.Builder
-	sb.Grow(len(t.Value) + len(t.Datatype) + len(t.Lang) + 10)
-	switch t.Kind {
-	case IRI:
-		sb.WriteByte('I')
-	case Literal:
-		sb.WriteByte('L')
-	case Blank:
-		sb.WriteByte('B')
-	}
-	// Length-prefix the lexical value so a value containing separator
-	// bytes can never collide with the datatype/language fields.
-	fmt.Fprintf(&sb, "%d;", len(t.Value))
-	sb.WriteString(t.Value)
-	sb.WriteByte('\x00')
-	sb.WriteString(t.Datatype)
-	sb.WriteByte('\x00')
-	sb.WriteString(t.Lang)
-	return sb.String()
-}
-
 // Compare orders terms first by kind, then by value, datatype and language;
 // it returns -1, 0 or +1. The order is arbitrary but total, and is used to
 // produce deterministic output.

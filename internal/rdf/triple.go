@@ -67,14 +67,12 @@ func DedupTriples(ts []Triple) []Triple {
 // Val returns Val(G): the set of values (IRIs, blank nodes and literals)
 // occurring in the given triples, in deterministic order.
 func Val(ts []Triple) []Term {
-	seen := make(map[string]Term, len(ts))
+	seen := make(map[Term]bool, len(ts))
 	for _, t := range ts {
-		seen[t.S.Key()] = t.S
-		seen[t.P.Key()] = t.P
-		seen[t.O.Key()] = t.O
+		seen[t.S], seen[t.P], seen[t.O] = true, true, true
 	}
 	out := make([]Term, 0, len(seen))
-	for _, v := range seen {
+	for v := range seen {
 		out = append(out, v)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })

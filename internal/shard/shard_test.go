@@ -307,7 +307,7 @@ func formatUnion(u query.RangeUCQ) string {
 	for _, cq := range u.CQs {
 		fmt.Fprintf(&sb, "\n  %v :-", cq.Head)
 		for _, a := range cq.Atoms {
-			sb.WriteString(" " + query.FormatRangeAtom(a) + ",")
+			sb.WriteString(" " + query.FormatRangeAtom(nil, a) + ",")
 		}
 	}
 	return sb.String()

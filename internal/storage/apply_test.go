@@ -21,13 +21,13 @@ func checkApply(t *testing.T, base, added, removed []dict.Triple) {
 	}
 	want = append(want, added...)
 	prev := buildStore(base)
-	before := slices.Clone(prev.spo)
+	before := slices.Clone(prev.runs[bySPO])
 	got, ref := prev.Apply(added, removed), Build(prev.d, want)
 	for _, run := range []struct {
 		name      string
 		got, want []dict.Triple
 		key       func(dict.Triple) [3]dict.ID
-	}{{"spo", got.spo, ref.spo, keySPO}, {"pos", got.pos, ref.pos, keyPOS}, {"osp", got.osp, ref.osp, keyOSP}} {
+	}{{"spo", got.runs[bySPO], ref.runs[bySPO], bySPO.key}, {"pos", got.runs[byPOS], ref.runs[byPOS], byPOS.key}, {"osp", got.runs[byOSP], ref.runs[byOSP], byOSP.key}} {
 		if !slices.Equal(run.got, run.want) {
 			t.Fatalf("%s: Apply gave %v, Build %v (base %v +%v -%v)", run.name, run.got, run.want, base, added, removed)
 		}
@@ -38,7 +38,7 @@ func checkApply(t *testing.T, base, added, removed []dict.Triple) {
 			}
 		}
 	}
-	if !slices.Equal(prev.spo, before) {
+	if !slices.Equal(prev.runs[bySPO], before) {
 		t.Fatal("Apply changed the store it was applied to")
 	}
 }
@@ -65,13 +65,13 @@ func TestBuildSortedSharesItsRun(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 50; trial++ {
 		ref := buildStore(randomTriples(r, r.Intn(60), 6))
-		spo := slices.Clone(ref.spo)
+		spo := slices.Clone(ref.runs[bySPO])
 		got := BuildSorted(ref.d, spo)
-		if len(spo) > 0 && &got.spo[0] != &spo[0] {
+		if len(spo) > 0 && &got.runs[bySPO][0] != &spo[0] {
 			t.Fatal("BuildSorted copied its run")
 		}
-		if !slices.Equal(got.spo, ref.spo) || !slices.Equal(got.pos, ref.pos) || !slices.Equal(got.osp, ref.osp) {
-			t.Fatalf("BuildSorted gave %v / %v / %v, Build %v / %v / %v", got.spo, got.pos, got.osp, ref.spo, ref.pos, ref.osp)
+		if !slices.EqualFunc(got.runs[:], ref.runs[:], slices.Equal) {
+			t.Fatalf("BuildSorted gave %v, Build %v", got.runs, ref.runs)
 		}
 	}
 }

@@ -19,14 +19,11 @@ func Exact(id dict.ID) IDRange { return IDRange{Lo: id, Hi: id} }
 // IsExact reports whether the range covers exactly one ID.
 func (r IDRange) IsExact() bool { return r.Lo == r.Hi }
 
-// inRanges reports whether id lies in any of the sorted, disjoint ranges.
-func inRanges(rs []IDRange, id dict.ID) bool {
+// InRanges reports whether id falls in one of the sorted, disjoint ranges.
+func InRanges(rs []IDRange, id dict.ID) bool {
 	i := sort.Search(len(rs), func(i int) bool { return rs[i].Hi >= id })
 	return i < len(rs) && rs[i].Lo <= id
 }
-
-// InRanges reports whether id falls in one of the sorted, disjoint ranges.
-func InRanges(rs []IDRange, id dict.ID) bool { return inRanges(rs, id) }
 
 // MergeIDs turns a set of IDs into the minimal sorted list of inclusive
 // ranges covering exactly that set (consecutive IDs merge into one range).
@@ -60,105 +57,81 @@ type RangePattern struct {
 
 // Matches reports whether the triple satisfies every constrained position.
 func (p RangePattern) Matches(t dict.Triple) bool {
-	return (p.S == nil || inRanges(p.S, t.S)) &&
-		(p.P == nil || inRanges(p.P, t.P)) &&
-		(p.O == nil || inRanges(p.O, t.O))
+	return (p.S == nil || InRanges(p.S, t.S)) &&
+		(p.P == nil || InRanges(p.P, t.P)) &&
+		(p.O == nil || InRanges(p.O, t.O))
 }
 
-// exactPrefix counts how many leading positions of the given index order are
-// single exact ranges, and reports whether the next position is constrained
-// by ranges (usable as the final binary-search component).
-func exactPrefix(order [3][]IDRange) (nexact int, ranged bool) {
-	for _, rs := range order {
-		if len(rs) == 1 && rs[0].IsExact() {
-			nexact++
-			continue
-		}
-		return nexact, rs != nil
-	}
-	return nexact, false
+// rangeScan is how a range pattern is answered from one run: its ordering,
+// the exact prefix it binary-searches, the ranges of the component after the
+// prefix (nil: unconstrained), and whether a triple found must still be
+// checked against the pattern (constrained positions beyond those).
+type rangeScan struct {
+	o        ordering
+	prefix   [3]dict.ID
+	ne       int
+	next     []IDRange
+	residual bool
 }
 
-// chooseRange picks the index ordering that binary-searches away the most
-// work: longest prefix of exact positions, range-constrained next position
+// chooseRange picks the ordering that binary-searches away the most work:
+// the longest prefix of exact positions, a range-constrained next position
 // as tie-break.
-func (st *Store) chooseRange(p RangePattern) (idx []dict.Triple, key func(dict.Triple) [3]dict.ID, order [3][]IDRange, nexact int, ranged bool) {
-	type cand struct {
-		idx   []dict.Triple
-		key   func(dict.Triple) [3]dict.ID
-		order [3][]IDRange
-	}
-	best := cand{st.spo, keySPO, [3][]IDRange{p.S, p.P, p.O}}
-	bn, br := exactPrefix(best.order)
-	for _, c := range []cand{
-		{st.pos, keyPOS, [3][]IDRange{p.P, p.O, p.S}},
-		{st.osp, keyOSP, [3][]IDRange{p.O, p.S, p.P}},
-	} {
-		n, r := exactPrefix(c.order)
-		if n > bn || (n == bn && r && !br) {
-			best, bn, br = c, n, r
+func chooseRange(p RangePattern) rangeScan {
+	best := rangeScan{ne: -1}
+	for o, order := range [3][3][]IDRange{{p.S, p.P, p.O}, {p.P, p.O, p.S}, {p.O, p.S, p.P}} {
+		s := rangeScan{o: ordering(o)}
+		for s.ne < 3 && len(order[s.ne]) == 1 && order[s.ne][0].IsExact() {
+			s.prefix[s.ne] = order[s.ne][0].Lo
+			s.ne++
 		}
-	}
-	return best.idx, best.key, best.order, bn, br
-}
-
-// rangeOfBounded returns the half-open index range of triples whose key
-// starts with the ne exact prefix values and whose next component lies in r:
-// the two-binary-search rangeOf generalized to an interval endpoint.
-func rangeOfBounded(idx []dict.Triple, key func(dict.Triple) [3]dict.ID, prefix [3]dict.ID, ne int, r IDRange) (int, int) {
-	cmpPrefix := func(k [3]dict.ID) int {
-		for i := 0; i < ne; i++ {
-			if k[i] != prefix[i] {
-				if k[i] < prefix[i] {
-					return -1
-				}
-				return 1
+		if rest := order[s.ne:]; len(rest) > 0 {
+			s.next = rest[0]
+			for _, rs := range rest[1:] {
+				s.residual = s.residual || rs != nil
 			}
 		}
-		return 0
+		if s.ne > best.ne || s.ne == best.ne && s.next != nil && best.next == nil {
+			best = s
+		}
 	}
-	lo := sort.Search(len(idx), func(i int) bool {
-		k := key(idx[i])
-		if c := cmpPrefix(k); c != 0 {
-			return c > 0
+	return best
+}
+
+// eachRun calls fn with every run of idx, sorted by s.o, that s selects: the
+// run of the exact prefix, found once, and inside it one run per range of the
+// next component, each bracketed by two binary searches over the prefix's
+// run alone. It stops when fn returns false.
+func (s rangeScan) eachRun(idx []dict.Triple, fn func([]dict.Triple) bool) {
+	lo, hi := rangeOf(idx, s.o, s.prefix, s.ne)
+	run := idx[lo:hi]
+	if s.next == nil {
+		fn(run)
+		return
+	}
+	// Inside the run the keys agree on the prefix: comparing the one
+	// component after it is comparing the keys.
+	var lob, hib [3]dict.ID
+	for _, r := range s.next {
+		lob[s.ne], hib[s.ne] = r.Lo, r.Hi
+		run = run[bound(run, s.o, lob, s.ne, s.ne+1, false):]
+		n := bound(run, s.o, hib, s.ne, s.ne+1, true)
+		if n > 0 && !fn(run[:n]) {
+			return
 		}
-		return k[ne] >= r.Lo
-	})
-	hi := sort.Search(len(idx), func(i int) bool {
-		k := key(idx[i])
-		if c := cmpPrefix(k); c != 0 {
-			return c > 0
-		}
-		return k[ne] > r.Hi
-	})
-	return lo, hi
+		run = run[n:]
+	}
 }
 
 // EachRange calls fn for every triple matching the range pattern, in index
 // order, stopping early if fn returns false. Exact-prefix positions and one
-// range-constrained position are answered by binary search per range; any
-// further constrained positions are filtered residually.
+// range-constrained position are answered by binary search; any further
+// constrained positions are filtered residually.
 func (st *Store) EachRange(p RangePattern, fn func(dict.Triple) bool) {
-	idx, key, order, ne, ranged := st.chooseRange(p)
-	var prefix [3]dict.ID
-	for i := 0; i < ne; i++ {
-		prefix[i] = order[i][0].Lo
-	}
-	// Residual filtering is needed only for constrained positions beyond
-	// the binary-searched prefix (+ ranged component).
-	covered := ne
-	if ranged {
-		covered++
-	}
-	residual := false
-	for i := covered; i < 3; i++ {
-		if order[i] != nil {
-			residual = true
-		}
-	}
-	emit := func(lo, hi int) bool {
-		for _, t := range idx[lo:hi] {
-			if residual && !p.Matches(t) {
+	s := chooseRange(p)
+	s.eachRun(st.runs[s.o], func(run []dict.Triple) bool {
+		for _, t := range run {
+			if s.residual && !p.Matches(t) {
 				continue
 			}
 			if !fn(t) {
@@ -166,59 +139,26 @@ func (st *Store) EachRange(p RangePattern, fn func(dict.Triple) bool) {
 			}
 		}
 		return true
-	}
-	if !ranged {
-		lo, hi := rangeOf(idx, key, prefix, ne)
-		emit(lo, hi)
-		return
-	}
-	for _, r := range order[ne] {
-		lo, hi := rangeOfBounded(idx, key, prefix, ne, r)
-		if !emit(lo, hi) {
-			return
-		}
-	}
+	})
 }
 
 // CountRange returns the exact number of triples matching the range
 // pattern. Shapes fully covered by the binary-searched prefix are counted
 // without scanning.
 func (st *Store) CountRange(p RangePattern) int {
-	idx, key, order, ne, ranged := st.chooseRange(p)
-	var prefix [3]dict.ID
-	for i := 0; i < ne; i++ {
-		prefix[i] = order[i][0].Lo
-	}
-	covered := ne
-	if ranged {
-		covered++
-	}
-	residual := false
-	for i := covered; i < 3; i++ {
-		if order[i] != nil {
-			residual = true
-		}
-	}
+	s := chooseRange(p)
 	n := 0
-	count := func(lo, hi int) {
-		if !residual {
-			n += hi - lo
-			return
+	s.eachRun(st.runs[s.o], func(run []dict.Triple) bool {
+		if !s.residual {
+			n += len(run)
+			return true
 		}
-		for _, t := range idx[lo:hi] {
+		for _, t := range run {
 			if p.Matches(t) {
 				n++
 			}
 		}
-	}
-	if !ranged {
-		lo, hi := rangeOf(idx, key, prefix, ne)
-		count(lo, hi)
-		return n
-	}
-	for _, r := range order[ne] {
-		lo, hi := rangeOfBounded(idx, key, prefix, ne, r)
-		count(lo, hi)
-	}
+		return true
+	})
 	return n
 }

@@ -9,7 +9,6 @@ package storage
 
 import (
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/dict"
@@ -45,10 +44,8 @@ func (p Pattern) Matches(t dict.Triple) bool {
 
 // Store is an immutable triple store over a fixed set of triples.
 type Store struct {
-	d   *dict.Dict
-	spo []dict.Triple // sorted by (S,P,O)
-	pos []dict.Triple // sorted by (P,O,S)
-	osp []dict.Triple // sorted by (O,S,P)
+	d    *dict.Dict
+	runs [3][]dict.Triple // the triples sorted by each ordering: SPO, POS, OSP
 }
 
 // Build sorts the given triples into the three permutations and returns the
@@ -62,7 +59,7 @@ func Build(d *dict.Dict, triples []dict.Triple) *Store {
 // either side — in place of the copy Build makes.
 func BuildSorted(d *dict.Dict, spo []dict.Triple) *Store {
 	st := Build(d, spo)
-	st.spo = slices.Clip(spo)
+	st.runs[bySPO] = slices.Clip(spo)
 	return st
 }
 
@@ -74,26 +71,22 @@ func BuildSorted(d *dict.Dict, spo []dict.Triple) *Store {
 func (st *Store) Apply(added, removed []dict.Triple) *Store {
 	out := &Store{d: st.d}
 	var wg sync.WaitGroup
-	for _, ix := range []struct {
-		dst *[]dict.Triple
-		run []dict.Triple
-		key func(dict.Triple) [3]dict.ID
-	}{{&out.spo, st.spo, keySPO}, {&out.pos, st.pos, keyPOS}, {&out.osp, st.osp, keyOSP}} {
+	for o := range out.runs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			*ix.dst = merge(ix.run, added, removed, ix.key)
+			out.runs[o] = merge(st.runs[o], added, removed, ordering(o))
 		}()
 	}
 	wg.Wait()
 	return out
 }
 
-// merge returns a fresh run: run, which is sorted by key and duplicate
-// free, without the triples of del and with those of add.
-func merge(run, add, del []dict.Triple, key func(dict.Triple) [3]dict.ID) []dict.Triple {
+// merge returns a fresh run: run, which is sorted by o and duplicate free,
+// without the triples of del and with those of add.
+func merge(run, add, del []dict.Triple, o ordering) []dict.Triple {
 	byKey := func(a, b dict.Triple) int {
-		ka, kb := key(a), key(b)
+		ka, kb := o.key(a), o.key(b)
 		return slices.Compare(ka[:], kb[:])
 	}
 	add, del = slices.Clone(add), slices.Clone(del)
@@ -130,23 +123,24 @@ func merge(run, add, del []dict.Triple, key func(dict.Triple) [3]dict.ID) []dict
 func (st *Store) Dict() *dict.Dict { return st.d }
 
 // Len returns the number of triples in the store.
-func (st *Store) Len() int { return len(st.spo) }
+func (st *Store) Len() int { return len(st.runs[bySPO]) }
 
 // Triples returns the full sorted (S,P,O) triple slice; callers must not
 // mutate it.
-func (st *Store) Triples() []dict.Triple { return st.spo }
+func (st *Store) Triples() []dict.Triple { return st.runs[bySPO] }
 
 // Contains reports whether the exact triple is present.
 func (st *Store) Contains(t dict.Triple) bool {
-	lo, hi := rangeOf(st.spo, keySPO, [3]dict.ID{t.S, t.P, t.O}, 3)
+	lo, hi := rangeOf(st.runs[bySPO], bySPO, [3]dict.ID{t.S, t.P, t.O}, 3)
 	return hi > lo
 }
 
 // Each calls fn for every triple matching the pattern, in index order,
 // stopping early if fn returns false. This is the store's scan primitive.
 func (st *Store) Each(pat Pattern, fn func(dict.Triple) bool) {
-	idx, key, prefix, nbound := st.choose(pat)
-	lo, hi := rangeOf(idx, key, prefix, nbound)
+	o, prefix, nbound := choose(pat)
+	idx := st.runs[o]
+	lo, hi := rangeOf(idx, o, prefix, nbound)
 	if nbound == pat.Bound() {
 		// The bound positions form a prefix of the chosen ordering: the
 		// range is exact, no residual filtering needed.
@@ -180,8 +174,9 @@ func (st *Store) Scan(pat Pattern) []dict.Triple {
 // prefix-contiguous patterns this is two binary searches; the (S,?,O) shape
 // requires a filtered scan of the subject's range.
 func (st *Store) Count(pat Pattern) int {
-	idx, key, prefix, nbound := st.choose(pat)
-	lo, hi := rangeOf(idx, key, prefix, nbound)
+	o, prefix, nbound := choose(pat)
+	idx := st.runs[o]
+	lo, hi := rangeOf(idx, o, prefix, nbound)
 	if nbound == pat.Bound() {
 		return hi - lo
 	}
@@ -195,37 +190,54 @@ func (st *Store) Count(pat Pattern) int {
 }
 
 // choose picks the index ordering whose sort key has the longest prefix of
-// bound positions, returning the index, its key function, the bound prefix
-// values and the prefix length.
-func (st *Store) choose(pat Pattern) (idx []dict.Triple, key func(dict.Triple) [3]dict.ID, prefix [3]dict.ID, nbound int) {
+// bound positions, returning the ordering, the bound prefix values and the
+// prefix length.
+func choose(pat Pattern) (o ordering, prefix [3]dict.ID, nbound int) {
 	sB, pB, oB := pat.S != dict.None, pat.P != dict.None, pat.O != dict.None
 	switch {
 	case sB && pB && oB:
-		return st.spo, keySPO, [3]dict.ID{pat.S, pat.P, pat.O}, 3
+		return bySPO, [3]dict.ID{pat.S, pat.P, pat.O}, 3
 	case sB && pB:
-		return st.spo, keySPO, [3]dict.ID{pat.S, pat.P, 0}, 2
+		return bySPO, [3]dict.ID{pat.S, pat.P, 0}, 2
 	case pB && oB:
-		return st.pos, keyPOS, [3]dict.ID{pat.P, pat.O, 0}, 2
+		return byPOS, [3]dict.ID{pat.P, pat.O, 0}, 2
 	case sB && oB:
 		// No (S,O)-prefixed ordering: scan the subject's SPO range and
 		// filter on O.
-		return st.spo, keySPO, [3]dict.ID{pat.S, 0, 0}, 1
+		return bySPO, [3]dict.ID{pat.S, 0, 0}, 1
 	case sB:
-		return st.spo, keySPO, [3]dict.ID{pat.S, 0, 0}, 1
+		return bySPO, [3]dict.ID{pat.S, 0, 0}, 1
 	case pB:
-		return st.pos, keyPOS, [3]dict.ID{pat.P, 0, 0}, 1
+		return byPOS, [3]dict.ID{pat.P, 0, 0}, 1
 	case oB:
-		return st.osp, keyOSP, [3]dict.ID{pat.O, 0, 0}, 1
+		return byOSP, [3]dict.ID{pat.O, 0, 0}, 1
 	default:
-		return st.spo, keySPO, [3]dict.ID{}, 0
+		return bySPO, [3]dict.ID{}, 0
 	}
 }
 
 // --- orderings -------------------------------------------------------------
 
-func keySPO(t dict.Triple) [3]dict.ID { return [3]dict.ID{t.S, t.P, t.O} }
-func keyPOS(t dict.Triple) [3]dict.ID { return [3]dict.ID{t.P, t.O, t.S} }
-func keyOSP(t dict.Triple) [3]dict.ID { return [3]dict.ID{t.O, t.S, t.P} }
+// ordering names the sort order of one of the store's three runs.
+type ordering uint8
+
+const (
+	bySPO ordering = iota
+	byPOS
+	byOSP
+)
+
+// key returns the triple's sort key under the ordering — a switch, not a
+// func value, so that a binary search's comparisons are direct calls.
+func (o ordering) key(t dict.Triple) [3]dict.ID {
+	switch o {
+	case byPOS:
+		return [3]dict.ID{t.P, t.O, t.S}
+	case byOSP:
+		return [3]dict.ID{t.O, t.S, t.P}
+	}
+	return [3]dict.ID{t.S, t.P, t.O}
+}
 
 func dedupSorted(ts []dict.Triple) []dict.Triple {
 	if len(ts) < 2 {
@@ -240,25 +252,50 @@ func dedupSorted(ts []dict.Triple) []dict.Triple {
 	return out
 }
 
-// rangeOf returns the half-open index range [lo,hi) of triples whose key
-// starts with the first n components of prefix.
-func rangeOf(idx []dict.Triple, key func(dict.Triple) [3]dict.ID, prefix [3]dict.ID, n int) (int, int) {
+// rangeOf returns the half-open index range [lo,hi) of triples of idx,
+// sorted by o, whose key starts with the first n components of prefix.
+func rangeOf(idx []dict.Triple, o ordering, prefix [3]dict.ID, n int) (int, int) {
 	if n == 0 {
 		return 0, len(idx)
 	}
-	cmp := func(t dict.Triple) int {
-		k := key(t)
-		return slices.Compare(k[:n], prefix[:n])
-	}
-	lo := sort.Search(len(idx), func(i int) bool { return cmp(idx[i]) >= 0 })
+	lo := bound(idx, o, prefix, 0, n, false)
 	// Matching ranges are short next to the index (a probe's is a handful of
 	// triples): gallop from lo to bracket the end, then search the bracket.
 	step := 1
-	for lo+step < len(idx) && cmp(idx[lo+step]) == 0 {
+	for lo+step < len(idx) && compareKeys(o.key(idx[lo+step]), prefix, 0, n) == 0 {
 		step *= 2
 	}
 	tail := idx[lo:min(lo+step, len(idx))]
-	return lo, lo + sort.Search(len(tail), func(i int) bool { return cmp(tail[i]) > 0 })
+	return lo, lo + bound(tail, o, prefix, 0, n, true)
+}
+
+// bound returns the first index of idx, sorted by o, whose key's components
+// from to n compare ≥ those of k — or, strict, > them; idx's keys must agree
+// before from. One binary search, with no call through a func value.
+func bound(idx []dict.Triple, o ordering, k [3]dict.ID, from, n int, strict bool) int {
+	lo, hi := 0, len(idx)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c := compareKeys(o.key(idx[m]), k, from, n); c < 0 || strict && c == 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// compareKeys compares components from to n of two keys.
+func compareKeys(a, b [3]dict.ID, from, n int) int {
+	for i := from; i < n; i++ {
+		if a[i] != b[i] {
+			if a[i] < b[i] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
 }
 
 // DistinctInPosition returns the number of distinct values in the given
@@ -271,14 +308,14 @@ func (st *Store) DistinctInPosition(pat Pattern, pos byte) int {
 	var ordered []dict.Triple
 	switch {
 	case pat.Bound() == 0 && pos == 's':
-		ordered = st.spo
+		ordered = st.runs[bySPO]
 	case pat.Bound() == 0 && pos == 'p':
-		ordered = st.pos
+		ordered = st.runs[byPOS]
 	case pat.Bound() == 0:
-		ordered = st.osp
+		ordered = st.runs[byOSP]
 	case pos == 'o' && pat == (Pattern{P: pat.P}):
-		lo, hi := rangeOf(st.pos, keyPOS, [3]dict.ID{pat.P}, 1)
-		ordered = st.pos[lo:hi]
+		lo, hi := rangeOf(st.runs[byPOS], byPOS, [3]dict.ID{pat.P}, 1)
+		ordered = st.runs[byPOS][lo:hi]
 	default:
 		set := map[dict.ID]bool{}
 		st.Each(pat, func(t dict.Triple) bool {
