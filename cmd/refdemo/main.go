@@ -270,7 +270,7 @@ func parseCover(s string) (query.Cover, error) {
 
 func printAnswers(g *graph.Graph, ans *engine.Answer, maxRows int) {
 	d := g.Dict()
-	ans.Rows.SortRows()
+	ans.Rows.SortFirst(maxRows)
 	n := ans.Rows.Len()
 	if n > maxRows {
 		n = maxRows

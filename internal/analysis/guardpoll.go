@@ -28,7 +28,7 @@ import (
 // body (storage.Store.Each and the streaming-UCQ enumerators).
 //
 // A poll is any call — or any forwarding as a call argument, as in
-// out.DistinctCheck(g.err) — of a niladic func() error value: g.err, a
+// dst.insertAll(rel, g.err) — of a niladic func() error value: g.err, a
 // check parameter, and friends. A row loop must poll *directly*: a poll
 // inside a nested loop or callback satisfies only that inner scope.
 // Loops that are provably bounded may be annotated
@@ -279,7 +279,7 @@ func (g *guardpollCheck) isPoll(n ast.Node) bool {
 		}
 	}
 	// Forwarded poll: passing a func() error value (g.err, check) as an
-	// argument, e.g. out.DistinctCheck(g.err).
+	// argument, e.g. dst.insertAll(rel, g.err).
 	for _, arg := range call.Args {
 		if tv, ok := g.pass.Info.Types[arg]; ok && tv.Type != nil {
 			if isNiladicErrorFunc(tv.Type) && !g.isContextErr(arg) {

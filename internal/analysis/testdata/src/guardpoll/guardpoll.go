@@ -23,7 +23,7 @@ type Relation struct {
 func (r *Relation) Len() int         { return r.rows }
 func (r *Relation) Append(row []int) { r.rows++ }
 
-// DistinctCheck mirrors the polling dedup helper.
+// DistinctCheck stands for a helper that takes the poll (Set.insertAll).
 func (r *Relation) DistinctCheck(check func() error) error { return check() }
 
 type guard struct{ n int }

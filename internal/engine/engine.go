@@ -516,7 +516,8 @@ func (e *Engine) AnswerUnionContext(ctx context.Context, u query.UCQ, s Strategy
 	if s == RefJUCQ {
 		return nil, fmt.Errorf("engine: strategy %s needs per-member covers; answer the members individually", s)
 	}
-	combined := &Answer{Strategy: s, Rows: exec.NewRelation(u.HeadNames)}
+	combined := &Answer{Strategy: s}
+	rows := exec.NewSet(u.HeadNames)
 	for _, cq := range u.CQs {
 		ans, err := e.AnswerContext(ctx, cq, s)
 		if err != nil {
@@ -530,9 +531,9 @@ func (e *Engine) AnswerUnionContext(ctx context.Context, u query.UCQ, s Strategy
 			combined.AdmissionWeight = ans.AdmissionWeight
 		}
 		for i := 0; i < ans.Rows.Len(); i++ {
-			combined.Rows.Append(ans.Rows.Row(i))
+			rows.Add(ans.Rows.Row(i))
 		}
 	}
-	combined.Rows.Distinct()
+	combined.Rows = rows.Rows
 	return combined, nil
 }

@@ -152,6 +152,7 @@ func TestAnswerTraceEstimatesAndActuals(t *testing.T) {
 		for _, c := range cases {
 			name := fmt.Sprintf("%s/shards=%d", c.s, shards)
 			e.Tracer = trace.New(0)
+			e.Metrics = metrics.NewRegistry()
 			var (
 				plan *Plan
 				ans  *Answer
@@ -204,7 +205,35 @@ func TestAnswerTraceEstimatesAndActuals(t *testing.T) {
 			if got, want := fragmentNodes(root), fragmentNodes(plan.Tree()); !slices.Equal(got, want) {
 				t.Fatalf("%s: traced fragments %v, EXPLAIN fragments %v", name, got, want)
 			}
+			// A cq node's rows are the rows its member offers its union,
+			// duplicates included — what exec.rows_unioned counts — and a
+			// union keeps each of them once.
+			offered := int64(0)
+			walk(root, func(n *trace.SpanJSON) {
+				if n.Name == "cq" {
+					offered += n.Attrs["rows"].(int64)
+				}
+				if n.Name == "union" && len(n.Children) > 0 && n.Children[0].Name == "cq" {
+					members := int64(0)
+					for _, c := range n.Children {
+						members += c.Attrs["rows"].(int64)
+					}
+					if n.Attrs["rows"].(int64) > members {
+						t.Fatalf("%s: a union of %v rows from members offering %d", name, n.Attrs["rows"], members)
+					}
+				}
+			})
+			if got := e.Metrics.Counter("exec.rows_unioned").Value(); got != offered {
+				t.Fatalf("%s: exec.rows_unioned = %d, the cq nodes offered %d", name, got, offered)
+			}
 		}
+	}
+}
+
+func walk(n *trace.SpanJSON, fn func(*trace.SpanJSON)) {
+	fn(n)
+	for _, c := range n.Children {
+		walk(c, fn)
 	}
 }
 

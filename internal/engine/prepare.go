@@ -535,12 +535,11 @@ func runDatalog(ctx context.Context, prog *datalog.Program, head []string, timeo
 		}
 		return nil, err
 	}
-	rows := exec.NewRelation(head)
+	rows := exec.NewSet(head)
 	for _, t := range eng.Tuples(datalog.AnswerPred) {
-		rows.Append(t)
+		rows.Add(t)
 	}
-	rows.Distinct()
-	return rows, nil
+	return rows.Rows, nil
 }
 
 // fragmentSigs returns the view-cache key of each JUCQ fragment, hex-encoded

@@ -90,19 +90,20 @@ func TestSerialUCQSharedTimeout(t *testing.T) {
 // Regression for the same defect in EvalJUCQ: each fragment's UCQ used to
 // be evaluated with a fresh deadline (serial and parallel paths alike), so
 // a 2-fragment JUCQ with timeout T could run for ~2T. It must fail in ≈T,
-// over one store and over shards.
+// over one store and over shards. The head reads w, so each fragment is a
+// real 800×800 cross product (with w unread, z 11 w is a boolean test).
 func TestJUCQSharedTimeout(t *testing.T) {
 	st, ss := tinyStore(crossStore(800))
 	frag := func() query.Fragment {
-		return query.Fragment{UCQ: query.UCQ{HeadNames: []string{"x"}, CQs: []query.CQ{{
-			Head: []query.Arg{v("x")},
+		return query.Fragment{UCQ: query.UCQ{HeadNames: []string{"x", "w"}, CQs: []query.CQ{{
+			Head: []query.Arg{v("x"), v("w")},
 			Atoms: []query.Atom{
 				{S: v("x"), P: c(10), O: v("y")},
 				{S: v("z"), P: c(11), O: v("w")},
 			},
 		}}}}
 	}
-	j := query.JUCQ{HeadNames: []string{"x"}, Fragments: []query.Fragment{frag(), frag()}}
+	j := query.JUCQ{HeadNames: []string{"x", "w"}, Fragments: []query.Fragment{frag(), frag()}}
 
 	base := New(st, ss)
 	start := time.Now()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -127,9 +128,9 @@ const checkEvery = 4096
 // metrics registry once per evaluation, keeping registry traffic off the
 // per-row path.
 type tally struct {
-	scanned atomic.Int64
-	joined  atomic.Int64
-	unioned atomic.Int64
+	scanned atomic.Int64 // triples read from an index, by scans and probes
+	joined  atomic.Int64 // rows joins and expansions produce
+	unioned atomic.Int64 // rows members offer to their union, duplicates included
 	flushed atomic.Bool
 }
 
@@ -200,6 +201,8 @@ func (g guard) flush(m *metrics.Registry) {
 	}
 	m.Counter("exec.rows_scanned").Add(g.t.scanned.Load())
 	m.Counter("exec.rows_joined").Add(g.t.joined.Load())
+	// Rows offered to a union's set (a lone CQ is a one-member union),
+	// counted before the set drops duplicates.
 	m.Counter("exec.rows_unioned").Add(g.t.unioned.Load())
 }
 
@@ -218,15 +221,23 @@ func (e *Evaluator) checkRows(n int) error {
 func (e *Evaluator) EvalCQContext(ctx context.Context, headNames []string, q query.CQ) (*Relation, error) {
 	g := e.newGuard(ctx)
 	defer g.flush(e.Metrics)
-	return e.evalCQ(headNames, q.Lift(), nil, g, e.Span)
+	out := NewSet(headNames)
+	if err := e.evalCQ(q.Lift(), nil, g, e.Span, out); err != nil {
+		return nil, err
+	}
+	return out.Rows, nil
 }
 
-// evalCQ evaluates one CQ in the evaluator's atom form: join the body,
-// apply the atoms' expansions, project the head. m is the enclosing union's
-// memo (nil outside a serial member loop).
-func (e *Evaluator) evalCQ(headNames []string, q query.RangeCQ, m *memo, g guard, sp *trace.Span) (*Relation, error) {
+// evalCQ evaluates one CQ in the evaluator's atom form into dst, the set of
+// the union it is a member of (a lone CQ is a one-member union): join the
+// body, apply the atoms' expansions, and offer each row, projected onto the
+// head, to dst. Variables nothing reads are wildcards, never columns (see
+// deadPositions). m is the enclosing union's memo (nil outside a serial
+// member loop). The "cq" span's rows are the rows offered, duplicates
+// included.
+func (e *Evaluator) evalCQ(q query.RangeCQ, m *memo, g guard, sp *trace.Span, dst *Set) error {
 	if sh := e.scatterSource(); sh != nil && CoPartitioned(q) {
-		return e.evalCQScatter(sh, headNames, q, g, sp)
+		return e.evalCQScatter(sh, q, g, sp, dst)
 	}
 	var csp *trace.Span
 	if sp != nil {
@@ -234,9 +245,10 @@ func (e *Evaluator) evalCQ(headNames []string, q query.RangeCQ, m *memo, g guard
 		defer csp.End()
 		csp.SetStr("q", q.Format(e.st.Dict()))
 	}
-	body, err := e.evalBody(q.Atoms, m, g, csp)
+	var deadBuf [8]uint8
+	body, err := e.evalBody(q.Atoms, deadPositions(deadBuf[:0], q), m, g, csp)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Expansions run after the joins, in atom order.
 	for _, a := range q.Atoms {
@@ -244,30 +256,25 @@ func (e *Evaluator) evalCQ(headNames []string, q query.RangeCQ, m *memo, g guard
 			continue
 		}
 		if body, err = e.expandRelation(body, a.Expand, g, csp); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	var psp *trace.Span
-	if csp != nil {
-		psp = csp.Child("project")
-		defer psp.End()
+	if len(q.Head) != dst.Rows.Width() {
+		return fmt.Errorf("exec: head has %d args, expected %d names", len(q.Head), dst.Rows.Width())
 	}
-	out, err := e.projectHead(headNames, q.Head, body, g)
+	src, row, err := headColumns(q.Head, body)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := out.DistinctCheck(g.err); err != nil {
-		return nil, err
+	if err := projectRows(body, src, row, g, dst.Add); err != nil {
+		return err
 	}
-	if psp != nil {
-		psp.SetInt("rows", int64(out.Len()))
-		psp.End()
-	}
+	g.addUnioned(body.Len())
 	if csp != nil {
-		csp.SetInt("rows", int64(out.Len()))
+		csp.SetInt("rows", int64(body.Len()))
 		csp.End()
 	}
-	return out, nil
+	return nil
 }
 
 // tracing reports whether the evaluator must record est-vs-actual operator
@@ -304,8 +311,9 @@ func (e *Evaluator) atomCard(a query.RangeAtom) float64 {
 // running result or materialized and joined — the calls the cost model
 // makes to price this plan and EXPLAIN to print it. Inside a union, scans
 // and the intermediates of proper body prefixes go through the union's
-// memo; the whole body never does — a union's members are distinct.
-func (e *Evaluator) evalBody(atoms []query.RangeAtom, m *memo, g guard, sp *trace.Span) (*Relation, error) {
+// memo; the whole body never does — a union's members are distinct. dead
+// holds each atom's dead positions (deadPositions).
+func (e *Evaluator) evalBody(atoms []query.RangeAtom, dead []uint8, m *memo, g guard, sp *trace.Span) (*Relation, error) {
 	if len(atoms) == 0 {
 		return nil, errors.New("exec: empty BGP")
 	}
@@ -333,11 +341,11 @@ func (e *Evaluator) evalBody(atoms []query.RangeAtom, m *memo, g guard, sp *trac
 	start, _ := cost.Pick(remaining, cardOf, nil)
 	first := remaining[start]
 	remaining = append(remaining[:start], remaining[start+1:]...)
-	cur, err := e.scanAtom(atoms[first], m, g, sp, estCard(ests, first))
+	cur, err := e.scanAtom(atoms[first], dead[first], m, g, sp, estCard(ests, first))
 	if err != nil {
 		return nil, err
 	}
-	m.begin(atoms[first])
+	m.begin(atoms[first], dead[first])
 	if ests != nil {
 		run = ests[first]
 	}
@@ -357,16 +365,16 @@ func (e *Evaluator) evalBody(atoms []query.RangeAtom, m *memo, g guard, sp *trac
 		}
 		shared := len(remaining) > 0 // a proper prefix of the body
 		if shared {
-			if hit := m.join(atom); hit != nil {
+			if hit := m.join(atom, dead[ai]); hit != nil {
 				cur = hit
 				continue
 			}
 		}
 		if isConnected && !e.ForceHashJoins && cost.PreferINLJ(float64(cur.Len()), card[ai]) {
-			cur, err = e.indexJoin(cur, atom, g, sp, estOut)
+			cur, err = e.indexJoin(cur, atom, dead[ai], g, sp, estOut)
 		} else {
 			var right *Relation
-			right, err = e.scanAtom(atom, m, g, sp, estCard(ests, ai))
+			right, err = e.scanAtom(atom, dead[ai], m, g, sp, estCard(ests, ai))
 			if err != nil {
 				return nil, err
 			}
@@ -382,15 +390,17 @@ func (e *Evaluator) evalBody(atoms []query.RangeAtom, m *memo, g guard, sp *trac
 	return cur, nil
 }
 
-// scanAtom materializes one atom into a relation over its distinct
+// scanAtom materializes one atom into a relation over its distinct live
 // variables (plain and capture), enforcing repeated-variable equality — a
 // ranged atom through the range scan primitive, any other through the plain
-// one. Against a sharded source a scan whose subject is unconstrained fans
-// out to every shard in parallel (a bound subject needs no scatter: the
-// source routes it to the subject's home shard).
-func (e *Evaluator) scanAtom(a query.RangeAtom, m *memo, g guard, sp *trace.Span, est float64) (*Relation, error) {
-	vars, col := atomVars(a)
-	if rel := m.scan(a, vars, col); rel != nil {
+// one. The dead positions are wildcards: not emitted, and an atom with no
+// live variable is a boolean test that stops at its first triple. Against a
+// sharded source a scan whose subject is unconstrained fans out to every
+// shard in parallel (a bound subject needs no scatter: the source routes it
+// to the subject's home shard).
+func (e *Evaluator) scanAtom(a query.RangeAtom, dead uint8, m *memo, g guard, sp *trace.Span, est float64) (*Relation, error) {
+	vars, col := atomVars(a, dead)
+	if rel := m.scan(a, dead, vars, col); rel != nil {
 		return rel, nil
 	}
 	// repeat[p]: position p's variable was bound by an earlier position.
@@ -433,7 +443,7 @@ func (e *Evaluator) scanAtom(a query.RangeAtom, m *memo, g guard, sp *trace.Span
 				stopErr = fmt.Errorf("%w: scan of %d+ rows exceeds cap %d", ErrBudgetExceeded, rel.Len(), e.Budget.MaxRows)
 				return false
 			}
-			return true
+			return len(row) > 0
 		}
 		if isRanged {
 			src.EachRange(rpat, emit)
@@ -477,8 +487,10 @@ func (e *Evaluator) scanAtom(a query.RangeAtom, m *memo, g guard, sp *trace.Span
 // join). A probe of an atom that is not ranged is a storage.Pattern built
 // on the stack; a ranged atom's probe narrows its range pattern to the
 // row's IDs, and a row whose binding falls outside the atom's ranges
-// matches nothing. The triples the probes read are scanned rows.
-func (e *Evaluator) indexJoin(cur *Relation, a query.RangeAtom, g guard, sp *trace.Span, est float64) (*Relation, error) {
+// matches nothing. Dead positions are wildcards, so a probe that binds no
+// live variable is a semijoin: it stops at the first matching triple of
+// each row. The triples the probes read are scanned rows.
+func (e *Evaluator) indexJoin(cur *Relation, a query.RangeAtom, dead uint8, g guard, sp *trace.Span, est float64) (*Relation, error) {
 	var jsp *trace.Span
 	if sp != nil {
 		jsp = sp.Child(cost.OpINLJ)
@@ -489,8 +501,9 @@ func (e *Evaluator) indexJoin(cur *Relation, a query.RangeAtom, g guard, sp *tra
 			jsp.SetFloat("est_rows", est)
 		}
 	}
-	// Each position is a constant, an uncaptured range, a variable cur
-	// binds (a probe key), or a free variable (a new output column).
+	// Each position is a constant, an uncaptured range or a dead variable (a
+	// wildcard), a variable cur binds (a probe key), or a free variable (a
+	// new output column).
 	type pos struct {
 		constant dict.ID // dict.None unless a plain constant
 		col      int     // column in cur, -1 unless bound by cur
@@ -506,6 +519,7 @@ func (e *Evaluator) indexJoin(cur *Relation, a query.RangeAtom, g guard, sp *tra
 			if ra.Ranges == nil {
 				p.constant = ra.Arg.ID
 			}
+		case dead&(1<<i) != 0:
 		case cur.ColumnIndex(ra.Arg.Var) != -1:
 			p.col = cur.ColumnIndex(ra.Arg.Var)
 		default:
@@ -521,6 +535,7 @@ func (e *Evaluator) indexJoin(cur *Relation, a query.RangeAtom, g guard, sp *tra
 		}
 		positions[i] = p
 	}
+	semi := len(newVars) == 0
 	outVars := append(append([]string(nil), cur.Vars...), newVars...)
 	out := NewRelation(outVars)
 	outRow := make([]dict.ID, len(outVars))
@@ -557,7 +572,7 @@ func (e *Evaluator) indexJoin(cur *Relation, a query.RangeAtom, g guard, sp *tra
 			stopErr = fmt.Errorf("%w: join result exceeds cap %d", ErrBudgetExceeded, e.Budget.MaxRows)
 			return false
 		}
-		return true
+		return !semi
 	}
 	isRanged := a.Ranged()
 	var base [3][]storage.IDRange
@@ -708,28 +723,46 @@ func (e *Evaluator) hashJoin(l, r *Relation, g guard, sp *trace.Span, est float6
 	return out, nil
 }
 
-// projectHead projects the body relation onto the head arguments; head
-// constants (introduced by reformulation bindings) become constant columns.
-// The guard is polled every checkEvery rows so projecting a huge body
-// honors cancellation like any other operator.
-func (e *Evaluator) projectHead(headNames []string, head []query.Arg, body *Relation, g guard) (*Relation, error) {
-	if len(headNames) != len(head) {
-		return nil, fmt.Errorf("exec: head has %d args, expected %d names", len(head), len(headNames))
-	}
-	sources := make([]int, len(head))
-	consts := map[int]dict.ID{}
+// headColumns maps each head argument to the body column it reads (src, -1
+// for a constant) and returns a head row holding the constants, for
+// projectRows.
+func headColumns(head []query.Arg, body *Relation) (src []int, row []dict.ID, err error) {
+	src, row = make([]int, len(head)), make([]dict.ID, len(head))
 	for i, h := range head {
-		if h.IsVar() {
-			c := body.ColumnIndex(h.Var)
-			if c == -1 {
-				return nil, fmt.Errorf("exec: head variable %s missing from body", h.Var)
-			}
-			sources[i] = c
-		} else {
-			consts[i] = h.ID
+		src[i] = -1
+		switch {
+		case !h.IsVar():
+			row[i] = h.ID
+		case body.ColumnIndex(h.Var) == -1:
+			return nil, nil, fmt.Errorf("exec: head variable %s missing from body", h.Var)
+		default:
+			src[i] = body.ColumnIndex(h.Var)
 		}
 	}
-	return body.ProjectCheck(headNames, sources, consts, g.err)
+	return src, row, nil
+}
+
+// projectRows passes add each body row projected onto the head: row holds
+// the head's constants, and position k takes the body's column src[k] where
+// that is not -1. add must copy the row. The guard is polled every
+// checkEvery rows, so projecting a huge body honors cancellation like any
+// other operator.
+func projectRows(body *Relation, src []int, row []dict.ID, g guard, add func([]dict.ID)) error {
+	for i := 0; i < body.Len(); i++ {
+		if i&(checkEvery-1) == checkEvery-1 {
+			if err := g.err(); err != nil {
+				return err
+			}
+		}
+		b := body.Row(i)
+		for k, c := range src {
+			if c != -1 {
+				row[k] = b[c]
+			}
+		}
+		add(row)
+	}
+	return nil
 }
 
 // EvalUCQContext evaluates a union of CQs with set semantics, bounded by
@@ -757,33 +790,28 @@ func (e *Evaluator) evalUCQ(u query.UCQ, g guard, sp *trace.Span) (*Relation, er
 }
 
 // union is the one member loop of the executor: however a union runs —
-// serially, streamed or per shard — each member's answers reach the result
-// through add.
+// serially, streamed or per shard — each member's answers enter the result
+// through one set.
 type union struct {
 	ev   *Evaluator
 	g    guard
-	out  *Relation
+	out  *Set
 	memo *memo
 	done int
 }
 
 // newUnion starts a union, whose members share a memo.
 func (e *Evaluator) newUnion(headNames []string, g guard) *union {
-	return &union{ev: e, g: g, out: NewRelation(headNames), memo: &memo{}}
+	return &union{ev: e, g: g, out: NewSet(headNames), memo: &memo{}}
 }
 
-// add evaluates one member and appends its answers under the row cap.
+// add evaluates one member into the union's set under the row cap.
 func (u *union) add(q query.RangeCQ, sp *trace.Span) error {
-	r, err := u.ev.evalCQ(u.out.Vars, q, u.memo, u.g, sp)
-	if err != nil {
+	if err := u.ev.evalCQ(q, u.memo, u.g, sp, u.out); err != nil {
 		return err
 	}
 	u.done++
-	if err := appendRelation(u.out, r, u.g.err); err != nil {
-		return err
-	}
-	u.g.addUnioned(r.Len())
-	return u.ev.checkRows(u.out.Len())
+	return u.ev.checkRows(u.out.Rows.Len())
 }
 
 // addAll evaluates the members in order, polling the guard between them.
@@ -799,16 +827,13 @@ func (u *union) addAll(cqs []query.RangeCQ, sp *trace.Span) error {
 	return nil
 }
 
-// finish deduplicates the union and closes its span.
-func (u *union) finish(sp *trace.Span) (*Relation, error) {
-	if err := u.out.DistinctCheck(u.g.err); err != nil {
-		return nil, err
-	}
+// finish closes the union's span and returns its rows.
+func (u *union) finish(sp *trace.Span) *Relation {
 	if sp != nil {
-		sp.SetInt("rows", int64(u.out.Len()))
+		sp.SetInt("rows", int64(u.out.Rows.Len()))
 		sp.End()
 	}
-	return u.out, nil
+	return u.out.Rows
 }
 
 // evalUnion evaluates a union's members under one guard. Span tracing
@@ -825,16 +850,19 @@ func (e *Evaluator) evalUnion(headNames []string, cqs []query.RangeCQ, g guard, 
 		defer usp.End()
 		usp.SetInt("cqs", int64(len(cqs)))
 	}
+	u := e.newUnion(headNames, g)
 	if sh := e.scatterSource(); sh != nil {
 		if co, rest := SplitCoPartitioned(cqs); co != nil {
-			return e.evalUnionScatter(sh, headNames, co, rest, g, usp)
+			if err := e.evalUnionScatter(sh, co, len(rest), g, usp, u.out); err != nil {
+				return nil, err
+			}
+			cqs = rest
 		}
 	}
-	u := e.newUnion(headNames, g)
 	if err := u.addAll(cqs, usp); err != nil {
 		return nil, err
 	}
-	return u.finish(usp)
+	return u.finish(usp), nil
 }
 
 // EvalUCQStreamContext evaluates the CQs produced by a streaming
@@ -867,7 +895,7 @@ func (e *Evaluator) EvalUCQStreamContext(ctx context.Context, headNames []string
 	if usp != nil {
 		usp.SetInt("cqs", int64(u.done))
 	}
-	return u.finish(usp)
+	return u.finish(usp), nil
 }
 
 // EvalJUCQContext evaluates a join of UCQs, bounded by ctx: each fragment's
@@ -943,21 +971,14 @@ func (e *Evaluator) EvalJUCQContext(ctx context.Context, j query.JUCQ) (*Relatio
 		}
 		cur = joined
 	}
-	head := make([]query.Arg, len(j.HeadNames))
-	for i, n := range j.HeadNames {
-		head[i] = query.Variable(n)
-	}
 	var psp *trace.Span
 	if sp != nil {
 		psp = sp.Child("project")
 		defer psp.End()
 		psp.SetStr("cols", strings.Join(j.HeadNames, ","))
 	}
-	out, err := e.projectHead(j.HeadNames, head, cur, g)
+	out, err := projectColumns(j.HeadNames, cur, g)
 	if err != nil {
-		return nil, err
-	}
-	if err := out.DistinctCheck(g.err); err != nil {
 		return nil, err
 	}
 	if psp != nil {
@@ -965,6 +986,34 @@ func (e *Evaluator) EvalJUCQContext(ctx context.Context, j query.JUCQ) (*Relatio
 		psp.End()
 	}
 	return out, nil
+}
+
+// projectColumns projects a join of fragment results onto the named columns.
+// Fragment results are sets and a join of sets is a set, so a projection
+// that keeps every column is rel itself or a reordering of its columns;
+// only one that drops a column inserts into a set.
+func projectColumns(names []string, rel *Relation, g guard) (*Relation, error) {
+	if slices.Equal(names, rel.Vars) {
+		return rel, nil
+	}
+	head := make([]query.Arg, len(names))
+	for i, n := range names {
+		head[i] = query.Variable(n)
+	}
+	src, row, err := headColumns(head, rel)
+	if err != nil {
+		return nil, err
+	}
+	for c := range rel.Vars {
+		if !slices.Contains(src, c) {
+			set := NewSet(names)
+			err := projectRows(rel, src, row, g, set.Add)
+			return set.Rows, err
+		}
+	}
+	out := NewRelation(names)
+	err = projectRows(rel, src, row, g, out.Append)
+	return out, err
 }
 
 // evalFragment evaluates fragment i of a JUCQ under g, recording a
@@ -1066,22 +1115,4 @@ func atomSharesVar(a query.RangeAtom, vars []string) bool {
 		}
 	}
 	return false
-}
-
-func appendRelation(dst, src *Relation, check func() error) error {
-	if dst.width == 0 {
-		if src.rows > 0 {
-			dst.Append(nil)
-		}
-		return nil
-	}
-	for i := 0; i < src.Len(); i++ {
-		if i&(checkEvery-1) == checkEvery-1 {
-			if err := check(); err != nil {
-				return err
-			}
-		}
-		dst.Append(src.Row(i))
-	}
-	return nil
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/dict"
 	"repro/internal/graph"
+	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/stats"
 	"repro/internal/storage"
@@ -307,11 +308,11 @@ func TestTraceRecordsOperators(t *testing.T) {
 }
 
 func TestRelationDistinctAndEqual(t *testing.T) {
-	r := NewRelation([]string{"a", "b"})
-	r.Append([]dict.ID{1, 2})
-	r.Append([]dict.ID{1, 2})
-	r.Append([]dict.ID{3, 4})
-	r.Distinct()
+	s := NewSet([]string{"a", "b"})
+	s.Add([]dict.ID{1, 2})
+	s.Add([]dict.ID{1, 2})
+	s.Add([]dict.ID{3, 4})
+	r := s.Rows
 	if r.Len() != 2 {
 		t.Fatalf("distinct: want 2, got %d", r.Len())
 	}
@@ -335,10 +336,43 @@ func TestRelationSortRows(t *testing.T) {
 	r.Append([]dict.ID{3})
 	r.Append([]dict.ID{1})
 	r.Append([]dict.ID{2})
-	r.SortRows()
+	r.SortFirst(r.Len())
 	for i, want := range []dict.ID{1, 2, 3} {
 		if r.Row(i)[0] != want {
 			t.Fatalf("row %d = %d, want %d", i, r.Row(i)[0], want)
+		}
+	}
+}
+
+// SortFirst(n) puts first the rows a full sort puts first, keeps the row
+// set, and leaves a relation whose rows it shares untouched.
+func TestSortFirstMatchesFullSort(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		rel := NewRelation([]string{"a", "b"})
+		for i := r.Intn(60); i > 0; i-- {
+			rel.Append([]dict.ID{dict.ID(r.Intn(5)), dict.ID(r.Intn(5))})
+		}
+		var sorted [][]dict.ID
+		for i := 0; i < rel.Len(); i++ {
+			sorted = append(sorted, rel.Row(i))
+		}
+		slices.SortFunc(sorted, slices.Compare[[]dict.ID])
+		for _, n := range []int{0, 1, r.Intn(rel.Len() + 1), rel.Len()} {
+			shared := append([]dict.ID(nil), rel.data...)
+			got, _ := rel.RenamedView(rel.Vars)
+			got.SortFirst(n)
+			if !slices.Equal(rel.data, shared) {
+				t.Fatalf("trial %d, n=%d: SortFirst rewrote the rows it shares", trial, n)
+			}
+			if !got.Equal(rel) || got.Len() != rel.Len() {
+				t.Fatalf("trial %d, n=%d: SortFirst changed the rows", trial, n)
+			}
+			for i := 0; i < min(n, len(sorted)); i++ {
+				if !slices.Equal(got.Row(i), sorted[i]) {
+					t.Fatalf("trial %d, n=%d: row %d = %v, a full sort's %v", trial, n, i, got.Row(i), sorted[i])
+				}
+			}
 		}
 	}
 }
@@ -617,13 +651,14 @@ func TestPlanningStaysOnStack(t *testing.T) {
 	e := New(st, ss)
 	atoms := query.LiftAtoms(nil, []query.Atom{{S: v("x"), P: c(10), O: v("y")}})
 	g := e.newGuard(context.Background())
+	dead := []uint8{0}
 	scan := testing.AllocsPerRun(100, func() {
-		if _, err := e.scanAtom(atoms[0], nil, g, nil, -1); err != nil {
+		if _, err := e.scanAtom(atoms[0], dead[0], nil, g, nil, -1); err != nil {
 			t.Fatal(err)
 		}
 	})
 	body := testing.AllocsPerRun(100, func() {
-		if _, err := e.evalBody(atoms, nil, g, nil); err != nil {
+		if _, err := e.evalBody(atoms, dead, nil, g, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -633,9 +668,11 @@ func TestPlanningStaysOnStack(t *testing.T) {
 }
 
 // With every row in one bucket of the flat hash tables, a hash join and a
-// dedup give the rows they give with the rows spread — in the same order,
-// since a chain lists its rows ascending — and the brute-force answer:
-// a bucket collision costs comparisons, never a wrong match.
+// set give the rows they give with the rows spread — in the same order,
+// since a chain lists its rows ascending and a set keeps first occurrences —
+// and the brute-force answer: a bucket collision costs comparisons, never a
+// wrong match. The set grows from empty as it goes, so its answers hold
+// across every rehash.
 func TestOneBucketJoinAndDedup(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	rel := func(vars ...string) *Relation {
@@ -651,9 +688,16 @@ func TestOneBucketJoinAndDedup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := dups.Snapshot()
-		d.Distinct()
-		return j.data, d.data
+		d := NewSet(dups.Vars)
+		if err := d.insertAll(dups, nil); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < dups.Len(); i++ {
+			if k, added := d.insert(dups.Row(i)); added || !slices.Equal(d.Rows.Row(k), dups.Row(i)) {
+				t.Fatalf("row %v found as %d (added %v)", dups.Row(i), k, added)
+			}
+		}
+		return j.data, d.Rows.data
 	}
 	spreadJoin, spreadDistinct := run()
 	defer func(m uint64) { hashMix = m }(hashMix)
@@ -671,10 +715,101 @@ func TestOneBucketJoinAndDedup(t *testing.T) {
 		}
 	}
 	seen := map[[2]dict.ID]bool{}
+	var first []dict.ID
 	for i := 0; i < dups.Len(); i++ {
-		seen[[2]dict.ID(dups.Row(i))] = true
+		if row := [2]dict.ID(dups.Row(i)); !seen[row] {
+			seen[row] = true
+			first = append(first, row[:]...)
+		}
 	}
-	if len(oneJoin) != 3*want || len(oneDistinct) != 2*len(seen) {
+	if len(oneJoin) != 3*want || !slices.Equal(oneDistinct, first) {
 		t.Fatalf("one bucket: %d join rows, %d distinct; brute force %d and %d", len(oneJoin)/3, len(oneDistinct)/2, want, len(seen))
+	}
+}
+
+// Two members that share a join prefix but read different variables of it
+// must not share its intermediate: the union's memo keys carry the dead
+// positions. Here the first member leaves y unread and the second z, so their
+// two-atom prefixes are relations over (x, z) and (x, y).
+func TestMemoKeysCarryDeadPositions(t *testing.T) {
+	st, ss := tinyStore([][3]dict.ID{
+		{1, 10, 50}, {2, 10, 51},
+		{1, 11, 60}, {1, 11, 61}, {2, 11, 62},
+		{1, 12, 70}, {1, 12, 71}, {1, 12, 72}, {1, 12, 73}, {1, 12, 74}, {1, 12, 75},
+		{50, 13, 80}, {50, 13, 81}, {51, 13, 82}, {52, 13, 83}, {53, 13, 84},
+	})
+	u := query.UCQ{HeadNames: []string{"a", "b"}, CQs: []query.CQ{
+		{Head: []query.Arg{v("x"), v("z")}, Atoms: []query.Atom{
+			{S: v("x"), P: c(10), O: v("y")}, {S: v("x"), P: c(11), O: v("z")}, {S: v("x"), P: c(12), O: v("u")}}},
+		{Head: []query.Arg{v("x"), v("w")}, Atoms: []query.Atom{
+			{S: v("x"), P: c(10), O: v("y")}, {S: v("x"), P: c(11), O: v("z")}, {S: v("y"), P: c(13), O: v("w")}}},
+	}}
+	e := New(st, ss)
+	got, err := e.ucq(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := NewSet(u.HeadNames)
+	for _, cq := range u.CQs {
+		r, err := e.cq(u.HeadNames, cq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := want.insertAll(r, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !got.Equal(want.Rows) || got.Len() != 5 {
+		t.Fatalf("union of %d rows, its members alone %d (want 5)", got.Len(), want.Rows.Len())
+	}
+}
+
+// A variable nothing reads is a wildcard. A probe that binds none is a
+// semijoin reading one triple per probe row; an atom with none at all is a
+// boolean test whose scan stops at its first triple. exec.rows_unioned
+// counts the rows the body offers the answer set, duplicates included.
+func TestDeadPositions(t *testing.T) {
+	st, ss := tinyStore([][3]dict.ID{
+		{1, 10, 2}, {3, 10, 4}, {5, 10, 99},
+		{2, 11, 5}, {2, 11, 6}, {2, 11, 7}, {4, 11, 8}, {4, 11, 9},
+		{20, 12, 21}, {22, 12, 23}, {24, 12, 25},
+	})
+	for _, tc := range []struct {
+		name                   string
+		head                   []query.Arg
+		atoms                  []query.Atom
+		rows, scanned, offered int
+	}{
+		// Scan x 10 y (3 triples), probe y 11 z for y = 2, 4, 99: all five
+		// matches when z is read, the first of each otherwise.
+		{"live object", []query.Arg{v("x"), v("z")}, []query.Atom{{S: v("x"), P: c(10), O: v("y")}, {S: v("y"), P: c(11), O: v("z")}}, 5, 3 + 5, 5},
+		{"semijoin", []query.Arg{v("x")}, []query.Atom{{S: v("x"), P: c(10), O: v("y")}, {S: v("y"), P: c(11), O: v("z")}}, 2, 3 + 2, 2},
+		// u 12 w has no live variable: one triple; then x 11 y, 5 triples
+		// offering x = 2, 2, 2, 4, 4.
+		{"boolean atom", []query.Arg{v("x")}, []query.Atom{{S: v("x"), P: c(11), O: v("y")}, {S: v("u"), P: c(12), O: v("w")}}, 2, 5 + 1, 5},
+		// u 13 w matches nothing and goes first; x 11 y is still scanned.
+		{"false boolean atom", []query.Arg{v("x")}, []query.Atom{{S: v("x"), P: c(11), O: v("y")}, {S: v("u"), P: c(13), O: v("w")}}, 0, 5, 0},
+		{"boolean query", nil, []query.Atom{{S: v("u"), P: c(12), O: v("w")}}, 1, 1, 1},
+	} {
+		e := New(st, ss)
+		e.Metrics = metrics.NewRegistry()
+		q := query.CQ{Head: tc.head, Atoms: tc.atoms}
+		got, err := e.cq(query.HeadVarNames(q), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != tc.rows {
+			t.Errorf("%s: %d answers, want %d", tc.name, got.Len(), tc.rows)
+		}
+		if n := e.Metrics.Counter("exec.rows_scanned").Value(); n != int64(tc.scanned) {
+			t.Errorf("%s: rows_scanned = %d, want %d", tc.name, n, tc.scanned)
+		}
+		if n := e.Metrics.Counter("exec.rows_unioned").Value(); n != int64(tc.offered) {
+			t.Errorf("%s: rows_unioned = %d, want %d", tc.name, n, tc.offered)
+		}
+		got2, err := New(newSplitStore(st, 3), ss).cq(query.HeadVarNames(q), q)
+		if err != nil || !got2.Equal(got) {
+			t.Errorf("%s: 3 shards answer %v (%v), one store %v", tc.name, got2, err, got)
+		}
 	}
 }

@@ -16,13 +16,14 @@ import (
 // *has* an expansion — the post-join hierarchy expansion — plus the memo a
 // union shares between its members.
 
-// atomVars returns the atom's distinct variables (plain and capture) in
-// first-occurrence order — the columns of its scan — and, per position, the
-// column that position binds (-1: a constant or an uncaptured range).
-func atomVars(a query.RangeAtom) (vars []string, col [3]int) {
+// atomVars returns the atom's distinct live variables (plain and capture)
+// in first-occurrence order — the columns of its scan — and, per position,
+// the column that position binds (-1: a constant, an uncaptured range or a
+// dead position).
+func atomVars(a query.RangeAtom, dead uint8) (vars []string, col [3]int) {
 	for i, ra := range [3]query.RangeArg{a.S, a.P, a.O} {
 		col[i] = -1
-		if !ra.Arg.IsVar() {
+		if !ra.Arg.IsVar() || dead&(1<<i) != 0 {
 			continue
 		}
 		for c, v := range vars {
@@ -36,6 +37,46 @@ func atomVars(a query.RangeAtom) (vars []string, col [3]int) {
 		}
 	}
 	return vars, col
+}
+
+// deadPositions appends to dst, per atom of q, the mask of its positions
+// (bit 0 subject, 1 property, 2 object) whose variable nothing reads: it
+// occurs once in the body, not in the head, and is no expansion's In or
+// Out. The reformulation's fresh variables (x takesCourse _f0) are the
+// common case. A dead position is a wildcard: a scan does not emit it, a
+// probe does not bind it.
+func deadPositions(dst []uint8, q query.RangeCQ) []uint8 {
+	for i, a := range q.Atoms {
+		var mask uint8
+		for p, ra := range [3]query.RangeArg{a.S, a.P, a.O} {
+			if ra.Arg.IsVar() && !readElsewhere(q, ra.Arg.Var, i, p) {
+				mask |= 1 << p
+			}
+		}
+		dst = append(dst, mask)
+	}
+	return dst
+}
+
+// readElsewhere reports whether anything but position p of atom i reads the
+// variable v: the head, an expansion, or another body position.
+func readElsewhere(q query.RangeCQ, v string, i, p int) bool {
+	for _, h := range q.Head {
+		if h.IsVar() && h.Var == v {
+			return true
+		}
+	}
+	for j, a := range q.Atoms {
+		if x := a.Expand; x != nil && (x.In == v || x.Out.IsVar() && x.Out.Var == v) {
+			return true
+		}
+		for k, ra := range [3]query.RangeArg{a.S, a.P, a.O} {
+			if (j != i || k != p) && ra.Arg.IsVar() && ra.Arg.Var == v {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // memo shares work between the members of one union. The members of a
@@ -80,16 +121,18 @@ func (m *memo) admit(rel *Relation) bool {
 var canonVars = [3]string{"v0", "v1", "v2"}
 
 // appendAtomKey appends the atom's scan identity to dst: constants and
-// ranges by value, variables by column number — or, with no columns given,
-// by name, which is what a join prefix needs (which columns join depends
-// on the names).
-func appendAtomKey(dst []byte, a query.RangeAtom, col *[3]int) []byte {
+// ranges by value, dead positions as wildcards, live variables by column
+// number — or, with no columns given, by name, which is what a join prefix
+// needs (which columns join depends on the names).
+func appendAtomKey(dst []byte, a query.RangeAtom, dead uint8, col *[3]int) []byte {
 	for i, ra := range [3]query.RangeArg{a.S, a.P, a.O} {
 		for _, r := range ra.Ranges {
 			dst = strconv.AppendUint(append(dst, 'r'), uint64(r.Lo), 10)
 			dst = strconv.AppendUint(append(dst, '-'), uint64(r.Hi), 10)
 		}
 		switch {
+		case ra.Arg.IsVar() && dead&(1<<i) != 0:
+			dst = append(dst, '_')
 		case ra.Arg.IsVar() && col == nil:
 			dst = append(append(dst, 'v'), ra.Arg.Var...)
 		case ra.Arg.IsVar():
@@ -102,13 +145,14 @@ func appendAtomKey(dst []byte, a query.RangeAtom, col *[3]int) []byte {
 	return dst
 }
 
-// scan returns the memoized scan of the atom renamed to vars, or nil. It
-// leaves the atom's key in m.key for the putScan that follows a miss.
-func (m *memo) scan(a query.RangeAtom, vars []string, col [3]int) *Relation {
+// scan returns the memoized scan of the atom, dead positions left out,
+// renamed to vars, or nil. It leaves the atom's key in m.key for the putScan
+// that follows a miss.
+func (m *memo) scan(a query.RangeAtom, dead uint8, vars []string, col [3]int) *Relation {
 	if m == nil {
 		return nil
 	}
-	m.key = appendAtomKey(m.key[:0], a, &col)
+	m.key = appendAtomKey(m.key[:0], a, dead, &col)
 	cached := m.scans[string(m.key)]
 	if cached == nil {
 		return nil
@@ -130,19 +174,19 @@ func (m *memo) putScan(rel *Relation) {
 }
 
 // begin starts a member's join prefix at its first atom.
-func (m *memo) begin(a query.RangeAtom) {
+func (m *memo) begin(a query.RangeAtom, dead uint8) {
 	if m != nil {
-		m.prefix = appendAtomKey(m.prefix[:0], a, nil)
+		m.prefix = appendAtomKey(m.prefix[:0], a, dead, nil)
 	}
 }
 
 // join extends the prefix by the atom and returns the memoized
 // intermediate for it, or nil (then putJoin records the one computed).
-func (m *memo) join(a query.RangeAtom) *Relation {
+func (m *memo) join(a query.RangeAtom, dead uint8) *Relation {
 	if m == nil {
 		return nil
 	}
-	m.prefix = appendAtomKey(append(m.prefix, '|'), a, nil)
+	m.prefix = appendAtomKey(append(m.prefix, '|'), a, dead, nil)
 	return m.joins[string(m.prefix)]
 }
 

@@ -6,7 +6,6 @@
 package exec
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -60,82 +59,6 @@ func (r *Relation) ColumnIndex(name string) int {
 	return -1
 }
 
-// Distinct removes duplicate rows in place, preserving first occurrences.
-func (r *Relation) Distinct() { _ = r.DistinctCheck(nil) }
-
-// DistinctCheck is Distinct with an early-stop check polled every
-// checkEvery rows (nil check never stops) — deduplication over a large
-// relation is an operator like any other and must honor cancellation.
-// On a non-nil error the relation is left partially rewritten; callers
-// abandon it.
-func (r *Relation) DistinctCheck(check func() error) error {
-	if r.width == 0 {
-		if r.rows > 1 {
-			r.rows = 1
-		}
-		return nil
-	}
-	if r.rows < 2 {
-		return nil
-	}
-	cols := make([]int, r.width)
-	for c := range cols {
-		cols[c] = c
-	}
-	seen := newRowTable(r.rows)
-	out := r.data[:0]
-	kept := 0
-	for i := 0; i < r.rows; i++ {
-		if check != nil && i&(checkEvery-1) == checkEvery-1 {
-			if err := check(); err != nil {
-				return err
-			}
-		}
-		row := r.Row(i)
-		h := hashCols(row, cols)
-		dup := false
-		for k := seen.chain(h); k != 0 && !dup; k = seen.next[k-1] {
-			dup = slices.Equal(out[int(k-1)*r.width:int(k)*r.width], row)
-		}
-		if dup {
-			continue
-		}
-		out = append(out, row...)
-		seen.add(h, kept)
-		kept++
-	}
-	r.data = out
-	r.rows = kept
-	return nil
-}
-
-// ProjectCheck returns a new relation with the given output columns; each
-// output column is either an existing column (sources, by output position)
-// or a constant (consts, keyed by output position). outNames gives the
-// result's column names. check is an early-stop check polled every
-// checkEvery rows (nil never stops).
-func (r *Relation) ProjectCheck(outNames []string, sources []int, consts map[int]dict.ID, check func() error) (*Relation, error) {
-	out := NewRelation(outNames)
-	row := make([]dict.ID, len(outNames))
-	for i := 0; i < r.rows; i++ {
-		if check != nil && i&(checkEvery-1) == checkEvery-1 {
-			if err := check(); err != nil {
-				return nil, err
-			}
-		}
-		src := r.Row(i)
-		for j := range outNames {
-			if c, ok := consts[j]; ok {
-				row[j] = c
-			} else {
-				row[j] = src[sources[j]]
-			}
-		}
-		out.Append(row)
-	}
-	return out, nil
-}
-
 // Snapshot returns an immutable deep copy: its backing array is exactly
 // sized (cap == len), so appending to any view of it must reallocate and
 // can never scribble over the copy. The view cache stores snapshots.
@@ -179,32 +102,64 @@ func (r *Relation) SizeBytes() int64 {
 	return n + 64 // struct + slice headers
 }
 
-// SortRows orders rows lexicographically, for deterministic output. Rows
-// already in order — a single index scan's, say — cost one comparison each;
-// otherwise the rows are copied in order, so a relation sharing its rows (a
-// view cache hit's) is never reordered under its other readers.
-func (r *Relation) SortRows() {
-	if r.width == 0 {
+// SortFirst orders the relation so that its first n rows are its n smallest
+// in lexicographic order — all of its rows when n ≥ Len() — and the rest
+// follow in no stated order: a response of n rows sorts n rows, picked in one
+// pass by a heap, not the whole answer. Rows already in place — a single
+// index scan's, say — cost one comparison each; otherwise the rows are
+// copied in their new order, so a relation sharing its rows (a view cache
+// hit's) is never reordered under its other readers.
+func (r *Relation) SortFirst(n int) {
+	n = min(n, r.rows)
+	if r.width == 0 || n <= 0 {
 		return
 	}
-	sorted := true
+	cmp := func(a, b int32) int { return slices.Compare(r.Row(int(a)), r.Row(int(b))) }
+	inPlace := true
 	//reflint:noguard one comparison per row of a finished answer, like the sort it spares
-	for i := 1; i < r.rows && sorted; i++ {
-		sorted = slices.Compare(r.Row(i-1), r.Row(i)) <= 0
+	for i := 1; i < r.rows && inPlace; i++ {
+		inPlace = cmp(int32(min(i, n)-1), int32(i)) <= 0
 	}
-	if sorted {
+	if inPlace {
 		return
 	}
 	idx := make([]int32, r.rows)
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	slices.SortFunc(idx, func(a, b int32) int { return slices.Compare(r.Row(int(a)), r.Row(int(b))) })
+	// idx[:n] is a max-heap of the n smallest rows seen so far: a later row
+	// smaller than its top takes the top's place.
+	top := idx[:n]
+	for i := n/2 - 1; i >= 0; i-- {
+		siftDown(top, i, cmp)
+	}
+	for k, i := range idx[n:] {
+		if cmp(i, top[0]) < 0 {
+			idx[n+k], top[0] = top[0], i
+			siftDown(top, 0, cmp)
+		}
+	}
+	slices.SortFunc(top, cmp)
 	data := make([]dict.ID, 0, len(r.data))
 	for _, i := range idx {
 		data = append(data, r.Row(int(i))...)
 	}
 	r.data = data
+}
+
+// siftDown moves h[i] down the max-heap h until no child is larger.
+func siftDown(h []int32, i int, cmp func(a, b int32) int) {
+	size := len(h)
+	for c := 2*i + 1; c < size; c = 2*i + 1 {
+		if c+1 < size && cmp(h[c+1], h[c]) > 0 {
+			c++
+		}
+		if cmp(h[c], h[i]) <= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // Equal reports whether two relations hold the same row *sets* over the
@@ -213,15 +168,12 @@ func (r *Relation) Equal(o *Relation) bool {
 	if r.width != o.width || !slices.Equal(r.Vars, o.Vars) {
 		return false
 	}
-	if r.width == 0 {
-		return (r.rows > 0) == (o.rows > 0)
-	}
-	a, b := r.Snapshot(), o.Snapshot()
-	a.Distinct()
-	b.Distinct()
-	a.SortRows()
-	b.SortRows()
-	return slices.Equal(a.data, b.data)
+	a, b := NewSet(r.Vars), NewSet(o.Vars)
+	_ = a.insertAll(r, nil) // nil check: never stops
+	_ = b.insertAll(o, nil)
+	n := a.Rows.rows
+	_ = a.insertAll(b.Rows, nil)
+	return a.Rows.rows == n && b.Rows.rows == n
 }
 
 // String renders the relation (sorted) for debugging, decoding IDs with d
@@ -230,6 +182,75 @@ func (r *Relation) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "(%s) %d rows", strings.Join(r.Vars, ", "), r.rows)
 	return sb.String()
+}
+
+// Set is a relation with set semantics: Rows holds distinct rows in the
+// order they were first added, and a chained hash index over all columns
+// finds an equal row. Every union of the executor is one Set — each row its
+// members produce is offered once, here — so duplicates are removed where
+// rows enter a result, never by a pass over a finished relation. Rows must
+// grow through Add only.
+type Set struct {
+	Rows *Relation
+	idx  rowTable // over all columns of Rows; grows with it
+}
+
+// NewSet returns an empty set with the given columns.
+func NewSet(vars []string) *Set { return &Set{Rows: NewRelation(vars), idx: newRowTable(0)} }
+
+// Add inserts a copy of row unless an equal row is present.
+func (s *Set) Add(row []dict.ID) { s.insert(row) }
+
+// insert is Add that also returns the index in Rows of the row equal to
+// row, and whether it was added.
+func (s *Set) insert(row []dict.ID) (int, bool) {
+	r := s.Rows
+	if r.width == 0 {
+		if r.rows > 0 {
+			return 0, false
+		}
+		r.rows = 1
+		return 0, true
+	}
+	h := hashRow(row)
+	for k := s.idx.chain(h); k != 0; k = s.idx.next[k-1] {
+		if slices.Equal(r.Row(int(k-1)), row) {
+			return int(k - 1), false
+		}
+	}
+	i := r.rows
+	r.Append(row)
+	s.idx.next = append(s.idx.next, 0)
+	if i < len(s.idx.head) {
+		s.idx.add(h, i)
+	} else {
+		s.rehash()
+	}
+	return i, true
+}
+
+// rehash doubles the buckets, keeping at most one row per bucket on
+// average, and chains every row again.
+func (s *Set) rehash() {
+	b := uint(bits.Len(uint(len(s.idx.next))))
+	s.idx.head, s.idx.shift = make([]int32, 1<<b), 64-b
+	for i := range s.idx.next {
+		s.idx.add(hashRow(s.Rows.Row(i)), i)
+	}
+}
+
+// insertAll adds every row of rel, polling check (nil: never stops) every
+// checkEvery rows.
+func (s *Set) insertAll(rel *Relation, check func() error) error {
+	for i := 0; i < rel.Len(); i++ {
+		if check != nil && i&(checkEvery-1) == checkEvery-1 {
+			if err := check(); err != nil {
+				return err
+			}
+		}
+		s.insert(rel.Row(i))
+	}
+	return nil
 }
 
 // rowTable chains row numbers by a hash of some of their columns: a
@@ -268,12 +289,11 @@ func hashCols(row []dict.ID, cols []int) uint64 {
 	return h
 }
 
-// rowKey encodes a row into dst as a byte key.
-func rowKey(dst []byte, row []dict.ID) []byte {
+// hashRow is hashCols over every column.
+func hashRow(row []dict.ID) uint64 {
+	h := uint64(14695981039346656037)
 	for _, id := range row {
-		var buf [4]byte
-		binary.LittleEndian.PutUint32(buf[:], uint32(id))
-		dst = append(dst, buf[:]...)
+		h = (h ^ uint64(id)) * 1099511628211
 	}
-	return dst
+	return h
 }

@@ -151,29 +151,25 @@ func (e *Evaluator) runScatter(sh ShardedSource, g guard, task func(i int) (*Rel
 	return parts, nil
 }
 
-// gather merges per-shard relations in shard order — the deterministic
-// central merge every scatter ends with. The caller decides whether the
-// merged relation still needs a distinct pass (projected answers do,
-// disjoint raw scans do not).
-func (e *Evaluator) gather(parts []*Relation, vars []string, g guard) (*Relation, error) {
-	out := NewRelation(vars)
+// mergeParts offers the per-shard results of a projected scatter to dst in
+// shard order — the deterministic central union every such scatter ends
+// with — and closes the scatter's span with the rows it offered.
+func (e *Evaluator) mergeParts(dst *Set, parts []*Relation, g guard, ssp *trace.Span) error {
 	merged := 0
 	for _, r := range parts {
-		if r == nil {
-			continue
-		}
-		if err := appendRelation(out, r, g.err); err != nil {
-			return nil, err
+		if err := dst.insertAll(r, g.err); err != nil {
+			return err
 		}
 		merged += r.Len()
-	}
-	if err := e.checkRows(out.Len()); err != nil {
-		return nil, err
 	}
 	if e.Metrics != nil {
 		e.Metrics.Counter("shard.merge").Add(int64(merged))
 	}
-	return out, nil
+	if ssp != nil {
+		ssp.SetInt("rows", int64(merged))
+		ssp.End()
+	}
+	return e.checkRows(dst.Rows.Len())
 }
 
 // CoPartitioned reports whether every atom's subject is one shared,
@@ -200,10 +196,10 @@ func CoPartitioned(q query.RangeCQ) bool {
 }
 
 // evalCQScatter evaluates a co-partitioned CQ shard-locally: each shard
-// runs the full body plan (ordered by its own statistics), projects the
-// head, and the per-shard answers merge under one distinct pass — the
-// only cross-shard step is that final union, after projection.
-func (e *Evaluator) evalCQScatter(sh ShardedSource, headNames []string, q query.RangeCQ, g guard, sp *trace.Span) (*Relation, error) {
+// runs the full body plan (ordered by its own statistics) into a set of its
+// own, and the per-shard answers enter dst — the only cross-shard step is
+// that final union, after projection.
+func (e *Evaluator) evalCQScatter(sh ShardedSource, q query.RangeCQ, g guard, sp *trace.Span, dst *Set) error {
 	ssp := newScatterSpan(sp, "cq", sh.NumShards())
 	if ssp != nil {
 		defer ssp.End()
@@ -213,23 +209,13 @@ func (e *Evaluator) evalCQScatter(sh ShardedSource, headNames []string, q query.
 		e.Metrics.Counter("shard.local_cqs").Inc()
 	}
 	parts, err := e.runScatter(sh, g, func(i int) (*Relation, error) {
-		return e.shardSub(sh, i).evalCQ(headNames, q, nil, g, ssp)
+		part := NewSet(dst.Rows.Vars)
+		return part.Rows, e.shardSub(sh, i).evalCQ(q, nil, g, ssp, part)
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out, err := e.gather(parts, headNames, g)
-	if err != nil {
-		return nil, err
-	}
-	if err := out.DistinctCheck(g.err); err != nil {
-		return nil, err
-	}
-	if ssp != nil {
-		ssp.SetInt("rows", int64(out.Len()))
-		ssp.End()
-	}
-	return out, nil
+	return e.mergeParts(dst, parts, g, ssp)
 }
 
 // SplitCoPartitioned partitions a union's members into the co-partitioned
@@ -257,38 +243,31 @@ func SplitCoPartitioned(cqs []query.RangeCQ) (co, rest []query.RangeCQ) {
 	return co, rest
 }
 
-// evalUnionScatter evaluates a union with ≥2 co-partitioned members against
-// a sharded source: the co-partitioned group runs shard-locally in one
-// scatter (each shard evaluates the whole group serially with its own
-// statistics and its own memo, per-shard unions merge in shard order), then
-// the remaining members evaluate on the parent path — their unbound-subject
-// scans still scatter individually — and one distinct pass lands at the
-// end. The answer is the unsharded union's exact row set.
-func (e *Evaluator) evalUnionScatter(sh ShardedSource, headNames []string, co, rest []query.RangeCQ, g guard, sp *trace.Span) (*Relation, error) {
+// evalUnionScatter evaluates a union's co-partitioned group (≥2 members)
+// against a sharded source into the union's set dst: the group runs
+// shard-locally in one scatter — each shard evaluates the whole group
+// serially, with its own statistics, memo and set — and the per-shard sets
+// enter dst in shard order. The union's other members (rest counts them)
+// evaluate afterwards on the parent path, where their unbound-subject scans
+// still scatter individually.
+func (e *Evaluator) evalUnionScatter(sh ShardedSource, co []query.RangeCQ, rest int, g guard, sp *trace.Span, dst *Set) error {
 	ssp := newScatterSpan(sp, "ucq", sh.NumShards())
 	if ssp != nil {
 		defer ssp.End()
 		ssp.SetInt("cqs", int64(len(co)))
-		ssp.SetInt("rest", int64(len(rest)))
+		ssp.SetInt("rest", int64(rest))
 	}
 	if e.Metrics != nil {
 		e.Metrics.Counter("shard.local_cqs").Add(int64(len(co)))
 	}
 	parts, err := e.runScatter(sh, g, func(i int) (*Relation, error) {
-		u := e.shardSub(sh, i).newUnion(headNames, g)
-		return u.out, u.addAll(co, ssp)
+		u := e.shardSub(sh, i).newUnion(dst.Rows.Vars, g)
+		return u.out.Rows, u.addAll(co, ssp)
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	u := e.newUnion(headNames, g)
-	if u.out, err = e.gather(parts, headNames, g); err != nil {
-		return nil, err
-	}
-	if err := u.addAll(rest, sp); err != nil {
-		return nil, err
-	}
-	return u.finish(ssp)
+	return e.mergeParts(dst, parts, g, ssp)
 }
 
 // scatterScan fans one scan body out to every shard in parallel and
@@ -318,9 +297,17 @@ func (e *Evaluator) scatterScan(sh ShardedSource, a query.RangeAtom, vars []stri
 	if err != nil {
 		return nil, err
 	}
-	out, err := e.gather(parts, vars, g)
-	if err != nil {
+	// Shards partition the triples: the scan is the parts' concatenation.
+	out := NewRelation(vars)
+	for _, r := range parts {
+		out.data = append(out.data, r.data...)
+		out.rows += r.rows
+	}
+	if err := e.checkRows(out.Len()); err != nil {
 		return nil, err
+	}
+	if e.Metrics != nil {
+		e.Metrics.Counter("shard.merge").Add(int64(out.Len()))
 	}
 	g.addScanned(out.Len())
 	if ssp != nil {

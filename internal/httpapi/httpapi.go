@@ -703,7 +703,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, v apiVersion
 	}
 	d := s.g.Dict()
 	serStart := time.Now()
-	ans.Rows.SortRows()
+	ans.Rows.SortFirst(limit)
 	n := ans.Rows.Len()
 	truncated := false
 	if n > limit {

@@ -202,7 +202,7 @@ func TestHostileTermsRoundTripBothAPIs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans.Rows.SortRows()
+	ans.Rows.SortFirst(ans.Rows.Len())
 	var want [][]string
 	for i := 0; i < ans.Rows.Len(); i++ {
 		var row []string

@@ -117,10 +117,20 @@ func randomUnion(r *rand.Rand) (u query.RangeUCQ, plain *query.UCQ) {
 				if pos == 1 {
 					lo, span = nodeIDs+1, propIDs
 				}
+				// A third of the variables are head-less: the head never
+				// reads them (another occurrence may still bind them).
+				headless := r.Intn(3) == 0
 				switch k := r.Intn(10); {
 				case k < 5 || (pos != 1 && k < 7):
 					ra.Arg = query.Variable(varNames[r.Intn(len(varNames))])
-					bound = append(bound, ra.Arg.Var)
+					if r.Intn(4) == 0 {
+						// A once-only variable, like the reformulation's _fN.
+						fresh++
+						ra.Arg = query.Variable(fmt.Sprintf("f%d", fresh))
+					}
+					if !headless {
+						bound = append(bound, ra.Arg.Var)
+					}
 				case k < 8 || rangeFree:
 					ra.Arg = query.Constant(dict.ID(lo + r.Intn(span)))
 				default:
@@ -136,7 +146,9 @@ func randomUnion(r *rand.Rand) (u query.RangeUCQ, plain *query.UCQ) {
 						if r.Intn(3) == 0 {
 							ra.Arg = query.Variable(varNames[r.Intn(len(varNames))])
 						}
-						bound = append(bound, ra.Arg.Var)
+						if !headless {
+							bound = append(bound, ra.Arg.Var)
+						}
 						if a.Expand == nil && r.Intn(2) == 0 {
 							a.Expand = randomExpansion(r, ra.Arg.Var, varNames)
 							if a.Expand.Out.IsVar() {

@@ -253,7 +253,7 @@ func (db *DB) answerUnion(ctx context.Context, u query.UCQ, opt Options) (*Resul
 		return nil, err
 	}
 	d := db.eng.Graph().Dict()
-	ans.Rows.SortRows()
+	ans.Rows.SortFirst(ans.Rows.Len())
 	res := &Result{
 		cols: ans.Rows.Vars,
 		Meta: Meta{
@@ -303,7 +303,7 @@ func (db *DB) AnswerCQContext(ctx context.Context, q query.CQ, opt Options) (*Re
 		return nil, err
 	}
 	d := db.eng.Graph().Dict()
-	ans.Rows.SortRows()
+	ans.Rows.SortFirst(ans.Rows.Len())
 	res := &Result{
 		cols: ans.Rows.Vars,
 		Meta: Meta{
