@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -22,7 +23,10 @@ type E13Result struct {
 	University string     `json:"university"`
 	Queries    []E13Query `json:"queries"`
 	Reps       int        `json:"reps"`
-	Table      Table      `json:"-"`
+	// GOMAXPROCS is the scatter's worker ceiling the curve was measured
+	// with: at 4 shards, fewer than 4 cannot run every shard at once.
+	GOMAXPROCS int   `json:"gomaxprocs"`
+	Table      Table `json:"-"`
 }
 
 // E13Query is one query's scaling curve.
@@ -85,7 +89,7 @@ func E13(cfg Config) (*E13Result, error) {
 	queries := []namedQuery{{"Example 1", ex1}, {"LUBM Q9", q9}}
 	strategies := []engine.Strategy{engine.RefRange, engine.RefGCov, engine.RefSCQ}
 
-	res := &E13Result{University: univ, Reps: e13Reps}
+	res := &E13Result{University: univ, Reps: e13Reps, GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	res.Table.Header = []string{"query", "strategy", "shards", "cold p50", "speedup", "answers", "identical"}
 	for _, nq := range queries {
 		eq := E13Query{Name: nq.name}
@@ -105,11 +109,10 @@ func E13(cfg Config) (*E13Result, error) {
 					// boot work, so it happens before the clock starts.
 					e := engine.New(g)
 					e.EnableSharding(n)
-					e.Source()
 					e.Stats()
-					if sh := e.Sharded(); sh != nil && n > 1 {
-						for i := 0; i < sh.NumShards(); i++ {
-							sh.ShardStats(i)
+					if n > 1 {
+						for i := range n {
+							e.Store().ShardStats(i)
 						}
 					}
 					e.Budget.Timeout = cfg.Timeout
@@ -153,7 +156,7 @@ func E13(cfg Config) (*E13Result, error) {
 func (r *E13Result) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "E13 — shard scaling: scatter-gather at 1/2/4/8 shards, university %s\n", r.University)
-	fmt.Fprintf(&sb, "cold p50 over %d repetitions, fresh engine each, store built before the clock\n", r.Reps)
+	fmt.Fprintf(&sb, "cold p50 over %d repetitions, fresh engine each, store built before the clock, GOMAXPROCS=%d\n", r.Reps, r.GOMAXPROCS)
 	fmt.Fprintf(&sb, "(speedup = unsharded p50 / sharded p50, same strategy; identical = row set matches unsharded ref-range)\n")
 	sb.WriteString(r.Table.String())
 	return sb.String()

@@ -12,6 +12,8 @@
 package cost
 
 import (
+	"slices"
+
 	"repro/internal/dict"
 	"repro/internal/query"
 	"repro/internal/stats"
@@ -279,13 +281,20 @@ func (m *Model) JoinFragments(frags []Estimate, emit func(PlanStep)) Estimate {
 func Join(a, b Estimate) Estimate { return joinEstimate(a, b) }
 
 // joinEstimate applies the textbook join-size formula:
-// |A ⋈ B| = |A|·|B| / Π_v max(V(A,v), V(B,v)) over shared variables v.
+// |A ⋈ B| = |A|·|B| / Π_v max(V(A,v), V(B,v)) over shared variables v,
+// divided in variable-name order so that equal inputs give equal bits.
 func joinEstimate(a, b Estimate) Estimate {
-	card := a.Card * b.Card
-	for v, va := range a.V {
-		if vb, ok := b.V[v]; ok {
-			card /= maxF(maxF(va, vb), 1)
+	var buf [8]string
+	shared := buf[:0]
+	for v := range a.V {
+		if _, ok := b.V[v]; ok {
+			shared = append(shared, v)
 		}
+	}
+	slices.Sort(shared)
+	card := a.Card * b.Card
+	for _, v := range shared {
+		card /= maxF(maxF(a.V[v], b.V[v]), 1)
 	}
 	out := Estimate{Card: card, V: map[string]float64{}}
 	for v, va := range a.V {

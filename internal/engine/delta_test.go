@@ -25,9 +25,9 @@ import (
 // a random schedule of writes — fresh and redundant inserts, effective and
 // void deletes, an insert undone before anybody read, batches whose triples
 // share a (p,o) and an (s,p), deltas past the maxDrift fallback, changes of
-// the shard count — some followed by a read, some not. At every read the
-// store (and each shard) and the statistics (and each shard's) must equal,
-// exactly, the ones built from the graph from scratch; at some of them every
+// the shard count — some followed by a read, some not. At every read each
+// shard of the store, the statistics and each shard's must equal, exactly,
+// the ones built from the graph from scratch; at some of them every
 // complete strategy must also equal Sat, and Sat a fresh saturation — so G∞
 // is read sometimes off the kept closure and sometimes after it was dropped.
 func TestDeltaScheduleMatchesRebuild(t *testing.T) {
@@ -119,20 +119,17 @@ func TestDeltaScheduleMatchesRebuild(t *testing.T) {
 			}
 			where := fmt.Sprintf("seed %d step %d (kind %d, %d shards)", seed, step, kind, e.Shards())
 			g := e.g
-			ref := storage.Build(g.Dict(), g.AllTriples())
-			sameStore(t, where, e.Store(), ref, rng)
-			if sh := e.Sharded(); sh != nil {
-				want := shard.Build(g.Dict(), g.AllTriples(), e.Shards())
-				for i := 0; i < sh.NumShards(); i++ {
-					sameStore(t, fmt.Sprintf("%s shard %d", where, i), sh.ShardStore(i), want.ShardStore(i), rng)
-					if i%2 == step%2 { // collected on some shards, some of the time
-						sameStatistics(t, fmt.Sprintf("%s shard %d", where, i), sh.ShardStats(i), stats.Collect(want.ShardStore(i)), ref)
-					}
-				}
-				sameStatistics(t, where, e.Stats(), stats.Collect(want), ref)
-			} else {
-				sameStatistics(t, where, e.Stats(), stats.Collect(ref), ref)
+			sh, want := e.Store(), shard.Build(g.Dict(), g.AllTriples(), e.Shards())
+			if sh.NumShards() != want.NumShards() {
+				t.Fatalf("%s: %d shards", where, sh.NumShards())
 			}
+			for i := 0; i < sh.NumShards(); i++ {
+				sameStore(t, fmt.Sprintf("%s shard %d", where, i), sh.ShardStore(i), want.ShardStore(i), rng)
+				if i%2 == step%2 { // collected on some shards, some of the time
+					sameStatistics(t, fmt.Sprintf("%s shard %d", where, i), sh.ShardStats(i), stats.Collect(want.ShardStore(i)), g.AllTriples())
+				}
+			}
+			sameStatistics(t, where, e.Stats(), stats.Collect(want), g.AllTriples())
 			if rng.Intn(2) == 0 {
 				continue // G∞ goes unread on this version
 			}
@@ -200,8 +197,8 @@ func sameStore(t *testing.T, where string, got, want *storage.Store, rng *rand.R
 }
 
 // sameStatistics compares statistics field by field: N, the three global
-// distinct counts, and the entry of every property of ref (and of none).
-func sameStatistics(t *testing.T, where string, got, want *stats.Stats, ref *storage.Store) {
+// distinct counts, and the entry of every property of triples (and of none).
+func sameStatistics(t *testing.T, where string, got, want *stats.Stats, triples []dict.Triple) {
 	t.Helper()
 	if got.N() != want.N() || got.DistinctSubjects() != want.DistinctSubjects() ||
 		got.DistinctProperties() != want.DistinctProperties() || got.DistinctObjects() != want.DistinctObjects() {
@@ -209,7 +206,7 @@ func sameStatistics(t *testing.T, where string, got, want *stats.Stats, ref *sto
 			got.N(), got.DistinctSubjects(), got.DistinctProperties(), got.DistinctObjects(),
 			want.N(), want.DistinctSubjects(), want.DistinctProperties(), want.DistinctObjects())
 	}
-	for _, x := range append(slices.Clone(ref.Triples()), dict.Triple{}) {
+	for _, x := range append(slices.Clone(triples), dict.Triple{}) {
 		g, gok := got.Property(x.P)
 		w, wok := want.Property(x.P)
 		if g != w || gok != wok {
@@ -297,7 +294,7 @@ func TestVersionsAreNotPinned(t *testing.T) {
 			}
 		}
 		if i < k-1 {
-			runtime.SetFinalizer(e.Store(), func(*storage.Store) { freed.Add(1) })
+			runtime.SetFinalizer(e.Store(), func(*shard.Store) { freed.Add(1) })
 		}
 	}
 	c := e.Metrics.Snapshot().Counters

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/dict"
-	"repro/internal/exec"
 	"repro/internal/rdf"
 	"repro/internal/saturation"
 	"repro/internal/shard"
@@ -39,7 +38,6 @@ type derived struct {
 	// the next version starts from (see basis); nil: the graph.
 	from            atomic.Pointer[basis]
 	data            func() *basis
-	store           func() *storage.Store
 	model, satModel func() *cost.Model
 	sat             func() saturated
 	satRead         atomic.Bool // sat ran: somebody read this version's G∞
@@ -47,30 +45,16 @@ type derived struct {
 	satStats        func() *stats.Stats
 }
 
-// basis is the scan source (store or sharded) and statistics some version
-// built, and the net delta from there to the version holding the basis. A
-// version starts on the basis of the one it replaces, one delta further, so
-// the writer does no store or statistics work; its first reader applies the
-// delta once and leaves the version a basis of its own, with no delta and
-// no hold on the older source.
+// basis is the scan source and statistics some version built, and the net
+// delta from there to the version holding the basis. A version starts on the
+// basis of the one it replaces, one delta further, so the writer does no
+// store or statistics work; its first reader applies the delta once and
+// leaves the version a basis of its own, with no delta and no hold on the
+// older source.
 type basis struct {
-	store          *storage.Store
-	sharded        *shard.Store
+	src            *shard.Store
 	stats          *stats.Stats
 	added, removed []dict.Triple
-}
-
-// source is what a store and a sharded store both are.
-type source interface {
-	exec.Source
-	stats.Source
-}
-
-func (b *basis) source() source {
-	if b.sharded != nil {
-		return b.sharded
-	}
-	return b.store
 }
 
 // then returns b one delta further. A triple added after it was removed, or
@@ -129,7 +113,7 @@ func (e *Engine) swap(keep *derived, added, removed []dict.Triple) {
 	}
 	if keep != nil && keep.shards == d.shards {
 		if b := keep.from.Load(); b != nil {
-			if b = b.then(added, removed); !drifted(len(b.added)+len(b.removed), b.source().Len()) {
+			if b = b.then(added, removed); !drifted(len(b.added)+len(b.removed), b.src.Len()) {
 				d.from.Store(b)
 			}
 		}
@@ -144,36 +128,19 @@ func (e *Engine) swap(keep *derived, added, removed []dict.Triple) {
 	d.data = sync.OnceValue(func() *basis {
 		start := time.Now()
 		b, own := d.from.Load(), &basis{}
-		switch {
-		case b == nil && d.shards < 2:
-			own.store = storage.Build(g.Dict(), g.AllTriples())
-		case b == nil:
-			own.sharded = shard.Build(g.Dict(), g.AllTriples(), d.shards)
-		case b.sharded != nil:
-			own.sharded = b.sharded.Apply(b.added, b.removed)
-		default:
-			own.store = b.store.Apply(b.added, b.removed)
-		}
-		if own.sharded != nil {
-			own.sharded.PublishMetrics(reg)
-		}
 		if b == nil {
-			own.stats = stats.Collect(own.source())
+			own.src = shard.Build(g.Dict(), g.AllTriples(), d.shards)
+			own.stats = stats.Collect(own.src)
 			reg.Counter("engine.derived.rebuilt").Inc()
 		} else {
-			own.stats = b.stats.Apply(own.source(), b.added, b.removed)
+			own.src = b.src.Apply(b.added, b.removed)
+			own.stats = b.stats.Apply(own.src, b.added, b.removed)
 			reg.Counter("engine.derived.applied").Inc()
 			reg.Histogram("engine.derived.apply_ms").Observe(float64(time.Since(start)) / float64(time.Millisecond))
 		}
+		own.src.PublishMetrics(reg)
 		d.from.Store(own)
 		return own
-	})
-	d.store = sync.OnceValue(func() *storage.Store {
-		b := d.data()
-		if b.sharded != nil {
-			return storage.Build(g.Dict(), b.sharded.Triples())
-		}
-		return b.store
 	})
 	d.model = sync.OnceValue(func() *cost.Model {
 		m := cost.NewModel(d.data().stats)

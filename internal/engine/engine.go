@@ -160,7 +160,7 @@ type Engine struct {
 	// /v1/stats aggregator is consuming them.
 	CaptureFragmentSigs bool
 
-	shards  int // < 2: unsharded
+	shards  int // ≥ 1
 	planCap int // plan cache capacity (0: defaultPlanCacheSize)
 	// closure is the counting closure behind Sat while data updates and Sat
 	// reads alternate (see update.go); nil otherwise. It is the writer's:
@@ -176,7 +176,7 @@ type Engine struct {
 
 // New returns an engine over the graph.
 func New(g *graph.Graph) *Engine {
-	e := &Engine{g: g}
+	e := &Engine{g: g, shards: 1}
 	e.swap(nil, nil, nil)
 	return e
 }
@@ -195,34 +195,25 @@ func (e *Engine) Warm() {
 }
 
 // Store returns the store over explicit data plus the closed schema (the
-// database Ref strategies evaluate against).
-func (e *Engine) Store() *storage.Store { return e.d.store() }
+// database Ref strategies evaluate against), partitioned into Shards()
+// subject-hash shards.
+func (e *Engine) Store() *shard.Store { return e.d.data().src }
 
-// EnableSharding hash-partitions the explicit-data store into n shards:
-// Source() then returns a shard.Store whose scans the executor scatters
-// across shards in parallel, and the cost model prices scans at 1/n.
-// n < 2 disables sharding. The saturated store (Sat strategy) stays
-// unsharded — saturation is the paper's baseline and its store is rebuilt
-// wholesale on every schema change anyway.
+// Source is Store.
+func (e *Engine) Source() *shard.Store { return e.Store() }
+
+// EnableSharding hash-partitions the explicit-data store into n shards
+// (n < 2: one): the executor scatters scans across the shards in parallel,
+// and the cost model prices scans at 1/n. The saturated store (Sat
+// strategy) stays in one piece — saturation is the paper's baseline and its
+// store is rebuilt wholesale on every schema change anyway.
 func (e *Engine) EnableSharding(n int) {
-	if n < 2 {
-		n = 0
-	}
-	e.shards = n
+	e.shards = max(n, 1)
 	e.swap(e.d, nil, nil)
 }
 
-// Shards returns the configured shard count (1 when unsharded).
-func (e *Engine) Shards() int { return max(e.shards, 1) }
-
-// Sharded returns the partitioned store when sharding is enabled (nil
-// otherwise). The admin topology surface uses the concrete type;
-// evaluation paths go through Source().
-func (e *Engine) Sharded() *shard.Store { return e.d.data().sharded }
-
-// Source returns the scan source the Ref strategies evaluate against:
-// the sharded store when sharding is enabled, the plain store otherwise.
-func (e *Engine) Source() exec.Source { return e.d.data().source() }
+// Shards returns the configured shard count.
+func (e *Engine) Shards() int { return e.shards }
 
 // Stats returns collected statistics over Source().
 func (e *Engine) Stats() *stats.Stats { return e.d.data().stats }

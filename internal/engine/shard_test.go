@@ -100,50 +100,43 @@ func TestShardedAnswersIdenticalRandom(t *testing.T) {
 	}
 }
 
-// TestEnableShardingLifecycle pins the engine-level wiring: the sharded
-// store builds lazily with the requested partition count, Source routes
-// to it, updates invalidate it, and n < 2 means unsharded.
+// TestEnableShardingLifecycle pins the engine-level wiring: at every shard
+// count — one unless sharding is enabled, and again after n < 2 — the store
+// is a shard.Store of that many shards over the whole graph, built once per
+// version and the very object Source returns; a write replaces it.
 func TestEnableShardingLifecycle(t *testing.T) {
 	e, g := mustEngine(t)
-	if e.Sharded() != nil || e.Shards() != 1 {
-		t.Fatal("unsharded engine must report one shard and no sharded store")
+	check := func(n int) {
+		t.Helper()
+		sh := e.Store()
+		if sh.NumShards() != n || e.Shards() != n {
+			t.Fatalf("store has %d shards, engine reports %d, want %d", sh.NumShards(), e.Shards(), n)
+		}
+		if e.Store() != sh || e.Source() != sh {
+			t.Fatalf("%d shards: Store and Source must return one cached store", n)
+		}
+		total := 0
+		for i := 0; i < n; i++ {
+			total += sh.ShardStore(i).Len()
+		}
+		if total != sh.Len() || sh.Len() != len(g.AllTriples()) {
+			t.Fatalf("shards hold %d triples, store %d, graph %d", total, sh.Len(), len(g.AllTriples()))
+		}
+		if err := e.InsertData([]rdf.Triple{rdf.NewTriple(
+			rdf.NewIRI(fmt.Sprintf("http://example.org/doiX%d", sh.Len())),
+			rdf.NewIRI("http://example.org/hasTitle"),
+			rdf.NewLiteral("t"))}); err != nil {
+			t.Fatal(err)
+		}
+		if next := e.Store(); next == sh || next.Len() != sh.Len()+1 || next.NumShards() != n {
+			t.Fatalf("after an insert: %d triples on %d shards, want %d on %d", next.Len(), next.NumShards(), sh.Len()+1, n)
+		}
 	}
+	check(1)
 	e.EnableSharding(4)
-	sh := e.Sharded()
-	if sh == nil || sh.NumShards() != 4 || e.Shards() != 4 {
-		t.Fatalf("sharding: got %v shards", e.Shards())
-	}
-	if e.Sharded() != sh {
-		t.Fatal("sharded store must be cached")
-	}
-	if e.Source() != any(sh) {
-		t.Fatal("Source must return the sharded store")
-	}
-	total := 0
-	for i := 0; i < sh.NumShards(); i++ {
-		total += sh.ShardStore(i).Len()
-	}
-	if total != sh.Len() || sh.Len() != len(g.AllTriples()) {
-		t.Fatalf("shards hold %d triples, store %d, graph %d", total, sh.Len(), len(g.AllTriples()))
-	}
-	// Updates drop the sharded store; the next access rebuilds it.
-	if err := e.InsertData([]rdf.Triple{rdf.NewTriple(
-		rdf.NewIRI("http://example.org/doiX"),
-		rdf.NewIRI("http://example.org/hasTitle"),
-		rdf.NewLiteral("t"))}); err != nil {
-		t.Fatal(err)
-	}
-	sh2 := e.Sharded()
-	if sh2 == sh {
-		t.Fatal("InsertData must invalidate the sharded store")
-	}
-	if sh2.Len() != sh.Len()+1 {
-		t.Fatalf("rebuilt sharded store has %d triples, want %d", sh2.Len(), sh.Len()+1)
-	}
+	check(4)
 	e.EnableSharding(0)
-	if e.Sharded() != nil || e.Shards() != 1 {
-		t.Fatal("EnableSharding(0) must return to unsharded")
-	}
+	check(1)
 }
 
 // TestShardedExplainShowsScatter: EXPLAIN over a sharded engine renders
@@ -170,7 +163,7 @@ func TestShardedExplainShowsScatter(t *testing.T) {
 func TestShardOfStableAssignment(t *testing.T) {
 	e, g := mustEngine(t)
 	e.EnableSharding(3)
-	sh := e.Sharded()
+	sh := e.Store()
 	for i := 0; i < sh.NumShards(); i++ {
 		for _, tr := range sh.ShardStore(i).Triples() {
 			if home := shard.Of(tr.S, 3); home != i {

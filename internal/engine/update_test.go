@@ -11,8 +11,8 @@ import (
 	"repro/internal/cost"
 	"repro/internal/query"
 	"repro/internal/rdf"
+	"repro/internal/shard"
 	"repro/internal/stats"
-	"repro/internal/storage"
 	"repro/internal/viewcache"
 )
 
@@ -115,7 +115,7 @@ func TestUpdateSchemaConcurrentNoStaleReads(t *testing.T) {
 	// checks that every copy of one version (identified by the expected
 	// count, which every write bumps) sees the same ones.
 	type artefacts struct {
-		store    *storage.Store
+		store    *shard.Store
 		stats    *stats.Stats
 		model    *cost.Model
 		satModel *cost.Model

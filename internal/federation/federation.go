@@ -13,7 +13,6 @@
 // peers implement the same interface, so the mediator's merge path is one
 // scatter-gather — sources fetch in parallel, the gather dedups and
 // closes the union schema — whether the "shards" are goroutines or hosts.
-// Legacy Dump()-shaped sources participate through DumpAdapter.
 package federation
 
 import (
@@ -137,62 +136,6 @@ func (it *idIterator) Next() (rdf.Triple, bool) {
 func (it *idIterator) Err() error   { return nil }
 func (it *idIterator) Close() error { return nil }
 
-// --- legacy Dump compatibility -----------------------------------------------
-
-// Dumper is the pre-redesign source shape: a name and one bulk dump.
-// The concrete sources below still provide it (their Dump methods keep
-// working), and DumpAdapter lifts any third-party Dumper into the
-// pattern-scan API.
-type Dumper interface {
-	Name() string
-	Dump() ([]rdf.Triple, error)
-}
-
-// ContextSource is a Dumper whose fetch can be bounded by a context
-// (timeout, mediator shutdown). DumpAdapter prefers it when present.
-type ContextSource interface {
-	Dumper
-	DumpContext(ctx context.Context) ([]rdf.Triple, error)
-}
-
-// DumpAdapter lifts a legacy Dumper into the Source API: every scan
-// performs the full dump and filters mediator-side, and Stats dumps to
-// count. Old sources keep working behind the new interface — pattern
-// granularity just cannot save them any transfer.
-type DumpAdapter struct {
-	Dumper
-}
-
-// dump routes through DumpContext when the wrapped source supports it,
-// so no context-free call remains on cancelable paths.
-func (a DumpAdapter) dump(ctx context.Context) ([]rdf.Triple, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("federation: source %s: %w", a.Dumper.Name(), err)
-	}
-	if cs, ok := a.Dumper.(ContextSource); ok {
-		return cs.DumpContext(ctx)
-	}
-	return a.Dumper.Dump()
-}
-
-// ScanPattern implements Source.
-func (a DumpAdapter) ScanPattern(ctx context.Context, pat Pattern) (Iterator, error) {
-	ts, err := a.dump(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &sliceIterator{ts: ts, pat: pat}, nil
-}
-
-// Stats implements Source.
-func (a DumpAdapter) Stats(ctx context.Context) (SourceStats, error) {
-	ts, err := a.dump(ctx)
-	if err != nil {
-		return SourceStats{}, err
-	}
-	return SourceStats{Triples: len(ts)}, nil
-}
-
 // --- concrete sources --------------------------------------------------------
 
 // LocalSource serves triples from memory (an in-process endpoint).
@@ -215,11 +158,6 @@ func (s *LocalSource) ScanPattern(ctx context.Context, pat Pattern) (Iterator, e
 // Stats implements Source.
 func (s *LocalSource) Stats(context.Context) (SourceStats, error) {
 	return SourceStats{Triples: len(s.Triples)}, nil
-}
-
-// Dump implements Dumper (the legacy bulk fetch).
-func (s *LocalSource) Dump() ([]rdf.Triple, error) {
-	return append([]rdf.Triple(nil), s.Triples...), nil
 }
 
 // GraphSource exposes an existing graph as a source.
@@ -257,12 +195,6 @@ func (s *GraphSource) ScanPattern(ctx context.Context, pat Pattern) (Iterator, e
 // Stats implements Source.
 func (s *GraphSource) Stats(context.Context) (SourceStats, error) {
 	return SourceStats{Triples: len(s.Graph.AllTriples())}, nil
-}
-
-// Dump implements Dumper.
-func (s *GraphSource) Dump() ([]rdf.Triple, error) {
-	//reflint:ctxbg Dumper is the legacy context-free interface; context-aware callers use ScanPattern/Collect directly
-	return Collect(context.Background(), s, Pattern{})
 }
 
 // StoreSource exposes one triple store — typically a single shard of a
@@ -344,7 +276,7 @@ func (s *HTTPSource) Name() string { return s.SourceName }
 
 // ScanPattern implements Source.
 func (s *HTTPSource) ScanPattern(ctx context.Context, pat Pattern) (Iterator, error) {
-	ts, err := s.DumpContext(ctx)
+	ts, err := s.dump(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -365,15 +297,9 @@ func (s *HTTPSource) Stats(ctx context.Context) (SourceStats, error) {
 	return st, nil
 }
 
-// Dump implements Dumper, routed through DumpContext — no context-free
-// HTTP call remains.
-func (s *HTTPSource) Dump() ([]rdf.Triple, error) {
-	return s.DumpContext(context.Background())
-}
-
-// DumpContext fetches the endpoint's /v1/dump: canceling ctx aborts the
-// fetch (and, endpoint-side, the streaming dump).
-func (s *HTTPSource) DumpContext(ctx context.Context) ([]rdf.Triple, error) {
+// dump fetches the endpoint's /v1/dump: canceling ctx aborts the fetch
+// (and, endpoint-side, the streaming dump).
+func (s *HTTPSource) dump(ctx context.Context) ([]rdf.Triple, error) {
 	body, err := s.get(ctx, "/v1/dump")
 	if err != nil {
 		return nil, err

@@ -139,8 +139,9 @@ func TestMediatorErrors(t *testing.T) {
 }
 
 func TestHTTPSourceFailures(t *testing.T) {
+	ctx := context.Background()
 	down := &HTTPSource{SourceName: "down", BaseURL: "http://127.0.0.1:1"}
-	if _, err := down.Dump(); err == nil {
+	if _, err := Collect(ctx, down, Pattern{}); err == nil {
 		t.Fatal("unreachable endpoint must error")
 	}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
@@ -148,7 +149,7 @@ func TestHTTPSourceFailures(t *testing.T) {
 	}))
 	defer srv.Close()
 	bad := &HTTPSource{SourceName: "bad", BaseURL: srv.URL}
-	if _, err := bad.Dump(); err == nil || !strings.Contains(err.Error(), "status 500") {
+	if _, err := Collect(ctx, bad, Pattern{}); err == nil || !strings.Contains(err.Error(), "status 500") {
 		t.Fatalf("500 must surface: %v", err)
 	}
 	garbled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
@@ -156,7 +157,7 @@ func TestHTTPSourceFailures(t *testing.T) {
 	}))
 	defer garbled.Close()
 	g := &HTTPSource{SourceName: "garbled", BaseURL: garbled.URL}
-	if _, err := g.Dump(); err == nil {
+	if _, err := Collect(ctx, g, Pattern{}); err == nil {
 		t.Fatal("garbled dump must error")
 	}
 }
@@ -167,7 +168,7 @@ func TestGraphSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := &GraphSource{SourceName: "g", Graph: g}
-	ts, err := src.Dump()
+	ts, err := Collect(context.Background(), src, Pattern{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,54 +325,6 @@ func TestShardedStoreBehindMediator(t *testing.T) {
 	}
 	if merged.DataCount() != g.DataCount() {
 		t.Fatalf("merged %d data triples, want %d", merged.DataCount(), g.DataCount())
-	}
-}
-
-// legacyDumper only implements the pre-redesign Dumper shape.
-type legacyDumper struct {
-	name string
-	ts   []rdf.Triple
-	err  error
-}
-
-func (d *legacyDumper) Name() string                { return d.name }
-func (d *legacyDumper) Dump() ([]rdf.Triple, error) { return d.ts, d.err }
-
-func TestDumpAdapterLiftsLegacySources(t *testing.T) {
-	ts := mustTriples(t, factsSource)
-	src := DumpAdapter{&legacyDumper{name: "old", ts: ts}}
-	ctx := context.Background()
-	got, err := Collect(ctx, src, Pattern{S: ptr(rdf.NewIRI("http://example.org/doi1"))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Fatalf("adapter scan returned %d, want 1", len(got))
-	}
-	st, err := src.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Triples != len(ts) {
-		t.Fatalf("adapter stats %d, want %d", st.Triples, len(ts))
-	}
-	// The adapter is a full Source: the mediator accepts it directly.
-	merged, err := NewMediator(src).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.DataCount() == 0 {
-		t.Fatal("adapter-backed merge produced no data")
-	}
-	// Errors and cancellation propagate.
-	bad := DumpAdapter{&legacyDumper{name: "bad", err: fmt.Errorf("boom")}}
-	if _, err := Collect(ctx, bad, Pattern{}); err == nil {
-		t.Fatal("dump error must propagate through the adapter")
-	}
-	canceled, cancel := context.WithCancel(ctx)
-	cancel()
-	if _, err := src.ScanPattern(canceled, Pattern{}); err == nil {
-		t.Fatal("canceled context must abort the adapter scan")
 	}
 }
 

@@ -73,9 +73,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/ntriples"
 	"repro/internal/query"
-	"repro/internal/shard"
 	"repro/internal/stats"
-	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -148,7 +146,7 @@ type Options struct {
 	// Shards hash-partitions the explicit-data store by subject into this
 	// many shards (internal/shard): the executor then scatters scans
 	// across shards in parallel and evaluates co-partitioned joins
-	// shard-locally. Values below 2 serve an unsharded store.
+	// shard-locally. Values below 2 serve one shard.
 	Shards int
 }
 
@@ -206,28 +204,16 @@ func NewWithOptions(g *graph.Graph, prefixes map[string]string, reg *metrics.Reg
 // handleShards serves GET /v1/admin/shards: the partition topology —
 // shard count, per-shard triple and distinct-subject counts, and the
 // skew ratio (max/mean of per-shard triple counts). An unsharded server
-// reports a single pseudo-shard so the shape is stable for dashboards.
+// reports its one shard.
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Counter("http.requests." + r.URL.Path).Inc()
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
-	if sh := s.eng.Sharded(); sh != nil {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"shards":   sh.NumShards(),
-			"skew":     sh.Skew(),
-			"topology": sh.Topology(),
-		})
-		return
-	}
-	st := s.eng.Store()
+	sh := s.eng.Store()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"shards": 1,
-		"skew":   1.0,
-		"topology": []shard.ShardInfo{{
-			Shard:    0,
-			Triples:  st.Len(),
-			Subjects: st.DistinctInPosition(storage.Pattern{}, 's'),
-		}},
+		"shards":   sh.NumShards(),
+		"skew":     sh.Skew(),
+		"topology": sh.Topology(),
 	})
 }
 
@@ -533,10 +519,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // shardStats is the /v1/stats partition section: count and skew, cheap
 // enough to compute inline (full topology lives on /v1/admin/shards).
 func (s *Server) shardStats() map[string]any {
-	if sh := s.eng.Sharded(); sh != nil {
-		return map[string]any{"count": sh.NumShards(), "skew": sh.Skew()}
-	}
-	return map[string]any{"count": 1, "skew": 1.0}
+	sh := s.eng.Store()
+	return map[string]any{"count": sh.NumShards(), "skew": sh.Skew()}
 }
 
 func (s *Server) parseRequest(r *http.Request) (QueryRequest, error) {

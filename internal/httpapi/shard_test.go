@@ -38,7 +38,7 @@ type shardsResponse struct {
 
 // TestAdminShardsEndpoint pins GET /v1/admin/shards: the topology lists
 // every shard, the per-shard triple counts sum to the store, and the
-// unsharded server reports a single pseudo-shard in the same shape.
+// unsharded server reports its one shard in the same shape.
 func TestAdminShardsEndpoint(t *testing.T) {
 	ts, srv := newShardedServer(t, 4)
 	var resp shardsResponse
@@ -55,7 +55,7 @@ func TestAdminShardsEndpoint(t *testing.T) {
 	for _, info := range resp.Topology {
 		total += info.Triples
 	}
-	if want := srv.eng.Sharded().Len(); total != want {
+	if want := srv.eng.Store().Len(); total != want {
 		t.Fatalf("topology triples sum to %d, store has %d", total, want)
 	}
 
@@ -72,7 +72,7 @@ func TestAdminShardsEndpoint(t *testing.T) {
 		t.Fatalf("stats shards count = %v, want 4", sec["count"])
 	}
 
-	// Unsharded server: same shape, one pseudo-shard.
+	// Unsharded server: same shape, one shard.
 	tsMono := newTestServer(t)
 	var mono shardsResponse
 	if code := getJSON(t, tsMono.URL+"/v1/admin/shards", &mono); code != http.StatusOK {

@@ -10,7 +10,9 @@
 // against a single store runs unchanged against a sharded one: scans
 // with a bound subject route to the subject's home shard, everything
 // else iterates shards in order. It also implements exec.ShardedSource,
-// which is what unlocks the parallel scatter paths.
+// which is what unlocks the parallel scatter paths. An unsharded store is
+// a one-shard Store: its scans go straight to its one storage.Store, and
+// the executor does not scatter over it.
 package shard
 
 import (
@@ -82,43 +84,43 @@ func partition(triples []dict.Triple, n int) [][]dict.Triple {
 	return parts
 }
 
-// Build partitions the triples by subject and builds one storage.Store per
-// shard, in parallel. n < 2 builds a single shard (still a valid Store,
-// with scatter disabled by the executor).
+// Build partitions the triples by subject into n shards (n < 2: one): Apply
+// on the empty store.
 func Build(d *dict.Dict, triples []dict.Triple, n int) *Store {
-	n = max(n, 1)
-	parts := partition(triples, n)
-	st := &Store{d: d, shards: make([]*storage.Store, n), stats: make([]*stats.Stats, n), total: len(triples)}
-	var wg sync.WaitGroup
-	for i := range parts {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st.shards[i] = storage.Build(d, parts[i])
-		}()
+	empty := &Store{d: d, shards: make([]*storage.Store, max(n, 1)), stats: make([]*stats.Stats, max(n, 1))}
+	for i := range empty.shards {
+		empty.shards[i] = storage.Build(d, nil)
 	}
-	wg.Wait()
-	return st
+	return empty.Apply(triples, nil)
 }
 
 // Apply returns the sharded store over s's triples without removed and with
-// added. The delta is partitioned like the triples and applied to the shards
-// it touches, whose statistics — where collected — follow it; the other
-// shards and their statistics are shared with s.
+// added. The delta is partitioned like the triples and applied, in parallel,
+// to the shards it touches, whose statistics — where collected — follow it;
+// the other shards and their statistics are shared with s.
 func (s *Store) Apply(added, removed []dict.Triple) *Store {
 	add, del := partition(added, len(s.shards)), partition(removed, len(s.shards))
 	out := &Store{d: s.d, shards: slices.Clone(s.shards)}
 	s.mu.Lock()
 	out.stats = slices.Clone(s.stats)
 	s.mu.Unlock()
+	var wg sync.WaitGroup
 	for i, sh := range out.shards {
-		if len(add[i])+len(del[i]) > 0 {
+		if len(add[i])+len(del[i]) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			out.shards[i] = sh.Apply(add[i], del[i])
 			if st := out.stats[i]; st != nil {
 				out.stats[i] = st.Apply(out.shards[i], add[i], del[i])
 			}
-		}
-		out.total += out.shards[i].Len()
+		}()
+	}
+	wg.Wait()
+	for _, sh := range out.shards {
+		out.total += sh.Len()
 	}
 	return out
 }
@@ -131,35 +133,41 @@ func (s *Store) Dict() *dict.Dict { return s.d }
 // Len returns the total triple count across shards.
 func (s *Store) Len() int { return s.total }
 
-// Each streams every matching triple. A bound subject routes to its home
-// shard (one hash, no fan-out); otherwise shards stream in order, so a
-// full iteration sees every triple exactly once.
+// one returns the shard holding every triple with subject sub (dict.None:
+// any) — a one-shard store's shard, a bound subject's home shard — or nil.
+// Scans call it directly, so a one-shard store costs what its shard does.
+func (s *Store) one(sub dict.ID) *storage.Store {
+	switch {
+	case len(s.shards) == 1:
+		return s.shards[0]
+	case sub != dict.None:
+		return s.shards[s.HomeShard(sub)]
+	}
+	return nil
+}
+
+// Each streams every matching triple: from the one shard holding them when
+// there is one, otherwise from every shard in order, so a full iteration
+// sees every triple exactly once.
 func (s *Store) Each(pat storage.Pattern, fn func(dict.Triple) bool) {
-	if pat.S != dict.None {
-		s.shards[s.HomeShard(pat.S)].Each(pat, fn)
+	if sh := s.one(pat.S); sh != nil {
+		sh.Each(pat, fn)
 		return
 	}
 	for _, sh := range s.shards {
-		stopped := false
-		sh.Each(pat, func(t dict.Triple) bool {
-			if !fn(t) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if stopped {
+		more := true
+		sh.Each(pat, func(t dict.Triple) bool { more = fn(t); return more })
+		if !more {
 			return
 		}
 	}
 }
 
-// Count returns the number of matching triples: the home shard's count
-// for a bound subject, the sum across shards otherwise (shards are
-// disjoint, so the sum is exact).
+// Count returns the number of matching triples: the one shard's count, or
+// the sum across shards (shards are disjoint, so the sum is exact).
 func (s *Store) Count(pat storage.Pattern) int {
-	if pat.S != dict.None {
-		return s.shards[s.HomeShard(pat.S)].Count(pat)
+	if sh := s.one(pat.S); sh != nil {
+		return sh.Count(pat)
 	}
 	n := 0
 	for _, sh := range s.shards {
@@ -169,23 +177,17 @@ func (s *Store) Count(pat storage.Pattern) int {
 }
 
 // EachRange streams every triple matching the range pattern. A subject
-// constrained to a single exact ID routes to its home shard; any other
+// constrained to a single exact ID routes like a bound subject; any other
 // subject constraint still filters correctly on every shard.
 func (s *Store) EachRange(pat storage.RangePattern, fn func(dict.Triple) bool) {
-	if id, ok := exactSubject(pat); ok {
-		s.shards[s.HomeShard(id)].EachRange(pat, fn)
+	if sh := s.one(exactSubject(pat)); sh != nil {
+		sh.EachRange(pat, fn)
 		return
 	}
 	for _, sh := range s.shards {
-		stopped := false
-		sh.EachRange(pat, func(t dict.Triple) bool {
-			if !fn(t) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if stopped {
+		more := true
+		sh.EachRange(pat, func(t dict.Triple) bool { more = fn(t); return more })
+		if !more {
 			return
 		}
 	}
@@ -193,8 +195,8 @@ func (s *Store) EachRange(pat storage.RangePattern, fn func(dict.Triple) bool) {
 
 // CountRange returns the number of triples matching the range pattern.
 func (s *Store) CountRange(pat storage.RangePattern) int {
-	if id, ok := exactSubject(pat); ok {
-		return s.shards[s.HomeShard(id)].CountRange(pat)
+	if sh := s.one(exactSubject(pat)); sh != nil {
+		return sh.CountRange(pat)
 	}
 	n := 0
 	for _, sh := range s.shards {
@@ -203,12 +205,13 @@ func (s *Store) CountRange(pat storage.RangePattern) int {
 	return n
 }
 
-// exactSubject reports whether the pattern pins the subject to one ID.
-func exactSubject(pat storage.RangePattern) (dict.ID, bool) {
+// exactSubject returns the one ID the pattern pins the subject to, or
+// dict.None.
+func exactSubject(pat storage.RangePattern) dict.ID {
 	if len(pat.S) == 1 && pat.S[0].IsExact() {
-		return pat.S[0].Lo, true
+		return pat.S[0].Lo
 	}
-	return dict.None, false
+	return dict.None
 }
 
 // --- exec.ShardedSource ------------------------------------------------------
@@ -224,9 +227,7 @@ func (s *Store) Shard(i int) exec.Source { return s.shards[i] }
 func (s *Store) ShardStore(i int) *storage.Store { return s.shards[i] }
 
 // HomeShard returns the shard holding subject id.
-func (s *Store) HomeShard(id dict.ID) int {
-	return Of(id, len(s.shards))
-}
+func (s *Store) HomeShard(id dict.ID) int { return Of(id, len(s.shards)) }
 
 // ShardStats returns shard i's statistics, collecting them on first use.
 // Lazy because the scatter paths only consult statistics for co-
@@ -247,8 +248,12 @@ func (s *Store) ShardStats(i int) *stats.Stats {
 
 // Triples returns all triples in shard order (sorted SPO within each
 // shard, not globally), which is all statistics collection needs; callers
-// needing global order must sort.
+// needing global order must sort. A one-shard store returns its shard's
+// run, shared: callers must not modify it.
 func (s *Store) Triples() []dict.Triple {
+	if sh := s.one(dict.None); sh != nil {
+		return sh.Triples()
+	}
 	out := make([]dict.Triple, 0, s.total)
 	for _, sh := range s.shards {
 		out = append(out, sh.Triples()...)
@@ -257,12 +262,12 @@ func (s *Store) Triples() []dict.Triple {
 }
 
 // DistinctInPosition counts distinct values in one position among the
-// matching triples. Subjects are partitioned, so subject counts sum
-// exactly; a bound subject routes to its home shard; other positions
-// merge a value set across shards.
+// matching triples: the one shard's count where there is one. Otherwise
+// subjects are partitioned, so subject counts sum exactly, and other
+// positions merge a value set across shards.
 func (s *Store) DistinctInPosition(pat storage.Pattern, pos byte) int {
-	if pat.S != dict.None {
-		return s.shards[s.HomeShard(pat.S)].DistinctInPosition(pat, pos)
+	if sh := s.one(pat.S); sh != nil {
+		return sh.DistinctInPosition(pat, pos)
 	}
 	if pos == 's' {
 		n := 0
@@ -306,27 +311,21 @@ func (s *Store) Topology() []ShardInfo {
 }
 
 // Skew returns the partition skew ratio max/mean of per-shard triple
-// counts (1.0 = perfectly even; empty or single-shard stores report 1).
+// counts (1.0 = perfectly even, as one shard is; an empty store reports 1).
 func (s *Store) Skew() float64 {
-	if len(s.shards) < 2 || s.total == 0 {
+	if s.total == 0 {
 		return 1
 	}
-	max := 0
+	most := 0
 	for _, sh := range s.shards {
-		if sh.Len() > max {
-			max = sh.Len()
-		}
+		most = max(most, sh.Len())
 	}
-	mean := float64(s.total) / float64(len(s.shards))
-	return float64(max) / mean
+	return float64(most) / (float64(s.total) / float64(len(s.shards)))
 }
 
-// PublishMetrics records the partition shape into the registry: the
-// shard count, the skew ratio, and per-shard triple counts.
+// PublishMetrics records the partition shape into the registry: the shard
+// count and the skew ratio.
 func (s *Store) PublishMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
 	reg.Gauge("shard.count").Set(int64(len(s.shards)))
 	reg.FloatGauge("shard.skew").Set(s.Skew())
 }

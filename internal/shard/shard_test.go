@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dict"
 	"repro/internal/exec"
@@ -22,8 +23,9 @@ import (
 // boolean and partial heads, one-interval range constraints with and
 // without a capture variable, hierarchy expansions — answered by
 // brute-force nested loops and by the evaluator, with and without
-// statistics, on a single store and on a 3-shard store. Range-free unions
-// additionally go through the plain entry points.
+// statistics, on a single store, on a 1-shard store (what an unsharded
+// engine serves) and on a 3-shard store. Range-free unions additionally go
+// through the plain entry points.
 func TestEvalMatchesBruteForceRandom(t *testing.T) {
 	seeds := 3000
 	if testing.Short() {
@@ -40,6 +42,7 @@ func TestEvalMatchesBruteForceRandom(t *testing.T) {
 			d.EncodeIRI(fmt.Sprintf("t%d", d.Len()+1))
 		}
 		single := storage.Build(d, triples)
+		one := shard.Build(d, triples, 1)
 		sharded := shard.Build(d, triples, 3)
 		for _, src := range []struct {
 			name string
@@ -48,6 +51,8 @@ func TestEvalMatchesBruteForceRandom(t *testing.T) {
 		}{
 			{"store", single, nil},
 			{"store+stats", single, stats.Collect(single)},
+			{"1 shard", one, nil},
+			{"1 shard+stats", one, stats.Collect(one)},
 			{"shards", sharded, nil},
 			{"shards+stats", sharded, stats.Collect(sharded)},
 		} {
@@ -323,6 +328,102 @@ func formatUnion(u query.RangeUCQ) string {
 		}
 	}
 	return sb.String()
+}
+
+// A one-shard store is its storage.Store: every exec.Source and
+// stats.Source primitive answers alike, in the same order, on every pattern
+// over a small domain and on random range patterns; statistics collected
+// from either are equal field by field; Triples is the store's own run, not
+// a copy; and neither a full scan nor a distinct count allocates more than
+// on the store.
+func TestOneShardIsItsStore(t *testing.T) {
+	r := rand.New(rand.NewSource(24))
+	d := dict.New()
+	ids := []dict.ID{dict.None}
+	for id := dict.ID(1); id <= maxID; id++ {
+		ids = append(ids, id)
+	}
+	randomRanges := func() []storage.IDRange {
+		var rs []storage.IDRange
+		for lo := dict.ID(1 + r.Intn(3)); lo <= maxID && r.Intn(3) != 0; {
+			hi := lo + dict.ID(r.Intn(3))
+			rs = append(rs, storage.IDRange{Lo: lo, Hi: hi})
+			lo = hi + 2 + dict.ID(r.Intn(3))
+		}
+		return rs
+	}
+	each := func(src exec.Source, pat storage.Pattern) []dict.Triple {
+		var out []dict.Triple
+		src.Each(pat, func(x dict.Triple) bool { out = append(out, x); return true })
+		return out
+	}
+	for trial := 0; trial < 50; trial++ {
+		triples := randomGraph(r)
+		st, one := storage.Build(d, triples), shard.Build(d, triples, 1)
+		if one.NumShards() != 1 || one.Len() != st.Len() || one.Dict() != st.Dict() || !slices.Equal(one.Triples(), st.Triples()) {
+			t.Fatalf("trial %d: %d shards, %d triples %v, want 1 shard, %d triples %v",
+				trial, one.NumShards(), one.Len(), one.Triples(), st.Len(), st.Triples())
+		}
+		if unsafe.SliceData(one.Triples()) != unsafe.SliceData(one.ShardStore(0).Triples()) {
+			t.Fatalf("trial %d: a one-shard store's Triples is a copy of its shard's run", trial)
+		}
+		for _, s := range ids {
+			if one.HomeShard(s) != 0 {
+				t.Fatalf("subject %d homed on shard %d of 1", s, one.HomeShard(s))
+			}
+			for _, p := range ids {
+				for _, o := range ids {
+					pat := storage.Pattern{S: s, P: p, O: o}
+					if g, w := each(one, pat), each(st, pat); !slices.Equal(g, w) {
+						t.Fatalf("trial %d: Each(%v) = %v, store %v", trial, pat, g, w)
+					}
+					if g, w := one.Count(pat), st.Count(pat); g != w {
+						t.Fatalf("trial %d: Count(%v) = %d, store %d", trial, pat, g, w)
+					}
+					for _, pos := range []byte("spo") {
+						if g, w := one.DistinctInPosition(pat, pos), st.DistinctInPosition(pat, pos); g != w {
+							t.Fatalf("trial %d: DistinctInPosition(%v, %c) = %d, store %d", trial, pat, pos, g, w)
+						}
+					}
+				}
+			}
+		}
+		for i := 0; i < 100; i++ {
+			pat := storage.RangePattern{S: randomRanges(), P: randomRanges(), O: randomRanges()}
+			var g, w []dict.Triple
+			one.EachRange(pat, func(x dict.Triple) bool { g = append(g, x); return true })
+			st.EachRange(pat, func(x dict.Triple) bool { w = append(w, x); return true })
+			if !slices.Equal(g, w) || one.CountRange(pat) != st.CountRange(pat) {
+				t.Fatalf("trial %d: EachRange(%v) = %v (%d), store %v (%d)", trial, pat, g, one.CountRange(pat), w, st.CountRange(pat))
+			}
+		}
+		got, want := stats.Collect(one), stats.Collect(st)
+		sameStats(t, got, want, triples)
+		for _, pos := range []byte("spo") {
+			if g, w := got.TopValues(pos, 5), want.TopValues(pos, 5); !slices.Equal(g, w) {
+				t.Fatalf("trial %d: TopValues(%c) = %v, store %v", trial, pos, g, w)
+			}
+		}
+		if g, w := got.TopPairsPO(5), want.TopPairsPO(5); !slices.Equal(g, w) {
+			t.Fatalf("trial %d: TopPairsPO = %v, store %v", trial, g, w)
+		}
+	}
+
+	var big []dict.Triple
+	for i := dict.ID(1); i <= 5000; i++ {
+		big = append(big, dict.Triple{S: i, P: 1 + i%7, O: i % 97})
+	}
+	st, one := storage.Build(d, big), shard.Build(d, big, 1)
+	n := 0
+	count := func(dict.Triple) bool { n++; return true }
+	if g, w := testing.AllocsPerRun(20, func() { one.Each(storage.Pattern{}, count) }),
+		testing.AllocsPerRun(20, func() { st.Each(storage.Pattern{}, count) }); g > w {
+		t.Fatalf("a full scan allocates %v on a one-shard store, %v on its store", g, w)
+	}
+	if g, w := testing.AllocsPerRun(20, func() { one.DistinctInPosition(storage.Pattern{}, 'o') }),
+		testing.AllocsPerRun(20, func() { st.DistinctInPosition(storage.Pattern{}, 'o') }); g > w {
+		t.Fatalf("counting distinct objects allocates %v on a one-shard store, %v on its store", g, w)
+	}
 }
 
 // Apply ≡ Build of the set result, shard by shard; untouched shards are
