@@ -150,7 +150,6 @@ func main() {
 		mgr, err = durable.Open(*dataDir, durable.Options{
 			SyncMode:        mode,
 			CheckpointBytes: int64(*checkpointMB) << 20,
-			Shards:          *shards,
 			Metrics:         reg,
 		})
 		if err != nil {

@@ -15,8 +15,8 @@ import (
 //
 //  1. no http.Error: it bypasses both the JSON envelope and
 //     classification — use s.writeError / s.writeAnswerError;
-//  2. the error-envelope literals (errorResponse, v1Error,
-//     v1ErrorBody) are constructed only inside writeError /
+//  2. the error-envelope literals (v1Error, v1ErrorBody) are
+//     constructed only inside writeError /
 //     writeAnswerError — anywhere else is a hand-rolled envelope that
 //     classify() never saw;
 //  3. journal.Outcome* constants are referenced only inside outcomeFor
@@ -46,9 +46,8 @@ var errclassMapperFuncs = map[string]bool{
 
 // errclassEnvelopeTypes are the error-envelope literals of rule 2.
 var errclassEnvelopeTypes = map[string]bool{
-	"errorResponse": true,
-	"v1Error":       true,
-	"v1ErrorBody":   true,
+	"v1Error":     true,
+	"v1ErrorBody": true,
 }
 
 func runErrclass(pass *Pass) error {

@@ -10,8 +10,6 @@ import (
 	"repro/internal/analysis/testdata/src/errclass/journal"
 )
 
-type errorResponse struct{ Error string }
-
 type v1Error struct{ Code, Message string }
 
 type v1ErrorBody struct{ Err v1Error }
@@ -28,7 +26,7 @@ func (s *server) writeError(w http.ResponseWriter, status int, code, msg string)
 }
 
 func (s *server) writeAnswerError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, errorResponse{Error: msg})
+	s.writeError(w, status, "answer", msg)
 }
 
 func classify(err error) (int, string) {
@@ -50,7 +48,7 @@ func (s *server) handleLegacy(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleHandRolled(w http.ResponseWriter, r *http.Request) {
-	resp := errorResponse{Error: "bad"}       // want "errorResponse literal outside writeError/writeAnswerError"
+	resp := v1Error{Message: "bad"}           // want "v1Error literal outside writeError/writeAnswerError"
 	writeJSON(w, http.StatusBadRequest, resp) // want "writeJSON with error status 400 outside writeError/writeAnswerError"
 }
 

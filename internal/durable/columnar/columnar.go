@@ -12,7 +12,8 @@
 // The package is deliberately low-level: it moves []rdf.Term and
 // []dict.Triple slices, not *graph.Graph values, so that package graph can
 // depend on it (for WriteSnapshot/ReadSnapshot) while the rest of the
-// durable subsystem depends on graph — no cycle.
+// durable subsystem depends on graph — no cycle. For the same reason it
+// owns the one atomic file write (WriteFileAtomic) both commit through.
 //
 // Layout (all integers are unsigned varints unless noted):
 //
@@ -36,6 +37,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
+	"path/filepath"
 	"sync"
 
 	"repro/internal/dict"
@@ -509,4 +512,48 @@ func noEOF(err error) error {
 		return io.ErrUnexpectedEOF
 	}
 	return err
+}
+
+// --- files -------------------------------------------------------------------
+
+// WriteFileAtomic is the crash-durability discipline of every file a data
+// directory commits to (snapshots and the manifest that points at them):
+// write goes to a uniquely named temp file (.snapshot-*.tmp) in path's
+// directory, so concurrent writers never share one; it is fsynced, renamed
+// over path, and the directory entry is fsynced. A crash at any point
+// leaves either the old file or the new one at path, never a partial one,
+// and a failed write leaves no temp file behind.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, ".snapshot-*.tmp")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return SyncDir(dir)
+}
+
+// SyncDir fsyncs a directory so a just-created or just-renamed entry
+// survives a crash.
+func SyncDir(dir string) error {
+	df, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer df.Close()
+	return df.Sync()
 }

@@ -3,16 +3,16 @@ package durable
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
-	"repro/internal/dict"
+	"repro/internal/durable/columnar"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/rdf"
-	"repro/internal/shard"
 	"repro/internal/trace"
 )
 
@@ -28,13 +28,11 @@ const manifestName = "MANIFEST.json"
 type Manifest struct {
 	// Snapshot is the snapshot file name inside the data directory;
 	// empty means no snapshot yet (recovery starts from an empty graph).
-	// When Shards is set, Snapshot names the base file (terms + schema,
-	// no data) of a sharded checkpoint.
 	Snapshot string `json:"snapshot"`
-	// Shards lists the data shard file names of a sharded checkpoint, in
-	// shard order (shard i = subject-hash partition i, see shard.Of).
-	// Empty for monolithic snapshots — the pre-sharding manifest shape
-	// unmarshals unchanged.
+	// Shards is legacy and read only: no writer sets it. Sharded servers
+	// once checkpointed to a base file (Snapshot: terms + schema, no data)
+	// plus the data-only files listed here; such a directory still
+	// recovers, and its next checkpoint prunes these files.
 	Shards []string `json:"shards,omitempty"`
 	// WALFrom is the lowest WAL segment number still needed; segments
 	// below it were captured by the snapshot and may be pruned.
@@ -59,12 +57,6 @@ type Options struct {
 	// bytes accumulate in the WAL since the last one. <= 0 disables
 	// automatic checkpoints (explicit /v1/admin/checkpoint still works).
 	CheckpointBytes int64
-	// Shards, when >= 2, makes checkpoints write the sharded layout: a
-	// base file plus N data shard files partitioned by shard.Of — the
-	// same subject-hash assignment the in-memory shard.Store uses — so a
-	// sharded server checkpoints and recovers per shard. Recovery honors
-	// whatever layout the manifest records, regardless of this setting.
-	Shards int
 	// Metrics, when non-nil, receives the wal.* and recovery.* families.
 	Metrics *metrics.Registry
 }
@@ -82,7 +74,6 @@ type Manager struct {
 	wal             *WAL
 	m               *metrics.Registry
 	checkpointBytes int64
-	shards          int
 
 	mu            sync.Mutex
 	manifest      Manifest
@@ -126,47 +117,32 @@ func Open(dir string, opts Options) (*Manager, error) {
 		wal:             w,
 		m:               opts.Metrics,
 		checkpointBytes: opts.CheckpointBytes,
-		shards:          opts.Shards,
 		manifest:        man,
 	}, nil
 }
 
 // LoadGraph loads the manifest's snapshot (an empty graph when none
 // exists yet). The snapshot's columnar sections decode with per-column
-// parallelism inside graph.LoadSnapshot; a sharded checkpoint also
-// decodes its shard files in parallel. The layout recovered is whatever
-// the manifest recorded — a server restarted with a different -shards
-// setting still recovers, and its next checkpoint rewrites the layout.
+// parallelism inside graph.LoadSnapshot, which also reads the data files
+// of a legacy manifest (see Manifest.Shards).
 func (mgr *Manager) LoadGraph(tr *trace.Tracer) (*graph.Graph, error) {
-	mgr.mu.Lock()
-	name := mgr.manifest.Snapshot
-	shardNames := append([]string(nil), mgr.manifest.Shards...)
-	mgr.mu.Unlock()
+	man := mgr.CurrentManifest()
 	span := tr.StartSpan("recovery.load_snapshot")
 	defer span.End()
 	start := time.Now()
-	if name == "" {
+	if man.Snapshot == "" {
 		span.SetStr("snapshot", "none")
 		return graph.ParseString("")
 	}
-	var (
-		g   *graph.Graph
-		err error
-	)
-	if len(shardNames) > 0 {
-		paths := make([]string, len(shardNames))
-		for i, sn := range shardNames {
-			paths[i] = filepath.Join(mgr.dir, sn)
-		}
-		g, err = graph.LoadShardedSnapshot(filepath.Join(mgr.dir, name), paths)
-		span.SetInt("shards", int64(len(shardNames)))
-	} else {
-		g, err = graph.LoadSnapshot(filepath.Join(mgr.dir, name))
+	dataFiles := make([]string, len(man.Shards))
+	for i, name := range man.Shards {
+		dataFiles[i] = filepath.Join(mgr.dir, name)
 	}
+	g, err := graph.LoadSnapshot(filepath.Join(mgr.dir, man.Snapshot), dataFiles...)
 	if err != nil {
-		return nil, fmt.Errorf("durable: snapshot %s: %w", name, err)
+		return nil, fmt.Errorf("durable: snapshot %s: %w", man.Snapshot, err)
 	}
-	span.SetStr("snapshot", name)
+	span.SetStr("snapshot", man.Snapshot)
 	span.SetInt("triples", int64(g.DataCount()))
 	mgr.m.Counter("recovery.snapshots_loaded").Inc()
 	mgr.m.Gauge("recovery.snapshot_ms").Set(time.Since(start).Milliseconds())
@@ -279,32 +255,13 @@ func (mgr *Manager) Checkpoint(g *graph.Graph) (retErr error) {
 		return fmt.Errorf("durable: checkpoint rotate: %w", err)
 	}
 	snapName := fmt.Sprintf("snapshot-%08d.col", cut)
-	var shardNames []string
-	if mgr.shards >= 2 {
-		// Sharded layout: one base file (terms + schema) plus one data
-		// file per subject-hash shard, partitioned by the same shard.Of
-		// the in-memory store uses. All files land atomically before the
-		// manifest swap makes the set current, so a crash mid-checkpoint
-		// leaves the old manifest pointing at the old (complete) set.
-		snapName = fmt.Sprintf("snapshot-%08d.base.col", cut)
-		shardNames = make([]string, mgr.shards)
-		for i := range shardNames {
-			shardNames[i] = fmt.Sprintf("snapshot-%08d.s%03d.col", cut, i)
-		}
-		n := mgr.shards
-		err = g.SaveShardedSnapshot(mgr.dir, snapName, shardNames, func(s dict.ID) int {
-			return shard.Of(s, n)
-		})
-	} else {
-		err = g.SaveSnapshot(filepath.Join(mgr.dir, snapName))
-	}
-	if err != nil {
+	if err := g.SaveSnapshot(filepath.Join(mgr.dir, snapName)); err != nil {
 		mgr.m.Counter("wal.checkpoint_errors").Inc()
 		return fmt.Errorf("durable: checkpoint snapshot: %w", err)
 	}
 	mgr.mu.Lock()
 	prev := mgr.manifest
-	next := Manifest{Snapshot: snapName, Shards: shardNames, WALFrom: cut}
+	next := Manifest{Snapshot: snapName, WALFrom: cut}
 	mgr.mu.Unlock()
 	if err := mgr.writeManifest(next); err != nil {
 		mgr.m.Counter("wal.checkpoint_errors").Inc()
@@ -328,35 +285,16 @@ func (mgr *Manager) writeManifest(man Manifest) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.CreateTemp(mgr.dir, ".manifest-*.tmp")
-	if err != nil {
+	return columnar.WriteFileAtomic(filepath.Join(mgr.dir, manifestName), func(w io.Writer) error {
+		_, err := w.Write(append(raw, '\n'))
 		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(append(raw, '\n')); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(mgr.dir, manifestName)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncWALDir(mgr.dir)
+	})
 }
 
 // prune removes WAL segments captured by the new snapshot and the
-// previous snapshot file set (base + any shard files). Best-effort:
-// leftovers cost disk, not correctness, and the next checkpoint retries.
+// previous snapshot's files, a legacy manifest's data files included.
+// Best-effort: leftovers cost disk, not correctness, and the next
+// checkpoint retries.
 func (mgr *Manager) prune(prev Manifest, cut int) {
 	segs, err := walSegments(mgr.dir)
 	if err != nil {
@@ -370,12 +308,8 @@ func (mgr *Manager) prune(prev Manifest, cut int) {
 		}
 	}
 	cur := mgr.CurrentManifest()
-	keep := map[string]bool{cur.Snapshot: true}
-	for _, name := range cur.Shards {
-		keep[name] = true
-	}
 	for _, name := range append([]string{prev.Snapshot}, prev.Shards...) {
-		if name != "" && !keep[name] {
+		if name != "" && name != cur.Snapshot {
 			os.Remove(filepath.Join(mgr.dir, name))
 		}
 	}

@@ -1,18 +1,23 @@
 package durable
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
-	"repro/internal/engine"
+	"repro/internal/durable/columnar"
 	"repro/internal/graph"
 	"repro/internal/rdf"
 )
 
-// snapshotFiles lists the snapshot files (monolithic, base and shard) in
-// a data directory.
+// snapshotFiles lists the snapshot files in a data directory.
 func snapshotFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	ents, err := os.ReadDir(dir)
@@ -44,141 +49,164 @@ func seedGraph(t *testing.T, n int) *graph.Graph {
 	return g
 }
 
-// TestManagerShardedCheckpointAndRecover: a sharded checkpoint writes a
-// base file plus N shard files, records them in the manifest, and
-// recovery rebuilds the identical graph — with or without sharding
-// enabled on the recovering side.
+// legacyShardedDir builds by hand the data directory a sharded server
+// once checkpointed g to: a base file (terms, schema, declarations, no
+// data), three data-only files and a manifest listing them under
+// "shards". It returns that manifest.
+func legacyShardedDir(t *testing.T, dir string, g *graph.Graph) Manifest {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := g.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := columnar.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3
+	parts := make([]columnar.Snapshot, n)
+	for _, tr := range snap.Data {
+		parts[int(tr.S)%n].Data = append(parts[int(tr.S)%n].Data, tr)
+	}
+	snap.Data = nil
+	write := func(name string, s *columnar.Snapshot) {
+		if err := columnar.WriteFileAtomic(filepath.Join(dir, name), func(w io.Writer) error {
+			return columnar.Write(w, s)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	man := Manifest{Snapshot: "snapshot-00000001.base.col", WALFrom: 1}
+	write(man.Snapshot, snap)
+	for i := range parts {
+		man.Shards = append(man.Shards, fmt.Sprintf("snapshot-00000001.s%03d.col", i))
+		write(man.Shards[i], &parts[i])
+	}
+	raw, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return man
+}
+
+// sameTriples compares two graphs' AllTriples as decoded terms: a replayed
+// insert may take other IDs than the same insert applied directly.
+func sameTriples(t *testing.T, what string, want, got *graph.Graph) {
+	t.Helper()
+	decoded := func(g *graph.Graph) []string {
+		var out []string
+		for _, tr := range g.AllTriples() {
+			out = append(out, g.Dict().DecodeTriple(tr).String())
+		}
+		sort.Strings(out)
+		return out
+	}
+	if x, y := decoded(want), decoded(got); !reflect.DeepEqual(x, y) {
+		t.Fatalf("%s: recovered %d triples %v, want %d %v", what, len(y), y, len(x), x)
+	}
+}
+
+// TestManagerShardedCheckpointAndRecover: a legacy sharded checkpoint
+// recovers to the same graph as the single-file checkpoint of the same
+// data.
 func TestManagerShardedCheckpointAndRecover(t *testing.T) {
-	dir := t.TempDir()
-	mgr, _ := recoverState(t, dir, Options{Shards: 4})
 	g := seedGraph(t, 40)
+	legacy := t.TempDir()
+	legacyShardedDir(t, legacy, g)
+	mgr, fromLegacy := recoverState(t, legacy, Options{})
+	mgr.Close()
+
+	mono := t.TempDir()
+	mgr, _ = recoverState(t, mono, Options{})
+	if err := mgr.Checkpoint(g); err != nil {
+		t.Fatal(err)
+	}
+	mgr.Close()
+	mgr, fromMono := recoverState(t, mono, Options{})
+	defer mgr.Close()
+	sameTriples(t, "single-file", g, fromMono)
+	// Both layouts carry the same dictionary, so even the IDs agree.
+	if !reflect.DeepEqual(fromMono.AllTriples(), fromLegacy.AllTriples()) {
+		t.Fatal("legacy recovery's AllTriples differ from the single-file recovery's")
+	}
+}
+
+// TestManagerShardedWALInterplay: a WAL tail replays on top of a legacy
+// sharded checkpoint.
+func TestManagerShardedWALInterplay(t *testing.T) {
+	dir := t.TempDir()
+	g := seedGraph(t, 20)
+	legacyShardedDir(t, dir, g)
+	mgr, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := []rdf.Triple{dataTriple("tail1", "o"), dataTriple("tail2", "o")}
+	if err := mgr.Append(Record{Op: OpInsert, Triples: tail}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	mgr, got := recoverState(t, dir, Options{})
+	defer mgr.Close()
+	if _, err := g.AddData(tail); err != nil {
+		t.Fatal(err)
+	}
+	sameTriples(t, "legacy + tail", g, got)
+}
+
+// TestManagerShardedCheckpointPrunes: the first checkpoint after a legacy
+// sharded one leaves exactly one snapshot-*.col and prunes the base and
+// data files.
+func TestManagerShardedCheckpointPrunes(t *testing.T) {
+	dir := t.TempDir()
+	old := legacyShardedDir(t, dir, seedGraph(t, 20))
+	mgr, g := recoverState(t, dir, Options{})
+	defer mgr.Close()
 	if err := mgr.Checkpoint(g); err != nil {
 		t.Fatal(err)
 	}
 	man := mgr.CurrentManifest()
-	if len(man.Shards) != 4 {
-		t.Fatalf("manifest shards = %v, want 4 entries", man.Shards)
+	if len(man.Shards) != 0 || !strings.HasSuffix(man.Snapshot, ".col") || strings.Contains(man.Snapshot, ".base.") {
+		t.Fatalf("checkpoint manifest %+v, want one snapshot file and no shards", man)
 	}
-	if !strings.Contains(man.Snapshot, ".base.") {
-		t.Fatalf("manifest snapshot %q is not a base file", man.Snapshot)
+	if left := snapshotFiles(t, dir); len(left) != 1 || left[0] != man.Snapshot {
+		t.Fatalf("after checkpoint %v remain, want exactly [%s]", left, man.Snapshot)
 	}
-	for _, name := range append([]string{man.Snapshot}, man.Shards...) {
-		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-			t.Fatalf("manifest file %s: %v", name, err)
-		}
-	}
-	if err := mgr.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Recover with sharding on, and again with sharding off: the layout
-	// in the manifest governs, not the reopening server's flag.
-	for _, opts := range []Options{{Shards: 4}, {}} {
-		mgr2, g2 := recoverState(t, dir, opts)
-		if g2.DataCount() != g.DataCount() {
-			t.Fatalf("opts %+v: recovered %d triples, want %d", opts, g2.DataCount(), g.DataCount())
-		}
-		a, b := g.AllTriples(), g2.AllTriples()
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("opts %+v: triple %d: %v != %v", opts, i, a[i], b[i])
-			}
-		}
-		mgr2.Close()
-	}
-}
-
-// TestManagerShardedCheckpointPrunes: the second sharded checkpoint
-// removes the first one's base and shard files.
-func TestManagerShardedCheckpointPrunes(t *testing.T) {
-	dir := t.TempDir()
-	mgr, _ := recoverState(t, dir, Options{Shards: 3})
-	defer mgr.Close()
-	g := seedGraph(t, 20)
-	if err := mgr.Checkpoint(g); err != nil {
-		t.Fatal(err)
-	}
-	first := mgr.CurrentManifest()
-	if err := mgr.Checkpoint(g); err != nil {
-		t.Fatal(err)
-	}
-	second := mgr.CurrentManifest()
-	left := snapshotFiles(t, dir)
-	want := append([]string{second.Snapshot}, second.Shards...)
-	if len(left) != len(want) {
-		t.Fatalf("after second checkpoint %v remain, want exactly %v", left, want)
-	}
-	for _, name := range append([]string{first.Snapshot}, first.Shards...) {
+	for _, name := range append([]string{old.Snapshot}, old.Shards...) {
 		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-			t.Fatalf("stale checkpoint file %s survived prune", name)
+			t.Fatalf("legacy file %s survived prune", name)
 		}
 	}
 }
 
-// TestManagerShardedToMonolithicTransition: reopening with sharding off
-// recovers the sharded checkpoint, and the next checkpoint rewrites the
-// monolithic layout and prunes every shard file.
+// TestManagerShardedToMonolithicTransition: after the first checkpoint the
+// manifest on disk no longer names data files, and the directory recovers
+// from the one snapshot file to the same graph.
 func TestManagerShardedToMonolithicTransition(t *testing.T) {
 	dir := t.TempDir()
-	mgr, _ := recoverState(t, dir, Options{Shards: 2})
 	g := seedGraph(t, 10)
-	if err := mgr.Checkpoint(g); err != nil {
+	legacyShardedDir(t, dir, g)
+	mgr, g1 := recoverState(t, dir, Options{})
+	if err := mgr.Checkpoint(g1); err != nil {
 		t.Fatal(err)
 	}
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	mgr2, g2 := recoverState(t, dir, Options{})
-	defer mgr2.Close()
-	if g2.DataCount() != g.DataCount() {
-		t.Fatalf("recovered %d triples, want %d", g2.DataCount(), g.DataCount())
-	}
-	if err := mgr2.Checkpoint(g2); err != nil {
+	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
 		t.Fatal(err)
 	}
-	man := mgr2.CurrentManifest()
-	if len(man.Shards) != 0 {
-		t.Fatalf("monolithic checkpoint left shards in manifest: %v", man.Shards)
+	if bytes.Contains(raw, []byte(`"shards"`)) {
+		t.Fatalf("manifest still lists data files: %s", raw)
 	}
-	for _, name := range snapshotFiles(t, dir) {
-		if name != man.Snapshot {
-			t.Fatalf("stale file %s after layout transition (current %s)", name, man.Snapshot)
-		}
-	}
-}
-
-// TestManagerShardedWALInterplay: records appended after a sharded
-// checkpoint replay on top of the sharded recovery, same as monolithic.
-func TestManagerShardedWALInterplay(t *testing.T) {
-	dir := t.TempDir()
-	mgr, g0 := recoverState(t, dir, Options{Shards: 2})
-	eng := engine.New(g0)
-	base := []rdf.Triple{dataTriple("a", "b"), dataTriple("c", "d")}
-	if err := eng.InsertData(base); err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.Append(Record{Op: OpInsert, Triples: base}); err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.Checkpoint(eng.Graph()); err != nil {
-		t.Fatal(err)
-	}
-	tail := []rdf.Triple{dataTriple("e", "f")}
-	if err := eng.InsertData(tail); err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.Append(Record{Op: OpInsert, Triples: tail}); err != nil {
-		t.Fatal(err)
-	}
-	want := eng.Graph().DataCount()
-	if err := mgr.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	mgr2, g2 := recoverState(t, dir, Options{Shards: 2})
-	defer mgr2.Close()
-	if g2.DataCount() != want {
-		t.Fatalf("recovered %d triples, want %d", g2.DataCount(), want)
-	}
+	mgr, g2 := recoverState(t, dir, Options{})
+	defer mgr.Close()
+	sameTriples(t, "after transition", g, g2)
 }

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/durable/columnar"
 	"repro/internal/metrics"
 )
 
@@ -200,7 +201,7 @@ func (w *WAL) openSegment(seg int) error {
 	if err != nil {
 		return err
 	}
-	if err := syncWALDir(w.dir); err != nil {
+	if err := columnar.SyncDir(w.dir); err != nil {
 		f.Close()
 		return err
 	}
@@ -211,15 +212,6 @@ func (w *WAL) openSegment(seg int) error {
 	w.m.Gauge("wal.segment").Set(int64(seg))
 	w.m.Gauge("wal.bytes").Set(0)
 	return nil
-}
-
-func syncWALDir(dir string) error {
-	df, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer df.Close()
-	return df.Sync()
 }
 
 // Append logs one record and blocks until it is acknowledged per the sync

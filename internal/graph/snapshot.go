@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -33,55 +34,12 @@ func (g *Graph) WriteSnapshot(w io.Writer) error {
 	return nil
 }
 
-// SaveSnapshot writes the snapshot to a file, atomically and crash-durably:
-// the payload goes to a uniquely named temp file in the target directory
-// (so concurrent saves never clobber each other mid-write), is fsynced
-// before the rename, and the directory entry is fsynced after it. A crash
-// at any point leaves either the old snapshot or the new one, never a
-// partial file at path.
+// SaveSnapshot writes the snapshot to a file, atomically and crash-durably
+// (columnar.WriteFileAtomic): concurrent saves never clobber each other
+// mid-write, and a crash at any point leaves either the old snapshot or
+// the new one, never a partial file at path.
 func (g *Graph) SaveSnapshot(path string) error {
-	return saveAtomic(path, g.WriteSnapshot)
-}
-
-// saveAtomic runs write against a temp file in path's directory, fsyncs,
-// renames over path and fsyncs the directory entry — the shared
-// crash-durability discipline of every snapshot file.
-func saveAtomic(path string, write func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".snapshot-*.tmp")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives a crash.
-func syncDir(dir string) error {
-	df, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer df.Close()
-	return df.Sync()
+	return columnar.WriteFileAtomic(path, g.WriteSnapshot)
 }
 
 // ReadSnapshot reconstructs a graph from a columnar snapshot stream (see
@@ -92,6 +50,15 @@ func syncDir(dir string) error {
 // the early repo included — is refused by its magic, and short reads are
 // hard errors: a truncated snapshot never loads as a smaller graph.
 func ReadSnapshot(r io.Reader) (*Graph, error) {
+	snap, err := decodeSnapshot(r)
+	if err != nil {
+		return nil, err
+	}
+	return buildFromSnapshot(snap)
+}
+
+// decodeSnapshot checks the magic and decodes one snapshot stream.
+func decodeSnapshot(r io.Reader) (*columnar.Snapshot, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	magic, err := br.Peek(len(columnar.Magic))
 	if err != nil {
@@ -107,14 +74,14 @@ func ReadSnapshot(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("graph: %w", err)
 	}
-	return buildFromSnapshot(snap.Terms, snap.Data, snap.Schema, snap.Classes, snap.Properties)
+	return snap, nil
 }
 
 // buildFromSnapshot validates decoded snapshot components and assembles
 // the graph.
-func buildFromSnapshot(terms []rdf.Term, data, schemaTriples []dict.Triple, classes, properties []dict.ID) (*Graph, error) {
+func buildFromSnapshot(snap *columnar.Snapshot) (*Graph, error) {
 	d := dict.New()
-	for i, term := range terms {
+	for i, term := range snap.Terms {
 		if !term.Valid() {
 			return nil, fmt.Errorf("graph: snapshot term %d invalid: %#v", i+1, term)
 		}
@@ -122,7 +89,7 @@ func buildFromSnapshot(terms []rdf.Term, data, schemaTriples []dict.Triple, clas
 			return nil, fmt.Errorf("graph: snapshot term table has duplicates (term %d)", i+1)
 		}
 	}
-	n := dict.ID(len(terms))
+	n := dict.ID(len(snap.Terms))
 	checkTriple := func(t dict.Triple, what string) error {
 		if t.S == dict.None || t.P == dict.None || t.O == dict.None ||
 			t.S > n || t.P > n || t.O > n {
@@ -131,19 +98,19 @@ func buildFromSnapshot(terms []rdf.Term, data, schemaTriples []dict.Triple, clas
 		return nil
 	}
 	b := schema.NewBuilder(d)
-	for _, id := range classes {
+	for _, id := range snap.Classes {
 		if id == dict.None || id > n {
 			return nil, fmt.Errorf("graph: snapshot class id %d unknown", id)
 		}
 		b.DeclareClass(d.Decode(id))
 	}
-	for _, id := range properties {
+	for _, id := range snap.Properties {
 		if id == dict.None || id > n {
 			return nil, fmt.Errorf("graph: snapshot property id %d unknown", id)
 		}
 		b.DeclareProperty(d.Decode(id))
 	}
-	for _, t := range schemaTriples {
+	for _, t := range snap.Schema {
 		if err := checkTriple(t, "schema"); err != nil {
 			return nil, err
 		}
@@ -155,24 +122,61 @@ func buildFromSnapshot(terms []rdf.Term, data, schemaTriples []dict.Triple, clas
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	for _, t := range data {
+	for _, t := range snap.Data {
 		if err := checkTriple(t, "data"); err != nil {
 			return nil, err
 		}
 	}
-	g := &Graph{d: d, schema: b.Close(), data: sortDedup(data)}
+	g := &Graph{d: d, schema: b.Close(), data: sortDedup(snap.Data)}
 	// Snapshots written after the interval encoding are already in DFS
 	// order, so this is the identity; older snapshots get re-encoded here.
 	g.Reencode()
 	return g, nil
 }
 
-// LoadSnapshot reads a snapshot file.
-func LoadSnapshot(path string) (*Graph, error) {
+// The role errors of a snapshot file set: the caller (the durable
+// manifest) pointed at the wrong file.
+var (
+	// ErrBaseHasData: data files were listed, but the first file carries
+	// data triples of its own.
+	ErrBaseHasData = errors.New("graph: snapshot base file carries data")
+	// ErrNotDataOnly: a data file carries terms, schema or declarations.
+	ErrNotDataOnly = errors.New("graph: snapshot data file is not data-only")
+)
+
+// LoadSnapshot reads a snapshot file. Any dataFiles are further snapshot
+// files that carry data triples and nothing else, in the dictionary of the
+// first, which then carries none: the layout sharded servers once
+// checkpointed to, read so their data directories still recover. Their
+// data is concatenated and re-sorted into the one graph, so the file order
+// does not matter and the result is the graph the single-file layout
+// holds. A role mix-up is ErrBaseHasData or ErrNotDataOnly.
+func LoadSnapshot(path string, dataFiles ...string) (*Graph, error) {
+	snap, err := readSnapshotFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if len(dataFiles) > 0 && len(snap.Data) != 0 {
+		return nil, fmt.Errorf("%w: %s has %d data triples", ErrBaseHasData, filepath.Base(path), len(snap.Data))
+	}
+	for _, p := range dataFiles {
+		part, err := readSnapshotFile(p)
+		if err != nil {
+			return nil, fmt.Errorf("graph: snapshot data file %s: %w", filepath.Base(p), err)
+		}
+		if len(part.Terms) != 0 || len(part.Schema) != 0 || len(part.Classes) != 0 || len(part.Properties) != 0 {
+			return nil, fmt.Errorf("%w: %s", ErrNotDataOnly, filepath.Base(p))
+		}
+		snap.Data = append(snap.Data, part.Data...)
+	}
+	return buildFromSnapshot(snap)
+}
+
+func readSnapshotFile(path string) (*columnar.Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadSnapshot(f)
+	return decodeSnapshot(f)
 }

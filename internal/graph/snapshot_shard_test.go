@@ -1,84 +1,100 @@
 package graph
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"path/filepath"
-	"strings"
 	"testing"
 
-	"repro/internal/dict"
+	"repro/internal/durable/columnar"
 )
 
-// shardedSave saves g in the sharded layout into dir with n shards using
-// a simple modulo partition, returning the base and shard paths.
-func shardedSave(t *testing.T, g *Graph, dir string, n int) (string, []string) {
+// legacyShardedSave writes g in the layout sharded servers once
+// checkpointed to, by hand: a base file with the terms, schema and
+// declarations and no data, plus n data-only files partitioned by subject
+// ID modulo n. It returns the base path and the data file paths.
+func legacyShardedSave(t *testing.T, g *Graph, dir string, n int) (string, []string) {
 	t.Helper()
-	names := make([]string, n)
-	paths := make([]string, n)
-	for i := range names {
-		names[i] = filepath.Base(dir) + "-shard" + string(rune('a'+i)) + ".col"
-		paths[i] = filepath.Join(dir, names[i])
-	}
-	if err := g.SaveShardedSnapshot(dir, "base.col", names, func(s dict.ID) int {
-		return int(s) % n
-	}); err != nil {
+	var buf bytes.Buffer
+	if err := g.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return filepath.Join(dir, "base.col"), paths
+	snap, err := columnar.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := make([]columnar.Snapshot, n)
+	for _, tr := range snap.Data {
+		parts[int(tr.S)%n].Data = append(parts[int(tr.S)%n].Data, tr)
+	}
+	snap.Data = nil
+	write := func(name string, s *columnar.Snapshot) string {
+		path := filepath.Join(dir, name)
+		if err := columnar.WriteFileAtomic(path, func(w io.Writer) error { return columnar.Write(w, s) }); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	files := make([]string, n)
+	for i := range parts {
+		files[i] = write(fmt.Sprintf("s%03d.col", i), &parts[i])
+	}
+	return write("base.col", snap), files
 }
 
+func sameTriples(t *testing.T, what string, a, b *Graph) {
+	t.Helper()
+	x, y := a.AllTriples(), b.AllTriples()
+	if len(x) != len(y) {
+		t.Fatalf("%s: triple counts differ: %d vs %d", what, len(x), len(y))
+	}
+	for i := range x {
+		if x[i] != y[i] {
+			t.Fatalf("%s: triple %d: %v != %v", what, i, x[i], y[i])
+		}
+	}
+}
+
+// TestShardedSnapshotRoundTrip: LoadSnapshot with data files rebuilds the
+// graph the legacy base + data-file layout was written from.
 func TestShardedSnapshotRoundTrip(t *testing.T) {
 	g, err := ParseString(sample)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1, 2, 4, 7} {
-		base, shards := shardedSave(t, g, t.TempDir(), n)
-		back, err := LoadShardedSnapshot(base, shards)
+		base, files := legacyShardedSave(t, g, t.TempDir(), n)
+		back, err := LoadSnapshot(base, files...)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		a, b := g.AllTriples(), back.AllTriples()
-		if len(a) != len(b) {
-			t.Fatalf("n=%d: triple counts differ: %d vs %d", n, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("n=%d: triple %d: %v != %v", n, i, a[i], b[i])
-			}
-		}
+		sameTriples(t, fmt.Sprintf("n=%d", n), g, back)
 		if g.Schema().String() != back.Schema().String() {
 			t.Fatalf("n=%d: schema differs", n)
 		}
 	}
 }
 
-// TestShardedSnapshotShardOrderIrrelevant: the assembly pass re-sorts, so
-// loading the shard files in any order rebuilds the identical graph.
+// TestShardedSnapshotShardOrderIrrelevant: the data re-sorts, so loading
+// the data files in any order rebuilds the identical graph.
 func TestShardedSnapshotShardOrderIrrelevant(t *testing.T) {
 	g, err := ParseString(sample)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, shards := shardedSave(t, g, t.TempDir(), 3)
-	reversed := []string{shards[2], shards[1], shards[0]}
-	back, err := LoadShardedSnapshot(base, reversed)
+	base, files := legacyShardedSave(t, g, t.TempDir(), 3)
+	back, err := LoadSnapshot(base, files[2], files[1], files[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := g.AllTriples(), back.AllTriples()
-	if len(a) != len(b) {
-		t.Fatalf("triple counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("triple %d: %v != %v", i, a[i], b[i])
-		}
-	}
+	sameTriples(t, "reversed", g, back)
 }
 
-// TestShardedSnapshotRejectsRoleMixups: a monolithic snapshot in the base
-// slot (it carries data) and a base file in a shard slot (it carries
-// terms) must both be rejected — they mean the manifest pointed at the
+// TestShardedSnapshotRejectsRoleMixups: a single-file snapshot in the
+// base slot (it carries data) and a base file in a data slot (it carries
+// terms) are both named errors — they mean the manifest pointed at the
 // wrong file.
 func TestShardedSnapshotRejectsRoleMixups(t *testing.T) {
 	g, err := ParseString(sample)
@@ -86,20 +102,20 @@ func TestShardedSnapshotRejectsRoleMixups(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	base, shards := shardedSave(t, g, dir, 2)
+	base, files := legacyShardedSave(t, g, dir, 2)
 	mono := filepath.Join(dir, "mono.col")
 	if err := g.SaveSnapshot(mono); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadShardedSnapshot(mono, shards); err == nil || !strings.Contains(err.Error(), "not a base file") {
-		t.Fatalf("monolithic snapshot as base: got %v, want 'not a base file'", err)
+	if _, err := LoadSnapshot(mono, files...); !errors.Is(err, ErrBaseHasData) {
+		t.Fatalf("single-file snapshot as base: got %v, want ErrBaseHasData", err)
 	}
-	if _, err := LoadShardedSnapshot(base, []string{shards[0], base}); err == nil || !strings.Contains(err.Error(), "not data-only") {
-		t.Fatalf("base file as shard: got %v, want 'not data-only'", err)
+	if _, err := LoadSnapshot(base, files[0], base); !errors.Is(err, ErrNotDataOnly) {
+		t.Fatalf("base file as data file: got %v, want ErrNotDataOnly", err)
 	}
 }
 
-// TestShardedSnapshotMissingShardFails: a missing shard file is a hard
+// TestShardedSnapshotMissingShardFails: a missing data file is a hard
 // error — recovery must never silently load a subset of the data.
 func TestShardedSnapshotMissingShardFails(t *testing.T) {
 	g, err := ParseString(sample)
@@ -107,21 +123,8 @@ func TestShardedSnapshotMissingShardFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	base, shards := shardedSave(t, g, dir, 2)
-	if _, err := LoadShardedSnapshot(base, append(shards, filepath.Join(dir, "missing.col"))); err == nil {
-		t.Fatal("missing shard file loaded without error")
-	}
-}
-
-func TestShardedSnapshotRejectsOutOfRangePartition(t *testing.T) {
-	g, err := ParseString(sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = g.SaveShardedSnapshot(t.TempDir(), "base.col", []string{"s0.col"}, func(dict.ID) int {
-		return 1
-	})
-	if err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("got %v, want out-of-range error", err)
+	base, files := legacyShardedSave(t, g, dir, 2)
+	if _, err := LoadSnapshot(base, append(files, filepath.Join(dir, "missing.col"))...); err == nil {
+		t.Fatal("missing data file loaded without error")
 	}
 }

@@ -26,10 +26,11 @@
 //	                     counts, skew ratio (see internal/shard)
 //
 // The unversioned spellings (/query, /healthz, …) predate /v1: most
-// still answer, marked with Deprecation/Sunset/Successor-Version
-// headers, but /dump and /slowlog have completed the sunset and answer
-// 410 Gone with a successor pointer; /v1 errors use the
-// {"error": {"code", "message"}} envelope (see v1.go).
+// still answer exactly as their /v1 route, marked with
+// Deprecation/Sunset/Successor-Version headers, but /dump and /slowlog
+// have completed the sunset and answer 410 Gone with a successor
+// pointer. Every error uses the {"error": {"code", "message"}} envelope
+// (see v1.go).
 //
 // With EnableAdmission, every evaluation first passes a cost-weighted
 // admission gate; shed queries answer 429/503 with Retry-After instead
@@ -172,32 +173,35 @@ func NewWithOptions(g *graph.Graph, prefixes map[string]string, reg *metrics.Reg
 
 	s.mux.HandleFunc("/", s.handleRoot)
 	// The /v1 surface.
-	s.mux.HandleFunc("/v1/query", func(w http.ResponseWriter, r *http.Request) { s.serveQuery(w, r, apiV1) })
-	s.mux.HandleFunc("/v1/explain", func(w http.ResponseWriter, r *http.Request) { s.serveExplain(w, r, apiV1) })
+	s.mux.HandleFunc("/v1/query", s.serveQuery)
+	s.mux.HandleFunc("/v1/explain", s.serveExplain)
 	s.mux.HandleFunc("/v1/healthz", s.handleHealth)
 	s.mux.HandleFunc("/v1/readyz", s.handleReady)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
-	s.mux.HandleFunc("/v1/metrics", func(w http.ResponseWriter, r *http.Request) { s.handleMetrics(w, r, apiV1) })
+	s.mux.HandleFunc("/v1/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/v1/slowlog", s.handleSlowlog)
 	s.mux.HandleFunc("/v1/debug/costmodel", s.handleCostModel)
 	s.mux.HandleFunc("/v1/dump", s.handleDump)
-	s.mux.HandleFunc("/v1/update", func(w http.ResponseWriter, r *http.Request) { s.handleUpdate(w, r, apiV1) })
+	s.mux.HandleFunc("/v1/update", s.handleUpdate)
 	s.mux.HandleFunc("/v1/admin/checkpoint", s.handleCheckpoint)
 	s.mux.HandleFunc("/v1/admin/shards", s.handleShards)
-	// Legacy unversioned spellings: still served, marked deprecated with a
-	// concrete Sunset date. Prometheus scrapers conventionally expect
-	// /metrics at the root, so the legacy spelling will outlive the others
-	// — but it advertises its /v1 successor like the rest.
-	s.mux.HandleFunc("/metrics", s.legacy("/metrics", func(w http.ResponseWriter, r *http.Request) { s.handleMetrics(w, r, apiLegacy) }))
-	s.mux.HandleFunc("/query", s.legacy("/query", func(w http.ResponseWriter, r *http.Request) { s.serveQuery(w, r, apiLegacy) }))
-	s.mux.HandleFunc("/explain", s.legacy("/explain", func(w http.ResponseWriter, r *http.Request) { s.serveExplain(w, r, apiLegacy) }))
-	s.mux.HandleFunc("/healthz", s.legacy("/healthz", s.handleHealth))
-	s.mux.HandleFunc("/stats", s.legacy("/stats", s.handleStats))
-	// /slowlog and /dump completed their deprecation cycle (PR 5 started
-	// it); the unversioned spellings now answer 410 Gone with a successor
-	// pointer instead of serving data.
-	s.mux.HandleFunc("/slowlog", s.gone("/slowlog"))
-	s.mux.HandleFunc("/dump", s.gone("/dump"))
+	// Legacy unversioned spellings, until their Sunset date: each serves
+	// its /v1 handler, marked deprecated. Prometheus scrapers
+	// conventionally expect /metrics at the root, so that spelling may
+	// outlive the others. /slowlog and /dump completed the cycle and
+	// answer 410 Gone with a successor pointer.
+	for path, h := range map[string]http.HandlerFunc{
+		"/query":   s.serveQuery,
+		"/explain": s.serveExplain,
+		"/metrics": s.handleMetrics,
+		"/healthz": s.handleHealth,
+		"/stats":   s.handleStats,
+	} {
+		s.mux.HandleFunc(path, s.legacy(path, h))
+	}
+	for _, path := range []string{"/slowlog", "/dump"} {
+		s.mux.HandleFunc(path, s.gone(path))
+	}
 	return s
 }
 
@@ -445,10 +449,6 @@ type ExploredJSON struct {
 	Reason  string  `json:"reason,omitempty"`
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
 // --- handlers ----------------------------------------------------------------
 
 func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {
@@ -588,9 +588,8 @@ func (s *Server) parseCQ(text string) (query.CQ, error) {
 	return u.CQs[0], nil
 }
 
-// serveQuery answers /query and /v1/query; v selects the response
-// dialect (legacy bodies vs the /v1 envelope and content negotiation).
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, v apiVersion) {
+// serveQuery answers /v1/query.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	id := requestID(r)
 	path := r.URL.Path
@@ -602,7 +601,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, v apiVersion
 	defer s.stateMu.RUnlock()
 	req, err := s.parseRequest(r)
 	if err != nil {
-		s.writeError(w, v, http.StatusBadRequest, CodeInvalidRequest, err.Error())
+		s.writeError(w, http.StatusBadRequest, CodeInvalidRequest, err.Error())
 		return
 	}
 	strategy := engine.Strategy(req.Strategy)
@@ -639,13 +638,13 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, v apiVersion
 	psp.End()
 	parseMillis = millisSince(parseStart)
 	if perr != nil {
-		s.writeError(w, v, http.StatusBadRequest, CodeParseError, perr.Error())
+		s.writeError(w, http.StatusBadRequest, CodeParseError, perr.Error())
 		return
 	}
 	if len(u.CQs) == 1 {
 		q := u.CQs[0]
 		if req.Explain == ExplainPlan {
-			s.serveExplainPlan(w, &eng, req, q, strategy, id, parseMillis, start, v)
+			s.serveExplainPlan(w, &eng, req, q, strategy, id, parseMillis, start)
 			return
 		}
 		sig = journal.QuerySig(q.CanonicalKey())
@@ -660,7 +659,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, v apiVersion
 		}
 	} else {
 		if req.Explain == ExplainPlan {
-			s.writeError(w, v, http.StatusBadRequest, CodeInvalidRequest,
+			s.writeError(w, http.StatusBadRequest, CodeInvalidRequest,
 				"explain (without analyze) supports single-BGP queries only")
 			return
 		}
@@ -675,7 +674,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, v apiVersion
 	if err != nil {
 		s.finishQuery(queryRecord{req: req, strategy: strategy, start: start,
 			parseMillis: parseMillis, id: id, root: root, path: path, sig: sig, err: err})
-		s.writeAnswerError(w, v, err)
+		s.writeAnswerError(w, err)
 		return
 	}
 	limit := req.Limit
@@ -701,7 +700,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, v apiVersion
 	s.finishQuery(queryRecord{req: req, strategy: strategy, start: start,
 		parseMillis: parseMillis, id: id, root: root, path: path, sig: sig,
 		ans: ans, rows: ans.Rows.Len()})
-	if v == apiV1 && wantsSPARQLJSON(r) {
+	if wantsSPARQLJSON(r) {
 		// The W3C document has no slot for metadata; truncation moves to
 		// a header so standard clients still learn about capped answers.
 		if truncated {
@@ -742,7 +741,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, v apiVersion
 // serveExplainPlan answers an EXPLAIN (without ANALYZE) request: the
 // estimated plan from the reformulator and the cost model, no execution.
 func (s *Server) serveExplainPlan(w http.ResponseWriter, eng *engine.Engine, req QueryRequest,
-	q query.CQ, strategy engine.Strategy, id string, parseMillis float64, start time.Time, v apiVersion) {
+	q query.CQ, strategy engine.Strategy, id string, parseMillis float64, start time.Time) {
 	var (
 		plan *engine.Plan
 		err  error
@@ -757,7 +756,7 @@ func (s *Server) serveExplainPlan(w http.ResponseWriter, eng *engine.Engine, req
 		plan, err = eng.Plan(q, strategy)
 	}
 	if err != nil {
-		s.writeError(w, v, http.StatusUnprocessableEntity, CodeQueryError, err.Error())
+		s.writeError(w, http.StatusUnprocessableEntity, CodeQueryError, err.Error())
 		return
 	}
 	resp := QueryResponse{
@@ -825,9 +824,8 @@ type MetricsResponse struct {
 }
 
 // handleMetrics serves Prometheus text format by default and the JSON
-// snapshot (including the slow-query ring) at /metrics?format=json; v
-// selects the error dialect.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, v apiVersion) {
+// snapshot (including the slow-query ring) at /metrics?format=json.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Burn-rate gauges are derived from the SLO rings on demand: scrapes
 	// see current windows without a background ticker.
 	s.slo.Publish(time.Now())
@@ -848,7 +846,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, v apiVers
 		}
 		writeJSON(w, http.StatusOK, resp)
 	default:
-		s.writeError(w, v, http.StatusBadRequest, CodeInvalidRequest,
+		s.writeError(w, http.StatusBadRequest, CodeInvalidRequest,
 			fmt.Sprintf("bad format %q (want prometheus or json)", r.URL.Query().Get("format")))
 	}
 }
@@ -874,18 +872,18 @@ func (s *Server) handleSlowlog(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) serveExplain(w http.ResponseWriter, r *http.Request, v apiVersion) {
+func (s *Server) serveExplain(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Counter("http.requests." + r.URL.Path).Inc()
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
 	req, err := s.parseRequest(r)
 	if err != nil {
-		s.writeError(w, v, http.StatusBadRequest, CodeInvalidRequest, err.Error())
+		s.writeError(w, http.StatusBadRequest, CodeInvalidRequest, err.Error())
 		return
 	}
 	q, err := s.parseCQ(req.Query)
 	if err != nil {
-		s.writeError(w, v, http.StatusBadRequest, CodeParseError, err.Error())
+		s.writeError(w, http.StatusBadRequest, CodeParseError, err.Error())
 		return
 	}
 	// The cover search, the admission gate and the evaluation are the
@@ -896,7 +894,7 @@ func (s *Server) serveExplain(w http.ResponseWriter, r *http.Request, v apiVersi
 	total, per := eng.Reformulator().CombinationCount(q)
 	ans, err := eng.AnswerContext(r.Context(), q, engine.RefGCov)
 	if err != nil {
-		s.writeAnswerError(w, v, err)
+		s.writeAnswerError(w, err)
 		return
 	}
 	resp := ExplainResponse{

@@ -186,12 +186,12 @@ func TestQueryErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			var er errorResponse
+			var er v1Error
 			if code := postJSON(t, ts.URL+"/query", c.req, &er); code != c.code {
 				t.Fatalf("status %d, want %d (%+v)", code, c.code, er)
 			}
-			if er.Error == "" {
-				t.Fatal("error message missing")
+			if er.Error.Code == "" || er.Error.Message == "" {
+				t.Fatalf("error envelope incomplete: %+v", er)
 			}
 		})
 	}
@@ -364,12 +364,12 @@ SELECT ?x WHERE { { ?x a ex:Person } UNION { ?x a ex:Publication } }`,
 		t.Fatalf("union answers = %d, want 2", resp.Total)
 	}
 	// Broken union is a 400.
-	var er errorResponse
+	var er v1Error
 	code = postJSON(t, ts.URL+"/query", QueryRequest{
 		Query: `SELECT ?x WHERE { { ?x a <http://C> } UNION { ?y a <http://D> } }`,
 	}, &er)
-	if code != http.StatusBadRequest {
-		t.Fatalf("unsafe union status %d", code)
+	if code != http.StatusBadRequest || er.Error.Code != CodeParseError {
+		t.Fatalf("unsafe union: status %d, envelope %+v", code, er)
 	}
 }
 

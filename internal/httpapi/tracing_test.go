@@ -229,8 +229,8 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	if ct := rj.Header.Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("json content type %q", ct)
 	}
-	var bad errorResponse
-	if code := getJSON(t, ts.URL+"/metrics?format=xml", &bad); code != http.StatusBadRequest {
-		t.Fatalf("bad format accepted: %d", code)
+	var bad v1Error
+	if code := getJSON(t, ts.URL+"/metrics?format=xml", &bad); code != http.StatusBadRequest || bad.Error.Code != CodeInvalidRequest {
+		t.Fatalf("bad format: status %d, envelope %+v", code, bad)
 	}
 }

@@ -74,17 +74,17 @@ func (s *Server) EnableDurability(mgr *durable.Manager) {
 
 // handleUpdate applies one update batch. See the file comment for the
 // locking and durability ordering.
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, v apiVersion) {
+func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.metrics.Counter("http.requests." + r.URL.Path).Inc()
 	if r.Method != http.MethodPost {
-		s.writeError(w, v, http.StatusBadRequest, CodeInvalidRequest,
+		s.writeError(w, http.StatusBadRequest, CodeInvalidRequest,
 			fmt.Sprintf("method %s not allowed", r.Method))
 		return
 	}
 	var req UpdateRequest
 	if err := decodeJSONBody(r, &req); err != nil {
-		s.writeError(w, v, http.StatusBadRequest, CodeInvalidRequest, err.Error())
+		s.writeError(w, http.StatusBadRequest, CodeInvalidRequest, err.Error())
 		return
 	}
 	type op struct {
@@ -98,7 +98,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, v apiVersi
 		}
 		ts, err := ntriples.ParseString(doc)
 		if err != nil {
-			s.writeError(w, v, http.StatusBadRequest, CodeParseError,
+			s.writeError(w, http.StatusBadRequest, CodeParseError,
 				fmt.Sprintf("%s: %v", what, err))
 			return false
 		}
@@ -113,7 +113,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, v apiVersi
 		return
 	}
 	if len(ops) == 0 {
-		s.writeError(w, v, http.StatusBadRequest, CodeInvalidRequest,
+		s.writeError(w, http.StatusBadRequest, CodeInvalidRequest,
 			"empty update: provide schemaAdd, delete or insert")
 		return
 	}
@@ -146,7 +146,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, v apiVersi
 		if err != nil {
 			s.stateMu.Unlock()
 			s.metrics.Counter("http.update_errors").Inc()
-			s.writeError(w, v, http.StatusUnprocessableEntity, CodeUpdateError, err.Error())
+			s.writeError(w, http.StatusUnprocessableEntity, CodeUpdateError, err.Error())
 			return
 		}
 		if s.durable != nil {
@@ -160,7 +160,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, v apiVersi
 			// tell the client the write is NOT durable so it can retry
 			// idempotently.
 			s.metrics.Counter("http.update_errors").Inc()
-			s.writeError(w, v, http.StatusInternalServerError, CodeStorageError, err.Error())
+			s.writeError(w, http.StatusInternalServerError, CodeStorageError, err.Error())
 			return
 		}
 	}
@@ -181,21 +181,21 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, v apiVersi
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Counter("http.requests." + r.URL.Path).Inc()
 	if r.Method != http.MethodPost {
-		s.writeError(w, apiV1, http.StatusBadRequest, CodeInvalidRequest,
+		s.writeError(w, http.StatusBadRequest, CodeInvalidRequest,
 			fmt.Sprintf("method %s not allowed", r.Method))
 		return
 	}
 	if s.durable == nil {
-		s.writeError(w, apiV1, http.StatusBadRequest, CodeInvalidRequest,
+		s.writeError(w, http.StatusBadRequest, CodeInvalidRequest,
 			"durability is disabled (start with -data-dir)")
 		return
 	}
 	if err := s.runCheckpoint("admin"); err != nil {
 		if err == durable.ErrCheckpointBusy {
-			s.writeError(w, apiV1, http.StatusConflict, CodeInvalidRequest, err.Error())
+			s.writeError(w, http.StatusConflict, CodeInvalidRequest, err.Error())
 			return
 		}
-		s.writeError(w, apiV1, http.StatusInternalServerError, CodeStorageError, err.Error())
+		s.writeError(w, http.StatusInternalServerError, CodeStorageError, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "checkpointed"})
@@ -269,7 +269,7 @@ func (b *Boot) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case "/healthz", "/v1/healthz":
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	default:
-		b.stub.writeError(w, apiV1, http.StatusServiceUnavailable, CodeLoading,
+		b.stub.writeError(w, http.StatusServiceUnavailable, CodeLoading,
 			"loading: recovery in progress")
 	}
 }

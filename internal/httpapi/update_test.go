@@ -10,6 +10,7 @@ import (
 	"repro/internal/durable"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/metrics"
 )
 
 // --- boot gate ---------------------------------------------------------------
@@ -166,8 +167,8 @@ func TestUpdateErrors(t *testing.T) {
 
 // newDurableServer builds a server over an empty graph with durability in
 // dir, mirroring refserve's boot sequence (Open → LoadGraph → Replay →
-// New → EnableDurability).
-func newDurableServer(t *testing.T, dir string) (*httptest.Server, *durable.Manager) {
+// New → EnableDurability); shards is the in-memory shard count.
+func newDurableServer(t *testing.T, dir string, shards int) (*httptest.Server, *durable.Manager) {
 	t.Helper()
 	mgr, err := durable.Open(dir, durable.Options{SyncMode: durable.SyncAlways})
 	if err != nil {
@@ -182,7 +183,8 @@ func newDurableServer(t *testing.T, dir string) (*httptest.Server, *durable.Mana
 	if _, err := mgr.Replay(eng, nil); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(eng.Graph(), map[string]string{"ex": "http://example.org/"})
+	srv := NewWithOptions(eng.Graph(), map[string]string{"ex": "http://example.org/"},
+		metrics.NewRegistry(), Options{Shards: shards})
 	srv.EnableDurability(mgr)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
@@ -193,7 +195,7 @@ func newDurableServer(t *testing.T, dir string) (*httptest.Server, *durable.Mana
 // data directory — the full WAL round trip through the HTTP layer.
 func TestUpdateDurableAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	ts, mgr := newDurableServer(t, dir)
+	ts, mgr := newDurableServer(t, dir, 1)
 
 	var resp UpdateResponse
 	code := postJSON(t, ts.URL+"/v1/update", UpdateRequest{
@@ -216,7 +218,7 @@ func TestUpdateDurableAcrossRestart(t *testing.T) {
 	}
 
 	// Restart: a second server over the same directory recovers the state.
-	ts2, _ := newDurableServer(t, dir)
+	ts2, _ := newDurableServer(t, dir, 1)
 	q := url.QueryEscape(`q(x) :- x rdf:type ex:Work`)
 	var compact struct {
 		Total int `json:"total"`
@@ -243,7 +245,7 @@ func TestCheckpointEndpoint(t *testing.T) {
 	// With durability: insert, checkpoint, restart — the snapshot carries
 	// the state even though the pre-checkpoint WAL segments are pruned.
 	dir := t.TempDir()
-	ts2, mgr := newDurableServer(t, dir)
+	ts2, mgr := newDurableServer(t, dir, 1)
 	var ur UpdateResponse
 	code := postJSON(t, ts2.URL+"/v1/update", UpdateRequest{
 		Insert: `<http://example.org/doi5> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/Book> .`,
@@ -267,7 +269,7 @@ func TestCheckpointEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ts3, _ := newDurableServer(t, dir)
+	ts3, _ := newDurableServer(t, dir, 1)
 	q := url.QueryEscape(`q(x) :- x rdf:type ex:Book`)
 	var compact struct {
 		Total int `json:"total"`

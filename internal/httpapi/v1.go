@@ -13,16 +13,8 @@ import (
 // This file holds the versioned /v1 surface: stable machine-readable
 // error codes, the W3C SPARQL 1.1 JSON results serialization, the
 // deprecation shim for legacy unversioned routes, and the admission /
-// drain lifecycle. The /v1 handlers share the legacy code paths — the
-// version only switches the response dialect.
-
-// apiVersion selects the response dialect of a shared handler.
-type apiVersion int
-
-const (
-	apiLegacy apiVersion = iota // unversioned routes: {"error": "..."} bodies
-	apiV1                       // /v1 routes: error envelope + content negotiation
-)
+// drain lifecycle. There is one dialect: a legacy route is its /v1
+// handler plus deprecation headers.
 
 // ErrorCode is a stable machine-readable /v1 error identifier. Codes are
 // API surface: clients switch on them instead of string-matching
@@ -85,8 +77,7 @@ type v1ErrorBody struct {
 // one-second backoff is the natural retry cadence.
 const retryAfterSeconds = "1"
 
-// classify maps an answering error onto (status, code). The legacy
-// dialect uses only the status; /v1 also emits the code.
+// classify maps an answering error onto (status, code).
 func classify(err error) (int, ErrorCode) {
 	switch {
 	case errors.Is(err, admission.ErrDraining):
@@ -102,27 +93,21 @@ func classify(err error) (int, ErrorCode) {
 	}
 }
 
-// writeError emits one error response in the dialect of v, counting it
+// writeError emits one error response in the /v1 envelope, counting it
 // and attaching Retry-After on shed statuses so well-behaved clients
 // back off instead of hammering a saturated gate.
-func (s *Server) writeError(w http.ResponseWriter, v apiVersion, status int, code ErrorCode, msg string) {
+func (s *Server) writeError(w http.ResponseWriter, status int, code ErrorCode, msg string) {
 	s.metrics.Counter("http.errors").Inc()
 	if status == http.StatusTooManyRequests || code == CodeDraining {
 		w.Header().Set("Retry-After", retryAfterSeconds)
 	}
-	if v == apiV1 {
-		writeJSON(w, status, v1Error{Error: v1ErrorBody{Code: code, Message: msg}})
-		return
-	}
-	writeJSON(w, status, errorResponse{msg})
+	writeJSON(w, status, v1Error{Error: v1ErrorBody{Code: code, Message: msg}})
 }
 
-// writeAnswerError classifies err and emits it; the legacy dialect keeps
-// its historical statuses (422 eval errors, 503 cancels) and gains 429
-// only for admission sheds, which did not exist before the gate.
-func (s *Server) writeAnswerError(w http.ResponseWriter, v apiVersion, err error) {
+// writeAnswerError classifies err and emits it.
+func (s *Server) writeAnswerError(w http.ResponseWriter, err error) {
 	status, code := classify(err)
-	s.writeError(w, v, status, code, err.Error())
+	s.writeError(w, status, code, err.Error())
 }
 
 // --- W3C SPARQL 1.1 JSON results ---------------------------------------------
@@ -171,8 +156,8 @@ func wantsSPARQLJSON(r *http.Request) bool {
 // stop working (as /dump and /slowlog already have — see Server.gone).
 const legacySunset = "Thu, 31 Dec 2026 23:59:59 GMT"
 
-// legacy wraps an unversioned handler with deprecation signaling: the
-// route keeps working, but every response advertises its /v1 successor
+// legacy serves an unversioned spelling with its /v1 handler h, adding
+// only deprecation signaling: every response advertises its /v1 successor
 // (Deprecation + Sunset + Successor-Version + an RFC 8288
 // successor-version link) and counts into http.legacy_requests so
 // removal can be data-driven.
@@ -267,9 +252,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	switch {
 	case s.Draining():
-		s.writeError(w, apiV1, http.StatusServiceUnavailable, CodeDraining, "server is draining")
+		s.writeError(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
 	case s.gate != nil && s.gate.Saturated():
-		s.writeError(w, apiV1, http.StatusServiceUnavailable, CodeOverloaded, "admission queue saturated")
+		s.writeError(w, http.StatusServiceUnavailable, CodeOverloaded, "admission queue saturated")
 	default:
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	}

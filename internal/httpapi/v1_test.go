@@ -90,11 +90,10 @@ func TestV1SPARQLResultsNegotiation(t *testing.T) {
 	if compact.Total != 1 || len(compact.Rows) != 1 {
 		t.Fatalf("compact answer: %+v", compact)
 	}
-	// Legacy /query ignores the negotiation: the media type is /v1 API
-	// surface only.
+	// Legacy /query is the /v1 handler: it negotiates the same way.
 	legacy := getWithAccept(t, ts.URL+"/query?q="+q, sparqlResultsMIME)
-	if ct := legacy.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("legacy Content-Type = %q, want application/json", ct)
+	if ct := legacy.Header.Get("Content-Type"); ct != sparqlResultsMIME {
+		t.Fatalf("legacy Content-Type = %q, want %q", ct, sparqlResultsMIME)
 	}
 }
 
@@ -145,13 +144,13 @@ func TestV1ErrorEnvelope(t *testing.T) {
 			t.Fatalf("%s: empty message", c.name)
 		}
 	}
-	// The legacy dialect keeps the flat {"error": "..."} shape.
-	var legacy errorResponse
+	// Legacy spellings answer errors in the same envelope, same status.
+	var legacy v1Error
 	if code := getJSON(t, ts.URL+"/query?q="+url.QueryEscape("q(x :- broken"), &legacy); code != http.StatusBadRequest {
 		t.Fatalf("legacy status %d", code)
 	}
-	if legacy.Error == "" {
-		t.Fatal("legacy error body missing")
+	if legacy.Error.Code != CodeParseError || legacy.Error.Message == "" {
+		t.Fatalf("legacy envelope %+v, want code %q", legacy, CodeParseError)
 	}
 }
 

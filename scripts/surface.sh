@@ -28,9 +28,10 @@ echo "option and configuration fields:"
 printf '  %-32s %6d\n' "httpapi.Options" "$(fields ./internal/httpapi.Options)"
 printf '  %-32s %6d\n' "engine.Engine (exported)" "$(fields ./internal/engine.Engine)"
 printf '  %-32s %6d\n' "exec.Evaluator (exported)" "$(fields ./internal/exec.Evaluator)"
+printf '  %-32s %6d\n' "durable.Options" "$(fields ./internal/durable.Options)"
 
 echo "exported identifiers (package-level + methods):"
-for pkg in cost engine exec httpapi; do
+for pkg in cost engine exec graph httpapi; do
 	top=$(go doc -short "./internal/$pkg" | grep -cE '^ *(func|type|const|var) ' || true)
 	methods=$(go doc -all "./internal/$pkg" | grep -cE '^func \(' || true)
 	printf '  %-32s %6d  (%d + %d)\n' "$pkg" $((top + methods)) "$top" "$methods"
