@@ -43,7 +43,6 @@ var metricLabelPrefixes = []string{
 	"viewcache.",
 	"plancache.",
 	"admission.",
-	"rangeref.",
 	"journal.",
 	"wal.",
 	"recovery.",

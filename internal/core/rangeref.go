@@ -247,73 +247,15 @@ func (r *RangeReformulator) atomAlternatives(a query.Atom, idx int) []rangeAlt {
 // substituted into the other atoms and the head exactly as the UCQ
 // enumeration does.
 func (r *RangeReformulator) Reformulate(q query.CQ) query.RangeUCQ {
-	n := len(q.Atoms)
-	perAtom := make([][]rangeAlt, n)
+	perAtom := make([][]rangeAlt, len(q.Atoms))
 	for i, a := range q.Atoms {
 		perAtom[i] = r.atomAlternatives(a, i)
 	}
 	u := query.RangeUCQ{HeadNames: query.HeadVarNames(q)}
-	choice := make([]int, n)
-	for {
-		merged := Binding{}
-		ok := true
-		for i := 0; i < n && ok; i++ {
-			for k, v := range perAtom[i][choice[i]].binding {
-				if old, exists := merged[k]; exists && old != v {
-					ok = false
-					break
-				}
-				merged[k] = v
-			}
-		}
-		if ok {
-			sub := make(map[string]query.Arg, len(merged))
-			for k, v := range merged {
-				sub[k] = query.Constant(v)
-			}
-			atoms := make([]query.RangeAtom, n)
-			for i := 0; i < n; i++ {
-				atoms[i] = perAtom[i][choice[i]].atom
-				if len(sub) > 0 {
-					atoms[i] = atoms[i].Substitute(sub)
-				}
-			}
-			head := make([]query.Arg, len(q.Head))
-			for i, h := range q.Head {
-				head[i] = h
-				if h.IsVar() {
-					if c, okb := merged[h.Var]; okb {
-						head[i] = query.Constant(c)
-					}
-				}
-			}
-			u.CQs = append(u.CQs, query.RangeCQ{Head: head, Atoms: atoms})
-		}
-		i := n - 1
-		for ; i >= 0; i-- {
-			choice[i]++
-			if choice[i] < len(perAtom[i]) {
-				break
-			}
-			choice[i] = 0
-		}
-		if i < 0 {
-			return u
-		}
-	}
-}
-
-// CombinationCount returns the number of range CQs before binding-
-// consistency filtering (the product of the per-atom alternative counts),
-// with the per-atom counts — the ref-range analogue of the UCQ blow-up
-// figures.
-func (r *RangeReformulator) CombinationCount(q query.CQ) (total int, perAtom []int) {
-	total = 1
-	perAtom = make([]int, len(q.Atoms))
-	for i, a := range q.Atoms {
-		n := len(r.atomAlternatives(a, i))
-		perAtom[i] = n
-		total *= n
-	}
-	return total, perAtom
+	parts := func(alt rangeAlt) (query.RangeAtom, Binding) { return alt.atom, alt.binding }
+	combine(q.Head, perAtom, parts, func(head []query.Arg, atoms []query.RangeAtom) bool {
+		u.CQs = append(u.CQs, query.RangeCQ{Head: head, Atoms: append([]query.RangeAtom(nil), atoms...)})
+		return true
+	})
+	return u
 }

@@ -275,15 +275,31 @@ func (r *Reformulator) EnumerateCQ(q query.CQ, fn func(query.CQ) bool) bool {
 }
 
 func (r *Reformulator) enumerate(q query.CQ, perAtom [][]AtomRef, fn func(query.CQ) bool) bool {
+	parts := func(ar AtomRef) (query.Atom, Binding) { return ar.Atom, ar.Binding }
+	return combine(q.Head, perAtom, parts, func(head []query.Arg, atoms []query.Atom) bool {
+		return fn(query.CQ{Head: head, Atoms: append([]query.Atom(nil), atoms...)})
+	})
+}
+
+// combine is the combination loop of both reformulators: every choice of one
+// alternative per atom of a query, in mixed-radix order (the last atom's
+// choice varies fastest), whose bindings agree. parts returns an
+// alternative's atom and binding. The agreed binding is substituted into the
+// chosen atoms and into head, whose bound variables become constants, and fn
+// receives each combination — its atoms in a buffer the next one reuses.
+// fn returning false stops the loop; combine reports whether it ran to
+// completion.
+func combine[T any, A interface{ Substitute(map[string]query.Arg) A }](
+	head []query.Arg, perAtom [][]T, parts func(T) (A, Binding), fn func(head []query.Arg, atoms []A) bool) bool {
 	n := len(perAtom)
 	choice := make([]int, n)
-	atoms := make([]query.Atom, n)
+	atoms := make([]A, n)
 	for {
-		// Merge bindings across the chosen per-atom reformulations.
 		merged := Binding{}
 		ok := true
 		for i := 0; i < n && ok; i++ {
-			for k, v := range perAtom[i][choice[i]].Binding {
+			_, b := parts(perAtom[i][choice[i]])
+			for k, v := range b {
 				if old, exists := merged[k]; exists && old != v {
 					ok = false
 					break
@@ -296,24 +312,23 @@ func (r *Reformulator) enumerate(q query.CQ, perAtom [][]AtomRef, fn func(query.
 			for k, v := range merged {
 				sub[k] = query.Constant(v)
 			}
-			for i := 0; i < n; i++ {
-				atoms[i] = perAtom[i][choice[i]].Atom.Substitute(sub)
-			}
-			head := make([]query.Arg, len(q.Head))
-			for i, h := range q.Head {
-				head[i] = h
-				if h.IsVar() {
-					if c, okb := merged[h.Var]; okb {
-						head[i] = query.Constant(c)
-					}
+			for i := range atoms {
+				atoms[i], _ = parts(perAtom[i][choice[i]])
+				if len(sub) > 0 {
+					atoms[i] = atoms[i].Substitute(sub)
 				}
 			}
-			cq := query.CQ{Head: head, Atoms: append([]query.Atom(nil), atoms...)}
-			if !fn(cq) {
+			bound := make([]query.Arg, len(head))
+			for i, h := range head {
+				bound[i] = h
+				if c, ok := merged[h.Var]; h.IsVar() && ok {
+					bound[i] = query.Constant(c)
+				}
+			}
+			if !fn(bound, atoms) {
 				return false
 			}
 		}
-		// Advance the mixed-radix counter.
 		i := n - 1
 		for ; i >= 0; i-- {
 			choice[i]++

@@ -68,10 +68,9 @@ func (m *Model) SetShards(n int) {
 func (m *Model) Shards() int { return m.shards }
 
 // Bind returns a model that prices query shapes (query.Lift) as the queries
-// they are with params bound: every plain atom's estimate reads the
-// statistics of the parameter's value. The plan cache searches a cover for a
-// shape with it, so the search is priced on the constants of the request
-// that missed. (A range union is priced after it is bound, never as a shape.)
+// they are with params bound: every atom's estimate, plain or ranged, reads
+// the statistics of the parameter's value. The plan cache plans a shape with
+// it, so a plan is priced on the constants of the request that missed.
 func (m *Model) Bind(params []dict.ID) *Model {
 	bound := *m
 	bound.params = params

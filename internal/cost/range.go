@@ -35,6 +35,9 @@ func (m *Model) RangeAtom(a query.RangeAtom) Estimate {
 	if !a.Ranged() {
 		return m.Atom(a.Plain())
 	}
+	if m.params != nil {
+		a.S.Arg, a.O.Arg = a.S.Arg.Bind(m.params), a.O.Arg.Bind(m.params)
+	}
 	card := m.st.RangeCard(a.RangePattern())
 	est := Estimate{Cost: m.scanCost(card), Card: card, V: map[string]float64{}}
 	relaxed := a.Plain().Pattern()

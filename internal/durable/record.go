@@ -76,6 +76,10 @@ func appendWALString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// minTripleBytes is the least a triple takes in a payload: three kind bytes
+// and three length bytes.
+const minTripleBytes = 6
+
 // decodeRecordPayload parses a record body. Every triple must decode and
 // the payload must be fully consumed — trailing bytes mean corruption.
 func decodeRecordPayload(raw []byte) (Record, error) {
@@ -94,9 +98,8 @@ func decodeRecordPayload(raw []byte) (Record, error) {
 		return Record{}, fmt.Errorf("durable: record truncated in triple count")
 	}
 	raw = raw[sz:]
-	if n > uint64(len(raw)) {
-		// Each triple needs at least 3 kind bytes + 3 length bytes; this
-		// cheap bound stops a corrupt count from driving allocation.
+	if n > uint64(len(raw)/minTripleBytes) {
+		// This cheap bound stops a corrupt count from driving allocation.
 		return Record{}, fmt.Errorf("durable: record claims %d triples in %d bytes", n, len(raw))
 	}
 	rec.Triples = make([]rdf.Triple, 0, n)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -318,6 +319,54 @@ func TestRecordPayloadCorruptionRejected(t *testing.T) {
 	if _, err := decodeRecordPayload(bad); err == nil {
 		t.Fatal("unknown op accepted")
 	}
+}
+
+// FuzzWALRecord: a record payload is bytes read back from disk, so the
+// decoder must answer any of them with a record or an error — never a
+// panic — allocate within a bound of the input's size, and decode the
+// re-encoding of any record it accepts to the same record.
+func FuzzWALRecord(f *testing.F) {
+	for _, r := range []Record{rec(OpInsert, 2, "i"), rec(OpDelete, 1, "d"), rec(OpSchema, 0, "s")} {
+		f.Add(encodeRecordPayload(nil, r))
+	}
+	both := Record{Op: OpInsert, Triples: []rdf.Triple{{S: iri("s"), P: iri("p"),
+		O: rdf.Term{Kind: rdf.Literal, Value: "v", Datatype: "http://www.w3.org/2001/XMLSchema#string", Lang: "en"}}}}
+	f.Add(encodeRecordPayload(nil, both))
+	whole := encodeRecordPayload(nil, rec(OpInsert, 3, "t"))
+	f.Add(whole[:len(whole)/2])
+	tripleSize := uint64(reflect.TypeOf(rdf.Triple{}).Size())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var (
+			got    Record
+			err    error
+			before runtime.MemStats
+			after  runtime.MemStats
+			grew   = ^uint64(0)
+		)
+		// The least of three decodes: the fuzzing engine's own goroutines
+		// allocate meanwhile, now and then.
+		for i := 0; i < 3; i++ {
+			runtime.ReadMemStats(&before)
+			got, err = decodeRecordPayload(data)
+			runtime.ReadMemStats(&after)
+			grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+		}
+		// The triple slice, the strings copied out of data, and slack for
+		// error text.
+		if limit := uint64(len(data))/minTripleBytes*tripleSize + uint64(len(data)) + 4<<10; grew > limit {
+			t.Fatalf("decoding %d bytes allocated %d bytes, over %d", len(data), grew, limit)
+		}
+		if err != nil {
+			return
+		}
+		again, err := decodeRecordPayload(encodeRecordPayload(nil, got))
+		if err != nil {
+			t.Fatalf("re-encoded record rejected: %v", err)
+		}
+		if !reflect.DeepEqual(again, got) {
+			t.Fatalf("round trip changed the record:\n%+v\n%+v", got, again)
+		}
+	})
 }
 
 func TestParseSyncMode(t *testing.T) {

@@ -44,9 +44,10 @@ const (
 	// RefGCov evaluates the JUCQ of the cover selected by the greedy
 	// cost-based search (the paper's contribution).
 	RefGCov Strategy = "ref-gcov"
-	// RefRange evaluates the range reformulation: under the hierarchy-aware
-	// interval ID encoding each CQ reformulates into a handful of range CQs
-	// whose interval-constrained scans stand for whole hierarchy unions.
+	// RefRange evaluates the one-block cover in range form: under the
+	// hierarchy-aware interval ID encoding the query's one fragment
+	// reformulates into a handful of range CQs whose interval-constrained
+	// scans stand for whole hierarchy unions.
 	RefRange Strategy = "ref-range"
 	// RefIncomplete evaluates the UCQ reformulation restricted to
 	// subClassOf/subPropertyOf rules — the fixed incomplete strategy of
@@ -250,8 +251,9 @@ func (e *Engine) SatStore() *storage.Store { return e.d.satStore() }
 func (e *Engine) SatStats() *stats.Stats { return e.d.satStats() }
 
 // EnableViewCache attaches a fragment-level view cache to the engine, which
-// every fragment-evaluating strategy (RefSCQ, RefJUCQ, RefGCov) consults. The
-// cache inherits the engine's metrics registry unless cfg names its own.
+// every fragment-evaluating strategy (RefSCQ, RefJUCQ, RefGCov, RefRange)
+// consults. The cache inherits the engine's metrics registry unless cfg
+// names its own.
 func (e *Engine) EnableViewCache(cfg viewcache.Config) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = e.Metrics

@@ -73,7 +73,6 @@ func (e *Engine) plan(q query.CQ, s Strategy, cover query.Cover) (*Plan, error) 
 //
 //reflint:nospanend plan spans are a rendered tree, never timed; Plan.Tree omits durations
 func (e *Engine) explain(p *prepared) *Plan {
-	e.price(p)
 	d := e.g.Dict()
 	root := trace.New(0).StartSpan("plan")
 	root.SetStr("strategy", string(p.strategy))
@@ -123,7 +122,7 @@ func (e *Engine) explain(p *prepared) *Plan {
 			fsp.SetInt("idx", int64(i))
 			fsp.SetStr("atoms", query.Cover{f.AtomIndexes}.String())
 			fsp.SetStr("q", query.FormatCQ(d, f.CQ))
-			fsp.SetInt("cqs", int64(len(f.UCQ.CQs)))
+			fsp.SetInt("cqs", int64(fragmentCQs(f)))
 			fsp.SetFloat("est_rows", frags[i].Card)
 			fsp.SetFloat("est_cost", frags[i].Cost)
 			explainUnion(fsp, p.model, d, f.Members, shards)
@@ -136,12 +135,6 @@ func (e *Engine) explain(p *prepared) *Plan {
 			jsp.SetFloat("est_rows", st.Out.Card)
 		}).Card
 		root.Child("project").SetStr("cols", strings.Join(p.jucq.HeadNames, ","))
-
-	case p.ranges != nil:
-		root.SetBool("cached", p.cachedPlan)
-		u := explainUnion(root, p.model, d, p.ranges.CQs, shards)
-		u.SetInt("range_atoms", int64(p.ranges.RangeAtoms()))
-		u.SetInt("expansions", int64(p.ranges.Expansions()))
 
 	case p.program != nil:
 		// The Datalog engine evaluates bottom-up to fixpoint; the cost model
@@ -164,14 +157,14 @@ func scatterNode(parent *trace.Span, op string, n int) *trace.Span {
 	return sc
 }
 
-// explainUnion adds under parent the "union" node of a union's members — a
-// range reformulation's, a JUCQ fragment's merged ones — with one "cq" node
-// per member; range reformulations and merged fragments are small, so no
-// elision is needed. Against shards the co-partitioned group evaluates
-// shard-locally in one scatter, the rest stay central, as in the executor.
+// explainUnion adds under parent the "union" node of a JUCQ fragment's
+// members — merged, or the range reformulation's — with one "cq" node per
+// member; both are small, so no elision is needed. Against shards the
+// co-partitioned group evaluates shard-locally in one scatter, the rest stay
+// central, as in the executor.
 //
 //reflint:nospanend plan spans are a rendered tree, never timed; Plan.Tree omits durations
-func explainUnion(parent *trace.Span, m *cost.Model, d *dict.Dict, members []query.RangeCQ, shards int) *trace.Span {
+func explainUnion(parent *trace.Span, m *cost.Model, d *dict.Dict, members []query.RangeCQ, shards int) {
 	u := parent.Child("union")
 	u.SetInt("cqs", int64(len(members)))
 	if shards > 1 {
@@ -187,7 +180,6 @@ func explainUnion(parent *trace.Span, m *cost.Model, d *dict.Dict, members []que
 	for _, cq := range members {
 		explainCQ(u, m, d, cq, shards)
 	}
-	return u
 }
 
 // explainCQ adds under parent the plan the cost model prices — and the

@@ -15,7 +15,6 @@ import (
 	"repro/internal/datalog"
 	"repro/internal/dict"
 	"repro/internal/exec"
-	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -33,10 +32,10 @@ import (
 // A request's prepared holds pointers into the version it was built on (src,
 // stats, model) and lives as long as the request. The ones the plan cache
 // shares across requests, and across data changes, hold none, and stand for
-// a whole query shape: q, jucq and ranges carry parameters where the
-// requests' instance constants go (query.Lift). prepare hands each request
-// its own copy of a shared value — which is never written to — with the
-// request's constants bound in, and binds that copy to the request's version.
+// a whole query shape: q and jucq carry parameters where the requests'
+// instance constants go (query.Lift). prepare hands each request its own
+// copy of a shared value — which is never written to — with the request's
+// constants bound in, and binds that copy to the request's version.
 type prepared struct {
 	key      string // plan-cache key; empty for a plan that is not cached
 	strategy Strategy
@@ -45,11 +44,10 @@ type prepared struct {
 	// $1, $2, …, and the selectivity class of each atom holding one.
 	shape, classes string
 
-	// What to evaluate: exactly one of stream, jucq, ranges and program, or
-	// none of them — then it is q itself.
+	// What to evaluate: exactly one of stream, jucq and program, or none of
+	// them — then it is q itself.
 	stream  *core.Reformulator // the union of q's reformulations, enumerated lazily
 	jucq    *query.JUCQ
-	ranges  *query.RangeUCQ
 	program *datalog.Program
 	// frags derives the view-cache keys of jucq's fragments; the request's
 	// are kept in fragKeys once something asked for them. fragEsts, shared
@@ -62,8 +60,7 @@ type prepared struct {
 	// Against which database: the explicit data plus the closed schema
 	// (Source, Stats, CostModel), or G∞ for Sat (SatStore, SatStats,
 	// SatCostModel). A Datalog program reads the graph itself and has no
-	// src; a range union counts exactly from the indexes and has no stats,
-	// and no model until it is priced. All nil on a plan in the cache.
+	// src. All nil on a plan in the cache.
 	src   exec.Source
 	stats *stats.Stats
 	model *cost.Model
@@ -91,10 +88,10 @@ type prepared struct {
 // evaluated — and records that work as a "reformulate" (or, for the cover
 // search, "plan") span under sp. The cover is the caller's, for RefJUCQ.
 //
-// What the JUCQ and range strategies prepare reads the schema and the
-// query's shape only, so it goes through the plan cache (planned); Sat has
-// nothing to prepare, the UCQ strategies enumerate their union lazily and
-// Dat encodes the data itself — nothing schema-only to keep.
+// What the JUCQ strategies — ref-range among them — prepare reads the
+// schema and the query's shape only, so it goes through the plan cache
+// (planned); Sat has nothing to prepare, the UCQ strategies enumerate their
+// union lazily and Dat encodes the data itself — nothing schema-only to keep.
 func (e *Engine) prepare(q query.CQ, s Strategy, cover query.Cover, sp *trace.Span) (prepared, error) {
 	p := prepared{strategy: s, q: q, cqs: 1}
 	start := time.Now()
@@ -178,23 +175,41 @@ func planGCov(e *Engine, t *prepared, _ query.Cover, bound int, m *cost.Model) e
 	return nil
 }
 
-// planRange: the range reformulation — a small union of range CQs, one per
-// combination of per-atom interval alternatives (a handful, not the
-// thousands of atomic CQs ref-ucq enumerates), evaluated with
-// interval-constrained scans plus hierarchy expansions. Evaluating it needs
-// no statistics, so it is left unpriced (see price).
-func planRange(e *Engine, t *prepared, _ query.Cover, _ int, _ *cost.Model) error {
+// planRange: the one-block cover in range form. The query is its own
+// fragment, with its own head, so the join projects nothing; the range
+// reformulation fills it — a small union of range CQs, one per combination
+// of per-atom interval alternatives (a handful, not the thousands of atomic
+// CQs ref-ucq enumerates), evaluated with interval-constrained scans plus
+// hierarchy expansions.
+func planRange(e *Engine, t *prepared, _ query.Cover, _ int, m *cost.Model) error {
 	ru := e.RangeReformulator().Reformulate(t.q)
-	t.ranges, t.cqs = &ru, len(ru.CQs)
+	cover := query.OneBlockCover(len(t.q.Atoms))
+	j := query.JUCQ{HeadNames: ru.HeadNames, Cover: cover, Fragments: []query.Fragment{{
+		AtomIndexes: cover[0],
+		CQ:          query.NewCQ(ru.HeadNames, t.q.Atoms),
+		UCQ:         query.UCQ{HeadNames: ru.HeadNames},
+		Members:     ru.CQs,
+	}}}
+	ests := []cost.Estimate{m.RangeUCQ(ru)}
+	t.setJUCQ(j, cover, ests, m.JoinFragments(ests, nil))
 	return nil
 }
 
 func (p *prepared) setJUCQ(j query.JUCQ, cover query.Cover, fragEsts []cost.Estimate, est cost.Estimate) {
 	p.jucq, p.cover, p.fragEsts, p.est, p.cqs = &j, cover, fragEsts, est, 0
 	for _, f := range j.Fragments {
-		p.cqs += len(f.UCQ.CQs)
+		p.cqs += fragmentCQs(f)
 	}
 	p.frags = newFragmentKeyer(&j)
+}
+
+// fragmentCQs is the size of a fragment's reformulation: its UCQ's, or in
+// the range form, which has no UCQ members, its range CQs'.
+func fragmentCQs(f query.Fragment) int {
+	if len(f.UCQ.CQs) == 0 {
+		return len(f.Members)
+	}
+	return len(f.UCQ.CQs)
 }
 
 // classFactor is the width of a selectivity class: two constants share a
@@ -295,33 +310,13 @@ func (e *Engine) planned(p *prepared, sp *trace.Span, span string, cover query.C
 		psp.SetStr("classes", p.classes)
 		psp.SetBool("cached", cached)
 	}
-	switch {
-	case p.jucq != nil:
-		p.src, p.stats, p.model = e.Source(), e.Stats(), e.CostModel()
-		if psp != nil {
-			psp.SetStr("cover", p.cover.String())
-			psp.SetInt("cqs", int64(p.cqs))
-			psp.SetFloat("est_cost", p.est.Cost)
-			if p.explored != nil {
-				psp.SetInt("explored", int64(len(p.explored)))
-			}
-		}
-	case p.ranges != nil:
-		p.src = e.Source()
-		ru := p.ranges
-		if psp != nil {
-			e.price(p)
-			psp.SetInt("cqs", int64(len(ru.CQs)))
-			psp.SetInt("range_atoms", int64(ru.RangeAtoms()))
-			psp.SetInt("expansions", int64(ru.Expansions()))
-			psp.SetFloat("est_cost", p.est.Cost)
-		}
-		if m := e.Metrics; m != nil {
-			m.Counter("rangeref.queries").Inc()
-			m.Histogram("rangeref.cqs", metrics.DefaultSizeBuckets...).
-				Observe(float64(len(ru.CQs)))
-			m.Counter("rangeref.range_atoms").Add(int64(ru.RangeAtoms()))
-			m.Counter("rangeref.expansions").Add(int64(ru.Expansions()))
+	p.src, p.stats, p.model = e.Source(), e.Stats(), e.CostModel()
+	if psp != nil {
+		psp.SetStr("cover", p.cover.String())
+		psp.SetInt("cqs", int64(p.cqs))
+		psp.SetFloat("est_cost", p.est.Cost)
+		if p.explored != nil {
+			psp.SetInt("explored", int64(len(p.explored)))
 		}
 	}
 	return nil
@@ -336,29 +331,22 @@ func (p *prepared) bind() {
 	if len(p.params) == 0 {
 		return
 	}
-	if p.jucq != nil {
-		j := *p.jucq
-		j.Fragments = make([]query.Fragment, len(p.jucq.Fragments))
-		for i, f := range p.jucq.Fragments {
-			if len(p.frags.slots[i]) > 0 {
-				f = f.Bind(p.params)
-			}
-			j.Fragments[i] = f
+	j := *p.jucq
+	j.Fragments = make([]query.Fragment, len(p.jucq.Fragments))
+	for i, f := range p.jucq.Fragments {
+		if len(p.frags.slots[i]) > 0 {
+			f = f.Bind(p.params)
 		}
-		p.jucq = &j
+		j.Fragments[i] = f
 	}
-	if p.ranges != nil {
-		ru := p.ranges.Bind(p.params)
-		p.ranges = &ru
-	}
+	p.jucq = &j
 }
 
 // fragmentKeyer derives the view-cache keys of a cached JUCQ plan's
-// fragments. Canonicalizing a fragment costs microseconds per member CQ,
-// over hundreds of members, so it is done on the shape, once per plan and
-// only when something first asks for keys (an attached view cache, a
-// consumer of Answer.FragmentSigs); a request's key is then a hash of that
-// signature and the constants it binds in the fragment.
+// fragments. A fragment is keyed by its query, canonicalized on the shape,
+// once per plan and only when something first asks for keys (an attached
+// view cache, a consumer of Answer.FragmentSigs); a request's key is then a
+// hash of that signature and the constants it binds in the fragment.
 type fragmentKeyer struct {
 	slots [][]int         // per fragment, the parameter slots occurring in it
 	sigs  func() []string // per fragment, viewcache.Signature of its shape
@@ -367,8 +355,7 @@ type fragmentKeyer struct {
 func newFragmentKeyer(shape *query.JUCQ) *fragmentKeyer {
 	k := &fragmentKeyer{slots: make([][]int, len(shape.Fragments))}
 	for i, f := range shape.Fragments {
-		// Every member carries the subject and object constants of the
-		// fragment's own atoms, so those atoms name the slots.
+		// The parameters of a fragment are those of its query's atoms.
 		for _, t := range f.CQ.Atoms {
 			for _, a := range [2]query.Arg{t.S, t.O} {
 				if slot, ok := a.Slot(); ok {
@@ -380,7 +367,7 @@ func newFragmentKeyer(shape *query.JUCQ) *fragmentKeyer {
 	k.sigs = sync.OnceValue(func() []string {
 		sigs := make([]string, len(shape.Fragments))
 		for i, f := range shape.Fragments {
-			sigs[i] = viewcache.Signature(f.UCQ)
+			sigs[i] = viewcache.Signature(f.CQ)
 		}
 		return sigs
 	})
@@ -412,16 +399,6 @@ func (p *prepared) fragmentKeys() []string {
 	return p.fragKeys
 }
 
-// price estimates a range union, the one shape prepare leaves unpriced:
-// evaluating it needs no statistics, so the estimate is only made when
-// something consumes it — a trace, the admission gate, EXPLAIN.
-func (e *Engine) price(p *prepared) {
-	if p.ranges != nil && p.model == nil {
-		p.model = e.CostModel()
-		p.est = p.model.RangeUCQ(*p.ranges)
-	}
-}
-
 // prepareDatalog: graph, constraints and query encoded as one program. The
 // fixpoint touches the whole graph whatever the query, so the data size is
 // the natural cost proxy.
@@ -441,9 +418,6 @@ func (e *Engine) prepareDatalog(p *prepared, sp *trace.Span) error {
 // "eval" span, the Answer. Queue wait counts against neither the budget
 // (its clock starts at evaluation) nor EvalTime.
 func (e *Engine) execute(ctx context.Context, p *prepared, sp *trace.Span) (*Answer, error) {
-	if e.Admission != nil {
-		e.price(p)
-	}
 	charge := p.est.Cost
 	if p.proxy > 0 {
 		charge = p.proxy
@@ -502,8 +476,6 @@ func (e *Engine) eval(ctx context.Context, p *prepared, ev *exec.Evaluator) (*ex
 	switch {
 	case p.jucq != nil:
 		return ev.EvalJUCQContext(ctx, *p.jucq)
-	case p.ranges != nil:
-		return ev.EvalRangeUCQContext(ctx, *p.ranges)
 	case p.stream != nil:
 		return ev.EvalUCQStreamContext(ctx, query.HeadVarNames(p.q), func(fn func(query.CQ) bool) {
 			p.stream.EnumerateCQ(p.q, fn)

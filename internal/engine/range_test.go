@@ -11,6 +11,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/rdf"
 	"repro/internal/testutil"
+	"repro/internal/viewcache"
 )
 
 // TestRefRangeMatchesRefUCQ: on a fixed graph, ref-range must return exactly
@@ -91,11 +92,13 @@ func decodedCanon(d *dict.Dict, a *Answer) string {
 	return strings.Join(lines, "\n")
 }
 
-// TestRefRangeAgreesRandomAcrossUpdates is the tentpole's property test:
-// over random hierarchies, data and queries, ref-range stays byte-identical
-// to ref-ucq — and remains so after data inserts, deletes and TBox updates
-// (each TBox update re-encodes the dictionary, so the query is re-encoded
-// the way a re-submitted textual query would be).
+// TestRefRangeAgreesRandomAcrossUpdates is the range form's property test:
+// over random hierarchies, data and queries, at 1 and 4 shards and with the
+// view cache on, ref-range stays byte-identical to ref-ucq and equal to Sat —
+// and remains so after data inserts, deletes and TBox updates (each TBox
+// update re-encodes the dictionary, so the query is re-encoded the way a
+// re-submitted textual query would be). Asked again, ref-range is served
+// from the view cache.
 func TestRefRangeAgreesRandomAcrossUpdates(t *testing.T) {
 	iters := 12
 	if testing.Short() {
@@ -104,83 +107,102 @@ func TestRefRangeAgreesRandomAcrossUpdates(t *testing.T) {
 	for seed := 0; seed < iters; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(81000 + seed)))
-			sc, err := testutil.RandomScenario(rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := New(sc.Graph)
-			q := sc.RandomQuery(rng)
+			for _, shards := range []int{1, 4} {
+				shards := shards
+				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(81000 + seed)))
+					sc, err := testutil.RandomScenario(rng)
+					if err != nil {
+						t.Fatal(err)
+					}
+					e := New(sc.Graph)
+					e.EnableSharding(shards)
+					e.EnableViewCache(viewcache.Config{MinCost: -1}) // admit everything
+					q := sc.RandomQuery(rng)
 
-			check := func(step string) {
-				d := e.Graph().Dict()
-				want, err := e.Answer(q, RefUCQ)
-				if err != nil {
-					t.Fatalf("%s ref-ucq: %v", step, err)
-				}
-				got, err := e.Answer(q, RefRange)
-				if err != nil {
-					t.Fatalf("%s ref-range: %v", step, err)
-				}
-				if !got.Rows.Equal(want.Rows) {
-					t.Fatalf("%s: ref-range %d rows != ref-ucq %d rows on %s",
-						step, got.Rows.Len(), want.Rows.Len(),
-						query.FormatCQ(d, q))
-				}
-				if decodedCanon(d, got) != decodedCanon(d, want) {
-					t.Fatalf("%s: decoded answers differ on %s",
-						step, query.FormatCQ(d, q))
-				}
-				// A fresh engine over the same graph must agree too: catches
-				// stale caches surviving an update.
-				fresh, err := New(e.Graph()).Answer(q, RefRange)
-				if err != nil {
-					t.Fatalf("%s fresh ref-range: %v", step, err)
-				}
-				if !fresh.Rows.Equal(got.Rows) {
-					t.Fatalf("%s: cached engine %d rows != fresh engine %d rows",
-						step, got.Rows.Len(), fresh.Rows.Len())
-				}
-			}
+					check := func(step string) {
+						d := e.Graph().Dict()
+						want, err := e.Answer(q, RefUCQ)
+						if err != nil {
+							t.Fatalf("%s ref-ucq: %v", step, err)
+						}
+						sat, err := e.Answer(q, Sat)
+						if err != nil {
+							t.Fatalf("%s sat: %v", step, err)
+						}
+						got, err := e.Answer(q, RefRange)
+						if err != nil {
+							t.Fatalf("%s ref-range: %v", step, err)
+						}
+						if !got.Rows.Equal(want.Rows) {
+							t.Fatalf("%s: ref-range %d rows != ref-ucq %d rows on %s",
+								step, got.Rows.Len(), want.Rows.Len(),
+								query.FormatCQ(d, q))
+						}
+						if decodedCanon(d, got) != decodedCanon(d, sat) {
+							t.Fatalf("%s: ref-range and sat answers differ on %s",
+								step, query.FormatCQ(d, q))
+						}
+						again, err := e.Answer(q, RefRange)
+						if err != nil {
+							t.Fatalf("%s ref-range again: %v", step, err)
+						}
+						if again.CachedFragments < 1 || !again.Rows.Equal(got.Rows) {
+							t.Fatalf("%s: a repeated ref-range answer: %d cached fragments, %d rows after %d",
+								step, again.CachedFragments, again.Rows.Len(), got.Rows.Len())
+						}
+						// A fresh engine over the same graph must agree too: catches
+						// stale caches surviving an update.
+						fresh, err := New(e.Graph()).Answer(q, RefRange)
+						if err != nil {
+							t.Fatalf("%s fresh ref-range: %v", step, err)
+						}
+						if !fresh.Rows.Equal(got.Rows) {
+							t.Fatalf("%s: cached engine %d rows != fresh engine %d rows",
+								step, got.Rows.Len(), fresh.Rows.Len())
+						}
+					}
 
-			check("initial")
-			decoded := sc.Graph.DecodedData()
-			if len(decoded) == 0 {
-				t.Skip("empty scenario")
-			}
-			for step := 0; step < 5; step++ {
-				switch rng.Intn(3) {
-				case 0:
-					tr := decoded[rng.Intn(len(decoded))]
-					if _, err := e.DeleteData([]rdf.Triple{tr}); err != nil {
-						t.Fatal(err)
+					check("initial")
+					decoded := sc.Graph.DecodedData()
+					if len(decoded) == 0 {
+						t.Skip("empty scenario")
 					}
-				case 1:
-					tr := decoded[rng.Intn(len(decoded))]
-					if err := e.InsertData([]rdf.Triple{tr}); err != nil {
-						t.Fatal(err)
+					for step := 0; step < 5; step++ {
+						switch rng.Intn(3) {
+						case 0:
+							tr := decoded[rng.Intn(len(decoded))]
+							if _, err := e.DeleteData([]rdf.Triple{tr}); err != nil {
+								t.Fatal(err)
+							}
+						case 1:
+							tr := decoded[rng.Intn(len(decoded))]
+							if err := e.InsertData([]rdf.Triple{tr}); err != nil {
+								t.Fatal(err)
+							}
+						default:
+							// TBox update: graft a fresh class (and property) into the
+							// hierarchy — always monotone and acyclic — then re-encode
+							// the query against the rebuilt dictionary.
+							oldD := e.Graph().Dict()
+							add := []rdf.Triple{
+								rdf.NewTriple(
+									rdf.NewIRI(fmt.Sprintf("%sCnew%d_%d", testutil.NS, seed, step)),
+									rdf.SubClassOf,
+									sc.Classes[rng.Intn(len(sc.Classes))]),
+								rdf.NewTriple(
+									rdf.NewIRI(fmt.Sprintf("%spnew%d_%d", testutil.NS, seed, step)),
+									rdf.SubPropertyOf,
+									sc.Props[rng.Intn(len(sc.Props))]),
+							}
+							if err := e.UpdateSchema(add); err != nil {
+								t.Fatal(err)
+							}
+							q = reencodeCQ(q, oldD, e.Graph().Dict())
+						}
+						check(fmt.Sprintf("step=%d", step))
 					}
-				default:
-					// TBox update: graft a fresh class (and property) into the
-					// hierarchy — always monotone and acyclic — then re-encode
-					// the query against the rebuilt dictionary.
-					oldD := e.Graph().Dict()
-					add := []rdf.Triple{
-						rdf.NewTriple(
-							rdf.NewIRI(fmt.Sprintf("%sCnew%d_%d", testutil.NS, seed, step)),
-							rdf.SubClassOf,
-							sc.Classes[rng.Intn(len(sc.Classes))]),
-						rdf.NewTriple(
-							rdf.NewIRI(fmt.Sprintf("%spnew%d_%d", testutil.NS, seed, step)),
-							rdf.SubPropertyOf,
-							sc.Props[rng.Intn(len(sc.Props))]),
-					}
-					if err := e.UpdateSchema(add); err != nil {
-						t.Fatal(err)
-					}
-					q = reencodeCQ(q, oldD, e.Graph().Dict())
-				}
-				check(fmt.Sprintf("step=%d", step))
+				})
 			}
 		})
 	}

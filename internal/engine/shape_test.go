@@ -14,6 +14,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/rdf"
 	"repro/internal/trace"
+	"repro/internal/viewcache"
 )
 
 // hostileGraph parses the small schema every rule of lifting and merging must
@@ -101,9 +102,10 @@ func spread(pool []string, n int) []string {
 // TestShapeHitsAnswerLikeFreshPlans is the soundness of lifting: for every
 // template and every constant, on every strategy the plan cache serves, at 1
 // and 4 shards, the answer of an engine that binds cached shapes — their
-// fragments' merged members — equals the answer of an engine that plans
-// every query afresh and equals Sat's. It also holds the cache to what a
-// shape cache promises: an answer that added no entry was a hit, and a
+// fragments' merged members — and keeps fragments in its view cache, keyed
+// by the bound fragment query, equals the answer of an engine that plans
+// every query afresh and equals Sat's. It also holds the plan cache to what
+// a shape cache promises: an answer that added no entry was a hit, and a
 // template takes a handful of entries (one per selectivity class), not one
 // per constant.
 func TestShapeHitsAnswerLikeFreshPlans(t *testing.T) {
@@ -133,6 +135,7 @@ func TestShapeHitsAnswerLikeFreshPlans(t *testing.T) {
 			cached.EnableSharding(shards)
 			fresh.EnableSharding(shards)
 			cached.SetPlanCacheCapacity(1 << 12) // no eviction: a miss is an entry more
+			cached.EnableViewCache(viewcache.Config{MinCost: -1})
 			for _, tpl := range fx.templates {
 				t.Run(fmt.Sprintf("%s/shards=%d/%s", fx.name, shards, tpl.name), func(t *testing.T) {
 					var bindings [][2]string
@@ -336,12 +339,7 @@ func TestSelectivityClassIsPartOfTheKey(t *testing.T) {
 func (p *prepared) fingerprint() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s|%s|%s|%v|%v|%d|%v|%v|", p.key, p.shape, p.classes, p.q, p.cover, p.cqs, p.est, p.explored)
-	if p.jucq != nil {
-		fmt.Fprintf(&sb, "%v|%v|%q|%v", *p.jucq, p.frags.slots, p.frags.sigs(), p.fragEsts)
-	}
-	if p.ranges != nil {
-		fmt.Fprintf(&sb, "%v", *p.ranges)
-	}
+	fmt.Fprintf(&sb, "%v|%v|%q|%v", *p.jucq, p.frags.slots, p.frags.sigs(), p.fragEsts)
 	return sb.String()
 }
 

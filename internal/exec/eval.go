@@ -1038,8 +1038,8 @@ func (e *Evaluator) evalFragment(f query.Fragment, i int, plan *FragmentPlan, g 
 	return r, nil
 }
 
-// fragmentResult evaluates a fragment's union — its merged Members when it
-// has them, its UCQ member by member otherwise — through the view cache when
+// fragmentResult evaluates a fragment's union — its Members when it has
+// them, its UCQ member by member otherwise — through the view cache when
 // one is attached: a hit (or a join on a concurrent identical evaluation)
 // skips evaluation and returns an immutable renamed view; a miss evaluates
 // and may be admitted, priced by the fragment's plan when there is one.
@@ -1068,7 +1068,7 @@ func (e *Evaluator) fragmentResult(f query.Fragment, plan *FragmentPlan, g guard
 		}
 		return -1
 	}
-	r, out, err := e.FragCache.GetOrEval(f.UCQ, key, est, g.err, eval)
+	r, out, err := e.FragCache.GetOrEval(f.CQ, key, est, g.err, eval)
 	if err != nil {
 		return nil, err
 	}

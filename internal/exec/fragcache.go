@@ -3,15 +3,16 @@ package exec
 import "repro/internal/query"
 
 // FragmentCache is the executor's hook for cross-query reuse of fragment
-// results: EvalJUCQContext consults it once per fragment (the single-atom UCQs of
-// the SCQ strategy and the cover fragments of the JUCQ strategies are both
-// fragments), letting a serving deployment answer repeated workloads
-// without re-evaluating reformulations it has already computed. The
-// implementation lives in internal/viewcache; the executor only depends on
-// this interface so the dependency points outward.
+// results: EvalJUCQContext consults it once per fragment (of the SCQ, of a
+// cover, of ref-range's one-block cover), letting a serving deployment
+// answer repeated workloads without re-evaluating reformulations it has
+// already computed. The implementation lives in internal/viewcache; the
+// executor only depends on this interface so the dependency points outward.
 //
 // Contract:
 //
+//   - q identifies the fragment, whatever eval runs: only complete forms
+//     fill a fragment, and every complete form of q computes q(G∞).
 //   - The relation returned on a hit is a defensively immutable view:
 //     callers may read it concurrently but must never mutate it, and
 //     implementations must guarantee that appending to the returned
@@ -19,12 +20,11 @@ import "repro/internal/query"
 //   - eval computes the fragment result on a miss; implementations must
 //     collapse concurrent identical misses so eval runs once (singleflight)
 //     and must poll stop while waiting so a canceled waiter unblocks.
-//   - key, when non-empty, is u's cache key as the implementation derives
+//   - key, when non-empty, is q's cache key as the implementation derives
 //     it for this exact fragment (viewcache.Signature, or BoundSignature
 //     from the signature of the fragment's shape and the constants bound
-//     in it); when empty the implementation derives it. Canonicalizing a
-//     reformulation of hundreds of member CQs costs real time, so callers
-//     holding a reused plan canonicalize once per plan (Evaluator.Fragments).
+//     in it); when empty the implementation derives it. Callers holding a
+//     reused plan derive keys once per plan (Evaluator.Fragments).
 //   - estCost returns the cost model's estimate for evaluating the
 //     fragment (negative when unknown); implementations use it for
 //     cost-based admission. It is a thunk because, without the plan's
@@ -32,9 +32,9 @@ import "repro/internal/query"
 //     implementations must not call it on the hit path, only when deciding
 //     whether a miss is worth admitting.
 type FragmentCache interface {
-	// GetOrEval returns the result of the fragment UCQ u, from cache when
+	// GetOrEval returns the result of the fragment query q, from cache when
 	// possible, running eval otherwise.
-	GetOrEval(u query.UCQ, key string, estCost func() float64, stop func() error, eval func() (*Relation, error)) (*Relation, CacheOutcome, error)
+	GetOrEval(q query.CQ, key string, estCost func() float64, stop func() error, eval func() (*Relation, error)) (*Relation, CacheOutcome, error)
 }
 
 // CacheOutcome reports what the cache did for one fragment.

@@ -85,7 +85,7 @@ func (e *Evaluator) shardWorkers(n int) int {
 // parallelism, and nesting it would overrun the admitted weight. It plans
 // like its parent: against the shard's own statistics when the parent has
 // statistics, by exact counts otherwise — so a parent that needed no
-// statistics (a cold range union) never makes a shard collect them.
+// statistics never makes a shard collect them.
 func (e *Evaluator) shardSub(sh ShardedSource, i int) *Evaluator {
 	sub := &Evaluator{st: sh.Shard(i), Budget: e.Budget, ForceHashJoins: e.ForceHashJoins,
 		Join: e.Join, Cost: e.Cost, MaxParallel: 1}

@@ -26,7 +26,6 @@ var promLabelRules = []struct{ prefix, label string }{
 	{"viewcache.", "event"},
 	{"plancache.", "event"},
 	{"admission.", "event"},
-	{"rangeref.", "event"},
 	{"journal.", "event"},
 	{"wal.", "event"},
 	{"recovery.", "event"},

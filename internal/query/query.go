@@ -416,15 +416,18 @@ func OneBlockCover(n int) Cover {
 
 // Fragment is one subquery of a JUCQ: the fragment's atoms (a subquery of
 // the covered CQ), its head (the variables it must expose: query head
-// variables plus variables shared with other fragments), and its UCQ
-// reformulation.
+// variables plus variables shared with other fragments), and a complete
+// reformulation of it — any one computes the same answers, so the fragment
+// is identified by its CQ alone.
 type Fragment struct {
 	AtomIndexes []int
 	CQ          CQ
-	UCQ         UCQ
-	// Members is what the executor evaluates of UCQ: its members merged
-	// (UCQ.Merged), computed once where the fragment is built. Nil: UCQ's
-	// members one by one.
+	// UCQ is the fragment's UCQ reformulation; in the range form it has no
+	// members, only the head names.
+	UCQ UCQ
+	// Members is what the executor evaluates: UCQ's members merged
+	// (UCQ.Merged), or the range reformulation's CQs, computed once where the
+	// fragment is built. Nil: UCQ's members one by one.
 	Members []RangeCQ
 }
 

@@ -187,15 +187,6 @@ func (u RangeUCQ) RangeAtoms() int {
 	return n
 }
 
-// Expansions sums Expansions over all CQs.
-func (u RangeUCQ) Expansions() int {
-	n := 0
-	for _, q := range u.CQs {
-		n += q.Expansions()
-	}
-	return n
-}
-
 // Format renders the atom for operator spans and EXPLAIN: a plain atom with
 // its terms decoded, an atom with a range or an expansion in the range
 // notation, its constants decoded.

@@ -84,19 +84,10 @@ func (q CQ) Bind(params []dict.ID) CQ {
 	return CQ{Head: q.Head, Atoms: atoms}
 }
 
-// Bind returns the union with the parameters of every member bound. The
-// members' atoms are copied into one allocation; their heads (variables and
-// schema constants the rules bound), ranges and expansions come from the
-// head, property and class positions, hold no parameter and are shared with
-// u, which is not written.
-func (u RangeUCQ) Bind(params []dict.ID) RangeUCQ {
-	return RangeUCQ{HeadNames: u.HeadNames, CQs: bindMembers(u.CQs, params)}
-}
-
 // Bind returns the fragment with what is evaluated of it bound: its CQ, and
 // its Members — UCQ's, lifted, when it has none. UCQ stays the shape's, read
-// for its size, signature and price only: binding it would copy every member
-// of the reformulation once more.
+// for its size and price only: binding it would copy every member of the
+// reformulation once more.
 func (f Fragment) Bind(params []dict.ID) Fragment {
 	if f.Members == nil {
 		f.Members = f.UCQ.Lift()
@@ -105,7 +96,10 @@ func (f Fragment) Bind(params []dict.ID) Fragment {
 	return f
 }
 
-// bindMembers binds the members' parameters, copying their atoms into one allocation.
+// bindMembers binds the members' parameters, copying their atoms into one
+// allocation. Their heads (variables and schema constants the rules bound),
+// ranges and expansions come from the head, property and class positions,
+// hold no parameter and are shared with cqs, which is not written.
 func bindMembers(cqs []RangeCQ, params []dict.ID) []RangeCQ {
 	total := 0
 	for _, cq := range cqs {

@@ -31,20 +31,20 @@ func TestLiftBind(t *testing.T) {
 		t.Fatalf("bound back: %s", FormatCQ(d, back))
 	}
 
-	// A union binds into one allocation its members do not overrun, and
-	// leaves the shape as it was; so does a fragment without merged members,
-	// whose bound members are its UCQ's.
+	// A fragment's members bind into one allocation they do not overrun,
+	// and leave the shape as it was; so do the members of a fragment without
+	// merged ones, which are its UCQ's.
 	u := UCQ{HeadNames: []string{"x"}, CQs: []CQ{
 		{Head: shape.Head, Atoms: shape.Atoms[:2]},
 		{Head: shape.Head, Atoms: shape.Atoms[2:]},
 	}}
-	b1 := RangeUCQ{HeadNames: u.HeadNames, CQs: u.Lift()}.Bind(params)
+	b1 := Fragment{UCQ: u, Members: u.Lift()}.Bind(params).Members
 	b2 := Fragment{UCQ: u}.Bind([]dict.ID{c, c, c, a}).Members
-	if b1.CQs[0].Atoms[1].O.Arg.ID != a || b2[0].Atoms[1].O.Arg.ID != c || b1.CQs[1].Atoms[1].O.Arg.ID != c {
+	if b1[0].Atoms[1].O.Arg.ID != a || b2[0].Atoms[1].O.Arg.ID != c || b1[1].Atoms[1].O.Arg.ID != c {
 		t.Fatalf("bound unions: %v and %v", b1, b2)
 	}
-	b1.CQs[0].Atoms = append(b1.CQs[0].Atoms, RangeAtom{})
-	if !reflect.DeepEqual(b1.CQs[1], CQ{Head: q.Head, Atoms: q.Atoms[2:]}.Lift()) {
+	b1[0].Atoms = append(b1[0].Atoms, RangeAtom{})
+	if !reflect.DeepEqual(b1[1], CQ{Head: q.Head, Atoms: q.Atoms[2:]}.Lift()) {
 		t.Fatal("appending to one bound member overwrote the next")
 	}
 	if slot, ok := u.CQs[0].Atoms[1].O.Slot(); !ok || slot != 1 {

@@ -54,9 +54,9 @@ func hashSubject(s dict.ID) uint64 {
 }
 
 // Of returns the shard index subject s maps to among n shards — the one
-// assignment function Build, HomeShard and the durable layer's sharded
-// snapshot writer all share, so on-disk shard files and the in-memory
-// partition always agree.
+// assignment function partition (behind Build and Apply) and HomeShard
+// share, so the shard a triple is stored in and the home shard of its
+// subject always agree.
 func Of(s dict.ID, n int) int {
 	if n < 2 {
 		return 0
@@ -222,8 +222,8 @@ func (s *Store) NumShards() int { return len(s.shards) }
 // Shard returns shard i as a plain source.
 func (s *Store) Shard(i int) exec.Source { return s.shards[i] }
 
-// ShardStore returns shard i's underlying store (snapshot writers need
-// the concrete type for its sorted Triples slice).
+// ShardStore returns shard i's underlying store: the concrete type, for the
+// tests and fixtures that read a shard's sorted Triples and Len directly.
 func (s *Store) ShardStore(i int) *storage.Store { return s.shards[i] }
 
 // HomeShard returns the shard holding subject id.

@@ -26,12 +26,11 @@ import (
 	"repro/internal/viewcache"
 )
 
-// fragment builds the single-CQ fragment UCQ  head(v) :- v <p> <cls>.
-func fragment(v string, p, cls dict.ID) query.UCQ {
-	cq := query.NewCQ([]string{v}, []query.Atom{
+// fragment builds the fragment query  head(v) :- v <p> <cls>.
+func fragment(v string, p, cls dict.ID) query.CQ {
+	return query.NewCQ([]string{v}, []query.Atom{
 		{S: query.Variable(v), P: query.Constant(p), O: query.Constant(cls)},
 	})
-	return query.UCQ{HeadNames: []string{v}, CQs: []query.CQ{cq}}
 }
 
 func TestServingStackConcurrently(t *testing.T) {
@@ -112,8 +111,8 @@ func TestServingStackConcurrently(t *testing.T) {
 					continue
 				}
 				admitted.Add(1)
-				u := fragment("x", dict.ID(10+wkr), dict.ID(20+i%7))
-				r, _, err := cache.GetOrEval(u, "", func() float64 { return 1000 }, nil,
+				q := fragment("x", dict.ID(10+wkr), dict.ID(20+i%7))
+				r, _, err := cache.GetOrEval(q, "", func() float64 { return 1000 }, nil,
 					func() (*exec.Relation, error) {
 						rel := exec.NewRelation([]string{"x"})
 						for j := 0; j < 8; j++ {

@@ -6,10 +6,11 @@
 // pattern recur in many covers), so a serving deployment that caches
 // fragment results answers repeated workloads mostly from memory.
 //
-// The cache is a sharded, byte-budgeted LRU keyed by a canonicalized,
-// dictionary-encoded fragment signature (Signature): two fragments equal up
-// to variable renaming and CQ/atom reordering share one entry, and a hit
-// is returned as a defensively immutable, positionally renamed view.
+// The cache is a sharded, byte-budgeted LRU keyed by the fragment's query,
+// canonicalized and dictionary-encoded (Signature): two fragments whose
+// queries are equal up to variable renaming and atom order share one entry,
+// whichever complete reformulation filled it, and a hit is returned as a
+// defensively immutable, positionally renamed view.
 //
 // Admission is cost-based: only fragments whose estimated evaluation cost
 // clears Config.MinCost are cached (cheap fragments are faster to recompute
@@ -29,7 +30,6 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -152,37 +152,24 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Signature canonicalizes a fragment UCQ into its cache key: the sorted
-// set of member-CQ canonical keys (variables renamed in first-occurrence
-// order, atoms reordered canonically, constants rendered as dictionary
-// IDs) plus the head arity, hashed. Fragments equal up to variable
-// renaming and CQ/atom order — even when produced by different queries or
-// covers — share one signature; the head columns correspond positionally.
-func Signature(u query.UCQ) string {
-	keys := make([]string, len(u.CQs))
-	for i, cq := range u.CQs {
-		keys[i] = cq.CanonicalKey()
-	}
-	sort.Strings(keys)
-	h := sha256.New()
-	var arity [2]byte
-	arity[0] = byte(len(u.HeadNames))
-	arity[1] = byte(len(u.HeadNames) >> 8)
-	h.Write(arity[:])
-	for _, k := range keys {
-		h.Write([]byte(k))
-		h.Write([]byte{0})
-	}
-	return string(h.Sum(nil))
+// Signature is the cache key of a fragment query: a hash of its canonical
+// key (variables renamed in first-occurrence order, head first, atoms
+// reordered canonically, constants rendered as dictionary IDs). Fragments
+// whose queries are equal up to variable renaming and atom order — even
+// when produced by different queries, covers or reformulations — share one
+// signature; the head columns correspond positionally.
+func Signature(q query.CQ) string {
+	sum := sha256.Sum256([]byte(q.CanonicalKey()))
+	return string(sum[:])
 }
 
 // BoundSignature derives the key of a fragment given as a shape: sig is the
-// Signature of the fragment with parameters in place of instance constants
-// (query.Lift; a parameter canonicalizes as the constant it is), and the
-// fragment itself binds params[slot] for each of slots. The signature fixes
-// the fragment up to those values and the values fix the rest, so hashing
-// the two identifies the bound fragment without canonicalizing its members
-// again; a fragment with no slots keeps its Signature.
+// Signature of the fragment query with parameters in place of instance
+// constants (query.Lift; a parameter canonicalizes as the constant it is),
+// and the fragment itself binds params[slot] for each of slots. The
+// signature fixes the fragment up to those values and the values fix the
+// rest, so hashing the two identifies the bound fragment without
+// canonicalizing it again; a fragment with no slots keeps its Signature.
 func BoundSignature(sig string, params []dict.ID, slots []int) string {
 	if len(slots) == 0 {
 		return sig
@@ -251,23 +238,23 @@ func (c *Cache) gauges() {
 	c.m.Gauge("viewcache.entries").Set(c.entries.Load())
 }
 
-// GetOrEval implements exec.FragmentCache: it returns u's result from the
+// GetOrEval implements exec.FragmentCache: it returns q's result from the
 // cache when resident, joins an identical in-flight evaluation when one
 // exists, and otherwise runs eval and admits the result (cost and size
 // permitting). stop is polled while waiting on another flight so a
 // canceled or timed-out caller unblocks promptly.
 //
-// key, when non-empty, must be u's key derived by the caller — Signature(u),
-// or BoundSignature for a u bound from a shape: plans are reused across
+// key, when non-empty, must be q's key derived by the caller — Signature(q),
+// or BoundSignature for a q bound from a shape: plans are reused across
 // executions, so a caller holding one canonicalizes each fragment once per
 // plan instead of once per execution.
 // estCost is consulted lazily, on the first miss only: estimating a large
 // reformulation costs real time, and a hit must never pay it.
-func (c *Cache) GetOrEval(u query.UCQ, key string, estCost func() float64, stop func() error,
+func (c *Cache) GetOrEval(q query.CQ, key string, estCost func() float64, stop func() error,
 	eval func() (*exec.Relation, error)) (*exec.Relation, exec.CacheOutcome, error) {
 	if len(key) != sha256.Size {
 		// Absent (or malformed) precomputed key: derive it here.
-		key = Signature(u)
+		key = Signature(q)
 	}
 	sh := c.shard(key)
 	admissionChecked := false
@@ -279,7 +266,7 @@ func (c *Cache) GetOrEval(u query.UCQ, key string, estCost func() float64, stop 
 			if ent.gen == gen {
 				sh.order.MoveToFront(el)
 				sh.mu.Unlock()
-				view, err := ent.rel.RenamedView(u.HeadNames)
+				view, err := ent.rel.RenamedView(query.HeadVarNames(q))
 				if err == nil {
 					c.count("viewcache.hit")
 					return view, exec.CacheOutcome{Hit: true, Bytes: ent.bytes}, nil
@@ -296,7 +283,7 @@ func (c *Cache) GetOrEval(u query.UCQ, key string, estCost func() float64, stop 
 				return nil, exec.CacheOutcome{}, err
 			}
 			if f.err == nil && f.rel != nil {
-				if view, err := f.rel.RenamedView(u.HeadNames); err == nil {
+				if view, err := f.rel.RenamedView(query.HeadVarNames(q)); err == nil {
 					c.count("viewcache.miss")
 					c.count("viewcache.singleflight_shared")
 					return view, exec.CacheOutcome{Shared: true, Bytes: f.bytes}, nil
@@ -331,14 +318,13 @@ func (c *Cache) GetOrEval(u query.UCQ, key string, estCost func() float64, stop 
 		sh.flights[key] = f
 		sh.mu.Unlock()
 		c.count("viewcache.miss")
-		return c.lead(sh, key, f, u, eval)
+		return c.lead(sh, key, f, eval)
 	}
 }
 
 // lead runs the evaluation as the flight leader, admits the result, and
 // releases waiters.
-func (c *Cache) lead(sh *shard, key string, f *flight, u query.UCQ,
-	eval func() (*exec.Relation, error)) (*exec.Relation, exec.CacheOutcome, error) {
+func (c *Cache) lead(sh *shard, key string, f *flight, eval func() (*exec.Relation, error)) (*exec.Relation, exec.CacheOutcome, error) {
 	rel, err := eval()
 	var out exec.CacheOutcome
 	if err == nil {

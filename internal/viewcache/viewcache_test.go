@@ -16,13 +16,12 @@ import (
 
 func atomOf(s, p, o query.Arg) query.Atom { return query.Atom{S: s, P: p, O: o} }
 
-// typeUCQ builds a single-CQ fragment UCQ  head(v) :- v <p> <cls>  with the
-// given head variable name and constant IDs.
-func typeUCQ(v string, p, cls dict.ID) query.UCQ {
-	cq := query.NewCQ([]string{v}, []query.Atom{
+// typeCQ builds the fragment query  head(v) :- v <p> <cls>  with the given
+// head variable name and constant IDs.
+func typeCQ(v string, p, cls dict.ID) query.CQ {
+	return query.NewCQ([]string{v}, []query.Atom{
 		atomOf(query.Variable(v), query.Constant(p), query.Constant(cls)),
 	})
-	return query.UCQ{HeadNames: []string{v}, CQs: []query.CQ{cq}}
 }
 
 // rel builds a one-column relation with rows 0..n-1.
@@ -44,31 +43,33 @@ func evalN(counter *atomic.Int64, v string, n int) func() (*exec.Relation, error
 // constCost is a fixed-cost admission estimator.
 func constCost(c float64) func() float64 { return func() float64 { return c } }
 
+// A fragment is keyed by its query: alpha-equivalent queries — variables
+// renamed, atoms reordered — share a key; another constant or another head
+// order is another key.
 func TestSignatureCanonicalization(t *testing.T) {
-	a := typeUCQ("x", 10, 20)
-	b := typeUCQ("z", 10, 20) // same fragment, renamed variable
-	if Signature(a) != Signature(b) {
+	a := typeCQ("x", 10, 20)
+	if Signature(a) != Signature(typeCQ("z", 10, 20)) {
 		t.Fatalf("signatures differ for alpha-equivalent fragments")
 	}
-	c := typeUCQ("x", 10, 21) // different class constant
-	if Signature(a) == Signature(c) {
+	if Signature(a) == Signature(typeCQ("x", 10, 21)) {
 		t.Fatalf("signatures collide across different constants")
 	}
-	// CQ order within the UCQ must not matter.
-	u1 := query.UCQ{HeadNames: []string{"x"}, CQs: []query.CQ{typeUCQ("x", 1, 2).CQs[0], typeUCQ("x", 1, 3).CQs[0]}}
-	u2 := query.UCQ{HeadNames: []string{"x"}, CQs: []query.CQ{typeUCQ("x", 1, 3).CQs[0], typeUCQ("x", 1, 2).CQs[0]}}
-	if Signature(u1) != Signature(u2) {
-		t.Fatalf("signatures differ under CQ reordering")
+	v := query.Variable
+	c := query.Constant
+	xy := query.NewCQ([]string{"x", "y"}, []query.Atom{atomOf(v("x"), c(1), v("y")), atomOf(v("y"), c(2), c(3))})
+	renamed := query.NewCQ([]string{"z", "w"}, []query.Atom{atomOf(v("w"), c(2), c(3)), atomOf(v("z"), c(1), v("w"))})
+	if Signature(xy) != Signature(renamed) {
+		t.Fatalf("signatures differ for a renamed, reordered fragment")
 	}
-	if Signature(u1) == Signature(a) {
-		t.Fatalf("signatures collide across different CQ sets")
+	if Signature(xy) == Signature(query.NewCQ([]string{"y", "x"}, xy.Atoms)) {
+		t.Fatalf("signatures collide across head orders")
 	}
 }
 
 func TestHitReturnsRenamedImmutableView(t *testing.T) {
 	c := New(Config{MinCost: -1})
 	var evals atomic.Int64
-	r1, out, err := c.GetOrEval(typeUCQ("x", 10, 20), "", constCost(1000), nil, evalN(&evals, "x", 3))
+	r1, out, err := c.GetOrEval(typeCQ("x", 10, 20), "", constCost(1000), nil, evalN(&evals, "x", 3))
 	if err != nil || out.Hit || !out.Stored {
 		t.Fatalf("first call: out=%+v err=%v", out, err)
 	}
@@ -77,7 +78,7 @@ func TestHitReturnsRenamedImmutableView(t *testing.T) {
 	}
 	// Same fragment spelled with a different head variable: must hit and
 	// come back renamed.
-	r2, out, err := c.GetOrEval(typeUCQ("z", 10, 20), "", constCost(1000), nil, evalN(&evals, "z", 3))
+	r2, out, err := c.GetOrEval(typeCQ("z", 10, 20), "", constCost(1000), nil, evalN(&evals, "z", 3))
 	if err != nil || !out.Hit {
 		t.Fatalf("second call: out=%+v err=%v", out, err)
 	}
@@ -89,7 +90,7 @@ func TestHitReturnsRenamedImmutableView(t *testing.T) {
 	}
 	// Mutating the returned view must not reach the cached copy.
 	r2.Append([]dict.ID{99})
-	r3, out, err := c.GetOrEval(typeUCQ("y", 10, 20), "", constCost(1000), nil, evalN(&evals, "y", 3))
+	r3, out, err := c.GetOrEval(typeCQ("y", 10, 20), "", constCost(1000), nil, evalN(&evals, "y", 3))
 	if err != nil || !out.Hit {
 		t.Fatalf("third call: out=%+v err=%v", out, err)
 	}
@@ -103,7 +104,7 @@ func TestCostAdmissionBypass(t *testing.T) {
 	c := New(Config{MinCost: 100, Metrics: m})
 	var evals atomic.Int64
 	for i := 0; i < 2; i++ {
-		_, out, err := c.GetOrEval(typeUCQ("x", 10, 20), "", constCost(5), nil, evalN(&evals, "x", 3))
+		_, out, err := c.GetOrEval(typeCQ("x", 10, 20), "", constCost(5), nil, evalN(&evals, "x", 3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +119,7 @@ func TestCostAdmissionBypass(t *testing.T) {
 		t.Fatalf("bypass counter = %d", m.Counter("viewcache.bypass").Value())
 	}
 	// Unknown cost (negative) is admitted.
-	_, out, err := c.GetOrEval(typeUCQ("x", 10, 20), "", constCost(-1), nil, evalN(&evals, "x", 3))
+	_, out, err := c.GetOrEval(typeCQ("x", 10, 20), "", constCost(-1), nil, evalN(&evals, "x", 3))
 	if err != nil || !out.Stored {
 		t.Fatalf("unknown-cost fragment not admitted: %+v err=%v", out, err)
 	}
@@ -131,15 +132,15 @@ func TestHitSkipsCostEstimation(t *testing.T) {
 	c := New(Config{MinCost: 1})
 	var evals, estimates atomic.Int64
 	counting := func() float64 { estimates.Add(1); return 1000 }
-	u := typeUCQ("x", 10, 20)
-	if _, out, err := c.GetOrEval(u, "", counting, nil, evalN(&evals, "x", 3)); err != nil || !out.Stored {
+	q := typeCQ("x", 10, 20)
+	if _, out, err := c.GetOrEval(q, "", counting, nil, evalN(&evals, "x", 3)); err != nil || !out.Stored {
 		t.Fatalf("miss not stored: %+v err=%v", out, err)
 	}
 	if estimates.Load() != 1 {
 		t.Fatalf("miss ran estimator %d times, want 1", estimates.Load())
 	}
 	for i := 0; i < 3; i++ {
-		if _, out, err := c.GetOrEval(u, "", counting, nil, evalN(&evals, "x", 3)); err != nil || !out.Hit {
+		if _, out, err := c.GetOrEval(q, "", counting, nil, evalN(&evals, "x", 3)); err != nil || !out.Hit {
 			t.Fatalf("expected hit: %+v err=%v", out, err)
 		}
 	}
@@ -147,32 +148,32 @@ func TestHitSkipsCostEstimation(t *testing.T) {
 		t.Fatalf("hits ran the estimator (%d calls total, want 1)", estimates.Load())
 	}
 	// A nil estimator means unknown cost and is admitted, not dereferenced.
-	if _, out, err := c.GetOrEval(typeUCQ("x", 10, 21), "", nil, nil, evalN(&evals, "x", 3)); err != nil || !out.Stored {
+	if _, out, err := c.GetOrEval(typeCQ("x", 10, 21), "", nil, nil, evalN(&evals, "x", 3)); err != nil || !out.Stored {
 		t.Fatalf("nil-estimator fragment not admitted: %+v err=%v", out, err)
 	}
 }
 
 // TestPrecomputedKey pins the key fast path: a caller holding a reused plan
-// passes Signature(u) precomputed, and lookups keyed either way land on the
+// passes Signature(q) precomputed, and lookups keyed either way land on the
 // same entry; malformed keys fall back to deriving the signature.
 func TestPrecomputedKey(t *testing.T) {
 	c := New(Config{MinCost: -1})
 	var evals atomic.Int64
-	u := typeUCQ("x", 10, 20)
-	sig := Signature(u)
-	if _, out, err := c.GetOrEval(u, sig, constCost(1000), nil, evalN(&evals, "x", 3)); err != nil || !out.Stored {
+	q := typeCQ("x", 10, 20)
+	sig := Signature(q)
+	if _, out, err := c.GetOrEval(q, sig, constCost(1000), nil, evalN(&evals, "x", 3)); err != nil || !out.Stored {
 		t.Fatalf("keyed miss not stored: %+v err=%v", out, err)
 	}
 	// Derived-key lookup of the same fragment must hit the keyed entry.
-	if _, out, err := c.GetOrEval(u, "", constCost(1000), nil, evalN(&evals, "x", 3)); err != nil || !out.Hit {
+	if _, out, err := c.GetOrEval(q, "", constCost(1000), nil, evalN(&evals, "x", 3)); err != nil || !out.Hit {
 		t.Fatalf("derived-key lookup missed keyed entry: %+v err=%v", out, err)
 	}
 	// Keyed lookup of an alpha-renamed spelling must hit too.
-	if r, out, err := c.GetOrEval(typeUCQ("z", 10, 20), sig, constCost(1000), nil, evalN(&evals, "z", 3)); err != nil || !out.Hit || r.Vars[0] != "z" {
+	if r, out, err := c.GetOrEval(typeCQ("z", 10, 20), sig, constCost(1000), nil, evalN(&evals, "z", 3)); err != nil || !out.Hit || r.Vars[0] != "z" {
 		t.Fatalf("keyed renamed lookup: %+v err=%v", out, err)
 	}
 	// A malformed (non-signature-length) key is ignored, not trusted.
-	if _, out, err := c.GetOrEval(u, "bogus", constCost(1000), nil, evalN(&evals, "x", 3)); err != nil || !out.Hit {
+	if _, out, err := c.GetOrEval(q, "bogus", constCost(1000), nil, evalN(&evals, "x", 3)); err != nil || !out.Hit {
 		t.Fatalf("malformed key not rederived: %+v err=%v", out, err)
 	}
 	if evals.Load() != 1 {
@@ -185,7 +186,7 @@ func TestOversizedEntryRejected(t *testing.T) {
 	c := New(Config{Shards: 1, MaxBytes: 1 << 20, MaxEntryBytes: 100, MinCost: -1, Metrics: m})
 	var evals atomic.Int64
 	// 100 rows × 4 bytes ≫ 100-byte cap.
-	_, out, err := c.GetOrEval(typeUCQ("x", 10, 20), "", constCost(1000), nil, evalN(&evals, "x", 100))
+	_, out, err := c.GetOrEval(typeCQ("x", 10, 20), "", constCost(1000), nil, evalN(&evals, "x", 100))
 	if err != nil || out.Stored {
 		t.Fatalf("oversized entry admitted: %+v err=%v", out, err)
 	}
@@ -203,7 +204,7 @@ func TestLRUEviction(t *testing.T) {
 	c := New(Config{Shards: 1, MaxBytes: 400, MaxEntryBytes: 200, MinCost: -1, Metrics: m})
 	var evals atomic.Int64
 	for i := 0; i < 4; i++ {
-		_, out, err := c.GetOrEval(typeUCQ("x", 10, dict.ID(100+i)), "", constCost(1000), nil, evalN(&evals, "x", 10))
+		_, out, err := c.GetOrEval(typeCQ("x", 10, dict.ID(100+i)), "", constCost(1000), nil, evalN(&evals, "x", 10))
 		if err != nil || !out.Stored {
 			t.Fatalf("entry %d not stored: %+v err=%v", i, out, err)
 		}
@@ -217,11 +218,11 @@ func TestLRUEviction(t *testing.T) {
 	// The least recently used fragment (i=0) must be gone: re-requesting it
 	// evaluates again; the most recent (i=3) must still hit.
 	before := evals.Load()
-	_, out, _ := c.GetOrEval(typeUCQ("x", 10, 103), "", constCost(1000), nil, evalN(&evals, "x", 10))
+	_, out, _ := c.GetOrEval(typeCQ("x", 10, 103), "", constCost(1000), nil, evalN(&evals, "x", 10))
 	if !out.Hit {
 		t.Fatalf("most recent entry evicted: %+v", out)
 	}
-	_, out, _ = c.GetOrEval(typeUCQ("x", 10, 100), "", constCost(1000), nil, evalN(&evals, "x", 10))
+	_, out, _ = c.GetOrEval(typeCQ("x", 10, 100), "", constCost(1000), nil, evalN(&evals, "x", 10))
 	if out.Hit {
 		t.Fatalf("least recent entry survived eviction")
 	}
@@ -236,8 +237,8 @@ func TestLRUEviction(t *testing.T) {
 func TestInvalidateDropsEntriesAndBumpsGeneration(t *testing.T) {
 	c := New(Config{MinCost: -1})
 	var evals atomic.Int64
-	u := typeUCQ("x", 10, 20)
-	if _, out, _ := c.GetOrEval(u, "", constCost(1000), nil, evalN(&evals, "x", 3)); !out.Stored {
+	q := typeCQ("x", 10, 20)
+	if _, out, _ := c.GetOrEval(q, "", constCost(1000), nil, evalN(&evals, "x", 3)); !out.Stored {
 		t.Fatalf("not stored: %+v", out)
 	}
 	g := c.Generation()
@@ -248,7 +249,7 @@ func TestInvalidateDropsEntriesAndBumpsGeneration(t *testing.T) {
 	if c.Len() != 0 || c.Bytes() != 0 {
 		t.Fatalf("entries survived Invalidate: len=%d bytes=%d", c.Len(), c.Bytes())
 	}
-	if _, out, _ := c.GetOrEval(u, "", constCost(1000), nil, evalN(&evals, "x", 3)); out.Hit {
+	if _, out, _ := c.GetOrEval(q, "", constCost(1000), nil, evalN(&evals, "x", 3)); out.Hit {
 		t.Fatalf("hit after Invalidate")
 	}
 	if evals.Load() != 2 {
@@ -258,10 +259,10 @@ func TestInvalidateDropsEntriesAndBumpsGeneration(t *testing.T) {
 
 func TestMidFlightInvalidationNotStored(t *testing.T) {
 	c := New(Config{MinCost: -1})
-	u := typeUCQ("x", 10, 20)
+	q := typeCQ("x", 10, 20)
 	// The update lands while the evaluation is in progress: the result
 	// describes the pre-update database and must not be admitted.
-	_, out, err := c.GetOrEval(u, "", constCost(1000), nil, func() (*exec.Relation, error) {
+	_, out, err := c.GetOrEval(q, "", constCost(1000), nil, func() (*exec.Relation, error) {
 		c.Invalidate()
 		return rel("x", 3), nil
 	})
@@ -279,7 +280,7 @@ func TestMidFlightInvalidationNotStored(t *testing.T) {
 func TestSingleflightExactlyOneEval(t *testing.T) {
 	m := metrics.NewRegistry()
 	c := New(Config{MinCost: -1, Metrics: m})
-	u := typeUCQ("x", 10, 20)
+	q := typeCQ("x", 10, 20)
 	const n = 8
 	var evals atomic.Int64
 	release := make(chan struct{})
@@ -291,7 +292,7 @@ func TestSingleflightExactlyOneEval(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, out, err := c.GetOrEval(u, "", constCost(1000), nil, func() (*exec.Relation, error) {
+			r, out, err := c.GetOrEval(q, "", constCost(1000), nil, func() (*exec.Relation, error) {
 				evals.Add(1)
 				close(started)
 				<-release
@@ -332,11 +333,11 @@ func TestSingleflightExactlyOneEval(t *testing.T) {
 
 func TestWaiterUnblocksOnStopError(t *testing.T) {
 	c := New(Config{MinCost: -1})
-	u := typeUCQ("x", 10, 20)
+	q := typeCQ("x", 10, 20)
 	release := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
-		_, _, _ = c.GetOrEval(u, "", constCost(1000), nil, func() (*exec.Relation, error) {
+		_, _, _ = c.GetOrEval(q, "", constCost(1000), nil, func() (*exec.Relation, error) {
 			close(started)
 			<-release
 			return rel("x", 3), nil
@@ -347,7 +348,7 @@ func TestWaiterUnblocksOnStopError(t *testing.T) {
 	var stopped atomic.Bool
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.GetOrEval(u, "", constCost(1000), func() error {
+		_, _, err := c.GetOrEval(q, "", constCost(1000), func() error {
 			if stopped.Load() {
 				return stopErr
 			}
@@ -370,12 +371,12 @@ func TestWaiterUnblocksOnStopError(t *testing.T) {
 
 func TestLeaderErrorWaiterFallsBack(t *testing.T) {
 	c := New(Config{MinCost: -1})
-	u := typeUCQ("x", 10, 20)
+	q := typeCQ("x", 10, 20)
 	release := make(chan struct{})
 	started := make(chan struct{})
 	boom := errors.New("leader budget exceeded")
 	go func() {
-		_, _, _ = c.GetOrEval(u, "", constCost(1000), nil, func() (*exec.Relation, error) {
+		_, _, _ = c.GetOrEval(q, "", constCost(1000), nil, func() (*exec.Relation, error) {
 			close(started)
 			<-release
 			return nil, boom
@@ -386,7 +387,7 @@ func TestLeaderErrorWaiterFallsBack(t *testing.T) {
 	var got *exec.Relation
 	go func() {
 		defer close(done)
-		r, _, err := c.GetOrEval(u, "", constCost(1000), nil, func() (*exec.Relation, error) {
+		r, _, err := c.GetOrEval(q, "", constCost(1000), nil, func() (*exec.Relation, error) {
 			return rel("x", 3), nil
 		})
 		if err != nil {
@@ -415,12 +416,12 @@ func TestConcurrentMixedWorkloadRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				u := typeUCQ("x", 10, dict.ID(100+i%16))
+				q := typeCQ("x", 10, dict.ID(100+i%16))
 				if g == 0 && i%25 == 0 {
 					c.Invalidate()
 					continue
 				}
-				r, _, err := c.GetOrEval(u, "", constCost(1000), nil, func() (*exec.Relation, error) {
+				r, _, err := c.GetOrEval(q, "", constCost(1000), nil, func() (*exec.Relation, error) {
 					return rel("x", i%7+1), nil
 				})
 				if err != nil {
@@ -438,7 +439,7 @@ func TestSignatureDistributesAcrossShards(t *testing.T) {
 	c := New(Config{Shards: 8, MinCost: -1})
 	hit := map[*shard]bool{}
 	for i := 0; i < 64; i++ {
-		hit[c.shard(Signature(typeUCQ("x", 10, dict.ID(i))))] = true
+		hit[c.shard(Signature(typeCQ("x", 10, dict.ID(i))))] = true
 	}
 	if len(hit) < 4 {
 		t.Fatalf("signatures landed on only %d/8 shards", len(hit))
@@ -448,10 +449,10 @@ func TestSignatureDistributesAcrossShards(t *testing.T) {
 func TestMetricsCounters(t *testing.T) {
 	m := metrics.NewRegistry()
 	c := New(Config{MinCost: -1, Metrics: m})
-	u := typeUCQ("x", 10, 20)
+	q := typeCQ("x", 10, 20)
 	var evals atomic.Int64
 	for i := 0; i < 3; i++ {
-		if _, _, err := c.GetOrEval(u, "", constCost(1000), nil, evalN(&evals, "x", 2)); err != nil {
+		if _, _, err := c.GetOrEval(q, "", constCost(1000), nil, evalN(&evals, "x", 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -474,10 +475,7 @@ func TestMetricsCounters(t *testing.T) {
 // signature for a fragment with no slot — and always a key GetOrEval takes
 // as given.
 func TestBoundSignature(t *testing.T) {
-	sig := Signature(query.UCQ{HeadNames: []string{"x"}, CQs: []query.CQ{{
-		Head:  []query.Arg{query.Variable("x")},
-		Atoms: []query.Atom{{S: query.Variable("x"), P: query.Constant(7), O: query.Param(1)}},
-	}}})
+	sig := Signature(query.NewCQ([]string{"x"}, []query.Atom{{S: query.Variable("x"), P: query.Constant(7), O: query.Param(1)}}))
 	params := []dict.ID{11, 12, 13}
 	if got := BoundSignature(sig, params, nil); got != sig {
 		t.Fatal("a fragment without slots must keep its signature")
