@@ -374,7 +374,10 @@ func BenchmarkAblation_ExhaustiveCov(b *testing.B) {
 // BenchmarkE6_MaintainedDelete measures counting-based deletion.
 func BenchmarkE6_MaintainedDelete(b *testing.B) {
 	f, _ := fixtures(b)
-	batch := f.g.Data()[:500]
+	var batch []dict.Triple
+	for _, t := range f.g.DecodedData()[:500] {
+		batch = append(batch, f.g.Dict().EncodeTriple(t))
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

@@ -16,10 +16,10 @@ const TriplePred = "triple"
 const AnswerPred = "answer"
 
 // EncodeGraph builds the Datalog program for a graph: one triple/3 fact per
-// data and (direct) schema triple, plus the RDFS entailment rules encoded
-// over triple/3 with the built-in vocabulary as constants — the demo's
-// "simple encoding of the RDF data, constraints and queries into Datalog
-// programs".
+// triple of AllTriples (data and closed-schema triples), plus the RDFS
+// entailment rules encoded over triple/3 with the built-in vocabulary as
+// constants — the demo's "simple encoding of the RDF data, constraints and
+// queries into Datalog programs".
 func EncodeGraph(g *graph.Graph) *Program {
 	d := g.Dict()
 	typeID := d.EncodeIRI(rdf.TypeIRI)
@@ -28,9 +28,11 @@ func EncodeGraph(g *graph.Graph) *Program {
 	domID := d.EncodeIRI(rdf.DomainIRI)
 	rngID := d.EncodeIRI(rdf.RangeIRI)
 
-	p := &Program{}
-	addFacts(p, g.Data())
-	addFacts(p, g.Schema().Triples())
+	all := g.AllTriples()
+	p := &Program{Facts: make([]Fact, 0, len(all))}
+	for _, t := range all {
+		p.Facts = append(p.Facts, Fact{Pred: TriplePred, Args: []dict.ID{t.S, t.P, t.O}})
+	}
 
 	v := query.Variable
 	c := query.Constant
@@ -62,12 +64,6 @@ func EncodeGraph(g *graph.Graph) *Program {
 			Body: []Atom{triple(v("P1"), c(spID), v("P2")), triple(v("P2"), c(rngID), v("C"))}},
 	)
 	return p
-}
-
-func addFacts(p *Program, ts []dict.Triple) {
-	for _, t := range ts {
-		p.Facts = append(p.Facts, Fact{Pred: TriplePred, Args: []dict.ID{t.S, t.P, t.O}})
-	}
 }
 
 // AddQuery appends the query rule answer(head) :- triple(...), … to the

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/query"
 	"repro/internal/rdf"
 )
 
@@ -91,10 +92,83 @@ func TestAnswerContextCanceled(t *testing.T) {
 	}
 }
 
+// completeStrategies answers q with every complete strategy on eng and
+// fails unless each returns want rows and all of them the same ones.
+func completeStrategies(t *testing.T, where string, eng *Engine, q query.CQ, want int) {
+	t.Helper()
+	var first *Answer
+	for _, s := range []Strategy{Sat, RefUCQ, RefSCQ, RefJUCQ, RefGCov, RefRange, Dat} {
+		var ans *Answer
+		var err error
+		if s == RefJUCQ {
+			ans, err = eng.AnswerWithCover(q, query.Cover{{0}, {1}})
+		} else {
+			ans, err = eng.Answer(q, s)
+		}
+		if err != nil {
+			t.Fatalf("%s: %s: %v", where, s, err)
+		}
+		if first == nil {
+			first = ans
+		}
+		if ans.Rows.Len() != want || !ans.Rows.Equal(first.Rows) {
+			t.Fatalf("%s: %s answers %d rows, want the version's %d", where, s, ans.Rows.Len(), want)
+		}
+	}
+}
+
+// authored returns the write that adds one answer to authoredQuery.
+func authored(name string) []rdf.Triple {
+	return []rdf.Triple{rdf.NewTriple(ex(name), ex("writtenBy"), ex(name+"Author"))}
+}
+
+const authoredQuery = `q(x, y) :- x rdf:type ex:Publication, x ex:hasAuthor y`
+
+// A copy taken before a write answers every complete strategy from its own
+// version — whether it built its derived state before the write (warmed) or
+// builds it after (unwarmed) — and the engine from the new one. The view
+// cache is off: nothing but the version decides.
+func TestCopyAnswersFromItsVersion(t *testing.T) {
+	for _, warm := range []bool{false, true} {
+		e, g := mustEngine(t)
+		q := mustQuery(t, g, authoredQuery)
+		if warm {
+			completeStrategies(t, "before the write", e, q, 1)
+		}
+		v1 := *e
+		if err := e.InsertData(authored("doiW1")); err != nil {
+			t.Fatal(err)
+		}
+		completeStrategies(t, fmt.Sprintf("copy (warmed %v)", warm), &v1, q, 1)
+		completeStrategies(t, fmt.Sprintf("engine (warmed %v)", warm), e, q, 2)
+	}
+}
+
+// The closure case: G∞ read, a write (the engine starts a counting closure),
+// a copy, another write nobody read G∞ before. The copy's G∞ is read off the
+// closure after that second write, and is still its own version's.
+func TestCopyReadsItsVersionsClosure(t *testing.T) {
+	e, g := mustEngine(t)
+	q := mustQuery(t, g, authoredQuery)
+	if _, err := e.Answer(q, Sat); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.InsertData(authored("doiW1")); err != nil {
+		t.Fatal(err)
+	}
+	v1 := *e
+	if err := e.InsertData(authored("doiW2")); err != nil {
+		t.Fatal(err)
+	}
+	completeStrategies(t, "copy", &v1, q, 2)
+	completeStrategies(t, "engine", e, q, 3)
+}
+
 // A reader that took its engine copy before an update finishes on the
-// version it took, whatever the writer swaps in meanwhile: its answers and
-// its store stay those of its version, although the plan it executes may
-// have been cached by a reader of a later one. Run under -race.
+// version it took, whatever the writer swaps in meanwhile: its answers — Sat
+// and Dat included — and its store stay those of its version, although the
+// plan it executes may have been cached by a reader of a later one. Run
+// under -race.
 func TestReaderKeepsItsVersionAcrossSwap(t *testing.T) {
 	e, g := mustEngine(t)
 	var grow []rdf.Triple
@@ -126,7 +200,7 @@ func TestReaderKeepsItsVersionAcrossSwap(t *testing.T) {
 				}
 				store := eng.Store()
 				for i := 0; i < 10; i++ {
-					ans, err := eng.Answer(q, []Strategy{RefGCov, RefSCQ}[(r+i)%2])
+					ans, err := eng.Answer(q, []Strategy{RefGCov, RefSCQ, Sat, Dat}[(r+i)%4])
 					if err != nil {
 						errs <- err
 						return

@@ -57,8 +57,8 @@ func TestDeltaScheduleMatchesRebuild(t *testing.T) {
 			return rdf.NewTriple(s, sc.Props[rng.Intn(len(sc.Props))], sc.Ents[rng.Intn(len(sc.Ents))])
 		}
 		present := func() rdf.Triple {
-			if data := e.g.Data(); len(data) > 0 {
-				return e.g.Dict().DecodeTriple(data[rng.Intn(len(data))])
+			if data := e.g.DecodedData(); len(data) > 0 {
+				return data[rng.Intn(len(data))]
 			}
 			return triple()
 		}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/dict"
+	"repro/internal/graph"
 	"repro/internal/rdf"
 	"repro/internal/saturation"
 	"repro/internal/shard"
@@ -25,6 +26,9 @@ import (
 // replaces it whole (Engine.swap), and a reader keeps the version it
 // started with for as long as it holds its copy.
 type derived struct {
+	// g is the graph the version captured — D, schema, dictionary, which a
+	// write replaces, keeps and appends to — and the one its lazies read.
+	g      graph.Graph
 	plans  *planCache
 	shards int // what Engine.shards was when the version was made
 	// typeID is rdf:type's ID — a schema change may re-encode it.
@@ -92,21 +96,22 @@ type saturated struct {
 	took time.Duration
 }
 
-// swap installs a new version of the derived state, computed from the
-// engine's graph and configuration as they are now (metrics go to the
-// Metrics registry set at this point). It is the only place derived state
-// is discarded. keep is the version being replaced when only the data
-// changed, by added and removed — its schema-only artefacts carry over, so
-// does the writer's closure, and while the shard count stands so do its
-// plans and the basis of its source and statistics, up to maxDrift — and
-// nil when the schema changed, which keeps nothing.
+// swap installs a new version of the derived state over the engine's graph
+// as it is now, captured, and its configuration (metrics go to the Metrics
+// registry set at this point). It is the only place derived state is
+// discarded. keep is the version being replaced when only the data changed,
+// by added and removed — its schema-only artefacts carry over, so does the
+// writer's closure, and while the shard count stands so do its plans and the
+// basis of its source and statistics, up to maxDrift — and nil when the
+// schema changed, which keeps nothing.
 func (e *Engine) swap(keep *derived, added, removed []dict.Triple) {
-	d := &derived{shards: e.shards, typeID: e.g.Dict().EncodeIRI(rdf.TypeIRI)}
+	d := &derived{g: *e.g, shards: e.shards, typeID: e.g.Dict().EncodeIRI(rdf.TypeIRI)}
+	g := &d.g
 	if keep != nil {
 		d.ref, d.incRef, d.rangeRef = keep.ref, keep.incRef, keep.rangeRef
 	} else {
 		e.closure = nil
-		s := e.g.Schema()
+		s := g.Schema()
 		d.ref = sync.OnceValue(func() *core.Reformulator { return core.NewReformulator(s) })
 		d.incRef = sync.OnceValue(func() *core.Reformulator { return core.NewIncompleteReformulator(s) })
 		d.rangeRef = sync.OnceValue(func() *core.RangeReformulator { return core.NewRangeReformulator(s) })
@@ -117,14 +122,14 @@ func (e *Engine) swap(keep *derived, added, removed []dict.Triple) {
 				d.from.Store(b)
 			}
 		}
-		if n, was := e.g.DataCount(), keep.plans.dataCount; !drifted(max(n-was, was-n), was) {
+		if n, was := g.DataCount(), keep.plans.dataCount; !drifted(max(n-was, was-n), was) {
 			d.plans = keep.plans
 		}
 	}
 	if d.plans == nil {
-		d.plans = newPlanCache(e.planCap, e.g.DataCount())
+		d.plans = newPlanCache(e.planCap, g.DataCount())
 	}
-	g, reg, closure := e.g, e.Metrics, e.closure
+	reg, closure := e.Metrics, e.closure
 	d.data = sync.OnceValue(func() *basis {
 		start := time.Now()
 		b, own := d.from.Load(), &basis{}
@@ -133,7 +138,7 @@ func (e *Engine) swap(keep *derived, added, removed []dict.Triple) {
 			own.stats = stats.Collect(own.src)
 			reg.Counter("engine.derived.rebuilt").Inc()
 		} else {
-			own.src = b.src.Apply(b.added, b.removed)
+			own.src = b.src.Apply(g.AllTriples(), b.added, b.removed)
 			own.stats = b.stats.Apply(own.src, b.added, b.removed)
 			reg.Counter("engine.derived.applied").Inc()
 			reg.Histogram("engine.derived.apply_ms").Observe(float64(time.Since(start)) / float64(time.Millisecond))

@@ -123,9 +123,12 @@ type Answer struct {
 // their own Budget, Tracer and Logger on it, and may answer, plan and call
 // every accessor concurrently: the copies share the derived state, the view
 // cache, the admission gate and the metrics registry by pointer, and each of
-// those is safe for concurrent use.
+// those is safe for concurrent use. A copy answers from the graph its version
+// captured; with the view cache on, a reader still keeps the read side for
+// its whole evaluation, as the cache stamps a fill with the generation
+// current when the fragment's evaluation starts, not the copy's.
 type Engine struct {
-	g *graph.Graph
+	g *graph.Graph // the writer's; a version reads its capture (derived.g)
 	// d is the current version of the derived state; never nil.
 	d *derived
 
@@ -165,8 +168,8 @@ type Engine struct {
 	planCap int // plan cache capacity (0: defaultPlanCacheSize)
 	// closure is the counting closure behind Sat while data updates and Sat
 	// reads alternate (see update.go); nil otherwise. It is the writer's:
-	// changed in place between versions, read only by the Sat lazy of the
-	// version swapped in after the change.
+	// changed in place between versions, after the Sat lazy of the one it
+	// served finished, and read only by the Sat lazies of later versions.
 	closure *saturation.Maintained
 
 	// views, when non-nil, is the fragment-level view cache
@@ -182,7 +185,7 @@ func New(g *graph.Graph) *Engine {
 	return e
 }
 
-// Graph returns the underlying graph.
+// Graph returns the writer's graph; a version reads the one it captured.
 func (e *Engine) Graph() *graph.Graph { return e.g }
 
 // Warm builds every artefact of the current derived-state version, so that
@@ -312,7 +315,7 @@ func (e *Engine) answer(ctx context.Context, q query.CQ, s Strategy, cover query
 	defer sp.End()
 	if sp != nil {
 		sp.SetStr("strategy", string(s))
-		sp.SetStr("query", query.FormatCQ(e.g.Dict(), q))
+		sp.SetStr("query", query.FormatCQ(e.d.g.Dict(), q))
 	}
 	var ans *Answer
 	p, err := e.prepare(q, s, cover, sp)
@@ -464,16 +467,6 @@ func (e *Engine) admit(ctx context.Context, sp *trace.Span, estCost float64) (*a
 		asp.End()
 	}
 	return tkt, err
-}
-
-// stampAdmission copies an admitted ticket's observables onto a built
-// answer; a no-op for nil tickets (gate disabled).
-func stampAdmission(ans *Answer, tkt *admission.Ticket) {
-	if tkt == nil || ans == nil {
-		return
-	}
-	ans.QueueWait = tkt.Wait()
-	ans.AdmissionWeight = tkt.Weight()
 }
 
 // observePlanCache records one plan-cache lookup. The lookup-site counters

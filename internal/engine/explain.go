@@ -73,7 +73,7 @@ func (e *Engine) plan(q query.CQ, s Strategy, cover query.Cover) (*Plan, error) 
 //
 //reflint:nospanend plan spans are a rendered tree, never timed; Plan.Tree omits durations
 func (e *Engine) explain(p *prepared) *Plan {
-	d := e.g.Dict()
+	d := e.d.g.Dict()
 	root := trace.New(0).StartSpan("plan")
 	root.SetStr("strategy", string(p.strategy))
 	root.SetStr("query", query.FormatCQ(d, p.q))

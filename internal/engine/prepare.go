@@ -294,7 +294,7 @@ func (e *Engine) planned(p *prepared, sp *trace.Span, span string, cover query.C
 	if !cached {
 		hit = &prepared{
 			key: key, strategy: p.strategy, q: shape,
-			shape: query.FormatCQ(e.g.Dict(), shape), classes: classes,
+			shape: query.FormatCQ(e.d.g.Dict(), shape), classes: classes,
 		}
 		if err := plan(e, hit, cover, bound, e.CostModel().Bind(params)); err != nil {
 			return err
@@ -305,13 +305,11 @@ func (e *Engine) planned(p *prepared, sp *trace.Span, span string, cover query.C
 	*p = *hit
 	p.q, p.params, p.cachedPlan = q, params, cached
 	p.bind()
+	p.src, p.stats, p.model = e.Source(), e.Stats(), e.CostModel()
 	if psp != nil {
 		psp.SetStr("shape", p.shape)
 		psp.SetStr("classes", p.classes)
 		psp.SetBool("cached", cached)
-	}
-	p.src, p.stats, p.model = e.Source(), e.Stats(), e.CostModel()
-	if psp != nil {
 		psp.SetStr("cover", p.cover.String())
 		psp.SetInt("cqs", int64(p.cqs))
 		psp.SetFloat("est_cost", p.est.Cost)
@@ -405,12 +403,12 @@ func (p *prepared) fragmentKeys() []string {
 func (e *Engine) prepareDatalog(p *prepared, sp *trace.Span) error {
 	rsp := sp.Child("reformulate")
 	defer rsp.End()
-	p.program = datalog.EncodeGraph(e.g)
+	p.program = datalog.EncodeGraph(&e.d.g)
 	if err := datalog.AddQuery(p.program, p.q); err != nil {
 		return err
 	}
 	rsp.SetInt("rules", int64(len(p.program.Rules)))
-	p.proxy = float64(e.g.DataCount())
+	p.proxy = float64(e.d.g.DataCount())
 	return nil
 }
 
@@ -465,9 +463,15 @@ func (e *Engine) execute(ctx context.Context, p *prepared, sp *trace.Span) (*Ans
 		ans.CachedFragments = cs.Hits
 	}
 	if e.CaptureFragmentSigs && p.jucq != nil {
-		ans.FragmentSigs = p.fragmentSigs()
+		keys := p.fragmentKeys()
+		ans.FragmentSigs = make([]string, len(keys))
+		for i, key := range keys { // hex, for JSON and the journal
+			ans.FragmentSigs[i] = hex.EncodeToString([]byte(key))
+		}
 	}
-	stampAdmission(ans, tkt)
+	if tkt != nil {
+		ans.QueueWait, ans.AdmissionWeight = tkt.Wait(), tkt.Weight()
+	}
 	return ans, nil
 }
 
@@ -512,15 +516,4 @@ func runDatalog(ctx context.Context, prog *datalog.Program, head []string, timeo
 		rows.Add(t)
 	}
 	return rows.Rows, nil
-}
-
-// fragmentSigs returns the view-cache key of each JUCQ fragment, hex-encoded
-// for JSON and the journal.
-func (p *prepared) fragmentSigs() []string {
-	keys := p.fragmentKeys()
-	out := make([]string, len(keys))
-	for i, key := range keys {
-		out[i] = hex.EncodeToString([]byte(key))
-	}
-	return out
 }

@@ -58,6 +58,7 @@ func (e *Engine) dataChanged(added, removed []dict.Triple) {
 		// The first change since: count the graph as it is now, delta included.
 		e.closure = saturation.NewMaintained(e.g)
 	default:
+		e.d.sat() // a reader of the replaced version's G∞ finishes before the fold
 		e.closure.Insert(added)
 		e.closure.Delete(removed)
 	}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/ntriples"
 	"repro/internal/rdf"
 	"repro/internal/schema"
+	"repro/internal/storage"
 )
 
 // Graph is an RDF graph of the database fragment: dictionary-encoded data
@@ -22,7 +23,10 @@ import (
 type Graph struct {
 	d      *dict.Dict
 	schema *schema.Schema
-	data   []dict.Triple // sorted (S,P,O), deduplicated
+	// all is D, the database reformulations are evaluated against: the data
+	// triples plus the closed schema's, sorted (S,P,O) and duplicate free. A
+	// published D is never written: a write replaces it with a merged copy.
+	all []dict.Triple
 }
 
 // FromTriples builds a graph from raw triples: RDFS constraint triples feed
@@ -31,7 +35,7 @@ type Graph struct {
 func FromTriples(ts []rdf.Triple) (*Graph, error) {
 	d := dict.New()
 	b := schema.NewBuilder(d)
-	var data []dict.Triple
+	data := make([]dict.Triple, 0, len(ts))
 	for i, t := range ts {
 		if !t.WellFormed() {
 			return nil, fmt.Errorf("graph: triple %d is ill-formed: %s", i, t)
@@ -44,31 +48,33 @@ func FromTriples(ts []rdf.Triple) (*Graph, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	g := &Graph{d: d, schema: b.Close(), data: sortDedup(data)}
-	g.Reencode()
-	return g, nil
+	return assemble(d, b.Close(), data), nil
 }
 
-// Reencode applies the hierarchy-aware interval encoding: IDs are permuted
-// so every subClassOf/subPropertyOf subtree occupies a contiguous interval
+// assemble applies the hierarchy-aware interval encoding and returns the
+// graph over data and the closed schema s: IDs are permuted so every
+// subClassOf/subPropertyOf subtree occupies a contiguous interval
 // (schema.BuildIntervalRemap), the dictionary, schema and data triples are
 // rewritten through the remap table, and the subtree-interval table is
-// installed on the dictionary. Idempotent; called after every schema
-// (re)build. Terms encoded later (new data) take IDs past the hierarchy
-// blocks, which leaves existing intervals valid.
-func (g *Graph) Reencode() {
-	remap, changed := g.schema.BuildIntervalRemap()
+// installed on the dictionary. Terms encoded later (new data) take IDs past
+// the hierarchy blocks, which leaves existing intervals valid. D is then
+// the data, sorted, merged with the closure triples into one exactly sized
+// slice: data triples never have a constraint predicate, so the two never
+// overlap.
+func assemble(d *dict.Dict, s *schema.Schema, data []dict.Triple) *Graph {
+	remap, changed := s.BuildIntervalRemap()
 	if changed {
-		if err := g.d.Permute(remap); err != nil {
+		if err := d.Permute(remap); err != nil {
 			panic(fmt.Sprintf("graph: reencode: %v", err))
 		}
-		g.schema = g.schema.Remapped(remap)
-		for i, t := range g.data {
-			g.data[i] = dict.Triple{S: remap[t.S], P: remap[t.P], O: remap[t.O]}
+		s = s.Remapped(remap)
+		for i, t := range data {
+			data[i] = dict.Triple{S: remap[t.S], P: remap[t.P], O: remap[t.O]}
 		}
-		g.data = sortDedup(g.data)
 	}
-	g.d.SetIntervals(g.schema.SubtreeIntervals())
+	d.SetIntervals(s.SubtreeIntervals())
+	slices.SortFunc(data, CompareTriples)
+	return &Graph{d: d, schema: s, all: storage.Merge(slices.Compact(data), s.Triples(), nil)}
 }
 
 // Parse reads triples in N-Triples/Turtle-subset syntax and builds a graph.
@@ -105,51 +111,27 @@ func (g *Graph) Dict() *dict.Dict { return g.d }
 // Schema returns the closed RDFS schema.
 func (g *Graph) Schema() *schema.Schema { return g.schema }
 
-// Data returns the encoded instance triples (sorted, deduplicated). The
-// slice must not be mutated.
-func (g *Graph) Data() []dict.Triple { return g.data }
+// DataCount returns the number of instance triples: D less the closure
+// triples, which AddData never lets a data triple duplicate.
+func (g *Graph) DataCount() int { return len(g.all) - len(g.schema.Triples()) }
 
-// DataCount returns the number of instance triples.
-func (g *Graph) DataCount() int { return len(g.data) }
-
-// AllTriples returns data plus closed-schema triples: the database the
-// reformulated queries are evaluated against (schema-level atoms are
-// answered from the closed schema).
-func (g *Graph) AllTriples() []dict.Triple {
-	all := make([]dict.Triple, 0, len(g.data)+len(g.schema.Triples()))
-	all = append(all, g.data...)
-	all = append(all, g.schema.Triples()...)
-	return sortDedup(all)
-}
+// AllTriples returns D, data plus closed-schema triples sorted (S,P,O): the
+// database the reformulated queries are evaluated against (schema-level
+// atoms are answered from the closed schema). The slice is the graph's own,
+// shared: callers must not modify it. A write replaces it and never changes
+// it, so a caller holding it keeps the graph as it was.
+func (g *Graph) AllTriples() []dict.Triple { return g.all }
 
 // AddData adds instance triples to the graph and returns, sorted, the
 // encoded triples that were not already in it (schema triples are
 // rejected: constraint changes require rebuilding the graph so the closure
 // stays consistent — see experiment E5).
 func (g *Graph) AddData(ts []rdf.Triple) ([]dict.Triple, error) {
-	add := make([]dict.Triple, 0, len(ts))
-	for i, t := range ts {
-		if err := checkDataTriple(i, t); err != nil {
-			return nil, err
-		}
-		if enc := g.d.EncodeTriple(t); !g.has(enc) {
-			add = append(add, enc)
-		}
+	add, err := g.delta(ts, false, func(t rdf.Triple) (dict.Triple, bool) { return g.d.EncodeTriple(t), true })
+	if err != nil {
+		return nil, err
 	}
-	add = sortDedup(add)
-	// Merge the sorted batch in from the back: one pass over the tail of
-	// the data it lands in, no re-sort of what was already in order.
-	i, w := len(g.data)-1, len(g.data)+len(add)-1
-	g.data = append(g.data, add...)
-	for j := len(add) - 1; j >= 0; w-- {
-		if i >= 0 && CompareTriples(g.data[i], add[j]) > 0 {
-			g.data[w] = g.data[i]
-			i--
-		} else {
-			g.data[w] = add[j]
-			j--
-		}
-	}
+	g.all = storage.Merge(g.all, add, nil)
 	return add, nil
 }
 
@@ -157,26 +139,31 @@ func (g *Graph) AddData(ts []rdf.Triple) ([]dict.Triple, error) {
 // the encoded triples that were in it (absent triples are ignored; schema
 // triples are rejected like in AddData).
 func (g *Graph) RemoveData(ts []rdf.Triple) ([]dict.Triple, error) {
-	var drop []dict.Triple
+	drop, err := g.delta(ts, true, g.lookupTriple)
+	if err != nil {
+		return nil, err
+	}
+	g.all = storage.Merge(g.all, nil, drop)
+	return drop, nil
+}
+
+// delta checks and encodes ts and returns, sorted and duplicate free, those
+// in D when present is set, those not in it otherwise: a write's effective
+// delta. encode reports false for a triple that cannot be in D.
+func (g *Graph) delta(ts []rdf.Triple, present bool, encode func(rdf.Triple) (dict.Triple, bool)) ([]dict.Triple, error) {
+	out := make([]dict.Triple, 0, len(ts))
 	for i, t := range ts {
 		if err := checkDataTriple(i, t); err != nil {
 			return nil, err
 		}
-		if enc, ok := g.lookupTriple(t); ok && g.has(enc) {
-			drop = append(drop, enc)
+		if enc, ok := encode(t); ok {
+			if _, in := slices.BinarySearchFunc(g.all, enc, CompareTriples); in == present {
+				out = append(out, enc)
+			}
 		}
 	}
-	drop = sortDedup(drop)
-	kept, j := g.data[:0], 0
-	for _, t := range g.data {
-		if j < len(drop) && t == drop[j] {
-			j++
-			continue
-		}
-		kept = append(kept, t)
-	}
-	g.data = kept
-	return drop, nil
+	slices.SortFunc(out, CompareTriples)
+	return slices.Compact(out), nil
 }
 
 func checkDataTriple(i int, t rdf.Triple) error {
@@ -187,12 +174,6 @@ func checkDataTriple(i int, t rdf.Triple) error {
 		return fmt.Errorf("graph: triple %d declares a constraint (%s); rebuild the graph to change constraints", i, t)
 	}
 	return nil
-}
-
-// has reports whether the encoded triple is an instance triple of the graph.
-func (g *Graph) has(t dict.Triple) bool {
-	_, ok := slices.BinarySearchFunc(g.data, t, CompareTriples)
-	return ok
 }
 
 // lookupTriple encodes a triple without growing the dictionary; ok is
@@ -209,12 +190,17 @@ func (g *Graph) lookupTriple(t rdf.Triple) (dict.Triple, bool) {
 
 // DecodedData decodes all instance triples back to terms, in sorted order.
 func (g *Graph) DecodedData() []rdf.Triple {
-	out := make([]rdf.Triple, len(g.data))
-	for i, t := range g.data {
+	data := g.data()
+	out := make([]rdf.Triple, len(data))
+	for i, t := range data {
 		out[i] = g.d.DecodeTriple(t)
 	}
 	return out
 }
+
+// data returns the instance triples: D less the closure triples, merged
+// out. Callers must not modify it.
+func (g *Graph) data() []dict.Triple { return storage.Merge(g.all, nil, g.schema.Triples()) }
 
 // Val returns Val(G): the set of values of the graph (data plus schema).
 func (g *Graph) Val() []rdf.Term {
@@ -228,7 +214,7 @@ func (g *Graph) Val() []rdf.Term {
 
 // String summarizes the graph.
 func (g *Graph) String() string {
-	return fmt.Sprintf("graph{data:%d %s}", len(g.data), g.schema)
+	return fmt.Sprintf("graph{data:%d %s}", g.DataCount(), g.schema)
 }
 
 // CompareTriples orders encoded triples by (S, P, O).
@@ -251,9 +237,4 @@ func CompareTriples(a, b dict.Triple) int {
 		return 1
 	}
 	return 0
-}
-
-func sortDedup(ts []dict.Triple) []dict.Triple {
-	slices.SortFunc(ts, CompareTriples)
-	return slices.Compact(ts)
 }

@@ -67,7 +67,8 @@ func TestAddData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := g.DataCount()
+	n, before := g.DataCount(), g.AllTriples()
+	kept := slices.Clone(before)
 	doi2 := rdf.NewTriple(rdf.NewIRI("http://example.org/doi2"), rdf.Type, rdf.NewIRI("http://example.org/Book"))
 	added, err := g.AddData([]rdf.Triple{doi2})
 	if err != nil {
@@ -86,8 +87,12 @@ func TestAddData(t *testing.T) {
 	if g.DataCount() != n+2 || len(added) != 1 || g.Dict().DecodeTriple(added[0]) != doi0 {
 		t.Fatalf("want %d triples and doi0 alone reported added, got %d and %v", n+2, g.DataCount(), added)
 	}
-	if !slices.IsSortedFunc(g.Data(), CompareTriples) {
-		t.Fatalf("data not sorted after merge: %v", g.Data())
+	if all := g.AllTriples(); !slices.IsSortedFunc(all, CompareTriples) || len(all) != g.DataCount()+len(g.Schema().Triples()) {
+		t.Fatalf("D not sorted, or not data plus closure, after merge: %v", all)
+	}
+	// A write replaces D; the one published before it is never written.
+	if !slices.Equal(before, kept) {
+		t.Fatalf("AddData changed the D it replaced: %v, was %v", before, kept)
 	}
 }
 
@@ -174,7 +179,8 @@ func TestRemoveData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := g.DataCount()
+	n, before := g.DataCount(), g.AllTriples()
+	kept := slices.Clone(before)
 	book := rdf.NewTriple(rdf.NewIRI("http://example.org/doi1"), rdf.Type, rdf.NewIRI("http://example.org/Book"))
 	unknown := rdf.NewTriple(rdf.NewIRI("http://x"), rdf.NewIRI("http://y"), rdf.NewIRI("http://z"))
 	// Known terms, absent triple: must not be reported removed.
@@ -183,8 +189,8 @@ func TestRemoveData(t *testing.T) {
 	if err != nil || len(removed) != 1 || g.Dict().DecodeTriple(removed[0]) != book {
 		t.Fatalf("removed=%v err=%v", removed, err)
 	}
-	if g.DataCount() != n-1 {
-		t.Fatalf("data count %d, want %d", g.DataCount(), n-1)
+	if g.DataCount() != n-1 || !slices.Equal(before, kept) {
+		t.Fatalf("data count %d, want %d; D replaced was %v, now %v", g.DataCount(), n-1, kept, before)
 	}
 	// Already gone: no-op.
 	removed, err = g.RemoveData([]rdf.Triple{book})

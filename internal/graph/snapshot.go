@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/dict"
 	"repro/internal/durable/columnar"
@@ -16,10 +17,11 @@ import (
 
 // WriteSnapshot serializes the graph (dictionary, data, closed schema) in
 // the v2 columnar format: delta-encoded sorted ID-triple columns plus the
-// term table, flate-compressed and CRC32C-checksummed per section.
+// term table, flate-compressed and CRC32C-checksummed per section. The data
+// column is D less the closure triples, which the schema column holds.
 func (g *Graph) WriteSnapshot(w io.Writer) error {
 	snap := &columnar.Snapshot{
-		Data:       g.data,
+		Data:       g.data(),
 		Schema:     g.schema.Triples(),
 		Classes:    g.schema.Classes(),
 		Properties: g.schema.Properties(),
@@ -122,16 +124,25 @@ func buildFromSnapshot(snap *columnar.Snapshot) (*Graph, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
+	// A data triple never declares a constraint (AddData's rule), so D is
+	// the disjoint union DataCount counts on.
+	var constraint []dict.ID
+	for _, p := range []rdf.Term{rdf.SubClassOf, rdf.SubPropertyOf, rdf.Domain, rdf.Range} {
+		if id, ok := d.Lookup(p); ok {
+			constraint = append(constraint, id)
+		}
+	}
 	for _, t := range snap.Data {
 		if err := checkTriple(t, "data"); err != nil {
 			return nil, err
 		}
+		if slices.Contains(constraint, t.P) {
+			return nil, fmt.Errorf("graph: snapshot data triple declares a constraint: %s", d.DecodeTriple(t))
+		}
 	}
-	g := &Graph{d: d, schema: b.Close(), data: sortDedup(snap.Data)}
 	// Snapshots written after the interval encoding are already in DFS
-	// order, so this is the identity; older snapshots get re-encoded here.
-	g.Reencode()
-	return g, nil
+	// order, so its remap is the identity; older snapshots get re-encoded.
+	return assemble(d, b.Close(), snap.Data), nil
 }
 
 // The role errors of a snapshot file set: the caller (the durable

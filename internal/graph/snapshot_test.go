@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/dict"
+	"repro/internal/durable/columnar"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -141,13 +142,39 @@ func TestSnapshotRejectsDanglingIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good.data = append(good.data, dict.Triple{S: 9999, P: 9999, O: 9999})
+	good.all = append(good.all, dict.Triple{S: 9999, P: 9999, O: 9999})
 	var buf2 bytes.Buffer
 	if err := good.WriteSnapshot(&buf2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadSnapshot(bytes.NewReader(buf2.Bytes())); err == nil {
 		t.Fatal("dangling IDs must be rejected")
+	}
+}
+
+// A data column carrying a constraint triple is refused, as AddData refuses
+// one: D is data and closure triples, disjoint, which DataCount counts on.
+func TestSnapshotRejectsConstraintData(t *testing.T) {
+	g, err := ParseString(sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := g.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := columnar.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := g.Schema().Triples()[0]
+	snap.Data = append(snap.Data, dict.Triple{S: snap.Data[0].S, P: c.P, O: c.O})
+	buf.Reset()
+	if err := columnar.Write(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSnapshot(&buf); err == nil || !strings.Contains(err.Error(), "declares a constraint") {
+		t.Fatalf("a constraint in the data column loaded: %v", err)
 	}
 }
 

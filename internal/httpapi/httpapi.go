@@ -80,7 +80,6 @@ import (
 
 // Server is the HTTP endpoint over one graph.
 type Server struct {
-	g        *graph.Graph
 	eng      *engine.Engine
 	prefixes map[string]string
 	mux      *http.ServeMux
@@ -98,7 +97,7 @@ type Server struct {
 	gate     *admission.Gate
 	draining atomic.Bool
 	// stateMu serializes updates (write lock) against everything that
-	// reads g or eng (read lock: queries, dumps, stats, checkpoints).
+	// reads eng or its graph (read lock: queries, dumps, stats, checkpoints).
 	// Deliberately unranked in the lockorder hierarchy: evaluation
 	// legitimately blocks on the admission gate while holding the read
 	// side.
@@ -154,7 +153,6 @@ type Options struct {
 // NewWithOptions is NewWith with construction options.
 func NewWithOptions(g *graph.Graph, prefixes map[string]string, reg *metrics.Registry, opts Options) *Server {
 	s := &Server{
-		g:        g,
 		eng:      engine.New(g),
 		prefixes: prefixes,
 		mux:      http.NewServeMux(),
@@ -265,10 +263,10 @@ func (s *Server) handleDump(w http.ResponseWriter, r *http.Request) {
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
 	w.Header().Set("Content-Type", "application/n-triples")
-	d := s.g.Dict()
+	d := s.eng.Graph().Dict()
 	ctx := r.Context()
 	sw := ntriples.NewWriter(w)
-	for i, t := range s.g.AllTriples() {
+	for i, t := range s.eng.Graph().AllTriples() {
 		if i&1023 == 0 && ctx.Err() != nil {
 			s.metrics.Counter("http.dump_aborted").Inc()
 			return
@@ -464,8 +462,8 @@ func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"service":     "repro RDF endpoint (reformulation-based query answering)",
-		"dataTriples": s.g.DataCount(),
-		"schema":      s.g.Schema().String(),
+		"dataTriples": s.eng.Graph().DataCount(),
+		"schema":      s.eng.Graph().Schema().String(),
 		"strategies":  strategies,
 		"endpoints": []string{
 			"/v1/healthz", "/v1/readyz", "/v1/stats", "/v1/metrics",
@@ -484,7 +482,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
 	st := s.eng.Stats()
-	d := s.g.Dict()
+	d := s.eng.Graph().Dict()
 	type valueCount struct {
 		Value string `json:"value"`
 		Count int    `json:"count"`
@@ -567,9 +565,9 @@ func (s *Server) parseRequest(r *http.Request) (QueryRequest, error) {
 func (s *Server) parseQuery(text string) (query.UCQ, error) {
 	head := strings.TrimSpace(text)
 	if len(head) >= 6 && (strings.EqualFold(head[:6], "SELECT") || strings.EqualFold(head[:6], "PREFIX")) {
-		return query.ParseSPARQLUnion(s.g.Dict(), text)
+		return query.ParseSPARQLUnion(s.eng.Graph().Dict(), text)
 	}
-	q, err := query.ParseRuleWithPrefixes(s.g.Dict(), s.prefixes, text)
+	q, err := query.ParseRuleWithPrefixes(s.eng.Graph().Dict(), s.prefixes, text)
 	if err != nil {
 		return query.UCQ{}, err
 	}
@@ -684,7 +682,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 			limit = 10000
 		}
 	}
-	d := s.g.Dict()
+	d := s.eng.Graph().Dict()
 	serStart := time.Now()
 	ans.Rows.SortFirst(limit)
 	n := ans.Rows.Len()
@@ -898,7 +896,7 @@ func (s *Server) serveExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := ExplainResponse{
-		Query:       query.FormatCQ(s.g.Dict(), q),
+		Query:       query.FormatCQ(s.eng.Graph().Dict(), q),
 		UCQSize:     total,
 		PerAtom:     per,
 		GCovCover:   ans.Cover.String(),

@@ -24,10 +24,12 @@ import (
 //
 // Concurrency: Server.stateMu serializes updates (write lock) against
 // everything that reads the graph or engine (read lock — queries, dumps,
-// stats, checkpoints). Queries hold the read lock for their whole
-// evaluation: the engine builds its derived state lazily from the live
-// graph, so releasing early would race a concurrent update's in-place
-// mutation.
+// stats, checkpoints). A query's engine copy reads only the version it
+// captured, but queries still hold the read lock for their whole
+// evaluation: the view cache stamps a fragment it fills with the generation
+// current when the fragment's evaluation starts, not the copy's, so an
+// update landing between the copy and a fill would let the previous
+// version's fragment pass for the new one's.
 //
 // Durability ordering: an update applies in memory first, then stages its
 // WAL record, both under the write lock — so WAL order always equals
@@ -128,10 +130,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			err = s.eng.UpdateSchema(o.ts)
 			if err == nil {
 				resp.SchemaAdded += len(o.ts)
-				// UpdateSchema rebuilds the graph object (interval
-				// re-encoding assigns fresh IDs); every read path must see
-				// the replacement.
-				s.g = s.eng.Graph()
 			}
 		case durable.OpDelete:
 			var n int
@@ -205,8 +203,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 // pause for the duration (their write lock waits), queries proceed.
 func (s *Server) runCheckpoint(reason string) error {
 	s.stateMu.RLock()
-	g := s.g
-	err := s.durable.Checkpoint(g)
+	err := s.durable.Checkpoint(s.eng.Graph())
 	s.stateMu.RUnlock()
 	if err != nil && err != durable.ErrCheckpointBusy {
 		s.metrics.Counter("http.checkpoint_errors").Inc()

@@ -26,7 +26,7 @@ func PickExampleOneUniversity(g *graph.Graph) string {
 	mdf := Prop("mastersDegreeFrom").Value
 	ddf := Prop("doctoralDegreeFrom").Value
 
-	for _, t := range g.Data() {
+	for _, t := range g.AllTriples() {
 		tr := d.DecodeTriple(t)
 		if tr.P.Kind != rdf.IRI {
 			continue

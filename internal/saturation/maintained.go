@@ -18,13 +18,16 @@ import (
 // Constraint changes still require a rebuild (experiment E5).
 //
 // The explicit triples are held once, by the graph: Maintained keeps the
-// counters only and reads g.Data() for the rest. The graph is therefore
-// the owner of set semantics — Insert and Delete must be given exactly the
-// triples Graph.AddData and Graph.RemoveData reported as added or removed,
-// after the graph changed.
+// counters and the graph's D (AllTriples) as of its last Insert or Delete,
+// which a later write to the graph replaces but never changes, so the
+// closure read off it is always the one of the D it was last advanced
+// against. The graph is the owner of set semantics — Insert and Delete must
+// be given exactly the triples Graph.AddData and Graph.RemoveData reported
+// as added or removed, after the graph changed.
 type Maintained struct {
 	g      *graph.Graph
 	typeID dict.ID
+	all    []dict.Triple // g's D when last advanced
 
 	derived map[dict.Triple]int // derivation counts (explicit or not)
 }
@@ -37,12 +40,13 @@ func NewMaintained(g *graph.Graph) *Maintained {
 		typeID:  g.Dict().EncodeIRI(rdf.TypeIRI),
 		derived: make(map[dict.Triple]int, g.DataCount()),
 	}
-	m.Insert(g.Data())
+	m.Insert(g.AllTriples()) // a closure triple derives nothing
 	return m
 }
 
 // Insert counts the consequences of triples that just became explicit.
 func (m *Maintained) Insert(added []dict.Triple) {
+	m.all = m.g.AllTriples()
 	for _, t := range added {
 		deriveOne(m.g.Schema(), m.typeID, t, func(d dict.Triple) {
 			m.derived[d]++
@@ -53,6 +57,7 @@ func (m *Maintained) Insert(added []dict.Triple) {
 // Delete uncounts the consequences of triples that just stopped being
 // explicit, retracting entailed triples whose last derivation disappeared.
 func (m *Maintained) Delete(removed []dict.Triple) {
+	m.all = m.g.AllTriples()
 	for _, t := range removed {
 		deriveOne(m.g.Schema(), m.typeID, t, func(d dict.Triple) {
 			if m.derived[d] <= 1 {
@@ -67,35 +72,30 @@ func (m *Maintained) Delete(removed []dict.Triple) {
 // Contains reports whether the triple is in the current closure (explicit,
 // entailed, or part of the closed schema).
 func (m *Maintained) Contains(t dict.Triple) bool {
-	if _, explicit := slices.BinarySearchFunc(m.g.Data(), t, graph.CompareTriples); explicit {
-		return true
-	}
-	return m.derived[t] > 0 || slices.Contains(m.g.Schema().Triples(), t)
+	_, explicit := slices.BinarySearchFunc(m.all, t, graph.CompareTriples)
+	return explicit || m.derived[t] > 0
 }
 
 // ExplicitCount returns the number of explicit data triples.
-func (m *Maintained) ExplicitCount() int { return m.g.DataCount() }
+func (m *Maintained) ExplicitCount() int { return len(m.all) - len(m.g.Schema().Triples()) }
 
 // Triples returns the current closure G∞ (explicit + entailed + closed
 // schema), sorted and deduplicated.
 func (m *Maintained) Triples() []dict.Triple {
-	data := m.g.Data()
-	out := make([]dict.Triple, 0, len(data)+len(m.derived)+len(m.g.Schema().Triples()))
-	out = append(out, data...)
+	out := make([]dict.Triple, 0, len(m.all)+len(m.derived))
+	out = append(out, m.all...)
 	for t := range m.derived {
 		out = append(out, t)
 	}
-	out = append(out, m.g.Schema().Triples()...)
 	return sortDedupTriples(out)
 }
 
 // Result returns the current closure in the shape Saturate reports it.
 func (m *Maintained) Result() *Result {
 	closure := m.Triples()
-	data := m.g.DataCount()
 	return &Result{
 		Triples:     closure,
-		DataTriples: data,
-		Derived:     len(closure) - data - len(m.g.Schema().Triples()),
+		DataTriples: m.ExplicitCount(),
+		Derived:     len(closure) - len(m.all),
 	}
 }

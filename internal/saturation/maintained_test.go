@@ -3,6 +3,7 @@ package saturation
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dict"
@@ -146,6 +147,34 @@ ex:a ex:p ex:b .
 	}
 	if m.ExplicitCount() != 0 {
 		t.Fatalf("explicit count %d, want 0", m.ExplicitCount())
+	}
+}
+
+// The closure is the one of the D it was last advanced against: a write to
+// the graph shows in it once it is folded in, not before.
+func TestMaintainedKeepsTheDItWasAdvancedAgainst(t *testing.T) {
+	g, err := graph.ParseString(`
+@prefix ex: <http://example.org/> .
+ex:p rdfs:domain ex:C .
+ex:a ex:p ex:b .
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMaintained(g)
+	before := m.Result()
+	c := rdf.NewIRI("http://example.org/c")
+	added, err := g.AddData([]rdf.Triple{rdf.NewTriple(c, rdf.NewIRI("http://example.org/p"), rdf.NewIRI("http://example.org/d"))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cType := g.Dict().EncodeTriple(rdf.NewTriple(c, rdf.Type, rdf.NewIRI("http://example.org/C")))
+	if got := m.Result(); !slices.Equal(got.Triples, before.Triples) || got.DataTriples != 1 || m.Contains(added[0]) || m.Contains(cType) {
+		t.Fatalf("an unfolded write shows in the closure: %d triples, %d explicit, was %d and 1", len(got.Triples), got.DataTriples, len(before.Triples))
+	}
+	m.Insert(added)
+	if m.ExplicitCount() != 2 || !m.Contains(added[0]) || !m.Contains(cType) {
+		t.Fatalf("the folded write is missing: %d explicit", m.ExplicitCount())
 	}
 }
 

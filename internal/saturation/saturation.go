@@ -34,25 +34,26 @@ type Result struct {
 	Derived int
 }
 
-// Saturate computes G∞ for the graph in a single pass over the data.
+// Saturate computes G∞ for the graph in a single pass over D, its
+// AllTriples: a closure triple entails nothing more, since the schema may
+// not constrain the constraint properties themselves.
 func Saturate(g *graph.Graph) *Result {
 	s := g.Schema()
 	typeID := g.Dict().EncodeIRI(rdf.TypeIRI)
 
-	data := g.Data()
-	out := make([]dict.Triple, 0, len(data)*2)
-	out = append(out, data...)
-	for _, t := range data {
+	all := g.AllTriples()
+	out := make([]dict.Triple, 0, len(all)*2)
+	out = append(out, all...)
+	for _, t := range all {
 		deriveOne(s, typeID, t, func(d dict.Triple) {
 			out = append(out, d)
 		})
 	}
-	out = append(out, s.Triples()...)
 	out = sortDedupTriples(out)
 	return &Result{
 		Triples:     out,
-		DataTriples: len(data),
-		Derived:     len(out) - len(data) - len(s.Triples()),
+		DataTriples: g.DataCount(),
+		Derived:     len(out) - len(all),
 	}
 }
 

@@ -137,11 +137,10 @@ func TestIncrementMatchesFullSaturation(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := sc.Graph
-		data := g.Data()
-		if len(data) < 2 {
+		if g.DataCount() < 2 {
 			continue
 		}
-		cut := len(data) / 2
+		cut := g.DataCount() / 2
 		// Build a graph with only the first half of the data by
 		// re-encoding; schema comes from the same raw triples.
 		var rawSchema, rawFirst, rawSecond []rdf.Triple

@@ -11,7 +11,8 @@ import (
 // direct subclass forest so that every subClassOf subtree occupies a
 // contiguous ID interval, then properties likewise, then every remaining
 // term in its original relative order. The resulting remap table is applied
-// to the dictionary, the schema and the data triples by graph.Reencode.
+// to the dictionary, the schema and the data triples by the graph as it is
+// assembled (graph.FromTriples, graph.ReadSnapshot).
 //
 // Contiguity is an optimization, never a correctness assumption: with
 // multiple inheritance (diamonds) or cycles a subtree may not be

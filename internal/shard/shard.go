@@ -84,35 +84,44 @@ func partition(triples []dict.Triple, n int) [][]dict.Triple {
 	return parts
 }
 
-// Build partitions the triples by subject into n shards (n < 2: one): Apply
-// on the empty store.
-func Build(d *dict.Dict, triples []dict.Triple, n int) *Store {
+// Build partitions spo — triples sorted by (S,P,O) and duplicate free, as a
+// graph's AllTriples — by subject into n shards (n < 2: one): Apply on the
+// empty store, so each shard sorts only its POS and OSP runs, and a
+// one-shard store keeps spo itself as its SPO run.
+func Build(d *dict.Dict, spo []dict.Triple, n int) *Store {
 	empty := &Store{d: d, shards: make([]*storage.Store, max(n, 1)), stats: make([]*stats.Stats, max(n, 1))}
 	for i := range empty.shards {
-		empty.shards[i] = storage.Build(d, nil)
+		empty.shards[i] = storage.BuildSorted(d, nil)
 	}
-	return empty.Apply(triples, nil)
+	return empty.Apply(spo, spo, nil)
 }
 
-// Apply returns the sharded store over s's triples without removed and with
-// added. The delta is partitioned like the triples and applied, in parallel,
-// to the shards it touches, whose statistics — where collected — follow it;
-// the other shards and their statistics are shared with s.
-func (s *Store) Apply(added, removed []dict.Triple) *Store {
-	add, del := partition(added, len(s.shards)), partition(removed, len(s.shards))
+// Apply returns the sharded store over spo: s's triples without removed and
+// with added, sorted by (S,P,O) and duplicate free. A one-shard store keeps
+// spo as its shard's SPO run; more shards merge their part of the delta into
+// their own. The delta is partitioned like the triples and applied, in
+// parallel, to the shards it touches, whose statistics — where collected —
+// follow it; the other shards and their statistics are shared with s.
+func (s *Store) Apply(spo, added, removed []dict.Triple) *Store {
+	n := len(s.shards)
+	add, del := partition(added, n), partition(removed, n)
 	out := &Store{d: s.d, shards: slices.Clone(s.shards)}
 	s.mu.Lock()
 	out.stats = slices.Clone(s.stats)
 	s.mu.Unlock()
 	var wg sync.WaitGroup
 	for i, sh := range out.shards {
-		if len(add[i])+len(del[i]) == 0 {
+		if n > 1 && len(add[i])+len(del[i]) == 0 {
 			continue
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out.shards[i] = sh.Apply(add[i], del[i])
+			run := spo
+			if n > 1 {
+				run = storage.Merge(sh.Triples(), add[i], del[i])
+			}
+			out.shards[i] = sh.Apply(run, add[i], del[i])
 			if st := out.stats[i]; st != nil {
 				out.stats[i] = st.Apply(out.shards[i], add[i], del[i])
 			}

@@ -9,8 +9,9 @@ import (
 	"repro/internal/dict"
 )
 
-// checkApply applies the delta to Build(base) and compares all three runs
-// with Build of the set result, (base \ removed) ∪ added.
+// checkApply applies the delta to Build(base) — Merge making the SPO run,
+// Apply the other two — and compares all three runs with Build of the set
+// result, (base \ removed) ∪ added.
 func checkApply(t *testing.T, base, added, removed []dict.Triple) {
 	t.Helper()
 	var want []dict.Triple
@@ -22,7 +23,7 @@ func checkApply(t *testing.T, base, added, removed []dict.Triple) {
 	want = append(want, added...)
 	prev := buildStore(base)
 	before := slices.Clone(prev.runs[bySPO])
-	got, ref := prev.Apply(added, removed), Build(prev.d, want)
+	got, ref := prev.Apply(Merge(prev.Triples(), added, removed), added, removed), Build(prev.d, want)
 	for _, run := range []struct {
 		name      string
 		got, want []dict.Triple
@@ -60,7 +61,7 @@ func TestApplyMatchesBuild(t *testing.T) {
 }
 
 // BuildSorted holds the run it is given as its SPO run and builds the other
-// two as Build does.
+// two as Build does; Merge with nothing to change hands its run back.
 func TestBuildSortedSharesItsRun(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 50; trial++ {
@@ -72,6 +73,9 @@ func TestBuildSortedSharesItsRun(t *testing.T) {
 		}
 		if !slices.EqualFunc(got.runs[:], ref.runs[:], slices.Equal) {
 			t.Fatalf("BuildSorted gave %v, Build %v", got.runs, ref.runs)
+		}
+		if same := Merge(spo, nil, nil); len(spo) > 0 && &same[0] != &spo[0] {
+			t.Fatal("Merge copied a run it had nothing to change in")
 		}
 	}
 }
@@ -105,7 +109,7 @@ func BenchmarkApplyVsBuild(b *testing.B) {
 		base, delta := buildStore(triples), randomTriples(r, 20, n/4)
 		b.Run("apply/"+strconv.Itoa(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				base.Apply(delta, nil)
+				base.Apply(Merge(base.Triples(), delta, nil), delta, nil)
 			}
 		})
 		b.Run("build/"+strconv.Itoa(n), func(b *testing.B) {

@@ -51,40 +51,49 @@ type Store struct {
 // Build sorts the given triples into the three permutations and returns the
 // store. The input slice is not retained; duplicates are removed.
 func Build(d *dict.Dict, triples []dict.Triple) *Store {
-	return (&Store{d: d}).Apply(triples, nil)
+	return BuildSorted(d, Merge(nil, triples, nil))
 }
 
 // BuildSorted is Build over triples already sorted by (S,P,O) and duplicate
 // free, which the store keeps as its SPO run — shared, and never written by
-// either side — in place of the copy Build makes.
+// either side — so that only the POS and OSP runs are sorted.
 func BuildSorted(d *dict.Dict, spo []dict.Triple) *Store {
-	st := Build(d, spo)
-	st.runs[bySPO] = slices.Clip(spo)
-	return st
+	return (&Store{d: d}).Apply(spo, spo, nil)
 }
 
-// Apply returns the store over st's triples without removed and with added
-// (set semantics: a triple in both ends up present); st is not changed. The
-// three orderings are made concurrently, each sorting the delta its own way
-// and merging it into st's run in one pass: a copy of the runs where Build,
-// which merges everything into nothing, pays for the sorts.
-func (st *Store) Apply(added, removed []dict.Triple) *Store {
+// Apply returns the store over spo: st's triples without removed and with
+// added (set semantics: a triple in both ends up present), sorted by
+// (S,P,O) and duplicate free — what Merge makes of st.Triples() and the
+// delta, or a graph's AllTriples after the write that reported the delta.
+// The store keeps spo as its SPO run, shared and never written by either
+// side; the POS and OSP runs are made concurrently, each sorting the delta
+// its own way and merging it into st's run in one pass. st is not changed.
+func (st *Store) Apply(spo, added, removed []dict.Triple) *Store {
 	out := &Store{d: st.d}
+	out.runs[bySPO] = slices.Clip(spo)
 	var wg sync.WaitGroup
-	for o := range out.runs {
+	for _, o := range []ordering{byPOS, byOSP} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out.runs[o] = merge(st.runs[o], added, removed, ordering(o))
+			out.runs[o] = merge(st.runs[o], added, removed, o)
 		}()
 	}
 	wg.Wait()
 	return out
 }
 
-// merge returns a fresh run: run, which is sorted by o and duplicate free,
-// without the triples of del and with those of add.
+// Merge returns run, sorted by (S,P,O) and duplicate free, without the
+// triples of del and with those of add, as a fresh run — run itself when
+// there is nothing to change. It is the one merge of sorted runs: the
+// graph's writes and Apply's orderings go through it.
+func Merge(run, add, del []dict.Triple) []dict.Triple { return merge(run, add, del, bySPO) }
+
+// merge is Merge over a run sorted by o.
 func merge(run, add, del []dict.Triple, o ordering) []dict.Triple {
+	if len(add)+len(del) == 0 {
+		return run
+	}
 	byKey := func(a, b dict.Triple) int {
 		ka, kb := o.key(a), o.key(b)
 		return slices.Compare(ka[:], kb[:])
@@ -92,7 +101,7 @@ func merge(run, add, del []dict.Triple, o ordering) []dict.Triple {
 	add, del = slices.Clone(add), slices.Clone(del)
 	slices.SortFunc(add, byKey)
 	slices.SortFunc(del, byKey)
-	if add = dedupSorted(add); len(run) == 0 {
+	if add = slices.Compact(add); len(run) == 0 {
 		return add
 	}
 	out := make([]dict.Triple, 0, len(run)+len(add))
@@ -237,19 +246,6 @@ func (o ordering) key(t dict.Triple) [3]dict.ID {
 		return [3]dict.ID{t.O, t.S, t.P}
 	}
 	return [3]dict.ID{t.S, t.P, t.O}
-}
-
-func dedupSorted(ts []dict.Triple) []dict.Triple {
-	if len(ts) < 2 {
-		return ts
-	}
-	out := ts[:1]
-	for _, t := range ts[1:] {
-		if t != out[len(out)-1] {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // rangeOf returns the half-open index range [lo,hi) of triples of idx,

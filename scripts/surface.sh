@@ -31,7 +31,7 @@ printf '  %-32s %6d\n' "exec.Evaluator (exported)" "$(fields ./internal/exec.Eva
 printf '  %-32s %6d\n' "durable.Options" "$(fields ./internal/durable.Options)"
 
 echo "exported identifiers (package-level + methods):"
-for pkg in core cost engine exec graph httpapi query viewcache; do
+for pkg in core cost engine exec graph httpapi query saturation storage viewcache; do
 	top=$(go doc -short "./internal/$pkg" | grep -cE '^ *(func|type|const|var) ' || true)
 	methods=$(go doc -all "./internal/$pkg" | grep -cE '^func \(' || true)
 	printf '  %-32s %6d  (%d + %d)\n' "$pkg" $((top + methods)) "$top" "$methods"
