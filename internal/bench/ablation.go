@@ -52,9 +52,15 @@ func Ablation(cfg Config) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// With the cover's estimates the fragment joins follow the plan rule and
+	// probe fragments; forced, every fragment is materialized.
+	plans := make([]exec.FragmentPlan, len(gres.Estimates))
+	for i, est := range gres.Estimates {
+		plans[i].Est = est
+	}
 	timeEval := func(force bool) (time.Duration, int, error) {
 		ev := exec.New(e.Store(), e.Stats())
-		ev.ForceHashJoins = force
+		ev.ForceHashJoins, ev.Fragments = force, plans
 		ev.Budget = exec.Budget{Timeout: cfg.Timeout}
 		start := time.Now()
 		rows, err := ev.EvalJUCQContext(ctx, gres.JUCQ)
@@ -78,7 +84,7 @@ func Ablation(cfg Config) (*AblationResult, error) {
 	res.Table.Add("join method", "hash joins only", tHash,
 		fmt.Sprintf("%.1fx slower", float64(tHash)/float64(maxDur(tDef, time.Nanosecond))))
 	evMerge := exec.New(e.Store(), e.Stats())
-	evMerge.ForceHashJoins = true
+	evMerge.ForceHashJoins, evMerge.Fragments = true, plans
 	evMerge.Join = exec.JoinMerge
 	evMerge.Budget = exec.Budget{Timeout: cfg.Timeout}
 	start0 := time.Now()

@@ -65,21 +65,31 @@ func E4(cfg Config) (*E4Result, error) {
 			est.Card, actual.Len(), est.Cost)
 	}
 
-	// Operator trace of the full JUCQ evaluation.
+	// Operator trace of the full JUCQ evaluation, by the plan rule over the
+	// estimates the search priced the fragments at.
 	root := trace.New(0).StartSpan("eval")
 	defer root.End()
 	tev := exec.New(e.Store(), e.Stats())
 	tev.Span = root
+	tev.Fragments = make([]exec.FragmentPlan, len(gres.Estimates))
+	for i, est := range gres.Estimates {
+		tev.Fragments[i].Est = est
+	}
 	if _, err := tev.EvalJUCQContext(ctx, gres.JUCQ); err != nil {
 		return nil, err
 	}
-	res.Operators.Header = []string{"operator", "left rows", "right rows", "out rows"}
+	res.Operators.Header = []string{"operator", "left rows", "seed rows", "right rows", "out rows"}
 	// Only the fragment-level joins, the eval span's own children; the
 	// per-CQ operators nested inside fragment UCQs would drown the table.
+	// A semijoin's right rows are its fragment's, reduced by the seed.
 	for _, op := range trace.ToJSON(root).Children {
 		if on, ok := op.Attrs["on"]; ok {
+			seed := any("-")
+			if n, ok := op.Attrs["seed_rows"]; ok {
+				seed = n
+			}
 			res.Operators.Add(fmt.Sprintf("%s on %s", op.Name, on),
-				op.Attrs["left_rows"], op.Attrs["right_rows"], op.Attrs["rows"])
+				op.Attrs["left_rows"], seed, op.Attrs["right_rows"], op.Attrs["rows"])
 		}
 	}
 	return res, nil

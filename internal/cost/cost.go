@@ -103,12 +103,12 @@ func (m *Model) Atom(a query.Atom) Estimate {
 	return est
 }
 
-// The plan rule. A conjunctive body — a CQ's atoms, a JUCQ's fragment
-// results — is joined greedily, and this is the one statement of how: Pick
-// orders the operands, PreferINLJ decides how an atom is joined in. The
-// executor calls both to run a plan, plan (below) calls both to price one,
-// and EXPLAIN prints the steps plan emits — so the three cannot disagree
-// about anything but cardinalities (the executor sees actual ones).
+// The plan rule. A conjunctive body — a CQ's atoms, a JUCQ's fragments — is
+// joined greedily, and this is the one statement of how: Pick orders the
+// operands, PreferINLJ decides how an operand is joined in. The executor
+// calls both to run a plan, plan (below) calls both to price one, and EXPLAIN
+// prints the steps plan emits — so the three cannot disagree about anything
+// but cardinalities (the executor sees actual ones).
 
 // Operator names of a greedy plan's steps: the executor's span names and
 // EXPLAIN's node names.
@@ -117,6 +117,10 @@ const (
 	OpINLJ     = "inlj"
 	OpHashJoin = "hashjoin"
 	OpCross    = "cross" // a hash join with no shared variable
+	// OpSemijoin joins a fragment by probing: the running result's bindings
+	// of the shared variables seed the fragment's members, so only the
+	// fragment rows that can join are computed, then hashed in.
+	OpSemijoin = "semijoin"
 )
 
 // Pick is the greedy join order: of the remaining operands take one
@@ -140,18 +144,20 @@ func Pick(remaining []int, card func(int) float64, connected func(int) bool) (po
 	return best, bestConnected
 }
 
-// PreferINLJ decides how a connected atom joins a running result of curRows
-// rows: probed through the index once per row (true), or scanned in full —
-// extent rows — and hash-joined. Probing costs ~|cur|·log N, hashing the
-// atom's whole extent.
+// PreferINLJ decides how a connected operand joins a running result of
+// curRows rows: probed once per row (true) — an atom through the index, a
+// fragment by seeding its members — or computed in full — extent rows — and
+// hash-joined. Probing costs ~|cur|·log N, hashing the operand's whole
+// extent.
 func PreferINLJ(curRows, extent float64) bool {
 	return curRows*8 < extent || curRows <= 64
 }
 
-// PlanStep is one step of a greedy plan: the scan a plan over atoms starts
-// with, then one join per further operand.
+// PlanStep is one step of a greedy plan: the operand it starts from, read in
+// full (OpScan: an atom's scan, a fragment's materialization), then one join
+// per further operand.
 type PlanStep struct {
-	// Op is OpScan, OpINLJ, OpHashJoin or OpCross.
+	// Op is OpScan, OpINLJ, OpSemijoin, OpHashJoin or OpCross.
 	Op string
 	// Index is the operand's position among the plan's inputs (q.Atoms,
 	// the fragment estimates).
@@ -163,11 +169,15 @@ type PlanStep struct {
 }
 
 // plan prices the greedy plan over already-estimated operands and reports
-// its steps to emit (nil on the GCov hot path). The operands are a CQ's
-// atoms — the plan starts by scanning the smallest, a connected atom is
-// probed when PreferINLJ says so and otherwise scanned and hashed — or,
-// with atoms false, materialized fragment results: their own costs are
-// already paid, the plan starts from the first and can only hash.
+// its steps to emit (nil on the GCov hot path). Both kinds of operand follow
+// one rule: start from the smallest, and join a connected operand by probing
+// when PreferINLJ says so, by hashing otherwise. The operands are a CQ's
+// atoms — scanned or probed through the index — or, with atoms false, a
+// JUCQ's fragments, materialized or probed by a semijoin. A fragment's own
+// cost is paid in full either way and a semijoin step is priced as the hash
+// join it replaces: an upper bound of what runs, since a reduced fragment
+// computes a subset of the rows. (Pricing probes by their lookups needs
+// estimates that hold for the reduced members, which the model lacks.)
 func (m *Model) plan(ops []Estimate, atoms bool, emit func(PlanStep)) Estimate {
 	if len(ops) == 0 {
 		return Estimate{}
@@ -178,23 +188,20 @@ func (m *Model) plan(ops []Estimate, atoms bool, emit func(PlanStep)) Estimate {
 		remaining = append(remaining, i)
 	}
 	card := func(i int) float64 { return ops[i].Card }
-	start, total := 0, 0.0
+	start, _ := Pick(remaining, card, nil)
+	first := remaining[start]
+	remaining = append(remaining[:start], remaining[start+1:]...)
+	cur, total := ops[first], 0.0
 	if atoms {
-		start, _ = Pick(remaining, card, nil)
+		cur.Cost = m.scanCost(cur.Card)
+		total = cur.Cost
 	} else {
 		for _, f := range ops {
 			total += f.Cost
 		}
 	}
-	first := remaining[start]
-	remaining = append(remaining[:start], remaining[start+1:]...)
-	cur := ops[first]
-	if atoms {
-		cur.Cost = m.scanCost(cur.Card)
-		total = cur.Cost
-		if emit != nil {
-			emit(PlanStep{Op: OpScan, Index: first, Atom: ops[first], Out: cur})
-		}
+	if emit != nil {
+		emit(PlanStep{Op: OpScan, Index: first, Atom: ops[first], Out: cur})
 	}
 	connected := func(i int) bool { return sharesVar(ops[i].V, cur.V) }
 	for len(remaining) > 0 {
@@ -203,14 +210,17 @@ func (m *Model) plan(ops []Estimate, atoms bool, emit func(PlanStep)) Estimate {
 		remaining = append(remaining[:pos], remaining[pos+1:]...)
 		next := ops[i]
 		out := joinEstimate(cur, next)
-		op := OpHashJoin
+		op, probe := OpHashJoin, conn && PreferINLJ(cur.Card, next.Card)
 		if !conn {
 			op = OpCross
 		}
 		switch {
 		case !atoms:
 			total += CBuild*minF(cur.Card, next.Card) + CScan*maxF(cur.Card, next.Card) + COut*out.Card
-		case conn && PreferINLJ(cur.Card, next.Card):
+			if probe {
+				op = OpSemijoin
+			}
+		case probe:
 			total += CProbe*cur.Card + COut*out.Card
 			op = OpINLJ
 		default:
@@ -268,8 +278,9 @@ func (m *Model) JUCQ(j query.JUCQ) Estimate {
 
 // JoinFragments combines precomputed fragment estimates into the JUCQ
 // estimate; GCov uses it to re-price candidate covers without
-// re-estimating cached fragments. emit, when non-nil, receives the join
-// steps in order (EXPLAIN's "join" nodes).
+// re-estimating cached fragments. emit, when non-nil, receives the plan's
+// steps in order: the start fragment, then one join per further fragment
+// (EXPLAIN's fragment and join nodes).
 func (m *Model) JoinFragments(frags []Estimate, emit func(PlanStep)) Estimate {
 	return m.plan(frags, false, emit)
 }

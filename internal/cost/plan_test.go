@@ -1,6 +1,7 @@
 package cost_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -104,5 +105,41 @@ func TestPlanAllocatesNothing(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, func() { m.JoinFragments(ests, nil) }); got > joins {
 		t.Errorf("Model.JoinFragments allocates %v per call, its joins %v", got, joins)
+	}
+}
+
+// A JUCQ's fragments follow the atom rule: the plan starts from the fragment
+// of lowest estimate, takes connected fragments before one sharing nothing,
+// and probes a connected fragment by a semijoin where PreferINLJ says so — a
+// step priced as the hash join it replaces, on top of every fragment's own
+// cost.
+func TestFragmentPlanFollowsTheAtomRule(t *testing.T) {
+	frags := []cost.Estimate{
+		{Cost: 900, Card: 50000, V: map[string]float64{"x": 5000}},
+		{Cost: 30, Card: 100, V: map[string]float64{"x": 100, "y": 100}},
+		{Cost: 40, Card: 20, V: map[string]float64{"z": 20}},
+		{Cost: 70, Card: 300, V: map[string]float64{"y": 300}},
+	}
+	var steps []cost.PlanStep
+	got := cost.NewModel(nil).JoinFragments(frags, func(st cost.PlanStep) { steps = append(steps, st) })
+	var ops []string
+	want := 0.0
+	for i, st := range steps {
+		ops = append(ops, fmt.Sprint(st.Op, " ", st.Index))
+		want += st.Atom.Cost
+		if i > 0 {
+			cur := steps[i-1].Out.Card
+			want += cost.CBuild*min(cur, st.Atom.Card) + cost.CScan*max(cur, st.Atom.Card) + cost.COut*st.Out.Card
+		}
+	}
+	// Fragment 2 is the smallest but shares nothing: the plan starts there
+	// and crosses to the smallest of the rest, 1; its 2 000 rows hash in
+	// fragment 3 (PreferINLJ(2000, 300) is false) and probe the 50 000 of
+	// fragment 0.
+	if fmt.Sprint(ops) != "[scan 2 cross 1 hashjoin 3 semijoin 0]" {
+		t.Fatalf("plan steps %v", ops)
+	}
+	if got.Cost != want {
+		t.Fatalf("plan cost %v, the fragments' costs plus hash joins %v", got.Cost, want)
 	}
 }

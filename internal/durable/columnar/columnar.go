@@ -319,30 +319,30 @@ func Read(r io.Reader) (*Snapshot, error) {
 		}()
 	}
 	decode(0, func() (err error) {
-		snap.Terms, err = decodeTerms(sections[secTerms], rawLens[secTerms], int(nTerms))
+		snap.Terms, err = inflated(sections[secTerms], rawLens[secTerms], nTerms, decodeTerms)
 		return err
 	})
 	decode(1, func() (err error) {
-		sCol, err = decodeDeltaColumn(sections[secDataS], rawLens[secDataS], int(nData))
+		sCol, err = inflated(sections[secDataS], rawLens[secDataS], nData, decodeDeltaColumn)
 		return err
 	})
 	decode(2, func() (err error) {
-		pCol, err = decodeColumn(sections[secDataP], rawLens[secDataP], int(nData))
+		pCol, err = inflated(sections[secDataP], rawLens[secDataP], nData, decodeColumn)
 		return err
 	})
 	decode(3, func() (err error) {
-		oCol, err = decodeColumn(sections[secDataO], rawLens[secDataO], int(nData))
+		oCol, err = inflated(sections[secDataO], rawLens[secDataO], nData, decodeColumn)
 		return err
 	})
 	decode(4, func() error {
 		var err error
-		if snap.Schema, err = decodeTriples(sections[secSchema], rawLens[secSchema], int(nSchema)); err != nil {
+		if snap.Schema, err = inflated(sections[secSchema], rawLens[secSchema], nSchema, decodeTriples); err != nil {
 			return err
 		}
-		if snap.Classes, err = decodeIDsSection(sections[secClasses], rawLens[secClasses], int(nClasses)); err != nil {
+		if snap.Classes, err = inflated(sections[secClasses], rawLens[secClasses], nClasses, decodeColumn); err != nil {
 			return err
 		}
-		snap.Properties, err = decodeIDsSection(sections[secProperties], rawLens[secProperties], int(nProps))
+		snap.Properties, err = inflated(sections[secProperties], rawLens[secProperties], nProps, decodeColumn)
 		return err
 	})
 	wg.Wait()
@@ -380,13 +380,31 @@ func inflate(comp []byte, rawLen uint64) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-func decodeTerms(comp []byte, rawLen uint64, n int) ([]rdf.Term, error) {
+// inflated decodes one section: it inflates comp and parses the raw bytes
+// into n values.
+func inflated[T any](comp []byte, rawLen, n uint64, parse func(raw []byte, n uint64) ([]T, error)) ([]T, error) {
 	raw, err := inflate(comp, rawLen)
 	if err != nil {
-		return nil, fmt.Errorf("terms: %w", err)
+		return nil, err
+	}
+	return parse(raw, n)
+}
+
+// The decoders of inflated sections refuse a count their bytes cannot hold
+// before allocating for it: a term takes at least two bytes (kind and
+// length), an ID one, a triple three.
+const (
+	minTermBytes   = 2
+	minTripleBytes = 3
+)
+
+func decodeTerms(raw []byte, n uint64) ([]rdf.Term, error) {
+	if n > uint64(len(raw)/minTermBytes) {
+		return nil, fmt.Errorf("terms: %d terms in %d bytes", n, len(raw))
 	}
 	terms := make([]rdf.Term, 0, n)
-	for i := 0; i < n; i++ {
+	var err error
+	for i := uint64(0); i < n; i++ {
 		if len(raw) == 0 {
 			return nil, fmt.Errorf("terms: truncated at term %d of %d", i, n)
 		}
@@ -421,14 +439,13 @@ func readString(b []byte) (string, []byte, error) {
 	return string(b[sz : sz+int(n)]), b[sz+int(n):], nil
 }
 
-func decodeDeltaColumn(comp []byte, rawLen uint64, n int) ([]dict.ID, error) {
-	raw, err := inflate(comp, rawLen)
-	if err != nil {
-		return nil, fmt.Errorf("delta column: %w", err)
+func decodeDeltaColumn(raw []byte, n uint64) ([]dict.ID, error) {
+	if n > uint64(len(raw)) {
+		return nil, fmt.Errorf("delta column: %d rows in %d bytes", n, len(raw))
 	}
 	col := make([]dict.ID, n)
 	prev := uint64(0)
-	for i := 0; i < n; i++ {
+	for i := uint64(0); i < n; i++ {
 		d, sz := binary.Uvarint(raw)
 		if sz <= 0 {
 			return nil, fmt.Errorf("delta column: truncated at row %d of %d", i, n)
@@ -446,13 +463,12 @@ func decodeDeltaColumn(comp []byte, rawLen uint64, n int) ([]dict.ID, error) {
 	return col, nil
 }
 
-func decodeColumn(comp []byte, rawLen uint64, n int) ([]dict.ID, error) {
-	raw, err := inflate(comp, rawLen)
-	if err != nil {
-		return nil, fmt.Errorf("column: %w", err)
+func decodeColumn(raw []byte, n uint64) ([]dict.ID, error) {
+	if n > uint64(len(raw)) {
+		return nil, fmt.Errorf("column: %d rows in %d bytes", n, len(raw))
 	}
 	col := make([]dict.ID, n)
-	for i := 0; i < n; i++ {
+	for i := uint64(0); i < n; i++ {
 		v, sz := binary.Uvarint(raw)
 		if sz <= 0 {
 			return nil, fmt.Errorf("column: truncated at row %d of %d", i, n)
@@ -469,13 +485,12 @@ func decodeColumn(comp []byte, rawLen uint64, n int) ([]dict.ID, error) {
 	return col, nil
 }
 
-func decodeTriples(comp []byte, rawLen uint64, n int) ([]dict.Triple, error) {
-	raw, err := inflate(comp, rawLen)
-	if err != nil {
-		return nil, fmt.Errorf("triples: %w", err)
+func decodeTriples(raw []byte, n uint64) ([]dict.Triple, error) {
+	if n > uint64(len(raw)/minTripleBytes) {
+		return nil, fmt.Errorf("triples: %d triples in %d bytes", n, len(raw))
 	}
 	ts := make([]dict.Triple, 0, n)
-	for i := 0; i < n; i++ {
+	for i := uint64(0); i < n; i++ {
 		var ids [3]uint64
 		for j := range ids {
 			v, sz := binary.Uvarint(raw)
@@ -494,14 +509,6 @@ func decodeTriples(comp []byte, rawLen uint64, n int) ([]dict.Triple, error) {
 		return nil, fmt.Errorf("triples: %d trailing bytes", len(raw))
 	}
 	return ts, nil
-}
-
-func decodeIDsSection(comp []byte, rawLen uint64, n int) ([]dict.ID, error) {
-	ids, err := decodeColumn(comp, rawLen, n)
-	if err != nil {
-		return nil, fmt.Errorf("ids: %w", err)
-	}
-	return ids, nil
 }
 
 // noEOF upgrades io.EOF to io.ErrUnexpectedEOF: inside a framed format a

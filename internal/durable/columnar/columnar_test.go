@@ -3,6 +3,7 @@ package columnar
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/dict"
@@ -146,4 +147,69 @@ func largeSnapshot(n int) *Snapshot {
 		})
 	}
 	return s
+}
+
+// FuzzDecodeColumns feeds arbitrary inflated section bytes and counts to the
+// term, ID, delta-column and triple decoders: none may panic, none may
+// allocate more than a bound of its input whatever count it is told, and
+// what one accepts its encoder writes back to the same values.
+func FuzzDecodeColumns(f *testing.F) {
+	s := sampleSnapshot()
+	terms := encodeTerms(s.Terms)
+	f.Add(terms, uint64(len(s.Terms)))
+	f.Add(terms[:len(terms)/2], uint64(len(s.Terms)))
+	f.Add(encodeDeltaColumn(s.Data, 's'), uint64(len(s.Data)))
+	f.Add(encodeColumn(s.Data, 'o'), uint64(len(s.Data)))
+	f.Add(encodeTriples(s.Schema), uint64(len(s.Schema)))
+	f.Add(encodeIDs(s.Classes), uint64(1)<<40) // a count no input holds
+	// The column encoders read a column off the subject position.
+	column := func(ids []dict.ID) []dict.Triple {
+		ts := make([]dict.Triple, len(ids))
+		for i, id := range ids {
+			ts[i].S = id
+		}
+		return ts
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, n uint64) {
+		checkDecoder(t, "terms", raw, n, minTermBytes, decodeTerms, encodeTerms)
+		checkDecoder(t, "column", raw, n, 1, decodeColumn, encodeIDs)
+		checkDecoder(t, "delta column", raw, n, 1, decodeDeltaColumn, func(ids []dict.ID) []byte {
+			return encodeDeltaColumn(column(ids), 's')
+		})
+		checkDecoder(t, "triples", raw, n, minTripleBytes, decodeTriples, encodeTriples)
+	})
+}
+
+// checkDecoder decodes raw as n values, each taking at least minBytes of it:
+// the decoder allocates at most the value slice such a count fills, the
+// strings copied out of raw and slack for error text (the least of three
+// runs: the fuzzing engine allocates meanwhile, now and then), and what it
+// accepts re-encodes to the same values.
+func checkDecoder[T any](t *testing.T, name string, raw []byte, n, minBytes uint64, decode func([]byte, uint64) ([]T, error), encode func([]T) []byte) {
+	var (
+		got           []T
+		err           error
+		before, after runtime.MemStats
+		grew          = ^uint64(0)
+	)
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&before)
+		got, err = decode(raw, n)
+		runtime.ReadMemStats(&after)
+		grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+	}
+	size := uint64(reflect.TypeOf(got).Elem().Size())
+	if limit := uint64(len(raw))/minBytes*size + uint64(len(raw)) + 4<<10; grew > limit {
+		t.Fatalf("%s: decoding %d bytes as %d values allocated %d bytes, over %d", name, len(raw), n, grew, limit)
+	}
+	if err != nil {
+		return
+	}
+	again, err := decode(encode(got), n)
+	if err != nil {
+		t.Fatalf("%s: re-encoded values rejected: %v", name, err)
+	}
+	if !reflect.DeepEqual(again, got) {
+		t.Fatalf("%s: round trip changed the values:\n%v\n%v", name, got, again)
+	}
 }

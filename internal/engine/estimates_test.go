@@ -12,24 +12,24 @@ import (
 	"repro/internal/trace"
 )
 
-// fragmentEstimates lists the est_rows of the fragment nodes directly under
-// n, by index, then of the fragment-join nodes, in order ("-" where a node
-// carries none).
+// fragmentEstimates lists the est_rows of the fragment nodes and fragment
+// joins under n, in plan order: the start fragment, then per join the join's
+// and its fragment's ("-" where a node carries none).
 func fragmentEstimates(n *trace.SpanJSON) []string {
-	var frags, joins []string
-	for _, c := range n.Children {
-		est := "-"
-		if v, ok := c.Attrs["est_rows"]; ok {
-			est = fmt.Sprint(v)
+	est := func(n *trace.SpanJSON) string {
+		if v, ok := n.Attrs["est_rows"]; ok {
+			return fmt.Sprint(v)
 		}
-		switch c.Name {
-		case "fragment":
-			frags = append(frags, fmt.Sprint(c.Attrs["idx"], ":", est))
-		case "join", "hashjoin", "cross", "merge":
-			joins = append(joins, "join:"+est)
-		}
+		return "-"
 	}
-	return append(frags, joins...)
+	var out []string
+	for _, st := range fragmentSteps(n) {
+		if st.op != "" {
+			out = append(out, "join:"+est(st.node))
+		}
+		out = append(out, fmt.Sprint(st.idx, ":", est(st.frag)))
+	}
+	return out
 }
 
 // On a plan-cache hit the executor's fragment and fragment-join spans carry

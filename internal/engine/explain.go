@@ -105,11 +105,12 @@ func (e *Engine) explain(p *prepared) *Plan {
 		}
 
 	case p.jucq != nil:
-		// One "fragment" node per cover block with the estimate the plan
-		// priced it at (the executor's), then one "join" node per step of the
-		// plan the cost model prices over those, with the running estimated
-		// cardinality — the order EXPLAIN ANALYZE traces show when the
-		// estimates track reality.
+		// The fragment joins in the plan's order, as the executor runs and
+		// traces them: the start fragment, then per step a "semijoin",
+		// "hashjoin" or "cross" node with the running estimated cardinality,
+		// holding its fragment; each fragment node carries the estimate the
+		// plan priced it at and its members. The view cache keeps whole
+		// fragments, so with it on a probe is a hash join.
 		root.SetStr("cover", p.cover.String())
 		root.SetBool("cached", p.cachedPlan)
 		if p.explored != nil {
@@ -117,22 +118,27 @@ func (e *Engine) explain(p *prepared) *Plan {
 		}
 		root.SetFloat("est_cost", p.est.Cost)
 		frags := p.fragEsts
-		for i, f := range p.jucq.Fragments {
-			fsp := root.Child("fragment")
-			fsp.SetInt("idx", int64(i))
-			fsp.SetStr("atoms", query.Cover{f.AtomIndexes}.String())
-			fsp.SetStr("q", query.FormatCQ(d, f.CQ))
-			fsp.SetInt("cqs", int64(fragmentCQs(f)))
-			fsp.SetFloat("est_rows", frags[i].Card)
-			fsp.SetFloat("est_cost", frags[i].Cost)
-			explainUnion(fsp, p.model, d, f.Members, shards)
-		}
 		// GCov reports its cover's cost only; the cardinality is the last
 		// join's (the same number p.est carries for a caller's cover).
 		plan.EstimatedRows = p.model.JoinFragments(frags, func(st cost.PlanStep) {
-			jsp := root.Child("join")
-			jsp.SetInt("fragment", int64(st.Index))
-			jsp.SetFloat("est_rows", st.Out.Card)
+			parent := root
+			if st.Op != cost.OpScan {
+				op := st.Op
+				if op == cost.OpSemijoin && e.views != nil {
+					op = cost.OpHashJoin
+				}
+				parent = root.Child(op)
+				parent.SetFloat("est_rows", st.Out.Card)
+			}
+			f := p.jucq.Fragments[st.Index]
+			fsp := parent.Child("fragment")
+			fsp.SetInt("idx", int64(st.Index))
+			fsp.SetStr("atoms", query.Cover{f.AtomIndexes}.String())
+			fsp.SetStr("q", query.FormatCQ(d, f.CQ))
+			fsp.SetInt("cqs", int64(fragmentCQs(f)))
+			fsp.SetFloat("est_rows", frags[st.Index].Card)
+			fsp.SetFloat("est_cost", frags[st.Index].Cost)
+			explainUnion(fsp, p.model, d, f.Members, shards)
 		}).Card
 		root.Child("project").SetStr("cols", strings.Join(p.jucq.HeadNames, ","))
 

@@ -126,9 +126,9 @@ func TestExplainMetadata(t *testing.T) {
 // carries the estimated cardinality next to the actual row count — and
 // EXPLAIN must describe that very execution: Plan and Answer for the same
 // query on the same version agree on strategy, cover, reformulation size and
-// estimate, and the plan's fragment nodes are the trace's. (The order of the
-// fragment joins is not compared: EXPLAIN ranks fragment results by estimated,
-// the executor by actual size. The order of a CQ's atoms is compared, by
+// estimate, and the plan's fragment nodes are the trace's, in the same order:
+// both take the fragments by their estimates. (Which operator joins each
+// fragment, and the order of a CQ's atoms, are compared by
 // TestPlanOrderIsTraceOrder.)
 func TestAnswerTraceEstimatesAndActuals(t *testing.T) {
 	cases := []struct {
@@ -238,7 +238,7 @@ func walk(n *trace.SpanJSON, fn func(*trace.SpanJSON)) {
 }
 
 // fragmentNodes lists the "fragment" nodes of a span tree as "idx atoms",
-// in fragment order.
+// in the order the tree holds them.
 func fragmentNodes(n *trace.SpanJSON) []string {
 	var out []string
 	if n.Name == "fragment" {
@@ -247,7 +247,6 @@ func fragmentNodes(n *trace.SpanJSON) []string {
 	for _, c := range n.Children {
 		out = append(out, fragmentNodes(c)...)
 	}
-	slices.Sort(out)
 	return out
 }
 

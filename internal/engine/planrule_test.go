@@ -180,12 +180,18 @@ func TestPlanOrderIsTraceOrder(t *testing.T) {
 		t.Errorf("operators compared on %d plans only, of %d queries under two strategies", compared, len(qs))
 	}
 
-	// Under ref-gcov EXPLAIN shows every merged member of every fragment, in
-	// the order the executor evaluates them, and each member's atoms in the
-	// executor's order. The union's memo may serve a scan or a join prefix
-	// another member computed, so a traced member's operators are its plan's
-	// with those left out — all of them where the memo served none.
-	whole := 0
+	// Under ref-gcov the fragments join in the plan's order: EXPLAIN and the
+	// executor start from the same fragment and take the others in the same
+	// order, and a step's operator is the same whenever the estimated and the
+	// actual size of the running result fall on the same side of
+	// cost.PreferINLJ. EXPLAIN shows every merged member of every fragment, in
+	// the order the executor evaluates them. A member of a materialized
+	// fragment runs its atoms in EXPLAIN's order; the union's memo may serve a
+	// scan or a join prefix another member computed, so a traced member's
+	// operators are its plan's with those left out — all of them where the
+	// memo served none. A semijoin's members start from its seed, not from
+	// their plans' first scan.
+	whole, steps, probes := 0, 0, 0
 	for i, q := range qs {
 		plan, err := e.Plan(q, RefGCov)
 		if err != nil {
@@ -195,30 +201,91 @@ func TestPlanOrderIsTraceOrder(t *testing.T) {
 		if _, err := e.Answer(q, RefGCov); err != nil {
 			t.Fatalf("%s: %v", names[i], err)
 		}
-		planned, traced := cqOps(plan.Tree()), cqOps(trace.ToJSON(e.Tracer.Root()))
+		planned, traced := fragmentSteps(plan.Tree()), fragmentSteps(trace.ToJSON(e.Tracer.Root()).Find("eval"))
 		e.Tracer = nil
 		if len(planned) != len(traced) {
-			t.Fatalf("%s: EXPLAIN shows %d members, the executor ran %d", names[i], len(planned), len(traced))
+			t.Fatalf("%s: EXPLAIN joins %d fragments, the executor %d", names[i], len(planned), len(traced))
 		}
-		for k := range planned {
-			got, want := opStrings(traced[k], false), opStrings(planned[k], false)
-			if len(got) == len(want) {
-				whole++
+		for k, ps := range planned {
+			ts := traced[k]
+			if ps.idx != ts.idx {
+				t.Fatalf("%s step %d: EXPLAIN takes fragment %d, the executor %d", names[i], k, ps.idx, ts.idx)
 			}
-			for len(got) > 0 && len(want) > 0 {
-				if got[0] == want[0] {
-					got = got[1:]
+			if ts.op == cost.OpSemijoin {
+				probes++
+			}
+			if k > 0 && cost.PreferINLJ(planned[k-1].out, ps.rows) == cost.PreferINLJ(ts.left, ps.rows) {
+				steps++
+				if ps.op != ts.op {
+					t.Errorf("%s step %d (fragment %d): EXPLAIN plans %s, the executor ran %s", names[i], k, ps.idx, ps.op, ts.op)
 				}
-				want = want[1:]
 			}
-			if len(got) > 0 {
-				t.Errorf("%s member %d: EXPLAIN plans\n  %q\nthe executor ran\n  %q", names[i], k, opStrings(planned[k], false), opStrings(traced[k], false))
+			pm, tm := cqOps(ps.frag), cqOps(ts.frag)
+			if len(pm) != len(tm) {
+				t.Fatalf("%s fragment %d: EXPLAIN shows %d members, the executor ran %d", names[i], ps.idx, len(pm), len(tm))
+			}
+			if ts.op == cost.OpSemijoin {
+				continue
+			}
+			for m := range pm {
+				got, want := opStrings(tm[m], false), opStrings(pm[m], false)
+				if len(got) == len(want) {
+					whole++
+				}
+				for len(got) > 0 && len(want) > 0 {
+					if got[0] == want[0] {
+						got = got[1:]
+					}
+					want = want[1:]
+				}
+				if len(got) > 0 {
+					t.Errorf("%s fragment %d member %d: EXPLAIN plans\n  %q\nthe executor ran\n  %q", names[i], ps.idx, m, opStrings(pm[m], false), opStrings(tm[m], false))
+				}
 			}
 		}
 	}
-	if whole == 0 {
-		t.Error("no ref-gcov member ran its whole plan")
+	if whole == 0 || steps == 0 || probes == 0 {
+		t.Errorf("ref-gcov: %d members ran their whole plan, %d fragment steps compared, %d probed; want each > 0", whole, steps, probes)
 	}
+}
+
+// fragmentStep is one step of a JUCQ's fragment join in a plan or trace
+// tree: the start fragment (op "") or a join, its node and its fragment's,
+// the fragment's index and estimated rows, and the running result's actual
+// size before (traced joins) and estimated size after the step.
+type fragmentStep struct {
+	op              string
+	node, frag      *trace.SpanJSON
+	idx             int64
+	rows, left, out float64
+}
+
+// fragmentSteps lists the fragment steps among n's children, in order.
+func fragmentSteps(n *trace.SpanJSON) []fragmentStep {
+	var out []fragmentStep
+	num := func(n *trace.SpanJSON, key string) float64 {
+		switch v := n.Attrs[key].(type) {
+		case int64:
+			return float64(v)
+		case float64:
+			return v
+		}
+		return 0
+	}
+	for _, c := range n.Children {
+		st := fragmentStep{op: c.Name, node: c, frag: c, out: num(c, "est_rows")}
+		switch c.Name {
+		case "fragment":
+			st.op = ""
+		case cost.OpSemijoin, cost.OpHashJoin, cost.OpCross:
+			st.frag, st.left = c.Find("fragment"), num(c, "left_rows")
+		default:
+			continue
+		}
+		st.idx, st.rows = st.frag.Attrs["idx"].(int64), num(st.frag, "est_rows")
+		out = append(out, st)
+	}
+	return out
 }
 
 // sameSide reports whether, at every join of the member's plan, the

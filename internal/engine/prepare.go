@@ -430,10 +430,10 @@ func (e *Engine) execute(ctx context.Context, p *prepared, sp *trace.Span) (*Ans
 	ev.Metrics = e.Metrics
 	ev.MaxParallel = tkt.Weight()
 	// Traced, the evaluator records its operators under an "eval" span, with
-	// the model's estimates inside conjunctive bodies. What the view cache
-	// needs of a fragment besides its result — its key, and on a miss its
-	// estimate for admission — and what a trace records of one, the plan
-	// hands over.
+	// the model's estimates inside conjunctive bodies. The plan hands over
+	// what is known of each fragment: the estimate that orders the fragment
+	// joins and decides which fragments are probed, and that a trace records;
+	// with the view cache, the key and a miss's admission price.
 	es := sp.Child("eval")
 	defer es.End()
 	if es != nil {
@@ -444,7 +444,7 @@ func (e *Engine) execute(ctx context.Context, p *prepared, sp *trace.Span) (*Ans
 		cs = &exec.CacheStats{}
 		ev.FragCache, ev.CacheStats = e.views, cs
 	}
-	if p.jucq != nil && (cs != nil || es != nil) {
+	if p.jucq != nil {
 		ev.Fragments = p.fragmentPlans(cs != nil)
 	}
 	start := time.Now()

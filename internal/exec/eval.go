@@ -59,9 +59,10 @@ type Evaluator struct {
 	// tracks the slots it holds instead of every admitted query
 	// claiming the whole machine.
 	MaxParallel int
-	// ForceHashJoins disables index-nested-loop joins, materializing and
-	// hashing every atom instead — the ablation knob quantifying how much
-	// of the cover strategies' win comes from selective index probing.
+	// ForceHashJoins disables every probe — index-nested-loop joins of atoms
+	// and semijoins of JUCQ fragments — materializing and hashing every atom
+	// and fragment instead: the ablation knob quantifying how much of the
+	// cover strategies' win comes from selective probing.
 	ForceHashJoins bool
 	// Join selects the algorithm for materialized joins (hash by
 	// default; merge sorts both sides — the second ablation knob).
@@ -86,14 +87,16 @@ type Evaluator struct {
 	Cost *cost.Model
 	// FragCache, when non-nil, is consulted once per JUCQ fragment for a
 	// previously materialized result (internal/viewcache). Fragment
-	// evaluation and cache waits both respect the evaluation's guard.
+	// evaluation and cache waits both respect the evaluation's guard. With a
+	// FragCache no fragment is probed: a view is a whole fragment.
 	FragCache FragmentCache
 	// Fragments optionally carries what the caller already knows about each
 	// fragment of the JUCQ it evaluates, aligned with the fragments (any
 	// other length is ignored): the FragCache key and the estimate the plan
 	// was priced with. The engine sets it from its cached plan, so a
 	// fragment is canonicalized and priced once per plan, not once per
-	// execution.
+	// execution. The estimates order the fragment joins and decide which
+	// fragments are probed (EvalJUCQContext).
 	Fragments []FragmentPlan
 	// CacheStats, when non-nil, accumulates FragCache outcomes for this
 	// evaluation; the engine attaches a fresh value per answered query.
@@ -222,7 +225,7 @@ func (e *Evaluator) EvalCQContext(ctx context.Context, headNames []string, q que
 	g := e.newGuard(ctx)
 	defer g.flush(e.Metrics)
 	out := NewSet(headNames)
-	if err := e.evalCQ(q.Lift(), nil, g, e.Span, out); err != nil {
+	if err := e.evalCQ(q.Lift(), nil, nil, g, e.Span, out); err != nil {
 		return nil, err
 	}
 	return out.Rows, nil
@@ -232,12 +235,19 @@ func (e *Evaluator) EvalCQContext(ctx context.Context, headNames []string, q que
 // the union it is a member of (a lone CQ is a one-member union): join the
 // body, apply the atoms' expansions, and offer each row, projected onto the
 // head, to dst. Variables nothing reads are wildcards, never columns (see
-// deadPositions). m is the enclosing union's memo (nil outside a serial
-// member loop). The "cq" span's rows are the rows offered, duplicates
-// included.
-func (e *Evaluator) evalCQ(q query.RangeCQ, m *memo, g guard, sp *trace.Span, dst *Set) error {
+// deadPositions). seed, when non-nil, is the union's semijoin seed, which
+// the body starts from if the member may be seeded (seeds). m is the
+// enclosing union's memo (nil outside a serial member loop). The "cq" span's
+// rows are the rows offered, duplicates included.
+func (e *Evaluator) evalCQ(q query.RangeCQ, seed *Relation, m *memo, g guard, sp *trace.Span, dst *Set) error {
+	if len(q.Head) != dst.Rows.Width() {
+		return fmt.Errorf("exec: head has %d args, expected %d names", len(q.Head), dst.Rows.Width())
+	}
+	if seed != nil && !seeds(q, seed.Vars, dst.Rows.Vars) {
+		seed = nil
+	}
 	if sh := e.scatterSource(); sh != nil && CoPartitioned(q) {
-		return e.evalCQScatter(sh, q, g, sp, dst)
+		return e.evalCQScatter(sh, q, seed, g, sp, dst)
 	}
 	var csp *trace.Span
 	if sp != nil {
@@ -246,7 +256,7 @@ func (e *Evaluator) evalCQ(q query.RangeCQ, m *memo, g guard, sp *trace.Span, ds
 		csp.SetStr("q", q.Format(e.st.Dict()))
 	}
 	var deadBuf [8]uint8
-	body, err := e.evalBody(q.Atoms, deadPositions(deadBuf[:0], q), m, g, csp)
+	body, err := e.evalBody(q.Atoms, deadPositions(deadBuf[:0], q), seed, m, g, csp)
 	if err != nil {
 		return err
 	}
@@ -258,9 +268,6 @@ func (e *Evaluator) evalCQ(q query.RangeCQ, m *memo, g guard, sp *trace.Span, ds
 		if body, err = e.expandRelation(body, a.Expand, g, csp); err != nil {
 			return err
 		}
-	}
-	if len(q.Head) != dst.Rows.Width() {
-		return fmt.Errorf("exec: head has %d args, expected %d names", len(q.Head), dst.Rows.Width())
 	}
 	src, row, err := headColumns(q.Head, body)
 	if err != nil {
@@ -275,6 +282,22 @@ func (e *Evaluator) evalCQ(q query.RangeCQ, m *memo, g guard, sp *trace.Span, ds
 		csp.End()
 	}
 	return nil
+}
+
+// seeds reports whether a member may start from its union's seed, whose
+// columns are vars: its head holds each of them in place — Head[k] is the
+// variable names[k] — and its atoms bind it. A member with a constant, or a
+// variable named for another slot, in a seeded slot runs unseeded, and the
+// hash join its union feeds checks every shared column.
+func seeds(q query.RangeCQ, vars, names []string) bool {
+	for i, v := range vars {
+		k := slices.Index(names, v)
+		if k == -1 || !q.Head[k].IsVar() || q.Head[k].Var != v ||
+			!slices.ContainsFunc(q.Atoms, func(a query.RangeAtom) bool { return atomSharesVar(a, vars[i:i+1]) }) {
+			return false
+		}
+	}
+	return true
 }
 
 // tracing reports whether the evaluator must record est-vs-actual operator
@@ -309,11 +332,13 @@ func (e *Evaluator) atomCard(a query.RangeAtom) float64 {
 // atoms (smallest first, then connected ones first, smaller first) and
 // cost.PreferINLJ decides whether a connected atom is probed per row of the
 // running result or materialized and joined — the calls the cost model
-// makes to price this plan and EXPLAIN to print it. Inside a union, scans
-// and the intermediates of proper body prefixes go through the union's
-// memo; the whole body never does — a union's members are distinct. dead
-// holds each atom's dead positions (deadPositions).
-func (e *Evaluator) evalBody(atoms []query.RangeAtom, dead []uint8, m *memo, g guard, sp *trace.Span) (*Relation, error) {
+// makes to price this plan and EXPLAIN to print it. A non-nil seed is the
+// running result the plan starts from instead of its smallest atom (a
+// semijoin's bindings) and the root of the memo's join prefixes. Inside a
+// union, scans and the intermediates of proper body prefixes go through the
+// union's memo; the whole body never does — a union's members are distinct.
+// dead holds each atom's dead positions (deadPositions).
+func (e *Evaluator) evalBody(atoms []query.RangeAtom, dead []uint8, seed *Relation, m *memo, g guard, sp *trace.Span) (*Relation, error) {
 	if len(atoms) == 0 {
 		return nil, errors.New("exec: empty BGP")
 	}
@@ -332,22 +357,27 @@ func (e *Evaluator) evalBody(atoms []query.RangeAtom, dead []uint8, m *memo, g g
 		ests []cost.Estimate
 		run  cost.Estimate
 	)
-	if e.tracing(sp) {
+	if e.tracing(sp) && seed == nil { // the model prices no seeded body
 		ests = make([]cost.Estimate, len(atoms))
 		for i, a := range atoms {
 			ests[i] = e.Cost.RangeAtom(a)
 		}
 	}
-	start, _ := cost.Pick(remaining, cardOf, nil)
-	first := remaining[start]
-	remaining = append(remaining[:start], remaining[start+1:]...)
-	cur, err := e.scanAtom(atoms[first], dead[first], m, g, sp, estCard(ests, first))
-	if err != nil {
-		return nil, err
-	}
-	m.begin(atoms[first], dead[first])
-	if ests != nil {
-		run = ests[first]
+	cur := seed
+	if seed != nil {
+		m.beginSeed()
+	} else {
+		start, _ := cost.Pick(remaining, cardOf, nil)
+		first := remaining[start]
+		remaining = append(remaining[:start], remaining[start+1:]...)
+		var err error
+		if cur, err = e.scanAtom(atoms[first], dead[first], m, g, sp, estCard(ests, first)); err != nil {
+			return nil, err
+		}
+		m.begin(atoms[first], dead[first])
+		if ests != nil {
+			run = ests[first]
+		}
 	}
 	connected := func(i int) bool { return atomSharesVar(atoms[i], cur.Vars) }
 	for len(remaining) > 0 {
@@ -370,6 +400,7 @@ func (e *Evaluator) evalBody(atoms []query.RangeAtom, dead []uint8, m *memo, g g
 				continue
 			}
 		}
+		var err error
 		if isConnected && !e.ForceHashJoins && cost.PreferINLJ(float64(cur.Len()), card[ai]) {
 			cur, err = e.indexJoin(cur, atom, dead[ai], g, sp, estOut)
 		} else {
@@ -771,7 +802,7 @@ func projectRows(body *Relation, src []int, row []dict.ID, g guard, add func([]d
 func (e *Evaluator) EvalUCQContext(ctx context.Context, u query.UCQ) (*Relation, error) {
 	g := e.newGuard(ctx)
 	defer g.flush(e.Metrics)
-	return e.evalUCQ(u, g, e.Span)
+	return e.evalUnion(u.HeadNames, u.Lift(), nil, g, e.Span)
 }
 
 // EvalRangeUCQContext evaluates a union of range CQs (the ref-range
@@ -779,14 +810,7 @@ func (e *Evaluator) EvalUCQContext(ctx context.Context, u query.UCQ) (*Relation,
 func (e *Evaluator) EvalRangeUCQContext(ctx context.Context, u query.RangeUCQ) (*Relation, error) {
 	g := e.newGuard(ctx)
 	defer g.flush(e.Metrics)
-	return e.evalUnion(u.HeadNames, u.CQs, g, e.Span)
-}
-
-// evalUCQ evaluates a plain union under an existing guard — the entry point
-// JUCQ fragments without merged members use, so that fragments never restart
-// the deadline.
-func (e *Evaluator) evalUCQ(u query.UCQ, g guard, sp *trace.Span) (*Relation, error) {
-	return e.evalUnion(u.HeadNames, u.Lift(), g, sp)
+	return e.evalUnion(u.HeadNames, u.CQs, nil, g, e.Span)
 }
 
 // union is the one member loop of the executor: however a union runs —
@@ -796,18 +820,20 @@ type union struct {
 	ev   *Evaluator
 	g    guard
 	out  *Set
+	seed *Relation // the semijoin seed its members start from; nil: none
 	memo *memo
 	done int
 }
 
-// newUnion starts a union, whose members share a memo.
-func (e *Evaluator) newUnion(headNames []string, g guard) *union {
-	return &union{ev: e, g: g, out: NewSet(headNames), memo: &memo{}}
+// newUnion starts a union, whose members share a memo and the seed (nil:
+// the members run unseeded).
+func (e *Evaluator) newUnion(headNames []string, seed *Relation, g guard) *union {
+	return &union{ev: e, g: g, out: NewSet(headNames), seed: seed, memo: &memo{}}
 }
 
 // add evaluates one member into the union's set under the row cap.
 func (u *union) add(q query.RangeCQ, sp *trace.Span) error {
-	if err := u.ev.evalCQ(q, u.memo, u.g, sp, u.out); err != nil {
+	if err := u.ev.evalCQ(q, u.seed, u.memo, u.g, sp, u.out); err != nil {
 		return err
 	}
 	u.done++
@@ -836,11 +862,11 @@ func (u *union) finish(sp *trace.Span) *Relation {
 	return u.out.Rows
 }
 
-// evalUnion evaluates a union's members under one guard. Span tracing
-// records a "union" span under sp with one "cq" child per member. Against
-// a sharded source the co-partitioned members run in one scatter (see
-// evalUnionScatter).
-func (e *Evaluator) evalUnion(headNames []string, cqs []query.RangeCQ, g guard, sp *trace.Span) (*Relation, error) {
+// evalUnion evaluates a union's members under one guard, each from the seed
+// when there is one. Span tracing records a "union" span under sp with one
+// "cq" child per member. Against a sharded source the co-partitioned members
+// run in one scatter (see evalUnionScatter).
+func (e *Evaluator) evalUnion(headNames []string, cqs []query.RangeCQ, seed *Relation, g guard, sp *trace.Span) (*Relation, error) {
 	if len(cqs) == 0 {
 		return NewRelation(headNames), nil
 	}
@@ -850,10 +876,10 @@ func (e *Evaluator) evalUnion(headNames []string, cqs []query.RangeCQ, g guard, 
 		defer usp.End()
 		usp.SetInt("cqs", int64(len(cqs)))
 	}
-	u := e.newUnion(headNames, g)
+	u := e.newUnion(headNames, seed, g)
 	if sh := e.scatterSource(); sh != nil {
 		if co, rest := SplitCoPartitioned(cqs); co != nil {
-			if err := e.evalUnionScatter(sh, co, len(rest), g, usp, u.out); err != nil {
+			if err := e.evalUnionScatter(sh, co, len(rest), seed, g, usp, u.out); err != nil {
 				return nil, err
 			}
 			cqs = rest
@@ -877,7 +903,7 @@ func (e *Evaluator) EvalUCQStreamContext(ctx context.Context, headNames []string
 		usp = e.Span.Child("union")
 		defer usp.End()
 	}
-	u := e.newUnion(headNames, g)
+	u := e.newUnion(headNames, nil, g)
 	var atoms []query.RangeAtom // reused: a member's atoms are not retained
 	var evalErr error
 	enumerate(func(cq query.CQ) bool {
@@ -898,10 +924,16 @@ func (e *Evaluator) EvalUCQStreamContext(ctx context.Context, headNames []string
 	return u.finish(usp), nil
 }
 
-// EvalJUCQContext evaluates a join of UCQs, bounded by ctx: each fragment's
-// UCQ is evaluated in turn and the fragment results are joined, then
-// projected on the head. All fragments share one deadline: a JUCQ of N
-// fragments gets one Budget.Timeout, not N.
+// EvalJUCQContext evaluates a join of UCQs, bounded by ctx, by the plan rule
+// of a conjunctive body (package cost) over the fragments' estimates: start
+// from the smallest fragment, cost.Pick the next, connected ones first, and
+// probe a connected one where cost.PreferINLJ says so — a semijoin: the
+// running result's distinct bindings of the shared variables seed the
+// fragment's members, so only rows that can join are computed and hashed in.
+// Nothing is probed under ForceHashJoins or with a FragCache; without
+// estimates every fragment is materialized first and ranked by its size. The
+// join is projected on the head. All fragments share one deadline: a JUCQ of
+// N fragments gets one Budget.Timeout, not N.
 func (e *Evaluator) EvalJUCQContext(ctx context.Context, j query.JUCQ) (*Relation, error) {
 	if len(j.Fragments) == 0 {
 		return nil, errors.New("exec: JUCQ without fragments")
@@ -924,52 +956,75 @@ func (e *Evaluator) EvalJUCQContext(ctx context.Context, j query.JUCQ) (*Relatio
 		}
 	}
 	rels := make([]*Relation, len(j.Fragments))
-	for i, f := range j.Fragments {
-		if err := g.err(); err != nil {
-			return nil, err
+	fragment := func(i int, seed *Relation, sp *trace.Span) (*Relation, error) {
+		if rels[i] != nil {
+			return rels[i], nil
 		}
 		var plan *FragmentPlan
 		if plans != nil {
 			plan = &plans[i]
 		}
-		r, err := e.evalFragment(f, i, plan, g, sp)
-		if err != nil {
-			return nil, err
-		}
-		rels[i] = r
+		return e.evalFragment(j.Fragments[i], i, plan, seed, g, sp)
 	}
-	// The fragment results join by the same greedy order, from the first
-	// fragment; they are materialized, so every join is a materialized one.
-	cur := rels[0]
-	var runEst cost.Estimate
+	card := func(i int) float64 { return float64(rels[i].Len()) }
 	if plans != nil {
-		runEst = plans[0].Est
+		card = func(i int) float64 { return plans[i].Est.Card }
+	} else {
+		for i := range rels {
+			if err := g.err(); err != nil {
+				return nil, err
+			}
+			r, err := fragment(i, nil, sp)
+			if err != nil {
+				return nil, err
+			}
+			rels[i] = r
+		}
 	}
+	probe := plans != nil && !e.ForceHashJoins && e.FragCache == nil
 	var remBuf [8]int
 	remaining := remBuf[:0]
-	//reflint:noguard index bookkeeping, bounded by fragment count
-	for i := 1; i < len(rels); i++ {
+	for i := range rels {
 		remaining = append(remaining, i)
 	}
-	rows := func(i int) float64 { return float64(rels[i].Len()) }
-	connected := func(i int) bool { return len(sharedVars(cur.Vars, rels[i].Vars)) > 0 }
+	start, _ := cost.Pick(remaining, card, nil)
+	first := remaining[start]
+	remaining = append(remaining[:start], remaining[start+1:]...)
+	cur, err := fragment(first, nil, sp)
+	if err != nil {
+		return nil, err
+	}
+	var runEst cost.Estimate
+	if plans != nil {
+		runEst = plans[first].Est
+	}
+	connected := func(i int) bool { return len(sharedVars(cur.Vars, j.Fragments[i].UCQ.HeadNames)) > 0 }
 	for len(remaining) > 0 {
 		if err := g.err(); err != nil {
 			return nil, err
 		}
-		best, _ := cost.Pick(remaining, rows, connected)
+		best, isConnected := cost.Pick(remaining, card, connected)
 		fi := remaining[best]
 		remaining = append(remaining[:best], remaining[best+1:]...)
+		shared := sharedVars(cur.Vars, j.Fragments[fi].UCQ.HeadNames)
+		op := cost.OpCross
+		switch {
+		case isConnected && probe && cost.PreferINLJ(float64(cur.Len()), card(fi)):
+			op = cost.OpSemijoin
+		case isConnected && e.Join == JoinMerge:
+			op = "merge"
+		case isConnected:
+			op = cost.OpHashJoin
+		}
 		estOut := -1.0
-		if plans != nil {
+		if plans != nil && sp != nil {
 			runEst = cost.Join(runEst, plans[fi].Est)
 			estOut = runEst.Card
 		}
-		joined, err := e.materializedJoin(cur, rels[fi], g, sp, estOut)
-		if err != nil {
+		right := func(seed *Relation, sp *trace.Span) (*Relation, error) { return fragment(fi, seed, sp) }
+		if cur, err = e.joinFragment(cur, op, shared, right, g, sp, estOut); err != nil {
 			return nil, err
 		}
-		cur = joined
 	}
 	var psp *trace.Span
 	if sp != nil {
@@ -985,6 +1040,41 @@ func (e *Evaluator) EvalJUCQContext(ctx context.Context, j query.JUCQ) (*Relatio
 		psp.SetInt("rows", int64(out.Len()))
 		psp.End()
 	}
+	return out, nil
+}
+
+// joinFragment joins a fragment into cur by op, under a span of that name
+// holding the fragment's: a semijoin evaluates the fragment from cur's
+// distinct bindings of the shared variables — the seed — any other join in
+// full. est is the running estimate after the step (-1: none).
+func (e *Evaluator) joinFragment(cur *Relation, op string, shared []string, fragment func(seed *Relation, sp *trace.Span) (*Relation, error), g guard, sp *trace.Span, est float64) (*Relation, error) {
+	jsp := sp.Child(op)
+	defer jsp.End()
+	if jsp != nil {
+		jsp.SetStr("on", strings.Join(shared, ","))
+		jsp.SetInt("left_rows", int64(cur.Len()))
+		if est >= 0 {
+			jsp.SetFloat("est_rows", est)
+		}
+	}
+	var seed *Relation
+	if op == cost.OpSemijoin {
+		var err error
+		if seed, err = projectColumns(shared, cur, g); err != nil {
+			return nil, err
+		}
+		jsp.SetInt("seed_rows", int64(seed.Len()))
+	}
+	right, err := fragment(seed, jsp)
+	if err != nil {
+		return nil, err
+	}
+	out, err := e.materializedJoin(cur, right, g, nil, -1)
+	if err != nil {
+		return nil, err
+	}
+	jsp.SetInt("right_rows", int64(right.Len()))
+	jsp.SetInt("rows", int64(out.Len()))
 	return out, nil
 }
 
@@ -1016,10 +1106,10 @@ func projectColumns(names []string, rel *Relation, g guard) (*Relation, error) {
 	return out, err
 }
 
-// evalFragment evaluates fragment i of a JUCQ under g, recording a
-// "fragment" span under sp with the plan's estimate, when there is one, next
-// to the actual rows.
-func (e *Evaluator) evalFragment(f query.Fragment, i int, plan *FragmentPlan, g guard, sp *trace.Span) (*Relation, error) {
+// evalFragment evaluates fragment i of a JUCQ under g — from the seed when
+// there is one — recording a "fragment" span under sp with the plan's
+// estimate, when there is one, next to the actual rows.
+func (e *Evaluator) evalFragment(f query.Fragment, i int, plan *FragmentPlan, seed *Relation, g guard, sp *trace.Span) (*Relation, error) {
 	var fsp *trace.Span
 	if sp != nil {
 		fsp = sp.Child("fragment")
@@ -1030,7 +1120,7 @@ func (e *Evaluator) evalFragment(f query.Fragment, i int, plan *FragmentPlan, g 
 			fsp.SetFloat("est_rows", plan.Est.Card)
 		}
 	}
-	r, err := e.fragmentResult(f, plan, g, fsp)
+	r, err := e.fragmentResult(f, plan, seed, g, fsp)
 	if err != nil {
 		return nil, err
 	}
@@ -1044,15 +1134,18 @@ func (e *Evaluator) evalFragment(f query.Fragment, i int, plan *FragmentPlan, g 
 // skips evaluation and returns an immutable renamed view; a miss evaluates
 // and may be admitted, priced by the fragment's plan when there is one.
 // Outcomes land on the fragment span (cache_hit / cache_bytes in EXPLAIN
-// ANALYZE) and on CacheStats for the per-answer cached_fragments count.
-func (e *Evaluator) fragmentResult(f query.Fragment, plan *FragmentPlan, g guard, fsp *trace.Span) (*Relation, error) {
+// ANALYZE) and on CacheStats for the per-answer cached_fragments count. A
+// seeded fragment is only the part of the fragment that joins, never a
+// view: it bypasses the cache.
+func (e *Evaluator) fragmentResult(f query.Fragment, plan *FragmentPlan, seed *Relation, g guard, fsp *trace.Span) (*Relation, error) {
 	eval := func() (*Relation, error) {
-		if f.Members != nil {
-			return e.evalUnion(f.UCQ.HeadNames, f.Members, g, fsp)
+		members := f.Members
+		if members == nil {
+			members = f.UCQ.Lift()
 		}
-		return e.evalUCQ(f.UCQ, g, fsp)
+		return e.evalUnion(f.UCQ.HeadNames, members, seed, g, fsp)
 	}
-	if e.FragCache == nil {
+	if e.FragCache == nil || seed != nil {
 		return eval()
 	}
 	key := ""

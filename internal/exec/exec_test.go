@@ -658,7 +658,7 @@ func TestPlanningStaysOnStack(t *testing.T) {
 		}
 	})
 	body := testing.AllocsPerRun(100, func() {
-		if _, err := e.evalBody(atoms, dead, nil, g, nil); err != nil {
+		if _, err := e.evalBody(atoms, dead, nil, nil, g, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

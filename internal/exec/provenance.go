@@ -24,7 +24,7 @@ func (e *Evaluator) EvalUCQWithProvenanceContext(ctx context.Context, u query.UC
 		}
 		// The member's own set names each of its answers once.
 		member := NewSet(u.HeadNames)
-		if err := e.evalCQ(cq.Lift(), nil, g, nil, member); err != nil {
+		if err := e.evalCQ(cq.Lift(), nil, nil, g, nil, member); err != nil {
 			return nil, nil, err
 		}
 		r := member.Rows

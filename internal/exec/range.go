@@ -180,6 +180,14 @@ func (m *memo) begin(a query.RangeAtom, dead uint8) {
 	}
 }
 
+// beginSeed starts a member's join prefix at the union's seed, the one
+// relation every seeded member of the union starts from.
+func (m *memo) beginSeed() {
+	if m != nil {
+		m.prefix = append(m.prefix[:0], '^')
+	}
+}
+
 // join extends the prefix by the atom and returns the memoized
 // intermediate for it, or nil (then putJoin records the one computed).
 func (m *memo) join(a query.RangeAtom, dead uint8) *Relation {

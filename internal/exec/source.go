@@ -196,10 +196,11 @@ func CoPartitioned(q query.RangeCQ) bool {
 }
 
 // evalCQScatter evaluates a co-partitioned CQ shard-locally: each shard
-// runs the full body plan (ordered by its own statistics) into a set of its
-// own, and the per-shard answers enter dst — the only cross-shard step is
-// that final union, after projection.
-func (e *Evaluator) evalCQScatter(sh ShardedSource, q query.RangeCQ, g guard, sp *trace.Span, dst *Set) error {
+// runs the full body plan (ordered by its own statistics, from the seed when
+// there is one) into a set of its own, and the per-shard answers enter dst —
+// the only cross-shard step is that final union, after projection. Every
+// embedding lives on one shard, so a seed row meets its matches there.
+func (e *Evaluator) evalCQScatter(sh ShardedSource, q query.RangeCQ, seed *Relation, g guard, sp *trace.Span, dst *Set) error {
 	ssp := newScatterSpan(sp, "cq", sh.NumShards())
 	if ssp != nil {
 		defer ssp.End()
@@ -210,7 +211,7 @@ func (e *Evaluator) evalCQScatter(sh ShardedSource, q query.RangeCQ, g guard, sp
 	}
 	parts, err := e.runScatter(sh, g, func(i int) (*Relation, error) {
 		part := NewSet(dst.Rows.Vars)
-		return part.Rows, e.shardSub(sh, i).evalCQ(q, nil, g, ssp, part)
+		return part.Rows, e.shardSub(sh, i).evalCQ(q, seed, nil, g, ssp, part)
 	})
 	if err != nil {
 		return err
@@ -246,11 +247,11 @@ func SplitCoPartitioned(cqs []query.RangeCQ) (co, rest []query.RangeCQ) {
 // evalUnionScatter evaluates a union's co-partitioned group (≥2 members)
 // against a sharded source into the union's set dst: the group runs
 // shard-locally in one scatter — each shard evaluates the whole group
-// serially, with its own statistics, memo and set — and the per-shard sets
-// enter dst in shard order. The union's other members (rest counts them)
-// evaluate afterwards on the parent path, where their unbound-subject scans
-// still scatter individually.
-func (e *Evaluator) evalUnionScatter(sh ShardedSource, co []query.RangeCQ, rest int, g guard, sp *trace.Span, dst *Set) error {
+// serially, from the seed when there is one, with its own statistics, memo
+// and set — and the per-shard sets enter dst in shard order. The union's
+// other members (rest counts them) evaluate afterwards on the parent path,
+// where their unbound-subject scans still scatter individually.
+func (e *Evaluator) evalUnionScatter(sh ShardedSource, co []query.RangeCQ, rest int, seed *Relation, g guard, sp *trace.Span, dst *Set) error {
 	ssp := newScatterSpan(sp, "ucq", sh.NumShards())
 	if ssp != nil {
 		defer ssp.End()
@@ -261,7 +262,7 @@ func (e *Evaluator) evalUnionScatter(sh ShardedSource, co []query.RangeCQ, rest 
 		e.Metrics.Counter("shard.local_cqs").Add(int64(len(co)))
 	}
 	parts, err := e.runScatter(sh, g, func(i int) (*Relation, error) {
-		u := e.shardSub(sh, i).newUnion(dst.Rows.Vars, g)
+		u := e.shardSub(sh, i).newUnion(dst.Rows.Vars, seed, g)
 		return u.out.Rows, u.addAll(co, ssp)
 	})
 	if err != nil {

@@ -136,13 +136,11 @@ func (s *Server) traceIntoEntry(root *trace.Span, e *journal.Entry) {
 	if root == nil {
 		return
 	}
-	// Fragment spans appear in evaluation order; entries align them
-	// positionally with Answer.FragmentSigs (single-JUCQ strategies).
-	// Union answers evaluate several JUCQs and carry no sigs, so extra
-	// fragment spans are simply dropped rather than misattributed.
-	fragSeen := 0
+	// Fragment spans appear in evaluation order, which is the plan's, not
+	// the cover's; their idx aligns them with Answer.FragmentSigs
+	// (single-JUCQ strategies). Answers without sigs drop them.
 	root.Visit(func(name string, _ int, dur time.Duration, attrs []trace.Attr) {
-		est, act, cacheHit := -1.0, int64(-1), false
+		est, act, cacheHit, idx := -1.0, int64(-1), false, -1
 		var shape, classes string // on the span that looked the plan up
 		for _, a := range attrs {
 			if !a.IsNumber() {
@@ -161,6 +159,8 @@ func (s *Server) traceIntoEntry(root *trace.Span, e *journal.Entry) {
 				act = int64(a.Number())
 			case "cache_hit":
 				cacheHit = a.Number() > 0
+			case "idx":
+				idx = int(a.Number())
 			}
 		}
 		if shape != "" && e.Shape == "" {
@@ -172,12 +172,9 @@ func (s *Server) traceIntoEntry(root *trace.Span, e *journal.Entry) {
 		case "plan":
 			e.PlanMillis += float64(dur) / float64(time.Millisecond)
 		case "fragment":
-			if fragSeen < len(e.Fragments) {
-				f := &e.Fragments[fragSeen]
-				f.EstRows = est
-				f.Rows = act
-				f.CacheHit = cacheHit
-				fragSeen++
+			if idx >= 0 && idx < len(e.Fragments) {
+				f := &e.Fragments[idx]
+				f.EstRows, f.Rows, f.CacheHit = est, act, cacheHit
 			}
 		}
 		if est >= 0 && act >= 0 && len(e.Operators) < journal.MaxOperators {

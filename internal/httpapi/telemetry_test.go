@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/journal"
+	"repro/internal/trace"
 )
 
 // Tests for the workload-telemetry layer: /v1/stats workload section,
@@ -271,5 +272,26 @@ func TestJournalEndToEnd(t *testing.T) {
 	}
 	if got := snap.Counters["journal.dropped"]; got != 0 {
 		t.Fatalf("journal.dropped = %d, want 0", got)
+	}
+}
+
+// A JUCQ's fragment spans come in plan order, not cover order: the journal
+// matches each to its fragment by the span's idx.
+func TestJournalMatchesFragmentsByIdx(t *testing.T) {
+	root := trace.New(0).StartSpan("answer")
+	for _, i := range []int64{1, 0} {
+		f := root.Child("fragment")
+		f.SetInt("idx", i)
+		f.SetFloat("est_rows", float64(10+i))
+		f.SetInt("rows", i)
+		f.End()
+	}
+	root.End()
+	e := journal.Entry{Fragments: []journal.FragmentStat{{Sig: "a", EstRows: -1, Rows: -1}, {Sig: "b", EstRows: -1, Rows: -1}}}
+	(&Server{}).traceIntoEntry(root, &e)
+	for i, f := range e.Fragments {
+		if f.Rows != int64(i) || f.EstRows != float64(10+i) {
+			t.Fatalf("fragment %d (%s) got rows %d, est %v", i, f.Sig, f.Rows, f.EstRows)
+		}
 	}
 }
