@@ -22,13 +22,17 @@ const None ID = 0
 
 // Dict maps RDF terms to dense IDs and back. It is safe for concurrent use.
 // Its index holds no copy of a term's bytes: an IRI, a plain literal or a
-// blank node is keyed by its Value — the string terms holds — in the map of
+// blank node is keyed by its Value — the string values holds — in the map of
 // its kind; only a term with a datatype or a language is keyed whole.
 type Dict struct {
 	mu     sync.RWMutex
 	byKind [rdf.Blank + 1]map[string]ID
 	tagged map[rdf.Term]ID
-	terms  []rdf.Term // terms[i] is the term with ID i+1
+	// The term with ID i+1 is values[i] of kind kinds[i], or, when kinds[i]
+	// is wholeKind, whole[i+1]: a term is 17 bytes here, not an rdf.Term's 56.
+	values []string
+	kinds  []rdf.Kind
+	whole  map[ID]rdf.Term
 	frozen bool
 
 	// intervals maps a class/property ID to the contiguous ID interval of
@@ -36,9 +40,13 @@ type Dict struct {
 	intervals map[ID]Interval
 }
 
+// wholeKind marks, in kinds, a term kept whole: one with a datatype or a
+// language.
+const wholeKind rdf.Kind = 255
+
 // New returns an empty dictionary.
 func New() *Dict {
-	return &Dict{byKind: [rdf.Blank + 1]map[string]ID{{}, {}, {}}, tagged: map[rdf.Term]ID{}}
+	return &Dict{byKind: [rdf.Blank + 1]map[string]ID{{}, {}, {}}, tagged: map[rdf.Term]ID{}, whole: map[ID]rdf.Term{}}
 }
 
 // byValue returns the map that keys t by its Value, nil when t is keyed whole.
@@ -64,12 +72,13 @@ func (d *Dict) Encode(t rdf.Term) ID {
 	if d.frozen {
 		panic(fmt.Sprintf("dict: encode of unknown term %s on frozen dictionary", t))
 	}
-	d.terms = append(d.terms, t)
-	id := ID(len(d.terms))
+	id := ID(len(d.values) + 1)
 	if m := d.byValue(t); m != nil {
 		m[t.Value] = id
+		d.values, d.kinds = append(d.values, t.Value), append(d.kinds, t.Kind)
 	} else {
-		d.tagged[t] = id
+		d.tagged[t], d.whole[id] = id, t
+		d.values, d.kinds = append(d.values, ""), append(d.kinds, wholeKind)
 	}
 	return id
 }
@@ -98,17 +107,20 @@ func (d *Dict) lookup(t rdf.Term) (id ID, ok bool) {
 func (d *Dict) Decode(id ID) rdf.Term {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if id == None || int(id) > len(d.terms) {
-		panic(fmt.Sprintf("dict: decode of unknown id %d (size %d)", id, len(d.terms)))
+	if id == None || int(id) > len(d.values) {
+		panic(fmt.Sprintf("dict: decode of unknown id %d (size %d)", id, len(d.values)))
 	}
-	return d.terms[id-1]
+	if k := d.kinds[id-1]; k != wholeKind {
+		return rdf.Term{Kind: k, Value: d.values[id-1]}
+	}
+	return d.whole[id]
 }
 
 // Len returns the number of distinct terms in the dictionary.
 func (d *Dict) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.terms)
+	return len(d.values)
 }
 
 // Freeze marks the dictionary read-only: any Encode of an unknown term

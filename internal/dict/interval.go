@@ -47,7 +47,7 @@ func (d *Dict) Interval(id ID) (Interval, bool) {
 func (d *Dict) Permute(remap []ID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n := len(d.terms)
+	n := len(d.values)
 	if len(remap) != n+1 {
 		return fmt.Errorf("dict: remap length %d, want %d", len(remap), n+1)
 	}
@@ -65,19 +65,22 @@ func (d *Dict) Permute(remap []ID) error {
 		}
 		seen[nw] = true
 	}
-	terms := make([]rdf.Term, n)
+	values, kinds := make([]string, n), make([]rdf.Kind, n)
 	for old := 1; old <= n; old++ {
-		terms[remap[old]-1] = d.terms[old-1]
+		values[remap[old]-1], kinds[remap[old]-1] = d.values[old-1], d.kinds[old-1]
 	}
-	d.terms = terms
+	d.values, d.kinds = values, kinds
 	for _, m := range d.byKind {
 		for v, old := range m {
 			m[v] = remap[old]
 		}
 	}
+	whole := make(map[ID]rdf.Term, len(d.whole))
 	for t, old := range d.tagged {
 		d.tagged[t] = remap[old]
+		whole[remap[old]] = t
 	}
+	d.whole = whole
 	d.intervals = nil
 	return nil
 }

@@ -74,7 +74,7 @@ func FuzzParseQuery(f *testing.F) {
 				_ = cq.CanonicalKey()
 			}
 			u.Dedup()
-			u.Minimize()
+			_ = u.Merged()
 		}
 		if q, err := ParseRuleWithPrefixes(d, prefixes, input); err == nil {
 			if err := q.Validate(); err != nil {

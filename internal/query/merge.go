@@ -8,9 +8,14 @@ import (
 	"repro/internal/storage"
 )
 
-// Merged returns the members of u in the executor's atom form, merged: what a
-// JUCQ fragment evaluates (Fragment.Members).
-func (u UCQ) Merged() []RangeCQ { return Merge(u.Lift()) }
+// Merged returns what a JUCQ fragment evaluates of u (Fragment.Members): its
+// members minimized — each to its core, then those another member subsumes
+// dropped — in the executor's atom form, merged. u is not written.
+func (u UCQ) Merged() []RangeCQ {
+	m := UCQ{HeadNames: u.HeadNames, CQs: slices.Clone(u.CQs)}
+	m.minimize()
+	return Merge(m.Lift())
+}
 
 // Merge compacts a union in the executor's atom form: the union of members
 // equal but for the constant cⱼ at one position is one member whose position
