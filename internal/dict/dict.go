@@ -7,6 +7,7 @@ package dict
 
 import (
 	"fmt"
+	"hash/maphash"
 	"sync"
 
 	"repro/internal/rdf"
@@ -21,13 +22,20 @@ type ID uint32
 const None ID = 0
 
 // Dict maps RDF terms to dense IDs and back. It is safe for concurrent use.
-// Its index holds no copy of a term's bytes: an IRI, a plain literal or a
-// blank node is keyed by its Value — the string values holds — in the map of
-// its kind; only a term with a datatype or a language is keyed whole.
+// Its index holds no copy of a term's bytes, nor of its string header: an
+// IRI, a plain literal or a blank node is found by its kind and Value — the
+// string values holds — through index, a table of IDs alone; only a term
+// with a datatype or a language is keyed whole.
 type Dict struct {
-	mu     sync.RWMutex
-	byKind [rdf.Blank + 1]map[string]ID
-	tagged map[rdf.Term]ID
+	mu sync.RWMutex
+	// index is an open-addressing hash table of the IDs of the terms keyed
+	// by value, a power of two long and at most 3/4 full: a term is found
+	// by probing from its hash's slot to the first empty one. A slot is an
+	// ID, four bytes; the term's string is in values alone.
+	index   []ID
+	indexed int // the IDs in index
+	seed    maphash.Seed
+	tagged  map[rdf.Term]ID
 	// The term with ID i+1 is values[i] of kind kinds[i], or, when kinds[i]
 	// is wholeKind, whole[i+1]: a term is 17 bytes here, not an rdf.Term's 56.
 	values []string
@@ -46,15 +54,59 @@ const wholeKind rdf.Kind = 255
 
 // New returns an empty dictionary.
 func New() *Dict {
-	return &Dict{byKind: [rdf.Blank + 1]map[string]ID{{}, {}, {}}, tagged: map[rdf.Term]ID{}, whole: map[ID]rdf.Term{}}
+	return &Dict{seed: maphash.MakeSeed(), tagged: map[rdf.Term]ID{}, whole: map[ID]rdf.Term{}}
 }
 
-// byValue returns the map that keys t by its Value, nil when t is keyed whole.
-func (d *Dict) byValue(t rdf.Term) map[string]ID {
-	if t.Kind > rdf.Blank || t.Datatype != "" || t.Lang != "" {
-		return nil
+// byValue reports whether t is keyed by its kind and Value, not whole.
+func byValue(t rdf.Term) bool {
+	return t.Kind <= rdf.Blank && t.Datatype == "" && t.Lang == ""
+}
+
+// slot returns the index slot the probe for a term of kind k and value v
+// starts at; index must not be empty.
+func (d *Dict) slot(k rdf.Kind, v string) int {
+	return int((maphash.String(d.seed, v) + uint64(k)*0x9e3779b97f4a7c15) & uint64(len(d.index)-1))
+}
+
+// find returns the ID of the term of kind k and value v keyed by value.
+func (d *Dict) find(k rdf.Kind, v string) (ID, bool) {
+	if d.indexed == 0 {
+		return None, false
 	}
-	return d.byKind[t.Kind]
+	for i := d.slot(k, v); ; i = (i + 1) & (len(d.index) - 1) {
+		id := d.index[i]
+		if id == None {
+			return None, false
+		}
+		if d.kinds[id-1] == k && d.values[id-1] == v {
+			return id, true
+		}
+	}
+}
+
+// place puts id, a term keyed by value, in index, growing it past 3/4
+// full.
+func (d *Dict) place(id ID) {
+	if 4*(d.indexed+1) > 3*len(d.index) {
+		old := d.index
+		d.index = make([]ID, max(16, 2*len(old)))
+		for _, id := range old {
+			if id != None {
+				d.insert(id)
+			}
+		}
+	}
+	d.insert(id)
+	d.indexed++
+}
+
+// insert puts id in the first empty slot of its probe run.
+func (d *Dict) insert(id ID) {
+	i := d.slot(d.kinds[id-1], d.values[id-1])
+	for d.index[i] != None {
+		i = (i + 1) & (len(d.index) - 1)
+	}
+	d.index[i] = id
 }
 
 // Encode returns the ID for the term, assigning a fresh one if the term is
@@ -73,9 +125,9 @@ func (d *Dict) Encode(t rdf.Term) ID {
 		panic(fmt.Sprintf("dict: encode of unknown term %s on frozen dictionary", t))
 	}
 	id := ID(len(d.values) + 1)
-	if m := d.byValue(t); m != nil {
-		m[t.Value] = id
+	if byValue(t) {
 		d.values, d.kinds = append(d.values, t.Value), append(d.kinds, t.Kind)
+		d.place(id)
 	} else {
 		d.tagged[t], d.whole[id] = id, t
 		d.values, d.kinds = append(d.values, ""), append(d.kinds, wholeKind)
@@ -93,11 +145,10 @@ func (d *Dict) Lookup(t rdf.Term) (ID, bool) {
 
 // lookup is Lookup for a caller holding mu.
 func (d *Dict) lookup(t rdf.Term) (id ID, ok bool) {
-	if m := d.byValue(t); m != nil {
-		id, ok = m[t.Value]
-	} else {
-		id, ok = d.tagged[t]
+	if byValue(t) {
+		return d.find(t.Kind, t.Value)
 	}
+	id, ok = d.tagged[t]
 	return id, ok
 }
 

@@ -268,3 +268,39 @@ func TestPermuteRejectsBadTables(t *testing.T) {
 		t.Fatalf("failed permute moved an id: a = %d", id)
 	}
 }
+
+// The index finds every term through its growth and a permutation: many
+// terms, each value under three kinds, and terms absent under another kind.
+func TestIndexGrowsAndPermutes(t *testing.T) {
+	d := New()
+	var terms []rdf.Term
+	for i := 0; i < 3000; i++ {
+		v := fmt.Sprintf("http://x/%d", i)
+		terms = append(terms, rdf.NewIRI(v), rdf.NewLiteral(v), rdf.NewBlank(v))
+	}
+	for i, tm := range terms {
+		if id := d.Encode(tm); id != ID(i+1) {
+			t.Fatalf("%s encoded to %d, want %d", tm, id, i+1)
+		}
+	}
+	check := func(id func(i int) ID) {
+		t.Helper()
+		for i, tm := range terms {
+			if got, ok := d.Lookup(tm); !ok || got != id(i) {
+				t.Fatalf("%s: id %d %v, want %d", tm, got, ok, id(i))
+			}
+		}
+		if _, ok := d.Lookup(rdf.NewIRI("http://x/3000")); ok {
+			t.Fatal("an absent term was found")
+		}
+	}
+	check(func(i int) ID { return ID(i + 1) })
+	remap := make([]ID, len(terms)+1)
+	for old := 1; old <= len(terms); old++ {
+		remap[old] = ID(len(terms) + 1 - old)
+	}
+	if err := d.Permute(remap); err != nil {
+		t.Fatal(err)
+	}
+	check(func(i int) ID { return ID(len(terms) - i) })
+}

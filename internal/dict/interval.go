@@ -70,10 +70,10 @@ func (d *Dict) Permute(remap []ID) error {
 		values[remap[old]-1], kinds[remap[old]-1] = d.values[old-1], d.kinds[old-1]
 	}
 	d.values, d.kinds = values, kinds
-	for _, m := range d.byKind {
-		for v, old := range m {
-			m[v] = remap[old]
-		}
+	// A slot's probe run depends on the term, not its ID: the term keeps
+	// its slot under its new ID.
+	for i, old := range d.index {
+		d.index[i] = remap[old]
 	}
 	whole := make(map[ID]rdf.Term, len(d.whole))
 	for t, old := range d.tagged {

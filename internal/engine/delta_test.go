@@ -119,7 +119,7 @@ func TestDeltaScheduleMatchesRebuild(t *testing.T) {
 			}
 			where := fmt.Sprintf("seed %d step %d (kind %d, %d shards)", seed, step, kind, e.Shards())
 			g := e.g
-			sh, want := e.Store(), shard.Build(g.Dict(), g.AllTriples(), e.Shards())
+			sh, want := e.Store(), shard.Build(g.Dict(), g.D(), e.Shards())
 			if sh.NumShards() != want.NumShards() {
 				t.Fatalf("%s: %d shards", where, sh.NumShards())
 			}

@@ -45,6 +45,7 @@ type derived struct {
 	model, satModel func() *cost.Model
 	sat             func() saturated
 	satRead         atomic.Bool // sat ran: somebody read this version's G∞
+	satResult       func() *saturation.Result
 	satStore        func() *storage.Store
 	satStats        func() *stats.Stats
 }
@@ -90,10 +91,12 @@ const maxDrift = 1.0 / 8
 
 func drifted(moved, of int) bool { return float64(moved) > maxDrift*float64(of) }
 
-// saturated is G∞ and how long it took to produce.
+// saturated is G∞ — a run, the SPO run of the version's sat store — its
+// counts, and how long it took to produce.
 type saturated struct {
-	res  *saturation.Result
-	took time.Duration
+	run           *storage.Run
+	data, derived int
+	took          time.Duration
 }
 
 // swap installs a new version of the derived state over the engine's graph
@@ -134,11 +137,11 @@ func (e *Engine) swap(keep *derived, added, removed []dict.Triple) {
 		start := time.Now()
 		b, own := d.from.Load(), &basis{}
 		if b == nil {
-			own.src = shard.Build(g.Dict(), g.AllTriples(), d.shards)
+			own.src = shard.Build(g.Dict(), g.D(), d.shards)
 			own.stats = stats.Collect(own.src)
 			reg.Counter("engine.derived.rebuilt").Inc()
 		} else {
-			own.src = b.src.Apply(g.AllTriples(), b.added, b.removed)
+			own.src = b.src.Apply(g.D(), b.added, b.removed)
 			own.stats = b.stats.Apply(own.src, b.added, b.removed)
 			reg.Counter("engine.derived.applied").Inc()
 			reg.Histogram("engine.derived.apply_ms").Observe(float64(time.Since(start)) / float64(time.Millisecond))
@@ -161,9 +164,14 @@ func (e *Engine) swap(keep *derived, added, removed []dict.Triple) {
 		} else {
 			res = saturation.Saturate(g)
 		}
-		return saturated{res, time.Since(start)}
+		took := time.Since(start)
+		return saturated{storage.NewRun(res.Triples), res.DataTriples, res.Derived, took}
 	})
-	d.satStore = sync.OnceValue(func() *storage.Store { return storage.BuildSorted(g.Dict(), d.sat().res.Triples) })
+	d.satResult = sync.OnceValue(func() *saturation.Result {
+		s := d.sat()
+		return &saturation.Result{Triples: s.run.Triples(), DataTriples: s.data, Derived: s.derived}
+	})
+	d.satStore = sync.OnceValue(func() *storage.Store { return storage.BuildSorted(g.Dict(), d.sat().run) })
 	d.satStats = sync.OnceValue(func() *stats.Stats { return stats.Collect(d.satStore()) })
 	d.satModel = sync.OnceValue(func() *cost.Model { return cost.NewModel(d.satStats()) })
 	e.d = d

@@ -240,9 +240,9 @@ func (e *Engine) RangeReformulator() *core.RangeReformulator { return e.d.rangeR
 func (e *Engine) IncompleteReformulator() *core.Reformulator { return e.d.incRef() }
 
 // Saturation returns G∞: saturated from scratch before the first data
-// update, read off the maintained closure after. Its Triples are the SPO run
-// of SatStore, shared: callers must not modify them.
-func (e *Engine) Saturation() *saturation.Result { return e.d.sat().res }
+// update, read off the maintained closure after. Its Triples are a flat
+// copy of SatStore's SPO run, made on the first call.
+func (e *Engine) Saturation() *saturation.Result { return e.d.satResult() }
 
 // SaturationTime returns the wall-clock time producing Saturation() took.
 func (e *Engine) SaturationTime() time.Duration { return e.d.sat().took }

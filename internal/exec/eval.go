@@ -425,10 +425,12 @@ func (e *Evaluator) evalBody(atoms []query.RangeAtom, dead []uint8, seed *Relati
 // variables (plain and capture), enforcing repeated-variable equality — a
 // ranged atom through the range scan primitive, any other through the plain
 // one. The dead positions are wildcards: not emitted, and an atom with no
-// live variable is a boolean test that stops at its first triple. Against a
-// sharded source a scan whose subject is unconstrained fans out to every
-// shard in parallel (a bound subject needs no scatter: the source routes it
-// to the subject's home shard).
+// live variable is a boolean test that stops at its first triple. Any other
+// atom whose positions bind distinct columns reads the source a block at a
+// time: each run's columns are appended at once, and the guard is polled
+// once per run. Against a sharded source a scan whose subject is
+// unconstrained fans out to every shard in parallel (a bound subject needs
+// no scatter: the source routes it to the subject's home shard).
 func (e *Evaluator) scanAtom(a query.RangeAtom, dead uint8, m *memo, g guard, sp *trace.Span, est float64) (*Relation, error) {
 	vars, col := atomVars(a, dead)
 	if rel := m.scan(a, dead, vars, col); rel != nil {
@@ -439,17 +441,34 @@ func (e *Evaluator) scanAtom(a query.RangeAtom, dead uint8, m *memo, g guard, sp
 	for p := 1; p < 3; p++ {
 		repeat[p] = col[p] != -1 && (col[p] == col[0] || (p == 2 && col[p] == col[1]))
 	}
-	isRanged := a.Ranged()
+	isRanged, batch := a.Ranged(), len(vars) > 0 && !repeat[1] && !repeat[2]
 	var pat storage.Pattern
 	var rpat storage.RangePattern
-	if isRanged {
+	if isRanged || batch {
 		rpat = a.RangePattern()
 	} else {
 		pat = a.Plain().Pattern()
 	}
 	scan := func(src Source, rel *Relation) error {
-		row := make([]dict.ID, len(vars))
 		var stopErr error
+		overCap := func() bool {
+			if e.Budget.MaxRows > 0 && rel.Len() > e.Budget.MaxRows {
+				stopErr = fmt.Errorf("%w: scan of %d+ rows exceeds cap %d", ErrBudgetExceeded, rel.Len(), e.Budget.MaxRows)
+				return true
+			}
+			return false
+		}
+		if batch {
+			src.EachRun(rpat, func(run []dict.Triple) bool {
+				if stopErr = g.err(); stopErr != nil {
+					return false
+				}
+				rel.appendColumns(run, col)
+				return !overCap()
+			})
+			return stopErr
+		}
+		row := make([]dict.ID, len(vars))
 		steps := 0
 		emit := func(t dict.Triple) bool {
 			steps++
@@ -470,11 +489,7 @@ func (e *Evaluator) scanAtom(a query.RangeAtom, dead uint8, m *memo, g guard, sp
 				}
 			}
 			rel.Append(row)
-			if e.Budget.MaxRows > 0 && rel.Len() > e.Budget.MaxRows {
-				stopErr = fmt.Errorf("%w: scan of %d+ rows exceeds cap %d", ErrBudgetExceeded, rel.Len(), e.Budget.MaxRows)
-				return false
-			}
-			return len(row) > 0
+			return !overCap() && len(row) > 0
 		}
 		if isRanged {
 			src.EachRange(rpat, emit)

@@ -49,6 +49,28 @@ func (r *Relation) Append(row []dict.ID) {
 	r.rows++
 }
 
+// appendColumns appends one row per triple, the relation grown once: column
+// col[p] takes the triple's position p (-1: no column), and every column is
+// some position's.
+func (r *Relation) appendColumns(ts []dict.Triple, col [3]int) {
+	n := len(r.data)
+	r.data = slices.Grow(r.data, len(ts)*r.width)[:n+len(ts)*r.width]
+	row := r.data[n:]
+	for _, t := range ts {
+		if col[0] >= 0 {
+			row[col[0]] = t.S
+		}
+		if col[1] >= 0 {
+			row[col[1]] = t.P
+		}
+		if col[2] >= 0 {
+			row[col[2]] = t.O
+		}
+		row = row[r.width:]
+	}
+	r.rows += len(ts)
+}
+
 // ColumnIndex returns the index of the named column, or -1.
 func (r *Relation) ColumnIndex(name string) int {
 	for i, v := range r.Vars {

@@ -29,6 +29,11 @@ type Source interface {
 	Count(pat storage.Pattern) int
 	// EachRange streams every triple matching the range pattern.
 	EachRange(pat storage.RangePattern, fn func(dict.Triple) bool)
+	// EachRun streams the triples matching the range pattern a sorted
+	// slice at a time — a block's share, for a pattern the index search
+	// answers exactly — stopping early if fn returns false. The slices are
+	// the source's: callers must not modify them.
+	EachRun(pat storage.RangePattern, fn func([]dict.Triple) bool)
 	// CountRange returns the number of triples matching the range pattern.
 	CountRange(pat storage.RangePattern) int
 }

@@ -310,7 +310,7 @@ func TestStoreSourceIndexBackedScan(t *testing.T) {
 // in-process counterpart of merging remote endpoints.
 func TestShardedStoreBehindMediator(t *testing.T) {
 	g := mustGraph(t, factsSource+ontologySource)
-	sharded := shard.Build(g.Dict(), g.AllTriples(), 3)
+	sharded := shard.Build(g.Dict(), g.D(), 3)
 	srcs := make([]Source, sharded.NumShards())
 	for i := range srcs {
 		srcs[i] = &StoreSource{

@@ -24,9 +24,10 @@ type Graph struct {
 	d      *dict.Dict
 	schema *schema.Schema
 	// all is D, the database reformulations are evaluated against: the data
-	// triples plus the closed schema's, sorted (S,P,O) and duplicate free. A
-	// published D is never written: a write replaces it with a merged copy.
-	all []dict.Triple
+	// triples plus the closed schema's, a run sorted (S,P,O). A published D
+	// is never written: a write replaces it with its Apply, which shares
+	// every block the write does not touch.
+	all *storage.Run
 }
 
 // FromTriples builds a graph from raw triples: RDFS constraint triples feed
@@ -58,9 +59,8 @@ func FromTriples(ts []rdf.Triple) (*Graph, error) {
 // rewritten through the remap table, and the subtree-interval table is
 // installed on the dictionary. Terms encoded later (new data) take IDs past
 // the hierarchy blocks, which leaves existing intervals valid. D is then
-// the data, sorted, merged with the closure triples into one exactly sized
-// slice: data triples never have a constraint predicate, so the two never
-// overlap.
+// the data, sorted, merged with the closure triples and cut into a run: data
+// triples never have a constraint predicate, so the two never overlap.
 func assemble(d *dict.Dict, s *schema.Schema, data []dict.Triple) *Graph {
 	remap, changed := s.BuildIntervalRemap()
 	if changed {
@@ -74,7 +74,7 @@ func assemble(d *dict.Dict, s *schema.Schema, data []dict.Triple) *Graph {
 	}
 	d.SetIntervals(s.SubtreeIntervals())
 	slices.SortFunc(data, CompareTriples)
-	return &Graph{d: d, schema: s, all: storage.Merge(slices.Compact(data), s.Triples(), nil)}
+	return &Graph{d: d, schema: s, all: storage.NewRun(storage.Merge(slices.Compact(data), s.Triples(), nil))}
 }
 
 // Parse reads triples in N-Triples/Turtle-subset syntax and builds a graph.
@@ -113,14 +113,16 @@ func (g *Graph) Schema() *schema.Schema { return g.schema }
 
 // DataCount returns the number of instance triples: D less the closure
 // triples, which AddData never lets a data triple duplicate.
-func (g *Graph) DataCount() int { return len(g.all) - len(g.schema.Triples()) }
+func (g *Graph) DataCount() int { return g.all.Len() - len(g.schema.Triples()) }
 
-// AllTriples returns D, data plus closed-schema triples sorted (S,P,O): the
-// database the reformulated queries are evaluated against (schema-level
-// atoms are answered from the closed schema). The slice is the graph's own,
-// shared: callers must not modify it. A write replaces it and never changes
-// it, so a caller holding it keeps the graph as it was.
-func (g *Graph) AllTriples() []dict.Triple { return g.all }
+// D returns D, data plus closed-schema triples sorted (S,P,O): the database
+// the reformulated queries are evaluated against (schema-level atoms are
+// answered from the closed schema), as the graph holds it. A write replaces
+// it and never changes it, so a caller holding it keeps the graph as it was.
+func (g *Graph) D() *storage.Run { return g.all }
+
+// AllTriples returns D as one fresh slice, a copy made on demand.
+func (g *Graph) AllTriples() []dict.Triple { return g.all.Triples() }
 
 // AddData adds instance triples to the graph and returns, sorted, the
 // encoded triples that were not already in it (schema triples are
@@ -131,7 +133,7 @@ func (g *Graph) AddData(ts []rdf.Triple) ([]dict.Triple, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.all = storage.Merge(g.all, add, nil)
+	g.all = g.all.Apply(add, nil)
 	return add, nil
 }
 
@@ -143,7 +145,7 @@ func (g *Graph) RemoveData(ts []rdf.Triple) ([]dict.Triple, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.all = storage.Merge(g.all, nil, drop)
+	g.all = g.all.Apply(nil, drop)
 	return drop, nil
 }
 
@@ -157,7 +159,7 @@ func (g *Graph) delta(ts []rdf.Triple, present bool, encode func(rdf.Triple) (di
 			return nil, err
 		}
 		if enc, ok := encode(t); ok {
-			if _, in := slices.BinarySearchFunc(g.all, enc, CompareTriples); in == present {
+			if g.all.Contains(enc) == present {
 				out = append(out, enc)
 			}
 		}
@@ -198,9 +200,8 @@ func (g *Graph) DecodedData() []rdf.Triple {
 	return out
 }
 
-// data returns the instance triples: D less the closure triples, merged
-// out. Callers must not modify it.
-func (g *Graph) data() []dict.Triple { return storage.Merge(g.all, nil, g.schema.Triples()) }
+// data returns the instance triples, flat: D less the closure triples.
+func (g *Graph) data() []dict.Triple { return g.all.Apply(nil, g.schema.Triples()).Triples() }
 
 // Val returns Val(G): the set of values of the graph (data plus schema).
 func (g *Graph) Val() []rdf.Term {

@@ -142,7 +142,7 @@ func TestSnapshotRejectsDanglingIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good.all = append(good.all, dict.Triple{S: 9999, P: 9999, O: 9999})
+	good.all = good.all.Apply([]dict.Triple{{S: 9999, P: 9999, O: 9999}}, nil)
 	var buf2 bytes.Buffer
 	if err := good.WriteSnapshot(&buf2); err != nil {
 		t.Fatal(err)

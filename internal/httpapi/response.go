@@ -27,6 +27,23 @@ func (w *body) str(s string) {
 	w.b = appendJSONString(w.b, w.scratch)
 }
 
+// term appends t's N-Triples form as a JSON string. The form is written
+// straight into the buffer and re-written escaped only when it holds a byte
+// that is not printable ASCII or is a quote or a backslash.
+func (w *body) term(t rdf.Term) {
+	w.b = append(w.b, '"')
+	at := len(w.b)
+	w.b = t.AppendTo(w.b)
+	for _, c := range w.b[at:] {
+		if c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' {
+			w.scratch = append(w.scratch[:0], w.b[at:]...)
+			w.b = appendJSONString(w.b[:at-1], w.scratch)
+			return
+		}
+	}
+	w.b = append(w.b, '"')
+}
+
 // strs appends ss as a one-line JSON array of strings.
 func (w *body) strs(ss []string) {
 	w.b = append(w.b, '[')
@@ -87,10 +104,7 @@ func writeQueryResponse(rw http.ResponseWriter, resp *QueryResponse, d *dict.Dic
 	w.b = append(w.b, "{\n  \"columns\": "...)
 	w.strs(resp.Columns)
 	w.b = append(w.b, ",\n  \"rows\": ["...)
-	w.rows(rel, n, '[', ']', func(_ int, id dict.ID) {
-		w.scratch = d.Decode(id).AppendTo(w.scratch[:0])
-		w.b = appendJSONString(w.b, w.scratch)
-	})
+	w.rows(rel, n, '[', ']', func(_ int, id dict.ID) { w.term(d.Decode(id)) })
 	w.b = strconv.AppendInt(append(w.b, "],\n  \"total\": "...), int64(resp.Total), 10)
 	if resp.Truncated {
 		w.b = append(w.b, ",\n  \"truncated\": true"...)
@@ -151,20 +165,28 @@ func writeSPARQLJSON(rw http.ResponseWriter, d *dict.Dict, rel *exec.Relation, n
 // appendJSONString appends s as a JSON string that encoding/json decodes to
 // what it decodes from its own encoding of s: quotes, backslashes and
 // control characters escaped, each byte of invalid UTF-8 replaced by
-// U+FFFD.
+// U+FFFD. Bytes that need no escape are copied a run at a time.
 func appendJSONString(b, s []byte) []byte {
 	const hex = "0123456789abcdef"
 	b = append(b, '"')
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c >= utf8.RuneSelf:
-			r, size := utf8.DecodeRune(s[i:])
-			if r == utf8.RuneError && size == 1 {
-				b = append(b, `\ufffd`...)
-			} else {
-				b = append(b, s[i:i+size]...)
+	start := 0 // s[start:i] is copied as it is
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			if r, size := utf8.DecodeRune(s[i:]); r != utf8.RuneError || size != 1 {
+				i += size
+				continue
 			}
-			i += size - 1
+		} else if c >= 0x20 && c != '"' && c != '\\' {
+			i++
+			continue
+		}
+		b = append(b, s[start:i]...)
+		i++
+		start = i
+		switch {
+		case c >= utf8.RuneSelf:
+			b = append(b, `\ufffd`...)
 		case c == '"' || c == '\\':
 			b = append(b, '\\', c)
 		case c == '\n':
@@ -173,11 +195,10 @@ func appendJSONString(b, s []byte) []byte {
 			b = append(b, `\r`...)
 		case c == '\t':
 			b = append(b, `\t`...)
-		case c < 0x20:
+		default: // another control character
 			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
-		default:
-			b = append(b, c)
 		}
 	}
+	b = append(b, s[start:]...)
 	return append(b, '"')
 }

@@ -3,6 +3,7 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -10,6 +11,7 @@ import (
 	"strconv"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/dict"
 	"repro/internal/engine"
@@ -24,7 +26,8 @@ import (
 // keep as it is: quotes and backslashes (which the N-Triples form of a
 // literal escapes once and JSON once more), control characters, invalid
 // UTF-8 (U+FFFD once decoded, whichever escaping applied first), language
-// and datatype literals, blank nodes, HTML-special characters and U+2028.
+// and datatype literals, blank nodes, HTML-special characters and U+2028 —
+// in literals and in IRIs, whose N-Triples form has no quote of its own.
 var hostileTerms = []rdf.Term{
 	rdf.NewLiteral(`say "hi" \ back`),
 	rdf.NewLiteral("tab\there\nline\rret\x01\x1f\x7f"),
@@ -36,6 +39,9 @@ var hostileTerms = []rdf.Term{
 	rdf.NewBlank("b1"),
 	rdf.NewIRI("http://example.org/<&>\u2028\u2029é"),
 	rdf.NewIRI("http://example.org/bad\xc3"),
+	rdf.NewIRI(`http://example.org/back\slash`),
+	rdf.NewIRI(`http://example.org/"quoted"`),
+	rdf.NewIRI("http://example.org/ctl\x01\x7f"),
 }
 
 // hostileRelation holds one row (subject, object) per hostile term.
@@ -132,6 +138,9 @@ func TestQueryResponseDecodesAsEncodingJSON(t *testing.T) {
 		if !reflect.DeepEqual(decodeAny(t, got), decodeAny(t, want)) {
 			t.Errorf("%s: decodes differently from encoding/json:\n%s\nwant\n%s", c.name, got, want)
 		}
+		if !utf8.Valid(got) {
+			t.Errorf("%s: invalid UTF-8:\n%q", c.name, got)
+		}
 		tail := []byte("\n  \"total\": ")
 		if g, w := got[bytes.Index(got, tail):], want[bytes.Index(want, tail):]; !bytes.Equal(g, w) {
 			t.Errorf("%s: total, explain and meta differ from the encoder's:\n%s\nwant\n%s", c.name, g, w)
@@ -141,6 +150,36 @@ func TestQueryResponseDecodesAsEncodingJSON(t *testing.T) {
 		}
 		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 			t.Errorf("%s: Content-Type %q", c.name, ct)
+		}
+	}
+}
+
+// appendJSONString writes valid UTF-8 that decodes to what encoding/json
+// decodes from its own encoding of the same bytes, for random byte strings
+// mixing plain text with quotes, backslashes, control characters,
+// multi-byte runes and invalid UTF-8 at any position.
+func TestAppendJSONStringDecodesAsEncodingJSON(t *testing.T) {
+	pieces := []string{"a", "http://ex.org/x", `"`, `\`, "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "é", "€", "😀", "\xff", "\xc3", "\xe2\x82", "<&>"}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		var s []byte
+		for n := r.Intn(8); n > 0; n-- {
+			s = append(s, pieces[r.Intn(len(pieces))]...)
+		}
+		out := appendJSONString([]byte("x"), s)[1:]
+		if !utf8.Valid(out) {
+			t.Fatalf("%q: writes invalid UTF-8 %q", s, out)
+		}
+		var got, want string
+		if err := json.Unmarshal(out, &got); err != nil {
+			t.Fatalf("%q: %v", s, err)
+		}
+		enc, _ := json.Marshal(string(s))
+		if err := json.Unmarshal(enc, &want); err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%q: decodes to %q, want %q", s, got, want)
 		}
 	}
 }

@@ -7,10 +7,12 @@ package ntriples
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/rdf"
 )
@@ -37,13 +39,19 @@ type Parser struct {
 	peeked   rune
 	havePeek bool
 	eof      bool
+	// iri is parseIRIRef's scratch, reused from one IRI to the next.
+	iri []byte
 }
 
 // NewParser returns a parser over r with the well-known rdf/rdfs/xsd
-// prefixes pre-declared.
-func NewParser(r io.Reader) *Parser {
+// prefixes pre-declared, reading it through a 64 KiB buffer.
+func NewParser(r io.Reader) *Parser { return newParser(r, 1<<16) }
+
+// newParser is NewParser with a read buffer of size bytes (bufio's minimum
+// at least).
+func newParser(r io.Reader, size int) *Parser {
 	p := &Parser{
-		r:        bufio.NewReaderSize(r, 1<<16),
+		r:        bufio.NewReaderSize(r, size),
 		line:     1,
 		col:      0,
 		prefixes: make(map[string]string, 8),
@@ -54,14 +62,17 @@ func NewParser(r io.Reader) *Parser {
 	return p
 }
 
-// ParseString parses all triples from a string.
+// ParseString parses all triples from a string. Its read buffer is sized by
+// the string, up to NewParser's: an update body of a few kilobytes does not
+// pay for a 64 KiB one.
 func ParseString(s string) ([]rdf.Triple, error) {
-	return ParseAll(strings.NewReader(s))
+	return parseAll(newParser(strings.NewReader(s), min(len(s), 1<<16)))
 }
 
 // ParseAll parses every triple in the stream.
-func ParseAll(r io.Reader) ([]rdf.Triple, error) {
-	p := NewParser(r)
+func ParseAll(r io.Reader) ([]rdf.Triple, error) { return parseAll(NewParser(r)) }
+
+func parseAll(p *Parser) ([]rdf.Triple, error) {
 	var out []rdf.Triple
 	for {
 		t, err := p.Next()
@@ -277,14 +288,22 @@ func (p *Parser) parseIRIRef() (rdf.Term, error) {
 	if r != '<' {
 		return rdf.Term{}, p.errf("expected '<'")
 	}
-	var sb strings.Builder
+	p.iri = p.iri[:0]
+	// An IRI of printable ASCII whose '>' is already buffered is taken up
+	// to the '>' at once, as the loop below would take it rune by rune.
+	buf, _ := p.r.Peek(p.r.Buffered())
+	if i := bytes.IndexByte(buf, '>'); i > 0 && printableASCII(buf[:i]) {
+		p.iri = append(p.iri, buf[:i]...)
+		_, _ = p.r.Discard(i)
+		p.col += i
+	}
 	for {
 		r, err := p.read()
 		if err != nil {
 			return rdf.Term{}, p.errf("unterminated IRI")
 		}
 		if r == '>' {
-			iri := sb.String()
+			iri := string(p.iri)
 			if iri == "" {
 				return rdf.Term{}, p.errf("empty IRI")
 			}
@@ -296,8 +315,18 @@ func (p *Parser) parseIRIRef() (rdf.Term, error) {
 		if r == ' ' || r == '\n' {
 			return rdf.Term{}, p.errf("whitespace inside IRI")
 		}
-		sb.WriteRune(r)
+		p.iri = utf8.AppendRune(p.iri, r)
 	}
+}
+
+// printableASCII reports whether every byte of b is ASCII above the space.
+func printableASCII(b []byte) bool {
+	for _, c := range b {
+		if c <= ' ' || c >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
 }
 
 func (p *Parser) parseBlank() (rdf.Term, error) {

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"repro/internal/rdf"
@@ -238,5 +241,49 @@ func TestSyntaxErrorMessage(t *testing.T) {
 	msg := se.Error()
 	if !strings.Contains(msg, "line 1") {
 		t.Fatalf("message: %s", msg)
+	}
+}
+
+// ParseString reads through a buffer sized by its input: parsing a short
+// document allocates far less than a 64 KiB stream buffer.
+func TestParseStringBufferFitsInput(t *testing.T) {
+	doc := "<http://example.org/a> <http://example.org/p> <http://example.org/o> .\n"
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := ParseString(doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 16<<10 {
+		t.Fatalf("parsing a %d-byte document allocates %d bytes", len(doc), per)
+	}
+}
+
+// An IRI taken from the read buffer at once parses to what the rune-by-rune
+// loop makes of it, errors and their positions included: each document is
+// parsed from a string (the whole document buffered) and one byte per read
+// (never a whole IRI buffered).
+func TestBufferedIRIsParseAsRuneByRune(t *testing.T) {
+	docs := []string{
+		"<http://a/s> <http://a/p> <http://a/o> .\n<http://a/s> <http://a/q> \"x\" .\n",
+		"<http://a/é> <http://a/p> <http://a/o€> .\n",
+		"<http://a/s> <http://a/p> <http://a/o> .\n<http://a/s p> <http://a/p> <http://a/o> .\n",
+		"<http://a/s> <http://a/p> <http://a/o\n> .\n",
+		"<http://a/s\t> <http://a/p> <http://a/o\x01> .\n",
+		"<> <http://a/p> <http://a/o> .\n",
+		"<http://a/s> <http://a/p> <http://a/o",
+		"<http://a/s> <http://a/p> <http://a/o> <http://a/x> .\n",
+		"@base <http://b/> .\n<s> <p> <http://a/o> .\n",
+		"<http://a/\xff> <http://a/p> <http://a/o> .\n",
+	}
+	for _, doc := range docs {
+		whole, werr := ParseString(doc)
+		bytewise, berr := parseAll(NewParser(iotest.OneByteReader(strings.NewReader(doc))))
+		if fmt.Sprint(werr) != fmt.Sprint(berr) || !slices.Equal(whole, bytewise) {
+			t.Errorf("%q:\nbuffered %v, %v\nbytewise %v, %v", doc, whole, werr, bytewise, berr)
+		}
 	}
 }

@@ -151,7 +151,7 @@ func TestMergedUnionIsTheUnion(t *testing.T) {
 	for _, fx := range mergeFixtures(t) {
 		e := engine.New(fx.g)
 		st := e.Store()
-		sources := []exec.Source{st, shard.Build(st.Dict(), st.Triples(), 3)}
+		sources := []exec.Source{st, shard.Build(st.Dict(), fx.g.D(), 3)}
 		typeID := fx.g.Dict().EncodeIRI(rdf.TypeIRI)
 		for qi, q := range fx.queries {
 			covers := []query.Cover{query.SingletonCover(len(q.Atoms))}

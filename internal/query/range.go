@@ -102,16 +102,21 @@ func (t RangeAtom) Plain() Atom { return Atom{S: t.S.Arg, P: t.P.Arg, O: t.O.Arg
 // positions keep their ranges, constants become exact ranges, variables are
 // wildcards.
 func (t RangeAtom) RangePattern() storage.RangePattern {
-	conv := func(ra RangeArg) []storage.IDRange {
+	var exact *[3]storage.IDRange // the constants' ranges, one allocation
+	conv := func(i int, ra RangeArg) []storage.IDRange {
 		switch {
 		case ra.Ranges != nil:
 			return ra.Ranges
 		case !ra.Arg.IsVar():
-			return []storage.IDRange{storage.Exact(ra.Arg.ID)}
+			if exact == nil {
+				exact = new([3]storage.IDRange)
+			}
+			exact[i] = storage.Exact(ra.Arg.ID)
+			return exact[i : i+1 : i+1]
 		}
 		return nil
 	}
-	return storage.RangePattern{S: conv(t.S), P: conv(t.P), O: conv(t.O)}
+	return storage.RangePattern{S: conv(0, t.S), P: conv(1, t.P), O: conv(2, t.O)}
 }
 
 // LiftAtoms appends the range form of the plain atoms to dst: a plain atom

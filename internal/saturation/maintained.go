@@ -1,11 +1,10 @@
 package saturation
 
 import (
-	"slices"
-
 	"repro/internal/dict"
 	"repro/internal/graph"
 	"repro/internal/rdf"
+	"repro/internal/storage"
 )
 
 // Maintained keeps a saturation incrementally correct under both inserts
@@ -18,16 +17,16 @@ import (
 // Constraint changes still require a rebuild (experiment E5).
 //
 // The explicit triples are held once, by the graph: Maintained keeps the
-// counters and the graph's D (AllTriples) as of its last Insert or Delete,
-// which a later write to the graph replaces but never changes, so the
-// closure read off it is always the one of the D it was last advanced
-// against. The graph is the owner of set semantics — Insert and Delete must
-// be given exactly the triples Graph.AddData and Graph.RemoveData reported
-// as added or removed, after the graph changed.
+// counters and the graph's D as of its last Insert or Delete — the run
+// itself, not a copy — which a later write to the graph replaces but never
+// changes, so the closure read off it is always the one of the D it was
+// last advanced against. The graph is the owner of set semantics — Insert
+// and Delete must be given exactly the triples Graph.AddData and
+// Graph.RemoveData reported as added or removed, after the graph changed.
 type Maintained struct {
 	g      *graph.Graph
 	typeID dict.ID
-	all    []dict.Triple // g's D when last advanced
+	all    *storage.Run // g's D when last advanced
 
 	derived map[dict.Triple]int // derivation counts (explicit or not)
 }
@@ -40,13 +39,23 @@ func NewMaintained(g *graph.Graph) *Maintained {
 		typeID:  g.Dict().EncodeIRI(rdf.TypeIRI),
 		derived: make(map[dict.Triple]int, g.DataCount()),
 	}
-	m.Insert(g.AllTriples()) // a closure triple derives nothing
+	m.all = g.D()
+	// A closure triple derives nothing.
+	m.all.Each(func(ts []dict.Triple) bool {
+		m.count(ts)
+		return true
+	})
 	return m
 }
 
 // Insert counts the consequences of triples that just became explicit.
 func (m *Maintained) Insert(added []dict.Triple) {
-	m.all = m.g.AllTriples()
+	m.all = m.g.D()
+	m.count(added)
+}
+
+// count counts the consequences of explicit triples.
+func (m *Maintained) count(added []dict.Triple) {
 	for _, t := range added {
 		deriveOne(m.g.Schema(), m.typeID, t, func(d dict.Triple) {
 			m.derived[d]++
@@ -57,7 +66,7 @@ func (m *Maintained) Insert(added []dict.Triple) {
 // Delete uncounts the consequences of triples that just stopped being
 // explicit, retracting entailed triples whose last derivation disappeared.
 func (m *Maintained) Delete(removed []dict.Triple) {
-	m.all = m.g.AllTriples()
+	m.all = m.g.D()
 	for _, t := range removed {
 		deriveOne(m.g.Schema(), m.typeID, t, func(d dict.Triple) {
 			if m.derived[d] <= 1 {
@@ -72,18 +81,20 @@ func (m *Maintained) Delete(removed []dict.Triple) {
 // Contains reports whether the triple is in the current closure (explicit,
 // entailed, or part of the closed schema).
 func (m *Maintained) Contains(t dict.Triple) bool {
-	_, explicit := slices.BinarySearchFunc(m.all, t, graph.CompareTriples)
-	return explicit || m.derived[t] > 0
+	return m.all.Contains(t) || m.derived[t] > 0
 }
 
 // ExplicitCount returns the number of explicit data triples.
-func (m *Maintained) ExplicitCount() int { return len(m.all) - len(m.g.Schema().Triples()) }
+func (m *Maintained) ExplicitCount() int { return m.all.Len() - len(m.g.Schema().Triples()) }
 
 // Triples returns the current closure G∞ (explicit + entailed + closed
 // schema), sorted and deduplicated.
 func (m *Maintained) Triples() []dict.Triple {
-	out := make([]dict.Triple, 0, len(m.all)+len(m.derived))
-	out = append(out, m.all...)
+	out := make([]dict.Triple, 0, m.all.Len()+len(m.derived))
+	m.all.Each(func(ts []dict.Triple) bool {
+		out = append(out, ts...)
+		return true
+	})
 	for t := range m.derived {
 		out = append(out, t)
 	}
@@ -96,6 +107,6 @@ func (m *Maintained) Result() *Result {
 	return &Result{
 		Triples:     closure,
 		DataTriples: m.ExplicitCount(),
-		Derived:     len(closure) - len(m.all),
+		Derived:     len(closure) - m.all.Len(),
 	}
 }

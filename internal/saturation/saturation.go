@@ -41,10 +41,13 @@ func Saturate(g *graph.Graph) *Result {
 	s := g.Schema()
 	typeID := g.Dict().EncodeIRI(rdf.TypeIRI)
 
-	all := g.AllTriples()
-	out := make([]dict.Triple, 0, len(all)*2)
-	out = append(out, all...)
-	for _, t := range all {
+	n := g.D().Len()
+	out := make([]dict.Triple, 0, n*2)
+	g.D().Each(func(ts []dict.Triple) bool {
+		out = append(out, ts...)
+		return true
+	})
+	for _, t := range out[:n] {
 		deriveOne(s, typeID, t, func(d dict.Triple) {
 			out = append(out, d)
 		})
@@ -53,7 +56,7 @@ func Saturate(g *graph.Graph) *Result {
 	return &Result{
 		Triples:     out,
 		DataTriples: g.DataCount(),
-		Derived:     len(out) - len(all),
+		Derived:     len(out) - n,
 	}
 }
 

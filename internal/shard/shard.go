@@ -84,25 +84,25 @@ func partition(triples []dict.Triple, n int) [][]dict.Triple {
 	return parts
 }
 
-// Build partitions spo — triples sorted by (S,P,O) and duplicate free, as a
-// graph's AllTriples — by subject into n shards (n < 2: one): Apply on the
-// empty store, so each shard sorts only its POS and OSP runs, and a
-// one-shard store keeps spo itself as its SPO run.
-func Build(d *dict.Dict, spo []dict.Triple, n int) *Store {
+// Build partitions spo — a run sorted by (S,P,O), as a graph's D — by
+// subject into n shards (n < 2: one): Apply on the empty store, so each
+// shard makes only its POS and OSP runs, and a one-shard store keeps spo
+// itself as its SPO run.
+func Build(d *dict.Dict, spo *storage.Run, n int) *Store {
 	empty := &Store{d: d, shards: make([]*storage.Store, max(n, 1)), stats: make([]*stats.Stats, max(n, 1))}
 	for i := range empty.shards {
-		empty.shards[i] = storage.BuildSorted(d, nil)
+		empty.shards[i] = storage.BuildSorted(d, storage.NewRun(nil))
 	}
-	return empty.Apply(spo, spo, nil)
+	return empty.Apply(spo, spo.Triples(), nil)
 }
 
 // Apply returns the sharded store over spo: s's triples without removed and
-// with added, sorted by (S,P,O) and duplicate free. A one-shard store keeps
-// spo as its shard's SPO run; more shards merge their part of the delta into
-// their own. The delta is partitioned like the triples and applied, in
-// parallel, to the shards it touches, whose statistics — where collected —
-// follow it; the other shards and their statistics are shared with s.
-func (s *Store) Apply(spo, added, removed []dict.Triple) *Store {
+// with added, a run sorted by (S,P,O). A one-shard store keeps spo as its
+// shard's SPO run; more shards apply their part of the delta to their own.
+// The delta is partitioned like the triples and applied, in parallel, to
+// the shards it touches, whose statistics — where collected — follow it;
+// the other shards and their statistics are shared with s.
+func (s *Store) Apply(spo *storage.Run, added, removed []dict.Triple) *Store {
 	n := len(s.shards)
 	add, del := partition(added, n), partition(removed, n)
 	out := &Store{d: s.d, shards: slices.Clone(s.shards)}
@@ -119,7 +119,7 @@ func (s *Store) Apply(spo, added, removed []dict.Triple) *Store {
 			defer wg.Done()
 			run := spo
 			if n > 1 {
-				run = storage.Merge(sh.Triples(), add[i], del[i])
+				run = sh.SPO().Apply(add[i], del[i])
 			}
 			out.shards[i] = sh.Apply(run, add[i], del[i])
 			if st := out.stats[i]; st != nil {
@@ -166,6 +166,23 @@ func (s *Store) Each(pat storage.Pattern, fn func(dict.Triple) bool) {
 	for _, sh := range s.shards {
 		more := true
 		sh.Each(pat, func(t dict.Triple) bool { more = fn(t); return more })
+		if !more {
+			return
+		}
+	}
+}
+
+// EachRun streams the triples matching the range pattern a sorted slice at
+// a time, as storage.Store.EachRun does: from the one shard holding them
+// when there is one, otherwise from every shard in order.
+func (s *Store) EachRun(pat storage.RangePattern, fn func([]dict.Triple) bool) {
+	if sh := s.one(exactSubject(pat)); sh != nil {
+		sh.EachRun(pat, fn)
+		return
+	}
+	for _, sh := range s.shards {
+		more := true
+		sh.EachRun(pat, func(ts []dict.Triple) bool { more = fn(ts); return more })
 		if !more {
 			return
 		}
@@ -254,21 +271,6 @@ func (s *Store) ShardStats(i int) *stats.Stats {
 }
 
 // --- stats.Source ------------------------------------------------------------
-
-// Triples returns all triples in shard order (sorted SPO within each
-// shard, not globally), which is all statistics collection needs; callers
-// needing global order must sort. A one-shard store returns its shard's
-// run, shared: callers must not modify it.
-func (s *Store) Triples() []dict.Triple {
-	if sh := s.one(dict.None); sh != nil {
-		return sh.Triples()
-	}
-	out := make([]dict.Triple, 0, s.total)
-	for _, sh := range s.shards {
-		out = append(out, sh.Triples()...)
-	}
-	return out
-}
 
 // DistinctInPosition counts distinct values in one position among the
 // matching triples: the one shard's count where there is one. Otherwise

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"repro/internal/dict"
 	"repro/internal/exec"
@@ -42,8 +41,8 @@ func TestEvalMatchesBruteForceRandom(t *testing.T) {
 			d.EncodeIRI(fmt.Sprintf("t%d", d.Len()+1))
 		}
 		single := storage.Build(d, triples)
-		one := shard.Build(d, triples, 1)
-		sharded := shard.Build(d, triples, 3)
+		one := shard.Build(d, storage.NewRun(triples), 1)
+		sharded := shard.Build(d, storage.NewRun(triples), 3)
 		for _, src := range []struct {
 			name string
 			src  exec.Source
@@ -333,9 +332,9 @@ func formatUnion(u query.RangeUCQ) string {
 // A one-shard store is its storage.Store: every exec.Source and
 // stats.Source primitive answers alike, in the same order, on every pattern
 // over a small domain and on random range patterns; statistics collected
-// from either are equal field by field; Triples is the store's own run, not
-// a copy; and neither a full scan nor a distinct count allocates more than
-// on the store.
+// from either are equal field by field; its shard's SPO run is the run it
+// was built from, not a copy; and neither a full scan nor a distinct count
+// allocates more than on the store.
 func TestOneShardIsItsStore(t *testing.T) {
 	r := rand.New(rand.NewSource(24))
 	d := dict.New()
@@ -359,13 +358,14 @@ func TestOneShardIsItsStore(t *testing.T) {
 	}
 	for trial := 0; trial < 50; trial++ {
 		triples := randomGraph(r)
-		st, one := storage.Build(d, triples), shard.Build(d, triples, 1)
-		if one.NumShards() != 1 || one.Len() != st.Len() || one.Dict() != st.Dict() || !slices.Equal(one.Triples(), st.Triples()) {
+		spo := storage.NewRun(triples)
+		st, one := storage.Build(d, triples), shard.Build(d, spo, 1)
+		if one.NumShards() != 1 || one.Len() != st.Len() || one.Dict() != st.Dict() || !slices.Equal(one.ShardStore(0).Triples(), st.Triples()) {
 			t.Fatalf("trial %d: %d shards, %d triples %v, want 1 shard, %d triples %v",
-				trial, one.NumShards(), one.Len(), one.Triples(), st.Len(), st.Triples())
+				trial, one.NumShards(), one.Len(), one.ShardStore(0).Triples(), st.Len(), st.Triples())
 		}
-		if unsafe.SliceData(one.Triples()) != unsafe.SliceData(one.ShardStore(0).Triples()) {
-			t.Fatalf("trial %d: a one-shard store's Triples is a copy of its shard's run", trial)
+		if one.ShardStore(0).SPO() != spo {
+			t.Fatalf("trial %d: a one-shard store's SPO run is a copy of the run it was built from", trial)
 		}
 		for _, s := range ids {
 			if one.HomeShard(s) != 0 {
@@ -396,6 +396,12 @@ func TestOneShardIsItsStore(t *testing.T) {
 			if !slices.Equal(g, w) || one.CountRange(pat) != st.CountRange(pat) {
 				t.Fatalf("trial %d: EachRange(%v) = %v (%d), store %v (%d)", trial, pat, g, one.CountRange(pat), w, st.CountRange(pat))
 			}
+			g, w = g[:0], w[:0]
+			one.EachRun(pat, func(ts []dict.Triple) bool { g = append(g, ts...); return true })
+			st.EachRun(pat, func(ts []dict.Triple) bool { w = append(w, ts...); return true })
+			if !slices.Equal(g, w) {
+				t.Fatalf("trial %d: EachRun(%v) = %v, store %v", trial, pat, g, w)
+			}
 		}
 		got, want := stats.Collect(one), stats.Collect(st)
 		sameStats(t, got, want, triples)
@@ -413,7 +419,7 @@ func TestOneShardIsItsStore(t *testing.T) {
 	for i := dict.ID(1); i <= 5000; i++ {
 		big = append(big, dict.Triple{S: i, P: 1 + i%7, O: i % 97})
 	}
-	st, one := storage.Build(d, big), shard.Build(d, big, 1)
+	st, one := storage.Build(d, big), shard.Build(d, storage.NewRun(big), 1)
 	n := 0
 	count := func(dict.Triple) bool { n++; return true }
 	if g, w := testing.AllocsPerRun(20, func() { one.Each(storage.Pattern{}, count) }),
@@ -436,7 +442,7 @@ func TestApplyMatchesBuild(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + r.Intn(4)
 		base := randomGraph(r)
-		prev := shard.Build(d, base, n)
+		prev := shard.Build(d, storage.NewRun(base), n)
 		whole := stats.Collect(prev)
 		for i := 0; i < n; i += 2 {
 			prev.ShardStats(i) // collected on some shards only
@@ -470,7 +476,8 @@ func TestApplyMatchesBuild(t *testing.T) {
 			}
 		}
 		result = storage.Merge(nil, result, nil)
-		got, want := prev.Apply(result, added, removed), shard.Build(d, result, n)
+		spo := storage.NewRun(result)
+		got, want := prev.Apply(spo, added, removed), shard.Build(d, spo, n)
 		if got.Len() != want.Len() {
 			t.Fatalf("trial %d: Len %d, want %d", trial, got.Len(), want.Len())
 		}
@@ -485,7 +492,7 @@ func TestApplyMatchesBuild(t *testing.T) {
 			if n > 1 && !touched[i] && got.ShardStore(i) != prev.ShardStore(i) {
 				t.Fatalf("trial %d: untouched shard %d was copied", trial, i)
 			}
-			if n == 1 && len(result) > 0 && unsafe.SliceData(got.Triples()) != unsafe.SliceData(result) {
+			if n == 1 && got.ShardStore(0).SPO() != spo {
 				t.Fatalf("trial %d: one shard copied the SPO run it was given", trial)
 			}
 			sameStats(t, got.ShardStats(i), want.ShardStats(i), result)

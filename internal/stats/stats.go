@@ -42,7 +42,7 @@ type PairCount struct {
 // sum across disjoint shards, so the estimates stay exact).
 type Source interface {
 	Len() int
-	Triples() []dict.Triple
+	EachRun(pat storage.RangePattern, fn func([]dict.Triple) bool)
 	Each(pat storage.Pattern, fn func(dict.Triple) bool)
 	Count(pat storage.Pattern) int
 	CountRange(p storage.RangePattern) int
@@ -65,18 +65,21 @@ type Stats struct {
 // already keeps sorted, so nothing is copied or re-sorted.
 func Collect(st Source) *Stats {
 	s := &Stats{store: st, n: st.Len(), props: map[dict.ID]PropertyStats{}}
-	// Triples() is in (S,P,O) order — within each shard of a sharded source,
-	// and shards share no subject — so a property's distinct subjects are
-	// the (S,P) runs it appears in.
+	// The unconstrained scan is in (S,P,O) order — within each shard of a
+	// sharded source, and shards share no subject — so a property's distinct
+	// subjects are the (S,P) runs it appears in.
 	var last dict.Triple
-	for _, t := range st.Triples() {
-		ps := s.props[t.P]
-		ps.Count++
-		if t.S != last.S || t.P != last.P {
-			ps.DistinctS++
+	st.EachRun(storage.RangePattern{}, func(ts []dict.Triple) bool {
+		for _, t := range ts {
+			ps := s.props[t.P]
+			ps.Count++
+			if t.S != last.S || t.P != last.P {
+				ps.DistinctS++
+			}
+			s.props[t.P], last = ps, t
 		}
-		s.props[t.P], last = ps, t
-	}
+		return true
+	})
 	// Its distinct objects are the runs of its (P,O,S) range.
 	for p, ps := range s.props {
 		ps.DistinctO = st.DistinctInPosition(storage.Pattern{P: p}, 'o')
@@ -91,7 +94,8 @@ func Collect(st Source) *Stats {
 // Apply returns the statistics of next — the source s describes, without
 // removed and with added — equal field by field to Collect(next). Only a
 // key some triple of the delta has can appear or disappear, so each such
-// key is counted once in both sources: O(|delta| log n) for Collect's O(n).
+// key is counted once in both sources, and each property of the delta once
+// in next: O(|delta| log n) for Collect's O(n).
 func (s *Stats) Apply(next Source, added, removed []dict.Triple) *Stats {
 	out := &Stats{store: next, n: next.Len(), props: maps.Clone(s.props), distinctS: s.distinctS, distinctO: s.distinctO}
 	seen := map[storage.Pattern]bool{}
@@ -111,16 +115,24 @@ func (s *Stats) Apply(next Source, added, removed []dict.Triple) *Stats {
 		}
 		return 0
 	}
+	var props []dict.ID
 	for _, t := range slices.Concat(added, removed) {
 		out.distinctS += moved(storage.Pattern{S: t.S})
 		out.distinctO += moved(storage.Pattern{O: t.O})
 		ps := out.props[t.P]
 		ps.DistinctS += moved(storage.Pattern{S: t.S, P: t.P})
 		ps.DistinctO += moved(storage.Pattern{P: t.P, O: t.O})
-		if ps.Count = next.Count(storage.Pattern{P: t.P}); ps.Count > 0 {
-			out.props[t.P] = ps
+		out.props[t.P] = ps
+		if !slices.Contains(props, t.P) {
+			props = append(props, t.P)
+		}
+	}
+	for _, p := range props {
+		ps := out.props[p]
+		if ps.Count = next.Count(storage.Pattern{P: p}); ps.Count > 0 {
+			out.props[p] = ps
 		} else {
-			delete(out.props, t.P)
+			delete(out.props, p)
 		}
 	}
 	out.distinctP = len(out.props)

@@ -181,7 +181,7 @@ func TestApplyMatchesCollect(t *testing.T) {
 				added = append(added, x)
 			}
 		}
-		next := prev.Apply(storage.Merge(prev.Triples(), added, removed), added, removed)
+		next := prev.Apply(prev.SPO().Apply(added, removed), added, removed)
 		got, want := Collect(prev).Apply(next, added, removed), Collect(next)
 		if got.store != Source(next) || got.n != want.n || got.distinctS != want.distinctS ||
 			got.distinctP != want.distinctP || got.distinctO != want.distinctO || !maps.Equal(got.props, want.props) {

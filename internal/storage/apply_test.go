@@ -9,9 +9,9 @@ import (
 	"repro/internal/dict"
 )
 
-// checkApply applies the delta to Build(base) — Merge making the SPO run,
-// Apply the other two — and compares all three runs with Build of the set
-// result, (base \ removed) ∪ added.
+// checkApply applies the delta to Build(base) — the SPO run's Apply making
+// the SPO run, the store's Apply the other two — and compares all three runs
+// with Build of the set result, (base \ removed) ∪ added.
 func checkApply(t *testing.T, base, added, removed []dict.Triple) {
 	t.Helper()
 	var want []dict.Triple
@@ -22,13 +22,13 @@ func checkApply(t *testing.T, base, added, removed []dict.Triple) {
 	}
 	want = append(want, added...)
 	prev := buildStore(base)
-	before := slices.Clone(prev.runs[bySPO])
-	got, ref := prev.Apply(Merge(prev.Triples(), added, removed), added, removed), Build(prev.d, want)
+	before := prev.Triples()
+	got, ref := prev.Apply(prev.SPO().Apply(added, removed), added, removed), Build(prev.d, want)
 	for _, run := range []struct {
 		name      string
 		got, want []dict.Triple
 		key       func(dict.Triple) [3]dict.ID
-	}{{"spo", got.runs[bySPO], ref.runs[bySPO], bySPO.key}, {"pos", got.runs[byPOS], ref.runs[byPOS], byPOS.key}, {"osp", got.runs[byOSP], ref.runs[byOSP], byOSP.key}} {
+	}{{"spo", got.runs[bySPO].Triples(), ref.runs[bySPO].Triples(), bySPO.key}, {"pos", got.runs[byPOS].Triples(), ref.runs[byPOS].Triples(), byPOS.key}, {"osp", got.runs[byOSP].Triples(), ref.runs[byOSP].Triples(), byOSP.key}} {
 		if !slices.Equal(run.got, run.want) {
 			t.Fatalf("%s: Apply gave %v, Build %v (base %v +%v -%v)", run.name, run.got, run.want, base, added, removed)
 		}
@@ -39,7 +39,7 @@ func checkApply(t *testing.T, base, added, removed []dict.Triple) {
 			}
 		}
 	}
-	if !slices.Equal(prev.runs[bySPO], before) {
+	if !slices.Equal(prev.Triples(), before) {
 		t.Fatal("Apply changed the store it was applied to")
 	}
 }
@@ -66,15 +66,18 @@ func TestBuildSortedSharesItsRun(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 50; trial++ {
 		ref := buildStore(randomTriples(r, r.Intn(60), 6))
-		spo := slices.Clone(ref.runs[bySPO])
+		spo := NewRun(ref.Triples())
 		got := BuildSorted(ref.d, spo)
-		if len(spo) > 0 && &got.runs[bySPO][0] != &spo[0] {
+		if got.SPO() != spo {
 			t.Fatal("BuildSorted copied its run")
 		}
-		if !slices.EqualFunc(got.runs[:], ref.runs[:], slices.Equal) {
-			t.Fatalf("BuildSorted gave %v, Build %v", got.runs, ref.runs)
+		for o := range got.runs {
+			if !slices.Equal(got.runs[o].Triples(), ref.runs[o].Triples()) {
+				t.Fatalf("BuildSorted gave %v, Build %v", got.runs[o].Triples(), ref.runs[o].Triples())
+			}
 		}
-		if same := Merge(spo, nil, nil); len(spo) > 0 && &same[0] != &spo[0] {
+		flat := spo.Triples()
+		if same := Merge(flat, nil, nil); len(flat) > 0 && &same[0] != &flat[0] {
 			t.Fatal("Merge copied a run it had nothing to change in")
 		}
 	}
@@ -109,7 +112,7 @@ func BenchmarkApplyVsBuild(b *testing.B) {
 		base, delta := buildStore(triples), randomTriples(r, 20, n/4)
 		b.Run("apply/"+strconv.Itoa(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				base.Apply(Merge(base.Triples(), delta, nil), delta, nil)
+				base.Apply(base.SPO().Apply(delta, nil), delta, nil)
 			}
 		})
 		b.Run("build/"+strconv.Itoa(n), func(b *testing.B) {

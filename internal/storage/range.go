@@ -98,28 +98,82 @@ func chooseRange(p RangePattern) rangeScan {
 	return best
 }
 
-// eachRun calls fn with every run of idx, sorted by s.o, that s selects: the
-// run of the exact prefix, found once, and inside it one run per range of the
-// next component, each bracketed by two binary searches over the prefix's
-// run alone. It stops when fn returns false.
-func (s rangeScan) eachRun(idx []dict.Triple, fn func([]dict.Triple) bool) {
-	lo, hi := rangeOf(idx, s.o, s.prefix, s.ne)
-	run := idx[lo:hi]
-	if s.next == nil {
-		fn(run)
+// spans calls fn with the positions [lo,hi) of every part of r, sorted by
+// s.o, that s selects, and the block holding lo: the part of the exact
+// prefix, or one part per range of the next component. It reports false if
+// fn stopped it.
+func (s rangeScan) spans(r *Run, fn func(lo, hi, b int) bool) bool {
+	lo, hi, b := r.rangeOf(s.prefix, s.ne)
+	if s.next == nil || lo == hi {
+		return fn(lo, hi, b)
+	}
+	lob, hib := s.prefix, s.prefix
+	if hi <= r.ends[b] {
+		// The prefix's triples lie in one block (a probe's do): each range
+		// is two binary searches there, comparing the one component after
+		// the prefix, on which they agree.
+		run := r.part(lo, hi, b)
+		for _, rg := range s.next {
+			lob[s.ne], hib[s.ne] = rg.Lo, rg.Hi
+			i := bound(run, s.o, lob, s.ne, s.ne+1, false)
+			n := bound(run[i:], s.o, hib, s.ne, s.ne+1, true)
+			if lo += i; n > 0 && !fn(lo, lo+n, b) {
+				return false
+			}
+			run, lo = run[i+n:], lo+n
+		}
+		return true
+	}
+	// Otherwise each range is two spine searches of the prefix extended by
+	// its Lo and Hi. Ranges are sorted and disjoint: each search starts in
+	// the block the previous range ended in.
+	for _, rg := range s.next {
+		lob[s.ne], hib[s.ne] = rg.Lo, rg.Hi
+		start, at := r.seek(lob, s.ne+1, false, b)
+		end, last := r.seek(hib, s.ne+1, true, at)
+		if !fn(start, end, at) {
+			return false
+		}
+		b = last
+	}
+	return true
+}
+
+// eachRun calls fn with the triples of every part s selects, a block's
+// share at a time, and reports false if fn stopped it.
+func (s rangeScan) eachRun(r *Run, fn func([]dict.Triple) bool) bool {
+	return s.spans(r, func(lo, hi, b int) bool { return r.each(lo, hi, b, fn) })
+}
+
+// EachRun calls fn with the triples matching the range pattern, in index
+// order, a sorted slice at a time, stopping early if fn returns false: the
+// block-at-a-time scan. Where the pattern constrains positions past the
+// searched prefix and range, the matches are filtered into slices of their
+// own; otherwise each slice is part of a block, shared — callers must not
+// modify it.
+func (st *Store) EachRun(p RangePattern, fn func([]dict.Triple) bool) {
+	s := chooseRange(p)
+	if !s.residual {
+		s.eachRun(st.runs[s.o], fn)
 		return
 	}
-	// Inside the run the keys agree on the prefix: comparing the one
-	// component after it is comparing the keys.
-	var lob, hib [3]dict.ID
-	for _, r := range s.next {
-		lob[s.ne], hib[s.ne] = r.Lo, r.Hi
-		run = run[bound(run, s.o, lob, s.ne, s.ne+1, false):]
-		n := bound(run, s.o, hib, s.ne, s.ne+1, true)
-		if n > 0 && !fn(run[:n]) {
-			return
+	var buf [64]dict.Triple
+	n := 0
+	if s.eachRun(st.runs[s.o], func(ts []dict.Triple) bool {
+		for _, t := range ts {
+			if !p.Matches(t) {
+				continue
+			}
+			buf[n] = t
+			if n++; n == len(buf) {
+				if n = 0; !fn(buf[:]) {
+					return false
+				}
+			}
 		}
-		run = run[n:]
+		return true
+	}) && n > 0 {
+		fn(buf[:n])
 	}
 }
 
@@ -129,8 +183,8 @@ func (s rangeScan) eachRun(idx []dict.Triple, fn func([]dict.Triple) bool) {
 // constrained positions are filtered residually.
 func (st *Store) EachRange(p RangePattern, fn func(dict.Triple) bool) {
 	s := chooseRange(p)
-	s.eachRun(st.runs[s.o], func(run []dict.Triple) bool {
-		for _, t := range run {
+	s.eachRun(st.runs[s.o], func(ts []dict.Triple) bool {
+		for _, t := range ts {
 			if s.residual && !p.Matches(t) {
 				continue
 			}
@@ -147,13 +201,17 @@ func (st *Store) EachRange(p RangePattern, fn func(dict.Triple) bool) {
 // without scanning.
 func (st *Store) CountRange(p RangePattern) int {
 	s := chooseRange(p)
+	r := st.runs[s.o]
 	n := 0
-	s.eachRun(st.runs[s.o], func(run []dict.Triple) bool {
-		if !s.residual {
-			n += len(run)
+	if !s.residual {
+		s.spans(r, func(lo, hi, _ int) bool {
+			n += hi - lo
 			return true
-		}
-		for _, t := range run {
+		})
+		return n
+	}
+	s.eachRun(r, func(ts []dict.Triple) bool {
+		for _, t := range ts {
 			if p.Matches(t) {
 				n++
 			}

@@ -5,6 +5,13 @@
 // the role of the RDBMS back-ends of the paper (a Triples(s,p,o) table with
 // clustered indexes), and exposes the exact-count primitives the statistics
 // and cost modules build on.
+//
+// Each index is a Run: a spine of sorted, immutable blocks. A write makes a
+// new store whose runs rewrite only the blocks an edit falls in and share
+// every other block with the store before it, so its cost follows what it
+// touches, not the size of the data. A scan's bound is two binary searches,
+// one over the blocks' fences and one inside a block, and a scan hands its
+// caller whole blocks (EachRun) — the executor's batch.
 package storage
 
 import (
@@ -45,38 +52,43 @@ func (p Pattern) Matches(t dict.Triple) bool {
 // Store is an immutable triple store over a fixed set of triples.
 type Store struct {
 	d    *dict.Dict
-	runs [3][]dict.Triple // the triples sorted by each ordering: SPO, POS, OSP
+	runs [3]*Run // the triples sorted by each ordering: SPO, POS, OSP
 }
 
 // Build sorts the given triples into the three permutations and returns the
 // store. The input slice is not retained; duplicates are removed.
 func Build(d *dict.Dict, triples []dict.Triple) *Store {
-	return BuildSorted(d, Merge(nil, triples, nil))
+	return BuildSorted(d, NewRun(Merge(nil, triples, nil)))
 }
 
-// BuildSorted is Build over triples already sorted by (S,P,O) and duplicate
-// free, which the store keeps as its SPO run — shared, and never written by
-// either side — so that only the POS and OSP runs are sorted.
-func BuildSorted(d *dict.Dict, spo []dict.Triple) *Store {
-	return (&Store{d: d}).Apply(spo, spo, nil)
+// BuildSorted is Build over a run sorted by (S,P,O), which the store keeps
+// as its SPO run — shared, and never written by either side — so that only
+// the POS and OSP runs are made.
+func BuildSorted(d *dict.Dict, spo *Run) *Store {
+	empty := &Store{d: d}
+	for _, o := range []ordering{byPOS, byOSP} {
+		empty.runs[o] = newRun(o, nil, spo.size)
+	}
+	return empty.Apply(spo, spo.Triples(), nil)
 }
 
 // Apply returns the store over spo: st's triples without removed and with
 // added (set semantics: a triple in both ends up present), sorted by
-// (S,P,O) and duplicate free — what Merge makes of st.Triples() and the
-// delta, or a graph's AllTriples after the write that reported the delta.
-// The store keeps spo as its SPO run, shared and never written by either
-// side; the POS and OSP runs are made concurrently, each sorting the delta
-// its own way and merging it into st's run in one pass. st is not changed.
-func (st *Store) Apply(spo, added, removed []dict.Triple) *Store {
+// (S,P,O) — what st's SPO run's Apply makes of the delta, or a graph's D
+// after the write that reported it. The store keeps spo as its SPO run,
+// shared and never written by either side; the POS and OSP runs are made
+// concurrently, each the Apply of st's run of that ordering, which sorts
+// the delta its own way and rewrites only the blocks it touches. st is not
+// changed.
+func (st *Store) Apply(spo *Run, added, removed []dict.Triple) *Store {
 	out := &Store{d: st.d}
-	out.runs[bySPO] = slices.Clip(spo)
+	out.runs[bySPO] = spo
 	var wg sync.WaitGroup
 	for _, o := range []ordering{byPOS, byOSP} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out.runs[o] = merge(st.runs[o], added, removed, o)
+			out.runs[o] = st.runs[o].Apply(added, removed)
 		}()
 	}
 	wg.Wait()
@@ -84,85 +96,85 @@ func (st *Store) Apply(spo, added, removed []dict.Triple) *Store {
 }
 
 // Merge returns run, sorted by (S,P,O) and duplicate free, without the
-// triples of del and with those of add, as a fresh run — run itself when
-// there is nothing to change. It is the one merge of sorted runs: the
-// graph's writes and Apply's orderings go through it.
-func Merge(run, add, del []dict.Triple) []dict.Triple { return merge(run, add, del, bySPO) }
-
-// merge is Merge over a run sorted by o.
-func merge(run, add, del []dict.Triple, o ordering) []dict.Triple {
+// triples of del and with those of add, as a fresh slice — run itself when
+// there is nothing to change.
+func Merge(run, add, del []dict.Triple) []dict.Triple {
 	if len(add)+len(del) == 0 {
 		return run
 	}
-	byKey := func(a, b dict.Triple) int {
-		ka, kb := o.key(a), o.key(b)
-		return slices.Compare(ka[:], kb[:])
-	}
-	add, del = slices.Clone(add), slices.Clone(del)
-	slices.SortFunc(add, byKey)
-	slices.SortFunc(del, byKey)
-	if add = slices.Compact(add); len(run) == 0 {
+	add, del = slices.Compact(bySPO.sorted(add)), bySPO.sorted(del)
+	if len(run) == 0 {
 		return add
 	}
-	out := make([]dict.Triple, 0, len(run)+len(add))
+	return merge(make([]dict.Triple, 0, len(run)+len(add)), run, add, del, bySPO)
+}
+
+// merge appends to dst run, sorted by o, without the triples of del and with
+// those of add, both sorted by o and add duplicate free. It is the one merge
+// of sorted runs: Merge, and a Run's Apply for every block it rewrites, go
+// through it.
+func merge(dst, run, add, del []dict.Triple, o ordering) []dict.Triple {
 	for len(add)+len(del) > 0 {
 		// The next edit in key order, an insertion after a deletion of the
 		// same triple. What precedes it in run is copied as one block; run's
 		// own copy of the triple, if it has one, is passed over either way.
-		isDel := len(add) == 0 || len(del) > 0 && byKey(del[0], add[0]) <= 0
+		isDel := len(add) == 0 || len(del) > 0 && o.compare(del[0], add[0]) <= 0
 		var t dict.Triple
 		if isDel {
 			t, del = del[0], del[1:]
 		} else {
 			t, add = add[0], add[1:]
 		}
-		n, found := slices.BinarySearchFunc(run, t, byKey)
-		out = append(out, run[:n]...)
+		n, found := slices.BinarySearchFunc(run, t, o.compare)
+		dst = append(dst, run[:n]...)
 		if run = run[n:]; found {
 			run = run[1:]
 		}
 		if !isDel {
-			out = append(out, t)
+			dst = append(dst, t)
 		}
 	}
-	return append(out, run...)
+	return append(dst, run...)
 }
 
 // Dict returns the dictionary the store is encoded against.
 func (st *Store) Dict() *dict.Dict { return st.d }
 
 // Len returns the number of triples in the store.
-func (st *Store) Len() int { return len(st.runs[bySPO]) }
+func (st *Store) Len() int { return st.runs[bySPO].Len() }
 
-// Triples returns the full sorted (S,P,O) triple slice; callers must not
-// mutate it.
-func (st *Store) Triples() []dict.Triple { return st.runs[bySPO] }
+// SPO returns the store's SPO run: at one shard, the graph's D itself.
+func (st *Store) SPO() *Run { return st.runs[bySPO] }
+
+// Triples returns the full sorted (S,P,O) triple slice, a copy made on
+// demand.
+func (st *Store) Triples() []dict.Triple { return st.runs[bySPO].Triples() }
 
 // Contains reports whether the exact triple is present.
-func (st *Store) Contains(t dict.Triple) bool {
-	lo, hi := rangeOf(st.runs[bySPO], bySPO, [3]dict.ID{t.S, t.P, t.O}, 3)
-	return hi > lo
-}
+func (st *Store) Contains(t dict.Triple) bool { return st.runs[bySPO].Contains(t) }
 
 // Each calls fn for every triple matching the pattern, in index order,
 // stopping early if fn returns false. This is the store's scan primitive.
 func (st *Store) Each(pat Pattern, fn func(dict.Triple) bool) {
 	o, prefix, nbound := choose(pat)
-	idx := st.runs[o]
-	lo, hi := rangeOf(idx, o, prefix, nbound)
-	if nbound == pat.Bound() {
-		// The bound positions form a prefix of the chosen ordering: the
-		// range is exact, no residual filtering needed.
-		for _, t := range idx[lo:hi] {
-			if !fn(t) {
-				return
+	r := st.runs[o]
+	lo, hi, b := r.rangeOf(prefix, nbound)
+	// When the bound positions form a prefix of the chosen ordering the
+	// range is exact: no residual filtering needed.
+	exact := nbound == pat.Bound()
+	for ; lo < hi; b++ {
+		ts := r.part(lo, hi, b)
+		lo += len(ts)
+		if exact {
+			for _, t := range ts {
+				if !fn(t) {
+					return
+				}
 			}
+			continue
 		}
-		return
-	}
-	for _, t := range idx[lo:hi] {
-		if pat.Matches(t) {
-			if !fn(t) {
+		for _, t := range ts {
+			if pat.Matches(t) && !fn(t) {
 				return
 			}
 		}
@@ -180,21 +192,24 @@ func (st *Store) Scan(pat Pattern) []dict.Triple {
 }
 
 // Count returns the exact number of triples matching the pattern. For
-// prefix-contiguous patterns this is two binary searches; the (S,?,O) shape
+// prefix-contiguous patterns this is two bound searches; the (S,?,O) shape
 // requires a filtered scan of the subject's range.
 func (st *Store) Count(pat Pattern) int {
 	o, prefix, nbound := choose(pat)
-	idx := st.runs[o]
-	lo, hi := rangeOf(idx, o, prefix, nbound)
+	r := st.runs[o]
+	lo, hi, b := r.rangeOf(prefix, nbound)
 	if nbound == pat.Bound() {
 		return hi - lo
 	}
 	n := 0
-	for _, t := range idx[lo:hi] {
-		if pat.Matches(t) {
-			n++
+	r.each(lo, hi, b, func(ts []dict.Triple) bool {
+		for _, t := range ts {
+			if pat.Matches(t) {
+				n++
+			}
 		}
-	}
+		return true
+	})
 	return n
 }
 
@@ -248,21 +263,16 @@ func (o ordering) key(t dict.Triple) [3]dict.ID {
 	return [3]dict.ID{t.S, t.P, t.O}
 }
 
-// rangeOf returns the half-open index range [lo,hi) of triples of idx,
-// sorted by o, whose key starts with the first n components of prefix.
-func rangeOf(idx []dict.Triple, o ordering, prefix [3]dict.ID, n int) (int, int) {
-	if n == 0 {
-		return 0, len(idx)
-	}
-	lo := bound(idx, o, prefix, 0, n, false)
-	// Matching ranges are short next to the index (a probe's is a handful of
-	// triples): gallop from lo to bracket the end, then search the bracket.
-	step := 1
-	for lo+step < len(idx) && compareKeys(o.key(idx[lo+step]), prefix, 0, n) == 0 {
-		step *= 2
-	}
-	tail := idx[lo:min(lo+step, len(idx))]
-	return lo, lo + bound(tail, o, prefix, 0, n, true)
+// compare orders two triples by their keys under the ordering.
+func (o ordering) compare(a, b dict.Triple) int {
+	return compareKeys(o.key(a), o.key(b), 0, 3)
+}
+
+// sorted returns a sorted copy of ts.
+func (o ordering) sorted(ts []dict.Triple) []dict.Triple {
+	ts = slices.Clone(ts)
+	slices.SortFunc(ts, o.compare)
+	return ts
 }
 
 // bound returns the first index of idx, sorted by o, whose key's components
@@ -301,17 +311,18 @@ func (st *Store) DistinctInPosition(pat Pattern, pos byte) int {
 	// Where an ordering keeps the position's values in runs — any position
 	// with nothing bound, a property's objects — count the runs; otherwise
 	// fall back to a set.
-	var ordered []dict.Triple
+	var r *Run
+	var prefix [3]dict.ID
+	n := 0
 	switch {
 	case pat.Bound() == 0 && pos == 's':
-		ordered = st.runs[bySPO]
+		r = st.runs[bySPO]
 	case pat.Bound() == 0 && pos == 'p':
-		ordered = st.runs[byPOS]
+		r = st.runs[byPOS]
 	case pat.Bound() == 0:
-		ordered = st.runs[byOSP]
+		r = st.runs[byOSP]
 	case pos == 'o' && pat == (Pattern{P: pat.P}):
-		lo, hi := rangeOf(st.runs[byPOS], byPOS, [3]dict.ID{pat.P}, 1)
-		ordered = st.runs[byPOS][lo:hi]
+		r, prefix, n = st.runs[byPOS], [3]dict.ID{pat.P}, 1
 	default:
 		set := map[dict.ID]bool{}
 		st.Each(pat, func(t dict.Triple) bool {
@@ -320,14 +331,18 @@ func (st *Store) DistinctInPosition(pat Pattern, pos byte) int {
 		})
 		return len(set)
 	}
-	n, last := 0, dict.None // no triple holds None
-	for _, t := range ordered {
-		if v := position(t, pos); v != last {
-			n++
-			last = v
+	lo, hi, b := r.rangeOf(prefix, n)
+	distinct, last := 0, dict.None // no triple holds None
+	r.each(lo, hi, b, func(ts []dict.Triple) bool {
+		for _, t := range ts {
+			if v := position(t, pos); v != last {
+				distinct++
+				last = v
+			}
 		}
-	}
-	return n
+		return true
+	})
+	return distinct
 }
 
 func position(t dict.Triple, pos byte) dict.ID {
