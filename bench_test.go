@@ -77,7 +77,7 @@ func benchStrategy(b *testing.B, f *fixture, q query.CQ, s engine.Strategy) {
 	b.Helper()
 	var rows int
 	for i := 0; i < b.N; i++ {
-		ans, err := f.eng.Answer(q, s)
+		ans, err := f.eng.AnswerContext(context.Background(), q, s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func BenchmarkE1_RefJUCQ_PaperCover(b *testing.B) {
 	f, _ := fixtures(b)
 	var rows int
 	for i := 0; i < b.N; i++ {
-		ans, err := f.eng.AnswerWithCover(f.q, lubm.ExampleOneCover())
+		ans, err := f.eng.AnswerWithCoverContext(context.Background(), f.q, lubm.ExampleOneCover())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func BenchmarkDatalog_Fixpoint(b *testing.B) {
 	_, f := fixtures(b)
 	for i := 0; i < b.N; i++ {
 		p := datalog.EncodeGraph(f.g)
-		if _, err := datalog.Run(p); err != nil {
+		if _, err := datalog.RunContext(context.Background(), p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -310,12 +310,12 @@ func BenchmarkPublicAPI_Answer(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Warm caches.
-	if _, err := db.Answer(`q(x) :- x rdf:type ub:Student`, Options{Prefixes: map[string]string{"ub": lubm.NS}}); err != nil {
+	if _, err := db.AnswerContext(context.Background(), `q(x) :- x rdf:type ub:Student`, Options{Prefixes: map[string]string{"ub": lubm.NS}}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Answer(`q(x) :- x rdf:type ub:Student`, Options{Prefixes: map[string]string{"ub": lubm.NS}}); err != nil {
+		if _, err := db.AnswerContext(context.Background(), `q(x) :- x rdf:type ub:Student`, Options{Prefixes: map[string]string{"ub": lubm.NS}}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -127,7 +127,7 @@ func main() {
 			if *explain {
 				printPlan(e, q, s, c, *expJSON)
 			}
-			ans, err = e.AnswerWithCover(q, c)
+			ans, err = e.AnswerWithCoverContext(context.Background(), q, c)
 			if err != nil {
 				fmt.Printf("%-16s FAILED: %v\n", "ref-jucq", err)
 				continue
@@ -137,7 +137,7 @@ func main() {
 				printPlan(e, q, s, nil, *expJSON)
 			}
 			var err error
-			ans, err = e.Answer(q, s)
+			ans, err = e.AnswerContext(context.Background(), q, s)
 			if err != nil {
 				fmt.Printf("%-16s FAILED: %v\n", s, err)
 				continue

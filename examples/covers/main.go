@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -39,7 +40,7 @@ func main() {
 		{{0, 1}, {0, 2}}, // overlapping fragments (atom 0 in both)
 	}
 	for _, c := range covers {
-		ans, err := eng.AnswerWithCover(q, c)
+		ans, err := eng.AnswerWithCoverContext(context.Background(), q, c)
 		if err != nil {
 			fmt.Printf("%-24v FAILED: %v\n", c, err)
 			continue
@@ -49,7 +50,7 @@ func main() {
 			ans.EvalTime.Round(time.Microsecond))
 	}
 
-	ans, err := eng.Answer(q, engine.RefGCov)
+	ans, err := eng.AnswerContext(context.Background(), q, engine.RefGCov)
 	if err != nil {
 		log.Fatal(err)
 	}

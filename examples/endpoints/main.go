@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -54,7 +55,7 @@ func main() {
 		&federation.LocalSource{SourceName: "books-endpoint", Triples: books},
 		&federation.LocalSource{SourceName: "ontology-endpoint", Triples: onto},
 	)
-	e, err := med.Engine()
+	e, err := med.EngineContext(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ans, err := e.Answer(q, engine.RefGCov)
+		ans, err := e.AnswerContext(context.Background(), q, engine.RefGCov)
 		if err != nil {
 			log.Fatal(err)
 		}

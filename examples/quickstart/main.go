@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,7 +40,7 @@ func main() {
 	queryText := `q(x3) :- x1 ex:hasAuthor x2, x2 ex:hasName x3, x1 x4 "1949"`
 
 	for _, s := range []repro.Strategy{repro.Sat, repro.RefUCQ, repro.RefGCov, repro.Dat} {
-		res, err := db.Answer(queryText, repro.Options{Strategy: s, Prefixes: prefixes})
+		res, err := db.AnswerContext(context.Background(), queryText, repro.Options{Strategy: s, Prefixes: prefixes})
 		if err != nil {
 			log.Fatalf("%s: %v", s, err)
 		}
@@ -55,8 +56,8 @@ func main() {
 	// and connect writtenBy to hasAuthor... here it still finds the
 	// author via the subproperty rule, but fails on this Person query:
 	personQuery := `q(x) :- x rdf:type ex:Person`
-	full, _ := db.Answer(personQuery, repro.Options{Prefixes: prefixes})
-	partial, _ := db.Answer(personQuery, repro.Options{Strategy: repro.RefIncomplete, Prefixes: prefixes})
+	full, _ := db.AnswerContext(context.Background(), personQuery, repro.Options{Prefixes: prefixes})
+	partial, _ := db.AnswerContext(context.Background(), personQuery, repro.Options{Strategy: repro.RefIncomplete, Prefixes: prefixes})
 	fmt.Printf("\nWho is a Person? complete Ref: %d answer(s); incomplete Ref (Virtuoso-style): %d\n",
 		full.Len(), partial.Len())
 

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -49,7 +50,7 @@ func main() {
 	}
 	var baseline time.Duration
 	for _, a := range attempts {
-		res, err := db.AnswerCQ(q, a.opts)
+		res, err := db.AnswerCQContext(context.Background(), q, a.opts)
 		if err != nil {
 			fmt.Printf("%-40s FAILED: %v\n", a.name, err)
 			continue

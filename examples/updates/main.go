@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,7 @@ func main() {
 	prefixes := map[string]string{"ex": "http://example.org/"}
 	persons := func(tag string) {
 		for _, s := range []repro.Strategy{repro.Sat, repro.RefGCov} {
-			res, err := db.Answer(`q(x) :- x rdf:type ex:Person`, repro.Options{Strategy: s, Prefixes: prefixes})
+			res, err := db.AnswerContext(context.Background(), `q(x) :- x rdf:type ex:Person`, repro.Options{Strategy: s, Prefixes: prefixes})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -53,7 +54,7 @@ func TestFullPipeline(t *testing.T) {
 	const qText = `q(x) :- x rdf:type <http://swat.cse.lehigh.edu/onto/univ-bench.owl#Employee>`
 	counts := map[Strategy]int{}
 	for _, s := range []Strategy{Sat, RefUCQ, RefSCQ, RefGCov, RefRange, Dat} {
-		res, err := db.Answer(qText, Options{Strategy: s, Timeout: time.Minute})
+		res, err := db.AnswerContext(context.Background(), qText, Options{Strategy: s, Timeout: time.Minute})
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
@@ -78,7 +79,7 @@ func TestFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := db2.Answer(qText, Options{})
+	res2, err := db2.AnswerContext(context.Background(), qText, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestFullPipeline(t *testing.T) {
 		&federation.HTTPSource{SourceName: "lubm", BaseURL: srv.URL},
 		&federation.GraphSource{SourceName: "dblp", Graph: dblp.Graph},
 	)
-	fedEng, err := med.Engine()
+	fedEng, err := med.EngineContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fedAns, err := fedEng.Answer(fq, engine.RefGCov)
+	fedAns, err := fedEng.AnswerContext(context.Background(), fq, engine.RefGCov)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pAns, err := fedEng.Answer(pq, engine.RefGCov)
+	pAns, err := fedEng.AnswerContext(context.Background(), pq, engine.RefGCov)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ ex:doi1 ex:writtenBy ex:a .
 	}
 	for _, d := range []*DB{db, back} {
 		for _, s := range []Strategy{Sat, RefGCov, Dat} {
-			res, err := d.Answer(`q(x) :- x rdf:type ex:Person`,
+			res, err := d.AnswerContext(context.Background(), `q(x) :- x rdf:type ex:Person`,
 				Options{Strategy: s, Prefixes: map[string]string{"ex": "http://example.org/"}})
 			if err != nil {
 				t.Fatal(err)

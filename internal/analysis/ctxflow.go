@@ -13,24 +13,21 @@ import (
 //
 // Rules:
 //
-//  1. An exported function or method named Answer*/Eval* must either
-//     take a context.Context or be a recognized compatibility wrapper —
-//     a body that is exactly `return x.<Name>Context(context.Background(),
-//     ...)`. Anything else hides an uncancellable evaluation behind an
-//     innocent-looking name.
+//  1. An exported function or method named Answer*/Eval* must take a
+//     context.Context. Anything else hides an uncancellable evaluation
+//     behind an innocent-looking name; there are no context-less
+//     compatibility wrappers — callers without a context of their own
+//     pass context.Background() themselves.
 //
 //  2. An exported Answer*/Eval* function whose name ends in Context must
 //     take the context as its first parameter (after the receiver).
 //
 //  3. context.Background() / context.TODO() must not be called outside
-//     package main, test files, and the recognized wrappers of rule 1 —
-//     the generalized wrapper shape `return x.<Name>Context(...)` for the
-//     enclosing <Name> is accepted for any function, so Build→BuildContext
-//     style pairs stay idiomatic. Other sites need
+//     package main and test files. Other sites need
 //     `//reflint:ctxbg <reason>`.
 var Ctxflow = &Analyzer{
 	Name: "ctxflow",
-	Doc:  "Answer*/Eval* entry points accept a context; context.Background only in main, tests and delegating wrappers",
+	Doc:  "Answer*/Eval* entry points accept a context; context.Background only in main and tests",
 	Run:  runCtxflow,
 }
 
@@ -85,30 +82,6 @@ func isContextType(t types.Type) bool {
 	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
 }
 
-// isDelegatingWrapper reports whether fd's body is exactly one return
-// statement whose expression calls <fd.Name>Context.
-func isDelegatingWrapper(fd *ast.FuncDecl) bool {
-	if len(fd.Body.List) != 1 {
-		return false
-	}
-	ret, ok := fd.Body.List[0].(*ast.ReturnStmt)
-	if !ok || len(ret.Results) != 1 {
-		return false
-	}
-	call, ok := ret.Results[0].(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	callee := ""
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		callee = fun.Name
-	case *ast.SelectorExpr:
-		callee = fun.Sel.Name
-	}
-	return callee == fd.Name.Name+"Context"
-}
-
 func checkEntryPoint(pass *Pass, fd *ast.FuncDecl) {
 	name := fd.Name.Name
 	if !fd.Name.IsExported() || !isEntryPointName(name) {
@@ -125,19 +98,15 @@ func checkEntryPoint(pass *Pass, fd *ast.FuncDecl) {
 	if has {
 		return
 	}
-	if isDelegatingWrapper(fd) {
-		return
-	}
 	if pass.suppressed("ctxbg", fd.Pos(), fd) {
 		return
 	}
 	pass.Reportf(fd.Pos(),
-		"exported entry point %s takes no context.Context and is not a `return %sContext(context.Background(), ...)` wrapper: evaluations through it cannot be canceled",
-		funcDisplayName(fd), name)
+		"exported entry point %s takes no context.Context: evaluations through it cannot be canceled",
+		funcDisplayName(fd))
 }
 
 func checkBackgroundCalls(pass *Pass, f *ast.File, fd *ast.FuncDecl) {
-	wrapper := isDelegatingWrapper(fd)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -154,15 +123,12 @@ func checkBackgroundCalls(pass *Pass, f *ast.File, fd *ast.FuncDecl) {
 		if obj, isPkg := pass.Info.ObjectOf(pkg).(*types.PkgName); !isPkg || obj.Imported().Path() != "context" {
 			return true
 		}
-		if wrapper {
-			return true
-		}
 		if pass.suppressed("ctxbg", call.Pos(), fd) {
 			return true
 		}
 		pass.Reportf(call.Pos(),
-			"context.%s() in %s detaches this call chain from cancellation: thread the caller's ctx through, make this a delegating %sContext wrapper, or annotate //reflint:ctxbg <reason>",
-			sel.Sel.Name, funcDisplayName(fd), fd.Name.Name)
+			"context.%s() in %s detaches this call chain from cancellation: thread the caller's ctx through, or annotate //reflint:ctxbg <reason>",
+			sel.Sel.Name, funcDisplayName(fd))
 		return true
 	})
 }

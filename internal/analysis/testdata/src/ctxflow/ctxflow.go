@@ -1,5 +1,5 @@
 // Package ctxflow is golden-test input for the ctxflow analyzer:
-// Answer*/Eval* entry points with and without contexts, delegating
+// Answer*/Eval* entry points with and without contexts, context-less
 // wrappers, and stray context.Background calls.
 package ctxflow
 
@@ -12,9 +12,10 @@ func (e *Engine) AnswerContext(ctx context.Context, q string) error {
 	return nil
 }
 
-// Answer is the accepted compatibility-wrapper shape.
-func (e *Engine) Answer(q string) error {
-	return e.AnswerContext(context.Background(), q)
+// Answer is a context-less wrapper: no longer an accepted shape, the
+// entry point and its Background call are both flagged.
+func (e *Engine) Answer(q string) error { // want "takes no context.Context"
+	return e.AnswerContext(context.Background(), q) // want "detaches"
 }
 
 func (e *Engine) AnswerRaw(q string) error { // want "takes no context.Context"
@@ -76,8 +77,8 @@ func (s *Store) BuildContext(ctx context.Context) error {
 	return nil
 }
 
-// Build shows the generalized wrapper rule: any <Name> delegating to
-// <Name>Context may use context.Background.
+// Build delegates to BuildContext: not an entry-point name, but its
+// Background call is flagged like any other.
 func (s *Store) Build() error {
-	return s.BuildContext(context.Background())
+	return s.BuildContext(context.Background()) // want "detaches"
 }

@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -152,10 +153,12 @@ func runStrategy(e *engine.Engine, q queryHolder, s engine.Strategy, timeout tim
 		ans *engine.Answer
 		err error
 	)
+	//reflint:ctxbg experiment driver: nothing upstream cancels it, the timeout bounds each evaluation
+	ctx := context.Background()
 	if s == engine.RefJUCQ {
-		ans, err = e.AnswerWithCover(q.cq, q.cover)
+		ans, err = e.AnswerWithCoverContext(ctx, q.cq, q.cover)
 	} else {
-		ans, err = e.Answer(q.cq, s)
+		ans, err = e.AnswerContext(ctx, q.cq, s)
 	}
 	if err != nil {
 		return Run{Strategy: s, Err: err, Error: err.Error(), Phases: phaseBreakdown(tr)}

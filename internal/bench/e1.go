@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -68,7 +69,8 @@ func E1(cfg Config) (*E1Result, error) {
 		case engine.RefJUCQ:
 			note = "cover " + lubm.ExampleOneCover().String()
 		case engine.RefGCov:
-			if a, err := e.Answer(q, engine.RefGCov); err == nil {
+			//reflint:ctxbg experiment driver: nothing upstream cancels it, cfg.Timeout bounds each evaluation
+			if a, err := e.AnswerContext(context.Background(), q, engine.RefGCov); err == nil {
 				res.GCovCover = a.Cover.String()
 				note = "cover " + res.GCovCover
 			}

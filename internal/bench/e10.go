@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -101,10 +102,12 @@ func E10(cfg Config) (*E10Result, error) {
 			e.Budget.Timeout = cfg.Timeout
 			start := time.Now()
 			var ans *engine.Answer
+			//reflint:ctxbg experiment driver: nothing upstream cancels it, cfg.Timeout bounds each evaluation
+			ctx := context.Background()
 			if st.s == engine.RefJUCQ {
-				ans, err = e.AnswerWithCover(qh.cq, qh.cover)
+				ans, err = e.AnswerWithCoverContext(ctx, qh.cq, qh.cover)
 			} else {
-				ans, err = e.Answer(qh.cq, st.s)
+				ans, err = e.AnswerContext(ctx, qh.cq, st.s)
 			}
 			if err != nil {
 				run.Error = err.Error()

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -117,7 +118,8 @@ func E13(cfg Config) (*E13Result, error) {
 					}
 					e.Budget.Timeout = cfg.Timeout
 					start := time.Now()
-					ans, err := e.Answer(nq.cq, s)
+					//reflint:ctxbg experiment driver: nothing upstream cancels it, cfg.Timeout bounds each evaluation
+					ans, err := e.AnswerContext(context.Background(), nq.cq, s)
 					if err != nil {
 						run.Error = err.Error()
 						break

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -76,7 +77,8 @@ func e6Update(p lubm.Profile, seed int64) (row E6Update, err error) {
 		if werr := write(); werr != nil {
 			err = werr
 		}
-		ans, aerr := e.Answer(q, s)
+		//reflint:ctxbg experiment driver: nothing upstream cancels it
+		ans, aerr := e.AnswerContext(context.Background(), q, s)
 		if aerr != nil {
 			err = aerr
 			return 0, 0
@@ -167,7 +169,8 @@ func E6(cfg Config) (*E6Result, error) {
 		return nil, err
 	}
 	e := engine.New(g)
-	ans, err := e.Answer(q, engine.RefGCov)
+	//reflint:ctxbg experiment driver: nothing upstream cancels it
+	ans, err := e.AnswerContext(context.Background(), q, engine.RefGCov)
 	if err != nil {
 		return nil, err
 	}

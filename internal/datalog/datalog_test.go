@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -34,7 +35,7 @@ func TestTransitiveClosure(t *testing.T) {
 			{Pred: "edge", Args: []dict.ID{3, 4}},
 		},
 	}
-	e, err := Run(p)
+	e, err := RunContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestConstantsInRules(t *testing.T) {
 			{Pred: "t", Args: []dict.ID{2, 8}},
 		},
 	}
-	e, err := Run(p)
+	e, err := RunContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestRepeatedVariableInBody(t *testing.T) {
 			{Pred: "t", Args: []dict.ID{1, 2}},
 		},
 	}
-	e, err := Run(p)
+	e, err := RunContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestValidationErrors(t *testing.T) {
 		},
 	}
 	for i, p := range cases {
-		if _, err := Run(p); err == nil {
+		if _, err := RunContext(context.Background(), p); err == nil {
 			t.Errorf("case %d: want validation error", i)
 		}
 	}
@@ -117,7 +118,7 @@ func TestEngineStats(t *testing.T) {
 		},
 		Facts: []Fact{{Pred: "a", Args: []dict.ID{1}}},
 	}
-	e, err := Run(p)
+	e, err := RunContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestDatEqualsSaturationRandom(t *testing.T) {
 			}
 			g := sc.Graph
 			p := EncodeGraph(g)
-			e, err := Run(p)
+			e, err := RunContext(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +180,7 @@ ex:doi1 ex:writtenBy _:b1 .
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Answer(g, q)
+	rows, err := AnswerContext(context.Background(), g, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ ex:a ex:p ex:b .
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Answer(g, q)
+	rows, err := AnswerContext(context.Background(), g, q)
 	if err != nil {
 		t.Fatal(err)
 	}

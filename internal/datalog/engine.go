@@ -164,15 +164,10 @@ type Engine struct {
 	FactsDerived int
 }
 
-// Run evaluates the program to fixpoint and returns the engine holding the
-// computed relations.
-func Run(p *Program) (*Engine, error) {
-	return RunContext(context.Background(), p)
-}
-
-// RunContext is Run bounded by ctx: the fixpoint iteration checks for
-// cancellation once per semi-naive round, so a canceled context stops the
-// saturation between rounds instead of running to completion.
+// RunContext evaluates the program to fixpoint and returns the engine
+// holding the computed relations. The fixpoint iteration checks ctx once per
+// semi-naive round, so a canceled context stops the saturation between
+// rounds instead of running to completion.
 func RunContext(ctx context.Context, p *Program) (*Engine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

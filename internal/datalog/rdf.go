@@ -84,14 +84,9 @@ func AddQuery(p *Program, q query.CQ) error {
 	return nil
 }
 
-// Answer runs the full Dat pipeline for a query over a graph and returns
-// the sorted answer tuples.
-func Answer(g *graph.Graph, q query.CQ) ([][]dict.ID, error) {
-	return AnswerContext(context.Background(), g, q)
-}
-
-// AnswerContext is Answer bounded by ctx: the engine's fixpoint stops
-// between semi-naive rounds when ctx is canceled.
+// AnswerContext runs the full Dat pipeline for a query over a graph and
+// returns the sorted answer tuples. The engine's fixpoint stops between
+// semi-naive rounds when ctx is canceled.
 func AnswerContext(ctx context.Context, g *graph.Graph, q query.CQ) ([][]dict.ID, error) {
 	p := EncodeGraph(g)
 	if err := AddQuery(p, q); err != nil {

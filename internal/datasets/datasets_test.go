@@ -74,12 +74,12 @@ func TestScenarioStrategiesAgree(t *testing.T) {
 			}
 			gainSeen := false
 			for qi, q := range qs {
-				sat, err := e.Answer(q, engine.Sat)
+				sat, err := e.AnswerContext(context.Background(), q, engine.Sat)
 				if err != nil {
 					t.Fatalf("q%d sat: %v", qi, err)
 				}
 				for _, s := range []engine.Strategy{engine.RefSCQ, engine.RefGCov} {
-					got, err := e.Answer(q, s)
+					got, err := e.AnswerContext(context.Background(), q, s)
 					if err != nil {
 						t.Fatalf("q%d %s: %v", qi, s, err)
 					}
@@ -111,11 +111,11 @@ func TestIGNImplicitRiverTyping(t *testing.T) {
 	// Rivers are mostly untyped; the River query must still find them.
 	e := engine.New(sc.Graph)
 	q := mustParse(t, sc, `q(x) :- x rdf:type ign:River`)
-	full, err := e.Answer(q, engine.RefGCov)
+	full, err := e.AnswerContext(context.Background(), q, engine.RefGCov)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := e.Answer(q, engine.RefIncomplete)
+	inc, err := e.AnswerContext(context.Background(), q, engine.RefIncomplete)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,14 +132,14 @@ func TestDBLPPersonsOnlyImplicit(t *testing.T) {
 	}
 	e := engine.New(sc.Graph)
 	q := mustParse(t, sc, `q(x) :- x rdf:type dblp:Person`)
-	ans, err := e.Answer(q, engine.RefGCov)
+	ans, err := e.AnswerContext(context.Background(), q, engine.RefGCov)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ans.Rows.Len() == 0 {
 		t.Fatal("persons must be derivable from creator ranges")
 	}
-	inc, err := e.Answer(q, engine.RefIncomplete)
+	inc, err := e.AnswerContext(context.Background(), q, engine.RefIncomplete)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -29,11 +30,6 @@ type Manifest struct {
 	// Snapshot is the snapshot file name inside the data directory;
 	// empty means no snapshot yet (recovery starts from an empty graph).
 	Snapshot string `json:"snapshot"`
-	// Shards is legacy and read only: no writer sets it. Sharded servers
-	// once checkpointed to a base file (Snapshot: terms + schema, no data)
-	// plus the data-only files listed here; such a directory still
-	// recovers, and its next checkpoint prunes these files.
-	Shards []string `json:"shards,omitempty"`
 	// WALFrom is the lowest WAL segment number still needed; segments
 	// below it were captured by the snapshot and may be pruned.
 	WALFrom int `json:"walFrom"`
@@ -81,10 +77,18 @@ type Manager struct {
 	checkpointing bool
 }
 
+// ErrLegacyManifest refuses a data directory checkpointed in the
+// base-plus-shards layout: a manifest listing data-only snapshot files
+// under "shards" next to a base file that holds no data. That layout is no
+// longer read; a build that writes single-file checkpoints and still reads
+// it must checkpoint the directory first.
+var ErrLegacyManifest = errors.New("durable: manifest lists base-plus-shards snapshot files, a layout no longer read: checkpoint the directory with a build that writes single-file checkpoints and still reads it")
+
 // Open prepares the data directory: reads the manifest (or initializes a
 // fresh one) and opens the WAL on a new segment. It does NOT load the
 // graph — call LoadGraph then Replay, so the caller controls where the
-// replayed records apply.
+// replayed records apply. A legacy manifest is ErrLegacyManifest, returned
+// before anything in the directory is written.
 func Open(dir string, opts Options) (*Manager, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -93,8 +97,17 @@ func Open(dir string, opts Options) (*Manager, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	switch {
 	case err == nil:
-		if err := json.Unmarshal(raw, &man); err != nil {
+		// Without this check the base file would load as the whole graph,
+		// data-less.
+		onDisk := struct {
+			*Manifest
+			Shards []string `json:"shards"`
+		}{Manifest: &man}
+		if err := json.Unmarshal(raw, &onDisk); err != nil {
 			return nil, fmt.Errorf("durable: manifest corrupt: %w", err)
+		}
+		if len(onDisk.Shards) > 0 {
+			return nil, fmt.Errorf("%w (%s)", ErrLegacyManifest, filepath.Join(dir, manifestName))
 		}
 		if man.WALFrom < 1 {
 			man.WALFrom = 1
@@ -123,8 +136,7 @@ func Open(dir string, opts Options) (*Manager, error) {
 
 // LoadGraph loads the manifest's snapshot (an empty graph when none
 // exists yet). The snapshot's columnar sections decode with per-column
-// parallelism inside graph.LoadSnapshot, which also reads the data files
-// of a legacy manifest (see Manifest.Shards).
+// parallelism inside graph.LoadSnapshot.
 func (mgr *Manager) LoadGraph(tr *trace.Tracer) (*graph.Graph, error) {
 	man := mgr.CurrentManifest()
 	span := tr.StartSpan("recovery.load_snapshot")
@@ -134,11 +146,7 @@ func (mgr *Manager) LoadGraph(tr *trace.Tracer) (*graph.Graph, error) {
 		span.SetStr("snapshot", "none")
 		return graph.ParseString("")
 	}
-	dataFiles := make([]string, len(man.Shards))
-	for i, name := range man.Shards {
-		dataFiles[i] = filepath.Join(mgr.dir, name)
-	}
-	g, err := graph.LoadSnapshot(filepath.Join(mgr.dir, man.Snapshot), dataFiles...)
+	g, err := graph.LoadSnapshot(filepath.Join(mgr.dir, man.Snapshot))
 	if err != nil {
 		return nil, fmt.Errorf("durable: snapshot %s: %w", man.Snapshot, err)
 	}
@@ -292,9 +300,8 @@ func (mgr *Manager) writeManifest(man Manifest) error {
 }
 
 // prune removes WAL segments captured by the new snapshot and the
-// previous snapshot's files, a legacy manifest's data files included.
-// Best-effort: leftovers cost disk, not correctness, and the next
-// checkpoint retries.
+// previous snapshot file. Best-effort: leftovers cost disk, not
+// correctness, and the next checkpoint retries.
 func (mgr *Manager) prune(prev Manifest, cut int) {
 	segs, err := walSegments(mgr.dir)
 	if err != nil {
@@ -307,11 +314,8 @@ func (mgr *Manager) prune(prev Manifest, cut int) {
 			}
 		}
 	}
-	cur := mgr.CurrentManifest()
-	for _, name := range append([]string{prev.Snapshot}, prev.Shards...) {
-		if name != "" && name != cur.Snapshot {
-			os.Remove(filepath.Join(mgr.dir, name))
-		}
+	if prev.Snapshot != "" && prev.Snapshot != mgr.CurrentManifest().Snapshot {
+		os.Remove(filepath.Join(mgr.dir, prev.Snapshot))
 	}
 }
 

@@ -1,8 +1,10 @@
 package durable
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/engine"
@@ -207,6 +209,47 @@ func TestManagerCorruptManifestRejected(t *testing.T) {
 	}
 	if _, err := Open(dir, Options{}); err == nil {
 		t.Fatal("corrupt manifest accepted")
+	}
+}
+
+// TestManagerLegacyManifestRefused: a manifest listing base-plus-shards
+// snapshot files is refused by name, and the directory is left as it was —
+// no WAL segment opened, no file pruned, nothing rewritten.
+func TestManagerLegacyManifestRefused(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		manifestName:                 `{"snapshot":"snapshot-00000003.base.col","shards":["snapshot-00000003.s000.col","snapshot-00000003.s001.col"],"walFrom":3}`,
+		"snapshot-00000003.base.col": "base",
+		"snapshot-00000003.s000.col": "shard 0",
+		"snapshot-00000003.s001.col": "shard 1",
+		"wal-00000003.seg":           "tail",
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mgr, err := Open(dir, Options{})
+	if err == nil {
+		mgr.Close()
+	}
+	if !errors.Is(err, ErrLegacyManifest) {
+		t.Fatalf("legacy manifest: got %v, want ErrLegacyManifest", err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, e := range ents {
+		body, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[e.Name()] = string(body)
+	}
+	if !reflect.DeepEqual(got, files) {
+		t.Fatalf("directory changed: %v, want %v", got, files)
 	}
 }
 

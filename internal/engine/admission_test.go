@@ -95,7 +95,7 @@ func TestAdmissionBoundsConcurrentCopies(t *testing.T) {
 	})
 	e.Admission = gate
 	q := mustQuery(t, g, "q(x,y) :- x ex:hasAuthor z, z ex:hasName y")
-	if _, err := e.Answer(q, RefGCov); err != nil { // warm caches
+	if _, err := e.AnswerContext(context.Background(), q, RefGCov); err != nil { // warm caches
 		t.Fatal(err)
 	}
 

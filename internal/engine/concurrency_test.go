@@ -22,7 +22,7 @@ func TestConcurrentAnswerSharedCaches(t *testing.T) {
 	q := mustQuery(t, g, "q(x,y) :- x ex:hasAuthor z, z ex:hasName y")
 
 	// Warm lazily-built state once so the copies only read it.
-	if _, err := e.Answer(q, RefGCov); err != nil {
+	if _, err := e.AnswerContext(context.Background(), q, RefGCov); err != nil {
 		t.Fatal(err)
 	}
 
@@ -101,9 +101,9 @@ func completeStrategies(t *testing.T, where string, eng *Engine, q query.CQ, wan
 		var ans *Answer
 		var err error
 		if s == RefJUCQ {
-			ans, err = eng.AnswerWithCover(q, query.Cover{{0}, {1}})
+			ans, err = eng.AnswerWithCoverContext(context.Background(), q, query.Cover{{0}, {1}})
 		} else {
-			ans, err = eng.Answer(q, s)
+			ans, err = eng.AnswerContext(context.Background(), q, s)
 		}
 		if err != nil {
 			t.Fatalf("%s: %s: %v", where, s, err)
@@ -150,7 +150,7 @@ func TestCopyAnswersFromItsVersion(t *testing.T) {
 func TestCopyReadsItsVersionsClosure(t *testing.T) {
 	e, g := mustEngine(t)
 	q := mustQuery(t, g, authoredQuery)
-	if _, err := e.Answer(q, Sat); err != nil {
+	if _, err := e.AnswerContext(context.Background(), q, Sat); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.InsertData(authored("doiW1")); err != nil {
@@ -192,7 +192,7 @@ func TestReaderKeepsItsVersionAcrossSwap(t *testing.T) {
 			for round := 0; round < 5; round++ {
 				mu.RLock()
 				eng := *e
-				first, err := eng.Answer(q, RefGCov) // builds what the version has not built yet
+				first, err := eng.AnswerContext(context.Background(), q, RefGCov) // builds what the version has not built yet
 				mu.RUnlock()
 				if err != nil {
 					errs <- err
@@ -200,7 +200,7 @@ func TestReaderKeepsItsVersionAcrossSwap(t *testing.T) {
 				}
 				store := eng.Store()
 				for i := 0; i < 10; i++ {
-					ans, err := eng.Answer(q, []Strategy{RefGCov, RefSCQ, Sat, Dat}[(r+i)%4])
+					ans, err := eng.AnswerContext(context.Background(), q, []Strategy{RefGCov, RefSCQ, Sat, Dat}[(r+i)%4])
 					if err != nil {
 						errs <- err
 						return

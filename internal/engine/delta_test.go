@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -117,9 +118,9 @@ func TestDeltaScheduleMatchesRebuild(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				continue // the next write finds this version unread
 			}
-			where := fmt.Sprintf("seed %d step %d (kind %d, %d shards)", seed, step, kind, e.Shards())
+			where := fmt.Sprintf("seed %d step %d (kind %d, %d shards)", seed, step, kind, e.shards)
 			g := e.g
-			sh, want := e.Store(), shard.Build(g.Dict(), g.D(), e.Shards())
+			sh, want := e.Store(), shard.Build(g.Dict(), g.D(), e.shards)
 			if sh.NumShards() != want.NumShards() {
 				t.Fatalf("%s: %d shards", where, sh.NumShards())
 			}
@@ -141,12 +142,12 @@ func TestDeltaScheduleMatchesRebuild(t *testing.T) {
 			}
 			for qi := 0; qi < 2; qi++ {
 				q := sc.RandomQuery(rng)
-				want, err := e.Answer(q, Sat)
+				want, err := e.AnswerContext(context.Background(), q, Sat)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, s := range []Strategy{RefUCQ, RefSCQ, RefGCov, RefRange, Dat} {
-					got, err := e.Answer(q, s)
+					got, err := e.AnswerContext(context.Background(), q, s)
 					if err != nil {
 						t.Fatalf("%s: %s: %v", where, s, err)
 					}
@@ -234,7 +235,7 @@ func TestPlanCacheCrossesWrites(t *testing.T) {
 	q := mustQuery(t, g, `q(x) :- x rdf:type ex:Publication`)
 	answer := func(wantCached bool, wantRows int) {
 		t.Helper()
-		a, err := e.Answer(q, RefGCov)
+		a, err := e.AnswerContext(context.Background(), q, RefGCov)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +290,7 @@ func TestVersionsAreNotPinned(t *testing.T) {
 		}
 		for j := 0; j <= i; j++ { // one new plan, i hits: the variable's name is part of the shape
 			q := mustQuery(t, g, fmt.Sprintf(`q(x) :- x rdf:type ex:Publication, x ex:hasTitle y%d`, j))
-			if _, err := e.Answer(q, RefGCov); err != nil {
+			if _, err := e.AnswerContext(context.Background(), q, RefGCov); err != nil {
 				t.Fatal(err)
 			}
 		}

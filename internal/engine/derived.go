@@ -91,12 +91,11 @@ const maxDrift = 1.0 / 8
 
 func drifted(moved, of int) bool { return float64(moved) > maxDrift*float64(of) }
 
-// saturated is G∞ — a run, the SPO run of the version's sat store — its
-// counts, and how long it took to produce.
+// saturated is G∞ — a run, the SPO run of the version's sat store — and
+// its counts.
 type saturated struct {
 	run           *storage.Run
 	data, derived int
-	took          time.Duration
 }
 
 // swap installs a new version of the derived state over the engine's graph
@@ -157,15 +156,13 @@ func (e *Engine) swap(keep *derived, added, removed []dict.Triple) {
 	})
 	d.sat = sync.OnceValue(func() saturated {
 		d.satRead.Store(true)
-		start := time.Now()
 		var res *saturation.Result
 		if closure != nil {
 			res = closure.Result()
 		} else {
 			res = saturation.Saturate(g)
 		}
-		took := time.Since(start)
-		return saturated{storage.NewRun(res.Triples), res.DataTriples, res.Derived, took}
+		return saturated{storage.NewRun(res.Triples), res.DataTriples, res.Derived}
 	})
 	d.satResult = sync.OnceValue(func() *saturation.Result {
 		s := d.sat()

@@ -69,9 +69,9 @@ type Answer struct {
 	// ReformulationCQs counts the CQs in the reformulation evaluated
 	// (total across fragments for JUCQ strategies; 1 for Sat/Dat).
 	ReformulationCQs int
-	// PrepTime covers reformulation / cover search / program encoding
-	// (saturation time is reported separately: it is shared across
-	// queries; see Engine.SaturationTime).
+	// PrepTime covers reformulation / cover search / program encoding. It
+	// excludes saturation: G∞ is built once per version of the data and
+	// shared across queries.
 	PrepTime time.Duration
 	// EvalTime covers evaluation proper.
 	EvalTime time.Duration
@@ -194,13 +194,13 @@ func (e *Engine) Warm() {
 	e.CostModel()
 	e.SatCostModel()
 	e.Reformulator()
-	e.IncompleteReformulator()
+	e.d.incRef()
 	e.RangeReformulator()
 }
 
 // Store returns the store over explicit data plus the closed schema (the
-// database Ref strategies evaluate against), partitioned into Shards()
-// subject-hash shards.
+// database Ref strategies evaluate against), partitioned into the
+// subject-hash shards EnableSharding asked for.
 func (e *Engine) Store() *shard.Store { return e.d.data().src }
 
 // Source is Store.
@@ -215,9 +215,6 @@ func (e *Engine) EnableSharding(n int) {
 	e.shards = max(n, 1)
 	e.swap(e.d, nil, nil)
 }
-
-// Shards returns the configured shard count.
-func (e *Engine) Shards() int { return e.shards }
 
 // Stats returns collected statistics over Source().
 func (e *Engine) Stats() *stats.Stats { return e.d.data().stats }
@@ -236,16 +233,10 @@ func (e *Engine) Reformulator() *core.Reformulator { return e.d.ref() }
 // graph's schema.
 func (e *Engine) RangeReformulator() *core.RangeReformulator { return e.d.rangeRef() }
 
-// IncompleteReformulator returns the subsumption-only reformulator.
-func (e *Engine) IncompleteReformulator() *core.Reformulator { return e.d.incRef() }
-
 // Saturation returns G∞: saturated from scratch before the first data
 // update, read off the maintained closure after. Its Triples are a flat
 // copy of SatStore's SPO run, made on the first call.
 func (e *Engine) Saturation() *saturation.Result { return e.d.satResult() }
-
-// SaturationTime returns the wall-clock time producing Saturation() took.
-func (e *Engine) SaturationTime() time.Duration { return e.d.sat().took }
 
 // SatStore returns the store over G∞.
 func (e *Engine) SatStore() *storage.Store { return e.d.satStore() }
@@ -281,26 +272,17 @@ func (e *Engine) fragmentBound() int {
 	return core.DefaultMaxFragmentCQs
 }
 
-// Answer answers q with the given strategy; RefJUCQ requires a cover via
-// AnswerWithCover.
-func (e *Engine) Answer(q query.CQ, s Strategy) (*Answer, error) {
-	return e.AnswerContext(context.Background(), q, s)
-}
-
-// AnswerContext is Answer bounded by ctx: cancellation (client disconnect,
-// server shutdown) aborts the evaluation mid-operator with an error
-// wrapping exec.ErrCanceled. The context and the Budget's timeout are
+// AnswerContext answers q with the given strategy, bounded by ctx; RefJUCQ
+// requires a cover via AnswerWithCoverContext. Cancellation (client
+// disconnect, server shutdown) aborts the evaluation mid-operator with an
+// error wrapping exec.ErrCanceled. The context and the Budget's timeout are
 // checked together at every operator checkpoint.
 func (e *Engine) AnswerContext(ctx context.Context, q query.CQ, s Strategy) (*Answer, error) {
 	return e.answer(ctx, q, s, nil)
 }
 
-// AnswerWithCover answers q with the JUCQ induced by the given cover.
-func (e *Engine) AnswerWithCover(q query.CQ, cover query.Cover) (*Answer, error) {
-	return e.AnswerWithCoverContext(context.Background(), q, cover)
-}
-
-// AnswerWithCoverContext is AnswerWithCover bounded by ctx.
+// AnswerWithCoverContext answers q with the JUCQ induced by the given
+// cover, bounded by ctx.
 func (e *Engine) AnswerWithCoverContext(ctx context.Context, q query.CQ, cover query.Cover) (*Answer, error) {
 	return e.answer(ctx, q, RefJUCQ, cover)
 }
@@ -482,19 +464,14 @@ func (e *Engine) observePlanCache(hit bool) {
 	}
 }
 
-// PlanCacheLen reports how many plans the engine currently caches.
-func (e *Engine) PlanCacheLen() int { return e.d.plans.len() }
-
-// AnswerUnion answers a union of BGPs (the full dialect of §3) with the
-// given strategy: each member is answered independently and the answers
-// are unioned with set semantics. RefJUCQ is not supported here (covers
-// are per-CQ; use AnswerWithCover on the members).
-func (e *Engine) AnswerUnion(u query.UCQ, s Strategy) (*Answer, error) {
-	return e.AnswerUnionContext(context.Background(), u, s)
-}
-
-// AnswerUnionContext is AnswerUnion bounded by ctx; every member query is
-// answered (and individually metered) under the same context.
+// AnswerUnionContext answers a union of BGPs (the full dialect of §3) with
+// the given strategy, bounded by ctx: each member is answered — and
+// individually metered — independently under the same context, and the
+// answers are unioned with set semantics. RefJUCQ is not supported here
+// (covers are per-CQ; use AnswerWithCoverContext on the members). The
+// union's answer reports its members' sums — CQs, times, queue wait, cached
+// fragments, estimated cost — and a cached plan only when every member's
+// plan was cached.
 func (e *Engine) AnswerUnionContext(ctx context.Context, u query.UCQ, s Strategy) (*Answer, error) {
 	if len(u.CQs) == 0 {
 		return nil, fmt.Errorf("engine: empty union")
@@ -502,7 +479,7 @@ func (e *Engine) AnswerUnionContext(ctx context.Context, u query.UCQ, s Strategy
 	if s == RefJUCQ {
 		return nil, fmt.Errorf("engine: strategy %s needs per-member covers; answer the members individually", s)
 	}
-	combined := &Answer{Strategy: s}
+	combined := &Answer{Strategy: s, CachedPlan: true}
 	rows := exec.NewSet(u.HeadNames)
 	for _, cq := range u.CQs {
 		ans, err := e.AnswerContext(ctx, cq, s)
@@ -513,6 +490,9 @@ func (e *Engine) AnswerUnionContext(ctx context.Context, u query.UCQ, s Strategy
 		combined.PrepTime += ans.PrepTime
 		combined.EvalTime += ans.EvalTime
 		combined.QueueWait += ans.QueueWait
+		combined.CachedFragments += ans.CachedFragments
+		combined.EstimatedCost += ans.EstimatedCost
+		combined.CachedPlan = combined.CachedPlan && ans.CachedPlan
 		if ans.AdmissionWeight > combined.AdmissionWeight {
 			combined.AdmissionWeight = ans.AdmissionWeight
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/rdf"
 	"repro/internal/saturation"
 	"repro/internal/testutil"
+	"repro/internal/viewcache"
 )
 
 const bookGraph = `
@@ -52,7 +54,7 @@ func mustQuery(t *testing.T, g *graph.Graph, text string) query.CQ {
 func TestAllCompleteStrategiesAgree(t *testing.T) {
 	e, g := mustEngine(t)
 	q := mustQuery(t, g, `q(x3) :- x1 ex:hasAuthor x2, x2 ex:hasName x3, x1 x4 "1949"`)
-	want, err := e.Answer(q, Sat)
+	want, err := e.AnswerContext(context.Background(), q, Sat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func TestAllCompleteStrategiesAgree(t *testing.T) {
 		t.Fatalf("sat answer count %d, want 1", want.Rows.Len())
 	}
 	for _, s := range []Strategy{RefUCQ, RefSCQ, RefGCov, RefRange, Dat} {
-		got, err := e.Answer(q, s)
+		got, err := e.AnswerContext(context.Background(), q, s)
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
@@ -68,7 +70,7 @@ func TestAllCompleteStrategiesAgree(t *testing.T) {
 			t.Fatalf("%s: %d rows != sat %d rows", s, got.Rows.Len(), want.Rows.Len())
 		}
 	}
-	got, err := e.AnswerWithCover(q, query.Cover{{0, 1}, {2}})
+	got, err := e.AnswerWithCoverContext(context.Background(), q, query.Cover{{0, 1}, {2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +82,7 @@ func TestAllCompleteStrategiesAgree(t *testing.T) {
 func TestAnswerMetadata(t *testing.T) {
 	e, g := mustEngine(t)
 	q := mustQuery(t, g, `q(x) :- x rdf:type ex:Publication`)
-	a, err := e.Answer(q, RefGCov)
+	a, err := e.AnswerContext(context.Background(), q, RefGCov)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,18 +100,40 @@ func TestAnswerMetadata(t *testing.T) {
 func TestUnknownStrategy(t *testing.T) {
 	e, g := mustEngine(t)
 	q := mustQuery(t, g, `q(x) :- x rdf:type ex:Book`)
-	if _, err := e.Answer(q, Strategy("nope")); err == nil {
+	if _, err := e.AnswerContext(context.Background(), q, Strategy("nope")); err == nil {
 		t.Fatal("unknown strategy must error")
 	}
-	if _, err := e.Answer(q, RefJUCQ); err == nil {
+	if _, err := e.AnswerContext(context.Background(), q, RefJUCQ); err == nil {
 		t.Fatal("RefJUCQ without cover must error")
+	}
+}
+
+// TestCachedPlanOwnsItsCover: a plan the cache keeps does not share the
+// caller's cover, so rewriting that cover after the answer leaves the plan
+// — and the next answer of the same shape — as it was.
+func TestCachedPlanOwnsItsCover(t *testing.T) {
+	e, g := mustEngine(t)
+	q := mustQuery(t, g, `q(x3) :- x1 ex:hasAuthor x2, x2 ex:hasName x3, x1 x4 "1949"`)
+	cover, want := query.Cover{{0}, {1, 2}}, query.Cover{{0}, {1, 2}}
+	first, err := e.AnswerWithCoverContext(context.Background(), q, cover)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cover[0][0], cover[1][0] = 1, 0 // now {{1}, {0, 2}}
+	again, err := e.AnswerWithCoverContext(context.Background(), q, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.CachedPlan || again.Cover.String() != want.String() || !again.Rows.Equal(first.Rows) {
+		t.Fatalf("second answer: cached %v, cover %s, %d rows (first %d)",
+			again.CachedPlan, again.Cover, again.Rows.Len(), first.Rows.Len())
 	}
 }
 
 func TestInvalidCover(t *testing.T) {
 	e, g := mustEngine(t)
 	q := mustQuery(t, g, `q(x) :- x rdf:type ex:Book, x ex:hasTitle y`)
-	if _, err := e.AnswerWithCover(q, query.Cover{{0}}); err == nil {
+	if _, err := e.AnswerWithCoverContext(context.Background(), q, query.Cover{{0}}); err == nil {
 		t.Fatal("incomplete cover must be rejected")
 	}
 }
@@ -121,16 +145,13 @@ func TestSaturationCached(t *testing.T) {
 	if first != second {
 		t.Fatal("saturation must be cached")
 	}
-	if e.SaturationTime() < 0 {
-		t.Fatal("bogus saturation time")
-	}
 }
 
 func TestBudgetPropagates(t *testing.T) {
 	e, g := mustEngine(t)
 	e.Budget = exec.Budget{Timeout: time.Nanosecond}
 	q := mustQuery(t, g, `q(x) :- x rdf:type ex:Publication, x ex:hasTitle y`)
-	_, err := e.Answer(q, RefUCQ)
+	_, err := e.AnswerContext(context.Background(), q, RefUCQ)
 	if !errors.Is(err, exec.ErrBudgetExceeded) {
 		t.Fatalf("want budget error, got %v", err)
 	}
@@ -143,11 +164,11 @@ func TestMaxFragmentCQs(t *testing.T) {
 	// Publication has 3 reformulations > bound 1: GCov must still work
 	// (singleton fragments pruned? no — singleton fragments of size 3
 	// exceed 1, so GCov errors: acceptable contract, check it).
-	if _, err := e.Answer(q, RefGCov); err == nil {
+	if _, err := e.AnswerContext(context.Background(), q, RefGCov); err == nil {
 		t.Fatal("fragment bound below singleton size must error")
 	}
 	// The fixed SCQ strategy ignores the bound.
-	if _, err := e.Answer(q, RefSCQ); err != nil {
+	if _, err := e.AnswerContext(context.Background(), q, RefSCQ); err != nil {
 		t.Fatalf("SCQ must ignore the fragment bound: %v", err)
 	}
 }
@@ -171,12 +192,12 @@ func TestStrategiesAgreeRandom(t *testing.T) {
 			e := New(sc.Graph)
 			for qi := 0; qi < 3; qi++ {
 				q := sc.RandomQuery(rng)
-				want, err := e.Answer(q, Sat)
+				want, err := e.AnswerContext(context.Background(), q, Sat)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, s := range []Strategy{RefUCQ, RefSCQ, RefGCov, RefRange, Dat} {
-					got, err := e.Answer(q, s)
+					got, err := e.AnswerContext(context.Background(), q, s)
 					if err != nil {
 						t.Fatalf("%s: %v", s, err)
 					}
@@ -185,7 +206,7 @@ func TestStrategiesAgreeRandom(t *testing.T) {
 							query.FormatCQ(sc.Graph.Dict(), q), s, got.Rows.Len(), want.Rows.Len())
 					}
 				}
-				inc, err := e.Answer(q, RefIncomplete)
+				inc, err := e.AnswerContext(context.Background(), q, RefIncomplete)
 				if err != nil {
 					t.Fatalf("incomplete: %v", err)
 				}
@@ -202,7 +223,7 @@ func TestBooleanQueryAllStrategies(t *testing.T) {
 	e, g := mustEngine(t)
 	q := mustQuery(t, g, `q() :- x rdf:type ex:Person`)
 	for _, s := range []Strategy{Sat, RefUCQ, RefSCQ, RefGCov, RefRange, Dat} {
-		a, err := e.Answer(q, s)
+		a, err := e.AnswerContext(context.Background(), q, s)
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
@@ -216,7 +237,7 @@ func TestLazyAccessors(t *testing.T) {
 	e, _ := mustEngine(t)
 	e.Warm()
 	if e.Store() == nil || e.Stats() == nil || e.CostModel() == nil ||
-		e.Reformulator() == nil || e.IncompleteReformulator() == nil ||
+		e.Reformulator() == nil || e.d.incRef() == nil ||
 		e.RangeReformulator() == nil || e.SatCostModel() == nil ||
 		e.SatStore() == nil || e.SatStats() == nil {
 		t.Fatal("accessors must build on demand")
@@ -232,14 +253,14 @@ func TestLazyAccessors(t *testing.T) {
 func TestGCovPlanCache(t *testing.T) {
 	e, g := mustEngine(t)
 	q := mustQuery(t, g, `q(x) :- x rdf:type ex:Publication, x ex:hasTitle y`)
-	first, err := e.Answer(q, RefGCov)
+	first, err := e.AnswerContext(context.Background(), q, RefGCov)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.CachedPlan {
 		t.Fatal("first execution cannot be cached")
 	}
-	second, err := e.Answer(q, RefGCov)
+	second, err := e.AnswerContext(context.Background(), q, RefGCov)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,16 +270,16 @@ func TestGCovPlanCache(t *testing.T) {
 	if !second.Rows.Equal(first.Rows) {
 		t.Fatal("cached plan changed answers")
 	}
-	if e.PlanCacheLen() != 1 {
-		t.Fatalf("cache size %d, want 1", e.PlanCacheLen())
+	if e.d.plans.len() != 1 {
+		t.Fatalf("cache size %d, want 1", e.d.plans.len())
 	}
 	// A different constant is a different plan.
 	q2 := mustQuery(t, g, `q(x) :- x rdf:type ex:Book, x ex:hasTitle y`)
-	if _, err := e.Answer(q2, RefGCov); err != nil {
+	if _, err := e.AnswerContext(context.Background(), q2, RefGCov); err != nil {
 		t.Fatal(err)
 	}
-	if e.PlanCacheLen() != 2 {
-		t.Fatalf("cache size %d, want 2", e.PlanCacheLen())
+	if e.d.plans.len() != 2 {
+		t.Fatalf("cache size %d, want 2", e.d.plans.len())
 	}
 }
 
@@ -308,7 +329,7 @@ SELECT ?x WHERE {
 	}
 	want := -1
 	for _, s := range []Strategy{Sat, RefUCQ, RefSCQ, RefGCov, Dat} {
-		ans, err := e.AnswerUnion(u, s)
+		ans, err := e.AnswerUnionContext(context.Background(), u, s)
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
@@ -322,10 +343,24 @@ SELECT ?x WHERE {
 	if want != 2 {
 		t.Fatalf("union answers = %d, want 2", want)
 	}
-	if _, err := e.AnswerUnion(query.UCQ{}, Sat); err == nil {
+	// The union reports what its members report: served the second time
+	// from the plan and view caches, it says so.
+	cached := New(g)
+	cached.EnableViewCache(viewcache.Config{MinCost: -1}) // admit everything
+	for run := 1; run <= 2; run++ {
+		ans, err := cached.AnswerUnionContext(context.Background(), u, RefGCov)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ans.EstimatedCost <= 0 || ans.CachedPlan != (run == 2) || (ans.CachedFragments > 0) != (run == 2) {
+			t.Fatalf("run %d: estimated cost %v, cached plan %v, cached fragments %d",
+				run, ans.EstimatedCost, ans.CachedPlan, ans.CachedFragments)
+		}
+	}
+	if _, err := e.AnswerUnionContext(context.Background(), query.UCQ{}, Sat); err == nil {
 		t.Fatal("empty union must error")
 	}
-	if _, err := e.AnswerUnion(u, RefJUCQ); err == nil {
+	if _, err := e.AnswerUnionContext(context.Background(), u, RefJUCQ); err == nil {
 		t.Fatal("RefJUCQ must be rejected for unions")
 	}
 }
@@ -338,7 +373,7 @@ SELECT ?x WHERE { { ?x a ex:Book } UNION { ?x a ex:Publication } }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := e.AnswerUnion(u, RefGCov)
+	ans, err := e.AnswerUnionContext(context.Background(), u, RefGCov)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +392,7 @@ func TestLiveUpdates(t *testing.T) {
 
 	// Warm every cache first so invalidation is actually exercised.
 	for _, s := range []Strategy{Sat, RefGCov, Dat} {
-		if _, err := e.Answer(q, s); err != nil {
+		if _, err := e.AnswerContext(context.Background(), q, s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -370,14 +405,14 @@ func TestLiveUpdates(t *testing.T) {
 	if err := e.InsertData(insert); err != nil {
 		t.Fatal(err)
 	}
-	after, err := e.Answer(q, RefGCov)
+	after, err := e.AnswerContext(context.Background(), q, RefGCov)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if after.Rows.Len() != 2 {
 		t.Fatalf("after insert: want 2 Persons, got %d", after.Rows.Len())
 	}
-	satAfter, err := e.Answer(q, Sat)
+	satAfter, err := e.AnswerContext(context.Background(), q, Sat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +430,7 @@ func TestLiveUpdates(t *testing.T) {
 	if removed != 1 {
 		t.Fatalf("removed %d, want 1", removed)
 	}
-	final, err := e.Answer(q, Sat)
+	final, err := e.AnswerContext(context.Background(), q, Sat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,11 +441,11 @@ func TestLiveUpdates(t *testing.T) {
 	// Cross-check against a fresh engine over the same final data.
 	fresh := New(e.Graph())
 	for _, s := range []Strategy{Sat, RefSCQ, RefGCov, Dat} {
-		a, err := e.Answer(q, s)
+		a, err := e.AnswerContext(context.Background(), q, s)
 		if err != nil {
 			t.Fatalf("updated engine %s: %v", s, err)
 		}
-		b, err := fresh.Answer(q, s)
+		b, err := fresh.AnswerContext(context.Background(), q, s)
 		if err != nil {
 			t.Fatalf("fresh engine %s: %v", s, err)
 		}
@@ -443,11 +478,11 @@ func TestUpdateIdempotency(t *testing.T) {
 	doi2 := rdf.NewTriple(ex("doi2"), rdf.Type, ex("Book"))
 	check := func(step string, want int) {
 		t.Helper()
-		sat, err := e.Answer(q, Sat)
+		sat, err := e.AnswerContext(context.Background(), q, Sat)
 		if err != nil {
 			t.Fatalf("%s: sat: %v", step, err)
 		}
-		ref, err := e.Answer(q, RefGCov)
+		ref, err := e.AnswerContext(context.Background(), q, RefGCov)
 		if err != nil {
 			t.Fatalf("%s: ref-gcov: %v", step, err)
 		}
@@ -506,7 +541,7 @@ func TestLiveUpdatesRandom(t *testing.T) {
 			}
 			e := New(sc.Graph)
 			q := sc.RandomQuery(rng)
-			if _, err := e.Answer(q, RefGCov); err != nil {
+			if _, err := e.AnswerContext(context.Background(), q, RefGCov); err != nil {
 				t.Fatal(err)
 			}
 			decoded := sc.Graph.DecodedData()
@@ -527,11 +562,11 @@ func TestLiveUpdatesRandom(t *testing.T) {
 			}
 			fresh := New(e.Graph())
 			for _, s := range []Strategy{Sat, RefGCov, Dat} {
-				a, err := e.Answer(q, s)
+				a, err := e.AnswerContext(context.Background(), q, s)
 				if err != nil {
 					t.Fatalf("%s: %v", s, err)
 				}
-				b, err := fresh.Answer(q, s)
+				b, err := fresh.AnswerContext(context.Background(), q, s)
 				if err != nil {
 					t.Fatalf("fresh %s: %v", s, err)
 				}

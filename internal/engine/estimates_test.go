@@ -88,7 +88,7 @@ func TestCachedPlanCarriesFragmentEstimates(t *testing.T) {
 			}
 			traced := *e
 			traced.Tracer = trace.New(0)
-			if _, err := traced.Answer(q, s); err != nil {
+			if _, err := traced.AnswerContext(context.Background(), q, s); err != nil {
 				t.Fatal(err)
 			}
 			if got := fragmentEstimates(trace.ToJSON(traced.Tracer.Root()).Find("eval")); fmt.Sprint(got) != fmt.Sprint(want) {

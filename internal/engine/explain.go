@@ -86,7 +86,7 @@ func (e *Engine) explain(p *prepared) *Plan {
 		EstimatedCost: p.est.Cost, EstimatedRows: p.est.Card, CachedPlan: p.cachedPlan,
 		root: root,
 	}
-	shards := e.Shards()
+	shards := e.shards
 	switch {
 	case p.stream != nil:
 		u := root.Child("union")

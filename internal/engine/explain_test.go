@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -167,9 +168,9 @@ func TestAnswerTraceEstimatesAndActuals(t *testing.T) {
 				t.Fatalf("%s: plan: %v", name, err)
 			}
 			if c.cover != nil {
-				ans, err = e.AnswerWithCover(q, c.cover)
+				ans, err = e.AnswerWithCoverContext(context.Background(), q, c.cover)
 			} else {
-				ans, err = e.Answer(q, c.s)
+				ans, err = e.AnswerContext(context.Background(), q, c.s)
 			}
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -156,7 +157,7 @@ func TestPlanOrderIsTraceOrder(t *testing.T) {
 				t.Fatalf("%s: plan: %v", name, err)
 			}
 			e.Tracer = trace.New(0)
-			if _, err := e.Answer(q, s); err != nil {
+			if _, err := e.AnswerContext(context.Background(), q, s); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			planned, traced := cqOps(plan.Tree()), cqOps(trace.ToJSON(e.Tracer.Root()))
@@ -198,7 +199,7 @@ func TestPlanOrderIsTraceOrder(t *testing.T) {
 			t.Fatalf("%s: plan: %v", names[i], err)
 		}
 		e.Tracer = trace.New(0)
-		if _, err := e.Answer(q, RefGCov); err != nil {
+		if _, err := e.AnswerContext(context.Background(), q, RefGCov); err != nil {
 			t.Fatalf("%s: %v", names[i], err)
 		}
 		planned, traced := fragmentSteps(plan.Tree()), fragmentSteps(trace.ToJSON(e.Tracer.Root()).Find("eval"))

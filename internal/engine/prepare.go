@@ -98,7 +98,7 @@ func (e *Engine) prepare(q query.CQ, s Strategy, cover query.Cover, sp *trace.Sp
 	var err error
 	switch s {
 	case Sat:
-		// G∞ is shared across queries and reported by SaturationTime: a Sat
+		// G∞ is built once per version and shared across queries: a Sat
 		// query has no preparation of its own, so took stays zero.
 		p.src, p.stats, p.model = e.SatStore(), e.SatStats(), e.SatCostModel()
 		p.est = p.model.CQ(q)
@@ -106,13 +106,13 @@ func (e *Engine) prepare(q query.CQ, s Strategy, cover query.Cover, sp *trace.Sp
 	case RefUCQ:
 		e.prepareStream(&p, e.Reformulator(), sp)
 	case RefIncomplete:
-		e.prepareStream(&p, e.IncompleteReformulator(), sp)
+		e.prepareStream(&p, e.d.incRef(), sp)
 	case RefSCQ:
 		// The SCQ is a fixed strategy: it is built regardless of size.
 		err = e.planned(&p, sp, "reformulate", query.SingletonCover(len(q.Atoms)), 0, planCover)
 	case RefJUCQ:
 		if cover == nil {
-			return p, fmt.Errorf("engine: strategy %s needs a cover; use AnswerWithCover or PlanWithCover", s)
+			return p, fmt.Errorf("engine: strategy %s needs a cover; use AnswerWithCoverContext or PlanWithCover", s)
 		}
 		err = e.planned(&p, sp, "reformulate", cover, e.fragmentBound(), planCover)
 	case RefGCov:
@@ -159,7 +159,7 @@ func planCover(e *Engine, t *prepared, cover query.Cover, bound int, m *cost.Mod
 	for i, f := range j.Fragments {
 		ests[i] = m.UCQ(f.UCQ)
 	}
-	t.setJUCQ(j, cover, ests, m.JoinFragments(ests, nil))
+	t.setJUCQ(j, ests, m.JoinFragments(ests, nil))
 	return nil
 }
 
@@ -171,7 +171,7 @@ func planGCov(e *Engine, t *prepared, _ query.Cover, bound int, m *cost.Model) e
 		return err
 	}
 	t.explored = res.Explored
-	t.setJUCQ(res.JUCQ, res.Cover, res.Estimates, cost.Estimate{Cost: res.Cost})
+	t.setJUCQ(res.JUCQ, res.Estimates, cost.Estimate{Cost: res.Cost})
 	return nil
 }
 
@@ -191,12 +191,15 @@ func planRange(e *Engine, t *prepared, _ query.Cover, _ int, m *cost.Model) erro
 		Members:     ru.CQs,
 	}}}
 	ests := []cost.Estimate{m.RangeUCQ(ru)}
-	t.setJUCQ(j, cover, ests, m.JoinFragments(ests, nil))
+	t.setJUCQ(j, ests, m.JoinFragments(ests, nil))
 	return nil
 }
 
-func (p *prepared) setJUCQ(j query.JUCQ, cover query.Cover, fragEsts []cost.Estimate, est cost.Estimate) {
-	p.jucq, p.cover, p.fragEsts, p.est, p.cqs = &j, cover, fragEsts, est, 0
+// setJUCQ makes j what p evaluates. p's cover is j's own, a copy of the one
+// planned with: a plan the cache keeps holds nothing a caller still owns,
+// who may reuse or rewrite its cover after the answer.
+func (p *prepared) setJUCQ(j query.JUCQ, fragEsts []cost.Estimate, est cost.Estimate) {
+	p.jucq, p.cover, p.fragEsts, p.est, p.cqs = &j, j.Cover, fragEsts, est, 0
 	for _, f := range j.Fragments {
 		p.cqs += fragmentCQs(f)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -31,11 +32,11 @@ func TestRefRangeMatchesRefUCQ(t *testing.T) {
 	}
 	for _, text := range queries {
 		q := mustQuery(t, g, text)
-		want, err := e.Answer(q, RefUCQ)
+		want, err := e.AnswerContext(context.Background(), q, RefUCQ)
 		if err != nil {
 			t.Fatalf("%s ref-ucq: %v", text, err)
 		}
-		got, err := e.Answer(q, RefRange)
+		got, err := e.AnswerContext(context.Background(), q, RefRange)
 		if err != nil {
 			t.Fatalf("%s ref-range: %v", text, err)
 		}
@@ -122,15 +123,15 @@ func TestRefRangeAgreesRandomAcrossUpdates(t *testing.T) {
 
 					check := func(step string) {
 						d := e.Graph().Dict()
-						want, err := e.Answer(q, RefUCQ)
+						want, err := e.AnswerContext(context.Background(), q, RefUCQ)
 						if err != nil {
 							t.Fatalf("%s ref-ucq: %v", step, err)
 						}
-						sat, err := e.Answer(q, Sat)
+						sat, err := e.AnswerContext(context.Background(), q, Sat)
 						if err != nil {
 							t.Fatalf("%s sat: %v", step, err)
 						}
-						got, err := e.Answer(q, RefRange)
+						got, err := e.AnswerContext(context.Background(), q, RefRange)
 						if err != nil {
 							t.Fatalf("%s ref-range: %v", step, err)
 						}
@@ -143,7 +144,7 @@ func TestRefRangeAgreesRandomAcrossUpdates(t *testing.T) {
 							t.Fatalf("%s: ref-range and sat answers differ on %s",
 								step, query.FormatCQ(d, q))
 						}
-						again, err := e.Answer(q, RefRange)
+						again, err := e.AnswerContext(context.Background(), q, RefRange)
 						if err != nil {
 							t.Fatalf("%s ref-range again: %v", step, err)
 						}
@@ -153,7 +154,7 @@ func TestRefRangeAgreesRandomAcrossUpdates(t *testing.T) {
 						}
 						// A fresh engine over the same graph must agree too: catches
 						// stale caches surviving an update.
-						fresh, err := New(e.Graph()).Answer(q, RefRange)
+						fresh, err := New(e.Graph()).AnswerContext(context.Background(), q, RefRange)
 						if err != nil {
 							t.Fatalf("%s fresh ref-range: %v", step, err)
 						}

@@ -63,7 +63,7 @@ func TestSemijoinIsTheJoin(t *testing.T) {
 			m, bound := w.e.CostModel(), w.e.fragmentBound()
 			for i, q := range w.qs {
 				name := fmt.Sprintf("%s/shards=%d/%s", w.name, shards, w.names[i])
-				sat, err := w.e.Answer(q, Sat)
+				sat, err := w.e.AnswerContext(context.Background(), q, Sat)
 				if err != nil {
 					t.Fatalf("%s: sat: %v", name, err)
 				}
@@ -278,7 +278,7 @@ func TestViewCachedFragmentsAreNotProbed(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.Tracer = trace.New(0)
-		if _, err := e.Answer(q, RefGCov); err != nil {
+		if _, err := e.AnswerContext(context.Background(), q, RefGCov); err != nil {
 			t.Fatal(err)
 		}
 		if n, m := semijoins(p.Tree()), semijoins(trace.ToJSON(e.Tracer.Root())); n+m > 0 {

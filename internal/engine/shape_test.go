@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sort"
@@ -145,7 +146,7 @@ func TestShapeHitsAnswerLikeFreshPlans(t *testing.T) {
 							bindings = append(bindings, [2]string{c, pool[(i+1)%len(pool)]})
 						}
 					}
-					before := cached.PlanCacheLen()
+					before := cached.d.plans.len()
 					for _, b := range bindings {
 						text := fmt.Sprintf(tpl.text, b[0])
 						if tpl.twoSlots {
@@ -155,14 +156,14 @@ func TestShapeHitsAnswerLikeFreshPlans(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						want, err := oracle.Answer(q, Sat)
+						want, err := oracle.AnswerContext(context.Background(), q, Sat)
 						if err != nil {
 							t.Fatal(err)
 						}
 						checkShapeHit(t, cached, fresh, q, text, decodedCanon(fx.g.Dict(), want))
 					}
 					// Four strategies, a few selectivity classes each.
-					if grew := cached.PlanCacheLen() - before; grew > 4*5 && !tpl.unlifted {
+					if grew := cached.d.plans.len() - before; grew > 4*5 && !tpl.unlifted {
 						t.Errorf("%d constants left %d plans in the cache: the constants are in the key", len(bindings), grew)
 					}
 				})
@@ -203,9 +204,9 @@ func checkShapeHit(t *testing.T, cached, fresh *Engine, q query.CQ, text, want s
 				err error
 			)
 			if s == RefJUCQ {
-				a, err = e.AnswerWithCover(q, cover)
+				a, err = e.AnswerWithCoverContext(context.Background(), q, cover)
 			} else {
-				a, err = e.Answer(q, s)
+				a, err = e.AnswerContext(context.Background(), q, s)
 			}
 			if err != nil {
 				t.Fatalf("%s on %s: %v", s, text, err)
@@ -217,10 +218,10 @@ func checkShapeHit(t *testing.T, cached, fresh *Engine, q query.CQ, text, want s
 		if ref.CachedPlan {
 			t.Fatalf("%s on %s: the reference engine served a cached plan", s, text)
 		}
-		n := cached.PlanCacheLen()
+		n := cached.d.plans.len()
 		got := answer(cached)
-		if hit := cached.PlanCacheLen() == n; hit != got.CachedPlan {
-			t.Errorf("%s on %s: CachedPlan %v, but the cache went from %d to %d plans", s, text, got.CachedPlan, n, cached.PlanCacheLen())
+		if hit := cached.d.plans.len() == n; hit != got.CachedPlan {
+			t.Errorf("%s on %s: CachedPlan %v, but the cache went from %d to %d plans", s, text, got.CachedPlan, n, cached.d.plans.len())
 		}
 		gotRows, refRows := decodedCanon(d, got), decodedCanon(d, ref)
 		if gotRows != refRows {
@@ -282,11 +283,11 @@ func TestLiftKeepsWhatSelectsRules(t *testing.T) {
 		h := withHead(book, title)
 		for _, s := range []Strategy{RefSCQ, RefGCov} {
 			fresh.SetPlanCacheCapacity(0)
-			want, err := fresh.Answer(h, s)
+			want, err := fresh.AnswerContext(context.Background(), h, s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.Answer(h, s)
+			got, err := e.AnswerContext(context.Background(), h, s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -310,7 +311,7 @@ func TestSelectivityClassIsPartOfTheKey(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := e.Answer(q, RefGCov)
+		a, err := e.AnswerContext(context.Background(), q, RefGCov)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,12 +321,12 @@ func TestSelectivityClassIsPartOfTheKey(t *testing.T) {
 	if again := answer("ex:A"); !again.CachedPlan || again.EstimatedCost != rare.EstimatedCost {
 		t.Fatalf("a constant of the same class: cached %v, estimate %v after %v", again.CachedPlan, again.EstimatedCost, rare.EstimatedCost)
 	}
-	if e.PlanCacheLen() != 1 {
-		t.Fatalf("%d plans after two constants of one class", e.PlanCacheLen())
+	if e.d.plans.len() != 1 {
+		t.Fatalf("%d plans after two constants of one class", e.d.plans.len())
 	}
 	common := answer("ex:e1")
-	if common.CachedPlan || e.PlanCacheLen() != 2 {
-		t.Fatalf("a constant matching six times the triples: cached %v, %d plans", common.CachedPlan, e.PlanCacheLen())
+	if common.CachedPlan || e.d.plans.len() != 2 {
+		t.Fatalf("a constant matching six times the triples: cached %v, %d plans", common.CachedPlan, e.d.plans.len())
 	}
 	if common.EstimatedCost <= rare.EstimatedCost {
 		t.Fatalf("estimate %v for the common constant, %v for the rare one: not priced afresh", common.EstimatedCost, rare.EstimatedCost)
@@ -372,12 +373,12 @@ func TestReadersBindOneSharedPlan(t *testing.T) {
 	// Plan every shape once.
 	for _, q := range queries {
 		for _, s := range strategies {
-			if _, err := e.Answer(q, s); err != nil {
+			if _, err := e.AnswerContext(context.Background(), q, s); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	shapes := e.PlanCacheLen()
+	shapes := e.d.plans.len()
 	if shapes > 2*len(strategies) {
 		t.Fatalf("%d plans for %d strategies and %d constants", shapes, len(strategies), len(queries))
 	}
@@ -426,7 +427,7 @@ func TestReadersBindOneSharedPlan(t *testing.T) {
 				mu.RLock()
 				eng := *e
 				eng.Tracer = trace.New(0)
-				a, err := eng.Answer(q, s)
+				a, err := eng.AnswerContext(context.Background(), q, s)
 				mu.RUnlock()
 				if err != nil {
 					t.Error(err)
@@ -441,7 +442,7 @@ func TestReadersBindOneSharedPlan(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	wg.Wait()
-	if n := e.PlanCacheLen(); n != shapes {
+	if n := e.d.plans.len(); n != shapes {
 		t.Errorf("%d plans after the readers, %d before", n, shapes)
 	}
 	for k, el := range e.d.plans.byKey {
@@ -460,11 +461,11 @@ func TestPlanCacheCountsEveryPlannedStrategy(t *testing.T) {
 	q := mustQuery(t, g, `q(x) :- x rdf:type ex:Publication, x ex:hasTitle "El Aleph"`)
 	for i := 0; i < 2; i++ {
 		for _, s := range []Strategy{Sat, RefUCQ, RefSCQ, RefGCov, RefRange} {
-			if _, err := e.Answer(q, s); err != nil {
+			if _, err := e.AnswerContext(context.Background(), q, s); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := e.AnswerWithCover(q, query.OneBlockCover(2)); err != nil {
+		if _, err := e.AnswerWithCoverContext(context.Background(), q, query.OneBlockCover(2)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -42,11 +43,11 @@ func TestShardedAnswersIdenticalRandom(t *testing.T) {
 				ref := New(es.Graph())
 				d := es.Graph().Dict()
 				for _, s := range []Strategy{RefUCQ, RefGCov, RefRange} {
-					want, err := ref.Answer(q, s)
+					want, err := ref.AnswerContext(context.Background(), q, s)
 					if err != nil {
 						t.Fatalf("%s unsharded %s: %v", step, s, err)
 					}
-					got, err := es.Answer(q, s)
+					got, err := es.AnswerContext(context.Background(), q, s)
 					if err != nil {
 						t.Fatalf("%s sharded %s: %v", step, s, err)
 					}
@@ -109,8 +110,8 @@ func TestEnableShardingLifecycle(t *testing.T) {
 	check := func(n int) {
 		t.Helper()
 		sh := e.Store()
-		if sh.NumShards() != n || e.Shards() != n {
-			t.Fatalf("store has %d shards, engine reports %d, want %d", sh.NumShards(), e.Shards(), n)
+		if sh.NumShards() != n || e.shards != n {
+			t.Fatalf("store has %d shards, engine reports %d, want %d", sh.NumShards(), e.shards, n)
 		}
 		if e.Store() != sh || e.Source() != sh {
 			t.Fatalf("%d shards: Store and Source must return one cached store", n)

@@ -44,7 +44,7 @@ func TestUpdateSchemaInvalidatesViewCacheAndPlans(t *testing.T) {
 	before := map[Strategy]int{}
 	for _, s := range strategies {
 		for pass := 0; pass < 2; pass++ { // cold then warm: populate fragments
-			a, err := e.Answer(q, s)
+			a, err := e.AnswerContext(context.Background(), q, s)
 			if err != nil {
 				t.Fatalf("%s pass %d: %v", s, pass, err)
 			}
@@ -67,11 +67,11 @@ func TestUpdateSchemaInvalidatesViewCacheAndPlans(t *testing.T) {
 	q2 := mustQuery(t, e.Graph(), text)
 	fresh := New(e.Graph())
 	for _, s := range strategies {
-		want, err := fresh.Answer(q2, s)
+		want, err := fresh.AnswerContext(context.Background(), q2, s)
 		if err != nil {
 			t.Fatalf("%s fresh: %v", s, err)
 		}
-		got, err := e.Answer(q2, s)
+		got, err := e.AnswerContext(context.Background(), q2, s)
 		if err != nil {
 			t.Fatalf("%s after update: %v", s, err)
 		}

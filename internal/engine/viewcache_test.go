@@ -28,12 +28,12 @@ func TestViewCacheAnswersMatchUncached(t *testing.T) {
 	for _, text := range queries {
 		q := mustQuery(t, g, text)
 		for _, s := range []Strategy{RefSCQ, RefGCov} {
-			want, err := plain.Answer(q, s)
+			want, err := plain.AnswerContext(context.Background(), q, s)
 			if err != nil {
 				t.Fatalf("%s %s uncached: %v", text, s, err)
 			}
 			for pass := 0; pass < 2; pass++ { // cold then warm
-				got, err := cached.Answer(q, s)
+				got, err := cached.AnswerContext(context.Background(), q, s)
 				if err != nil {
 					t.Fatalf("%s %s cached pass %d: %v", text, s, pass, err)
 				}
@@ -76,11 +76,11 @@ func TestViewCacheAnswersMatchUncachedRandom(t *testing.T) {
 			check := func(step string) {
 				fresh := New(e.Graph())
 				for _, s := range []Strategy{RefSCQ, RefGCov} {
-					a, err := e.Answer(q, s)
+					a, err := e.AnswerContext(context.Background(), q, s)
 					if err != nil {
 						t.Fatalf("%s %s cached: %v", step, s, err)
 					}
-					b, err := fresh.Answer(q, s)
+					b, err := fresh.AnswerContext(context.Background(), q, s)
 					if err != nil {
 						t.Fatalf("%s %s fresh: %v", step, s, err)
 					}

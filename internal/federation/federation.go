@@ -341,10 +341,10 @@ func (s *HTTPSource) get(ctx context.Context, path string) (io.ReadCloser, error
 type Mediator struct {
 	sources []Source
 	// PerSource records how many triples each source contributed on the
-	// last Build, keyed by source name.
+	// last BuildContext, keyed by source name.
 	PerSource map[string]int
 	// FetchTime records how long each source's scan took on the last
-	// Build, keyed by source name — the mediator-side observability
+	// BuildContext, keyed by source name — the mediator-side observability
 	// counterpart to the endpoint's /metrics.
 	FetchTime map[string]time.Duration
 }
@@ -354,17 +354,13 @@ func NewMediator(sources ...Source) *Mediator {
 	return &Mediator{sources: sources}
 }
 
-// Build fetches every source and assembles the merged graph: the union of
-// explicit triples, with the union schema closed mediator-side. Duplicate
-// triples across sources collapse (RDF set semantics).
-func (m *Mediator) Build() (*graph.Graph, error) {
-	return m.BuildContext(context.Background())
-}
-
-// BuildContext is Build bounded by ctx. The fetch is a scatter-gather:
-// every source scans in parallel (canceling ctx aborts the in-flight
-// scans), then one gather pass dedups the union and closes the merged
-// schema — the same shape the in-process executor uses across shards.
+// BuildContext fetches every source and assembles the merged graph: the
+// union of explicit triples, with the union schema closed mediator-side.
+// Duplicate triples across sources collapse (RDF set semantics). The fetch
+// is a scatter-gather: every source scans in parallel (canceling ctx aborts
+// the in-flight scans), then one gather pass dedups the union and closes
+// the merged schema — the same shape the in-process executor uses across
+// shards.
 func (m *Mediator) BuildContext(ctx context.Context) (*graph.Graph, error) {
 	if len(m.sources) == 0 {
 		return nil, fmt.Errorf("federation: no sources")
@@ -411,14 +407,10 @@ func (m *Mediator) BuildContext(ctx context.Context) (*graph.Graph, error) {
 	return g, nil
 }
 
-// Engine builds the merged graph and returns a strategy engine over it —
-// typically used with the Ref strategies, since Sat-style materialization
-// cannot be pushed back into the read-only sources.
-func (m *Mediator) Engine() (*engine.Engine, error) {
-	return m.EngineContext(context.Background())
-}
-
-// EngineContext is Engine bounded by ctx (see BuildContext).
+// EngineContext builds the merged graph (see BuildContext) and returns a
+// strategy engine over it — typically used with the Ref strategies, since
+// Sat-style materialization cannot be pushed back into the read-only
+// sources.
 func (m *Mediator) EngineContext(ctx context.Context) (*engine.Engine, error) {
 	g, err := m.BuildContext(ctx)
 	if err != nil {

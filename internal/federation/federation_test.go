@@ -49,7 +49,7 @@ func TestMediatorCrossSourceEntailment(t *testing.T) {
 		&LocalSource{SourceName: "facts", Triples: mustTriples(t, factsSource)},
 		&LocalSource{SourceName: "ontology", Triples: mustTriples(t, ontologySource)},
 	)
-	e, err := med.Engine()
+	e, err := med.EngineContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestMediatorCrossSourceEntailment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := e.Answer(q, engine.RefGCov)
+	ans, err := e.AnswerContext(context.Background(), q, engine.RefGCov)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestMediatorCrossSourceEntailment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := solo.Answer(qSolo, engine.RefGCov)
+		a, err := solo.AnswerContext(context.Background(), qSolo, engine.RefGCov)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestMediatorOverHTTP(t *testing.T) {
 		&HTTPSource{SourceName: "facts", BaseURL: a.URL},
 		&HTTPSource{SourceName: "ontology", BaseURL: b.URL},
 	)
-	e, err := med.Engine()
+	e, err := med.EngineContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestMediatorOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := e.Answer(q, engine.RefGCov)
+	ans, err := e.AnswerContext(context.Background(), q, engine.RefGCov)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,14 +126,14 @@ func TestMediatorOverHTTP(t *testing.T) {
 }
 
 func TestMediatorErrors(t *testing.T) {
-	if _, err := NewMediator().Build(); err == nil {
+	if _, err := NewMediator().BuildContext(context.Background()); err == nil {
 		t.Fatal("empty mediator must error")
 	}
 	dup := NewMediator(
 		&LocalSource{SourceName: "x", Triples: mustTriples(t, factsSource)},
 		&LocalSource{SourceName: "x", Triples: mustTriples(t, ontologySource)},
 	)
-	if _, err := dup.Build(); err == nil {
+	if _, err := dup.BuildContext(context.Background()); err == nil {
 		t.Fatal("duplicate source names must error")
 	}
 }
@@ -179,7 +179,7 @@ func TestGraphSource(t *testing.T) {
 	}
 	// Merging a source with itself is idempotent.
 	med := NewMediator(src)
-	merged, err := med.Build()
+	merged, err := med.BuildContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestMediatorConflictingSchema(t *testing.T) {
 	// A source constraining a built-in must be rejected at merge time.
 	bad := mustTriples(t, `<http://p> <http://www.w3.org/2000/01/rdf-schema#subPropertyOf> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> .`)
 	med := NewMediator(&LocalSource{SourceName: "bad", Triples: bad})
-	if _, err := med.Build(); err == nil {
+	if _, err := med.BuildContext(context.Background()); err == nil {
 		t.Fatal("invalid merged schema must error")
 	}
 }
@@ -319,7 +319,7 @@ func TestShardedStoreBehindMediator(t *testing.T) {
 			Store:      sharded.ShardStore(i),
 		}
 	}
-	merged, err := NewMediator(srcs...).Build()
+	merged, err := NewMediator(srcs...).BuildContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,9 @@ package graph
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"slices"
 
 	"repro/internal/dict"
@@ -52,15 +50,6 @@ func (g *Graph) SaveSnapshot(path string) error {
 // the early repo included — is refused by its magic, and short reads are
 // hard errors: a truncated snapshot never loads as a smaller graph.
 func ReadSnapshot(r io.Reader) (*Graph, error) {
-	snap, err := decodeSnapshot(r)
-	if err != nil {
-		return nil, err
-	}
-	return buildFromSnapshot(snap)
-}
-
-// decodeSnapshot checks the magic and decodes one snapshot stream.
-func decodeSnapshot(r io.Reader) (*columnar.Snapshot, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	magic, err := br.Peek(len(columnar.Magic))
 	if err != nil {
@@ -76,7 +65,7 @@ func decodeSnapshot(r io.Reader) (*columnar.Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("graph: %w", err)
 	}
-	return snap, nil
+	return buildFromSnapshot(snap)
 }
 
 // buildFromSnapshot validates decoded snapshot components and assembles
@@ -145,49 +134,12 @@ func buildFromSnapshot(snap *columnar.Snapshot) (*Graph, error) {
 	return assemble(d, b.Close(), snap.Data), nil
 }
 
-// The role errors of a snapshot file set: the caller (the durable
-// manifest) pointed at the wrong file.
-var (
-	// ErrBaseHasData: data files were listed, but the first file carries
-	// data triples of its own.
-	ErrBaseHasData = errors.New("graph: snapshot base file carries data")
-	// ErrNotDataOnly: a data file carries terms, schema or declarations.
-	ErrNotDataOnly = errors.New("graph: snapshot data file is not data-only")
-)
-
-// LoadSnapshot reads a snapshot file. Any dataFiles are further snapshot
-// files that carry data triples and nothing else, in the dictionary of the
-// first, which then carries none: the layout sharded servers once
-// checkpointed to, read so their data directories still recover. Their
-// data is concatenated and re-sorted into the one graph, so the file order
-// does not matter and the result is the graph the single-file layout
-// holds. A role mix-up is ErrBaseHasData or ErrNotDataOnly.
-func LoadSnapshot(path string, dataFiles ...string) (*Graph, error) {
-	snap, err := readSnapshotFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(dataFiles) > 0 && len(snap.Data) != 0 {
-		return nil, fmt.Errorf("%w: %s has %d data triples", ErrBaseHasData, filepath.Base(path), len(snap.Data))
-	}
-	for _, p := range dataFiles {
-		part, err := readSnapshotFile(p)
-		if err != nil {
-			return nil, fmt.Errorf("graph: snapshot data file %s: %w", filepath.Base(p), err)
-		}
-		if len(part.Terms) != 0 || len(part.Schema) != 0 || len(part.Classes) != 0 || len(part.Properties) != 0 {
-			return nil, fmt.Errorf("%w: %s", ErrNotDataOnly, filepath.Base(p))
-		}
-		snap.Data = append(snap.Data, part.Data...)
-	}
-	return buildFromSnapshot(snap)
-}
-
-func readSnapshotFile(path string) (*columnar.Snapshot, error) {
+// LoadSnapshot reads a snapshot file.
+func LoadSnapshot(path string) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return decodeSnapshot(f)
+	return ReadSnapshot(f)
 }

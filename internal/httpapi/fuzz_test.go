@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -47,11 +48,11 @@ func FuzzUpdateBody(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := eng.Answer(q, engine.Sat)
+		want, err := eng.AnswerContext(context.Background(), q, engine.Sat)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := eng.Answer(q, engine.RefGCov); err != nil || !got.Rows.Equal(want.Rows) {
+		if got, err := eng.AnswerContext(context.Background(), q, engine.RefGCov); err != nil || !got.Rows.Equal(want.Rows) {
 			t.Fatalf("ref-gcov %v (err %v), sat %v", got, err, want.Rows.Len())
 		}
 	})

@@ -647,11 +647,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		sig = journal.QuerySig(q.CanonicalKey())
 		if strategy == engine.RefJUCQ {
-			cover := make(query.Cover, len(req.Cover))
-			for i, f := range req.Cover {
-				cover[i] = append([]int(nil), f...)
-			}
-			ans, err = eng.AnswerWithCoverContext(ctx, q, cover)
+			ans, err = eng.AnswerWithCoverContext(ctx, q, req.Cover)
 		} else {
 			ans, err = eng.AnswerContext(ctx, q, strategy)
 		}
@@ -745,11 +741,7 @@ func (s *Server) serveExplainPlan(w http.ResponseWriter, eng *engine.Engine, req
 		err  error
 	)
 	if strategy == engine.RefJUCQ {
-		cover := make(query.Cover, len(req.Cover))
-		for i, f := range req.Cover {
-			cover[i] = append([]int(nil), f...)
-		}
-		plan, err = eng.PlanWithCover(q, cover)
+		plan, err = eng.PlanWithCover(q, req.Cover)
 	} else {
 		plan, err = eng.Plan(q, strategy)
 	}

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -237,7 +238,7 @@ func TestHostileTermsRoundTripBothAPIs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := srv.Engine().Answer(q, engine.RefGCov)
+	ans, err := srv.Engine().AnswerContext(context.Background(), q, engine.RefGCov)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package lubm
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -181,12 +182,12 @@ func TestStrategiesAgreeOnLUBM(t *testing.T) {
 		queries = append(queries, pq.CQ)
 	}
 	for qi, q := range queries {
-		want, err := e.Answer(q, engine.Sat)
+		want, err := e.AnswerContext(context.Background(), q, engine.Sat)
 		if err != nil {
 			t.Fatalf("query %d sat: %v", qi, err)
 		}
 		for _, s := range []engine.Strategy{engine.RefSCQ, engine.RefGCov, engine.Dat} {
-			got, err := e.Answer(q, s)
+			got, err := e.AnswerContext(context.Background(), q, s)
 			if err != nil {
 				t.Fatalf("query %d %s: %v", qi, s, err)
 			}
@@ -211,11 +212,11 @@ func TestIncompleteLosesAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := e.Answer(q6, engine.RefGCov)
+	full, err := e.AnswerContext(context.Background(), q6, engine.RefGCov)
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := e.Answer(q6, engine.RefIncomplete)
+	part, err := e.AnswerContext(context.Background(), q6, engine.RefIncomplete)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func TestPickExampleOneUniversity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := e.Answer(q, engine.RefGCov)
+	ans, err := e.AnswerContext(context.Background(), q, engine.RefGCov)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@
 // Quick start:
 //
 //	db, err := repro.OpenString(turtleData)
-//	res, err := db.Answer(`SELECT ?x WHERE { ?x rdf:type ex:Person }`, repro.Options{})
+//	res, err := db.AnswerContext(ctx, `SELECT ?x WHERE { ?x rdf:type ex:Person }`, repro.Options{})
 //	for i := 0; i < res.Len(); i++ { fmt.Println(res.Row(i)) }
 //
 // Queries are written either in SPARQL BGP syntax (SELECT … WHERE { … }) or
@@ -57,7 +57,7 @@ const (
 	Dat = engine.Dat
 )
 
-// Options tunes one Answer call.
+// Options tunes one AnswerContext call.
 type Options struct {
 	// Strategy; zero value means RefGCov.
 	Strategy Strategy
@@ -213,16 +213,11 @@ func (db *DB) parse(text string, prefixes map[string]string) (query.CQ, error) {
 	return query.ParseRuleWithPrefixes(db.eng.Graph().Dict(), prefixes, text)
 }
 
-// Answer parses and answers the query with the chosen strategy. SPARQL
-// queries may use UNION groups ({ … } UNION { … }) — the full "(unions of)
-// BGP queries" dialect of the paper's §3.
-func (db *DB) Answer(queryText string, opt Options) (*Result, error) {
-	return db.AnswerContext(context.Background(), queryText, opt)
-}
-
-// AnswerContext is Answer bounded by ctx: cancellation aborts the
-// evaluation mid-operator (the context is checked together with the
-// Options timeout at every operator checkpoint).
+// AnswerContext parses and answers the query with the chosen strategy,
+// bounded by ctx: cancellation aborts the evaluation mid-operator (the
+// context is checked together with the Options timeout at every operator
+// checkpoint). SPARQL queries may use UNION groups ({ … } UNION { … }) —
+// the full "(unions of) BGP queries" dialect of the paper's §3.
 func (db *DB) AnswerContext(ctx context.Context, queryText string, opt Options) (*Result, error) {
 	trimmed := strings.TrimSpace(queryText)
 	upper := strings.ToUpper(trimmed)
@@ -232,7 +227,7 @@ func (db *DB) AnswerContext(ctx context.Context, queryText string, opt Options) 
 		if err != nil {
 			return nil, err
 		}
-		return db.answerUnion(ctx, u, opt)
+		return db.result(db.answer(ctx, u, opt))
 	}
 	q, err := db.parse(queryText, opt.Prefixes)
 	if err != nil {
@@ -241,64 +236,35 @@ func (db *DB) AnswerContext(ctx context.Context, queryText string, opt Options) 
 	return db.AnswerCQContext(ctx, q, opt)
 }
 
-// answerUnion runs a parsed union through the engine.
-func (db *DB) answerUnion(ctx context.Context, u query.UCQ, opt Options) (*Result, error) {
-	s := opt.Strategy
-	if s == "" {
-		s = RefGCov
-	}
-	db.eng.Budget = exec.Budget{Timeout: opt.Timeout, MaxRows: opt.MaxRows}
-	ans, err := db.eng.AnswerUnionContext(ctx, u, s)
-	if err != nil {
-		return nil, err
-	}
-	d := db.eng.Graph().Dict()
-	ans.Rows.SortFirst(ans.Rows.Len())
-	res := &Result{
-		cols: ans.Rows.Vars,
-		Meta: Meta{
-			Strategy:         ans.Strategy,
-			ReformulationCQs: ans.ReformulationCQs,
-			PrepTime:         ans.PrepTime,
-			EvalTime:         ans.EvalTime,
-		},
-	}
-	for i := 0; i < ans.Rows.Len(); i++ {
-		row := ans.Rows.Row(i)
-		out := make([]string, len(row))
-		for j, id := range row {
-			out[j] = d.Decode(id).String()
-		}
-		res.rows = append(res.rows, out)
-	}
-	return res, nil
-}
-
-// AnswerCQ answers an already-parsed query.
-func (db *DB) AnswerCQ(q query.CQ, opt Options) (*Result, error) {
-	return db.AnswerCQContext(context.Background(), q, opt)
-}
-
-// AnswerCQContext is AnswerCQ bounded by ctx.
+// AnswerCQContext answers an already-parsed query, bounded by ctx.
 func (db *DB) AnswerCQContext(ctx context.Context, q query.CQ, opt Options) (*Result, error) {
+	return db.result(db.answer(ctx, query.UCQ{CQs: []query.CQ{q}}, opt))
+}
+
+// answer answers a parsed query — one BGP, u's only member, or a union of
+// several — with opt's strategy (GCov when unset), cover and budget. It
+// answers on a copy of the engine, the reader rule of engine.Engine: each
+// call bounds its own evaluation, so calls answering concurrently through
+// one DB neither race on the budget nor bound one another.
+func (db *DB) answer(ctx context.Context, u query.UCQ, opt Options) (*engine.Answer, error) {
+	eng := *db.eng
+	eng.Budget = exec.Budget{Timeout: opt.Timeout, MaxRows: opt.MaxRows}
 	s := opt.Strategy
 	if s == "" {
 		s = RefGCov
 	}
-	db.eng.Budget = exec.Budget{Timeout: opt.Timeout, MaxRows: opt.MaxRows}
-	var (
-		ans *engine.Answer
-		err error
-	)
-	if s == RefJUCQ {
-		cover := make(query.Cover, len(opt.Cover))
-		for i, f := range opt.Cover {
-			cover[i] = append([]int(nil), f...)
-		}
-		ans, err = db.eng.AnswerWithCoverContext(ctx, q, cover)
-	} else {
-		ans, err = db.eng.AnswerContext(ctx, q, s)
+	switch {
+	case len(u.CQs) != 1:
+		return eng.AnswerUnionContext(ctx, u, s)
+	case s == RefJUCQ:
+		return eng.AnswerWithCoverContext(ctx, u.CQs[0], opt.Cover)
+	default:
+		return eng.AnswerContext(ctx, u.CQs[0], s)
 	}
+}
+
+// result renders an answer: rows sorted, terms in N-Triples syntax.
+func (db *DB) result(ans *engine.Answer, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -333,13 +299,14 @@ func (db *DB) Explain(queryText string, opt Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	eng := db.eng
-	d := eng.Graph().Dict()
+	d := db.eng.Graph().Dict()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "query: %s\n", query.FormatCQ(d, q))
-	total, per := eng.Reformulator().CombinationCount(q)
+	total, per := db.eng.Reformulator().CombinationCount(q)
 	fmt.Fprintf(&sb, "UCQ reformulation: %d CQs (per atom: %v)\n", total, per)
-	ans, err := eng.Answer(q, RefGCov)
+	opt.Strategy = RefGCov
+	//reflint:ctxbg Explain is the context-free explanation entry point; opt's budget bounds it
+	ans, err := db.answer(context.Background(), query.UCQ{CQs: []query.CQ{q}}, opt)
 	if err != nil {
 		return "", err
 	}

@@ -1,10 +1,12 @@
 package repro
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -75,7 +77,7 @@ func TestOpenReader(t *testing.T) {
 
 func TestAnswerRuleNotation(t *testing.T) {
 	db := openBook(t)
-	res, err := db.Answer(`q(x3) :- x1 ex:hasAuthor x2, x2 ex:hasName x3, x1 x4 "1949"`,
+	res, err := db.AnswerContext(context.Background(), `q(x3) :- x1 ex:hasAuthor x2, x2 ex:hasName x3, x1 x4 "1949"`,
 		Options{Prefixes: exPrefix})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +95,7 @@ func TestAnswerRuleNotation(t *testing.T) {
 
 func TestAnswerSPARQL(t *testing.T) {
 	db := openBook(t)
-	res, err := db.Answer(`
+	res, err := db.AnswerContext(context.Background(), `
 PREFIX ex: <http://example.org/>
 SELECT ?x WHERE { ?x a ex:Publication }`, Options{})
 	if err != nil {
@@ -109,7 +111,7 @@ func TestAnswerAllStrategies(t *testing.T) {
 	const qt = `q(x) :- x rdf:type ex:Person`
 	counts := map[Strategy]int{}
 	for _, s := range []Strategy{Sat, RefUCQ, RefSCQ, RefGCov, RefRange, RefIncomplete, Dat} {
-		res, err := db.Answer(qt, Options{Strategy: s, Prefixes: exPrefix})
+		res, err := db.AnswerContext(context.Background(), qt, Options{Strategy: s, Prefixes: exPrefix})
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
@@ -127,7 +129,7 @@ func TestAnswerAllStrategies(t *testing.T) {
 
 func TestAnswerWithCover(t *testing.T) {
 	db := openBook(t)
-	res, err := db.Answer(`q(x, t) :- x rdf:type ex:Publication, x ex:hasTitle t`,
+	res, err := db.AnswerContext(context.Background(), `q(x, t) :- x rdf:type ex:Publication, x ex:hasTitle t`,
 		Options{Strategy: RefJUCQ, Cover: [][]int{{0}, {1}}, Prefixes: exPrefix})
 	if err != nil {
 		t.Fatal(err)
@@ -142,18 +144,51 @@ func TestAnswerWithCover(t *testing.T) {
 
 func TestAnswerErrors(t *testing.T) {
 	db := openBook(t)
-	if _, err := db.Answer(`not a query`, Options{}); err == nil {
+	if _, err := db.AnswerContext(context.Background(), `not a query`, Options{}); err == nil {
 		t.Fatal("parse error expected")
 	}
-	if _, err := db.Answer(`q(x) :- x ex:unknownPrefixLess y`, Options{}); err == nil {
+	if _, err := db.AnswerContext(context.Background(), `q(x) :- x ex:unknownPrefixLess y`, Options{}); err == nil {
 		t.Fatal("undeclared prefix must fail")
 	}
 	// Timeout propagates.
-	_, err := db.Answer(`q(x) :- x rdf:type ex:Publication`, Options{
+	_, err := db.AnswerContext(context.Background(), `q(x) :- x rdf:type ex:Publication`, Options{
 		Strategy: RefUCQ, Prefixes: exPrefix, Timeout: time.Nanosecond,
 	})
 	if !errors.Is(err, exec.ErrBudgetExceeded) {
 		t.Fatalf("want budget error, got %v", err)
+	}
+}
+
+// TestBudgetIsPerCall: calls answering through one DB each bound their own
+// evaluation — concurrently, and for an Explain after a capped answer.
+func TestBudgetIsPerCall(t *testing.T) {
+	db := openBook(t)
+	const all = `q(x, p, y) :- x p y`
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		capped := i%2 == 0
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			opt := Options{Strategy: Sat}
+			if capped {
+				opt.MaxRows = 1
+			}
+			res, err := db.AnswerContext(context.Background(), all, opt)
+			switch {
+			case capped && !errors.Is(err, exec.ErrBudgetExceeded):
+				t.Errorf("MaxRows 1: got %v, want a budget error", err)
+			case !capped && (err != nil || res.Len() < 2):
+				t.Errorf("no MaxRows: got %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if _, err := db.AnswerContext(context.Background(), all, Options{Strategy: Sat, MaxRows: 1}); !errors.Is(err, exec.ErrBudgetExceeded) {
+		t.Fatalf("MaxRows 1: got %v, want a budget error", err)
+	}
+	if _, err := db.Explain(all, Options{}); err != nil {
+		t.Fatalf("Explain after a MaxRows 1 answer: %v", err)
 	}
 }
 
@@ -192,7 +227,7 @@ func TestOpenLUBMSmall(t *testing.T) {
 	if db.TripleCount() < 10000 {
 		t.Fatalf("LUBM(1) too small: %d", db.TripleCount())
 	}
-	res, err := db.Answer(`q(x) :- x rdf:type <http://swat.cse.lehigh.edu/onto/univ-bench.owl#Student>`, Options{})
+	res, err := db.AnswerContext(context.Background(), `q(x) :- x rdf:type <http://swat.cse.lehigh.edu/onto/univ-bench.owl#Student>`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +238,11 @@ func TestOpenLUBMSmall(t *testing.T) {
 
 func TestResultRowsSortedDeterministic(t *testing.T) {
 	db := openBook(t)
-	a, err := db.Answer(`q(x, p, y) :- x p y`, Options{Prefixes: exPrefix})
+	a, err := db.AnswerContext(context.Background(), `q(x, p, y) :- x p y`, Options{Prefixes: exPrefix})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := db.Answer(`q(x, p, y) :- x p y`, Options{Prefixes: exPrefix})
+	b, err := db.AnswerContext(context.Background(), `q(x, p, y) :- x p y`, Options{Prefixes: exPrefix})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +274,11 @@ func TestSnapshotAPI(t *testing.T) {
 	}
 	// Answers match across the round trip.
 	const qt = `q(x) :- x rdf:type ex:Person`
-	a, err := db.Answer(qt, Options{Prefixes: exPrefix})
+	a, err := db.AnswerContext(context.Background(), qt, Options{Prefixes: exPrefix})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := back.Answer(qt, Options{Prefixes: exPrefix})
+	b, err := back.AnswerContext(context.Background(), qt, Options{Prefixes: exPrefix})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +316,7 @@ func TestWhyProvenance(t *testing.T) {
 
 func TestAnswerSPARQLUnion(t *testing.T) {
 	db := openBook(t)
-	res, err := db.Answer(`
+	res, err := db.AnswerContext(context.Background(), `
 PREFIX ex: <http://example.org/>
 SELECT ?x WHERE {
   { ?x a ex:Person } UNION { ?x a ex:Publication }
@@ -293,7 +328,7 @@ SELECT ?x WHERE {
 		t.Fatalf("union answers = %d, want 2 (implicit Person + Publication)", res.Len())
 	}
 	// Sat agrees.
-	satRes, err := db.Answer(`
+	satRes, err := db.AnswerContext(context.Background(), `
 PREFIX ex: <http://example.org/>
 SELECT ?x WHERE {
   { ?x a ex:Person } UNION { ?x a ex:Publication }
@@ -314,7 +349,7 @@ ex:doi2 ex:writtenBy ex:cortazar .
 `); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Answer(`q(x) :- x rdf:type ex:Person`, Options{Prefixes: exPrefix})
+	res, err := db.AnswerContext(context.Background(), `q(x) :- x rdf:type ex:Person`, Options{Prefixes: exPrefix})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +363,7 @@ ex:doi2 ex:writtenBy ex:cortazar .
 	if err != nil || removed != 1 {
 		t.Fatalf("delete: removed=%d err=%v", removed, err)
 	}
-	res2, err := db.Answer(`q(x) :- x rdf:type ex:Person`, Options{Prefixes: exPrefix})
+	res2, err := db.AnswerContext(context.Background(), `q(x) :- x rdf:type ex:Person`, Options{Prefixes: exPrefix})
 	if err != nil {
 		t.Fatal(err)
 	}
