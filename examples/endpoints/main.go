@@ -93,6 +93,6 @@ func main() {
 	// merged graph — impossible to push back to the read-only endpoints,
 	// and invalidated every time either source changes.
 	sat := e.Saturation()
-	fmt.Printf("\nSat would materialize %d extra triples into sources we cannot write to;\n", sat.Derived)
+	fmt.Printf("\nSat would materialize %d extra triples into sources we cannot write to;\n", sat.Delta.Len())
 	fmt.Println("Ref leaves both endpoints untouched and still returns the complete answers.")
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/dict"
 	"repro/internal/engine"
 	"repro/internal/lubm"
 	"repro/internal/rdf"
@@ -21,7 +20,11 @@ type E6Result struct {
 	DataTriples    int
 	DerivedTriples int
 	GrowthPercent  float64
-	SaturateTime   time.Duration
+	// The heap the serving engine's stores take: the data store's own (its
+	// SPO run is the graph's D) and the Sat store's own (the store of Δ; D
+	// it reads from the data store).
+	DataStoreBytes, SatStoreBytes uint64
+	SaturateTime                  time.Duration
 	// Incremental maintenance of the saturation for a batch insert,
 	// vs. recomputing from scratch; DeleteTime is the counting-based
 	// retraction of the same batch.
@@ -43,7 +46,7 @@ type E6Result struct {
 // E6Update is one size's row: write → first answer, the median of five
 // insert/delete cycles. Ref's is the merge of the delta into the store and
 // statistics (nothing at the write itself); Sat's is the maintenance of the
-// closure plus the rebuild of G∞'s store from it.
+// closure plus the rebuild of the store of Δ, the triples it adds to D.
 type E6Update struct {
 	DataTriples                                int
 	RefInsert, RefDelete, SatInsert, SatDelete time.Duration
@@ -111,6 +114,26 @@ func e6Update(p lubm.Profile, seed int64) (row E6Update, err error) {
 	return row, nil
 }
 
+// storeBytes returns the heap e's data store and statistics take beyond
+// its graph, and the heap its Sat store and statistics take beyond those.
+func storeBytes(e *engine.Engine) (data, sat uint64) {
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	e.Stats()
+	withData := live()
+	e.SatStats()
+	withSat := live()
+	runtime.KeepAlive(e)
+	return withData - min(before, withData), withSat - min(withData, withSat)
+}
+
+func mb(b uint64) string { return fmt.Sprintf("%.1f MB", float64(b)/(1<<20)) }
+
 // E6 measures saturation and maintenance costs on LUBM.
 func E6(cfg Config) (*E6Result, error) {
 	cfg = cfg.withDefaults()
@@ -123,30 +146,27 @@ func E6(cfg Config) (*E6Result, error) {
 	start := time.Now()
 	sat := saturation.Saturate(g)
 	res.SaturateTime = time.Since(start)
-	res.DerivedTriples = sat.Derived
-	res.GrowthPercent = 100 * float64(sat.Derived) / float64(max(res.DataTriples, 1))
+	res.DerivedTriples = sat.Delta.Len()
+	res.GrowthPercent = 100 * float64(res.DerivedTriples) / float64(max(res.DataTriples, 1))
+	res.DataStoreBytes, res.SatStoreBytes = storeBytes(engine.New(g))
 
 	// Batch insert: new triples from a different seed (fresh entities).
 	batchRaw := lubm.Generate(lubm.Mini(), cfg.Seed+99)
-	batch := make([]dict.Triple, 0, len(batchRaw))
-	for _, t := range batchRaw {
-		batch = append(batch, g.Dict().EncodeTriple(t))
+	res.BatchSize = len(batchRaw)
+	batch, err := g.AddData(batchRaw)
+	if err != nil {
+		return nil, err
 	}
-	res.BatchSize = len(batch)
-
 	start = time.Now()
 	inc := saturation.Increment(g, sat, batch)
 	res.IncrementTime = time.Since(start)
 
-	if _, err := g.AddData(batchRaw); err != nil {
-		return nil, err
-	}
 	start = time.Now()
 	full := saturation.Saturate(g)
 	res.ResaturateTime = time.Since(start)
-	if len(full.Triples) != len(inc.Triples) {
-		return nil, fmt.Errorf("bench: incremental saturation diverged: %d vs %d triples",
-			len(inc.Triples), len(full.Triples))
+	if full.Delta.Len() != inc.Delta.Len() {
+		return nil, fmt.Errorf("bench: incremental saturation diverged: %d vs %d derived triples",
+			inc.Delta.Len(), full.Delta.Len())
 	}
 
 	// Deletion maintenance with the counting-based maintained closure.
@@ -180,6 +200,9 @@ func E6(cfg Config) (*E6Result, error) {
 	res.Table.Add("explicit data triples", res.DataTriples)
 	res.Table.Add("derived (implicit) triples", res.DerivedTriples)
 	res.Table.Add("storage growth", fmt.Sprintf("%.1f%%", res.GrowthPercent))
+	res.Table.Add("serving engine heap: data store (POS, OSP, statistics; its SPO is D)", mb(res.DataStoreBytes))
+	res.Table.Add("serving engine heap: Sat store (Δ's three orderings, statistics)", fmt.Sprintf("%s (%.0f%% of the data store's)",
+		mb(res.SatStoreBytes), 100*float64(res.SatStoreBytes)/float64(max(res.DataStoreBytes, 1))))
 	res.Table.Add("initial saturation", res.SaturateTime)
 	res.Table.Add(fmt.Sprintf("maintain after %d-triple insert (incremental)", res.BatchSize), res.IncrementTime)
 	res.Table.Add(fmt.Sprintf("maintain after %d-triple delete (counting)", res.BatchSize), res.DeleteTime)
@@ -208,7 +231,7 @@ func (r *E6Result) String() string {
 	var sb strings.Builder
 	sb.WriteString("E6 — Sat maintenance costs vs Ref (§1 motivation)\n")
 	sb.WriteString(r.Table.String())
-	sb.WriteString("after a 20-triple write, the first answer of Q1 (Ref: merge the delta; Sat: maintain the closure, rebuild G∞'s store):\n")
+	sb.WriteString("after a 20-triple write, the first answer of Q1 (Ref: merge the delta; Sat: maintain the closure, rebuild Δ's store):\n")
 	sb.WriteString(r.UpdateTable.String())
 	return sb.String()
 }

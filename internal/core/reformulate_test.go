@@ -22,7 +22,7 @@ func buildEvaluators(t *testing.T, g *graph.Graph) (*exec.Evaluator, *exec.Evalu
 	t.Helper()
 	refStore := storage.Build(g.Dict(), g.AllTriples())
 	refEval := exec.New(refStore, stats.Collect(refStore))
-	satStore := storage.Build(g.Dict(), saturation.Saturate(g).Triples)
+	satStore := storage.Build(g.Dict(), saturation.Saturate(g).Triples())
 	satEval := exec.New(satStore, stats.Collect(satStore))
 	return refEval, satEval
 }

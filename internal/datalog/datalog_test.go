@@ -148,7 +148,7 @@ func TestDatEqualsSaturationRandom(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := saturation.Saturate(g).Triples
+			want := saturation.Saturate(g).Triples()
 			got := e.Tuples(TriplePred)
 			if len(got) != len(want) {
 				t.Fatalf("datalog %d triples != saturation %d", len(got), len(want))

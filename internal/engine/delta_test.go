@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"repro/internal/dict"
+	"repro/internal/exec"
+	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/rdf"
@@ -30,13 +32,18 @@ import (
 // shard of the store, the statistics and each shard's must equal, exactly,
 // the ones built from the graph from scratch; at some of them every
 // complete strategy must also equal Sat, and Sat a fresh saturation — so G∞
-// is read sometimes off the kept closure and sometimes after it was dropped.
+// is read sometimes off the kept closure and sometimes after it was dropped,
+// at 1, 2 and 4 shards. There, too, the Sat store, D's source and Δ's store
+// read together, must answer every scan and count as a store built from the
+// flat G∞ does, its statistics must equal that store's collected ones, and
+// Δ must share no triple with D.
 func TestDeltaScheduleMatchesRebuild(t *testing.T) {
 	seeds, steps := 4, 220
 	if testing.Short() {
 		seeds, steps = 2, 60
 	}
 	var applied, rebuilt, dropped, kept int64
+	satAt := map[int]int{} // G∞ reads per shard count
 	for seed := 0; seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(18000 + seed)))
 		sc, err := testutil.RandomScenario(rng)
@@ -137,9 +144,23 @@ func TestDeltaScheduleMatchesRebuild(t *testing.T) {
 			if e.closure != nil {
 				kept++
 			}
-			if got, want := e.Saturation().Triples, saturation.Saturate(g).Triples; !slices.Equal(got, want) {
-				t.Fatalf("%s: G∞ has %d triples, a fresh saturation %d", where, len(got), len(want))
+			satAt[e.shards]++
+			sat := e.Saturation()
+			flat := saturation.Saturate(g).Triples()
+			if got := sat.Triples(); !slices.Equal(got, flat) {
+				t.Fatalf("%s: G∞ has %d triples, a fresh saturation %d", where, len(got), len(flat))
 			}
+			sat.Delta.Each(func(ts []dict.Triple) bool {
+				for _, x := range ts {
+					if g.D().Contains(x) {
+						t.Fatalf("%s: Δ holds %v, which D holds", where, x)
+					}
+				}
+				return true
+			})
+			flatStore := storage.Build(g.Dict(), flat)
+			sameSource(t, where, e.SatStore(), flatStore, [2][]dict.Triple{sat.Delta.Triples(), g.AllTriples()}, rng)
+			sameStatistics(t, where+" (G∞)", e.SatStats(), stats.Collect(flatStore), flat)
 			for qi := 0; qi < 2; qi++ {
 				q := sc.RandomQuery(rng)
 				want, err := e.AnswerContext(context.Background(), q, Sat)
@@ -164,8 +185,9 @@ func TestDeltaScheduleMatchesRebuild(t *testing.T) {
 		dropped += c["engine.closure.dropped"]
 	}
 	// The schedule is only a test of what it reached.
-	if applied == 0 || rebuilt < 2 || dropped == 0 || kept == 0 {
-		t.Fatalf("schedule reached: %d applied, %d rebuilt, %d closures dropped, %d Sat reads off a kept closure", applied, rebuilt, dropped, kept)
+	if applied == 0 || rebuilt < 2 || dropped == 0 || kept == 0 || satAt[1] == 0 || satAt[2] == 0 || satAt[4] == 0 {
+		t.Fatalf("schedule reached: %d applied, %d rebuilt, %d closures dropped, %d Sat reads off a kept closure, G∞ read at 1/2/4 shards %d/%d/%d times",
+			applied, rebuilt, dropped, kept, satAt[1], satAt[2], satAt[4])
 	}
 }
 
@@ -192,6 +214,102 @@ func sameStore(t *testing.T, where string, got, want *storage.Store, rng *rand.R
 			}
 			if g, w := got.Count(pat), want.Count(pat); g != w {
 				t.Fatalf("%s: Count(%v) = %d, built from scratch %d", where, pat, g, w)
+			}
+		}
+	}
+}
+
+// sameSource compares a source with a store of the same triples on every
+// scan and count, for every pattern shape, plain and ranged, over triples
+// drawn from each of parts in turn and neighbours that may be absent; and
+// on a scan stopped at its first match.
+func sameSource(t *testing.T, where string, got exec.Source, want *storage.Store, parts [2][]dict.Triple, rng *rand.Rand) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: %d triples, want %d", where, got.Len(), want.Len())
+	}
+	collect := func(scan func(fn func(dict.Triple) bool)) []dict.Triple {
+		var out []dict.Triple
+		scan(func(x dict.Triple) bool {
+			out = append(out, x)
+			return true
+		})
+		slices.SortFunc(out, graph.CompareTriples)
+		return out
+	}
+	first := func(scan func(fn func(dict.Triple) bool)) int {
+		n := 0
+		scan(func(dict.Triple) bool {
+			n++
+			return false
+		})
+		return n
+	}
+	around := func(id dict.ID) []storage.IDRange { return []storage.IDRange{{Lo: max(id, 2) - 1, Hi: id + 1}} }
+	for i := 0; i < 8; i++ {
+		xs := parts[i%2]
+		if len(xs) == 0 {
+			continue
+		}
+		x := xs[rng.Intn(len(xs))]
+		x.O += dict.ID(rng.Intn(2)) // sometimes a neighbour that may be absent
+		for shape := 0; shape < 8; shape++ {
+			var pat storage.Pattern
+			var rp storage.RangePattern
+			if shape&1 != 0 {
+				pat.S, rp.S = x.S, []storage.IDRange{storage.Exact(x.S)}
+			}
+			if shape&2 != 0 {
+				pat.P, rp.P = x.P, []storage.IDRange{storage.Exact(x.P)}
+			}
+			if shape&4 != 0 {
+				pat.O, rp.O = x.O, around(x.O)
+			}
+			wide := rp
+			if wide.P != nil {
+				wide.P = around(x.P)
+			}
+			if g, w := got.Count(pat), want.Count(pat); g != w {
+				t.Fatalf("%s: Count(%v) = %d, G∞'s store %d", where, pat, g, w)
+			}
+			each := func(src exec.Source) func(func(dict.Triple) bool) {
+				return func(fn func(dict.Triple) bool) { src.Each(pat, fn) }
+			}
+			if g, w := collect(each(got)), collect(each(want)); !slices.Equal(g, w) {
+				t.Fatalf("%s: Each(%v) = %v, G∞'s store %v", where, pat, g, w)
+			}
+			if g, w := first(each(got)), first(each(want)); g != w {
+				t.Fatalf("%s: Each(%v) stopped at the first match calls back %d times, G∞'s store %d", where, pat, g, w)
+			}
+			for _, rp := range []storage.RangePattern{rp, wide} {
+				if g, w := got.CountRange(rp), want.CountRange(rp); g != w {
+					t.Fatalf("%s: CountRange(%v) = %d, G∞'s store %d", where, rp, g, w)
+				}
+				eachRange := func(src exec.Source) func(func(dict.Triple) bool) {
+					return func(fn func(dict.Triple) bool) { src.EachRange(rp, fn) }
+				}
+				eachRun := func(src exec.Source) func(func(dict.Triple) bool) {
+					return func(fn func(dict.Triple) bool) {
+						src.EachRun(rp, func(ts []dict.Triple) bool {
+							for _, x := range ts {
+								if !fn(x) {
+									return false
+								}
+							}
+							return true
+						})
+					}
+				}
+				w := collect(eachRange(want))
+				if g := collect(eachRange(got)); !slices.Equal(g, w) {
+					t.Fatalf("%s: EachRange(%v) = %v, G∞'s store %v", where, rp, g, w)
+				}
+				if g := collect(eachRun(got)); !slices.Equal(g, w) {
+					t.Fatalf("%s: EachRun(%v) = %v, G∞'s store %v", where, rp, g, w)
+				}
+				if g, w := first(eachRange(got)), first(eachRange(want)); g != w {
+					t.Fatalf("%s: EachRange(%v) stopped at the first match calls back %d times, G∞'s store %d", where, rp, g, w)
+				}
 			}
 		}
 	}

@@ -43,10 +43,9 @@ type derived struct {
 	from            atomic.Pointer[basis]
 	data            func() *basis
 	model, satModel func() *cost.Model
-	sat             func() saturated
-	satRead         atomic.Bool // sat ran: somebody read this version's G∞
-	satResult       func() *saturation.Result
-	satStore        func() *storage.Store
+	sat             func() *saturation.Result
+	satRead         atomic.Bool // SatStore (every Sat query) or Saturation read G∞
+	satStore        func() *satSource
 	satStats        func() *stats.Stats
 }
 
@@ -90,13 +89,6 @@ func minus(a, b []dict.Triple) []dict.Triple {
 const maxDrift = 1.0 / 8
 
 func drifted(moved, of int) bool { return float64(moved) > maxDrift*float64(of) }
-
-// saturated is G∞ — a run, the SPO run of the version's sat store — and
-// its counts.
-type saturated struct {
-	run           *storage.Run
-	data, derived int
-}
 
 // swap installs a new version of the derived state over the engine's graph
 // as it is now, captured, and its configuration (metrics go to the Metrics
@@ -154,22 +146,19 @@ func (e *Engine) swap(keep *derived, added, removed []dict.Triple) {
 		m.SetShards(d.shards)
 		return m
 	})
-	d.sat = sync.OnceValue(func() saturated {
-		d.satRead.Store(true)
-		var res *saturation.Result
+	d.sat = sync.OnceValue(func() *saturation.Result {
 		if closure != nil {
-			res = closure.Result()
-		} else {
-			res = saturation.Saturate(g)
+			return closure.Result()
 		}
-		return saturated{storage.NewRun(res.Triples), res.DataTriples, res.Derived}
+		return saturation.Saturate(g)
 	})
-	d.satResult = sync.OnceValue(func() *saturation.Result {
-		s := d.sat()
-		return &saturation.Result{Triples: s.run.Triples(), DataTriples: s.data, Derived: s.derived}
+	d.satStore = sync.OnceValue(func() *satSource {
+		return newSatSource(d.data().src, storage.BuildSorted(g.Dict(), d.sat().Delta), d.typeID)
 	})
-	d.satStore = sync.OnceValue(func() *storage.Store { return storage.BuildSorted(g.Dict(), d.sat().run) })
-	d.satStats = sync.OnceValue(func() *stats.Stats { return stats.Collect(d.satStore()) })
+	d.satStats = sync.OnceValue(func() *stats.Stats {
+		u := d.satStore()
+		return d.data().stats.Plus(u, u.delta)
+	})
 	d.satModel = sync.OnceValue(func() *cost.Model { return cost.NewModel(d.satStats()) })
 	e.d = d
 	if e.views != nil {

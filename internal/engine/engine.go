@@ -22,7 +22,6 @@ import (
 	"repro/internal/saturation"
 	"repro/internal/shard"
 	"repro/internal/stats"
-	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/viewcache"
 )
@@ -208,9 +207,9 @@ func (e *Engine) Source() *shard.Store { return e.Store() }
 
 // EnableSharding hash-partitions the explicit-data store into n shards
 // (n < 2: one): the executor scatters scans across the shards in parallel,
-// and the cost model prices scans at 1/n. The saturated store (Sat
-// strategy) stays in one piece — saturation is the paper's baseline and its
-// store is rebuilt wholesale on every schema change anyway.
+// and the cost model prices scans at 1/n. The Sat store reads D through
+// those shards too, but not scattered, and keeps Δ, the triples saturation
+// adds, in one piece — saturation is the paper's baseline.
 func (e *Engine) EnableSharding(n int) {
 	e.shards = max(n, 1)
 	e.swap(e.d, nil, nil)
@@ -233,13 +232,21 @@ func (e *Engine) Reformulator() *core.Reformulator { return e.d.ref() }
 // graph's schema.
 func (e *Engine) RangeReformulator() *core.RangeReformulator { return e.d.rangeRef() }
 
-// Saturation returns G∞: saturated from scratch before the first data
-// update, read off the maintained closure after. Its Triples are a flat
-// copy of SatStore's SPO run, made on the first call.
-func (e *Engine) Saturation() *saturation.Result { return e.d.satResult() }
+// Saturation returns G∞ — saturated from scratch before the first data
+// update, read off the maintained closure after — as the two parts the
+// Sat store reads: the graph's D and Δ, the triples saturation adds.
+// Result.Triples merges them on demand.
+func (e *Engine) Saturation() *saturation.Result {
+	e.d.satRead.Store(true)
+	return e.d.sat()
+}
 
-// SatStore returns the store over G∞.
-func (e *Engine) SatStore() *storage.Store { return e.d.satStore() }
+// SatStore returns the store over G∞: the data source, which Ref reads
+// too, and the store of Δ, read together as one source.
+func (e *Engine) SatStore() exec.Source {
+	e.d.satRead.Store(true)
+	return e.d.satStore()
+}
 
 // SatStats returns statistics over the saturated store.
 func (e *Engine) SatStats() *stats.Stats { return e.d.satStats() }

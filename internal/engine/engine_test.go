@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/graph"
+	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/rdf"
 	"repro/internal/saturation"
@@ -489,10 +490,10 @@ func TestUpdateIdempotency(t *testing.T) {
 		if sat.Rows.Len() != want || !sat.Rows.Equal(ref.Rows) {
 			t.Fatalf("%s: sat %d rows, ref-gcov %d, want %d", step, sat.Rows.Len(), ref.Rows.Len(), want)
 		}
-		if got, fresh := e.Saturation(), saturation.Saturate(e.Graph()); !slices.Equal(got.Triples, fresh.Triples) ||
-			got.DataTriples != fresh.DataTriples || got.Derived != fresh.Derived {
-			t.Fatalf("%s: maintained closure (%d triples, %d data, %d derived) != fresh saturation (%d, %d, %d)", step,
-				len(got.Triples), got.DataTriples, got.Derived, len(fresh.Triples), fresh.DataTriples, fresh.Derived)
+		if got, fresh := e.Saturation(), saturation.Saturate(e.Graph()); !slices.Equal(got.Delta.Triples(), fresh.Delta.Triples()) ||
+			got.D != fresh.D || got.DataTriples != fresh.DataTriples {
+			t.Fatalf("%s: maintained closure (%d data, %d derived) != fresh saturation (%d, %d)", step,
+				got.DataTriples, got.Delta.Len(), fresh.DataTriples, fresh.Delta.Len())
 		}
 	}
 	for i := 0; i < 2; i++ {
@@ -510,6 +511,55 @@ func TestUpdateIdempotency(t *testing.T) {
 			t.Fatalf("delete %d removed %d, want %d", i, removed, want)
 		}
 		check(fmt.Sprintf("delete %d", i), 1)
+	}
+}
+
+// TestWarmIsNoSatRead: Warm builds the Sat store but reads no G∞, so writes
+// with no Sat query between them keep no counting closure — none is
+// started, none dropped. A Sat query between two writes still starts one,
+// and the next write is folded into it.
+func TestWarmIsNoSatRead(t *testing.T) {
+	e, g := mustEngine(t)
+	e.Metrics = metrics.NewRegistry()
+	q := mustQuery(t, g, `q(x) :- x rdf:type ex:Publication`)
+	doi2 := rdf.NewTriple(ex("doi2"), rdf.Type, ex("Book"))
+	insert := func() {
+		if err := e.InsertData([]rdf.Triple{doi2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	remove := func() {
+		if _, err := e.DeleteData([]rdf.Triple{doi2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Warm()
+	insert()
+	e.Warm()
+	remove()
+	if dropped := e.Metrics.Snapshot().Counters["engine.closure.dropped"]; e.closure != nil || dropped != 0 {
+		t.Fatalf("writes after Warm alone: closure kept %v, %d dropped", e.closure != nil, dropped)
+	}
+	sat := func() int {
+		t.Helper()
+		ans, err := e.AnswerContext(context.Background(), q, Sat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ans.Rows.Len()
+	}
+	without := sat()
+	insert()
+	closure := e.closure
+	if closure == nil || sat() != without+1 {
+		t.Fatal("a write after a Sat query started no closure, or Sat misses its triple")
+	}
+	remove()
+	if e.closure != closure || sat() != without {
+		t.Fatal("a write after a Sat query was not folded into the closure")
+	}
+	if got, fresh := e.Saturation(), saturation.Saturate(g); !slices.Equal(got.Delta.Triples(), fresh.Delta.Triples()) {
+		t.Fatalf("folded closure adds %d triples, a fresh saturation %d", got.Delta.Len(), fresh.Delta.Len())
 	}
 }
 

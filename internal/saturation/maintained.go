@@ -84,29 +84,16 @@ func (m *Maintained) Contains(t dict.Triple) bool {
 	return m.all.Contains(t) || m.derived[t] > 0
 }
 
-// ExplicitCount returns the number of explicit data triples.
-func (m *Maintained) ExplicitCount() int { return m.all.Len() - len(m.g.Schema().Triples()) }
-
 // Triples returns the current closure G∞ (explicit + entailed + closed
 // schema), sorted and deduplicated.
-func (m *Maintained) Triples() []dict.Triple {
-	out := make([]dict.Triple, 0, m.all.Len()+len(m.derived))
-	m.all.Each(func(ts []dict.Triple) bool {
-		out = append(out, ts...)
-		return true
-	})
-	for t := range m.derived {
-		out = append(out, t)
-	}
-	return sortDedupTriples(out)
-}
+func (m *Maintained) Triples() []dict.Triple { return m.Result().Triples() }
 
-// Result returns the current closure in the shape Saturate reports it.
+// Result returns the current closure in the shape Saturate reports it: the
+// D it was last advanced against, and the entailed triples D lacks.
 func (m *Maintained) Result() *Result {
-	closure := m.Triples()
-	return &Result{
-		Triples:     closure,
-		DataTriples: m.ExplicitCount(),
-		Derived:     len(closure) - m.all.Len(),
+	derived := make([]dict.Triple, 0, len(m.derived))
+	for t := range m.derived {
+		derived = append(derived, t)
 	}
+	return result(m.g, m.all, derived)
 }

@@ -69,7 +69,7 @@ func TestMaintainedMatchesRecompute(t *testing.T) {
 				return out
 			}
 			got := toSet(g.Dict(), m.Triples())
-			exp := toSet(g2.Dict(), want.Triples)
+			exp := toSet(g2.Dict(), want.Triples())
 			if len(got) != len(exp) {
 				t.Fatalf("maintained %d triples != recomputed %d", len(got), len(exp))
 			}
@@ -113,8 +113,8 @@ ex:doi2 ex:writtenBy ex:borges .
 	if m.Contains(person) {
 		t.Fatal("no derivation remains; Person must be retracted")
 	}
-	if m.ExplicitCount() != 0 {
-		t.Fatalf("explicit count %d, want 0", m.ExplicitCount())
+	if m.Result().DataTriples != 0 {
+		t.Fatalf("explicit count %d, want 0", m.Result().DataTriples)
 	}
 }
 
@@ -145,8 +145,8 @@ ex:a ex:p ex:b .
 	if got := len(m.Triples()); got != len(g.Schema().Triples()) {
 		t.Fatalf("after full delete only schema should remain, got %d triples", got)
 	}
-	if m.ExplicitCount() != 0 {
-		t.Fatalf("explicit count %d, want 0", m.ExplicitCount())
+	if m.Result().DataTriples != 0 {
+		t.Fatalf("explicit count %d, want 0", m.Result().DataTriples)
 	}
 }
 
@@ -169,12 +169,12 @@ ex:a ex:p ex:b .
 		t.Fatal(err)
 	}
 	cType := g.Dict().EncodeTriple(rdf.NewTriple(c, rdf.Type, rdf.NewIRI("http://example.org/C")))
-	if got := m.Result(); !slices.Equal(got.Triples, before.Triples) || got.DataTriples != 1 || m.Contains(added[0]) || m.Contains(cType) {
-		t.Fatalf("an unfolded write shows in the closure: %d triples, %d explicit, was %d and 1", len(got.Triples), got.DataTriples, len(before.Triples))
+	if got := m.Result(); !slices.Equal(got.Triples(), before.Triples()) || got.DataTriples != 1 || m.Contains(added[0]) || m.Contains(cType) {
+		t.Fatalf("an unfolded write shows in the closure: %d triples, %d explicit, was %d and 1", len(got.Triples()), got.DataTriples, len(before.Triples()))
 	}
 	m.Insert(added)
-	if m.ExplicitCount() != 2 || !m.Contains(added[0]) || !m.Contains(cType) {
-		t.Fatalf("the folded write is missing: %d explicit", m.ExplicitCount())
+	if m.Result().DataTriples != 2 || !m.Contains(added[0]) || !m.Contains(cType) {
+		t.Fatalf("the folded write is missing: %d explicit", m.Result().DataTriples)
 	}
 }
 

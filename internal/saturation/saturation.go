@@ -19,45 +19,66 @@ import (
 	"repro/internal/graph"
 	"repro/internal/rdf"
 	"repro/internal/schema"
+	"repro/internal/storage"
 )
 
-// Result holds the outcome of a saturation.
+// Result is a saturation as two disjoint parts: the graph's D it was taken
+// of, and Delta, the entailed triples D does not already hold. G∞ is their
+// union.
 type Result struct {
-	// Triples is G∞: data, entailed instance triples, and the closed
-	// schema, sorted and deduplicated; read-only once returned (a store may
-	// hold it as its SPO run).
-	Triples []dict.Triple
+	// D is the graph's D — explicit data and closed schema — shared with the
+	// graph and never written.
+	D *storage.Run
+	// Delta is G∞ \ D, sorted by (S,P,O): the triples saturation adds. A
+	// store may hold it as its SPO run.
+	Delta *storage.Run
 	// DataTriples is the number of explicit instance triples.
 	DataTriples int
-	// Derived is the number of entailed triples added beyond the explicit
-	// data and closed schema.
-	Derived int
 }
 
-// Saturate computes G∞ for the graph in a single pass over D, its
-// AllTriples: a closure triple entails nothing more, since the schema may
-// not constrain the constraint properties themselves.
+// Triples returns G∞, D merged with Delta, as one fresh sorted slice.
+func (r *Result) Triples() []dict.Triple {
+	return storage.Merge(r.D.Triples(), r.Delta.Triples(), nil)
+}
+
+// Saturate computes G∞ for the graph in a single pass over D: a closure
+// triple entails nothing more, since the schema may not constrain the
+// constraint properties themselves.
 func Saturate(g *graph.Graph) *Result {
 	s := g.Schema()
 	typeID := g.Dict().EncodeIRI(rdf.TypeIRI)
-
-	n := g.D().Len()
-	out := make([]dict.Triple, 0, n*2)
+	var derived []dict.Triple
 	g.D().Each(func(ts []dict.Triple) bool {
-		out = append(out, ts...)
+		for _, t := range ts {
+			deriveOne(s, typeID, t, func(d dict.Triple) {
+				derived = append(derived, d)
+			})
+		}
 		return true
 	})
-	for _, t := range out[:n] {
-		deriveOne(s, typeID, t, func(d dict.Triple) {
-			out = append(out, d)
-		})
-	}
-	out = sortDedupTriples(out)
-	return &Result{
-		Triples:     out,
-		DataTriples: g.DataCount(),
-		Derived:     len(out) - n,
-	}
+	return result(g, g.D(), derived)
+}
+
+// result returns the saturation of d, a D of g, given the triples derived
+// from it: sorted, deduplicated, and rid of those d holds by one merge walk
+// of the two sorted sequences. derived is reused.
+func result(g *graph.Graph, d *storage.Run, derived []dict.Triple) *Result {
+	slices.SortFunc(derived, graph.CompareTriples)
+	derived = slices.Compact(derived)
+	delta, i := derived[:0], 0
+	d.Each(func(ts []dict.Triple) bool {
+		for _, t := range ts {
+			for ; i < len(derived) && graph.CompareTriples(derived[i], t) < 0; i++ {
+				delta = append(delta, derived[i])
+			}
+			if i < len(derived) && derived[i] == t {
+				i++
+			}
+		}
+		return i < len(derived)
+	})
+	delta = append(delta, derived[i:]...)
+	return &Result{D: d, Delta: storage.NewRun(delta), DataTriples: d.Len() - len(g.Schema().Triples())}
 }
 
 // deriveOne emits every triple entailed (in any number of steps) by the
@@ -80,28 +101,21 @@ func deriveOne(s *schema.Schema, typeID dict.ID, t dict.Triple, emit func(dict.T
 	}
 }
 
-// Increment extends a previous saturation with a batch of new data triples,
-// returning the new closure. Thanks to the linearity of RDFS instance
-// rules (each entailed triple depends on one data triple plus the schema),
-// only the batch needs deriving; the cost is independent of |G|. This is
-// the maintenance-cost comparison point of experiment E6.
-func Increment(g *graph.Graph, prev *Result, batch []dict.Triple) *Result {
+// Increment extends a previous saturation of the graph by a batch of data
+// triples that just became explicit in it, returning the new closure.
+// Thanks to the linearity of RDFS instance rules (each entailed triple
+// depends on one data triple plus the schema), only the batch needs
+// deriving. This is the maintenance-cost comparison point of experiment E6.
+func Increment(g *graph.Graph, prev *Result, added []dict.Triple) *Result {
 	s := g.Schema()
 	typeID := g.Dict().EncodeIRI(rdf.TypeIRI)
-	out := make([]dict.Triple, 0, len(prev.Triples)+len(batch)*2)
-	out = append(out, prev.Triples...)
-	out = append(out, batch...)
-	for _, t := range batch {
+	derived := prev.Delta.Triples()
+	for _, t := range added {
 		deriveOne(s, typeID, t, func(d dict.Triple) {
-			out = append(out, d)
+			derived = append(derived, d)
 		})
 	}
-	out = sortDedupTriples(out)
-	return &Result{
-		Triples:     out,
-		DataTriples: prev.DataTriples + len(batch),
-		Derived:     len(out) - (prev.DataTriples + len(batch)) - len(s.Triples()),
-	}
+	return result(g, g.D(), derived)
 }
 
 // NaiveSaturate is the reference implementation: it applies the RDFS
@@ -143,7 +157,8 @@ func NaiveSaturate(d *dict.Dict, triples []dict.Triple) []dict.Triple {
 			}
 		}
 	}
-	return sortDedupTriples(all)
+	slices.SortFunc(all, graph.CompareTriples)
+	return all
 }
 
 // immediate applies every binary immediate-entailment rule to the ordered
@@ -183,11 +198,4 @@ func immediate(a, b dict.Triple, typeID, scID, spID, domID, rngID dict.ID) []dic
 		out = append(out, dict.Triple{S: a.S, P: rngID, O: b.O})
 	}
 	return out
-}
-
-// sortDedupTriples sorts and deduplicates ts into an exactly sized slice: a
-// closure lives as long as its engine version, slack included.
-func sortDedupTriples(ts []dict.Triple) []dict.Triple {
-	slices.SortFunc(ts, graph.CompareTriples)
-	return slices.Clone(slices.Compact(ts))
 }

@@ -49,7 +49,7 @@ func TestSaturatePaperFigure2(t *testing.T) {
 			return false
 		}
 		want := dict.Triple{S: st, P: pt, O: ot}
-		for _, tr := range res.Triples {
+		for _, tr := range res.Triples() {
 			if tr == want {
 				return true
 			}
@@ -66,8 +66,8 @@ func TestSaturatePaperFigure2(t *testing.T) {
 	if !has(rdf.NewBlank("b1"), rdf.Type, ex("Person")) {
 		t.Error("missing _:b1 τ Person (range)")
 	}
-	if res.Derived != 3 {
-		t.Errorf("want exactly 3 derived triples, got %d", res.Derived)
+	if res.Delta.Len() != 3 {
+		t.Errorf("want exactly 3 derived triples, got %d", res.Delta.Len())
 	}
 	if res.DataTriples != 5 {
 		t.Errorf("want 5 data triples, got %d", res.DataTriples)
@@ -90,7 +90,7 @@ func TestSaturateMatchesNaiveRandom(t *testing.T) {
 				t.Fatal(err)
 			}
 			g := sc.Graph
-			fast := Saturate(g).Triples
+			fast := Saturate(g).Triples()
 			raw := make([]dict.Triple, 0, len(sc.Raw))
 			for _, tr := range sc.Raw {
 				raw = append(raw, g.Dict().EncodeTriple(tr))
@@ -119,7 +119,7 @@ func TestSaturateIdempotent(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := sc.Graph
-		first := Saturate(g).Triples
+		first := Saturate(g).Triples()
 		again := NaiveSaturate(g.Dict(), first)
 		if len(again) != len(first) {
 			t.Fatalf("seed %d: re-saturation grew %d -> %d", seed, len(first), len(again))
@@ -157,9 +157,9 @@ func TestIncrementMatchesFullSaturation(t *testing.T) {
 			t.Fatal(err)
 		}
 		prev := Saturate(gHalf)
-		batch := make([]dict.Triple, 0, len(rawSecond))
-		for _, tr := range rawSecond {
-			batch = append(batch, gHalf.Dict().EncodeTriple(tr))
+		batch, err := gHalf.AddData(rawSecond)
+		if err != nil {
+			t.Fatal(err)
 		}
 		inc := Increment(gHalf, prev, batch)
 
@@ -176,8 +176,8 @@ func TestIncrementMatchesFullSaturation(t *testing.T) {
 			}
 			return out
 		}
-		a := toSet(gHalf.Dict(), inc.Triples)
-		b := toSet(gFull.Dict(), full.Triples)
+		a := toSet(gHalf.Dict(), inc.Triples())
+		b := toSet(gFull.Dict(), full.Triples())
 		if len(a) != len(b) {
 			t.Fatalf("seed %d: incremental %d triples != full %d", seed, len(a), len(b))
 		}
@@ -195,7 +195,7 @@ func TestSaturateEmptyGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := Saturate(g)
-	if len(res.Triples) != 0 || res.Derived != 0 {
+	if len(res.Triples()) != 0 || res.Delta.Len() != 0 {
 		t.Fatalf("empty graph saturation not empty: %+v", res)
 	}
 }
@@ -208,10 +208,10 @@ ex:B rdfs:subClassOf ex:C .
 `)
 	res := Saturate(g)
 	// No data: G∞ is just the closed schema (3 subclass pairs).
-	if res.Derived != 0 {
-		t.Fatalf("derived %d, want 0", res.Derived)
+	if res.Delta.Len() != 0 {
+		t.Fatalf("derived %d, want 0", res.Delta.Len())
 	}
-	if len(res.Triples) != 3 {
-		t.Fatalf("want 3 closed schema triples, got %d", len(res.Triples))
+	if len(res.Triples()) != 3 {
+		t.Fatalf("want 3 closed schema triples, got %d", len(res.Triples()))
 	}
 }

@@ -36,22 +36,28 @@ type PairCount struct {
 	Count int
 }
 
+// Counter is what the estimates read off a source once its statistics are
+// made: counts, and the scans of the demo's distributions.
+type Counter interface {
+	Each(pat storage.Pattern, fn func(dict.Triple) bool)
+	Count(pat storage.Pattern) int
+	CountRange(p storage.RangePattern) int
+}
+
 // Source is the scan surface statistics are collected from and estimated
 // against: the slice of *storage.Store the estimators use, satisfied by
 // both a single store and a hash-partitioned shard.Store (whose counts
 // sum across disjoint shards, so the estimates stay exact).
 type Source interface {
+	Counter
 	Len() int
 	EachRun(pat storage.RangePattern, fn func([]dict.Triple) bool)
-	Each(pat storage.Pattern, fn func(dict.Triple) bool)
-	Count(pat storage.Pattern) int
-	CountRange(p storage.RangePattern) int
 	DistinctInPosition(pat storage.Pattern, pos byte) int
 }
 
 // Stats holds collected statistics over one store.
 type Stats struct {
-	store Source
+	store Counter
 	n     int
 
 	props map[dict.ID]PropertyStats
@@ -135,6 +141,59 @@ func (s *Stats) Apply(next Source, added, removed []dict.Triple) *Stats {
 			delete(out.props, p)
 		}
 	}
+	out.distinctP = len(out.props)
+	return out
+}
+
+// Plus returns the statistics of src, the union of s's source and more, a
+// store that shares no triple with it — equal field by field to Collect
+// over the union. Only a key some triple of more has can be new to the
+// union, so more is walked in (S,P,O), (P,O,S) and (O,S,P) order and s's
+// source is asked about each of its distinct keys once: a search per key of
+// more, not a pass over the union.
+func (s *Stats) Plus(src Counter, more *storage.Store) *Stats {
+	out := &Stats{store: src, n: s.n + more.Len(), props: maps.Clone(s.props), distinctS: s.distinctS, distinctO: s.distinctO}
+	had := func(key storage.Pattern) bool { return s.store.Count(key) > 0 }
+	var last dict.Triple // no triple holds None
+	more.EachRun(storage.RangePattern{}, func(ts []dict.Triple) bool {
+		for _, t := range ts {
+			ps := out.props[t.P]
+			ps.Count++
+			if t.S != last.S && !had(storage.Pattern{S: t.S}) {
+				out.distinctS++
+			}
+			if (t.S != last.S || t.P != last.P) && !had(storage.Pattern{S: t.S, P: t.P}) {
+				ps.DistinctS++
+			}
+			out.props[t.P], last = ps, t
+		}
+		return true
+	})
+	// A range on one position alone is scanned in the ordering it leads:
+	// (P,O,S) for the properties' objects, (O,S,P) for the objects.
+	all := []storage.IDRange{{Lo: 1, Hi: ^dict.ID(0)}}
+	last = dict.Triple{}
+	more.EachRun(storage.RangePattern{P: all}, func(ts []dict.Triple) bool {
+		for _, t := range ts {
+			if (t.P != last.P || t.O != last.O) && !had(storage.Pattern{P: t.P, O: t.O}) {
+				ps := out.props[t.P]
+				ps.DistinctO++
+				out.props[t.P] = ps
+			}
+			last = t
+		}
+		return true
+	})
+	last = dict.Triple{}
+	more.EachRun(storage.RangePattern{O: all}, func(ts []dict.Triple) bool {
+		for _, t := range ts {
+			if t.O != last.O && !had(storage.Pattern{O: t.O}) {
+				out.distinctO++
+			}
+			last = t
+		}
+		return true
+	})
 	out.distinctP = len(out.props)
 	return out
 }
