@@ -21,11 +21,23 @@ import (
 //  4. its condition calls the builtin len on a slice (greedy join-order
 //     loops);
 //  5. its body directly (not inside a nested loop or function literal)
-//     appends rows via Relation.Append.
+//     appends rows via Relation.Append or Relation.extend.
 //
 // Independently, every function literal taking a dict.Triple or query.CQ
 // parameter is a per-row / per-CQ callback and must poll somewhere in its
 // body (storage.Store.Each and the streaming-UCQ enumerators).
+//
+// Operators also move rows a batch at a time: a batch is an index block (a
+// function literal taking a []dict.Triple parameter — Source.EachRun's
+// callback) or a Relation chunk (a loop whose condition calls
+// Relation.chunks). Both must poll directly, once per batch, and a batch
+// callback is hot for hotalloc like a per-row one. A loop over one batch —
+// its range or condition reads the callback's block parameter, or a
+// variable the chunk loop's body reads off Relation.chunk — is compliant
+// without a poll of its own when the batch scope it sits directly in polls:
+// the batch bounds the rows between polls. Any other loop inside a batch
+// scope keeps its own obligation, so a fan-out loop emitting the matches of
+// one probe row must still poll every checkEvery rows.
 //
 // A poll is any call — or any forwarding as a call argument, as in
 // dst.insertAll(rel, g.err) — of a niladic func() error value: g.err, a
@@ -47,15 +59,20 @@ func runGuardpoll(pass *Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
+		g := &guardpollCheck{pass: pass, file: f}
+		var stack []ast.Node // the nodes enclosing the one inspected, outermost first
 		ast.Inspect(f, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return true
+			}
 			switch n := n.(type) {
 			case *ast.ForStmt, *ast.RangeStmt:
-				g := &guardpollCheck{pass: pass, file: f}
-				g.checkLoop(n)
+				g.checkLoop(n, stack)
 			case *ast.FuncLit:
-				g := &guardpollCheck{pass: pass, file: f}
 				g.checkCallback(n)
 			}
+			stack = append(stack, n)
 			return true
 		})
 	}
@@ -67,19 +84,12 @@ type guardpollCheck struct {
 	file *ast.File
 }
 
-func (g *guardpollCheck) checkLoop(loop ast.Node) {
+func (g *guardpollCheck) checkLoop(loop ast.Node, enclosing []ast.Node) {
 	why := g.rowShaped(loop)
 	if why == "" {
 		return
 	}
-	var body *ast.BlockStmt
-	switch l := loop.(type) {
-	case *ast.ForStmt:
-		body = l.Body
-	case *ast.RangeStmt:
-		body = l.Body
-	}
-	if g.polls(body) {
+	if g.polls(loopBody(loop)) || g.overPolledBatch(loop, enclosing) {
 		return
 	}
 	fn := enclosingFunc(g.file, loop.Pos())
@@ -91,15 +101,30 @@ func (g *guardpollCheck) checkLoop(loop ast.Node) {
 		funcDisplayName(fn), why)
 }
 
-// callbackKind classifies a function literal as a per-row / per-CQ
-// callback ("" otherwise). Shared with hotalloc: the same literals that
-// must poll the guard are also the per-row allocation surface.
+// loopBody returns a for or range loop's body.
+func loopBody(loop ast.Node) *ast.BlockStmt {
+	if l, ok := loop.(*ast.ForStmt); ok {
+		return l.Body
+	}
+	return loop.(*ast.RangeStmt).Body
+}
+
+// batchCallback is callbackKind's kind for a function literal taking a block
+// of triples.
+const batchCallback = "per-batch ([]Triple) callback"
+
+// callbackKind classifies a function literal as a per-row, per-batch or
+// per-CQ callback ("" otherwise). Shared with hotalloc: the same literals
+// that must poll the guard are also the per-row allocation surface.
 func (g *guardpollCheck) callbackKind(lit *ast.FuncLit) string {
 	kind := ""
 	for _, field := range lit.Type.Params.List {
 		tv, ok := g.pass.Info.Types[field.Type]
 		if !ok {
 			continue
+		}
+		if isTripleBlock(tv.Type) {
+			kind = batchCallback
 		}
 		switch namedTypeName(tv.Type) {
 		case "Triple":
@@ -111,14 +136,21 @@ func (g *guardpollCheck) callbackKind(lit *ast.FuncLit) string {
 	return kind
 }
 
+// isTripleBlock reports whether t is a slice of Triple: an index block.
+func isTripleBlock(t types.Type) bool {
+	sl, ok := t.Underlying().(*types.Slice)
+	return ok && namedTypeName(sl.Elem()) == "Triple"
+}
+
 // checkCallback enforces polling inside per-row (dict.Triple) and per-CQ
-// (query.CQ) callbacks.
+// (query.CQ) callbacks, and directly — once per batch — inside per-batch
+// ([]dict.Triple) ones.
 func (g *guardpollCheck) checkCallback(lit *ast.FuncLit) {
 	kind := g.callbackKind(lit)
 	if kind == "" {
 		return
 	}
-	if g.pollsAnywhere(lit.Body) {
+	if kind == batchCallback && g.polls(lit.Body) || kind != batchCallback && g.pollsAnywhere(lit.Body) {
 		return
 	}
 	fn := enclosingFunc(g.file, lit.Pos())
@@ -128,6 +160,92 @@ func (g *guardpollCheck) checkCallback(lit *ast.FuncLit) {
 	g.pass.Reportf(lit.Pos(),
 		"%s in %s does not poll the evaluation guard: call g.err()/check() every checkEvery rows or annotate //reflint:noguard <reason>",
 		kind, funcDisplayName(fn))
+}
+
+// overPolledBatch reports whether loop is a loop over one batch sitting
+// directly — no loop or function literal between — in a batch scope that
+// polls directly: a batch callback whose block parameter the loop's range or
+// condition reads, or a chunk loop whose body defines, from a
+// Relation.chunk call, a variable the loop's range or condition reads.
+func (g *guardpollCheck) overPolledBatch(loop ast.Node, enclosing []ast.Node) bool {
+	var scope ast.Node
+	for i := len(enclosing) - 1; i >= 0 && scope == nil; i-- {
+		switch enclosing[i].(type) {
+		case *ast.ForStmt, *ast.RangeStmt, *ast.FuncLit:
+			scope = enclosing[i]
+		}
+	}
+	batch := map[types.Object]bool{}
+	switch s := scope.(type) {
+	case *ast.FuncLit:
+		if g.callbackKind(s) != batchCallback || !g.polls(s.Body) {
+			return false
+		}
+		for _, field := range s.Type.Params.List {
+			for _, name := range field.Names {
+				if obj := g.pass.Info.Defs[name]; obj != nil && isTripleBlock(obj.Type()) {
+					batch[obj] = true
+				}
+			}
+		}
+	case *ast.ForStmt:
+		if !g.isChunkLoop(s) || !g.polls(s.Body) {
+			return false
+		}
+		for _, stmt := range s.Body.List {
+			as, ok := stmt.(*ast.AssignStmt)
+			if !ok || len(as.Rhs) != 1 || !g.isRelationCall(as.Rhs[0], "chunk") {
+				continue
+			}
+			for _, lhs := range as.Lhs {
+				if id, ok := lhs.(*ast.Ident); ok && g.pass.Info.Defs[id] != nil {
+					batch[g.pass.Info.Defs[id]] = true
+				}
+			}
+		}
+	default:
+		return false
+	}
+	var over ast.Node
+	switch l := loop.(type) {
+	case *ast.ForStmt:
+		over = l.Cond
+	case *ast.RangeStmt:
+		over = l.X
+	}
+	reads := false
+	if over != nil {
+		ast.Inspect(over, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && batch[g.pass.Info.Uses[id]] {
+				reads = true
+			}
+			return !reads
+		})
+	}
+	return reads
+}
+
+// isChunkLoop reports whether a for loop's condition calls Relation.chunks:
+// it visits a relation's rows a chunk at a time.
+func (g *guardpollCheck) isChunkLoop(l *ast.ForStmt) bool {
+	found := false
+	if l.Cond != nil {
+		ast.Inspect(l.Cond, func(n ast.Node) bool {
+			found = found || g.isRelationCall(n, "chunks")
+			return !found
+		})
+	}
+	return found
+}
+
+// isRelationCall reports whether n calls the named method on a Relation.
+func (g *guardpollCheck) isRelationCall(n ast.Node, method string) bool {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == method && g.isRelation(sel.X)
 }
 
 // rowShaped classifies a loop; the non-empty return is the matching rule,
@@ -152,6 +270,9 @@ func (g *guardpollCheck) rowShaped(loop ast.Node) string {
 	case *ast.ForStmt:
 		if l.Cond == nil {
 			return "unbounded for {}"
+		}
+		if g.isChunkLoop(l) {
+			return "visits Relation chunks"
 		}
 		why := ""
 		ast.Inspect(l.Cond, func(n ast.Node) bool {
@@ -198,8 +319,8 @@ func (g *guardpollCheck) isRelation(e ast.Expr) bool {
 	return ok && namedTypeName(tv.Type) == "Relation"
 }
 
-// appendsDirectly reports whether the loop body calls Relation.Append
-// outside any nested loop or function literal — the "producing rows"
+// appendsDirectly reports whether the loop body calls Relation.Append or
+// extend outside any nested loop or function literal — the "producing rows"
 // signature of rule 5.
 func (g *guardpollCheck) appendsDirectly(body *ast.BlockStmt) bool {
 	found := false
@@ -212,7 +333,7 @@ func (g *guardpollCheck) appendsDirectly(body *ast.BlockStmt) bool {
 			return false // nested loops/callbacks are checked on their own
 		case *ast.CallExpr:
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok &&
-				sel.Sel.Name == "Append" && g.isRelation(sel.X) {
+				(sel.Sel.Name == "Append" || sel.Sel.Name == "extend") && g.isRelation(sel.X) {
 				found = true
 				return false
 			}

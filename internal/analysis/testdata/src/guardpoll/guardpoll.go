@@ -23,6 +23,12 @@ type Relation struct {
 func (r *Relation) Len() int         { return r.rows }
 func (r *Relation) Append(row []int) { r.rows++ }
 
+// chunks and chunk mirror the executor's chunked row storage.
+func (r *Relation) chunks() int                { return 1 }
+func (r *Relation) chunk(c int) ([]int, int)   { return nil, r.rows }
+func (r *Relation) appendRows(ids []int) []int { return ids[1:] }
+func (r *Relation) extend() []int              { r.rows++; return nil }
+
 // DistinctCheck stands for a helper that takes the poll (Set.insertAll).
 func (r *Relation) DistinctCheck(check func() error) error { return check() }
 
@@ -31,6 +37,8 @@ type guard struct{ n int }
 func (g guard) err() error { return nil }
 
 func each(fn func(Triple) bool) { fn(Triple{}) }
+
+func eachRun(fn func([]Triple) bool) { fn(nil) }
 
 func enumerate(fn func(CQ) bool) { fn(CQ{}) }
 
@@ -172,6 +180,134 @@ func cqCallbackUnpolled() {
 	enumerate(func(cq CQ) bool { // want "per-CQ"
 		return true
 	})
+}
+
+// --- batches: index blocks and Relation chunks ---------------------------------
+
+// blockPolledOnce polls once per block; its loop over the block appends a row
+// per triple without a poll of its own — the block bounds it.
+func blockPolledOnce(out *Relation, g guard) {
+	eachRun(func(run []Triple) bool {
+		if g.err() != nil {
+			return false
+		}
+		for _, t := range run {
+			out.Append([]int{t.S})
+		}
+		for len(run) > 0 {
+			run = run[1:]
+		}
+		return true
+	})
+}
+
+func blockCallbackUnpolled(out *Relation) {
+	eachRun(func(run []Triple) bool { // want "per-batch"
+		for _, t := range run { // want "appends Relation rows"
+			out.Append([]int{t.S})
+		}
+		return true
+	})
+}
+
+// blockPolledOnlyPerRow polls inside its loop over the block but not once
+// per block: the batch discipline wants the block's own poll.
+func blockPolledOnlyPerRow(g guard) {
+	eachRun(func(run []Triple) bool { // want "per-batch"
+		for i := 0; i < len(run); i++ {
+			if g.err() != nil {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// fanOutUnpolled emits the matches of each probe triple: the fan-out loop
+// is not a loop over the block, so the block's poll does not cover it.
+func fanOutUnpolled(out *Relation, matches map[int][]int, g guard) {
+	eachRun(func(run []Triple) bool {
+		if g.err() != nil {
+			return false
+		}
+		for _, t := range run {
+			for _, m := range matches[t.S] { // want "appends Relation rows"
+				out.Append([]int{t.S, m})
+			}
+		}
+		return true
+	})
+}
+
+// fanOutInPlace emits rows it fills in place, still without a poll.
+func fanOutInPlace(out *Relation, matches map[int][]int, g guard) {
+	eachRun(func(run []Triple) bool {
+		if g.err() != nil {
+			return false
+		}
+		for _, t := range run {
+			for _, m := range matches[t.S] { // want "appends Relation rows"
+				row := out.extend()
+				_, _ = row, m
+			}
+		}
+		return true
+	})
+}
+
+// fanOutPolled polls the fan-out every checkEvery emitted rows.
+func fanOutPolled(out *Relation, matches map[int][]int, g guard) {
+	steps := 0
+	eachRun(func(run []Triple) bool {
+		if g.err() != nil {
+			return false
+		}
+		for _, t := range run {
+			for _, m := range matches[t.S] {
+				if steps++; steps%4096 == 0 && g.err() != nil {
+					return false
+				}
+				out.Append([]int{t.S, m})
+			}
+		}
+		return true
+	})
+}
+
+// notOverTheBlock sits in a polled block callback but loops over something
+// else: it keeps its own obligation.
+func notOverTheBlock(out *Relation, rows [][]int, g guard) {
+	eachRun(func(run []Triple) bool {
+		if g.err() != nil {
+			return false
+		}
+		for i := 0; i < len(rows); i++ { // want "bounded by a slice length"
+			out.Append(rows[i])
+		}
+		return true
+	})
+}
+
+func chunksPolled(dst, src *Relation, g guard) error {
+	for c := 0; c < src.chunks(); c++ {
+		if err := g.err(); err != nil {
+			return err
+		}
+		ids, _ := src.chunk(c)
+		for len(ids) > 0 {
+			ids = dst.appendRows(ids)
+		}
+	}
+	return nil
+}
+
+func chunksUnpolled(dst, src *Relation) {
+	for c := 0; c < src.chunks(); c++ { // want "visits Relation chunks"
+		ids, _ := src.chunk(c)
+		for len(ids) > 0 { // want "bounded by a slice length"
+			ids = dst.appendRows(ids)
+		}
+	}
 }
 
 // --- annotations --------------------------------------------------------------

@@ -18,11 +18,15 @@ type Relation struct{ rows int }
 
 func (r *Relation) Len() int { return r.rows }
 
+func (r *Relation) chunks() int { return 1 }
+
 type guard struct{ n int }
 
 func (g guard) err() error { return nil }
 
 func each(fn func(Triple) bool) { fn(Triple{}) }
+
+func eachRun(fn func([]Triple) bool) { fn(nil) }
 
 func sink(v any) {}
 
@@ -149,5 +153,29 @@ func annotated(r *Relation, g guard) {
 		//reflint:hotalloc rotation branch, taken once per file rollover, not per row
 		idx := make(map[int]int)
 		_ = idx
+	}
+}
+
+// --- batches -------------------------------------------------------------------
+
+// A block callback is as hot as a per-row one: it runs once per block of a
+// scan that may read millions of triples.
+func blockCallbackAllocates(g guard) {
+	eachRun(func(run []Triple) bool {
+		if g.err() != nil {
+			return false
+		}
+		buf := make([]int, len(run)) // want "make.. per iteration in per-batch"
+		_ = buf
+		return true
+	})
+}
+
+func chunkLoopAllocates(r *Relation, g guard) {
+	for c := 0; c < r.chunks(); c++ {
+		if g.err() != nil {
+			return
+		}
+		global = append(global, fmt.Sprint(c)) // want "fmt.Sprint per iteration in row loop .visits Relation chunks."
 	}
 }

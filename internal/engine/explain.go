@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/cost"
@@ -191,12 +192,14 @@ func explainUnion(parent *trace.Span, m *cost.Model, d *dict.Dict, members []que
 // explainCQ adds under parent the plan the cost model prices — and the
 // executor runs — for one CQ in the evaluator's atom form: a "cq" node with
 // the operators of each step as the executor records them, a scan for the
-// first atom, then per atom an index-nested-loop join or a scan and the
-// materialized join of its result, carrying the estimated cardinalities.
-// Against a sharded source the tree shows the executor's scatter shape: a
+// first atom, then per atom an index-nested-loop join, a hash join the
+// atom's scan streams into (streamsInto), or a scan and the materialized
+// join of its result, carrying the estimated cardinalities. Against a
+// sharded source the tree shows the executor's scatter shape: a
 // co-partitioned body nests its whole plan under one scatter node
 // (evaluated shard-locally N ways), any other body scatters its
-// unbound-subject scans individually.
+// unbound-subject scans individually — a streamed scan reads the shards in
+// turn, with no scatter.
 //
 //reflint:nospanend plan spans are a rendered tree, never timed; Plan.Tree omits durations
 func explainCQ(parent *trace.Span, m *cost.Model, d *dict.Dict, q query.RangeCQ, shards int) {
@@ -210,10 +213,13 @@ func explainCQ(parent *trace.Span, m *cost.Model, d *dict.Dict, q query.RangeCQ,
 	if local {
 		ops = scatterNode(csp, "cq", shards)
 	}
+	running := 0.0
 	for _, st := range steps {
 		a := q.Atoms[st.Index]
-		if st.Op == cost.OpINLJ {
-			op := ops.Child(cost.OpINLJ)
+		streamed := st.Op == cost.OpHashJoin && streamsInto(a, st.Atom.Card, running)
+		running = st.Out.Card
+		if st.Op == cost.OpINLJ || streamed {
+			op := ops.Child(st.Op)
 			op.SetStr("atom", a.Format(d))
 			op.SetFloat("est_rows", st.Out.Card)
 			continue
@@ -229,4 +235,25 @@ func explainCQ(parent *trace.Span, m *cost.Model, d *dict.Dict, q query.RangeCQ,
 			ops.Child(st.Op).SetFloat("est_rows", st.Out.Card)
 		}
 	}
+}
+
+// streamsInto reports whether the executor streams a hashed atom's scan into
+// its join instead of scanning it first: the atom repeats no variable, so
+// its scan reads whole index blocks, and its rows are at least the running
+// result's, so the hash join builds on the running result and the scan is
+// its probe side. EXPLAIN decides on estimates what the executor decides on
+// exact counts.
+func streamsInto(a query.RangeAtom, rows, running float64) bool {
+	var vars [3]string
+	n := 0
+	for _, ra := range [3]query.RangeArg{a.S, a.P, a.O} {
+		if !ra.Arg.IsVar() {
+			continue
+		}
+		if slices.Contains(vars[:n], ra.Arg.Var) {
+			return false
+		}
+		vars[n], n = ra.Arg.Var, n+1
+	}
+	return rows >= running
 }

@@ -86,11 +86,11 @@ func TestEstimatesUnchanged(t *testing.T) {
 }
 
 // planOp is one operator of a conjunctive plan: its name, for the operators
-// that read an atom the atom, and for a traced join the actual size of the
-// running result it joined into.
+// that read an atom the atom, and for a traced join the actual sizes of the
+// running result it joined into and of the relation or scan it joined.
 type planOp struct {
-	op, atom string
-	left     float64
+	op, atom    string
+	left, right float64
 }
 
 func (o planOp) String() string { return o.op + " " + o.atom }
@@ -106,7 +106,8 @@ func cqOps(n *trace.SpanJSON) [][]planOp {
 			case cost.OpScan, cost.OpINLJ, cost.OpHashJoin, cost.OpCross:
 				atom, _ := c.Attrs["atom"].(string)
 				left, _ := c.Attrs["left_rows"].(int64)
-				ops = append(ops, planOp{c.Name, atom, float64(left)})
+				right, _ := c.Attrs["right_rows"].(int64)
+				ops = append(ops, planOp{c.Name, atom, float64(left), float64(right)})
 			}
 		}
 		return append(out, ops)
@@ -137,10 +138,20 @@ func opStrings(ops []planOp, atomsOnly bool) []string {
 // Plan().Tree() come in the order of the traced answer's — always: both
 // sides order by cost.Pick over the same cardinalities — and the operators
 // are the same too whenever the estimated and the actual size of the
-// running result fall on the same side of cost.PreferINLJ at every join.
+// running result fall on the same side of cost.PreferINLJ at every join, and
+// of the streaming rule at every hash join (streamsInto). One more query
+// joins a scan larger than the running result by hashing, so the executor
+// streams it: EXPLAIN must show that step as the one hashjoin node the
+// executor records, not as a scan and a join.
 func TestPlanOrderIsTraceOrder(t *testing.T) {
 	e, names, qs := lubmWorkload(t)
-	compared := 0
+	stream, err := query.ParseRuleWithPrefixes(e.g.Dict(), map[string]string{"ub": "http://swat.cse.lehigh.edu/onto/univ-bench.owl#"},
+		`q(x, y) :- x ub:memberOf z, x ub:takesCourse y`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, qs = append(names, "Stream"), append(qs, stream)
+	compared, streamed := 0, 0
 	for i, q := range qs {
 		for _, s := range []Strategy{Sat, RefRange} {
 			name := names[i] + "/" + string(s)
@@ -175,10 +186,15 @@ func TestPlanOrderIsTraceOrder(t *testing.T) {
 			if got, want := opStrings(planned[0], false), opStrings(traced[0], false); !slices.Equal(got, want) {
 				t.Errorf("%s: EXPLAIN plans\n  %q\nthe executor ran\n  %q", name, got, want)
 			}
+			for _, o := range traced[0] {
+				if o.op == cost.OpHashJoin && o.atom != "" {
+					streamed++
+				}
+			}
 		}
 	}
-	if compared < len(qs) {
-		t.Errorf("operators compared on %d plans only, of %d queries under two strategies", compared, len(qs))
+	if compared < len(qs) || streamed == 0 {
+		t.Errorf("operators compared on %d plans, of %d queries under two strategies, %d streamed hash joins among them; want every query and a streamed join", compared, len(qs), streamed)
 	}
 
 	// Under ref-gcov the fragments join in the plan's order: EXPLAIN and the
@@ -290,22 +306,25 @@ func fragmentSteps(n *trace.SpanJSON) []fragmentStep {
 }
 
 // sameSide reports whether, at every join of the member's plan, the
-// estimated size of the running result (the model's) and the actual one
-// (the traced join's left_rows) lead cost.PreferINLJ to the same decision.
-// The joins of plan and trace pair up in order: their atoms are in the same
-// order.
+// estimated sizes (the model's) and the actual ones (the traced join's
+// left_rows and right_rows) lead cost.PreferINLJ, and at a hash join the
+// streaming rule, to the same decision. The joins of plan and trace pair up
+// in order: their atoms are in the same order.
 func sameSide(m *cost.Model, member query.RangeCQ, traced []planOp) bool {
-	var actual []float64
+	var actual []planOp
 	for _, o := range traced {
 		if o.op != cost.OpScan {
-			actual = append(actual, o.left)
+			actual = append(actual, o)
 		}
 	}
 	same, est, join := true, 0.0, 0
 	m.RangeCQ(member, func(st cost.PlanStep) {
 		if st.Op != cost.OpScan {
 			if st.Op != cost.OpCross {
-				same = same && cost.PreferINLJ(est, st.Atom.Card) == cost.PreferINLJ(actual[join], st.Atom.Card)
+				act := actual[join]
+				same = same && cost.PreferINLJ(est, st.Atom.Card) == cost.PreferINLJ(act.left, st.Atom.Card)
+				a := member.Atoms[st.Index]
+				same = same && (st.Op != cost.OpHashJoin || streamsInto(a, st.Atom.Card, est) == streamsInto(a, act.right, act.left))
 			}
 			join++
 		}

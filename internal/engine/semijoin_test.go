@@ -35,8 +35,11 @@ var semijoinTemplates = []shapeTemplate{
 // once by its merged UCQ and once by its range reformulation (members with
 // expansions), at 1 and 4 shards. The sweep must probe fragments whose
 // members hold a constant in a shared slot and range members with an
-// expansion, and take a cross step.
-func TestSemijoinIsTheJoin(t *testing.T) {
+// expansion, and take a cross step. It runs with relations cut into chunks
+// of one row, of four and of the default size.
+func TestSemijoinIsTheJoin(t *testing.T) { atChunkSizes(t, semijoinIsTheJoin) }
+
+func semijoinIsTheJoin(t *testing.T) {
 	type workload struct {
 		name  string
 		e     *Engine

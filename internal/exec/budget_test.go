@@ -35,6 +35,30 @@ func crossCQ() query.CQ {
 	}
 }
 
+// fanOutStore holds n triples x 201 k and m triples z 202 k, all with the
+// same k: fanOutCQ scans the n, then streams the m into a hash join in which
+// each of them matches all n rows.
+func fanOutStore(n, m int) [][3]dict.ID {
+	ts := make([][3]dict.ID, 0, n+m)
+	for i := 0; i < n; i++ {
+		ts = append(ts, [3]dict.ID{dict.ID(1000 + i), 201, 1})
+	}
+	for i := 0; i < m; i++ {
+		ts = append(ts, [3]dict.ID{dict.ID(100000 + i), 202, 1})
+	}
+	return ts
+}
+
+func fanOutCQ() query.CQ {
+	return query.CQ{
+		Head: []query.Arg{v("x"), v("z")},
+		Atoms: []query.Atom{
+			{S: v("x"), P: c(201), O: v("k")},
+			{S: v("z"), P: c(202), O: v("k")},
+		},
+	}
+}
+
 // Regression for the headline bug: parallel UCQ workers used to restart
 // Budget.Timeout per CQ (fresh sub-Evaluator → EvalCQ → fresh deadline),
 // so a union of N CQs effectively got N budgets. The deadline must be set
@@ -139,29 +163,37 @@ func TestEvalCQContextPreCanceled(t *testing.T) {
 }
 
 // Canceling mid-flight stops a long evaluation at the next operator
-// checkpoint instead of running the scan to completion.
+// checkpoint instead of running the scan to completion — a cross product,
+// and a scan streamed into a hash join whose every triple matches every row
+// of the running result, so that one block emits millions of rows.
 func TestCancelMidEval(t *testing.T) {
-	st, ss := tinyStore(crossStore(800))
+	for _, tc := range []struct {
+		name    string
+		triples [][3]dict.ID
+		q       query.CQ
+	}{{"cross", crossStore(800), crossCQ()}, {"streamed fan-out", fanOutStore(2000, 2100), fanOutCQ()}} {
+		st, ss := tinyStore(tc.triples)
 
-	base := New(st, ss)
-	start := time.Now()
-	if _, err := base.cq([]string{"x", "z"}, crossCQ()); err != nil {
-		t.Fatalf("unbudgeted baseline failed: %v", err)
-	}
-	baseline := time.Since(start)
+		base := New(st, ss)
+		start := time.Now()
+		if _, err := base.cq([]string{"x", "z"}, tc.q); err != nil {
+			t.Fatalf("%s: unbudgeted baseline failed: %v", tc.name, err)
+		}
+		baseline := time.Since(start)
 
-	e := New(st, ss)
-	ctx, cancel := context.WithCancel(context.Background())
-	timer := time.AfterFunc(time.Millisecond, cancel)
-	defer timer.Stop()
-	start = time.Now()
-	_, err := e.EvalCQContext(ctx, []string{"x", "z"}, crossCQ())
-	elapsed := time.Since(start)
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("want ErrCanceled, got %v", err)
-	}
-	if elapsed > baseline/2+100*time.Millisecond {
-		t.Fatalf("canceled eval took %v (baseline %v): cancellation not checked mid-operator", elapsed, baseline)
+		e := New(st, ss)
+		ctx, cancel := context.WithCancel(context.Background())
+		timer := time.AfterFunc(time.Millisecond, cancel)
+		start = time.Now()
+		_, err := e.EvalCQContext(ctx, []string{"x", "z"}, tc.q)
+		elapsed := time.Since(start)
+		timer.Stop()
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("%s: want ErrCanceled, got %v", tc.name, err)
+		}
+		if elapsed > baseline/2+100*time.Millisecond {
+			t.Fatalf("%s: canceled eval took %v (baseline %v): cancellation not checked mid-operator", tc.name, elapsed, baseline)
+		}
 	}
 }
 

@@ -60,9 +60,9 @@ type Evaluator struct {
 	// claiming the whole machine.
 	MaxParallel int
 	// ForceHashJoins disables every probe — index-nested-loop joins of atoms
-	// and semijoins of JUCQ fragments — materializing and hashing every atom
-	// and fragment instead: the ablation knob quantifying how much of the
-	// cover strategies' win comes from selective probing.
+	// and semijoins of JUCQ fragments — reading every atom and fragment in
+	// full and hash-joining it instead: the ablation knob quantifying how
+	// much of the cover strategies' win comes from selective probing.
 	ForceHashJoins bool
 	// Join selects the algorithm for materialized joins (hash by
 	// default; merge sorts both sides — the second ablation knob).
@@ -401,9 +401,12 @@ func (e *Evaluator) evalBody(atoms []query.RangeAtom, dead []uint8, seed *Relati
 			}
 		}
 		var err error
-		if isConnected && !e.ForceHashJoins && cost.PreferINLJ(float64(cur.Len()), card[ai]) {
+		switch {
+		case isConnected && !e.ForceHashJoins && cost.PreferINLJ(float64(cur.Len()), card[ai]):
 			cur, err = e.indexJoin(cur, atom, dead[ai], g, sp, estOut)
-		} else {
+		case isConnected && e.streams(cur, atom, dead[ai], card[ai]):
+			cur, err = e.streamJoin(cur, atom, dead[ai], m, g, sp, estOut)
+		default:
 			var right *Relation
 			right, err = e.scanAtom(atom, dead[ai], m, g, sp, estCard(ests, ai))
 			if err != nil {
@@ -432,16 +435,12 @@ func (e *Evaluator) evalBody(atoms []query.RangeAtom, dead []uint8, seed *Relati
 // unconstrained fans out to every shard in parallel (a bound subject needs
 // no scatter: the source routes it to the subject's home shard).
 func (e *Evaluator) scanAtom(a query.RangeAtom, dead uint8, m *memo, g guard, sp *trace.Span, est float64) (*Relation, error) {
-	vars, col := atomVars(a, dead)
+	vars, col := atomVars(nil, a, dead)
 	if rel := m.scan(a, dead, vars, col); rel != nil {
 		return rel, nil
 	}
-	// repeat[p]: position p's variable was bound by an earlier position.
-	var repeat [3]bool
-	for p := 1; p < 3; p++ {
-		repeat[p] = col[p] != -1 && (col[p] == col[0] || (p == 2 && col[p] == col[1]))
-	}
-	isRanged, batch := a.Ranged(), len(vars) > 0 && !repeat[1] && !repeat[2]
+	repeat := repeats(col)
+	isRanged, batch := a.Ranged(), len(vars) > 0 && repeat == [3]bool{}
 	var pat storage.Pattern
 	var rpat storage.RangePattern
 	if isRanged || batch {
@@ -463,7 +462,9 @@ func (e *Evaluator) scanAtom(a query.RangeAtom, dead uint8, m *memo, g guard, sp
 				if stopErr = g.err(); stopErr != nil {
 					return false
 				}
-				rel.appendColumns(run, col)
+				for len(run) > 0 {
+					run = rel.appendColumns(run, col)
+				}
 				return !overCap()
 			})
 			return stopErr
@@ -499,7 +500,7 @@ func (e *Evaluator) scanAtom(a query.RangeAtom, dead uint8, m *memo, g guard, sp
 		return stopErr
 	}
 	var rel *Relation
-	if sh := e.scatterSource(); sh != nil && a.S.Ranges == nil && a.S.Arg.IsVar() {
+	if sh := e.scatterSource(); sh != nil && scatters(a) {
 		var err error
 		if rel, err = e.scatterScan(sh, a, vars, g, sp, est, scan); err != nil {
 			return nil, err
@@ -676,97 +677,284 @@ func (e *Evaluator) indexJoin(cur *Relation, a query.RangeAtom, dead uint8, g gu
 	return out, nil
 }
 
+// repeats reports, per position of an atom whose positions bind the columns
+// col (atomVars), whether an earlier position bound its variable.
+func repeats(col [3]int) (repeat [3]bool) {
+	for p := 1; p < 3; p++ {
+		repeat[p] = col[p] != -1 && (col[p] == col[0] || (p == 2 && col[p] == col[1]))
+	}
+	return repeat
+}
+
+// scatters reports whether a scan of the atom fans out to every shard of a
+// sharded source: its subject is unconstrained. A bound subject needs no
+// scatter — the source routes it to the subject's home shard.
+func scatters(a query.RangeAtom) bool { return a.S.Ranges == nil && a.S.Arg.IsVar() }
+
+// streams reports whether a hashed atom joins cur by streamJoin: the join is
+// the hash join, the atom's scan reads whole blocks (a live variable, none
+// repeated), and the scan has at least cur's rows, so the table is built on
+// cur as hashJoin builds on the smaller side. The rows are counted exactly,
+// by index searches; card is that count already for a ranged atom or without
+// statistics.
+func (e *Evaluator) streams(cur *Relation, a query.RangeAtom, dead uint8, card float64) bool {
+	if e.Join != JoinHash {
+		return false
+	}
+	var buf [3]string
+	vars, col := atomVars(buf[:0], a, dead)
+	if len(vars) == 0 || repeats(col) != [3]bool{} {
+		return false
+	}
+	if !a.Ranged() && e.stats != nil {
+		card = float64(e.st.Count(a.Plain().Pattern()))
+	}
+	return card >= float64(cur.Len())
+}
+
 // hashJoin joins two relations on their shared variables (cross product
-// when none), building on the smaller side.
+// when none), building on the smaller side and probing it with the other's
+// chunks.
 func (e *Evaluator) hashJoin(l, r *Relation, g guard, sp *trace.Span, est float64) (*Relation, error) {
 	shared := sharedVars(l.Vars, r.Vars)
-	var jsp *trace.Span
-	if sp != nil {
-		name := cost.OpHashJoin
-		if len(shared) == 0 {
-			name = cost.OpCross
-		}
-		jsp = sp.Child(name)
+	jsp := joinSpan(sp, cost.OpHashJoin, shared, l.Len(), est)
+	if jsp != nil {
 		defer jsp.End()
-		jsp.SetStr("on", strings.Join(shared, ","))
-		jsp.SetInt("left_rows", int64(l.Len()))
 		jsp.SetInt("right_rows", int64(r.Len()))
-		if est >= 0 {
-			jsp.SetFloat("est_rows", est)
-		}
 	}
 	build, probe := l, r
 	if r.Len() < l.Len() {
 		build, probe = r, l
 	}
-	bIdx := make([]int, len(shared))
-	pIdx := make([]int, len(shared))
-	for i, v := range shared {
-		bIdx[i] = build.ColumnIndex(v)
-		pIdx[i] = probe.ColumnIndex(v)
+	t, err := e.newJoinTable(build, probe.Vars, shared, g)
+	if err != nil {
+		return nil, err
 	}
-	// Output columns: all of probe's, then build's non-shared.
-	var extraCols []int
-	outVars := append([]string(nil), probe.Vars...)
-	for i, v := range build.Vars {
-		if probe.ColumnIndex(v) == -1 {
-			outVars = append(outVars, v)
-			extraCols = append(extraCols, i)
-		}
+	if err := t.probeRelation(probe); err != nil {
+		return nil, err
 	}
-	out := NewRelation(outVars)
+	return t.finish(jsp), nil
+}
 
-	// Build in descending row order, so that a chain lists its rows ascending.
-	table := newRowTable(build.Len())
-	steps := 0
-	for i := build.Len() - 1; i >= 0; i-- {
-		steps++
-		if steps&(checkEvery-1) == 0 {
-			if err := g.err(); err != nil {
-				return nil, err
-			}
-		}
-		table.add(hashCols(build.Row(i), bIdx), i)
+// streamJoin hash-joins an atom into cur with the atom's scan as the probe
+// side: the table is built on cur and probed a block at a time as the index
+// yields the scan's rows, each block projected onto the scan's columns in
+// one reused batch. Inside a union the scan is kept for the memo as it
+// streams, and a scan the memo holds is probed from its chunks. When the
+// scan has at least cur's rows (streams), the result is hashJoin(cur, scan)
+// row for row: the same columns, the same rows in the same order. Against a
+// sharded source an unbound subject's blocks come from every shard in shard
+// order, the order scatterScan concatenates them in. The streamed triples
+// are the scan's rows: charged to Budget.MaxRows and counted as scanned. The
+// guard is polled once per block and, inside the probe, every checkEvery
+// rows.
+func (e *Evaluator) streamJoin(cur *Relation, a query.RangeAtom, dead uint8, m *memo, g guard, sp *trace.Span, est float64) (*Relation, error) {
+	vars, col := atomVars(nil, a, dead)
+	shared := sharedVars(cur.Vars, vars)
+	jsp := joinSpan(sp, cost.OpHashJoin, shared, cur.Len(), est)
+	if jsp != nil {
+		defer jsp.End()
+		jsp.SetStr("atom", a.Format(e.st.Dict()))
 	}
-	outRow := make([]dict.ID, len(outVars))
-	for i := 0; i < probe.Len(); i++ {
-		steps++
-		if steps&(checkEvery-1) == 0 {
-			if err := g.err(); err != nil {
-				return nil, err
+	t, err := e.newJoinTable(cur, vars, shared, g)
+	if err != nil {
+		return nil, err
+	}
+	streamed := 0
+	if held := m.scan(a, dead, vars, col); held != nil {
+		if err := t.probeRelation(held); err != nil {
+			return nil, err
+		}
+		streamed = held.Len()
+	} else {
+		var (
+			batch   []dict.ID
+			stopErr error
+			kept    *Relation
+		)
+		// Inside a union the scan is kept as it streams, while it fits the
+		// memo, so the members after this one probe its chunks instead of
+		// reading the index again; the kept rows are probed where they are
+		// written.
+		if m != nil {
+			kept = NewRelation(vars)
+		}
+		probe := func(run []dict.Triple) bool {
+			if stopErr = g.err(); stopErr != nil {
+				return false
+			}
+			if streamed += len(run); e.Budget.MaxRows > 0 && streamed > e.Budget.MaxRows {
+				stopErr = fmt.Errorf("%w: scan of %d+ rows exceeds cap %d", ErrBudgetExceeded, streamed, e.Budget.MaxRows)
+				return false
+			}
+			if kept == nil {
+				batch = slices.Grow(batch[:0], len(run)*len(vars))[:len(run)*len(vars)]
+				fillColumns(batch, run, col, len(vars))
+				stopErr = t.probe(batch, len(run))
+				return stopErr == nil
+			}
+			// The rows appendColumns writes end the last chunk: probe them there.
+			for len(run) > 0 && stopErr == nil {
+				n := len(run)
+				run = kept.appendColumns(run, col)
+				n -= len(run)
+				stopErr = t.probe(kept.last[len(kept.last)-n*len(vars):], n)
+			}
+			if m.held+kept.ids() > memoCap {
+				kept = nil
+			}
+			return stopErr == nil
+		}
+		rpat := a.RangePattern()
+		if sh := e.scatterSource(); sh != nil && scatters(a) {
+			for i := 0; i < sh.NumShards() && stopErr == nil; i++ {
+				sh.Shard(i).EachRun(rpat, probe)
+			}
+		} else {
+			e.st.EachRun(rpat, probe)
+		}
+		if stopErr != nil {
+			return nil, stopErr
+		}
+		g.addScanned(streamed)
+		if kept != nil {
+			m.putScan(kept)
+		}
+	}
+	if jsp != nil {
+		jsp.SetInt("right_rows", int64(streamed))
+	}
+	return t.finish(jsp), nil
+}
+
+// joinSpan opens a join's span under sp (nil when sp is): op, or "cross"
+// when no variable is shared, with the running result's rows and the
+// estimate (-1: none).
+func joinSpan(sp *trace.Span, op string, shared []string, left int, est float64) *trace.Span {
+	if sp == nil {
+		return nil
+	}
+	if len(shared) == 0 {
+		op = cost.OpCross
+	}
+	jsp := sp.Child(op)
+	jsp.SetStr("on", strings.Join(shared, ","))
+	jsp.SetInt("left_rows", int64(left))
+	if est >= 0 {
+		jsp.SetFloat("est_rows", est)
+	}
+	return jsp
+}
+
+// joinTable is the executor's one hash-join kernel: a table over the build
+// side's shared columns, probed a batch of rows at a time — a relation's
+// chunk, or an index block projected onto a scan's columns. A match emits
+// the probe row followed by the build row's other columns: in probe order
+// and, per probe row, in build order.
+type joinTable struct {
+	e          *Evaluator
+	g          guard
+	build      *Relation
+	table      rowTable
+	bIdx, pIdx []int // the shared columns in build and probe rows
+	extra      []int // the build columns a probe row lacks
+	out        *Relation
+	steps      int // rows hashed, probed and emitted, for the guard
+}
+
+// newJoinTable hashes build on the shared variables, for probe rows over
+// probeVars.
+func (e *Evaluator) newJoinTable(build *Relation, probeVars, shared []string, g guard) (joinTable, error) {
+	t := joinTable{e: e, g: g, build: build, bIdx: make([]int, len(shared)), pIdx: make([]int, len(shared))}
+	for i, v := range shared {
+		t.bIdx[i] = build.ColumnIndex(v)
+		t.pIdx[i] = slices.Index(probeVars, v)
+	}
+	// Output columns: all of the probe side's, then build's non-shared.
+	outVars := append([]string(nil), probeVars...)
+	for i, v := range build.Vars {
+		if !slices.Contains(probeVars, v) {
+			outVars = append(outVars, v)
+			t.extra = append(t.extra, i)
+		}
+	}
+	t.out = NewRelation(outVars)
+	// Build in descending row order, so that a chain lists its rows ascending.
+	t.table = newRowTable(build.Len())
+	for i := build.Len() - 1; i >= 0; i-- {
+		if err := t.tick(); err != nil {
+			return joinTable{}, err
+		}
+		t.table.add(hashCols(build.Row(i), t.bIdx), i)
+	}
+	return t, nil
+}
+
+// tick counts one step and polls the guard every checkEvery steps.
+func (t *joinTable) tick() error {
+	if t.steps++; t.steps&(checkEvery-1) == 0 {
+		return t.g.err()
+	}
+	return nil
+}
+
+// probeRelation probes the table with a relation's rows, a chunk at a time,
+// polling the guard before every chunk but the first, which follows the
+// caller's poll: a join of small relations pays no poll of its own.
+func (t *joinTable) probeRelation(r *Relation) error {
+	for c := 0; c < r.chunks(); c++ {
+		if c > 0 {
+			if err := t.g.err(); err != nil {
+				return err
 			}
 		}
-		prow := probe.Row(i)
+		if err := t.probe(r.chunk(c)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// probe joins a batch of n probe rows, row-major, into the output.
+func (t *joinTable) probe(batch []dict.ID, n int) error {
+	w := t.out.Width() - len(t.extra)
+	for k := 0; k < n; k++ {
+		if err := t.tick(); err != nil {
+			return err
+		}
+		prow := batch[k*w : k*w+w]
 	match:
-		for bi := table.chain(hashCols(prow, pIdx)); bi != 0; bi = table.next[bi-1] {
-			steps++
-			if steps&(checkEvery-1) == 0 {
-				if err := g.err(); err != nil {
-					return nil, err
-				}
+		for bi := t.table.chain(hashCols(prow, t.pIdx)); bi != 0; bi = t.table.next[bi-1] {
+			if err := t.tick(); err != nil {
+				return err
 			}
-			brow := build.Row(int(bi - 1))
-			for k, c := range pIdx {
-				if prow[c] != brow[bIdx[k]] {
+			brow := t.build.Row(int(bi - 1))
+			for i, c := range t.pIdx {
+				if prow[c] != brow[t.bIdx[i]] {
 					continue match
 				}
 			}
-			copy(outRow, prow)
-			for j, c := range extraCols {
-				outRow[len(prow)+j] = brow[c]
+			row := t.out.extend()
+			copy(row, prow)
+			for j, c := range t.extra {
+				row[w+j] = brow[c]
 			}
-			out.Append(outRow)
-			if err := e.checkRows(out.Len()); err != nil {
-				return nil, err
+			if err := t.e.checkRows(t.out.Len()); err != nil {
+				return err
 			}
 		}
 	}
-	g.addJoined(out.Len())
+	return nil
+}
+
+// finish counts the output as joined and closes the join's span with it.
+func (t *joinTable) finish(jsp *trace.Span) *Relation {
+	t.g.addJoined(t.out.Len())
 	if jsp != nil {
-		jsp.SetInt("rows", int64(out.Len()))
+		jsp.SetInt("rows", int64(t.out.Len()))
 		jsp.End()
 	}
-	return out, nil
+	return t.out
 }
 
 // headColumns maps each head argument to the body column it reads (src, -1

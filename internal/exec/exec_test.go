@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cost"
 	"repro/internal/dict"
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -62,6 +63,15 @@ func (s *splitStore) ShardStats(i int) *stats.Stats { return s.stats[i] }
 func (s *splitStore) HomeShard(id dict.ID) int      { return int(id) % len(s.shards) }
 
 // One helper per query shape: the entry point under a background context.
+// flat returns the relation's rows, row-major, in one slice.
+func flat(r *Relation) []dict.ID {
+	var out []dict.ID
+	for i := 0; i < r.Len(); i++ {
+		out = append(out, r.Row(i)...)
+	}
+	return out
+}
+
 func (e *Evaluator) cq(headNames []string, q query.CQ) (*Relation, error) {
 	return e.EvalCQContext(context.Background(), headNames, q)
 }
@@ -216,6 +226,33 @@ func TestBudgetMaxRows(t *testing.T) {
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
 	}
+
+	// A scan streamed into a hash join is charged as the scan it replaces,
+	// and the join's output as any join's. Each triple of the first scan
+	// matches every row of the running result; those of the second none, so
+	// only the scan's own charge can stop it.
+	fanOut := fanOutStore(100, 120)
+	none := slices.Clone(fanOut)
+	for i := 100; i < len(none); i++ {
+		none[i][2] = 2
+	}
+	for _, tc := range []struct {
+		triples [][3]dict.ID
+		cap     int
+	}{{fanOut, 110}, {fanOut, 5000}, {none, 110}} {
+		st, ss := tinyStore(tc.triples)
+		for _, src := range []Source{st, newSplitStore(st, 2), newSplitStore(st, 4)} {
+			_, ops := evalTraced(t, New(src, ss), []string{"x", "z"}, fanOutCQ())
+			if j := ops.Find(cost.OpHashJoin); j == nil || j.Attrs["atom"] == nil || j.Attrs["left_rows"] != int64(100) || j.Attrs["right_rows"] != int64(120) {
+				t.Fatalf("%T: the 120-triple scan is not streamed into the join: %+v", src, ops)
+			}
+			e := New(src, ss)
+			e.Budget = Budget{MaxRows: tc.cap}
+			if _, err := e.cq([]string{"x", "z"}, fanOutCQ()); !errors.Is(err, ErrBudgetExceeded) {
+				t.Fatalf("%T, cap %d: want ErrBudgetExceeded, got %v", src, tc.cap, err)
+			}
+		}
+	}
 }
 
 func TestBudgetTimeout(t *testing.T) {
@@ -344,37 +381,63 @@ func TestRelationSortRows(t *testing.T) {
 	}
 }
 
+// atChunkSizes runs f on relations cut into chunks of one row, of four rows
+// and of the default size: every chunk boundary a relation of a few rows can
+// cross, and none.
+func atChunkSizes(t *testing.T, f func(t *testing.T)) {
+	for _, shift := range []uint8{0, 2, chunkShift} {
+		t.Run(fmt.Sprintf("chunk=%d", 1<<shift), func(t *testing.T) {
+			defer func(s uint8) { chunkShift = s }(chunkShift)
+			chunkShift = shift
+			f(t)
+		})
+	}
+}
+
 // SortFirst(n) puts first the rows a full sort puts first, keeps the row
-// set, and leaves a relation whose rows it shares untouched.
+// set, and leaves a relation whose rows it shares untouched. Views of one
+// relation never write into the chunks they share: a row appended through
+// one is seen by no other view and not by the relation.
 func TestSortFirstMatchesFullSort(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 200; trial++ {
-		rel := NewRelation([]string{"a", "b"})
-		for i := r.Intn(60); i > 0; i-- {
-			rel.Append([]dict.ID{dict.ID(r.Intn(5)), dict.ID(r.Intn(5))})
-		}
-		var sorted [][]dict.ID
-		for i := 0; i < rel.Len(); i++ {
-			sorted = append(sorted, rel.Row(i))
-		}
-		slices.SortFunc(sorted, slices.Compare[[]dict.ID])
-		for _, n := range []int{0, 1, r.Intn(rel.Len() + 1), rel.Len()} {
-			shared := append([]dict.ID(nil), rel.data...)
-			got, _ := rel.RenamedView(rel.Vars)
-			got.SortFirst(n)
-			if !slices.Equal(rel.data, shared) {
-				t.Fatalf("trial %d, n=%d: SortFirst rewrote the rows it shares", trial, n)
+	atChunkSizes(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(5))
+		for trial := 0; trial < 200; trial++ {
+			rel := NewRelation([]string{"a", "b"})
+			for i := r.Intn(60); i > 0; i-- {
+				rel.Append([]dict.ID{dict.ID(r.Intn(5)), dict.ID(r.Intn(5))})
 			}
-			if !got.Equal(rel) || got.Len() != rel.Len() {
-				t.Fatalf("trial %d, n=%d: SortFirst changed the rows", trial, n)
+			var sorted [][]dict.ID
+			for i := 0; i < rel.Len(); i++ {
+				sorted = append(sorted, rel.Row(i))
 			}
-			for i := 0; i < min(n, len(sorted)); i++ {
-				if !slices.Equal(got.Row(i), sorted[i]) {
-					t.Fatalf("trial %d, n=%d: row %d = %v, a full sort's %v", trial, n, i, got.Row(i), sorted[i])
+			slices.SortFunc(sorted, slices.Compare[[]dict.ID])
+			for _, n := range []int{0, 1, r.Intn(rel.Len() + 1), rel.Len()} {
+				shared := flat(rel)
+				got, _ := rel.RenamedView(rel.Vars)
+				got.SortFirst(n)
+				if !slices.Equal(flat(rel), shared) {
+					t.Fatalf("trial %d, n=%d: SortFirst rewrote the rows it shares", trial, n)
+				}
+				if !got.Equal(rel) || got.Len() != rel.Len() {
+					t.Fatalf("trial %d, n=%d: SortFirst changed the rows", trial, n)
+				}
+				for i := 0; i < min(n, len(sorted)); i++ {
+					if !slices.Equal(got.Row(i), sorted[i]) {
+						t.Fatalf("trial %d, n=%d: row %d = %v, a full sort's %v", trial, n, i, got.Row(i), sorted[i])
+					}
 				}
 			}
+			shared := flat(rel)
+			v1, _ := rel.RenamedView(rel.Vars)
+			v2, _ := rel.RenamedView(rel.Vars)
+			v1.Append([]dict.ID{7, 7})
+			v2.Append([]dict.ID{8, 8})
+			if !slices.Equal(flat(rel), shared) || !slices.Equal(v1.Row(rel.Len()), []dict.ID{7, 7}) ||
+				!slices.Equal(flat(v2)[:len(shared)], shared) {
+				t.Fatalf("trial %d: appending through views of %d rows wrote into the rows they share", trial, rel.Len())
+			}
 		}
-	}
+	})
 }
 
 // Property-like: a 3-atom chain query evaluated with our planner matches a
@@ -672,59 +735,109 @@ func TestPlanningStaysOnStack(t *testing.T) {
 // since a chain lists its rows ascending and a set keeps first occurrences —
 // and the brute-force answer: a bucket collision costs comparisons, never a
 // wrong match. The set grows from empty as it goes, so its answers hold
-// across every rehash.
+// across every rehash. A scan streamed into the join as its probe side gives
+// what the hash join of its materialized scan gives — the same columns, the
+// same rows in the same order — on one store and on two and four shards.
 func TestOneBucketJoinAndDedup(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	rel := func(vars ...string) *Relation {
-		out := NewRelation(vars)
-		for i := 0; i < 300; i++ {
-			out.Append([]dict.ID{dict.ID(1 + r.Intn(12)), dict.ID(1 + r.Intn(12))})
+	atChunkSizes(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(9))
+		rel := func(vars ...string) *Relation {
+			out := NewRelation(vars)
+			for i := 0; i < 300; i++ {
+				out.Append([]dict.ID{dict.ID(1 + r.Intn(12)), dict.ID(1 + r.Intn(12))})
+			}
+			return out
 		}
-		return out
-	}
-	left, right, dups := rel("x", "y"), rel("y", "z"), rel("a", "b")
-	run := func() (joined, distinct []dict.ID) {
-		j, err := New(nil, nil).hashJoin(left, right, guard{}, nil, -1)
-		if err != nil {
-			t.Fatal(err)
+		left, right, dups := rel("x", "y"), rel("y", "z"), rel("a", "b")
+		// The scans of y 200 z, and of y 200 z with z in [150, 349], probe the
+		// first 100 rows of left: each triple matches about eight of them.
+		var triples [][3]dict.ID
+		for i := 0; i < right.Len(); i++ {
+			triples = append(triples, [3]dict.ID{right.Row(i)[0], 200, dict.ID(100 + i)})
 		}
-		d := NewSet(dups.Vars)
-		if err := d.insertAll(dups, nil); err != nil {
-			t.Fatal(err)
+		st, _ := tinyStore(triples)
+		scanned := query.LiftAtoms(nil, []query.Atom{{S: v("y"), P: c(200), O: v("z")}, {S: v("y"), P: c(200), O: v("z")}})
+		scanned[1].O.Ranges = []storage.IDRange{{Lo: 150, Hi: 349}}
+		build := NewRelation(left.Vars)
+		for i := 0; i < 100; i++ {
+			build.Append(left.Row(i))
 		}
+		run := func() (joined, distinct []dict.ID, streamed [][]dict.ID) {
+			j, err := New(nil, nil).hashJoin(left, right, guard{}, nil, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := NewSet(dups.Vars)
+			if err := d.insertAll(dups, nil); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < dups.Len(); i++ {
+				if k, added := d.insert(dups.Row(i)); added || !slices.Equal(d.Rows.Row(k), dups.Row(i)) {
+					t.Fatalf("row %v found as %d (added %v)", dups.Row(i), k, added)
+				}
+			}
+			for _, src := range []Source{st, newSplitStore(st, 2), newSplitStore(st, 4)} {
+				e := New(src, nil)
+				for _, a := range scanned {
+					scan, err := e.scanAtom(a, 0, nil, guard{}, nil, -1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := e.hashJoin(build, scan, guard{}, nil, -1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !e.streams(build, a, 0, float64(scan.Len())) {
+						t.Fatalf("%T: a scan of %d rows is not streamed into a join with %d", src, scan.Len(), build.Len())
+					}
+					// Alone, then twice in one union: the first member keeps the
+					// scan as it streams, the second probes what was kept.
+					m := &memo{}
+					for k, mm := range []*memo{nil, m, m} {
+						got, err := e.streamJoin(build, a, 0, mm, guard{}, nil, -1)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(got.Vars, want.Vars) || !slices.Equal(flat(got), flat(want)) {
+							t.Fatalf("%T, %s, run %d: streamed join %v of %d rows, the materialized one %v of %d", src, a.Format(st.Dict()), k, got.Vars, got.Len(), want.Vars, want.Len())
+						}
+						streamed = append(streamed, flat(got))
+					}
+					if held := m.scan(a, 0, scan.Vars, [3]int{0, -1, 1}); held == nil || !slices.Equal(flat(held), flat(scan)) {
+						t.Fatalf("%T, %s: the union's memo does not hold the streamed scan", src, a.Format(st.Dict()))
+					}
+				}
+			}
+			return flat(j), flat(d.Rows), streamed
+		}
+		spreadJoin, spreadDistinct, spreadStreamed := run()
+		defer func(m uint64) { hashMix = m }(hashMix)
+		hashMix = 0
+		oneJoin, oneDistinct, oneStreamed := run()
+		if !slices.Equal(oneJoin, spreadJoin) || !slices.Equal(oneDistinct, spreadDistinct) ||
+			!slices.EqualFunc(oneStreamed, spreadStreamed, slices.Equal[[]dict.ID]) {
+			t.Fatal("one bucket changed the join's or the dedup's rows or their order")
+		}
+		want := 0
+		for i := 0; i < left.Len(); i++ {
+			for k := 0; k < right.Len(); k++ {
+				if left.Row(i)[1] == right.Row(k)[0] {
+					want++
+				}
+			}
+		}
+		seen := map[[2]dict.ID]bool{}
+		var first []dict.ID
 		for i := 0; i < dups.Len(); i++ {
-			if k, added := d.insert(dups.Row(i)); added || !slices.Equal(d.Rows.Row(k), dups.Row(i)) {
-				t.Fatalf("row %v found as %d (added %v)", dups.Row(i), k, added)
+			if row := [2]dict.ID(dups.Row(i)); !seen[row] {
+				seen[row] = true
+				first = append(first, row[:]...)
 			}
 		}
-		return j.data, d.Rows.data
-	}
-	spreadJoin, spreadDistinct := run()
-	defer func(m uint64) { hashMix = m }(hashMix)
-	hashMix = 0
-	oneJoin, oneDistinct := run()
-	if !slices.Equal(oneJoin, spreadJoin) || !slices.Equal(oneDistinct, spreadDistinct) {
-		t.Fatal("one bucket changed the join's or the dedup's rows or their order")
-	}
-	want := 0
-	for i := 0; i < left.Len(); i++ {
-		for k := 0; k < right.Len(); k++ {
-			if left.Row(i)[1] == right.Row(k)[0] {
-				want++
-			}
+		if len(oneJoin) != 3*want || !slices.Equal(oneDistinct, first) {
+			t.Fatalf("one bucket: %d join rows, %d distinct; brute force %d and %d", len(oneJoin)/3, len(oneDistinct)/2, want, len(seen))
 		}
-	}
-	seen := map[[2]dict.ID]bool{}
-	var first []dict.ID
-	for i := 0; i < dups.Len(); i++ {
-		if row := [2]dict.ID(dups.Row(i)); !seen[row] {
-			seen[row] = true
-			first = append(first, row[:]...)
-		}
-	}
-	if len(oneJoin) != 3*want || !slices.Equal(oneDistinct, first) {
-		t.Fatalf("one bucket: %d join rows, %d distinct; brute force %d and %d", len(oneJoin)/3, len(oneDistinct)/2, want, len(seen))
-	}
+	})
 }
 
 // Two members that share a join prefix but read different variables of it

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"sort"
-	"strings"
 
 	"repro/internal/dict"
 	"repro/internal/trace"
@@ -30,16 +29,10 @@ func (e *Evaluator) mergeJoin(l, r *Relation, g guard, sp *trace.Span, est float
 	if len(shared) == 0 {
 		return e.hashJoin(l, r, g, sp, est)
 	}
-	var msp *trace.Span
-	if sp != nil {
-		msp = sp.Child("merge")
+	msp := joinSpan(sp, "merge", shared, l.Len(), est)
+	if msp != nil {
 		defer msp.End()
-		msp.SetStr("on", strings.Join(shared, ","))
-		msp.SetInt("left_rows", int64(l.Len()))
 		msp.SetInt("right_rows", int64(r.Len()))
-		if est >= 0 {
-			msp.SetFloat("est_rows", est)
-		}
 	}
 	lIdx := make([]int, len(shared))
 	rIdx := make([]int, len(shared))

@@ -16,11 +16,12 @@ import (
 // *has* an expansion — the post-join hierarchy expansion — plus the memo a
 // union shares between its members.
 
-// atomVars returns the atom's distinct live variables (plain and capture)
-// in first-occurrence order — the columns of its scan — and, per position,
-// the column that position binds (-1: a constant, an uncaptured range or a
-// dead position).
-func atomVars(a query.RangeAtom, dead uint8) (vars []string, col [3]int) {
+// atomVars appends to vars, empty but for its capacity, the atom's distinct
+// live variables (plain and capture) in first-occurrence order — the
+// columns of its scan — and returns, per position, the column that position
+// binds (-1: a constant, an uncaptured range or a dead position).
+func atomVars(vars []string, a query.RangeAtom, dead uint8) ([]string, [3]int) {
+	var col [3]int
 	for i, ra := range [3]query.RangeArg{a.S, a.P, a.O} {
 		col[i] = -1
 		if !ra.Arg.IsVar() || dead&(1<<i) != 0 {
@@ -110,10 +111,10 @@ const memoCap = 4 << 20
 
 // admit reports whether the memo may retain rel, and charges it.
 func (m *memo) admit(rel *Relation) bool {
-	if m == nil || m.held+len(rel.data) > memoCap {
+	if m == nil || m.held+rel.ids() > memoCap {
 		return false
 	}
-	m.held += len(rel.data)
+	m.held += rel.ids()
 	return true
 }
 

@@ -303,11 +303,13 @@ func (e *Evaluator) scatterScan(sh ShardedSource, a query.RangeAtom, vars []stri
 	if err != nil {
 		return nil, err
 	}
-	// Shards partition the triples: the scan is the parts' concatenation.
-	out := NewRelation(vars)
-	for _, r := range parts {
-		out.data = append(out.data, r.data...)
-		out.rows += r.rows
+	// Shards partition the triples: the scan is the parts' concatenation,
+	// the later parts' chunks copied onto the first part's.
+	out := parts[0]
+	for _, r := range parts[1:] {
+		if err := out.appendRelation(r, g.err); err != nil {
+			return nil, err
+		}
 	}
 	if err := e.checkRows(out.Len()); err != nil {
 		return nil, err

@@ -23,9 +23,14 @@ import (
 // without a capture variable, hierarchy expansions — answered by
 // brute-force nested loops and by the evaluator, with and without
 // statistics, on a single store, on a 1-shard store (what an unsharded
-// engine serves) and on a 3-shard store. Range-free unions additionally go
-// through the plain entry points.
+// engine serves) and on 2- and 4-shard stores, with relations cut into
+// chunks of one row, of four and of the default size. Range-free unions
+// additionally go through the plain entry points.
 func TestEvalMatchesBruteForceRandom(t *testing.T) {
+	atChunkSizes(t, evalMatchesBruteForceRandom)
+}
+
+func evalMatchesBruteForceRandom(t *testing.T) {
 	seeds := 3000
 	if testing.Short() {
 		seeds = 300
@@ -42,7 +47,8 @@ func TestEvalMatchesBruteForceRandom(t *testing.T) {
 		}
 		single := storage.Build(d, triples)
 		one := shard.Build(d, storage.NewRun(triples), 1)
-		sharded := shard.Build(d, storage.NewRun(triples), 3)
+		two := shard.Build(d, storage.NewRun(triples), 2)
+		four := shard.Build(d, storage.NewRun(triples), 4)
 		for _, src := range []struct {
 			name string
 			src  exec.Source
@@ -52,8 +58,10 @@ func TestEvalMatchesBruteForceRandom(t *testing.T) {
 			{"store+stats", single, stats.Collect(single)},
 			{"1 shard", one, nil},
 			{"1 shard+stats", one, stats.Collect(one)},
-			{"shards", sharded, nil},
-			{"shards+stats", sharded, stats.Collect(sharded)},
+			{"2 shards", two, nil},
+			{"2 shards+stats", two, stats.Collect(two)},
+			{"4 shards", four, nil},
+			{"4 shards+stats", four, stats.Collect(four)},
 		} {
 			ev := exec.New(src.src, src.ss)
 			check := func(entry string, got *exec.Relation, err error) {

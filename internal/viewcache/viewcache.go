@@ -100,7 +100,7 @@ type shard struct {
 
 type entry struct {
 	key   string
-	rel   *exec.Relation // immutable snapshot (exact-capacity backing array)
+	rel   *exec.Relation // immutable snapshot (chunks copied, the last exact-capacity)
 	bytes int64
 	gen   uint64
 }
