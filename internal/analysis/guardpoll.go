@@ -40,7 +40,7 @@ import (
 // one probe row must still poll every checkEvery rows.
 //
 // A poll is any call — or any forwarding as a call argument, as in
-// dst.insertAll(rel, g.err) — of a niladic func() error value: g.err, a
+// dst.insert(rel, nil, nil, g.err) — of a niladic func() error value: g.err, a
 // check parameter, and friends. A row loop must poll *directly*: a poll
 // inside a nested loop or callback satisfies only that inner scope.
 // Loops that are provably bounded may be annotated
@@ -400,7 +400,7 @@ func (g *guardpollCheck) isPoll(n ast.Node) bool {
 		}
 	}
 	// Forwarded poll: passing a func() error value (g.err, check) as an
-	// argument, e.g. dst.insertAll(rel, g.err).
+	// argument, e.g. dst.insert(rel, nil, nil, g.err).
 	for _, arg := range call.Args {
 		if tv, ok := g.pass.Info.Types[arg]; ok && tv.Type != nil {
 			if isNiladicErrorFunc(tv.Type) && !g.isContextErr(arg) {

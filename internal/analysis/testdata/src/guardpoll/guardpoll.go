@@ -29,7 +29,7 @@ func (r *Relation) chunk(c int) ([]int, int)   { return nil, r.rows }
 func (r *Relation) appendRows(ids []int) []int { return ids[1:] }
 func (r *Relation) extend() []int              { r.rows++; return nil }
 
-// DistinctCheck stands for a helper that takes the poll (Set.insertAll).
+// DistinctCheck stands for a helper that takes the poll (Set.insert).
 func (r *Relation) DistinctCheck(check func() error) error { return check() }
 
 type guard struct{ n int }

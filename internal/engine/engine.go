@@ -503,9 +503,7 @@ func (e *Engine) AnswerUnionContext(ctx context.Context, u query.UCQ, s Strategy
 		if ans.AdmissionWeight > combined.AdmissionWeight {
 			combined.AdmissionWeight = ans.AdmissionWeight
 		}
-		for i := 0; i < ans.Rows.Len(); i++ {
-			rows.Add(ans.Rows.Row(i))
-		}
+		rows.Add(ans.Rows)
 	}
 	combined.Rows = rows.Rows
 	return combined, nil

@@ -7,7 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/lubm"
 	"repro/internal/metrics"
@@ -272,4 +274,55 @@ func TestMisestimateCounterAndWarning(t *testing.T) {
 	if got := e.Metrics.Counter("cost.misestimate").Value(); got != 1 {
 		t.Fatalf("cost.misestimate moved to %d on a clean trace", got)
 	}
+}
+
+// EXPLAIN ANALYZE says which set a union ran. At LUBM(1) the students are a
+// one-column answer past the point where its set takes a bitmap: the span
+// that owns the set — the union of the reformulated members, or under sat
+// the lone CQ over G∞ — records distinct=bitmap. A union of two columns
+// keeps its index and records nothing.
+func TestAnalyzeShowsBitmapSets(t *testing.T) {
+	g, err := lubm.NewGraph(lubm.Default(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(g)
+	parse := func(text string) query.CQ {
+		q, err := query.ParseRuleWithPrefixes(g.Dict(), map[string]string{"ub": "http://swat.cse.lehigh.edu/onto/univ-bench.owl#"}, text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	students, members := parse(`q(x) :- x rdf:type ub:Student`), parse(`q(x, y) :- x ub:memberOf y`)
+	for _, s := range []Strategy{RefUCQ, RefGCov, Sat} {
+		for _, c := range []struct {
+			q     query.CQ
+			owner string // the span that records the bitmap; "": none does
+		}{{students, "union"}, {members, ""}} {
+			if s == Sat && c.owner != "" {
+				c.owner = "cq"
+			}
+			e.Tracer = trace.New(0)
+			if _, err := e.AnswerContext(context.Background(), c.q, s); err != nil {
+				t.Fatal(err)
+			}
+			var owners []string
+			e.Tracer.Root().Visit(func(name string, _ int, _ time.Duration, attrs []trace.Attr) {
+				for _, a := range attrs {
+					if a.Key == "distinct" && a.String() == "bitmap" {
+						owners = append(owners, name)
+					}
+				}
+			})
+			text := trace.Render(e.Tracer.Root(), trace.RenderOptions{})
+			if c.owner == "" && (len(owners) > 0 || strings.Contains(text, "distinct=")) {
+				t.Errorf("%s, %d columns: %v record a bitmap:\n%s", s, len(c.q.Head), owners, text)
+			}
+			if c.owner != "" && (!slices.Equal(owners, []string{c.owner}) || !strings.Contains(text, "distinct=bitmap")) {
+				t.Errorf("%s, %d column: %v record a bitmap, want one %s:\n%s", s, len(c.q.Head), owners, c.owner, text)
+			}
+		}
+	}
+	e.Tracer = nil
 }

@@ -514,9 +514,11 @@ func runDatalog(ctx context.Context, prog *datalog.Program, head []string, timeo
 		}
 		return nil, err
 	}
-	rows := exec.NewSet(head)
+	// The fixpoint holds each tuple of a predicate once: the answers are
+	// distinct as they are.
+	rows := exec.NewRelation(head)
 	for _, t := range eng.Tuples(datalog.AnswerPred) {
-		rows.Add(t)
+		rows.Append(t)
 	}
-	return rows.Rows, nil
+	return rows, nil
 }

@@ -273,12 +273,15 @@ func (e *Evaluator) evalCQ(q query.RangeCQ, seed *Relation, m *memo, g guard, sp
 	if err != nil {
 		return err
 	}
-	if err := projectRows(body, src, row, g, dst.Add); err != nil {
+	if err := dst.insert(body, src, row, g.err); err != nil {
 		return err
 	}
 	g.addUnioned(body.Len())
 	if csp != nil {
 		csp.SetInt("rows", int64(body.Len()))
+		if m == nil { // no union: the CQ's span owns dst
+			dst.note(csp)
+		}
 		csp.End()
 	}
 	return nil
@@ -959,7 +962,7 @@ func (t *joinTable) finish(jsp *trace.Span) *Relation {
 
 // headColumns maps each head argument to the body column it reads (src, -1
 // for a constant) and returns a head row holding the constants, for
-// projectRows.
+// Set.insert.
 func headColumns(head []query.Arg, body *Relation) (src []int, row []dict.ID, err error) {
 	src, row = make([]int, len(head)), make([]dict.ID, len(head))
 	for i, h := range head {
@@ -974,29 +977,6 @@ func headColumns(head []query.Arg, body *Relation) (src []int, row []dict.ID, er
 		}
 	}
 	return src, row, nil
-}
-
-// projectRows passes add each body row projected onto the head: row holds
-// the head's constants, and position k takes the body's column src[k] where
-// that is not -1. add must copy the row. The guard is polled every
-// checkEvery rows, so projecting a huge body honors cancellation like any
-// other operator.
-func projectRows(body *Relation, src []int, row []dict.ID, g guard, add func([]dict.ID)) error {
-	for i := 0; i < body.Len(); i++ {
-		if i&(checkEvery-1) == checkEvery-1 {
-			if err := g.err(); err != nil {
-				return err
-			}
-		}
-		b := body.Row(i)
-		for k, c := range src {
-			if c != -1 {
-				row[k] = b[c]
-			}
-		}
-		add(row)
-	}
-	return nil
 }
 
 // EvalUCQContext evaluates a union of CQs with set semantics, bounded by
@@ -1060,9 +1040,18 @@ func (u *union) addAll(cqs []query.RangeCQ, sp *trace.Span) error {
 func (u *union) finish(sp *trace.Span) *Relation {
 	if sp != nil {
 		sp.SetInt("rows", int64(u.out.Rows.Len()))
+		u.out.note(sp)
 		sp.End()
 	}
 	return u.out.Rows
+}
+
+// note records on sp, the span of the union or the lone CQ that owns the
+// set, that the set's rows are told apart by a bitmap (see Set).
+func (s *Set) note(sp *trace.Span) {
+	if s.bits != nil {
+		sp.SetStr("distinct", "bitmap")
+	}
 }
 
 // evalUnion evaluates a union's members under one guard, each from the seed
@@ -1300,13 +1289,24 @@ func projectColumns(names []string, rel *Relation, g guard) (*Relation, error) {
 	for c := range rel.Vars {
 		if !slices.Contains(src, c) {
 			set := NewSet(names)
-			err := projectRows(rel, src, row, g, set.Add)
+			err := set.insert(rel, src, row, g.err)
 			return set.Rows, err
 		}
 	}
 	out := NewRelation(names)
-	err = projectRows(rel, src, row, g, out.Append)
-	return out, err
+	for c := 0; c < rel.chunks(); c++ {
+		if err := g.err(); err != nil {
+			return nil, err
+		}
+		ids, n := rel.chunk(c)
+		for j := 0; j < n; j++ {
+			b, dst := ids[j*rel.width:], out.extend()
+			for k, col := range src {
+				dst[k] = b[col]
+			}
+		}
+	}
+	return out, nil
 }
 
 // evalFragment evaluates fragment i of a JUCQ under g — from the seed when

@@ -345,10 +345,12 @@ func TestTraceRecordsOperators(t *testing.T) {
 }
 
 func TestRelationDistinctAndEqual(t *testing.T) {
-	s := NewSet([]string{"a", "b"})
-	s.Add([]dict.ID{1, 2})
-	s.Add([]dict.ID{1, 2})
-	s.Add([]dict.ID{3, 4})
+	in := NewRelation([]string{"a", "b"})
+	in.Append([]dict.ID{1, 2})
+	in.Append([]dict.ID{1, 2})
+	in.Append([]dict.ID{3, 4})
+	s := NewSet(in.Vars)
+	s.Add(in)
 	r := s.Rows
 	if r.Len() != 2 {
 		t.Fatalf("distinct: want 2, got %d", r.Len())
@@ -395,44 +397,61 @@ func atChunkSizes(t *testing.T, f func(t *testing.T)) {
 }
 
 // SortFirst(n) puts first the rows a full sort puts first, keeps the row
-// set, and leaves a relation whose rows it shares untouched. Views of one
-// relation never write into the chunks they share: a row appended through
-// one is seen by no other view and not by the relation.
+// set, and leaves a relation whose rows it shares untouched: the relation it
+// is a view of, and the view cache's snapshot a hit renames. Relations of one
+// and of two columns, in no order and already in order; n from 0 past the
+// rows. Views of one relation never write into the chunks they share: a row
+// appended through one is seen by no other view and not by the relation.
 func TestSortFirstMatchesFullSort(t *testing.T) {
 	atChunkSizes(t, func(t *testing.T) {
 		r := rand.New(rand.NewSource(5))
-		for trial := 0; trial < 200; trial++ {
-			rel := NewRelation([]string{"a", "b"})
-			for i := r.Intn(60); i > 0; i-- {
-				rel.Append([]dict.ID{dict.ID(r.Intn(5)), dict.ID(r.Intn(5))})
+		for trial := 0; trial < 400; trial++ {
+			w, ordered := 1+trial%2, trial%4 >= 2
+			rows := make([][]dict.ID, r.Intn(60))
+			for i := range rows {
+				rows[i] = []dict.ID{dict.ID(r.Intn(5)), dict.ID(r.Intn(5))}[:w]
 			}
-			var sorted [][]dict.ID
-			for i := 0; i < rel.Len(); i++ {
-				sorted = append(sorted, rel.Row(i))
-			}
+			sorted := slices.Clone(rows)
 			slices.SortFunc(sorted, slices.Compare[[]dict.ID])
-			for _, n := range []int{0, 1, r.Intn(rel.Len() + 1), rel.Len()} {
-				shared := flat(rel)
-				got, _ := rel.RenamedView(rel.Vars)
-				got.SortFirst(n)
-				if !slices.Equal(flat(rel), shared) {
-					t.Fatalf("trial %d, n=%d: SortFirst rewrote the rows it shares", trial, n)
-				}
-				if !got.Equal(rel) || got.Len() != rel.Len() {
-					t.Fatalf("trial %d, n=%d: SortFirst changed the rows", trial, n)
-				}
-				for i := 0; i < min(n, len(sorted)); i++ {
-					if !slices.Equal(got.Row(i), sorted[i]) {
-						t.Fatalf("trial %d, n=%d: row %d = %v, a full sort's %v", trial, n, i, got.Row(i), sorted[i])
+			if ordered {
+				rows = sorted
+			}
+			rel := NewRelation([]string{"a", "b"}[:w])
+			for _, row := range rows {
+				rel.Append(row)
+			}
+			snap := rel.Snapshot()
+			for _, n := range []int{0, 1, r.Intn(rel.Len() + 1), rel.Len(), rel.Len() + 3} {
+				shared, cached := flat(rel), flat(snap)
+				for _, of := range []*Relation{rel, snap} {
+					got, _ := of.RenamedView(of.Vars)
+					got.SortFirst(n)
+					if !slices.Equal(flat(rel), shared) || !slices.Equal(flat(snap), cached) {
+						t.Fatalf("trial %d, n=%d: SortFirst rewrote the rows it shares", trial, n)
+					}
+					if !got.Equal(rel) || got.Len() != rel.Len() {
+						t.Fatalf("trial %d, n=%d: SortFirst changed the rows", trial, n)
+					}
+					for i := 0; i < min(n, len(sorted)); i++ {
+						if !slices.Equal(got.Row(i), sorted[i]) {
+							t.Fatalf("trial %d, n=%d: row %d = %v, a full sort's %v", trial, n, i, got.Row(i), sorted[i])
+						}
+					}
+					// Its chunks are cut from one allocation: a row appended
+					// lands after them, not over any of them.
+					before := flat(got)
+					got.Append([]dict.ID{9, 9}[:w])
+					if after := flat(got); !slices.Equal(after[:len(before)], before) || !slices.Equal(after[len(before):], []dict.ID{9, 9}[:w]) {
+						t.Fatalf("trial %d, n=%d: appending to the sorted rows wrote over them", trial, n)
 					}
 				}
 			}
 			shared := flat(rel)
 			v1, _ := rel.RenamedView(rel.Vars)
 			v2, _ := rel.RenamedView(rel.Vars)
-			v1.Append([]dict.ID{7, 7})
-			v2.Append([]dict.ID{8, 8})
-			if !slices.Equal(flat(rel), shared) || !slices.Equal(v1.Row(rel.Len()), []dict.ID{7, 7}) ||
+			v1.Append([]dict.ID{7, 7}[:w])
+			v2.Append([]dict.ID{8, 8}[:w])
+			if !slices.Equal(flat(rel), shared) || !slices.Equal(v1.Row(rel.Len()), []dict.ID{7, 7}[:w]) ||
 				!slices.Equal(flat(v2)[:len(shared)], shared) {
 				t.Fatalf("trial %d: appending through views of %d rows wrote into the rows they share", trial, rel.Len())
 			}
@@ -675,6 +694,55 @@ func TestEvalUCQWithProvenanceBoolean(t *testing.T) {
 	}
 }
 
+// Provenance stays exact for a one-column union past the point where its
+// set takes a bitmap: every row names the members that produce it, in the
+// order a brute-force map over the members' own answers gives.
+func TestEvalUCQWithProvenancePastTheBitmap(t *testing.T) {
+	atChunkSizes(t, func(t *testing.T) {
+		var triples [][3]dict.ID
+		u := query.UCQ{HeadNames: []string{"x"}}
+		for k := dict.ID(2); k <= 5; k++ {
+			for x := k; x <= 600; x += k {
+				triples = append(triples, [3]dict.ID{x, 1000 + k, 1})
+			}
+			u.CQs = append(u.CQs, query.CQ{Head: []query.Arg{v("x")}, Atoms: []query.Atom{{S: v("x"), P: c(1000 + k), O: v("y")}}})
+		}
+		st, ss := tinyStore(triples)
+		e := New(st, ss)
+		rows, prov, err := e.ucqWhy(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[dict.ID][]int{}
+		var order []dict.ID
+		for ci, cq := range u.CQs {
+			r, err := e.cq(u.HeadNames, cq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < r.Len(); i++ {
+				id := r.Row(i)[0]
+				if want[id] == nil {
+					order = append(order, id)
+				}
+				want[id] = append(want[id], ci)
+			}
+		}
+		if !slices.Equal(flat(rows), order) || len(prov) != len(order) {
+			t.Fatalf("rows %v, brute force %v", flat(rows), order)
+		}
+		for i, id := range order {
+			if !slices.Equal(prov[i], want[id]) {
+				t.Fatalf("row %d (%d): provenance %v, brute force %v", i, id, prov[i], want[id])
+			}
+		}
+		s := NewSet(u.HeadNames)
+		if s.Add(rows); s.bits == nil {
+			t.Fatalf("a set of the union's %d rows under ID 600 kept its index", rows.Len())
+		}
+	})
+}
+
 func TestEvalJUCQParallelMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	var ts [][3]dict.ID
@@ -768,13 +836,15 @@ func TestOneBucketJoinAndDedup(t *testing.T) {
 				t.Fatal(err)
 			}
 			d := NewSet(dups.Vars)
-			if err := d.insertAll(dups, nil); err != nil {
-				t.Fatal(err)
-			}
+			d.Add(dups)
+			once := d.Rows.Len()
 			for i := 0; i < dups.Len(); i++ {
-				if k, added := d.insert(dups.Row(i)); added || !slices.Equal(d.Rows.Row(k), dups.Row(i)) {
-					t.Fatalf("row %v found as %d (added %v)", dups.Row(i), k, added)
+				if k := d.idx.insert(d.Rows, dups.Row(i)); k == -1 || !slices.Equal(d.Rows.Row(k), dups.Row(i)) {
+					t.Fatalf("row %v found as %d", dups.Row(i), k)
 				}
+			}
+			if d.Rows.Len() != once {
+				t.Fatalf("offering the rows again added %d", d.Rows.Len()-once)
 			}
 			for _, src := range []Source{st, newSplitStore(st, 2), newSplitStore(st, 4)} {
 				e := New(src, nil)
@@ -868,9 +938,7 @@ func TestMemoKeysCarryDeadPositions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := want.insertAll(r, nil); err != nil {
-			t.Fatal(err)
-		}
+		want.Add(r)
 	}
 	if !got.Equal(want.Rows) || got.Len() != 5 {
 		t.Fatalf("union of %d rows, its members alone %d (want 5)", got.Len(), want.Rows.Len())

@@ -14,7 +14,10 @@ import (
 // applications). provenance[i] lists the 0-based indexes into u.CQs for row
 // i of the result, in ascending order.
 func (e *Evaluator) EvalUCQWithProvenanceContext(ctx context.Context, u query.UCQ) (*Relation, [][]int, error) {
-	out := NewSet(u.HeadNames)
+	// The answer's rows are chained by hash, not held in a Set: a member's
+	// row must find the index of the equal row, which a Set's bitmap does
+	// not keep.
+	out, at := NewRelation(u.HeadNames), newRowTable(0)
 	var provenance [][]int
 	g := e.newGuard(ctx)
 	defer g.flush(e.Metrics)
@@ -28,23 +31,22 @@ func (e *Evaluator) EvalUCQWithProvenanceContext(ctx context.Context, u query.UC
 			return nil, nil, err
 		}
 		r := member.Rows
-		for i := 0; i < r.Len(); i++ {
-			if i&(checkEvery-1) == checkEvery-1 {
-				if err := g.err(); err != nil {
+		for c := 0; c < r.chunks(); c++ {
+			if err := g.err(); err != nil {
+				return nil, nil, err
+			}
+			ids, n := r.chunk(c)
+			for j := 0; j < n; j++ {
+				if k := at.insert(out, ids[j*r.width:(j+1)*r.width]); k != -1 {
+					provenance[k] = append(provenance[k], ci)
+					continue
+				}
+				provenance = append(provenance, []int{ci})
+				if err := e.checkRows(out.Len()); err != nil {
 					return nil, nil, err
 				}
 			}
-			idx, added := out.insert(r.Row(i))
-			if !added {
-				provenance[idx] = append(provenance[idx], ci)
-				continue
-			}
-			//reflint:hotalloc the slice is the returned provenance entry for a new distinct row — output shape, not per-iteration scratch
-			provenance = append(provenance, []int{ci})
-			if err := e.checkRows(out.Rows.Len()); err != nil {
-				return nil, nil, err
-			}
 		}
 	}
-	return out.Rows, provenance, nil
+	return out, provenance, nil
 }

@@ -6,6 +6,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -19,8 +20,10 @@ import (
 // last is full, and each is an allocation of its own, of exactly a chunk's
 // size once the relation holds half a chunk (grow), so from then on a
 // growing relation never copies the rows it holds; row i is in chunk
-// i>>shift. A relation with no columns (boolean query) only counts its rows;
-// its chunks are empty.
+// i>>shift. (SortFirst cuts its chunks from one allocation, each clipped to
+// its length, so an append still never writes into another chunk.) A
+// relation with no columns (boolean query) only counts its rows; its chunks
+// are empty.
 type Relation struct {
 	Vars  []string
 	full  [][]dict.ID // the chunks before the last, each of 1<<shift rows
@@ -246,65 +249,111 @@ func (r *Relation) SizeBytes() int64 {
 // in lexicographic order — all of its rows when n ≥ Len() — and the rest
 // follow in no stated order: a response of n rows sorts n rows, picked in one
 // pass by a heap, not the whole answer. Rows already in place — a single
-// index scan's, say — cost one comparison each; otherwise the rows are
-// copied in their new order into chunks of their own, so a relation sharing
-// its chunks (a view cache hit's) is never reordered under its other
-// readers.
+// index scan's, say — cost one comparison each. Otherwise the rows are
+// copied, a chunk at a time, into one allocation that the heap orders in
+// place and the new chunks are cut from, so a relation sharing its chunks (a
+// view cache hit's) is never reordered under its other readers. Rows are
+// compared where they lie, one ID to one ID when there is one column.
 func (r *Relation) SortFirst(n int) {
 	n = min(n, r.rows)
 	if r.width == 0 || n <= 0 {
 		return
 	}
-	cmp := func(a, b int32) int { return slices.Compare(r.Row(int(a)), r.Row(int(b))) }
-	inPlace := true
+	inPlace, i := true, 0
+	var prev []dict.ID // row min(i, n)-1, which row i must not be smaller than
 	//reflint:noguard one comparison per row of a finished answer, like the sort it spares
-	for i := 1; i < r.rows && inPlace; i++ {
-		inPlace = cmp(int32(min(i, n)-1), int32(i)) <= 0
+	for c := 0; c < r.chunks() && inPlace; c++ {
+		ids, k := r.chunk(c)
+		for j := 0; j < k && inPlace; j++ {
+			row := ids[j*r.width : (j+1)*r.width]
+			inPlace = prev == nil || compareRows(prev, row) <= 0
+			if i++; i <= n {
+				prev = row
+			}
+		}
 	}
 	if inPlace {
 		return
 	}
-	idx := make([]int32, r.rows)
-	for i := range idx {
-		idx[i] = int32(i)
+	ids := make([]dict.ID, 0, r.ids())
+	for _, ch := range r.full {
+		ids = append(ids, ch...)
 	}
-	// idx[:n] is a max-heap of the n smallest rows seen so far: a later row
-	// smaller than its top takes the top's place.
-	top := idx[:n]
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(top, i, cmp)
+	h := rowHeap{ids: append(ids, r.last...), w: r.width, rows: r.rows}
+	h.selectFirst(n)
+	size := r.width << r.shift
+	r.full = make([][]dict.ID, (r.rows-1)>>r.shift)
+	for c := range r.full {
+		r.full[c] = h.ids[c*size : (c+1)*size : (c+1)*size]
 	}
-	for k, i := range idx[n:] {
-		if cmp(i, top[0]) < 0 {
-			idx[n+k], top[0] = top[0], i
-			siftDown(top, 0, cmp)
-		}
-	}
-	slices.SortFunc(top, cmp)
-	// The rows in their new order, each chunk allocated at its exact size.
-	size := 1 << r.shift
-	var full [][]dict.ID
-	last := make([]dict.ID, 0, min(size, r.rows)*r.width)
-	for k, i := range idx {
-		if len(last) == cap(last) {
-			full, last = append(full, last), make([]dict.ID, 0, min(size, r.rows-k)*r.width)
-		}
-		last = append(last, r.Row(int(i))...)
-	}
-	r.full, r.last = full, last
+	r.last = h.ids[len(r.full)*size:]
 }
 
-// siftDown moves h[i] down the max-heap h until no child is larger.
-func siftDown(h []int32, i int, cmp func(a, b int32) int) {
-	size := len(h)
+// compareRows compares two rows of one width lexicographically.
+func compareRows(a, b []dict.ID) int {
+	if len(a) == 1 {
+		return cmp.Compare(a[0], b[0])
+	}
+	return slices.Compare(a, b)
+}
+
+// rowHeap is SortFirst's heap: rows of width w, row-major in ids.
+type rowHeap struct {
+	ids     []dict.ID
+	w, rows int
+}
+
+// selectFirst orders the rows so that the first n are the n smallest, in
+// order. The first n rows are a max-heap of the n smallest rows seen so far:
+// a later row smaller than its top takes the top's place. Then a heapsort
+// moves the largest of them last, and so on.
+func (h rowHeap) selectFirst(n int) {
+	for i := n/2 - 1; i >= 0; i-- {
+		h.siftDown(i, n)
+	}
+	for i := n; i < h.rows; i++ {
+		if h.compare(i, 0) < 0 {
+			h.swap(i, 0)
+			h.siftDown(0, n)
+		}
+	}
+	for k := n - 1; k > 0; k-- {
+		h.swap(0, k)
+		h.siftDown(0, k)
+	}
+}
+
+// compare compares rows a and b: one ID to one ID when there is one column.
+func (h rowHeap) compare(a, b int) int {
+	if h.w == 1 {
+		return cmp.Compare(h.ids[a], h.ids[b])
+	}
+	return slices.Compare(h.ids[a*h.w:(a+1)*h.w], h.ids[b*h.w:(b+1)*h.w])
+}
+
+// swap exchanges rows a and b.
+func (h rowHeap) swap(a, b int) {
+	if h.w == 1 {
+		h.ids[a], h.ids[b] = h.ids[b], h.ids[a]
+		return
+	}
+	x, y := h.ids[a*h.w:(a+1)*h.w], h.ids[b*h.w:(b+1)*h.w]
+	for k := range x {
+		x[k], y[k] = y[k], x[k]
+	}
+}
+
+// siftDown moves row i down the max-heap of the first size rows until no
+// child is larger.
+func (h rowHeap) siftDown(i, size int) {
 	for c := 2*i + 1; c < size; c = 2*i + 1 {
-		if c+1 < size && cmp(h[c+1], h[c]) > 0 {
+		if c+1 < size && h.compare(c+1, c) > 0 {
 			c++
 		}
-		if cmp(h[c], h[i]) <= 0 {
+		if h.compare(c, i) <= 0 {
 			return
 		}
-		h[i], h[c] = h[c], h[i]
+		h.swap(i, c)
 		i = c
 	}
 }
@@ -316,10 +365,10 @@ func (r *Relation) Equal(o *Relation) bool {
 		return false
 	}
 	a, b := NewSet(r.Vars), NewSet(o.Vars)
-	_ = a.insertAll(r, nil) // nil check: never stops
-	_ = b.insertAll(o, nil)
+	a.Add(r)
+	b.Add(o)
 	n := a.Rows.rows
-	_ = a.insertAll(b.Rows, nil)
+	a.Add(b.Rows)
 	return a.Rows.rows == n && b.Rows.rows == n
 }
 
@@ -331,71 +380,152 @@ func (r *Relation) String() string {
 }
 
 // Set is a relation with set semantics: Rows holds distinct rows in the
-// order they were first added, and a chained hash index over all columns
-// finds an equal row. Every union of the executor is one Set — each row its
-// members produce is offered once, here — so duplicates are removed where
-// rows enter a result, never by a pass over a finished relation. Rows must
-// grow through Add only.
+// order they were first added. Every union of the executor is one Set —
+// each row its members produce is offered once, here — so duplicates are
+// removed where rows enter a result, never by a pass over a finished
+// relation. Rows enter a relation at a time, read a chunk at a time
+// (insert); Rows must grow through it only.
+//
+// A chained hash index over all columns (rowTable) finds an equal row. A set
+// of one column trades it for a bitmap over dictionary IDs — bit id is set
+// when Rows holds id — once the bitmap is the smaller: checked after each
+// chunk, when the bitmap up to the largest ID offered takes at most 4 bytes
+// a row, half of the 8–12 the index takes. It grows, doubling, while it
+// takes at most 8 bytes a row; an ID that would take it past that hands the
+// set back to the index, and a set switches again only once its rows have
+// doubled. IDs are dense from 1, so a bitmap never exceeds dict.Len()/8
+// bytes. Rows and their order are the same either way.
 type Set struct {
 	Rows *Relation
-	idx  rowTable // over all columns of Rows; grows with it
+	idx  rowTable // chains the rows by hash while bits is nil
+	bits []uint64 // a one-column set's bitmap; nil: the index
+	hi   dict.ID  // the largest ID a one-column set was offered
 }
 
 // NewSet returns an empty set with the given columns.
 func NewSet(vars []string) *Set { return &Set{Rows: NewRelation(vars), idx: newRowTable(0)} }
 
-// Add inserts a copy of row unless an equal row is present.
-func (s *Set) Add(row []dict.ID) { s.insert(row) }
+// Add inserts a copy of each row of rel, which has the set's width, unless
+// an equal row is present.
+func (s *Set) Add(rel *Relation) {
+	if rel.width != s.Rows.width {
+		panic(fmt.Sprintf("exec: relation width %d != set width %d", rel.width, s.Rows.width))
+	}
+	_ = s.insert(rel, nil, nil, nil) // nil check: never stops
+}
 
-// insert is Add that also returns the index in Rows of the row equal to
-// row, and whether it was added.
-func (s *Set) insert(row []dict.ID) (int, bool) {
+// insert offers every row of rel, projected onto the set's columns, a chunk
+// at a time: position k takes rel's column src[k], or row[k] — a constant —
+// where src[k] is -1; src nil takes rel's rows as they are. row, of the
+// set's width, is scratch. check (nil: never stops) is polled once per
+// chunk.
+func (s *Set) insert(rel *Relation, src []int, row []dict.ID, check func() error) error {
 	r := s.Rows
 	if r.width == 0 {
-		if r.rows > 0 {
-			return 0, false
-		}
-		r.rows = 1
-		return 0, true
+		r.rows = min(r.rows+rel.rows, 1)
+		return nil
 	}
-	h := hashRow(row)
-	for k := s.idx.chain(h); k != 0; k = s.idx.next[k-1] {
-		if slices.Equal(r.Row(int(k-1)), row) {
-			return int(k - 1), false
-		}
-	}
-	i := r.rows
-	r.Append(row)
-	s.idx.next = append(s.idx.next, 0)
-	if i < len(s.idx.head) {
-		s.idx.add(h, i)
-	} else {
-		s.rehash()
-	}
-	return i, true
-}
-
-// rehash doubles the buckets, keeping at most one row per bucket on
-// average, and chains every row again.
-func (s *Set) rehash() {
-	b := uint(bits.Len(uint(len(s.idx.next))))
-	s.idx.head, s.idx.shift = make([]int32, 1<<b), 64-b
-	for i := range s.idx.next {
-		s.idx.add(hashRow(s.Rows.Row(i)), i)
-	}
-}
-
-// insertAll adds every row of rel, polling check (nil: never stops) every
-// checkEvery rows.
-func (s *Set) insertAll(rel *Relation, check func() error) error {
-	for i := 0; i < rel.Len(); i++ {
-		if check != nil && i&(checkEvery-1) == checkEvery-1 {
+	for c := 0; c < rel.chunks(); c++ {
+		if check != nil {
 			if err := check(); err != nil {
 				return err
 			}
 		}
-		s.insert(rel.Row(i))
+		ids, n := rel.chunk(c)
+		if r.width == 1 {
+			stride, col := rel.width, 0
+			if src != nil {
+				col = src[0]
+			}
+			if col == -1 { // a constant: one row, read off row
+				ids, stride, col, n = row, 0, 0, min(n, 1)
+			}
+			if hi := columnMax(ids, n, stride, col); hi > s.hi {
+				s.fit(hi)
+			}
+			if bits := s.bits; bits != nil {
+				for j := 0; j < n; j++ {
+					id := ids[j*stride+col]
+					if bits[id>>6]&(1<<(id&63)) == 0 {
+						bits[id>>6] |= 1 << (id & 63)
+						r.extend()[0] = id
+					}
+				}
+				continue
+			}
+			for j := 0; j < n; j++ {
+				s.idx.insert(r, ids[j*stride+col:j*stride+col+1])
+			}
+			if bitmapWords(s.hi) <= r.rows/2 {
+				if err := s.toBitmap(check); err != nil {
+					return err
+				}
+			}
+			continue
+		}
+		for j := 0; j < n; j++ {
+			b := ids[j*rel.width : (j+1)*rel.width]
+			if src != nil {
+				for k, col := range src {
+					if col != -1 {
+						row[k] = b[col]
+					}
+				}
+				b = row
+			}
+			s.idx.insert(r, b)
+		}
 	}
+	return nil
+}
+
+// bitmapWords is the number of words of a bitmap that holds id.
+func bitmapWords(id dict.ID) int { return int(id>>6) + 1 }
+
+// columnMax returns the largest of n IDs, stride apart from col (0: none).
+func columnMax(ids []dict.ID, n, stride, col int) dict.ID {
+	hi := dict.ID(0)
+	for j := 0; j < n; j++ {
+		hi = max(hi, ids[j*stride+col])
+	}
+	return hi
+}
+
+// fit records hi, above every ID a one-column set was offered before, and
+// makes the set's bitmap, if it has one, hold it: the bitmap doubles, up to
+// 8 bytes a row, or gives way to the index when hi needs more.
+func (s *Set) fit(hi dict.ID) {
+	s.hi = hi
+	need := bitmapWords(hi)
+	if s.bits == nil || need <= len(s.bits) {
+		return
+	}
+	if rows := s.Rows.rows; need <= rows {
+		grown := make([]uint64, min(max(need, 2*len(s.bits)), rows))
+		copy(grown, s.bits)
+		s.bits = grown
+		return
+	}
+	s.bits, s.idx = nil, rowTable{next: make([]int32, s.Rows.rows)}
+	s.idx.rehash(s.Rows)
+}
+
+// toBitmap replaces a one-column set's index by its bitmap, polling check
+// (nil: never stops) once per chunk of the rows it sets.
+func (s *Set) toBitmap(check func() error) error {
+	bits := make([]uint64, bitmapWords(s.hi))
+	for c := 0; c < s.Rows.chunks(); c++ {
+		if check != nil {
+			if err := check(); err != nil {
+				return err
+			}
+		}
+		ids, n := s.Rows.chunk(c)
+		for _, id := range ids[:n] {
+			bits[id>>6] |= 1 << (id & 63)
+		}
+	}
+	s.bits, s.idx = bits, rowTable{}
 	return nil
 }
 
@@ -424,6 +554,38 @@ func (t rowTable) chain(h uint64) int32 { return t.head[(h*hashMix)>>t.shift] }
 func (t rowTable) add(h uint64, row int) {
 	b := (h * hashMix) >> t.shift
 	t.next[row], t.head[b] = t.head[b], int32(row+1)
+}
+
+// insert returns the index of the row of rows, which t chains over all
+// columns, equal to row; if there is none, it appends a copy of row to rows,
+// chains it and returns -1. When the rows outnumber the buckets it doubles
+// them (rehash).
+func (t *rowTable) insert(rows *Relation, row []dict.ID) int {
+	h := hashRow(row)
+	for k := t.chain(h); k != 0; k = t.next[k-1] {
+		if slices.Equal(rows.Row(int(k-1)), row) {
+			return int(k - 1)
+		}
+	}
+	i := len(t.next)
+	rows.Append(row)
+	t.next = append(t.next, 0)
+	if i < len(t.head) {
+		t.add(h, i)
+	} else {
+		t.rehash(rows)
+	}
+	return -1
+}
+
+// rehash sizes the buckets for one row each on average and chains every
+// row of rows (as many as next holds) again, over all columns.
+func (t *rowTable) rehash(rows *Relation) {
+	b := uint(bits.Len(uint(len(t.next))))
+	t.head, t.shift = make([]int32, 1<<b), 64-b
+	for i := range t.next {
+		t.add(hashRow(rows.Row(i)), i)
+	}
 }
 
 // hashCols hashes the given columns of a row (FNV-1a over the IDs).

@@ -162,7 +162,7 @@ func (e *Evaluator) runScatter(sh ShardedSource, g guard, task func(i int) (*Rel
 func (e *Evaluator) mergeParts(dst *Set, parts []*Relation, g guard, ssp *trace.Span) error {
 	merged := 0
 	for _, r := range parts {
-		if err := dst.insertAll(r, g.err); err != nil {
+		if err := dst.insert(r, nil, nil, g.err); err != nil {
 			return err
 		}
 		merged += r.Len()
