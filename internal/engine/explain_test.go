@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cost"
 	"repro/internal/lubm"
 	"repro/internal/metrics"
 	"repro/internal/query"
@@ -323,6 +324,63 @@ func TestAnalyzeShowsBitmapSets(t *testing.T) {
 				t.Errorf("%s, %d column: %v record a bitmap, want one %s:\n%s", s, len(c.q.Head), owners, c.owner, text)
 			}
 		}
+	}
+	e.Tracer = nil
+}
+
+// EXPLAIN ANALYZE shows what a hash join's filter did: every hashjoin span
+// records filtered=, the probe rows its filter turned away — no more than
+// the probe side's rows — and a cross product records none. On LUBM Q9 at
+// LUBM(1) most probes of the last joins match nothing, and the filter turns
+// them away; plain EXPLAIN, which runs nothing, shows no filter.
+func TestAnalyzeShowsFilteredProbes(t *testing.T) {
+	g, err := lubm.NewGraph(lubm.Default(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(g)
+	var text string
+	for _, nq := range lubm.QueryTexts(0, 0) {
+		if nq.Name == "Q9" {
+			text = nq.Text
+		}
+	}
+	q, err := query.ParseRuleWithPrefixes(g.Dict(), map[string]string{"ub": lubm.NS}, text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []Strategy{Sat, RefUCQ, RefGCov} {
+		e.Tracer = trace.New(0)
+		if _, err := e.AnswerContext(context.Background(), q, s); err != nil {
+			t.Fatal(err)
+		}
+		joins, filtered := 0, int64(0)
+		walk(trace.ToJSON(e.Tracer.Root()), func(n *trace.SpanJSON) {
+			f, ok := n.Attrs["filtered"].(int64)
+			switch {
+			case n.Name == cost.OpCross && ok:
+				t.Errorf("%s: a cross product records filtered=%d", s, f)
+			case n.Name != cost.OpHashJoin:
+			case !ok:
+				t.Errorf("%s: a hashjoin records no filtered: %v", s, n.Attrs)
+			case f < 0 || f > max(n.Attrs["left_rows"].(int64), n.Attrs["right_rows"].(int64)):
+				t.Errorf("%s: a hashjoin's filter turned away %d probe rows: %v", s, f, n.Attrs)
+			default:
+				joins, filtered = joins+1, filtered+f
+			}
+		})
+		if joins == 0 || filtered == 0 {
+			t.Errorf("%s: %d hash joins, their filters turned away %d probe rows", s, joins, filtered)
+		}
+		plan, err := e.Plan(q, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walk(plan.Tree(), func(n *trace.SpanJSON) {
+			if _, ok := n.Attrs["filtered"]; ok {
+				t.Errorf("%s: plain EXPLAIN shows a filter on %s", s, n.Name)
+			}
+		})
 	}
 	e.Tracer = nil
 }

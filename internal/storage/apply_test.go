@@ -27,14 +27,14 @@ func checkApply(t *testing.T, base, added, removed []dict.Triple) {
 	for _, run := range []struct {
 		name      string
 		got, want []dict.Triple
-		key       func(dict.Triple) [3]dict.ID
+		key       func(dict.Triple) key
 	}{{"spo", got.runs[bySPO].Triples(), ref.runs[bySPO].Triples(), bySPO.key}, {"pos", got.runs[byPOS].Triples(), ref.runs[byPOS].Triples(), byPOS.key}, {"osp", got.runs[byOSP].Triples(), ref.runs[byOSP].Triples(), byOSP.key}} {
 		if !slices.Equal(run.got, run.want) {
 			t.Fatalf("%s: Apply gave %v, Build %v (base %v +%v -%v)", run.name, run.got, run.want, base, added, removed)
 		}
 		for i := 1; i < len(run.got); i++ {
 			a, b := run.key(run.got[i-1]), run.key(run.got[i])
-			if slices.Compare(a[:], b[:]) >= 0 {
+			if !a.less(b) {
 				t.Fatalf("%s: not strictly ascending at %d: %v", run.name, i, run.got)
 			}
 		}
@@ -87,6 +87,8 @@ func TestBuildSortedSharesItsRun(t *testing.T) {
 func FuzzStoreApply(f *testing.F) {
 	f.Add([]byte{3, 1, 1, 1, 2, 1, 2, 3, 2, 1, 1, 2, 2, 2, 1, 1, 1, 1})
 	f.Add([]byte{0, 1, 1, 2, 3})
+	// Bytes 8 to 11 (4 to 7 for P) are the edge IDs.
+	f.Add([]byte{3, 8, 4, 8, 8, 4, 9, 11, 7, 10, 1, 8, 8, 2, 9, 5, 11, 4, 8, 8, 1, 11, 7, 10})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var lists [3][]dict.Triple
@@ -97,7 +99,7 @@ func FuzzStoreApply(f *testing.F) {
 			n := min(int(data[0]), (len(data)-1)/3)
 			for j := 0; j < n; j++ {
 				b := data[1+3*j:]
-				lists[i] = append(lists[i], dict.Triple{S: dict.ID(1 + b[0]%8), P: dict.ID(1 + b[1]%4), O: dict.ID(1 + b[2]%8)})
+				lists[i] = append(lists[i], dict.Triple{S: byteID(b[0], 8), P: byteID(b[1], 4), O: byteID(b[2], 8)})
 			}
 			data = data[1+3*n:]
 		}

@@ -68,7 +68,7 @@ func (p RangePattern) Matches(t dict.Triple) bool {
 // checked against the pattern (constrained positions beyond those).
 type rangeScan struct {
 	o        ordering
-	prefix   [3]dict.ID
+	prefix   key
 	ne       int
 	next     []IDRange
 	residual bool
@@ -82,7 +82,7 @@ func chooseRange(p RangePattern) rangeScan {
 	for o, order := range [3][3][]IDRange{{p.S, p.P, p.O}, {p.P, p.O, p.S}, {p.O, p.S, p.P}} {
 		s := rangeScan{o: ordering(o)}
 		for s.ne < 3 && len(order[s.ne]) == 1 && order[s.ne][0].IsExact() {
-			s.prefix[s.ne] = order[s.ne][0].Lo
+			s.prefix = s.prefix.with(s.ne, order[s.ne][0].Lo)
 			s.ne++
 		}
 		if rest := order[s.ne:]; len(rest) > 0 {
@@ -107,16 +107,14 @@ func (s rangeScan) spans(r *Run, fn func(lo, hi, b int) bool) bool {
 	if s.next == nil || lo == hi {
 		return fn(lo, hi, b)
 	}
-	lob, hib := s.prefix, s.prefix
 	if hi <= r.ends[b] {
 		// The prefix's triples lie in one block (a probe's do): each range
 		// is two binary searches there, comparing the one component after
 		// the prefix, on which they agree.
 		run := r.part(lo, hi, b)
 		for _, rg := range s.next {
-			lob[s.ne], hib[s.ne] = rg.Lo, rg.Hi
-			i := bound(run, s.o, lob, s.ne, s.ne+1, false)
-			n := bound(run[i:], s.o, hib, s.ne, s.ne+1, true)
+			i := bound(run, s.o, s.prefix.with(s.ne, rg.Lo), s.ne+1, false)
+			n := bound(run[i:], s.o, s.prefix.with(s.ne, rg.Hi), s.ne+1, true)
 			if lo += i; n > 0 && !fn(lo, lo+n, b) {
 				return false
 			}
@@ -128,9 +126,8 @@ func (s rangeScan) spans(r *Run, fn func(lo, hi, b int) bool) bool {
 	// its Lo and Hi. Ranges are sorted and disjoint: each search starts in
 	// the block the previous range ended in.
 	for _, rg := range s.next {
-		lob[s.ne], hib[s.ne] = rg.Lo, rg.Hi
-		start, at := r.seek(lob, s.ne+1, false, b)
-		end, last := r.seek(hib, s.ne+1, true, at)
+		start, at := r.seek(s.prefix.with(s.ne, rg.Lo), s.ne+1, false, b)
+		end, last := r.seek(s.prefix.with(s.ne, rg.Hi), s.ne+1, true, at)
 		if !fn(start, end, at) {
 			return false
 		}

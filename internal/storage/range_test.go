@@ -62,18 +62,28 @@ func TestRangeScanMatchesFilter(t *testing.T) {
 			O: d.EncodeIRI(fmt.Sprintf("http://x/e%d", r.Intn(20))),
 		})
 	}
-	st := Build(d, ts)
+	// Triples at the top of the ID space, where a key packs to the largest
+	// integers.
 	n := dict.ID(d.Len())
+	for i := 0; i < 40; i++ {
+		ts = append(ts, dict.Triple{S: randomID(r, int(n)), P: randomID(r, int(n)), O: randomID(r, int(n))})
+	}
+	st := Build(d, ts)
 	randRanges := func() []IDRange {
-		switch r.Intn(4) {
+		switch r.Intn(6) {
 		case 0:
 			return nil // wildcard
 		case 1:
-			return []IDRange{Exact(dict.ID(1 + r.Intn(int(n))))}
+			return []IDRange{Exact(randomID(r, int(n)))}
 		case 2:
 			lo := dict.ID(1 + r.Intn(int(n)))
 			hi := lo + dict.ID(r.Intn(5))
 			return []IDRange{{lo, hi}}
+		case 3:
+			// To the largest ID, as statistics and the Sat store scan.
+			return []IDRange{{randomID(r, int(n)), ^dict.ID(0)}}
+		case 4:
+			return []IDRange{{edgeIDs[2], edgeIDs[1]}}
 		default:
 			var ids []dict.ID
 			for k := 0; k < 1+r.Intn(6); k++ {

@@ -24,7 +24,9 @@ const blockSize = 1024
 // run it was made from, so a published run is never written and any number
 // of versions share what they have in common. A scan finds its bounds with
 // two binary searches, one over the blocks' fences and one inside a block,
-// and reads the blocks between whole.
+// and reads the blocks between whole. Every search compares packed keys (a
+// triple's key under the run's ordering is one 96-bit integer, a prefix of
+// it that integer masked), so a step is two integer comparisons.
 type Run struct {
 	o    ordering
 	size int // the block size the run is cut to: blockSize, smaller in tests
@@ -135,16 +137,16 @@ func (r *Run) Apply(add, del []dict.Triple) *Run {
 		// The next edit in key order falls in the last block whose fence is
 		// not past it (the first block when every fence is).
 		t := add
-		if len(add) == 0 || len(del) > 0 && r.o.compare(del[0], add[0]) < 0 {
+		if len(add) == 0 || len(del) > 0 && r.o.key(del[0]).less(r.o.key(add[0])) {
 			t = del
 		}
-		at := b + bound(r.fences[b+1:], r.o, r.o.key(t[0]), 0, 3, true)
+		at := b + bound(r.fences[b+1:], r.o, r.o.key(t[0]), 3, true)
 		out.appendShared(r, b, at)
 		// Its edits are those before the next block's fence.
 		na, nd := len(add), len(del)
 		if at+1 < len(r.fences) {
 			next := r.o.key(r.fences[at+1])
-			na, nd = bound(add, r.o, next, 0, 3, false), bound(del, r.o, next, 0, 3, false)
+			na, nd = search(add, r.o, next), search(del, r.o, next)
 		}
 		merged = merge(slices.Grow(merged[:0], len(r.blocks[at])+na), r.blocks[at], add[:na], del[:nd], r.o)
 		out.appendCut(merged)
@@ -166,24 +168,26 @@ func (r *Run) start(b int) int {
 // whose key's first n components compare ≥ those of k — or, strict, > them —
 // and the block holding it (len(blocks) at the end of the run): one binary
 // search over the fences, one inside the block they bracket.
-func (r *Run) seek(k [3]dict.ID, n int, strict bool, from int) (pos, b int) {
+func (r *Run) seek(k key, n int, strict bool, from int) (pos, b int) {
 	if from >= len(r.blocks) {
 		return r.Len(), len(r.blocks)
 	}
-	b = from + bound(r.fences[from+1:], r.o, k, 0, n, strict)
+	b = from + bound(r.fences[from+1:], r.o, k, n, strict)
 	blk := r.blocks[b]
-	if i := bound(blk, r.o, k, 0, n, strict); i < len(blk) {
+	if i := bound(blk, r.o, k, n, strict); i < len(blk) {
 		return r.start(b) + i, b
 	}
 	return r.ends[b], b + 1
 }
 
 // rangeOf returns the positions [lo,hi) of the triples whose key starts with
-// the first n components of prefix, and the block holding lo.
-func (r *Run) rangeOf(prefix [3]dict.ID, n int) (lo, hi, b int) {
+// the first n components of prefix, and the block holding lo. A triple is in
+// the range when its key under the prefix mask equals the masked prefix.
+func (r *Run) rangeOf(prefix key, n int) (lo, hi, b int) {
 	if n == 0 {
 		return 0, r.Len(), 0
 	}
+	prefix = prefix.prefix(n)
 	lo, b = r.seek(prefix, n, false, 0)
 	if b == len(r.blocks) {
 		return lo, lo, b
@@ -193,11 +197,11 @@ func (r *Run) rangeOf(prefix [3]dict.ID, n int) (lo, hi, b int) {
 	// search the fences only when the range runs past it.
 	blk, i := r.blocks[b], lo-r.start(b)
 	step := 1
-	for i+step < len(blk) && compareKeys(r.o.key(blk[i+step]), prefix, 0, n) == 0 {
+	for i+step < len(blk) && r.o.key(blk[i+step]).prefix(n) == prefix {
 		step *= 2
 	}
 	if i+step < len(blk) {
-		return lo, lo + bound(blk[i:i+step], r.o, prefix, 0, n, true), b
+		return lo, lo + bound(blk[i:i+step], r.o, prefix, n, true), b
 	}
 	hi, _ = r.seek(prefix, n, true, b)
 	return lo, hi, b

@@ -42,7 +42,8 @@ func checkRun(t *testing.T, where string, r *Run, want []dict.Triple) {
 }
 
 // randomRanges returns up to three sorted, disjoint ID ranges over
-// [1,domain], or nil.
+// [1,domain], at times with an edge ID or a last range that runs to the
+// largest ID (as statistics and the Sat store scan), or nil.
 func randomRanges(r *rand.Rand, domain int) []IDRange {
 	var ids []dict.ID
 	for i := r.Intn(4); i > 0; i-- {
@@ -51,7 +52,15 @@ func randomRanges(r *rand.Rand, domain int) []IDRange {
 			ids = append(ids, dict.ID(id))
 		}
 	}
-	return MergeIDs(ids)
+	if r.Intn(4) == 0 {
+		ids = append(ids, edgeIDs[r.Intn(len(edgeIDs))])
+	}
+	rs := MergeIDs(ids)
+	if r.Intn(4) == 0 {
+		lo := randomID(r, domain)
+		rs = append(slices.DeleteFunc(rs, func(g IDRange) bool { return g.Hi >= lo }), IDRange{Lo: lo, Hi: ^dict.ID(0)})
+	}
+	return rs
 }
 
 // checkScans compares every scan primitive of st with a filter of the flat
@@ -63,7 +72,7 @@ func checkScans(t *testing.T, where string, r *rand.Rand, st *Store, want []dict
 		if r.Intn(2) == 0 {
 			return dict.None
 		}
-		return dict.ID(1 + r.Intn(domain))
+		return randomID(r, domain)
 	}
 	for trial := 0; trial < 30; trial++ {
 		pat := Pattern{S: id(), P: id(), O: id()}
@@ -86,7 +95,7 @@ func checkScans(t *testing.T, where string, r *rand.Rand, st *Store, want []dict
 				t.Fatalf("%s: %+v has %d distinct %c, want %d", where, pat, n, pos, len(distinct))
 			}
 		}
-		probe := dict.Triple{S: dict.ID(1 + r.Intn(domain)), P: dict.ID(1 + r.Intn(domain)), O: dict.ID(1 + r.Intn(domain))}
+		probe := dict.Triple{S: randomID(r, domain), P: randomID(r, domain), O: randomID(r, domain)}
 		if st.Contains(probe) != slices.Contains(want, probe) {
 			t.Fatalf("%s: Contains(%v) = %v", where, probe, st.Contains(probe))
 		}
@@ -154,7 +163,8 @@ func TestRunMatchesFlatReference(t *testing.T) {
 // the next one's).
 func touched(r *Run, i int, delta []dict.Triple) bool {
 	for _, x := range delta {
-		if (i == 0 || r.o.compare(r.fences[i], x) <= 0) && (i+1 == len(r.fences) || r.o.compare(x, r.fences[i+1]) < 0) {
+		k := r.o.key(x)
+		if (i == 0 || !k.less(r.o.key(r.fences[i]))) && (i+1 == len(r.fences) || k.less(r.o.key(r.fences[i+1]))) {
 			return true
 		}
 	}
@@ -208,6 +218,8 @@ func TestApplySharesUntouchedBlocks(t *testing.T) {
 func FuzzSpineApply(f *testing.F) {
 	f.Add([]byte{0, 5, 1, 1, 1, 2, 1, 2, 3, 2, 1, 1, 2, 2, 2, 1, 1, 1, 1, 3, 1, 1, 1, 7, 7, 7})
 	f.Add([]byte{3, 0, 1, 1, 2, 3})
+	// Bytes 8 to 11 (4 to 7 for P) are the edge IDs.
+	f.Add([]byte{0, 4, 8, 4, 8, 8, 4, 9, 11, 7, 10, 1, 5, 1, 2, 9, 5, 11, 4, 8, 8, 1, 11, 7, 10})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		size := 1
@@ -222,7 +234,7 @@ func FuzzSpineApply(f *testing.F) {
 			n := min(int(data[0]), (len(data)-1)/3)
 			for j := 0; j < n; j++ {
 				b := data[1+3*j:]
-				lists[i] = append(lists[i], dict.Triple{S: dict.ID(1 + b[0]%8), P: dict.ID(1 + b[1]%4), O: dict.ID(1 + b[2]%8)})
+				lists[i] = append(lists[i], dict.Triple{S: byteID(b[0], 8), P: byteID(b[1], 4), O: byteID(b[2], 8)})
 			}
 			data = data[1+3*n:]
 		}

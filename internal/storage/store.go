@@ -11,10 +11,14 @@
 // every other block with the store before it, so its cost follows what it
 // touches, not the size of the data. A scan's bound is two binary searches,
 // one over the blocks' fences and one inside a block, and a scan hands its
-// caller whole blocks (EachRun) — the executor's batch.
+// caller whole blocks (EachRun) — the executor's batch. Dictionary IDs are
+// dense 32-bit integers, so every search compares a triple's key under an
+// ordering packed into one 96-bit integer.
 package storage
 
 import (
+	"cmp"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -118,16 +122,16 @@ func merge(dst, run, add, del []dict.Triple, o ordering) []dict.Triple {
 		// The next edit in key order, an insertion after a deletion of the
 		// same triple. What precedes it in run is copied as one block; run's
 		// own copy of the triple, if it has one, is passed over either way.
-		isDel := len(add) == 0 || len(del) > 0 && o.compare(del[0], add[0]) <= 0
+		isDel := len(add) == 0 || len(del) > 0 && !o.key(add[0]).less(o.key(del[0]))
 		var t dict.Triple
 		if isDel {
 			t, del = del[0], del[1:]
 		} else {
 			t, add = add[0], add[1:]
 		}
-		n, found := slices.BinarySearchFunc(run, t, o.compare)
+		n := search(run, o, o.key(t))
 		dst = append(dst, run[:n]...)
-		if run = run[n:]; found {
+		if run = run[n:]; len(run) > 0 && run[0] == t {
 			run = run[1:]
 		}
 		if !isDel {
@@ -216,33 +220,34 @@ func (st *Store) Count(pat Pattern) int {
 // choose picks the index ordering whose sort key has the longest prefix of
 // bound positions, returning the ordering, the bound prefix values and the
 // prefix length.
-func choose(pat Pattern) (o ordering, prefix [3]dict.ID, nbound int) {
+func choose(pat Pattern) (o ordering, prefix key, nbound int) {
 	sB, pB, oB := pat.S != dict.None, pat.P != dict.None, pat.O != dict.None
 	switch {
 	case sB && pB && oB:
-		return bySPO, [3]dict.ID{pat.S, pat.P, pat.O}, 3
+		return bySPO, pack(pat.S, pat.P, pat.O), 3
 	case sB && pB:
-		return bySPO, [3]dict.ID{pat.S, pat.P, 0}, 2
+		return bySPO, pack(pat.S, pat.P, 0), 2
 	case pB && oB:
-		return byPOS, [3]dict.ID{pat.P, pat.O, 0}, 2
+		return byPOS, pack(pat.P, pat.O, 0), 2
 	case sB && oB:
 		// No (S,O)-prefixed ordering: scan the subject's SPO range and
 		// filter on O.
-		return bySPO, [3]dict.ID{pat.S, 0, 0}, 1
+		return bySPO, pack(pat.S, 0, 0), 1
 	case sB:
-		return bySPO, [3]dict.ID{pat.S, 0, 0}, 1
+		return bySPO, pack(pat.S, 0, 0), 1
 	case pB:
-		return byPOS, [3]dict.ID{pat.P, 0, 0}, 1
+		return byPOS, pack(pat.P, 0, 0), 1
 	case oB:
-		return byOSP, [3]dict.ID{pat.O, 0, 0}, 1
+		return byOSP, pack(pat.O, 0, 0), 1
 	default:
-		return bySPO, [3]dict.ID{}, 0
+		return bySPO, key{}, 0
 	}
 }
 
 // --- orderings -------------------------------------------------------------
 
-// ordering names the sort order of one of the store's three runs.
+// ordering names the sort order of one of the store's three runs: the order
+// of the triples' keys under it, each packed into one integer (key).
 type ordering uint8
 
 const (
@@ -251,57 +256,136 @@ const (
 	byOSP
 )
 
-// key returns the triple's sort key under the ordering — a switch, not a
-// func value, so that a binary search's comparisons are direct calls.
-func (o ordering) key(t dict.Triple) [3]dict.ID {
+// key is a triple's sort key under an ordering, packed so that keys compare
+// as integers do: hi holds the first component in its top 32 bits and the
+// second in its low 32, lo the third. Dictionary IDs are 32-bit integers, so
+// a key under any ordering is one 96-bit integer, built in registers, and a
+// comparison is at most two integer comparisons. A prefix of n components is
+// the key under the mask of its first n components (prefix): zero beyond
+// them, so a key compares with a prefix as its own first n components do —
+// a search for a prefix is a search for an integer.
+type key struct {
+	hi uint64
+	lo uint32
+}
+
+func pack(a, b, c dict.ID) key { return key{hi: uint64(a)<<32 | uint64(b), lo: uint32(c)} }
+
+func keySPO(t dict.Triple) key { return pack(t.S, t.P, t.O) }
+func keyPOS(t dict.Triple) key { return pack(t.P, t.O, t.S) }
+func keyOSP(t dict.Triple) key { return pack(t.O, t.S, t.P) }
+
+// key returns the triple's sort key under the ordering.
+func (o ordering) key(t dict.Triple) key {
 	switch o {
 	case byPOS:
-		return [3]dict.ID{t.P, t.O, t.S}
+		return keyPOS(t)
 	case byOSP:
-		return [3]dict.ID{t.O, t.S, t.P}
+		return keyOSP(t)
 	}
-	return [3]dict.ID{t.S, t.P, t.O}
+	return keySPO(t)
 }
 
-// compare orders two triples by their keys under the ordering.
-func (o ordering) compare(a, b dict.Triple) int {
-	return compareKeys(o.key(a), o.key(b), 0, 3)
+// masks[n] keeps a key's first n components; units[n] is one in the last
+// of them.
+var (
+	masks = [4]key{{}, {hi: 0xffffffff << 32}, {hi: ^uint64(0)}, {hi: ^uint64(0), lo: ^uint32(0)}}
+	units = [4]key{{}, {hi: 1 << 32}, {hi: 1}, {lo: 1}}
+)
+
+// prefix returns k's first n components, the others zero.
+func (k key) prefix(n int) key { return key{hi: k.hi & masks[n].hi, lo: k.lo & masks[n].lo} }
+
+// with returns k with component i, zero in k, set to id.
+func (k key) with(i int, id dict.ID) key {
+	switch i {
+	case 0:
+		k.hi |= uint64(id) << 32
+	case 1:
+		k.hi |= uint64(id)
+	default:
+		k.lo = uint32(id)
+	}
+	return k
 }
 
-// sorted returns a sorted copy of ts.
+// next returns the n-component prefix that follows k's, which must be one
+// (zero beyond n): k plus one in its last component, carried. It reports
+// false when none follows — n is 0, or k's components are all the largest
+// ID, where the sum would wrap to a key before k.
+func (k key) next(n int) (key, bool) {
+	lo, carry := bits.Add32(k.lo, units[n].lo, 0)
+	hi, carry64 := bits.Add64(k.hi, units[n].hi, uint64(carry))
+	return key{hi: hi, lo: lo}, n > 0 && carry64 == 0
+}
+
+// less reports whether k sorts before o.
+func (k key) less(o key) bool { return k.hi < o.hi || k.hi == o.hi && k.lo < o.lo }
+
+// compare orders two keys.
+func (k key) compare(o key) int {
+	if c := cmp.Compare(k.hi, o.hi); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.lo, o.lo)
+}
+
+// sorted returns a sorted copy of ts, the ordering resolved once for the
+// whole sort.
 func (o ordering) sorted(ts []dict.Triple) []dict.Triple {
 	ts = slices.Clone(ts)
-	slices.SortFunc(ts, o.compare)
+	switch o {
+	case byPOS:
+		slices.SortFunc(ts, func(a, b dict.Triple) int { return keyPOS(a).compare(keyPOS(b)) })
+	case byOSP:
+		slices.SortFunc(ts, func(a, b dict.Triple) int { return keyOSP(a).compare(keyOSP(b)) })
+	default:
+		slices.SortFunc(ts, func(a, b dict.Triple) int { return keySPO(a).compare(keySPO(b)) })
+	}
 	return ts
 }
 
-// bound returns the first index of idx, sorted by o, whose key's components
-// from to n compare ≥ those of k — or, strict, > them; idx's keys must agree
-// before from. One binary search, with no call through a func value.
-func bound(idx []dict.Triple, o ordering, k [3]dict.ID, from, n int, strict bool) int {
-	lo, hi := 0, len(idx)
+// bound returns the first index of ts, sorted by o, whose key's first n
+// components compare ≥ those of k — or, strict, > them: a search for k's
+// prefix, or for the prefix after it (the end of ts when none follows).
+func bound(ts []dict.Triple, o ordering, k key, n int, strict bool) int {
+	k = k.prefix(n)
+	if strict {
+		var ok bool
+		if k, ok = k.next(n); !ok {
+			return len(ts)
+		}
+	}
+	return search(ts, o, k)
+}
+
+// search returns the first index of ts, sorted by o, whose key is ≥ k: one
+// binary search, the ordering resolved once, so that each step packs a key
+// and compares two integers, with no switch and no call.
+func search(ts []dict.Triple, o ordering, k key) int {
+	switch o {
+	case byPOS:
+		return lowerBound(ts, k, keyPOS)
+	case byOSP:
+		return lowerBound(ts, k, keyOSP)
+	}
+	return lowerBound(ts, k, keySPO)
+}
+
+// lowerBound is search under one ordering's key function, small enough to
+// be inlined at each of search's calls, where keyOf is then a direct call
+// inlined in turn.
+func lowerBound(ts []dict.Triple, k key, keyOf func(dict.Triple) key) int {
+	lo, hi := 0, len(ts)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if c := compareKeys(o.key(idx[m]), k, from, n); c < 0 || strict && c == 0 {
+		if keyOf(ts[m]).less(k) {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
 	return lo
-}
-
-// compareKeys compares components from to n of two keys.
-func compareKeys(a, b [3]dict.ID, from, n int) int {
-	for i := from; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
 }
 
 // DistinctInPosition returns the number of distinct values in the given
@@ -312,7 +396,7 @@ func (st *Store) DistinctInPosition(pat Pattern, pos byte) int {
 	// with nothing bound, a property's objects — count the runs; otherwise
 	// fall back to a set.
 	var r *Run
-	var prefix [3]dict.ID
+	var prefix key
 	n := 0
 	switch {
 	case pat.Bound() == 0 && pos == 's':
@@ -322,7 +406,7 @@ func (st *Store) DistinctInPosition(pat Pattern, pos byte) int {
 	case pat.Bound() == 0:
 		r = st.runs[byOSP]
 	case pos == 'o' && pat == (Pattern{P: pat.P}):
-		r, prefix, n = st.runs[byPOS], [3]dict.ID{pat.P}, 1
+		r, prefix, n = st.runs[byPOS], pack(pat.P, 0, 0), 1
 	default:
 		set := map[dict.ID]bool{}
 		st.Each(pat, func(t dict.Triple) bool {

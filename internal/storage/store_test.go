@@ -12,14 +12,33 @@ func buildStore(triples []dict.Triple) *Store {
 	return Build(dict.New(), triples)
 }
 
+// edgeIDs are IDs at the top of the ID space: the largest, the one below
+// it, and the first two of query's parameter slots (query.Param), which
+// start at 2³² − 2¹⁶. Keys of them pack to the largest integers, past which
+// a strict search must not wrap.
+var edgeIDs = []dict.ID{^dict.ID(0), ^dict.ID(0) - 1, 1<<32 - 1<<16, 1<<32 - 1<<16 + 1}
+
+// randomID returns an ID of 1 to n or, one time in eight, an edge ID.
+func randomID(r *rand.Rand, n int) dict.ID {
+	if r.Intn(8) == 0 {
+		return edgeIDs[r.Intn(len(edgeIDs))]
+	}
+	return dict.ID(1 + r.Intn(n))
+}
+
+// byteID maps a fuzzer's byte to an ID of 1 to n or an edge ID.
+func byteID(b byte, n int) dict.ID {
+	i := int(b) % (n + len(edgeIDs))
+	if i < n {
+		return dict.ID(1 + i)
+	}
+	return edgeIDs[i-n]
+}
+
 func randomTriples(r *rand.Rand, n, domain int) []dict.Triple {
 	out := make([]dict.Triple, n)
 	for i := range out {
-		out[i] = dict.Triple{
-			S: dict.ID(1 + r.Intn(domain)),
-			P: dict.ID(1 + r.Intn(domain/2+1)),
-			O: dict.ID(1 + r.Intn(domain)),
-		}
+		out[i] = dict.Triple{S: randomID(r, domain), P: randomID(r, domain/2+1), O: randomID(r, domain)}
 	}
 	return out
 }
