@@ -403,20 +403,3 @@ func BenchmarkSnapshot_WriteRead(b *testing.B) {
 		b.SetBytes(int64(buf.Cap()))
 	}
 }
-
-func BenchmarkAblation_GCovCover_MergeJoins(b *testing.B) {
-	f, _ := fixtures(b)
-	res, err := core.GCov(f.eng.Reformulator(), f.eng.CostModel(), f.q, core.GCovOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ev := exec.New(f.eng.Store(), f.eng.Stats())
-	ev.ForceHashJoins = true
-	ev.Join = exec.JoinMerge
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ev.EvalJUCQContext(context.Background(), res.JUCQ); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -83,21 +83,6 @@ func Ablation(cfg Config) (*AblationResult, error) {
 	res.Table.Add("join method", "INLJ + hash (default)", tDef, fmt.Sprintf("%d answers", nDef))
 	res.Table.Add("join method", "hash joins only", tHash,
 		fmt.Sprintf("%.1fx slower", float64(tHash)/float64(maxDur(tDef, time.Nanosecond))))
-	evMerge := exec.New(e.Store(), e.Stats())
-	evMerge.ForceHashJoins, evMerge.Fragments = true, plans
-	evMerge.Join = exec.JoinMerge
-	evMerge.Budget = exec.Budget{Timeout: cfg.Timeout}
-	start0 := time.Now()
-	rowsMerge, err := evMerge.EvalJUCQContext(ctx, gres.JUCQ)
-	if err != nil {
-		return nil, err
-	}
-	tMerge := time.Since(start0)
-	if rowsMerge.Len() != nDef {
-		return nil, fmt.Errorf("bench: merge-join ablation changed answers: %d vs %d", rowsMerge.Len(), nDef)
-	}
-	res.Table.Add("join method", "sort-merge joins only", tMerge,
-		fmt.Sprintf("%.1fx slower", float64(tMerge)/float64(maxDur(tDef, time.Nanosecond))))
 
 	// 2. Cover search: greedy vs exhaustive.
 	start := time.Now()

@@ -218,10 +218,10 @@ func TestAblationMini(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Table.Rows) != 6 {
-		t.Fatalf("want 6 ablation rows, got %d", len(res.Table.Rows))
+	if len(res.Table.Rows) != 5 {
+		t.Fatalf("want 5 ablation rows, got %d", len(res.Table.Rows))
 	}
-	if !strings.Contains(res.String(), "cover search") {
+	if s := res.String(); !strings.Contains(s, "INLJ + hash") || !strings.Contains(s, "hash joins only") || !strings.Contains(s, "cover search") {
 		t.Fatal("report incomplete")
 	}
 }

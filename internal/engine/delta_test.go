@@ -159,7 +159,7 @@ func TestDeltaScheduleMatchesRebuild(t *testing.T) {
 				return true
 			})
 			flatStore := storage.Build(g.Dict(), flat)
-			sameSource(t, where, e.SatStore(), flatStore, [2][]dict.Triple{sat.Delta.Triples(), g.AllTriples()}, rng)
+			sameSource(t, where, e.SatStore().(*satSource), flatStore, [2][]dict.Triple{sat.Delta.Triples(), g.AllTriples()}, rng)
 			sameStatistics(t, where+" (G∞)", e.SatStats(), stats.Collect(flatStore), flat)
 			for qi := 0; qi < 2; qi++ {
 				q := sc.RandomQuery(rng)
@@ -219,11 +219,11 @@ func sameStore(t *testing.T, where string, got, want *storage.Store, rng *rand.R
 	}
 }
 
-// sameSource compares a source with a store of the same triples on every
+// sameSource compares G∞'s source with a store of the same triples on every
 // scan and count, for every pattern shape, plain and ranged, over triples
 // drawn from each of parts in turn and neighbours that may be absent; and
 // on a scan stopped at its first match.
-func sameSource(t *testing.T, where string, got exec.Source, want *storage.Store, parts [2][]dict.Triple, rng *rand.Rand) {
+func sameSource(t *testing.T, where string, got *satSource, want *storage.Store, parts [2][]dict.Triple, rng *rand.Rand) {
 	t.Helper()
 	if got.Len() != want.Len() {
 		t.Fatalf("%s: %d triples, want %d", where, got.Len(), want.Len())
@@ -262,8 +262,10 @@ func sameSource(t *testing.T, where string, got exec.Source, want *storage.Store
 			if shape&2 != 0 {
 				pat.P, rp.P = x.P, []storage.IDRange{storage.Exact(x.P)}
 			}
+			plain := rp // the plain pattern in range form
 			if shape&4 != 0 {
 				pat.O, rp.O = x.O, around(x.O)
+				plain.O = []storage.IDRange{storage.Exact(x.O)}
 			}
 			wide := rp
 			if wide.P != nil {
@@ -272,21 +274,9 @@ func sameSource(t *testing.T, where string, got exec.Source, want *storage.Store
 			if g, w := got.Count(pat), want.Count(pat); g != w {
 				t.Fatalf("%s: Count(%v) = %d, G∞'s store %d", where, pat, g, w)
 			}
-			each := func(src exec.Source) func(func(dict.Triple) bool) {
-				return func(fn func(dict.Triple) bool) { src.Each(pat, fn) }
-			}
-			if g, w := collect(each(got)), collect(each(want)); !slices.Equal(g, w) {
-				t.Fatalf("%s: Each(%v) = %v, G∞'s store %v", where, pat, g, w)
-			}
-			if g, w := first(each(got)), first(each(want)); g != w {
-				t.Fatalf("%s: Each(%v) stopped at the first match calls back %d times, G∞'s store %d", where, pat, g, w)
-			}
-			for _, rp := range []storage.RangePattern{rp, wide} {
+			for _, rp := range []storage.RangePattern{plain, rp, wide} {
 				if g, w := got.CountRange(rp), want.CountRange(rp); g != w {
 					t.Fatalf("%s: CountRange(%v) = %d, G∞'s store %d", where, rp, g, w)
-				}
-				eachRange := func(src exec.Source) func(func(dict.Triple) bool) {
-					return func(fn func(dict.Triple) bool) { src.EachRange(rp, fn) }
 				}
 				eachRun := func(src exec.Source) func(func(dict.Triple) bool) {
 					return func(fn func(dict.Triple) bool) {
@@ -300,15 +290,11 @@ func sameSource(t *testing.T, where string, got exec.Source, want *storage.Store
 						})
 					}
 				}
-				w := collect(eachRange(want))
-				if g := collect(eachRange(got)); !slices.Equal(g, w) {
-					t.Fatalf("%s: EachRange(%v) = %v, G∞'s store %v", where, rp, g, w)
-				}
-				if g := collect(eachRun(got)); !slices.Equal(g, w) {
+				if g, w := collect(eachRun(got)), collect(eachRun(want)); !slices.Equal(g, w) {
 					t.Fatalf("%s: EachRun(%v) = %v, G∞'s store %v", where, rp, g, w)
 				}
-				if g, w := first(eachRange(got)), first(eachRange(want)); g != w {
-					t.Fatalf("%s: EachRange(%v) stopped at the first match calls back %d times, G∞'s store %d", where, rp, g, w)
+				if g, w := first(eachRun(got)), first(eachRun(want)); g != w {
+					t.Fatalf("%s: EachRun(%v) stopped at the first match calls back %d times, G∞'s store %d", where, rp, g, w)
 				}
 			}
 		}

@@ -95,27 +95,6 @@ func (u *satSource) Dict() *dict.Dict { return u.data.Dict() }
 
 func (u *satSource) Len() int { return u.data.Len() + u.delta.Len() }
 
-// Each, EachRange and EachRun read D, then Δ, and stop once fn does: where
-// both parts may match, D's scan goes through a wrapper that notes the stop
-// — on the stack, as neither part keeps fn.
-func (u *satSource) Each(pat storage.Pattern, fn func(dict.Triple) bool) {
-	switch inD, inΔ := u.plainParts(pat); {
-	case inD && inΔ:
-		more := true
-		u.data.Each(pat, func(t dict.Triple) bool {
-			more = fn(t)
-			return more
-		})
-		if more {
-			u.delta.Each(pat, fn)
-		}
-	case inD:
-		u.data.Each(pat, fn)
-	case inΔ:
-		u.delta.Each(pat, fn)
-	}
-}
-
 func (u *satSource) Count(pat storage.Pattern) int {
 	n := 0
 	inD, inΔ := u.plainParts(pat)
@@ -128,24 +107,9 @@ func (u *satSource) Count(pat storage.Pattern) int {
 	return n
 }
 
-func (u *satSource) EachRange(pat storage.RangePattern, fn func(dict.Triple) bool) {
-	switch inD, inΔ := u.parts(pat.P, pat.O); {
-	case inD && inΔ:
-		more := true
-		u.data.EachRange(pat, func(t dict.Triple) bool {
-			more = fn(t)
-			return more
-		})
-		if more {
-			u.delta.EachRange(pat, fn)
-		}
-	case inD:
-		u.data.EachRange(pat, fn)
-	case inΔ:
-		u.delta.EachRange(pat, fn)
-	}
-}
-
+// EachRun reads D, then Δ, and stops once fn does: where both parts may
+// match, D's scan goes through a wrapper that notes the stop — on the stack,
+// as neither part keeps fn.
 func (u *satSource) EachRun(pat storage.RangePattern, fn func([]dict.Triple) bool) {
 	switch inD, inΔ := u.parts(pat.P, pat.O); {
 	case inD && inΔ:

@@ -65,16 +65,13 @@ type Evaluator struct {
 	// full and hash-joining it instead: the ablation knob quantifying how
 	// much of the cover strategies' win comes from selective probing.
 	ForceHashJoins bool
-	// Join selects the algorithm for materialized joins (hash by
-	// default; merge sorts both sides — the second ablation knob).
-	Join JoinAlgorithm
 	// Metrics, when non-nil, receives executor counters (rows scanned /
 	// joined / unioned, shard traffic). Safe to share across evaluators and
 	// goroutines.
 	Metrics *metrics.Registry
 	// Span, when non-nil, is the parent under which every top-level Eval*
-	// call records one span per operator (scan, index/hash/merge join,
-	// union, projection) with its actual row count, wall time and — when
+	// call records one span per operator (scan, index or hash join, union,
+	// projection) with its actual row count, wall time and — when
 	// an estimate is at hand — the estimated cardinality (EXPLAIN
 	// ANALYZE's est-vs-actual columns). Span tracing is concurrency-safe,
 	// scatters included.
@@ -322,13 +319,10 @@ func estCard(ests []cost.Estimate, i int) float64 {
 // evaluator without statistics still orders by size, and evaluating a
 // range union never needs statistics built.
 func (e *Evaluator) atomCard(a query.RangeAtom) float64 {
-	switch {
-	case a.Ranged():
-		return float64(e.st.CountRange(a.RangePattern()))
-	case e.stats != nil:
+	if e.stats != nil && !a.Ranged() {
 		return e.stats.PatternCard(a.Plain().Pattern())
 	}
-	return float64(e.st.Count(a.Plain().Pattern()))
+	return float64(e.st.CountRange(a.RangePattern()))
 }
 
 // evalBody evaluates the join of all atoms and returns a relation over all
@@ -416,7 +410,7 @@ func (e *Evaluator) evalBody(atoms []query.RangeAtom, dead []uint8, seed *Relati
 			if err != nil {
 				return nil, err
 			}
-			cur, err = e.materializedJoin(cur, right, g, sp, estOut)
+			cur, err = e.hashJoin(cur, right, g, sp, estOut)
 		}
 		if err != nil {
 			return nil, err
@@ -429,78 +423,63 @@ func (e *Evaluator) evalBody(atoms []query.RangeAtom, dead []uint8, seed *Relati
 }
 
 // scanAtom materializes one atom into a relation over its distinct live
-// variables (plain and capture), enforcing repeated-variable equality — a
-// ranged atom through the range scan primitive, any other through the plain
-// one. The dead positions are wildcards: not emitted, and an atom with no
-// live variable is a boolean test that stops at its first triple. Any other
-// atom whose positions bind distinct columns reads the source a block at a
-// time: each run's columns are appended at once, and the guard is polled
-// once per run. Against a sharded source a scan whose subject is
-// unconstrained fans out to every shard in parallel (a bound subject needs
-// no scatter: the source routes it to the subject's home shard).
+// variables (plain and capture), reading the atom's range pattern a block at
+// a time and polling the guard once per block. The dead positions are
+// wildcards: not emitted, and an atom with no live variable is a boolean test
+// that stops at its first triple. An atom whose positions bind distinct
+// columns appends each block's columns at once; one with a repeated variable
+// keeps, triple by triple, those that agree on it. Against a sharded source a
+// scan whose subject is unconstrained fans out to every shard in parallel (a
+// bound subject needs no scatter: the source routes it to the subject's home
+// shard).
 func (e *Evaluator) scanAtom(a query.RangeAtom, dead uint8, m *memo, g guard, sp *trace.Span, est float64) (*Relation, error) {
 	vars, col := atomVars(nil, a, dead)
 	if rel := m.scan(a, dead, vars, col); rel != nil {
 		return rel, nil
 	}
 	repeat := repeats(col)
-	isRanged, batch := a.Ranged(), len(vars) > 0 && repeat == [3]bool{}
-	var pat storage.Pattern
-	var rpat storage.RangePattern
-	if isRanged || batch {
-		rpat = a.RangePattern()
-	} else {
-		pat = a.Plain().Pattern()
-	}
+	batch := len(vars) > 0 && repeat == [3]bool{}
+	rpat := a.RangePattern()
 	scan := func(src Source, rel *Relation) error {
-		var stopErr error
-		overCap := func() bool {
-			if e.Budget.MaxRows > 0 && rel.Len() > e.Budget.MaxRows {
-				stopErr = fmt.Errorf("%w: scan of %d+ rows exceeds cap %d", ErrBudgetExceeded, rel.Len(), e.Budget.MaxRows)
-				return true
-			}
-			return false
+		var (
+			stopErr error
+			row     []dict.ID
+		)
+		if !batch {
+			row = make([]dict.ID, len(vars))
 		}
-		if batch {
-			src.EachRun(rpat, func(run []dict.Triple) bool {
-				if stopErr = g.err(); stopErr != nil {
-					return false
-				}
+		src.EachRun(rpat, func(run []dict.Triple) bool {
+			if stopErr = g.err(); stopErr != nil {
+				return false
+			}
+			if batch {
 				for len(run) > 0 {
 					run = rel.appendColumns(run, col)
 				}
-				return !overCap()
-			})
-			return stopErr
-		}
-		row := make([]dict.ID, len(vars))
-		steps := 0
-		emit := func(t dict.Triple) bool {
-			steps++
-			if steps&(checkEvery-1) == 0 {
-				if err := g.err(); err != nil {
-					stopErr = err
-					return false
+			} else {
+			triples:
+				for _, t := range run {
+					trip := [3]dict.ID{t.S, t.P, t.O}
+					for p, c := range col {
+						switch {
+						case c == -1:
+						case !repeat[p]:
+							row[c] = trip[p]
+						case row[c] != trip[p]:
+							continue triples
+						}
+					}
+					if rel.Append(row); len(row) == 0 {
+						return false
+					}
 				}
 			}
-			trip := [3]dict.ID{t.S, t.P, t.O}
-			for p, c := range col {
-				switch {
-				case c == -1:
-				case !repeat[p]:
-					row[c] = trip[p]
-				case row[c] != trip[p]:
-					return true
-				}
+			if e.Budget.MaxRows > 0 && rel.Len() > e.Budget.MaxRows {
+				stopErr = fmt.Errorf("%w: scan of %d+ rows exceeds cap %d", ErrBudgetExceeded, rel.Len(), e.Budget.MaxRows)
+				return false
 			}
-			rel.Append(row)
-			return !overCap() && len(row) > 0
-		}
-		if isRanged {
-			src.EachRange(rpat, emit)
-		} else {
-			src.Each(pat, emit)
-		}
+			return true
+		})
 		return stopErr
 	}
 	var rel *Relation
@@ -535,12 +514,14 @@ func (e *Evaluator) scanAtom(a query.RangeAtom, dead uint8, m *memo, g guard, sp
 
 // indexJoin extends each row of cur with the atom's matches, looking the
 // atom up in the store with the row's bindings applied (index nested-loop
-// join). A probe of an atom that is not ranged is a storage.Pattern built
-// on the stack; a ranged atom's probe narrows its range pattern to the
-// row's IDs, and a row whose binding falls outside the atom's ranges
-// matches nothing. Dead positions are wildcards, so a probe that binds no
-// live variable is a semijoin: it stops at the first matching triple of
-// each row. The triples the probes read are scanned rows.
+// join): the atom's range pattern narrowed, at each position cur binds, to
+// the row's ID — a row whose ID falls outside the atom's ranges there matches
+// nothing. Dead positions are wildcards, so a probe that binds no live
+// variable is a semijoin: it stops at the first matching triple of each row.
+// Every probe reads its matches a block at a time through one callback, made
+// once per join, whose loop over the block does the per-triple work; the
+// guard is polled every checkEvery probe rows and triples. The triples the
+// probes read are scanned rows.
 func (e *Evaluator) indexJoin(cur *Relation, a query.RangeAtom, dead uint8, g guard, sp *trace.Span, est float64) (*Relation, error) {
 	var jsp *trace.Span
 	if sp != nil {
@@ -552,27 +533,22 @@ func (e *Evaluator) indexJoin(cur *Relation, a query.RangeAtom, dead uint8, g gu
 			jsp.SetFloat("est_rows", est)
 		}
 	}
-	// Each position is a constant, an uncaptured range or a dead variable (a
-	// wildcard), a variable cur binds (a probe key), or a free variable (a
-	// new output column).
+	// Each position is fixed by the atom's pattern (a constant, an uncaptured
+	// range or a dead variable), a variable cur binds (a probe key), or a
+	// free variable (a new output column).
 	type pos struct {
-		constant dict.ID // dict.None unless a plain constant
-		col      int     // column in cur, -1 unless bound by cur
-		outIdx   int     // index among the new output columns, -1 otherwise
-		repeat   bool    // outIdx was filled by an earlier position
+		col    int  // column in cur, -1 unless bound by cur
+		outIdx int  // index among the new output columns, -1 otherwise
+		repeat bool // outIdx was filled by an earlier position
 	}
 	var positions [3]pos
 	var newVars []string
 	for i, ra := range [3]query.RangeArg{a.S, a.P, a.O} {
 		p := pos{col: -1, outIdx: -1}
 		switch {
-		case !ra.Arg.IsVar():
-			if ra.Ranges == nil {
-				p.constant = ra.Arg.ID
-			}
-		case dead&(1<<i) != 0:
-		case cur.ColumnIndex(ra.Arg.Var) != -1:
-			p.col = cur.ColumnIndex(ra.Arg.Var)
+		case !ra.Arg.IsVar() || dead&(1<<i) != 0:
+		case cur.columnIndex(ra.Arg.Var) != -1:
+			p.col = cur.columnIndex(ra.Arg.Var)
 		default:
 			for k, v := range newVars {
 				if v == ra.Arg.Var {
@@ -587,51 +563,63 @@ func (e *Evaluator) indexJoin(cur *Relation, a query.RangeAtom, dead uint8, g gu
 		positions[i] = p
 	}
 	semi := len(newVars) == 0
-	outVars := append(append([]string(nil), cur.Vars...), newVars...)
-	out := NewRelation(outVars)
-	outRow := make([]dict.ID, len(outVars))
+	w := len(cur.Vars)
+	out := NewRelation(append(append([]string(nil), cur.Vars...), newVars...))
+	// outRow holds the probe row in its first w columns, the match's free
+	// variables after them.
+	outRow := make([]dict.ID, out.Width())
 	var (
-		row     []dict.ID
 		stopErr error
 		steps   int
 		scanned int
 	)
-	match := func(t dict.Triple) bool {
-		steps++
-		scanned++
-		if steps&(checkEvery-1) == 0 {
-			if err := g.err(); err != nil {
-				stopErr = err
+	match := func(run []dict.Triple) bool {
+		// Poll when the steps cross a multiple of checkEvery.
+		before := steps
+		if steps += len(run); before^steps >= checkEvery {
+			if stopErr = g.err(); stopErr != nil {
 				return false
 			}
 		}
-		trip := [3]dict.ID{t.S, t.P, t.O}
-		copy(outRow, row)
-		// Fill free variables, checking repeated occurrences agree (bound
-		// ones are pinned by the probe pattern).
-		for k, p := range positions {
-			switch {
-			case p.outIdx == -1:
-			case !p.repeat:
-				outRow[len(row)+p.outIdx] = trip[k]
-			case outRow[len(row)+p.outIdx] != trip[k]:
-				return true
+	triples:
+		for _, t := range run {
+			scanned++
+			trip := [3]dict.ID{t.S, t.P, t.O}
+			// Fill free variables, checking repeated occurrences agree (bound
+			// ones are pinned by the probe pattern).
+			for k, p := range positions {
+				switch {
+				case p.outIdx == -1:
+				case !p.repeat:
+					outRow[w+p.outIdx] = trip[k]
+				case outRow[w+p.outIdx] != trip[k]:
+					continue triples
+				}
+			}
+			out.Append(outRow)
+			if e.Budget.MaxRows > 0 && out.Len() > e.Budget.MaxRows {
+				stopErr = fmt.Errorf("%w: join result exceeds cap %d", ErrBudgetExceeded, e.Budget.MaxRows)
+				return false
+			}
+			if semi {
+				return false
 			}
 		}
-		out.Append(outRow)
-		if e.Budget.MaxRows > 0 && out.Len() > e.Budget.MaxRows {
-			stopErr = fmt.Errorf("%w: join result exceeds cap %d", ErrBudgetExceeded, e.Budget.MaxRows)
-			return false
+		return true
+	}
+	// The probe pattern is the atom's, each bound position an exact range
+	// whose ID each row sets: no allocation per probe.
+	rpat := a.RangePattern()
+	ranges := [3][]storage.IDRange{rpat.S, rpat.P, rpat.O}
+	var exact [3][1]storage.IDRange
+	probe := ranges
+	for k, p := range positions {
+		if p.col != -1 {
+			probe[k] = exact[k][:]
 		}
-		return !semi
 	}
-	isRanged := a.Ranged()
-	var base [3][]storage.IDRange
-	var exact [3][1]storage.IDRange // backing for the narrowed positions: no allocation per probe
-	if isRanged {
-		rpat := a.RangePattern()
-		base = [3][]storage.IDRange{rpat.S, rpat.P, rpat.O}
-	}
+	pat := storage.RangePattern{S: probe[0], P: probe[1], O: probe[2]}
+rows:
 	for i := 0; i < cur.Len(); i++ {
 		steps++
 		if steps&(checkEvery-1) == 0 {
@@ -639,36 +627,19 @@ func (e *Evaluator) indexJoin(cur *Relation, a query.RangeAtom, dead uint8, g gu
 				return nil, err
 			}
 		}
-		row = cur.Row(i)
-		if !isRanged {
-			var ids [3]dict.ID
-			for k, p := range positions {
-				if p.col != -1 {
-					ids[k] = row[p.col]
-				} else {
-					ids[k] = p.constant
-				}
+		row := cur.Row(i)
+		for k, p := range positions {
+			if p.col == -1 {
+				continue
 			}
-			e.st.Each(storage.Pattern{S: ids[0], P: ids[1], O: ids[2]}, match)
-		} else {
-			probe, feasible := base, true
-			for k, p := range positions {
-				if p.col == -1 {
-					continue
-				}
-				id := row[p.col]
-				if base[k] != nil && !storage.InRanges(base[k], id) {
-					feasible = false
-					break
-				}
-				exact[k][0] = storage.Exact(id)
-				probe[k] = exact[k][:]
+			id := row[p.col]
+			if ranges[k] != nil && !storage.InRanges(ranges[k], id) {
+				continue rows
 			}
-			if feasible {
-				e.st.EachRange(storage.RangePattern{S: probe[0], P: probe[1], O: probe[2]}, match)
-			}
+			exact[k][0] = storage.Exact(id)
 		}
-		if stopErr != nil {
+		copy(outRow, row)
+		if e.st.EachRun(pat, match); stopErr != nil {
 			return nil, stopErr
 		}
 	}
@@ -695,23 +666,19 @@ func repeats(col [3]int) (repeat [3]bool) {
 // scatter — the source routes it to the subject's home shard.
 func scatters(a query.RangeAtom) bool { return a.S.Ranges == nil && a.S.Arg.IsVar() }
 
-// streams reports whether a hashed atom joins cur by streamJoin: the join is
-// the hash join, the atom's scan reads whole blocks (a live variable, none
-// repeated), and the scan has at least cur's rows, so the table is built on
-// cur as hashJoin builds on the smaller side. The rows are counted exactly,
-// by index searches; card is that count already for a ranged atom or without
-// statistics.
+// streams reports whether a hashed atom joins cur by streamJoin: the atom's
+// scan reads whole blocks (a live variable, none repeated), and the scan has
+// at least cur's rows, so the table is built on cur as hashJoin builds on the
+// smaller side. The rows are counted exactly, by index searches; card is that
+// count already for a ranged atom or without statistics.
 func (e *Evaluator) streams(cur *Relation, a query.RangeAtom, dead uint8, card float64) bool {
-	if e.Join != JoinHash {
-		return false
-	}
 	var buf [3]string
 	vars, col := atomVars(buf[:0], a, dead)
 	if len(vars) == 0 || repeats(col) != [3]bool{} {
 		return false
 	}
 	if !a.Ranged() && e.stats != nil {
-		card = float64(e.st.Count(a.Plain().Pattern()))
+		card = float64(e.st.CountRange(a.RangePattern()))
 	}
 	return card >= float64(cur.Len())
 }
@@ -892,7 +859,7 @@ const filterMix uint64 = 0x38296abf1a2fd717
 func (e *Evaluator) newJoinTable(build *Relation, probeVars, shared []string, g guard) (joinTable, error) {
 	t := joinTable{e: e, g: g, build: build, bIdx: make([]int, len(shared)), pIdx: make([]int, len(shared))}
 	for i, v := range shared {
-		t.bIdx[i] = build.ColumnIndex(v)
+		t.bIdx[i] = build.columnIndex(v)
 		t.pIdx[i] = slices.Index(probeVars, v)
 	}
 	// Output columns: all of the probe side's, then build's non-shared.
@@ -1006,10 +973,10 @@ func headColumns(head []query.Arg, body *Relation) (src []int, row []dict.ID, er
 		switch {
 		case !h.IsVar():
 			row[i] = h.ID
-		case body.ColumnIndex(h.Var) == -1:
+		case body.columnIndex(h.Var) == -1:
 			return nil, nil, fmt.Errorf("exec: head variable %s missing from body", h.Var)
 		default:
-			src[i] = body.ColumnIndex(h.Var)
+			src[i] = body.columnIndex(h.Var)
 		}
 	}
 	return src, row, nil
@@ -1239,8 +1206,6 @@ func (e *Evaluator) EvalJUCQContext(ctx context.Context, j query.JUCQ) (*Relatio
 		switch {
 		case isConnected && probe && cost.PreferINLJ(float64(cur.Len()), card(fi)):
 			op = cost.OpSemijoin
-		case isConnected && e.Join == JoinMerge:
-			op = "merge"
 		case isConnected:
 			op = cost.OpHashJoin
 		}
@@ -1297,7 +1262,7 @@ func (e *Evaluator) joinFragment(cur *Relation, op string, shared []string, frag
 	if err != nil {
 		return nil, err
 	}
-	out, err := e.materializedJoin(cur, right, g, nil, -1)
+	out, err := e.hashJoin(cur, right, g, nil, -1)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@ import (
 func nestedLoopJoin(build, probe *Relation, shared []string) (out []dict.ID, unmatched int) {
 	var pIdx, bIdx, extra []int
 	for _, v := range shared {
-		pIdx, bIdx = append(pIdx, slices.Index(probe.Vars, v)), append(bIdx, build.ColumnIndex(v))
+		pIdx, bIdx = append(pIdx, slices.Index(probe.Vars, v)), append(bIdx, build.columnIndex(v))
 	}
 	for i, v := range build.Vars {
 		if !slices.Contains(probe.Vars, v) {

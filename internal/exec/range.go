@@ -226,7 +226,7 @@ func (e *Evaluator) expandRelation(rel *Relation, exp *query.Expansion, g guard,
 		}
 		esp.SetInt("left_rows", int64(rel.Len()))
 	}
-	inCol := rel.ColumnIndex(exp.In)
+	inCol := rel.columnIndex(exp.In)
 	if inCol == -1 {
 		return nil, fmt.Errorf("exec: expansion input %s missing from relation", exp.In)
 	}
@@ -234,7 +234,7 @@ func (e *Evaluator) expandRelation(rel *Relation, exp *query.Expansion, g guard,
 	var want dict.ID
 	haveWant := false
 	if exp.Out.IsVar() {
-		outCol = rel.ColumnIndex(exp.Out.Var)
+		outCol = rel.columnIndex(exp.Out.Var)
 	} else {
 		want, haveWant = exp.Out.ID, true
 	}

@@ -185,8 +185,8 @@ func fillColumns(dst []dict.ID, ts []dict.Triple, col [3]int, w int) {
 	}
 }
 
-// ColumnIndex returns the index of the named column, or -1.
-func (r *Relation) ColumnIndex(name string) int {
+// columnIndex returns the index of the named column, or -1.
+func (r *Relation) columnIndex(name string) int {
 	for i, v := range r.Vars {
 		if v == name {
 			return i

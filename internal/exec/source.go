@@ -17,22 +17,19 @@ import (
 // read-only slice of *storage.Store the operators actually use. It exists
 // so one executor serves both a single store and a hash-partitioned
 // shard.Store — the evaluator never materializes a source, it only
-// iterates and counts.
+// iterates and counts. Every read takes a range pattern (a constant is a
+// one-ID range): EachRun serves scans and index probes a block at a time,
+// CountRange the exact counts the plan ranks atoms by.
 type Source interface {
 	// Dict returns the dictionary terms are encoded against.
 	Dict() *dict.Dict
 	// Len returns the number of triples.
 	Len() int
-	// Each streams every triple matching the pattern.
-	Each(pat storage.Pattern, fn func(dict.Triple) bool)
-	// Count returns the number of triples matching the pattern.
-	Count(pat storage.Pattern) int
-	// EachRange streams every triple matching the range pattern.
-	EachRange(pat storage.RangePattern, fn func(dict.Triple) bool)
 	// EachRun streams the triples matching the range pattern a sorted
 	// slice at a time — a block's share, for a pattern the index search
 	// answers exactly — stopping early if fn returns false. The slices are
-	// the source's: callers must not modify them.
+	// the source's: callers must not modify them, nor keep them once fn
+	// returns.
 	EachRun(pat storage.RangePattern, fn func([]dict.Triple) bool)
 	// CountRange returns the number of triples matching the range pattern.
 	CountRange(pat storage.RangePattern) int
@@ -93,7 +90,7 @@ func (e *Evaluator) shardWorkers(n int) int {
 // statistics never makes a shard collect them.
 func (e *Evaluator) shardSub(sh ShardedSource, i int) *Evaluator {
 	sub := &Evaluator{st: sh.Shard(i), Budget: e.Budget, ForceHashJoins: e.ForceHashJoins,
-		Join: e.Join, Cost: e.Cost, MaxParallel: 1}
+		Cost: e.Cost, MaxParallel: 1}
 	if e.stats != nil {
 		sub.stats = sh.ShardStats(i)
 	}

@@ -206,8 +206,8 @@ func (s *GraphSource) Stats(context.Context) (SourceStats, error) {
 type StoreSource struct {
 	SourceName string
 	Dict       *dict.Dict
-	// Store is the scan surface; *storage.Store and *shard.Store both
-	// satisfy it.
+	// Store is the scan surface; *storage.Store, and so each shard of a
+	// *shard.Store, satisfies it.
 	Store interface {
 		Len() int
 		Each(pat storage.Pattern, fn func(dict.Triple) bool)

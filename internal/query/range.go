@@ -86,8 +86,10 @@ func (t RangeAtom) Vars(dst []string) []string {
 }
 
 // Ranged reports whether any position of the atom is range-constrained:
-// such an atom scans and probes with its RangePattern, any other with the
-// plain storage.Pattern of its Plain form.
+// the statistics estimate such an atom by an exact count of its
+// RangePattern, any other from the per-property tables through the plain
+// storage.Pattern of its Plain form. Every atom scans and probes with its
+// RangePattern.
 func (t RangeAtom) Ranged() bool {
 	return t.S.Ranges != nil || t.P.Ranges != nil || t.O.Ranges != nil
 }
@@ -98,7 +100,7 @@ func (t RangeAtom) Ranged() bool {
 // nothing, so it is a wildcard there).
 func (t RangeAtom) Plain() Atom { return Atom{S: t.S.Arg, P: t.P.Arg, O: t.O.Arg} }
 
-// RangePattern is the range pattern a ranged atom's scan runs: range
+// RangePattern is the range pattern an atom's scans and probes run: range
 // positions keep their ranges, constants become exact ranges, variables are
 // wildcards.
 func (t RangeAtom) RangePattern() storage.RangePattern {

@@ -155,23 +155,6 @@ func (s *Store) one(sub dict.ID) *storage.Store {
 	return nil
 }
 
-// Each streams every matching triple: from the one shard holding them when
-// there is one, otherwise from every shard in order, so a full iteration
-// sees every triple exactly once.
-func (s *Store) Each(pat storage.Pattern, fn func(dict.Triple) bool) {
-	if sh := s.one(pat.S); sh != nil {
-		sh.Each(pat, fn)
-		return
-	}
-	for _, sh := range s.shards {
-		more := true
-		sh.Each(pat, func(t dict.Triple) bool { more = fn(t); return more })
-		if !more {
-			return
-		}
-	}
-}
-
 // EachRun streams the triples matching the range pattern a sorted slice at
 // a time, as storage.Store.EachRun does: from the one shard holding them
 // when there is one, otherwise from every shard in order.
@@ -200,23 +183,6 @@ func (s *Store) Count(pat storage.Pattern) int {
 		n += sh.Count(pat)
 	}
 	return n
-}
-
-// EachRange streams every triple matching the range pattern. A subject
-// constrained to a single exact ID routes like a bound subject; any other
-// subject constraint still filters correctly on every shard.
-func (s *Store) EachRange(pat storage.RangePattern, fn func(dict.Triple) bool) {
-	if sh := s.one(exactSubject(pat)); sh != nil {
-		sh.EachRange(pat, fn)
-		return
-	}
-	for _, sh := range s.shards {
-		more := true
-		sh.EachRange(pat, func(t dict.Triple) bool { more = fn(t); return more })
-		if !more {
-			return
-		}
-	}
 }
 
 // CountRange returns the number of triples matching the range pattern.
@@ -287,12 +253,26 @@ func (s *Store) DistinctInPosition(pat storage.Pattern, pos byte) int {
 		}
 		return n
 	}
+	// No subject is bound here: the pattern in range form is its property
+	// and object, each an exact range where bound.
+	var exact [2][1]storage.IDRange
+	var rp storage.RangePattern
+	if pat.P != dict.None {
+		exact[0][0] = storage.Exact(pat.P)
+		rp.P = exact[0][:]
+	}
+	if pat.O != dict.None {
+		exact[1][0] = storage.Exact(pat.O)
+		rp.O = exact[1][:]
+	}
 	seen := map[dict.ID]bool{}
-	s.Each(pat, func(t dict.Triple) bool {
-		if pos == 'p' {
-			seen[t.P] = true
-		} else {
-			seen[t.O] = true
+	s.EachRun(rp, func(ts []dict.Triple) bool {
+		for _, t := range ts {
+			if pos == 'p' {
+				seen[t.P] = true
+			} else {
+				seen[t.O] = true
+			}
 		}
 		return true
 	})

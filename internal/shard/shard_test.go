@@ -359,10 +359,17 @@ func TestOneShardIsItsStore(t *testing.T) {
 		}
 		return rs
 	}
-	each := func(src exec.Source, pat storage.Pattern) []dict.Triple {
+	eachRun := func(src exec.Source, pat storage.RangePattern) []dict.Triple {
 		var out []dict.Triple
-		src.Each(pat, func(x dict.Triple) bool { out = append(out, x); return true })
+		src.EachRun(pat, func(ts []dict.Triple) bool { out = append(out, ts...); return true })
 		return out
+	}
+	// exact is a plain pattern's position in range form: nil for a wildcard.
+	exact := func(id dict.ID) []storage.IDRange {
+		if id == dict.None {
+			return nil
+		}
+		return []storage.IDRange{storage.Exact(id)}
 	}
 	for trial := 0; trial < 50; trial++ {
 		triples := randomGraph(r)
@@ -382,8 +389,9 @@ func TestOneShardIsItsStore(t *testing.T) {
 			for _, p := range ids {
 				for _, o := range ids {
 					pat := storage.Pattern{S: s, P: p, O: o}
-					if g, w := each(one, pat), each(st, pat); !slices.Equal(g, w) {
-						t.Fatalf("trial %d: Each(%v) = %v, store %v", trial, pat, g, w)
+					rp := storage.RangePattern{S: exact(s), P: exact(p), O: exact(o)}
+					if g, w := eachRun(one, rp), eachRun(st, rp); !slices.Equal(g, w) {
+						t.Fatalf("trial %d: EachRun(%v) = %v, store %v", trial, pat, g, w)
 					}
 					if g, w := one.Count(pat), st.Count(pat); g != w {
 						t.Fatalf("trial %d: Count(%v) = %d, store %d", trial, pat, g, w)
@@ -398,17 +406,8 @@ func TestOneShardIsItsStore(t *testing.T) {
 		}
 		for i := 0; i < 100; i++ {
 			pat := storage.RangePattern{S: randomRanges(), P: randomRanges(), O: randomRanges()}
-			var g, w []dict.Triple
-			one.EachRange(pat, func(x dict.Triple) bool { g = append(g, x); return true })
-			st.EachRange(pat, func(x dict.Triple) bool { w = append(w, x); return true })
-			if !slices.Equal(g, w) || one.CountRange(pat) != st.CountRange(pat) {
-				t.Fatalf("trial %d: EachRange(%v) = %v (%d), store %v (%d)", trial, pat, g, one.CountRange(pat), w, st.CountRange(pat))
-			}
-			g, w = g[:0], w[:0]
-			one.EachRun(pat, func(ts []dict.Triple) bool { g = append(g, ts...); return true })
-			st.EachRun(pat, func(ts []dict.Triple) bool { w = append(w, ts...); return true })
-			if !slices.Equal(g, w) {
-				t.Fatalf("trial %d: EachRun(%v) = %v, store %v", trial, pat, g, w)
+			if g, w := eachRun(one, pat), eachRun(st, pat); !slices.Equal(g, w) || one.CountRange(pat) != st.CountRange(pat) {
+				t.Fatalf("trial %d: EachRun(%v) = %v (%d), store %v (%d)", trial, pat, g, one.CountRange(pat), w, st.CountRange(pat))
 			}
 		}
 		got, want := stats.Collect(one), stats.Collect(st)
@@ -429,9 +428,9 @@ func TestOneShardIsItsStore(t *testing.T) {
 	}
 	st, one := storage.Build(d, big), shard.Build(d, storage.NewRun(big), 1)
 	n := 0
-	count := func(dict.Triple) bool { n++; return true }
-	if g, w := testing.AllocsPerRun(20, func() { one.Each(storage.Pattern{}, count) }),
-		testing.AllocsPerRun(20, func() { st.Each(storage.Pattern{}, count) }); g > w {
+	count := func(ts []dict.Triple) bool { n += len(ts); return true }
+	if g, w := testing.AllocsPerRun(20, func() { one.EachRun(storage.RangePattern{}, count) }),
+		testing.AllocsPerRun(20, func() { st.EachRun(storage.RangePattern{}, count) }); g > w {
 		t.Fatalf("a full scan allocates %v on a one-shard store, %v on its store", g, w)
 	}
 	if g, w := testing.AllocsPerRun(20, func() { one.DistinctInPosition(storage.Pattern{}, 'o') }),

@@ -39,9 +39,9 @@ type PairCount struct {
 // Counter is what the estimates read off a source once its statistics are
 // made: counts, and the scans of the demo's distributions.
 type Counter interface {
-	Each(pat storage.Pattern, fn func(dict.Triple) bool)
 	Count(pat storage.Pattern) int
 	CountRange(p storage.RangePattern) int
+	EachRun(pat storage.RangePattern, fn func([]dict.Triple) bool)
 }
 
 // Source is the scan surface statistics are collected from and estimated
@@ -51,7 +51,6 @@ type Counter interface {
 type Source interface {
 	Counter
 	Len() int
-	EachRun(pat storage.RangePattern, fn func([]dict.Triple) bool)
 	DistinctInPosition(pat storage.Pattern, pos byte) int
 }
 
@@ -300,14 +299,16 @@ func (s *Stats) DistinctVar(pat storage.Pattern, pos byte) float64 {
 // ('s', 'p' or 'o'), most frequent first; ties break on ascending ID.
 func (s *Stats) TopValues(pos byte, k int) []ValueCount {
 	counts := map[dict.ID]int{}
-	s.store.Each(storage.Pattern{}, func(t dict.Triple) bool {
-		switch pos {
-		case 's':
-			counts[t.S]++
-		case 'p':
-			counts[t.P]++
-		default:
-			counts[t.O]++
+	s.store.EachRun(storage.RangePattern{}, func(ts []dict.Triple) bool {
+		for _, t := range ts {
+			switch pos {
+			case 's':
+				counts[t.S]++
+			case 'p':
+				counts[t.P]++
+			default:
+				counts[t.O]++
+			}
 		}
 		return true
 	})
@@ -320,8 +321,10 @@ func (s *Stats) TopValues(pos byte, k int) []ValueCount {
 func (s *Stats) TopPairsPO(k int) []PairCount {
 	type key struct{ p, o dict.ID }
 	counts := map[key]int{}
-	s.store.Each(storage.Pattern{}, func(t dict.Triple) bool {
-		counts[key{t.P, t.O}]++
+	s.store.EachRun(storage.RangePattern{}, func(ts []dict.Triple) bool {
+		for _, t := range ts {
+			counts[key{t.P, t.O}]++
+		}
 		return true
 	})
 	out := make([]PairCount, 0, len(counts))

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"sort"
+	"sync"
 
 	"repro/internal/dict"
 )
@@ -76,26 +77,40 @@ type rangeScan struct {
 
 // chooseRange picks the ordering that binary-searches away the most work:
 // the longest prefix of exact positions, a range-constrained next position
-// as tie-break.
+// as tie-break, the first ordering on a full tie. Ordering o lists the
+// positions o, o+1 and o+2 (mod 3): (S,P,O), (P,O,S), (O,S,P). Only the
+// chosen ordering's prefix key is built — the choice runs once per probe.
 func chooseRange(p RangePattern) rangeScan {
-	best := rangeScan{ne: -1}
-	for o, order := range [3][3][]IDRange{{p.S, p.P, p.O}, {p.P, p.O, p.S}, {p.O, p.S, p.P}} {
-		s := rangeScan{o: ordering(o)}
-		for s.ne < 3 && len(order[s.ne]) == 1 && order[s.ne][0].IsExact() {
-			s.prefix = s.prefix.with(s.ne, order[s.ne][0].Lo)
-			s.ne++
+	pos := [3][]IDRange{p.S, p.P, p.O}
+	var exact [3]bool
+	for i := range pos {
+		exact[i] = len(pos[i]) == 1 && pos[i][0].IsExact()
+	}
+	// next reports whether ordering o constrains the position after its
+	// prefix of ne exact ones.
+	next := func(o, ne int) bool { return ne < 3 && pos[(o+ne)%3] != nil }
+	best, bestNE := 0, -1
+	for o := range 3 {
+		ne := 0
+		for ne < 3 && exact[(o+ne)%3] {
+			ne++
 		}
-		if rest := order[s.ne:]; len(rest) > 0 {
-			s.next = rest[0]
-			for _, rs := range rest[1:] {
-				s.residual = s.residual || rs != nil
-			}
-		}
-		if s.ne > best.ne || s.ne == best.ne && s.next != nil && best.next == nil {
-			best = s
+		if ne > bestNE || ne == bestNE && next(o, ne) && !next(best, bestNE) {
+			best, bestNE = o, ne
 		}
 	}
-	return best
+	s := rangeScan{o: ordering(best), ne: bestNE}
+	for i := range 3 {
+		switch rs := pos[(best+i)%3]; {
+		case i < s.ne:
+			s.prefix = s.prefix.with(i, rs[0].Lo)
+		case i == s.ne:
+			s.next = rs
+		default:
+			s.residual = s.residual || rs != nil
+		}
+	}
+	return s
 }
 
 // spans calls fn with the positions [lo,hi) of every part of r, sorted by
@@ -142,19 +157,26 @@ func (s rangeScan) eachRun(r *Run, fn func([]dict.Triple) bool) bool {
 	return s.spans(r, func(lo, hi, b int) bool { return r.each(lo, hi, b, fn) })
 }
 
+// matchBufs holds the buffers EachRun filters a pattern's matches into. An
+// index probe with a filter past its searched prefix reads a few triples,
+// and a buffer made for each is 768 bytes a probe: 18 KB an op of E3's Q5
+// under ref-gcov, twice what the rest of the op allocates.
+var matchBufs = sync.Pool{New: func() any { return new([64]dict.Triple) }}
+
 // EachRun calls fn with the triples matching the range pattern, in index
 // order, a sorted slice at a time, stopping early if fn returns false: the
 // block-at-a-time scan. Where the pattern constrains positions past the
-// searched prefix and range, the matches are filtered into slices of their
-// own; otherwise each slice is part of a block, shared — callers must not
-// modify it.
+// searched prefix and range, the matches are filtered into a buffer, up to
+// 64 at a time; otherwise each slice is part of a block, shared. Callers
+// must not modify a slice, nor keep it once fn returns.
 func (st *Store) EachRun(p RangePattern, fn func([]dict.Triple) bool) {
 	s := chooseRange(p)
 	if !s.residual {
 		s.eachRun(st.runs[s.o], fn)
 		return
 	}
-	var buf [64]dict.Triple
+	buf := matchBufs.Get().(*[64]dict.Triple)
+	defer matchBufs.Put(buf)
 	n := 0
 	if s.eachRun(st.runs[s.o], func(ts []dict.Triple) bool {
 		for _, t := range ts {

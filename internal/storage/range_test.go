@@ -138,3 +138,29 @@ func TestRangeScanEarlyStop(t *testing.T) {
 		t.Fatalf("early stop visited %d triples, want 3", seen)
 	}
 }
+
+// A pattern filtered past its searched prefix — as an index probe's often
+// is — hands its matches over in a pooled buffer, not one made for each
+// scan: scans of it allocate less than once each (not never: under the race
+// detector the pool drops a share of the buffers it is given).
+func TestFilteredRunReusesItsBuffer(t *testing.T) {
+	var ts []dict.Triple
+	for i := dict.ID(1); i <= 200; i++ {
+		ts = append(ts, dict.Triple{S: 1 + i%5, P: 10 + i%3, O: 100 + i%7})
+	}
+	st := Build(dict.New(), ts)
+	// The subject is the searched prefix, the property its range; the
+	// object is filtered.
+	pat := RangePattern{S: []IDRange{Exact(2)}, P: []IDRange{{Lo: 10, Hi: 11}}, O: []IDRange{{Lo: 100, Hi: 103}}}
+	if !chooseRange(pat).residual {
+		t.Fatal("the pattern is not filtered past its searched prefix")
+	}
+	n := 0
+	count := func(ts []dict.Triple) bool { n += len(ts); return true }
+	if a := testing.AllocsPerRun(100, func() { st.EachRun(pat, count) }); a >= 1 {
+		t.Fatalf("a filtered scan allocates %v times a run", a)
+	}
+	if n == 0 {
+		t.Fatal("the filtered scan matched nothing")
+	}
+}

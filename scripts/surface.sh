@@ -30,6 +30,13 @@ printf '  %-32s %6d\n' "engine.Engine (exported)" "$(fields ./internal/engine.En
 printf '  %-32s %6d\n' "exec.Evaluator (exported)" "$(fields ./internal/exec.Evaluator)"
 printf '  %-32s %6d\n' "durable.Options" "$(fields ./internal/durable.Options)"
 
+# methods TYPE: the methods an interface type declares, read off `go doc`.
+methods() {
+	go doc "$1" | sed -n '/^type .* interface {/,/^}/p' | grep -cE '^	[A-Z][A-Za-z0-9]*\(' || true
+}
+echo "interface methods:"
+printf '  %-32s %6d\n' "exec.Source methods" "$(methods ./internal/exec.Source)"
+
 echo "exported identifiers (package-level + methods):"
 for pkg in core cost engine exec graph httpapi query saturation storage viewcache; do
 	top=$(go doc -short "./internal/$pkg" | grep -cE '^ *(func|type|const|var) ' || true)
