@@ -79,7 +79,7 @@ func main() {
 		dataDir      = flag.String("data-dir", "", "durable data directory (snapshot + WAL; empty = in-memory only)")
 		walSync      = flag.String("wal-sync", "always", "WAL fsync policy: always, interval or none")
 		checkpointMB = flag.Int("checkpoint-mb", 256, "WAL MiB between automatic checkpoints (0 disables)")
-		shards       = flag.Int("shards", 1, "hash-partition the store by subject into N shards for scatter-gather evaluation (<2 = one shard)")
+		shards       = flag.Int("shards", 1, "hash-partition the store by subject into N shards; a union's subject-joined members run once per shard in parallel (<2 = one shard)")
 	)
 	flag.Parse()
 

@@ -42,30 +42,13 @@ type Estimate struct {
 // Model estimates evaluation costs from statistics.
 type Model struct {
 	st *stats.Stats
-	// shards is the scan parallelism a sharded store offers: scatter
-	// scans run on all shards concurrently, so their wall-clock cost
-	// scales by 1/shards. Cardinalities are unaffected — the partition
-	// changes where tuples live, not how many match.
-	shards int
 	// params, when non-nil, are the values of the parameters in the shapes
 	// being priced (see Bind).
 	params []dict.ID
 }
 
 // NewModel returns a cost model over the statistics.
-func NewModel(st *stats.Stats) *Model { return &Model{st: st, shards: 1} }
-
-// SetShards declares the store's partition count so scan estimates scale
-// by 1/n (n < 1 is treated as unsharded).
-func (m *Model) SetShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	m.shards = n
-}
-
-// Shards returns the declared partition count.
-func (m *Model) Shards() int { return m.shards }
+func NewModel(st *stats.Stats) *Model { return &Model{st: st} }
 
 // Bind returns a model that prices query shapes (query.Lift) as the queries
 // they are with params bound: every atom's estimate, plain or ranged, reads
@@ -77,11 +60,6 @@ func (m *Model) Bind(params []dict.ID) *Model {
 	return &bound
 }
 
-// scanCost prices scanning card tuples, spread across the shards.
-func (m *Model) scanCost(card float64) float64 {
-	return CScan * card / float64(m.shards)
-}
-
 // Atom estimates a single triple-pattern scan.
 func (m *Model) Atom(a query.Atom) Estimate {
 	if m.params != nil {
@@ -89,7 +67,7 @@ func (m *Model) Atom(a query.Atom) Estimate {
 	}
 	pat := a.Pattern()
 	card := m.st.PatternCard(pat)
-	est := Estimate{Cost: m.scanCost(card), Card: card, V: map[string]float64{}}
+	est := Estimate{Cost: CScan * card, Card: card, V: map[string]float64{}}
 	for i, arg := range [3]query.Arg{a.S, a.P, a.O} {
 		if !arg.IsVar() {
 			continue
@@ -193,7 +171,7 @@ func (m *Model) plan(ops []Estimate, atoms bool, emit func(PlanStep)) Estimate {
 	remaining = append(remaining[:start], remaining[start+1:]...)
 	cur, total := ops[first], 0.0
 	if atoms {
-		cur.Cost = m.scanCost(cur.Card)
+		cur.Cost = CScan * cur.Card
 		total = cur.Cost
 	} else {
 		for _, f := range ops {
@@ -224,7 +202,7 @@ func (m *Model) plan(ops []Estimate, atoms bool, emit func(PlanStep)) Estimate {
 			total += CProbe*cur.Card + COut*out.Card
 			op = OpINLJ
 		default:
-			total += m.scanCost(next.Card) + CBuild*minF(cur.Card, next.Card) + COut*out.Card
+			total += CScan*next.Card + CBuild*minF(cur.Card, next.Card) + COut*out.Card
 		}
 		cur = out
 		if emit != nil {

@@ -39,7 +39,7 @@ func (m *Model) RangeAtom(a query.RangeAtom) Estimate {
 		a.S.Arg, a.O.Arg = a.S.Arg.Bind(m.params), a.O.Arg.Bind(m.params)
 	}
 	card := m.st.RangeCard(a.RangePattern())
-	est := Estimate{Cost: m.scanCost(card), Card: card, V: map[string]float64{}}
+	est := Estimate{Cost: CScan * card, Card: card, V: map[string]float64{}}
 	relaxed := a.Plain().Pattern()
 	for i, ra := range [3]query.RangeArg{a.S, a.P, a.O} {
 		if !ra.Arg.IsVar() {

@@ -95,9 +95,9 @@ func drifted(moved, of int) bool { return float64(moved) > maxDrift*float64(of) 
 // registry set at this point). It is the only place derived state is
 // discarded. keep is the version being replaced when only the data changed,
 // by added and removed — its schema-only artefacts carry over, so does the
-// writer's closure, and while the shard count stands so do its plans and the
-// basis of its source and statistics, up to maxDrift — and nil when the
-// schema changed, which keeps nothing.
+// writer's closure and its plans, up to maxDrift, and while the shard count
+// stands so does the basis of its source and statistics, up to maxDrift too —
+// and nil when the schema changed, which keeps nothing.
 func (e *Engine) swap(keep *derived, added, removed []dict.Triple) {
 	d := &derived{g: *e.g, shards: e.shards, typeID: e.g.Dict().EncodeIRI(rdf.TypeIRI)}
 	g := &d.g
@@ -110,8 +110,8 @@ func (e *Engine) swap(keep *derived, added, removed []dict.Triple) {
 		d.incRef = sync.OnceValue(func() *core.Reformulator { return core.NewIncompleteReformulator(s) })
 		d.rangeRef = sync.OnceValue(func() *core.RangeReformulator { return core.NewRangeReformulator(s) })
 	}
-	if keep != nil && keep.shards == d.shards {
-		if b := keep.from.Load(); b != nil {
+	if keep != nil {
+		if b := keep.from.Load(); b != nil && keep.shards == d.shards {
 			if b = b.then(added, removed); !drifted(len(b.added)+len(b.removed), b.src.Len()) {
 				d.from.Store(b)
 			}
@@ -141,11 +141,7 @@ func (e *Engine) swap(keep *derived, added, removed []dict.Triple) {
 		d.from.Store(own)
 		return own
 	})
-	d.model = sync.OnceValue(func() *cost.Model {
-		m := cost.NewModel(d.data().stats)
-		m.SetShards(d.shards)
-		return m
-	})
+	d.model = sync.OnceValue(func() *cost.Model { return cost.NewModel(d.data().stats) })
 	d.sat = sync.OnceValue(func() *saturation.Result {
 		if closure != nil {
 			return closure.Result()

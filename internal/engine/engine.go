@@ -206,10 +206,11 @@ func (e *Engine) Store() *shard.Store { return e.d.data().src }
 func (e *Engine) Source() *shard.Store { return e.Store() }
 
 // EnableSharding hash-partitions the explicit-data store into n shards
-// (n < 2: one): the executor scatters scans across the shards in parallel,
-// and the cost model prices scans at 1/n. The Sat store reads D through
-// those shards too, but not scattered, and keeps Δ, the triples saturation
-// adds, in one piece — saturation is the paper's baseline.
+// (n < 2: one): a union's co-partitioned members run once per shard, in
+// parallel, and every other read goes through the store's plain methods.
+// The Sat store reads D through those shards too, never scattered, and
+// keeps Δ, the triples saturation adds, in one piece — saturation is the
+// paper's baseline.
 func (e *Engine) EnableSharding(n int) {
 	e.shards = max(n, 1)
 	e.swap(e.d, nil, nil)

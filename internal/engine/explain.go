@@ -69,8 +69,9 @@ func (e *Engine) plan(q query.CQ, s Strategy, cover query.Cover) (*Plan, error) 
 // explain renders a prepared query as the Plan tree: the shape it would
 // evaluate, node for node as the executor would record it, with the cost
 // model's estimates in place of actuals. Against a sharded source the tree
-// shows the executor's scatter nodes; the saturated store stays unsharded,
-// so Sat plans carry none.
+// shows the executor's one fan-out, a JUCQ fragment's co-partitioned
+// members scattered together; the saturated store stays unsharded, so Sat
+// plans carry none.
 //
 //reflint:nospanend plan spans are a rendered tree, never timed; Plan.Tree omits durations
 func (e *Engine) explain(p *prepared) *Plan {
@@ -87,7 +88,6 @@ func (e *Engine) explain(p *prepared) *Plan {
 		EstimatedCost: p.est.Cost, EstimatedRows: p.est.Card, CachedPlan: p.cachedPlan,
 		root: root,
 	}
-	shards := e.shards
 	switch {
 	case p.stream != nil:
 		u := root.Child("union")
@@ -97,7 +97,7 @@ func (e *Engine) explain(p *prepared) *Plan {
 			if shown >= explainMaxUCQPlans {
 				return false
 			}
-			explainCQ(u, p.model, d, cq.Lift(), shards)
+			explainCQ(u, p.model, d, cq.Lift())
 			shown++
 			return true
 		})
@@ -139,7 +139,7 @@ func (e *Engine) explain(p *prepared) *Plan {
 			fsp.SetInt("cqs", int64(fragmentCQs(f)))
 			fsp.SetFloat("est_rows", frags[st.Index].Card)
 			fsp.SetFloat("est_cost", frags[st.Index].Cost)
-			explainUnion(fsp, p.model, d, f.Members, shards)
+			explainUnion(fsp, p.model, d, f.Members, e.shards)
 		}).Card
 		root.Child("project").SetStr("cols", strings.Join(p.jucq.HeadNames, ","))
 
@@ -150,25 +150,16 @@ func (e *Engine) explain(p *prepared) *Plan {
 		root.Child("fixpoint")
 
 	default:
-		explainCQ(root, p.model, d, p.q.Lift(), 1)
+		explainCQ(root, p.model, d, p.q.Lift())
 	}
 	return plan
-}
-
-// scatterNode adds the node of a fan-out over n shards: the executor's
-// "scatter" span with its shard count and the scattered operator.
-func scatterNode(parent *trace.Span, op string, n int) *trace.Span {
-	sc := parent.Child("scatter")
-	sc.SetInt("n", int64(n))
-	sc.SetStr("op", op)
-	return sc
 }
 
 // explainUnion adds under parent the "union" node of a JUCQ fragment's
 // members — merged, or the range reformulation's — with one "cq" node per
 // member; both are small, so no elision is needed. Against shards the
-// co-partitioned group evaluates shard-locally in one scatter, the rest stay
-// central, as in the executor.
+// co-partitioned group evaluates shard-locally in one "scatter" node
+// (op=ucq), the rest stay central, as in the executor.
 //
 //reflint:nospanend plan spans are a rendered tree, never timed; Plan.Tree omits durations
 func explainUnion(parent *trace.Span, m *cost.Model, d *dict.Dict, members []query.RangeCQ, shards int) {
@@ -176,16 +167,19 @@ func explainUnion(parent *trace.Span, m *cost.Model, d *dict.Dict, members []que
 	u.SetInt("cqs", int64(len(members)))
 	if shards > 1 {
 		co, rest := exec.SplitCoPartitioned(members)
-		if co != nil {
-			sc := scatterNode(u, "ucq", shards)
+		if len(co) > 0 {
+			sc := u.Child("scatter")
+			sc.SetInt("n", int64(shards))
+			sc.SetStr("op", "ucq")
+			sc.SetInt("cqs", int64(len(co)))
 			for _, cq := range co {
-				explainCQ(sc, m, d, cq, 1)
+				explainCQ(sc, m, d, cq)
 			}
 		}
 		members = rest
 	}
 	for _, cq := range members {
-		explainCQ(u, m, d, cq, shards)
+		explainCQ(u, m, d, cq)
 	}
 }
 
@@ -194,45 +188,32 @@ func explainUnion(parent *trace.Span, m *cost.Model, d *dict.Dict, members []que
 // the operators of each step as the executor records them, a scan for the
 // first atom, then per atom an index-nested-loop join, a hash join the
 // atom's scan streams into (streamsInto), or a scan and the materialized
-// join of its result, carrying the estimated cardinalities. Against a
-// sharded source the tree shows the executor's scatter shape: a
-// co-partitioned body nests its whole plan under one scatter node
-// (evaluated shard-locally N ways), any other body scatters its
-// unbound-subject scans individually — a streamed scan reads the shards in
-// turn, with no scatter.
+// join of its result, carrying the estimated cardinalities.
 //
 //reflint:nospanend plan spans are a rendered tree, never timed; Plan.Tree omits durations
-func explainCQ(parent *trace.Span, m *cost.Model, d *dict.Dict, q query.RangeCQ, shards int) {
+func explainCQ(parent *trace.Span, m *cost.Model, d *dict.Dict, q query.RangeCQ) {
 	csp := parent.Child("cq")
 	csp.SetStr("q", q.Format(d))
 	var steps []cost.PlanStep
 	est := m.RangeCQ(q, func(st cost.PlanStep) { steps = append(steps, st) })
 	csp.SetFloat("est_rows", est.Card)
 	csp.SetFloat("est_cost", est.Cost)
-	ops, local := csp, shards > 1 && exec.CoPartitioned(q)
-	if local {
-		ops = scatterNode(csp, "cq", shards)
-	}
 	running := 0.0
 	for _, st := range steps {
 		a := q.Atoms[st.Index]
 		streamed := st.Op == cost.OpHashJoin && streamsInto(a, st.Atom.Card, running)
 		running = st.Out.Card
 		if st.Op == cost.OpINLJ || streamed {
-			op := ops.Child(st.Op)
+			op := csp.Child(st.Op)
 			op.SetStr("atom", a.Format(d))
 			op.SetFloat("est_rows", st.Out.Card)
 			continue
 		}
-		sp := ops
-		if shards > 1 && !local && a.S.Ranges == nil && a.S.Arg.IsVar() {
-			sp = scatterNode(csp, "scan", shards)
-		}
-		scan := sp.Child(cost.OpScan)
+		scan := csp.Child(cost.OpScan)
 		scan.SetStr("atom", a.Format(d))
 		scan.SetFloat("est_rows", st.Atom.Card)
 		if st.Op != cost.OpScan {
-			ops.Child(st.Op).SetFloat("est_rows", st.Out.Card)
+			csp.Child(st.Op).SetFloat("est_rows", st.Out.Card)
 		}
 	}
 }

@@ -4,11 +4,16 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/lubm"
+	"repro/internal/query"
 	"repro/internal/rdf"
 	"repro/internal/shard"
 	"repro/internal/testutil"
+	"repro/internal/trace"
 )
 
 // TestShardedAnswersIdenticalRandom is the shard-equivalence property:
@@ -140,22 +145,78 @@ func TestEnableShardingLifecycle(t *testing.T) {
 	check(1)
 }
 
-// TestShardedExplainShowsScatter: EXPLAIN over a sharded engine renders
-// scatter nodes mirroring the executor's fan-out shape.
+// TestShardedExplainShowsScatter: EXPLAIN's scatter nodes are the ones the
+// execution records. At 2 and 4 shards, for every reformulation strategy, on
+// Example 1 and on LUBM Q9, the plan tree and the EXPLAIN ANALYZE trace hold
+// the same scatter nodes, in the same order: each a union's co-partitioned
+// group (op=ucq) over every shard, with the same member count, inside the
+// same fragment. The one-atom fragments of ref-scq and ref-gcov scatter; the
+// streamed ref-ucq union scatters nothing, in either.
 func TestShardedExplainShowsScatter(t *testing.T) {
-	e, q := exampleOneEngine(t)
-	e.EnableSharding(4)
-	p, err := e.Plan(q, RefGCov)
+	e, ex1 := exampleOneEngine(t)
+	parsed, err := lubm.ParseQueries(e.Graph().Dict(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := p.Tree().Find("scatter")
-	if sc == nil {
-		t.Fatal("sharded GCov plan has no scatter node")
+	var q9 query.CQ
+	for _, pq := range parsed {
+		if pq.Name == "Q9" {
+			q9 = pq.CQ
+		}
 	}
-	if got := fmt.Sprint(sc.Attrs["n"]); got != "4" {
-		t.Fatalf("scatter n=%s, want 4", got)
+	queries := []struct {
+		name string
+		q    query.CQ
+	}{{"Example 1", ex1}, {"Q9", q9}}
+	for _, shards := range []int{2, 4} {
+		e.EnableSharding(shards)
+		for _, nq := range queries {
+			for _, s := range []Strategy{RefSCQ, RefGCov, RefRange, RefUCQ} {
+				name := fmt.Sprintf("%s/%s/shards=%d", nq.name, s, shards)
+				plan, err := e.Plan(nq.q, s)
+				if err != nil {
+					t.Fatalf("%s: plan: %v", name, err)
+				}
+				e.Tracer = trace.New(0)
+				if _, err := e.AnswerContext(context.Background(), nq.q, s); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				got, want := scatterNodes(trace.ToJSON(e.Tracer.Root()), nil), scatterNodes(plan.Tree(), nil)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: traced scatters %v, EXPLAIN scatters %v", name, got, want)
+				}
+				for _, sc := range got {
+					if !strings.HasPrefix(sc, fmt.Sprintf("op=ucq n=%d ", shards)) {
+						t.Fatalf("%s: scatter %s, want op=ucq over %d shards", name, sc, shards)
+					}
+				}
+				switch {
+				case s == RefUCQ && len(got) > 0:
+					t.Fatalf("%s: the streamed union scatters %v", name, got)
+				case (s == RefSCQ || s == RefGCov) && len(got) == 0:
+					t.Fatalf("%s: no fragment scatters", name)
+				}
+			}
+		}
 	}
+	e.Tracer = nil
+}
+
+// scatterNodes lists the "scatter" nodes of a span tree as "op=… n=… cqs=…
+// fragment=…", the last the idx of the nearest enclosing fragment node
+// (frag; none at the root), in the order the tree holds them.
+func scatterNodes(n *trace.SpanJSON, frag any) []string {
+	var out []string
+	switch n.Name {
+	case "fragment":
+		frag = n.Attrs["idx"]
+	case "scatter":
+		out = append(out, fmt.Sprintf("op=%v n=%v cqs=%v fragment=%v", n.Attrs["op"], n.Attrs["n"], n.Attrs["cqs"], frag))
+	}
+	for _, c := range n.Children {
+		out = append(out, scatterNodes(c, frag)...)
+	}
+	return out
 }
 
 // TestShardOfStableAssignment pins shard.Of as the one partition

@@ -35,6 +35,35 @@ func crossCQ() query.CQ {
 	}
 }
 
+// hubStore holds, for each of four hub subjects, n triples hub 13 100+i and
+// n triples hub 12 200000+j: starCQ joins them on the hub into the n×n pairs
+// (100+i, 200000+j) — crossCQ's answers over crossStore(n) — once per hub.
+// Every hub is its own subject, so over four shards each shard holds one.
+func hubStore(n int) [][3]dict.ID {
+	ts := make([][3]dict.ID, 0, 8*n)
+	for hub := dict.ID(1); hub <= 4; hub++ {
+		for i := 0; i < n; i++ {
+			ts = append(ts,
+				[3]dict.ID{hub, 13, dict.ID(100 + i)},
+				[3]dict.ID{hub, 12, dict.ID(200000 + i)},
+			)
+		}
+	}
+	return ts
+}
+
+// starCQ is co-partitioned: both atoms share the subject variable h, so over
+// shards a union runs it in the scatter, each hub's n×n join on its shard.
+func starCQ() query.CQ {
+	return query.CQ{
+		Head: []query.Arg{v("x"), v("z")},
+		Atoms: []query.Atom{
+			{S: v("h"), P: c(13), O: v("x")},
+			{S: v("h"), P: c(12), O: v("z")},
+		},
+	}
+}
+
 // fanOutStore holds n triples x 201 k and m triples z 202 k, all with the
 // same k: fanOutCQ scans the n, then streams the m into a hash join in which
 // each of them matches all n rows.
@@ -63,12 +92,13 @@ func fanOutCQ() query.CQ {
 // Budget.Timeout per CQ (fresh sub-Evaluator → EvalCQ → fresh deadline),
 // so a union of N CQs effectively got N budgets. The deadline must be set
 // once for the whole union and shared by every worker — a scatter's shard
-// workers now, the executor's one fan-out.
+// workers now, the executor's one fan-out, which runs the union's
+// co-partitioned members.
 func TestParallelUCQSharedTimeout(t *testing.T) {
-	st, ss := tinyStore(crossStore(400))
+	st, ss := tinyStore(append(crossStore(400), hubStore(400)...))
 	u := query.UCQ{HeadNames: []string{"x", "z"}}
 	for i := 0; i < 8; i++ {
-		u.CQs = append(u.CQs, crossCQ())
+		u.CQs = append(u.CQs, starCQ(), crossCQ())
 	}
 
 	// Unbudgeted serial baseline: how long the real work takes.
@@ -210,13 +240,13 @@ func TestContextDeadlineMapsToBudgetError(t *testing.T) {
 }
 
 // Parallel UCQ and JUCQ evaluation with budgets must be race-free: a
-// scatter's shard workers share one guard (ctx + absolute deadline + atomic
-// tally). Run under -race.
+// scatter's shard workers, running the co-partitioned members, share one
+// guard (ctx + absolute deadline + atomic tally). Run under -race.
 func TestParallelBudgetedEvalRace(t *testing.T) {
-	st, ss := tinyStore(crossStore(64))
+	st, ss := tinyStore(append(crossStore(64), hubStore(64)...))
 	u := query.UCQ{HeadNames: []string{"x", "z"}}
 	for i := 0; i < 12; i++ {
-		u.CQs = append(u.CQs, crossCQ())
+		u.CQs = append(u.CQs, starCQ(), crossCQ())
 	}
 	for i := 0; i < 4; i++ {
 		e := New(newSplitStore(st, 4), ss)
@@ -229,8 +259,11 @@ func TestParallelBudgetedEvalRace(t *testing.T) {
 		if r.Len() != 64*64 {
 			t.Fatalf("want %d rows, got %d", 64*64, r.Len())
 		}
+		if e.Metrics.Counter("shard.local_cqs").Value() == 0 {
+			t.Fatal("no member ran in the scatter")
+		}
 	}
-	frag := query.Fragment{UCQ: query.UCQ{HeadNames: []string{"x", "z"}, CQs: []query.CQ{crossCQ()}}}
+	frag := query.Fragment{UCQ: query.UCQ{HeadNames: []string{"x", "z"}, CQs: []query.CQ{starCQ(), crossCQ()}}}
 	j := query.JUCQ{HeadNames: []string{"x", "z"}, Fragments: []query.Fragment{frag, frag}}
 	for i := 0; i < 4; i++ {
 		e := New(newSplitStore(st, 4), ss)

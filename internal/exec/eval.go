@@ -103,8 +103,9 @@ type Evaluator struct {
 
 // New returns an evaluator over the source with the given statistics
 // (statistics rank plain atoms for join ordering; they may be nil, in which
-// case every atom is ranked by its exact index count). A ShardedSource
-// additionally enables scatter-gather evaluation (see source.go).
+// case every atom is ranked by its exact index count). Over a ShardedSource a
+// union's co-partitioned members evaluate shard-locally in one scatter (see
+// source.go); everything else reads it as any other source.
 func New(st Source, s *stats.Stats) *Evaluator {
 	return &Evaluator{st: st, stats: s}
 }
@@ -243,9 +244,6 @@ func (e *Evaluator) evalCQ(q query.RangeCQ, seed *Relation, m *memo, g guard, sp
 	}
 	if seed != nil && !seeds(q, seed.Vars, dst.Rows.Vars) {
 		seed = nil
-	}
-	if sh := e.scatterSource(); sh != nil && CoPartitioned(q) {
-		return e.evalCQScatter(sh, q, seed, g, sp, dst)
 	}
 	var csp *trace.Span
 	if sp != nil {
@@ -428,10 +426,7 @@ func (e *Evaluator) evalBody(atoms []query.RangeAtom, dead []uint8, seed *Relati
 // wildcards: not emitted, and an atom with no live variable is a boolean test
 // that stops at its first triple. An atom whose positions bind distinct
 // columns appends each block's columns at once; one with a repeated variable
-// keeps, triple by triple, those that agree on it. Against a sharded source a
-// scan whose subject is unconstrained fans out to every shard in parallel (a
-// bound subject needs no scatter: the source routes it to the subject's home
-// shard).
+// keeps, triple by triple, those that agree on it.
 func (e *Evaluator) scanAtom(a query.RangeAtom, dead uint8, m *memo, g guard, sp *trace.Span, est float64) (*Relation, error) {
 	vars, col := atomVars(nil, a, dead)
 	if rel := m.scan(a, dead, vars, col); rel != nil {
@@ -439,74 +434,62 @@ func (e *Evaluator) scanAtom(a query.RangeAtom, dead uint8, m *memo, g guard, sp
 	}
 	repeat := repeats(col)
 	batch := len(vars) > 0 && repeat == [3]bool{}
-	rpat := a.RangePattern()
-	scan := func(src Source, rel *Relation) error {
-		var (
-			stopErr error
-			row     []dict.ID
-		)
-		if !batch {
-			row = make([]dict.ID, len(vars))
+	var ssp *trace.Span
+	if sp != nil {
+		ssp = sp.Child(cost.OpScan)
+		defer ssp.End()
+		ssp.SetStr("atom", a.Format(e.st.Dict()))
+		if est >= 0 {
+			ssp.SetFloat("est_rows", est)
 		}
-		src.EachRun(rpat, func(run []dict.Triple) bool {
-			if stopErr = g.err(); stopErr != nil {
-				return false
-			}
-			if batch {
-				for len(run) > 0 {
-					run = rel.appendColumns(run, col)
-				}
-			} else {
-			triples:
-				for _, t := range run {
-					trip := [3]dict.ID{t.S, t.P, t.O}
-					for p, c := range col {
-						switch {
-						case c == -1:
-						case !repeat[p]:
-							row[c] = trip[p]
-						case row[c] != trip[p]:
-							continue triples
-						}
-					}
-					if rel.Append(row); len(row) == 0 {
-						return false
-					}
-				}
-			}
-			if e.Budget.MaxRows > 0 && rel.Len() > e.Budget.MaxRows {
-				stopErr = fmt.Errorf("%w: scan of %d+ rows exceeds cap %d", ErrBudgetExceeded, rel.Len(), e.Budget.MaxRows)
-				return false
-			}
-			return true
-		})
-		return stopErr
 	}
-	var rel *Relation
-	if sh := e.scatterSource(); sh != nil && scatters(a) {
-		var err error
-		if rel, err = e.scatterScan(sh, a, vars, g, sp, est, scan); err != nil {
-			return nil, err
+	var (
+		rel     = NewRelation(vars)
+		stopErr error
+		row     []dict.ID
+	)
+	if !batch {
+		row = make([]dict.ID, len(vars))
+	}
+	e.st.EachRun(a.RangePattern(), func(run []dict.Triple) bool {
+		if stopErr = g.err(); stopErr != nil {
+			return false
 		}
-	} else {
-		var ssp *trace.Span
-		if sp != nil {
-			ssp = sp.Child(cost.OpScan)
-			defer ssp.End()
-			ssp.SetStr("atom", a.Format(e.st.Dict()))
-			if est >= 0 {
-				ssp.SetFloat("est_rows", est)
+		if batch {
+			for len(run) > 0 {
+				run = rel.appendColumns(run, col)
+			}
+		} else {
+		triples:
+			for _, t := range run {
+				trip := [3]dict.ID{t.S, t.P, t.O}
+				for p, c := range col {
+					switch {
+					case c == -1:
+					case !repeat[p]:
+						row[c] = trip[p]
+					case row[c] != trip[p]:
+						continue triples
+					}
+				}
+				if rel.Append(row); len(row) == 0 {
+					return false
+				}
 			}
 		}
-		rel = NewRelation(vars)
-		if err := scan(e.st, rel); err != nil {
-			return nil, err
+		if e.Budget.MaxRows > 0 && rel.Len() > e.Budget.MaxRows {
+			stopErr = fmt.Errorf("%w: scan of %d+ rows exceeds cap %d", ErrBudgetExceeded, rel.Len(), e.Budget.MaxRows)
+			return false
 		}
-		g.addScanned(rel.Len())
-		if ssp != nil {
-			ssp.SetInt("rows", int64(rel.Len()))
-			ssp.End()
-		}
+		return true
+	})
+	if stopErr != nil {
+		return nil, stopErr
+	}
+	g.addScanned(rel.Len())
+	if ssp != nil {
+		ssp.SetInt("rows", int64(rel.Len()))
+		ssp.End()
 	}
 	m.putScan(rel)
 	return rel, nil
@@ -661,11 +644,6 @@ func repeats(col [3]int) (repeat [3]bool) {
 	return repeat
 }
 
-// scatters reports whether a scan of the atom fans out to every shard of a
-// sharded source: its subject is unconstrained. A bound subject needs no
-// scatter — the source routes it to the subject's home shard.
-func scatters(a query.RangeAtom) bool { return a.S.Ranges == nil && a.S.Arg.IsVar() }
-
 // streams reports whether a hashed atom joins cur by streamJoin: the atom's
 // scan reads whole blocks (a live variable, none repeated), and the scan has
 // at least cur's rows, so the table is built on cur as hashJoin builds on the
@@ -713,12 +691,10 @@ func (e *Evaluator) hashJoin(l, r *Relation, g guard, sp *trace.Span, est float6
 // one reused batch. Inside a union the scan is kept for the memo as it
 // streams, and a scan the memo holds is probed from its chunks. When the
 // scan has at least cur's rows (streams), the result is hashJoin(cur, scan)
-// row for row: the same columns, the same rows in the same order. Against a
-// sharded source an unbound subject's blocks come from every shard in shard
-// order, the order scatterScan concatenates them in. The streamed triples
-// are the scan's rows: charged to Budget.MaxRows and counted as scanned. The
-// guard is polled once per block and, inside the probe, every checkEvery
-// rows.
+// row for row: the same columns, the same rows in the same order. The
+// streamed triples are the scan's rows: charged to Budget.MaxRows and
+// counted as scanned. The guard is polled once per block and, inside the
+// probe, every checkEvery rows.
 func (e *Evaluator) streamJoin(cur *Relation, a query.RangeAtom, dead uint8, m *memo, g guard, sp *trace.Span, est float64) (*Relation, error) {
 	vars, col := atomVars(nil, a, dead)
 	shared := sharedVars(cur.Vars, vars)
@@ -776,14 +752,7 @@ func (e *Evaluator) streamJoin(cur *Relation, a query.RangeAtom, dead uint8, m *
 			}
 			return stopErr == nil
 		}
-		rpat := a.RangePattern()
-		if sh := e.scatterSource(); sh != nil && scatters(a) {
-			for i := 0; i < sh.NumShards() && stopErr == nil; i++ {
-				sh.Shard(i).EachRun(rpat, probe)
-			}
-		} else {
-			e.st.EachRun(rpat, probe)
-		}
+		e.st.EachRun(a.RangePattern(), probe)
 		if stopErr != nil {
 			return nil, stopErr
 		}
@@ -1059,8 +1028,8 @@ func (s *Set) note(sp *trace.Span) {
 
 // evalUnion evaluates a union's members under one guard, each from the seed
 // when there is one. Span tracing records a "union" span under sp with one
-// "cq" child per member. Against a sharded source the co-partitioned members
-// run in one scatter (see evalUnionScatter).
+// "cq" child per member. Against a sharded source the co-partitioned members,
+// one or more, run first in one scatter (see evalUnionScatter).
 func (e *Evaluator) evalUnion(headNames []string, cqs []query.RangeCQ, seed *Relation, g guard, sp *trace.Span) (*Relation, error) {
 	if len(cqs) == 0 {
 		return NewRelation(headNames), nil
@@ -1073,7 +1042,7 @@ func (e *Evaluator) evalUnion(headNames []string, cqs []query.RangeCQ, seed *Rel
 	}
 	u := e.newUnion(headNames, seed, g)
 	if sh := e.scatterSource(); sh != nil {
-		if co, rest := SplitCoPartitioned(cqs); co != nil {
+		if co, rest := SplitCoPartitioned(cqs); len(co) > 0 {
 			if err := e.evalUnionScatter(sh, co, len(rest), seed, g, usp, u.out); err != nil {
 				return nil, err
 			}

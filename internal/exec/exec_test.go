@@ -36,8 +36,9 @@ func tinyStore(triples [][3]dict.ID) (*storage.Store, *stats.Stats) {
 }
 
 // splitStore is st as a ShardedSource: its triples split by subject modulo
-// n, each shard a store of its own, so an evaluation over it runs the
-// scatter paths, whose shard workers run concurrently.
+// n, each shard a store of its own, so a union over it runs its
+// co-partitioned members in the scatter, whose shard workers run
+// concurrently; everything else reads the embedded store.
 type splitStore struct {
 	*storage.Store
 	shards []*storage.Store
@@ -60,7 +61,6 @@ func newSplitStore(st *storage.Store, n int) *splitStore {
 func (s *splitStore) NumShards() int                { return len(s.shards) }
 func (s *splitStore) Shard(i int) Source            { return s.shards[i] }
 func (s *splitStore) ShardStats(i int) *stats.Stats { return s.stats[i] }
-func (s *splitStore) HomeShard(id dict.ID) int      { return int(id) % len(s.shards) }
 
 // One helper per query shape: the entry point under a background context.
 // flat returns the relation's rows, row-major, in one slice.
@@ -307,6 +307,46 @@ func TestParallelUCQMatchesSerial(t *testing.T) {
 	}
 	if !got.Equal(want) {
 		t.Fatalf("scattered %d rows != serial %d rows", got.Len(), want.Len())
+	}
+
+	// A union with exactly one co-partitioned member — the paths and cqs[1],
+	// the first star — scatters that member alone; the paths stay on the
+	// parent path.
+	one := query.UCQ{HeadNames: []string{"x", "z"}}
+	for i, cq := range cqs {
+		if cq.Atoms[1].S.Var == "y" || i == 1 {
+			one.CQs = append(one.CQs, cq)
+		}
+	}
+	oneWant, err := serial.ucq(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(newSplitStore(st, 4), ss)
+	e.Metrics = metrics.NewRegistry()
+	if got, err = e.ucq(one); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(oneWant) || e.Metrics.Counter("shard.local_cqs").Value() != 1 {
+		t.Fatalf("one scattered member: %d rows != serial %d rows, or %d members scattered",
+			got.Len(), oneWant.Len(), e.Metrics.Counter("shard.local_cqs").Value())
+	}
+
+	// A streamed union reads the shards in turn and scatters nothing.
+	enumerate := func(fn func(query.CQ) bool) {
+		for _, cq := range cqs {
+			if !fn(cq) {
+				return
+			}
+		}
+	}
+	e = New(newSplitStore(st, 4), ss)
+	e.Metrics = metrics.NewRegistry()
+	if got, err = e.ucqStream(u.HeadNames, enumerate); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) || e.Metrics.Counter("shard.local_cqs").Value() != 0 {
+		t.Fatalf("streamed over shards: %d rows, or %d members scattered", got.Len(), e.Metrics.Counter("shard.local_cqs").Value())
 	}
 }
 

@@ -37,12 +37,13 @@ type Source interface {
 
 // ShardedSource is a Source hash-partitioned by subject: shard i holds
 // exactly the triples whose subject hashes to i, so a subject's whole
-// forward neighborhood is co-located. The evaluator uses the partitioning
-// two ways: atomic scans fan out to all shards in parallel (scatter) and
-// merge centrally (gather), while conjunctive bodies whose atoms all
-// share one subject variable are evaluated entirely shard-locally — any
-// embedding maps that variable to a single subject s, so every matched
-// triple lives on s's home shard and the per-shard answers just union.
+// forward neighborhood is co-located. Its Source methods read it like any
+// other store, walking the shards in shard order; the evaluator uses the
+// partitioning in one place only — a union's co-partitioned members, whose
+// atoms all share one subject variable, evaluate shard-locally in one
+// scatter: any embedding maps that variable to a single subject s, so every
+// matched triple lives on s's home shard and the per-shard answers just
+// union.
 type ShardedSource interface {
 	Source
 	// NumShards returns the partition count (≥ 1).
@@ -51,8 +52,6 @@ type ShardedSource interface {
 	Shard(i int) Source
 	// ShardStats returns shard i's statistics for shard-local planning.
 	ShardStats(i int) *stats.Stats
-	// HomeShard returns the shard holding subject s.
-	HomeShard(s dict.ID) int
 }
 
 // scatterSource returns the evaluator's source as a sharded source when
@@ -95,19 +94,6 @@ func (e *Evaluator) shardSub(sh ShardedSource, i int) *Evaluator {
 		sub.stats = sh.ShardStats(i)
 	}
 	return sub
-}
-
-// newScatterSpan opens the scatter node EXPLAIN ANALYZE shows: one
-// "scatter" span carrying the shard count and the scattered operator,
-// with each shard's own operator spans as children.
-func newScatterSpan(sp *trace.Span, op string, n int) *trace.Span {
-	if sp == nil {
-		return nil
-	}
-	ssp := sp.Child("scatter")
-	ssp.SetInt("n", int64(n))
-	ssp.SetStr("op", op)
-	return ssp
 }
 
 // runScatter executes task(i) for every shard i with bounded workers,
@@ -153,10 +139,79 @@ func (e *Evaluator) runScatter(sh ShardedSource, g guard, task func(i int) (*Rel
 	return parts, nil
 }
 
-// mergeParts offers the per-shard results of a projected scatter to dst in
-// shard order — the deterministic central union every such scatter ends
-// with — and closes the scatter's span with the rows it offered.
-func (e *Evaluator) mergeParts(dst *Set, parts []*Relation, g guard, ssp *trace.Span) error {
+// coPartitioned reports whether every atom's subject is one shared,
+// range-free variable — the co-partitioned shape: any embedding maps that
+// variable to a single subject, so all of its matched triples live on one
+// shard and the CQ decomposes into independent shard-local evaluations
+// whose projected answers union. A constant subject or a second subject
+// variable breaks the rule (the embedding could span shards), so those
+// bodies join centrally over the shards read in turn. (A subject interval
+// constrains which subjects match but not where they live, so it would
+// still be shard-safe — kept out so the rule stays the plain one above.)
+func coPartitioned(q query.RangeCQ) bool {
+	if len(q.Atoms) == 0 {
+		return false
+	}
+	for _, a := range q.Atoms {
+		if a.S.Ranges != nil || !a.S.Arg.IsVar() || a.S.Arg.Var != q.Atoms[0].S.Arg.Var {
+			return false
+		}
+	}
+	return true
+}
+
+// SplitCoPartitioned partitions a union's members into the co-partitioned
+// group a sharded evaluation runs shard-locally and the rest. Members are
+// independent — a union is just a distinct concatenation — so the
+// co-partitioned group, one member or more, evaluates in ONE scatter, each
+// shard running the whole group serially, paying the scatter/gather
+// overhead once per union instead of once per member. JUCQ fragment
+// materialization is the shape that earns this: hundreds of tiny
+// single-subject-variable members per fragment, interleaved with range-rule
+// rewritings whose fresh subject variables break co-partitioning (those
+// stay on the parent path). Exported so EXPLAIN shows the scatter the
+// executor runs.
+func SplitCoPartitioned(cqs []query.RangeCQ) (co, rest []query.RangeCQ) {
+	for _, cq := range cqs {
+		if coPartitioned(cq) {
+			co = append(co, cq)
+		} else {
+			rest = append(rest, cq)
+		}
+	}
+	return co, rest
+}
+
+// evalUnionScatter evaluates a union's co-partitioned group against a
+// sharded source into the union's set dst — the executor's only fan-out.
+// The group runs shard-locally in one scatter: each shard evaluates the
+// whole group serially, from the seed when there is one, with its own
+// statistics, memo and set, and the per-shard sets enter dst in shard
+// order, the deterministic central union. The union's other members (rest
+// counts them) evaluate afterwards on the parent path, which reads the
+// shards in turn through the source's own methods. EXPLAIN ANALYZE shows
+// the scatter as one "scatter" span carrying the shard count, op=ucq and the
+// group's size, with the shards' member spans as its children.
+func (e *Evaluator) evalUnionScatter(sh ShardedSource, co []query.RangeCQ, rest int, seed *Relation, g guard, sp *trace.Span, dst *Set) error {
+	var ssp *trace.Span
+	if sp != nil {
+		ssp = sp.Child("scatter")
+		defer ssp.End()
+		ssp.SetInt("n", int64(sh.NumShards()))
+		ssp.SetStr("op", "ucq")
+		ssp.SetInt("cqs", int64(len(co)))
+		ssp.SetInt("rest", int64(rest))
+	}
+	if e.Metrics != nil {
+		e.Metrics.Counter("shard.local_cqs").Add(int64(len(co)))
+	}
+	parts, err := e.runScatter(sh, g, func(i int) (*Relation, error) {
+		u := e.shardSub(sh, i).newUnion(dst.Rows.Vars, seed, g)
+		return u.out.Rows, u.addAll(co, ssp)
+	})
+	if err != nil {
+		return err
+	}
 	merged := 0
 	for _, r := range parts {
 		if err := dst.insert(r, nil, nil, g.err); err != nil {
@@ -172,152 +227,4 @@ func (e *Evaluator) mergeParts(dst *Set, parts []*Relation, g guard, ssp *trace.
 		ssp.End()
 	}
 	return e.checkRows(dst.Rows.Len())
-}
-
-// CoPartitioned reports whether every atom's subject is one shared,
-// range-free variable — the co-partitioned shape: any embedding maps that
-// variable to a single subject, so all of its matched triples live on one
-// shard and the CQ decomposes into independent shard-local evaluations
-// whose projected answers union. A constant subject or a second subject
-// variable breaks the rule (the embedding could span shards), so those
-// bodies keep central joins over scattered scans. (A subject interval
-// constrains which subjects match but not where they live, so it would
-// still be shard-safe — kept out for symmetry with the scan router, which
-// only recognizes unconstrained subjects as scatter-safe.) Exported, like
-// SplitCoPartitioned, so EXPLAIN shows the scatter shape the executor uses.
-func CoPartitioned(q query.RangeCQ) bool {
-	if len(q.Atoms) == 0 {
-		return false
-	}
-	for _, a := range q.Atoms {
-		if a.S.Ranges != nil || !a.S.Arg.IsVar() || a.S.Arg.Var != q.Atoms[0].S.Arg.Var {
-			return false
-		}
-	}
-	return true
-}
-
-// evalCQScatter evaluates a co-partitioned CQ shard-locally: each shard
-// runs the full body plan (ordered by its own statistics, from the seed when
-// there is one) into a set of its own, and the per-shard answers enter dst —
-// the only cross-shard step is that final union, after projection. Every
-// embedding lives on one shard, so a seed row meets its matches there.
-func (e *Evaluator) evalCQScatter(sh ShardedSource, q query.RangeCQ, seed *Relation, g guard, sp *trace.Span, dst *Set) error {
-	ssp := newScatterSpan(sp, "cq", sh.NumShards())
-	if ssp != nil {
-		defer ssp.End()
-		ssp.SetStr("q", q.Format(e.st.Dict()))
-	}
-	if e.Metrics != nil {
-		e.Metrics.Counter("shard.local_cqs").Inc()
-	}
-	parts, err := e.runScatter(sh, g, func(i int) (*Relation, error) {
-		part := NewSet(dst.Rows.Vars)
-		return part.Rows, e.shardSub(sh, i).evalCQ(q, seed, nil, g, ssp, part)
-	})
-	if err != nil {
-		return err
-	}
-	return e.mergeParts(dst, parts, g, ssp)
-}
-
-// SplitCoPartitioned partitions a union's members into the co-partitioned
-// group a sharded evaluation runs shard-locally and the rest. Members are
-// independent — a union is just a distinct concatenation — so the
-// co-partitioned group can evaluate in ONE scatter, each shard running the
-// whole group serially, paying the scatter/gather overhead once per union
-// instead of once per member. JUCQ fragment materialization is the shape
-// that earns this: hundreds of tiny single-subject-variable members per
-// fragment, interleaved with range-rule rewritings whose fresh subject
-// variables break co-partitioning (those stay on the parent path). The
-// group takes at least two members: a lone co-partitioned member stays in
-// rest, where evalCQ scatters it on its own.
-func SplitCoPartitioned(cqs []query.RangeCQ) (co, rest []query.RangeCQ) {
-	for _, cq := range cqs {
-		if CoPartitioned(cq) {
-			co = append(co, cq)
-		} else {
-			rest = append(rest, cq)
-		}
-	}
-	if len(co) < 2 {
-		return nil, cqs
-	}
-	return co, rest
-}
-
-// evalUnionScatter evaluates a union's co-partitioned group (≥2 members)
-// against a sharded source into the union's set dst: the group runs
-// shard-locally in one scatter — each shard evaluates the whole group
-// serially, from the seed when there is one, with its own statistics, memo
-// and set — and the per-shard sets enter dst in shard order. The union's
-// other members (rest counts them) evaluate afterwards on the parent path,
-// where their unbound-subject scans still scatter individually.
-func (e *Evaluator) evalUnionScatter(sh ShardedSource, co []query.RangeCQ, rest int, seed *Relation, g guard, sp *trace.Span, dst *Set) error {
-	ssp := newScatterSpan(sp, "ucq", sh.NumShards())
-	if ssp != nil {
-		defer ssp.End()
-		ssp.SetInt("cqs", int64(len(co)))
-		ssp.SetInt("rest", int64(rest))
-	}
-	if e.Metrics != nil {
-		e.Metrics.Counter("shard.local_cqs").Add(int64(len(co)))
-	}
-	parts, err := e.runScatter(sh, g, func(i int) (*Relation, error) {
-		u := e.shardSub(sh, i).newUnion(dst.Rows.Vars, seed, g)
-		return u.out.Rows, u.addAll(co, ssp)
-	})
-	if err != nil {
-		return err
-	}
-	return e.mergeParts(dst, parts, g, ssp)
-}
-
-// scatterScan fans one scan body out to every shard in parallel and
-// concatenates the per-shard relations in shard order. Shards partition
-// the triples, so the concatenation is exactly the unsharded scan's
-// multiset (in a different order — every consumer is order-insensitive:
-// joins hash or probe, projections dedup).
-func (e *Evaluator) scatterScan(sh ShardedSource, a query.RangeAtom, vars []string, g guard, sp *trace.Span, est float64, scan func(src Source, rel *Relation) error) (*Relation, error) {
-	ssp := newScatterSpan(sp, "scan", sh.NumShards())
-	if ssp != nil {
-		defer ssp.End()
-		ssp.SetStr("atom", a.Format(e.st.Dict()))
-		if est >= 0 {
-			ssp.SetFloat("est_rows", est)
-		}
-	}
-	if e.Metrics != nil {
-		e.Metrics.Counter("shard.scan").Inc()
-	}
-	parts, err := e.runScatter(sh, g, func(i int) (*Relation, error) {
-		rel := NewRelation(vars)
-		if err := scan(sh.Shard(i), rel); err != nil {
-			return nil, err
-		}
-		return rel, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Shards partition the triples: the scan is the parts' concatenation,
-	// the later parts' chunks copied onto the first part's.
-	out := parts[0]
-	for _, r := range parts[1:] {
-		if err := out.appendRelation(r, g.err); err != nil {
-			return nil, err
-		}
-	}
-	if err := e.checkRows(out.Len()); err != nil {
-		return nil, err
-	}
-	if e.Metrics != nil {
-		e.Metrics.Counter("shard.merge").Add(int64(out.Len()))
-	}
-	g.addScanned(out.Len())
-	if ssp != nil {
-		ssp.SetInt("rows", int64(out.Len()))
-		ssp.End()
-	}
-	return out, nil
 }

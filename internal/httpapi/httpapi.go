@@ -144,9 +144,9 @@ func NewWith(g *graph.Graph, prefixes map[string]string, reg *metrics.Registry) 
 // Options configures optional server construction behavior.
 type Options struct {
 	// Shards hash-partitions the explicit-data store by subject into this
-	// many shards (internal/shard): the executor then scatters scans
-	// across shards in parallel and evaluates co-partitioned joins
-	// shard-locally. Values below 2 serve one shard.
+	// many shards (internal/shard): the executor then evaluates a union's
+	// co-partitioned members shard-locally, in parallel. Values below 2
+	// serve one shard.
 	Shards int
 }
 

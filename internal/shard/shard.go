@@ -2,17 +2,17 @@
 // independent storage.Store shards, each with its own SPO/POS/OSP
 // indexes and statistics. The partition key is the subject: a subject's
 // whole forward neighborhood is co-located, so the reformulation
-// strategies' dominant shape — many atomic scans feeding subject-subject
-// joins — evaluates shard-locally with no shuffle, and the executor's
-// scatter-gather paths (internal/exec/source.go) parallelize the rest.
+// strategies' dominant shape — unions of small conjunctive queries whose
+// atoms share one subject variable — evaluates shard-locally with no
+// shuffle, in the executor's one scatter (internal/exec/source.go).
 //
 // Store implements exec.Source, so every evaluator path that runs
 // against a single store runs unchanged against a sharded one: scans
 // with a bound subject route to the subject's home shard, everything
 // else iterates shards in order. It also implements exec.ShardedSource,
-// which is what unlocks the parallel scatter paths. An unsharded store is
-// a one-shard Store: its scans go straight to its one storage.Store, and
-// the executor does not scatter over it.
+// through which a union's co-partitioned members run once per shard, in
+// parallel. An unsharded store is a one-shard Store: its scans go straight
+// to its one storage.Store, and the executor does not scatter over it.
 package shard
 
 import (
@@ -222,9 +222,9 @@ func (s *Store) ShardStore(i int) *storage.Store { return s.shards[i] }
 func (s *Store) HomeShard(id dict.ID) int { return Of(id, len(s.shards)) }
 
 // ShardStats returns shard i's statistics, collecting them on first use.
-// Lazy because the scatter paths only consult statistics for co-
-// partitioned bodies with two or more atoms — single-scan workloads
-// never pay for N stat collections.
+// Lazy because only the scatter of a union's co-partitioned members plans
+// against them, and only when its evaluator has statistics — workloads that
+// never scatter never pay for N stat collections.
 func (s *Store) ShardStats(i int) *stats.Stats {
 	s.mu.Lock()
 	st := s.stats[i]

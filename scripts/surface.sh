@@ -36,6 +36,7 @@ methods() {
 }
 echo "interface methods:"
 printf '  %-32s %6d\n' "exec.Source methods" "$(methods ./internal/exec.Source)"
+printf '  %-32s %6d\n' "exec.ShardedSource methods" "$(methods ./internal/exec.ShardedSource)"
 
 echo "exported identifiers (package-level + methods):"
 for pkg in core cost engine exec graph httpapi query saturation storage viewcache; do
