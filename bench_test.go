@@ -242,17 +242,37 @@ func BenchmarkE6_IncrementalMaintenance(b *testing.B) {
 
 // --- substrate micro-benchmarks ----------------------------------------------
 
+// BenchmarkStore_PatternScan prices a count the way the planner asks for
+// one: through the engine's statistics, whose store is behind an
+// interface, for each plain shape an atom's constants make.
 func BenchmarkStore_PatternScan(b *testing.B) {
 	f, _ := fixtures(b)
-	st := f.eng.Store()
 	typeID, _ := f.g.Dict().Lookup(rdf.Type)
-	pat := storage.Pattern{P: typeID}
-	b.ResetTimer()
-	n := 0
-	for i := 0; i < b.N; i++ {
-		n = st.Count(pat)
+	var t dict.Triple // the first rdf:type triple: a subject and a class
+	f.eng.Store().EachRun(storage.RangePattern{P: []storage.IDRange{storage.Exact(typeID)}}, func(ts []dict.Triple) bool {
+		t = ts[0]
+		return false
+	})
+	st := f.eng.Stats()
+	for _, c := range []struct {
+		name string
+		pat  storage.Pattern
+	}{
+		{"P", storage.Pattern{P: t.P}},
+		{"PO", storage.Pattern{P: t.P, O: t.O}},
+		{"SP", storage.Pattern{S: t.S, P: t.P}},
+		{"S", storage.Pattern{S: t.S}},
+		{"O", storage.Pattern{O: t.O}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var n float64
+			for i := 0; i < b.N; i++ {
+				n = st.PatternCard(c.pat)
+			}
+			b.ReportMetric(n, "rows")
+		})
 	}
-	b.ReportMetric(float64(n), "rows")
 }
 
 func BenchmarkExec_HashJoinChain(b *testing.B) {

@@ -138,6 +138,7 @@ func TestDeltaScheduleMatchesRebuild(t *testing.T) {
 				}
 			}
 			sameStatistics(t, where, e.Stats(), stats.Collect(want), g.AllTriples())
+			exactCards(t, where, e.Stats(), sh, g.AllTriples())
 			if rng.Intn(2) == 0 {
 				continue // G∞ goes unread on this version
 			}
@@ -161,6 +162,7 @@ func TestDeltaScheduleMatchesRebuild(t *testing.T) {
 			flatStore := storage.Build(g.Dict(), flat)
 			sameSource(t, where, e.SatStore().(*satSource), flatStore, [2][]dict.Triple{sat.Delta.Triples(), g.AllTriples()}, rng)
 			sameStatistics(t, where+" (G∞)", e.SatStats(), stats.Collect(flatStore), flat)
+			exactCards(t, where+" (G∞)", e.SatStats(), e.SatStore(), flat)
 			for qi := 0; qi < 2; qi++ {
 				q := sc.RandomQuery(rng)
 				want, err := e.AnswerContext(context.Background(), q, Sat)
@@ -191,7 +193,7 @@ func TestDeltaScheduleMatchesRebuild(t *testing.T) {
 	}
 }
 
-// sameStore compares two stores on their triples and on Count for every
+// sameStore compares two stores on their triples and on CountRange for every
 // pattern shape over a few triples, present or not.
 func sameStore(t *testing.T, where string, got, want *storage.Store, rng *rand.Rand) {
 	t.Helper()
@@ -212,8 +214,9 @@ func sameStore(t *testing.T, where string, got, want *storage.Store, rng *rand.R
 			if shape&4 != 0 {
 				pat.O = x.O
 			}
-			if g, w := got.Count(pat), want.Count(pat); g != w {
-				t.Fatalf("%s: Count(%v) = %d, built from scratch %d", where, pat, g, w)
+			var buf [3]storage.IDRange
+			if g, w := got.CountRange(pat.Range(&buf)), want.CountRange(pat.Range(&buf)); g != w {
+				t.Fatalf("%s: CountRange(%v) = %d, built from scratch %d", where, pat, g, w)
 			}
 		}
 	}
@@ -262,17 +265,14 @@ func sameSource(t *testing.T, where string, got *satSource, want *storage.Store,
 			if shape&2 != 0 {
 				pat.P, rp.P = x.P, []storage.IDRange{storage.Exact(x.P)}
 			}
-			plain := rp // the plain pattern in range form
 			if shape&4 != 0 {
 				pat.O, rp.O = x.O, around(x.O)
-				plain.O = []storage.IDRange{storage.Exact(x.O)}
 			}
+			var buf [3]storage.IDRange
+			plain := pat.Range(&buf) // the plain pattern in range form
 			wide := rp
 			if wide.P != nil {
 				wide.P = around(x.P)
-			}
-			if g, w := got.Count(pat), want.Count(pat); g != w {
-				t.Fatalf("%s: Count(%v) = %d, G∞'s store %d", where, pat, g, w)
 			}
 			for _, rp := range []storage.RangePattern{plain, rp, wide} {
 				if g, w := got.CountRange(rp), want.CountRange(rp); g != w {
@@ -297,6 +297,23 @@ func sameSource(t *testing.T, where string, got *satSource, want *storage.Store,
 					t.Fatalf("%s: EachRun(%v) stopped at the first match calls back %d times, G∞'s store %d", where, rp, g, w)
 				}
 			}
+		}
+	}
+}
+
+// exactCards checks the estimates the statistics answer from their own
+// tables — no position bound, the property alone, for every property of
+// triples and for none — against a count of the source they describe.
+func exactCards(t *testing.T, where string, s *stats.Stats, src stats.Counter, triples []dict.Triple) {
+	t.Helper()
+	if g, w := s.PatternCard(storage.Pattern{}), float64(src.CountRange(storage.RangePattern{})); g != w {
+		t.Fatalf("%s: PatternCard({}) = %v, the source counts %v", where, g, w)
+	}
+	for _, x := range append(slices.Clone(triples), dict.Triple{P: ^dict.ID(0)}) {
+		pat := storage.Pattern{P: x.P}
+		var buf [3]storage.IDRange
+		if g, w := s.PatternCard(pat), float64(src.CountRange(pat.Range(&buf))); g != w {
+			t.Fatalf("%s: PatternCard(%v) = %v, the source counts %v", where, pat, g, w)
 		}
 	}
 }

@@ -76,36 +76,9 @@ func anyIn(ids []dict.ID, rs []storage.IDRange) bool {
 	return false
 }
 
-// plainParts is parts for a plain pattern.
-func (u *satSource) plainParts(pat storage.Pattern) (inD, inΔ bool) {
-	var p, o [1]storage.IDRange
-	return u.parts(exact(pat.P, &p), exact(pat.O, &o))
-}
-
-// exact is a plain pattern's position in range form: nil for a wildcard.
-func exact(id dict.ID, buf *[1]storage.IDRange) []storage.IDRange {
-	if id == dict.None {
-		return nil
-	}
-	buf[0] = storage.Exact(id)
-	return buf[:]
-}
-
 func (u *satSource) Dict() *dict.Dict { return u.data.Dict() }
 
 func (u *satSource) Len() int { return u.data.Len() + u.delta.Len() }
-
-func (u *satSource) Count(pat storage.Pattern) int {
-	n := 0
-	inD, inΔ := u.plainParts(pat)
-	if inD {
-		n += u.data.Count(pat)
-	}
-	if inΔ {
-		n += u.delta.Count(pat)
-	}
-	return n
-}
 
 // EachRun reads D, then Δ, and stops once fn does: where both parts may
 // match, D's scan goes through a wrapper that notes the stop — on the stack,

@@ -210,7 +210,7 @@ type StoreSource struct {
 	// *shard.Store, satisfies it.
 	Store interface {
 		Len() int
-		Each(pat storage.Pattern, fn func(dict.Triple) bool)
+		EachRun(pat storage.RangePattern, fn func([]dict.Triple) bool)
 	}
 }
 
@@ -226,9 +226,10 @@ func (s *StoreSource) ScanPattern(ctx context.Context, pat Pattern) (Iterator, e
 	if !known {
 		return &idIterator{d: s.Dict}, nil
 	}
+	var buf [3]storage.IDRange
 	var match []dict.Triple
-	s.Store.Each(enc, func(t dict.Triple) bool {
-		match = append(match, t)
+	s.Store.EachRun(enc.Range(&buf), func(ts []dict.Triple) bool {
+		match = append(match, ts...)
 		return true
 	})
 	return &idIterator{d: s.Dict, ts: match}, nil

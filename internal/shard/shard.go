@@ -172,19 +172,6 @@ func (s *Store) EachRun(pat storage.RangePattern, fn func([]dict.Triple) bool) {
 	}
 }
 
-// Count returns the number of matching triples: the one shard's count, or
-// the sum across shards (shards are disjoint, so the sum is exact).
-func (s *Store) Count(pat storage.Pattern) int {
-	if sh := s.one(pat.S); sh != nil {
-		return sh.Count(pat)
-	}
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.Count(pat)
-	}
-	return n
-}
-
 // CountRange returns the number of triples matching the range pattern.
 func (s *Store) CountRange(pat storage.RangePattern) int {
 	if sh := s.one(exactSubject(pat)); sh != nil {
@@ -253,20 +240,10 @@ func (s *Store) DistinctInPosition(pat storage.Pattern, pos byte) int {
 		}
 		return n
 	}
-	// No subject is bound here: the pattern in range form is its property
-	// and object, each an exact range where bound.
-	var exact [2][1]storage.IDRange
-	var rp storage.RangePattern
-	if pat.P != dict.None {
-		exact[0][0] = storage.Exact(pat.P)
-		rp.P = exact[0][:]
-	}
-	if pat.O != dict.None {
-		exact[1][0] = storage.Exact(pat.O)
-		rp.O = exact[1][:]
-	}
+	// No subject is bound here: merge the values of every shard's matches.
+	var buf [3]storage.IDRange
 	seen := map[dict.ID]bool{}
-	s.EachRun(rp, func(ts []dict.Triple) bool {
+	s.EachRun(pat.Range(&buf), func(ts []dict.Triple) bool {
 		for _, t := range ts {
 			if pos == 'p' {
 				seen[t.P] = true

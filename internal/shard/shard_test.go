@@ -393,8 +393,8 @@ func TestOneShardIsItsStore(t *testing.T) {
 					if g, w := eachRun(one, rp), eachRun(st, rp); !slices.Equal(g, w) {
 						t.Fatalf("trial %d: EachRun(%v) = %v, store %v", trial, pat, g, w)
 					}
-					if g, w := one.Count(pat), st.Count(pat); g != w {
-						t.Fatalf("trial %d: Count(%v) = %d, store %d", trial, pat, g, w)
+					if g, w := one.CountRange(rp), st.CountRange(rp); g != w {
+						t.Fatalf("trial %d: CountRange(%v) = %d, store %d", trial, pat, g, w)
 					}
 					for _, pos := range []byte("spo") {
 						if g, w := one.DistinctInPosition(pat, pos), st.DistinctInPosition(pat, pos); g != w {

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/dict"
 	"repro/internal/storage"
@@ -37,12 +38,24 @@ type PairCount struct {
 }
 
 // Counter is what the estimates read off a source once its statistics are
-// made: counts, and the scans of the demo's distributions.
+// made: counts, and the scans of the demo's distributions — the two read
+// methods every exec.Source has. A plain pattern is counted as its exact
+// range form (count).
 type Counter interface {
-	Count(pat storage.Pattern) int
 	CountRange(p storage.RangePattern) int
 	EachRun(pat storage.RangePattern, fn func([]dict.Triple) bool)
 }
+
+// count returns the number of triples of c matching the plain pattern: a
+// count of its exact range form, held in buf.
+func count(c Counter, pat storage.Pattern, buf *[3]storage.IDRange) int {
+	return c.CountRange(pat.Range(buf))
+}
+
+// rangeBufs holds the buffers count takes. The range form goes through an
+// interface call, where a buffer on the caller's stack would escape to the
+// heap at every count; a caller takes one buffer for all its counts.
+var rangeBufs = sync.Pool{New: func() any { return new([3]storage.IDRange) }}
 
 // Source is the scan surface statistics are collected from and estimated
 // against: the slice of *storage.Store the estimators use, satisfied by
@@ -104,6 +117,8 @@ func Collect(st Source) *Stats {
 func (s *Stats) Apply(next Source, added, removed []dict.Triple) *Stats {
 	out := &Stats{store: next, n: next.Len(), props: maps.Clone(s.props), distinctS: s.distinctS, distinctO: s.distinctO}
 	seen := map[storage.Pattern]bool{}
+	buf := rangeBufs.Get().(*[3]storage.IDRange)
+	defer rangeBufs.Put(buf)
 	// moved is +1 when next has triples matching key and s's source had
 	// none, -1 the other way round, 0 otherwise and on a key already seen.
 	moved := func(key storage.Pattern) int {
@@ -111,7 +126,7 @@ func (s *Stats) Apply(next Source, added, removed []dict.Triple) *Stats {
 			return 0
 		}
 		seen[key] = true
-		was, is := s.store.Count(key) > 0, next.Count(key) > 0
+		was, is := count(s.store, key, buf) > 0, count(next, key, buf) > 0
 		switch {
 		case is && !was:
 			return 1
@@ -134,7 +149,7 @@ func (s *Stats) Apply(next Source, added, removed []dict.Triple) *Stats {
 	}
 	for _, p := range props {
 		ps := out.props[p]
-		if ps.Count = next.Count(storage.Pattern{P: p}); ps.Count > 0 {
+		if ps.Count = count(next, storage.Pattern{P: p}, buf); ps.Count > 0 {
 			out.props[p] = ps
 		} else {
 			delete(out.props, p)
@@ -152,7 +167,9 @@ func (s *Stats) Apply(next Source, added, removed []dict.Triple) *Stats {
 // more, not a pass over the union.
 func (s *Stats) Plus(src Counter, more *storage.Store) *Stats {
 	out := &Stats{store: src, n: s.n + more.Len(), props: maps.Clone(s.props), distinctS: s.distinctS, distinctO: s.distinctO}
-	had := func(key storage.Pattern) bool { return s.store.Count(key) > 0 }
+	buf := rangeBufs.Get().(*[3]storage.IDRange)
+	defer rangeBufs.Put(buf)
+	had := func(key storage.Pattern) bool { return count(s.store, key, buf) > 0 }
 	var last dict.Triple // no triple holds None
 	more.EachRun(storage.RangePattern{}, func(ts []dict.Triple) bool {
 		for _, t := range ts {
@@ -215,21 +232,28 @@ func (s *Stats) Property(p dict.ID) (PropertyStats, bool) {
 	return ps, ok
 }
 
-// PatternCard estimates the number of triples matching the pattern. All
-// prefix-contiguous shapes use exact index counts (the idealized-histogram
-// limit of the textbook model); the (s,?,o) shape uses the independence
-// assumption card(s)·card(o)/N.
+// PatternCard estimates the number of triples matching the pattern. The
+// shapes the statistics hold exactly — no position bound, the property
+// alone — are read off them; other prefix-contiguous shapes use exact index
+// counts (the idealized-histogram limit of the textbook model); the (s,?,o)
+// shape uses the independence assumption card(s)·card(o)/N.
 func (s *Stats) PatternCard(pat storage.Pattern) float64 {
-	if s.n == 0 {
+	switch {
+	case s.n == 0:
 		return 0
+	case pat == storage.Pattern{}:
+		return float64(s.n)
+	case pat == storage.Pattern{P: pat.P}:
+		return float64(s.props[pat.P].Count)
 	}
-	sB, pB, oB := pat.S != dict.None, pat.P != dict.None, pat.O != dict.None
-	if sB && !pB && oB {
-		cs := float64(s.store.Count(storage.Pattern{S: pat.S}))
-		co := float64(s.store.Count(storage.Pattern{O: pat.O}))
+	buf := rangeBufs.Get().(*[3]storage.IDRange)
+	defer rangeBufs.Put(buf)
+	if pat.S != dict.None && pat.P == dict.None && pat.O != dict.None {
+		cs := float64(count(s.store, storage.Pattern{S: pat.S}, buf))
+		co := float64(count(s.store, storage.Pattern{O: pat.O}, buf))
 		return cs * co / float64(s.n)
 	}
-	return float64(s.store.Count(pat))
+	return float64(count(s.store, pat, buf))
 }
 
 // RangeCard returns the exact number of triples matching the range

@@ -48,7 +48,8 @@ func TestPatternCardExactShapes(t *testing.T) {
 		{}, {S: 1}, {P: 10}, {O: 100}, {S: 1, P: 10}, {P: 10, O: 100}, {S: 1, P: 10, O: 100},
 	}
 	for _, pat := range shapes {
-		if got, want := s.PatternCard(pat), float64(st.Count(pat)); got != want {
+		var buf [3]storage.IDRange
+		if got, want := s.PatternCard(pat), float64(st.CountRange(pat.Range(&buf))); got != want {
 			t.Errorf("PatternCard(%+v) = %v, want %v", pat, got, want)
 		}
 	}
@@ -148,7 +149,8 @@ func TestPropertyStatsConsistency(t *testing.T) {
 			if ps.DistinctS > ps.Count || ps.DistinctO > ps.Count {
 				return false
 			}
-			if ps.Count != st.Count(storage.Pattern{P: p}) {
+			var buf [3]storage.IDRange
+			if ps.Count != st.CountRange(storage.Pattern{P: p}.Range(&buf)) {
 				return false
 			}
 		}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -51,7 +52,8 @@ func MergeIDs(ids []dict.ID) []IDRange {
 
 // RangePattern generalizes Pattern: each position is either a wildcard (nil)
 // or a sorted list of disjoint inclusive ID ranges the position must fall
-// in. Pattern{S: x} corresponds to RangePattern{S: []IDRange{Exact(x)}}.
+// in. Pattern{S: x} is RangePattern{S: []IDRange{Exact(x)}} (Pattern.Range),
+// and every read of the store, plain or ranged, is of a range pattern.
 type RangePattern struct {
 	S, P, O []IDRange
 }
@@ -78,30 +80,25 @@ type rangeScan struct {
 // chooseRange picks the ordering that binary-searches away the most work:
 // the longest prefix of exact positions, a range-constrained next position
 // as tie-break, the first ordering on a full tie. Ordering o lists the
-// positions o, o+1 and o+2 (mod 3): (S,P,O), (P,O,S), (O,S,P). Only the
-// chosen ordering's prefix key is built — the choice runs once per probe.
-func chooseRange(p RangePattern) rangeScan {
+// positions o, o+1 and o+2 (mod 3): (S,P,O), (P,O,S), (O,S,P). The choice
+// depends only on which positions are exact and which constrained, so it is
+// read off a table (choices); only the chosen ordering's prefix key is
+// built — the choice runs once per probe.
+func chooseRange(p RangePattern) (s rangeScan) {
 	pos := [3][]IDRange{p.S, p.P, p.O}
-	var exact [3]bool
+	var exact, set uint
 	for i := range pos {
-		exact[i] = len(pos[i]) == 1 && pos[i][0].IsExact()
-	}
-	// next reports whether ordering o constrains the position after its
-	// prefix of ne exact ones.
-	next := func(o, ne int) bool { return ne < 3 && pos[(o+ne)%3] != nil }
-	best, bestNE := 0, -1
-	for o := range 3 {
-		ne := 0
-		for ne < 3 && exact[(o+ne)%3] {
-			ne++
-		}
-		if ne > bestNE || ne == bestNE && next(o, ne) && !next(best, bestNE) {
-			best, bestNE = o, ne
+		if pos[i] != nil {
+			set |= 1 << i
+			if len(pos[i]) == 1 && pos[i][0].IsExact() {
+				exact |= 1 << i
+			}
 		}
 	}
-	s := rangeScan{o: ordering(best), ne: bestNE}
-	for i := range 3 {
-		switch rs := pos[(best+i)%3]; {
+	c := choices[exact|set<<3]
+	s.o, s.ne = c.o, int(c.ne)
+	for i, at := range positions[c.o] {
+		switch rs := pos[at]; {
 		case i < s.ne:
 			s.prefix = s.prefix.with(i, rs[0].Lo)
 		case i == s.ne:
@@ -112,6 +109,34 @@ func chooseRange(p RangePattern) rangeScan {
 	}
 	return s
 }
+
+// positions[o] lists the positions of (S,P,O) in ordering o's order.
+var positions = [3][3]int{{0, 1, 2}, {1, 2, 0}, {2, 0, 1}}
+
+// choices[exact|constrained<<3] is chooseRange's ordering and exact-prefix
+// length for a pattern whose exact and constrained positions are the set
+// bits of the two masks, bit i for position i of (S,P,O).
+var choices = func() (out [64]struct {
+	o  ordering
+	ne int8
+}) {
+	for m := range out {
+		exact, set := m&7, m>>3
+		best, bestNE, bestNext := 0, -1, false
+		for o := range 3 {
+			// The masks rotated so that bit k is ordering o's k-th
+			// component: its exact prefix is the run of low set bits.
+			e, c := (exact>>o|exact<<(3-o))&7, (set>>o|set<<(3-o))&7
+			ne := bits.TrailingZeros(uint(^e))
+			next := c>>ne&1 != 0
+			if ne > bestNE || ne == bestNE && next && !bestNext {
+				best, bestNE, bestNext = o, ne, next
+			}
+		}
+		out[m].o, out[m].ne = ordering(best), int8(bestNE)
+	}
+	return out
+}()
 
 // spans calls fn with the positions [lo,hi) of every part of r, sorted by
 // s.o, that s selects, and the block holding lo: the part of the exact
@@ -197,16 +222,12 @@ func (st *Store) EachRun(p RangePattern, fn func([]dict.Triple) bool) {
 }
 
 // EachRange calls fn for every triple matching the range pattern, in index
-// order, stopping early if fn returns false. Exact-prefix positions and one
-// range-constrained position are answered by binary search; any further
-// constrained positions are filtered residually.
+// order, stopping early if fn returns false: EachRun a triple at a time. It
+// exists for the benchmark's trace, which times it directly; ROADMAP item 2
+// deletes it together with that shadow.
 func (st *Store) EachRange(p RangePattern, fn func(dict.Triple) bool) {
-	s := chooseRange(p)
-	s.eachRun(st.runs[s.o], func(ts []dict.Triple) bool {
+	st.EachRun(p, func(ts []dict.Triple) bool {
 		for _, t := range ts {
-			if s.residual && !p.Matches(t) {
-				continue
-			}
 			if !fn(t) {
 				return false
 			}
@@ -221,6 +242,11 @@ func (st *Store) EachRange(p RangePattern, fn func(dict.Triple) bool) {
 func (st *Store) CountRange(p RangePattern) int {
 	s := chooseRange(p)
 	r := st.runs[s.o]
+	if s.next == nil && !s.residual {
+		// An exact prefix alone, as every plain pattern is: one range.
+		lo, hi, _ := r.rangeOf(s.prefix, s.ne)
+		return hi - lo
+	}
 	n := 0
 	if !s.residual {
 		s.spans(r, func(lo, hi, _ int) bool {

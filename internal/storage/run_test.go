@@ -65,26 +65,31 @@ func randomRanges(r *rand.Rand, domain int) []IDRange {
 
 // checkScans compares every scan primitive of st with a filter of the flat
 // set want, on random patterns and range patterns — ranges wide enough to
-// straddle blocks of a few triples.
+// straddle blocks of a few triples. A plain pattern is read as its exact
+// range form, the trials cycling through its eight shapes.
 func checkScans(t *testing.T, where string, r *rand.Rand, st *Store, want []dict.Triple, domain int) {
 	t.Helper()
-	id := func() dict.ID {
-		if r.Intn(2) == 0 {
+	id := func(bound bool) dict.ID {
+		if !bound {
 			return dict.None
 		}
 		return randomID(r, domain)
 	}
-	for trial := 0; trial < 30; trial++ {
-		pat := Pattern{S: id(), P: id(), O: id()}
+	for trial := 0; trial < 32; trial++ {
+		pat := Pattern{S: id(trial&1 != 0), P: id(trial&2 != 0), O: id(trial&4 != 0)}
+		var buf [3]IDRange
+		exact := pat.Range(&buf)
 		var match []dict.Triple
 		for _, x := range want {
-			if pat.Matches(x) {
+			if exact.Matches(x) {
 				match = append(match, x)
 			}
 		}
+		var runs []dict.Triple
+		st.EachRun(exact, func(ts []dict.Triple) bool { runs = append(runs, ts...); return true })
 		got := st.Scan(pat)
-		if !slices.Equal(bySPO.sorted(got), match) || st.Count(pat) != len(match) {
-			t.Fatalf("%s: %+v scans %v (count %d), want %v", where, pat, got, st.Count(pat), match)
+		if !slices.Equal(bySPO.sorted(got), match) || !slices.Equal(runs, got) || st.CountRange(exact) != len(match) {
+			t.Fatalf("%s: %+v scans %v, EachRun %v (count %d), want %v", where, pat, got, runs, st.CountRange(exact), match)
 		}
 		for _, pos := range []byte("spo") {
 			distinct := map[dict.ID]bool{}
@@ -107,7 +112,8 @@ func checkScans(t *testing.T, where string, r *rand.Rand, st *Store, want []dict
 				match = append(match, x)
 			}
 		}
-		var each, runs []dict.Triple
+		var each []dict.Triple
+		runs = runs[:0]
 		st.EachRange(rp, func(x dict.Triple) bool { each = append(each, x); return true })
 		st.EachRun(rp, func(ts []dict.Triple) bool { runs = append(runs, ts...); return true })
 		if !slices.Equal(each, runs) || st.CountRange(rp) != len(match) ||

@@ -3,8 +3,10 @@
 // three sorted permutation indexes (SPO, POS, OSP), supporting
 // binary-searched range scans for every triple-pattern shape. This plays
 // the role of the RDBMS back-ends of the paper (a Triples(s,p,o) table with
-// clustered indexes), and exposes the exact-count primitives the statistics
-// and cost modules build on.
+// clustered indexes). Its one read surface is EachRun and CountRange over a
+// RangePattern: a plain Pattern is read as the range pattern of its exact
+// IDs, so one chooser picks the ordering and one scan and one count answer
+// every shape, for the executor, the statistics and the shards alike.
 //
 // Each index is a Run: a spine of sorted, immutable blocks. A write makes a
 // new store whose runs rewrite only the blocks an edit falls in and share
@@ -26,31 +28,29 @@ import (
 )
 
 // Pattern is a triple pattern over encoded IDs; dict.None marks a wildcard
-// position.
+// position. It is read as its exact range form (Range).
 type Pattern struct {
 	S, P, O dict.ID
 }
 
-// Bound reports how many positions of the pattern are bound.
-func (p Pattern) Bound() int {
-	n := 0
+// Range returns the pattern as a range pattern: each bound position the
+// one-ID range of its ID, held in buf, and each wildcard nil. A caller that
+// keeps buf on its stack reads a plain pattern with no allocation.
+func (p Pattern) Range(buf *[3]IDRange) RangePattern {
+	var rp RangePattern
 	if p.S != dict.None {
-		n++
+		buf[0] = Exact(p.S)
+		rp.S = buf[0:1:1]
 	}
 	if p.P != dict.None {
-		n++
+		buf[1] = Exact(p.P)
+		rp.P = buf[1:2:2]
 	}
 	if p.O != dict.None {
-		n++
+		buf[2] = Exact(p.O)
+		rp.O = buf[2:3:3]
 	}
-	return n
-}
-
-// Matches reports whether the triple matches the pattern.
-func (p Pattern) Matches(t dict.Triple) bool {
-	return (p.S == dict.None || p.S == t.S) &&
-		(p.P == dict.None || p.P == t.P) &&
-		(p.O == dict.None || p.O == t.O)
+	return rp
 }
 
 // Store is an immutable triple store over a fixed set of triples.
@@ -157,91 +157,17 @@ func (st *Store) Triples() []dict.Triple { return st.runs[bySPO].Triples() }
 // Contains reports whether the exact triple is present.
 func (st *Store) Contains(t dict.Triple) bool { return st.runs[bySPO].Contains(t) }
 
-// Each calls fn for every triple matching the pattern, in index order,
-// stopping early if fn returns false. This is the store's scan primitive.
-func (st *Store) Each(pat Pattern, fn func(dict.Triple) bool) {
-	o, prefix, nbound := choose(pat)
-	r := st.runs[o]
-	lo, hi, b := r.rangeOf(prefix, nbound)
-	// When the bound positions form a prefix of the chosen ordering the
-	// range is exact: no residual filtering needed.
-	exact := nbound == pat.Bound()
-	for ; lo < hi; b++ {
-		ts := r.part(lo, hi, b)
-		lo += len(ts)
-		if exact {
-			for _, t := range ts {
-				if !fn(t) {
-					return
-				}
-			}
-			continue
-		}
-		for _, t := range ts {
-			if pat.Matches(t) && !fn(t) {
-				return
-			}
-		}
-	}
-}
-
-// Scan returns all triples matching the pattern as a fresh slice.
+// Scan returns all triples matching the pattern as a fresh slice, read
+// through EachRun. It exists for the benchmark's trace, which times it
+// directly; ROADMAP item 2 deletes it together with that shadow.
 func (st *Store) Scan(pat Pattern) []dict.Triple {
+	var buf [3]IDRange
 	out := make([]dict.Triple, 0, 16)
-	st.Each(pat, func(t dict.Triple) bool {
-		out = append(out, t)
+	st.EachRun(pat.Range(&buf), func(ts []dict.Triple) bool {
+		out = append(out, ts...)
 		return true
 	})
 	return out
-}
-
-// Count returns the exact number of triples matching the pattern. For
-// prefix-contiguous patterns this is two bound searches; the (S,?,O) shape
-// requires a filtered scan of the subject's range.
-func (st *Store) Count(pat Pattern) int {
-	o, prefix, nbound := choose(pat)
-	r := st.runs[o]
-	lo, hi, b := r.rangeOf(prefix, nbound)
-	if nbound == pat.Bound() {
-		return hi - lo
-	}
-	n := 0
-	r.each(lo, hi, b, func(ts []dict.Triple) bool {
-		for _, t := range ts {
-			if pat.Matches(t) {
-				n++
-			}
-		}
-		return true
-	})
-	return n
-}
-
-// choose picks the index ordering whose sort key has the longest prefix of
-// bound positions, returning the ordering, the bound prefix values and the
-// prefix length.
-func choose(pat Pattern) (o ordering, prefix key, nbound int) {
-	sB, pB, oB := pat.S != dict.None, pat.P != dict.None, pat.O != dict.None
-	switch {
-	case sB && pB && oB:
-		return bySPO, pack(pat.S, pat.P, pat.O), 3
-	case sB && pB:
-		return bySPO, pack(pat.S, pat.P, 0), 2
-	case pB && oB:
-		return byPOS, pack(pat.P, pat.O, 0), 2
-	case sB && oB:
-		// No (S,O)-prefixed ordering: scan the subject's SPO range and
-		// filter on O.
-		return bySPO, pack(pat.S, 0, 0), 1
-	case sB:
-		return bySPO, pack(pat.S, 0, 0), 1
-	case pB:
-		return byPOS, pack(pat.P, 0, 0), 1
-	case oB:
-		return byOSP, pack(pat.O, 0, 0), 1
-	default:
-		return bySPO, key{}, 0
-	}
 }
 
 // --- orderings -------------------------------------------------------------
@@ -392,41 +318,39 @@ func lowerBound(ts []dict.Triple, k key, keyOf func(dict.Triple) key) int {
 // position ('s', 'p' or 'o') among triples matching the pattern; used by
 // the statistics module for join selectivity estimation.
 func (st *Store) DistinctInPosition(pat Pattern, pos byte) int {
-	// Where an ordering keeps the position's values in runs — any position
-	// with nothing bound, a property's objects — count the runs; otherwise
-	// fall back to a set.
-	var r *Run
-	var prefix key
-	n := 0
-	switch {
-	case pat.Bound() == 0 && pos == 's':
-		r = st.runs[bySPO]
-	case pat.Bound() == 0 && pos == 'p':
-		r = st.runs[byPOS]
-	case pat.Bound() == 0:
-		r = st.runs[byOSP]
-	case pos == 'o' && pat == (Pattern{P: pat.P}):
-		r, prefix, n = st.runs[byPOS], pack(pat.P, 0, 0), 1
-	default:
-		set := map[dict.ID]bool{}
-		st.Each(pat, func(t dict.Triple) bool {
-			set[position(t, pos)] = true
+	var buf [3]IDRange
+	p := pat.Range(&buf)
+	// Constrained to all IDs, an unbound position is one whose values the
+	// chosen ordering keeps in runs when it comes right after the searched
+	// prefix (or within it, where every match holds one value): count the
+	// runs. Otherwise fall back to a set.
+	all := [1]IDRange{{Lo: 1, Hi: ^dict.ID(0)}}
+	i := positionIndex(pos)
+	rs := [3][]IDRange{p.S, p.P, p.O}
+	if rs[i] == nil {
+		rs[i] = all[:]
+	}
+	if s := chooseRange(RangePattern{S: rs[0], P: rs[1], O: rs[2]}); !s.residual && (int(s.o)+s.ne)%3 == i {
+		distinct, last := 0, dict.None // no triple holds None
+		s.eachRun(st.runs[s.o], func(ts []dict.Triple) bool {
+			for _, t := range ts {
+				if v := position(t, pos); v != last {
+					distinct++
+					last = v
+				}
+			}
 			return true
 		})
-		return len(set)
+		return distinct
 	}
-	lo, hi, b := r.rangeOf(prefix, n)
-	distinct, last := 0, dict.None // no triple holds None
-	r.each(lo, hi, b, func(ts []dict.Triple) bool {
+	set := map[dict.ID]bool{}
+	st.EachRun(p, func(ts []dict.Triple) bool {
 		for _, t := range ts {
-			if v := position(t, pos); v != last {
-				distinct++
-				last = v
-			}
+			set[position(t, pos)] = true
 		}
 		return true
 	})
-	return distinct
+	return len(set)
 }
 
 func position(t dict.Triple, pos byte) dict.ID {
@@ -438,4 +362,16 @@ func position(t dict.Triple, pos byte) dict.ID {
 	default:
 		return t.O
 	}
+}
+
+// positionIndex returns the index of position pos ('s', 'p' or 'o') in a
+// triple's (S,P,O) order.
+func positionIndex(pos byte) int {
+	switch pos {
+	case 's':
+		return 0
+	case 'p':
+		return 1
+	}
+	return 2
 }

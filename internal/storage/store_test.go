@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -43,38 +44,46 @@ func randomTriples(r *rand.Rand, n, domain int) []dict.Triple {
 	return out
 }
 
-// naiveScan is the oracle for pattern matching.
+// naiveScan is the oracle for pattern matching: a filter through the
+// pattern's exact range form.
 func naiveScan(ts []dict.Triple, pat Pattern) map[dict.Triple]bool {
+	var buf [3]IDRange
+	rp := pat.Range(&buf)
 	out := map[dict.Triple]bool{}
 	for _, t := range ts {
-		if pat.Matches(t) {
+		if rp.Matches(t) {
 			out[t] = true
 		}
 	}
 	return out
 }
 
-// TestScanMatchesNaive checks every pattern shape against a brute-force
-// scan on random data.
+// TestScanMatchesNaive checks every pattern shape, IDs up to the largest,
+// against a brute-force scan on random data: EachRun, CountRange, Scan and
+// DistinctInPosition.
 func TestScanMatchesNaive(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		ts := randomTriples(r, 5+r.Intn(200), 8)
 		st := buildStore(ts)
-		for trial := 0; trial < 20; trial++ {
+		for trial := 0; trial < 24; trial++ {
 			var pat Pattern
-			if r.Intn(2) == 0 {
-				pat.S = dict.ID(1 + r.Intn(8))
+			if trial&1 != 0 {
+				pat.S = randomID(r, 8)
 			}
-			if r.Intn(2) == 0 {
-				pat.P = dict.ID(1 + r.Intn(5))
+			if trial&2 != 0 {
+				pat.P = randomID(r, 5)
 			}
-			if r.Intn(2) == 0 {
-				pat.O = dict.ID(1 + r.Intn(8))
+			if trial&4 != 0 {
+				pat.O = randomID(r, 8)
 			}
 			want := naiveScan(ts, pat)
+			var buf [3]IDRange
+			exact := pat.Range(&buf)
+			var runs []dict.Triple
+			st.EachRun(exact, func(ts []dict.Triple) bool { runs = append(runs, ts...); return true })
 			got := st.Scan(pat)
-			if len(got) != len(want) {
+			if len(got) != len(want) || !slices.Equal(runs, got) || st.CountRange(exact) != len(want) {
 				return false
 			}
 			for _, tr := range got {
@@ -82,8 +91,14 @@ func TestScanMatchesNaive(t *testing.T) {
 					return false
 				}
 			}
-			if st.Count(pat) != len(want) {
-				return false
+			for _, pos := range []byte("spo") {
+				distinct := map[dict.ID]bool{}
+				for tr := range want {
+					distinct[position(tr, pos)] = true
+				}
+				if st.DistinctInPosition(pat, pos) != len(distinct) {
+					return false
+				}
 			}
 		}
 		return true
@@ -115,7 +130,7 @@ func TestContains(t *testing.T) {
 func TestEachEarlyStop(t *testing.T) {
 	st := buildStore(randomTriples(rand.New(rand.NewSource(1)), 50, 5))
 	n := 0
-	st.Each(Pattern{}, func(dict.Triple) bool {
+	st.EachRange(RangePattern{}, func(dict.Triple) bool {
 		n++
 		return n < 7
 	})
@@ -126,14 +141,28 @@ func TestEachEarlyStop(t *testing.T) {
 
 func TestEmptyStore(t *testing.T) {
 	st := buildStore(nil)
-	if st.Len() != 0 || st.Count(Pattern{}) != 0 || len(st.Scan(Pattern{S: 1})) != 0 {
+	if st.Len() != 0 || st.CountRange(RangePattern{}) != 0 || len(st.Scan(Pattern{S: 1})) != 0 {
 		t.Fatal("empty store must behave as empty")
 	}
 }
 
-func TestPatternBound(t *testing.T) {
-	if (Pattern{}).Bound() != 0 || (Pattern{S: 1, O: 2}).Bound() != 2 || (Pattern{S: 1, P: 2, O: 3}).Bound() != 3 {
-		t.Fatal("Bound counts wrong")
+// TestPatternRange checks a plain pattern's exact range form: each bound
+// position the one-ID range of its ID, each wildcard nil, matching a
+// triple exactly where every bound position equals it.
+func TestPatternRange(t *testing.T) {
+	var buf [3]IDRange
+	if got := (Pattern{}).Range(&buf); got.S != nil || got.P != nil || got.O != nil {
+		t.Fatalf("the empty pattern ranges over %+v", got)
+	}
+	top := ^dict.ID(0)
+	got := (Pattern{S: 1, O: top}).Range(&buf)
+	if !slices.Equal(got.S, []IDRange{Exact(1)}) || got.P != nil || !slices.Equal(got.O, []IDRange{Exact(top)}) {
+		t.Fatalf("(1,?,top) ranges over %+v", got)
+	}
+	for _, tr := range []dict.Triple{{S: 1, P: 2, O: top}, {S: 1, P: top, O: top}, {S: 2, P: 2, O: top}, {S: 1, P: 2, O: top - 1}} {
+		if got.Matches(tr) != (tr.S == 1 && tr.O == top) {
+			t.Fatalf("(1,?,top) matches %v: %v", tr, got.Matches(tr))
+		}
 	}
 }
 
@@ -182,8 +211,8 @@ func TestDistinctMatchesNaive(t *testing.T) {
 }
 
 func TestScanSubjectObjectShape(t *testing.T) {
-	// The (S,?,O) shape has no contiguous index and exercises residual
-	// filtering.
+	// The (S,?,O) shape leads no ordering as (S,P,O): it is answered by
+	// the (O,S) prefix of the OSP ordering.
 	ts := []dict.Triple{
 		{S: 1, P: 10, O: 100},
 		{S: 1, P: 11, O: 100},
@@ -195,7 +224,8 @@ func TestScanSubjectObjectShape(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("want 2 matches, got %d", len(got))
 	}
-	if st.Count(Pattern{S: 1, O: 100}) != 2 {
+	var buf [3]IDRange
+	if st.CountRange(Pattern{S: 1, O: 100}.Range(&buf)) != 2 {
 		t.Fatal("count mismatch")
 	}
 }

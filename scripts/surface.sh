@@ -37,6 +37,7 @@ methods() {
 echo "interface methods:"
 printf '  %-32s %6d\n' "exec.Source methods" "$(methods ./internal/exec.Source)"
 printf '  %-32s %6d\n' "exec.ShardedSource methods" "$(methods ./internal/exec.ShardedSource)"
+printf '  %-32s %6d\n' "stats.Counter methods" "$(methods ./internal/stats.Counter)"
 
 echo "exported identifiers (package-level + methods):"
 for pkg in core cost engine exec graph httpapi query saturation storage viewcache; do
@@ -45,6 +46,7 @@ for pkg in core cost engine exec graph httpapi query saturation storage viewcach
 	printf '  %-32s %6d  (%d + %d)\n' "$pkg" $((top + methods)) "$top" "$methods"
 done
 printf '  %-32s %6d\n' "engine.Engine methods" "$(go doc -all ./internal/engine | grep -cE '^func \(e \*Engine\) ' || true)"
+printf '  %-32s %6d\n' "storage.Store methods" "$(go doc -all ./internal/storage | grep -cE '^func \(st \*Store\) ' || true)"
 
 # One statement of the join-order rule (cost.Pick): every hand-written copy
 # of the greedy pick declares its running best this way.
