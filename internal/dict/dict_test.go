@@ -3,6 +3,7 @@ package dict
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -303,4 +304,218 @@ func TestIndexGrowsAndPermutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(func(i int) ID { return ID(len(terms) - i) })
+}
+
+// arenaTerms are terms the arena must hand back byte for byte: every kind,
+// with the bytes a JSON writer must escape or keep (quotes, backslashes,
+// control characters, invalid UTF-8, HTML-special characters, U+2028), an
+// empty value, and, under a chunk of size bytes, a value longer than a
+// chunk and values of every length up to one more than a chunk, which end
+// chunks, start them and fill them. The empty literal comes twice.
+func arenaTerms(size int) []rdf.Term {
+	long := strings.Repeat("x", 3*size+1)
+	terms := []rdf.Term{
+		rdf.NewLiteral(`say "hi" \ back`),
+		rdf.NewLiteral("tab\there\nline\rret\x01\x1f\x7f"),
+		rdf.NewLiteral("bad \xff\xfe utf8"),
+		rdf.NewLiteral(""),
+		rdf.NewLangLiteral("héllo", "fr"),
+		rdf.NewTypedLiteral("42", "http://www.w3.org/2001/XMLSchema#integer"),
+		rdf.NewBlank("b1"),
+		rdf.NewIRI("http://example.org/<&>\u2028\u2029é"),
+		rdf.NewIRI("http://example.org/bad\xc3"),
+		rdf.NewIRI(`http://example.org/"quoted"`),
+		rdf.NewIRI(""),
+		rdf.NewBlank(""),
+		rdf.NewIRI(long),
+		rdf.NewLiteral(long), // the same bytes, another kind: its own copy
+	}
+	for n := 1; n <= min(size, 40)+1; n++ {
+		terms = append(terms, rdf.NewBlank(strings.Repeat("z", n)), rdf.NewIRI(strings.Repeat("y", n)))
+	}
+	return append(terms, rdf.NewLiteral("")) // again: the same ID
+}
+
+// Every term decodes to itself and looks up to its ID, across chunk
+// boundaries and chunks of its own, before and after a permutation; the
+// clean bit is set exactly when the Value needs no JSON escaping.
+func TestArenaRoundTrip(t *testing.T) {
+	for _, size := range []int{1, 2, 7, 16, chunkSize} {
+		t.Run(fmt.Sprint("chunk=", size), func(t *testing.T) {
+			d := newSized(size)
+			terms := arenaTerms(size)
+			ids := make([]ID, len(terms))
+			for i, term := range terms {
+				ids[i] = d.Encode(term)
+			}
+			if ids[len(ids)-1] != ids[3] || d.Len() != len(terms)-1 {
+				t.Fatalf("the empty literal twice: ids %d and %d, %d terms", ids[3], ids[len(ids)-1], d.Len())
+			}
+			check := func(when string) {
+				t.Helper()
+				v := d.View()
+				defer v.Release()
+				for i, term := range terms {
+					got, clean := v.Decode(ids[i])
+					want := byValue(term) && !strings.ContainsFunc(term.Value, func(r rune) bool {
+						return r < 0x20 || r >= 0x80 || r == '"' || r == '\\'
+					})
+					if got != term || clean != want {
+						t.Fatalf("%s: %q decodes to %q, clean %v, want clean %v", when, term, got, clean, want)
+					}
+					if id, ok := d.lookup(term); !ok || id != ids[i] {
+						t.Fatalf("%s: %q looks up to %d %v, want %d", when, term, id, ok, ids[i])
+					}
+				}
+			}
+			check("encoded")
+			n := d.Len()
+			remap := make([]ID, n+1)
+			for old := 1; old <= n; old++ {
+				remap[old] = ID(n + 1 - old)
+			}
+			if err := d.Permute(remap); err != nil {
+				t.Fatal(err)
+			}
+			for i := range ids {
+				ids[i] = remap[ids[i]]
+			}
+			check("permuted")
+			if size < chunkSize && len(d.chunks) < 4 {
+				t.Fatalf("%d chunks: the terms did not cross chunk boundaries", len(d.chunks))
+			}
+			for i, c := range d.chunks {
+				if cap(c) != size && (cap(c) != len(c) || len(c) <= size) {
+					t.Fatalf("chunk %d holds %d bytes of %d: neither a chunk nor one value's own", i, len(c), cap(c))
+				}
+			}
+		})
+	}
+}
+
+// The dictionary holds each term's bytes once: its arena is no longer than
+// the Values it keeps by value, less a chunk's unused tail each.
+func TestArenaHoldsEachValueOnce(t *testing.T) {
+	d := New()
+	want := 0
+	for i := 0; i < 20000; i++ {
+		v := fmt.Sprintf("http://example.org/term/%d", i)
+		d.EncodeIRI(v)
+		d.EncodeIRI(v) // known: no bytes
+		want += len(v)
+	}
+	held := 0
+	for _, c := range d.chunks[:len(d.chunks)-1] {
+		held += len(c)
+		if cap(c)-len(c) >= len("http://example.org/term/19999") {
+			t.Fatalf("a chunk left %d bytes unused, room for the next term", cap(c)-len(c))
+		}
+	}
+	if held += len(d.chunks[len(d.chunks)-1]); held != want {
+		t.Fatalf("arena holds %d bytes, the values are %d", held, want)
+	}
+}
+
+// Decode, and a view's Decode, copy and allocate nothing.
+func TestDecodeAllocatesNothing(t *testing.T) {
+	d := New()
+	ids := []ID{
+		d.EncodeIRI("http://example.org/a"), d.Encode(rdf.NewLiteral("b")),
+		d.Encode(rdf.NewBlank("c")), d.Encode(rdf.NewLangLiteral("d", "en")),
+	}
+	var sink rdf.Term
+	if n := testing.AllocsPerRun(100, func() {
+		for _, id := range ids {
+			sink = d.Decode(id)
+		}
+		v := d.View()
+		for _, id := range ids {
+			sink, _ = v.Decode(id)
+		}
+		v.Release()
+	}); n != 0 {
+		t.Fatalf("%v allocations a run", n)
+	}
+	_ = sink
+}
+
+// Readers that Decode, Lookup and write cells through a view, while one
+// writer Encodes terms across many chunk boundaries, see every term they
+// can find equal to what was encoded; run under -race, a reader that could
+// see an arena byte being written is a reported race.
+func TestArenaConcurrentReadersOneWriter(t *testing.T) {
+	const size, terms, readers = 16, 3000, 4
+	d := newSized(size)
+	term := func(i int) rdf.Term {
+		v := strings.Repeat(fmt.Sprint(i%10), i%(2*size+3)) + fmt.Sprint("/", i)
+		switch i % 4 {
+		case 0:
+			return rdf.NewIRI(v)
+		case 1:
+			return rdf.NewLiteral(v + `"`)
+		case 2:
+			return rdf.NewBlank(v)
+		default:
+			return rdf.NewLangLiteral(v, "en")
+		}
+	}
+	var (
+		wg   sync.WaitGroup
+		done = make(chan struct{})
+	)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			var cells []byte
+			rng := rand.New(rand.NewSource(int64(r)))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				n := d.Len()
+				if n == 0 {
+					continue
+				}
+				// IDs are handed out in encoding order: ID i+1 is term(i).
+				i := rng.Intn(n)
+				if got := d.Decode(ID(i + 1)); got != term(i) {
+					t.Errorf("decode(%d) = %q, want %q", i+1, got, term(i))
+					return
+				}
+				if id, ok := d.Lookup(term(i)); !ok || id != ID(i+1) {
+					t.Errorf("lookup(%q) = %d %v, want %d", term(i), id, ok, i+1)
+					return
+				}
+				v := d.View()
+				cells = cells[:0]
+				for j := max(0, i-8); j <= i; j++ {
+					got, _ := v.Decode(ID(j + 1))
+					cells = append(append(got.AppendTo(cells), ','), got.Value...)
+				}
+				v.Release()
+				var want []byte
+				for j := max(0, i-8); j <= i; j++ {
+					want = append(append(term(j).AppendTo(want), ','), term(j).Value...)
+				}
+				if string(cells) != string(want) {
+					t.Errorf("cells %q, want %q", cells, want)
+					return
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < terms; i++ {
+		if id := d.Encode(term(i)); id != ID(i+1) {
+			t.Errorf("term %d encoded to %d", i, id)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+	if len(d.chunks) < terms/size {
+		t.Fatalf("%d chunks: the writer crossed too few chunk boundaries", len(d.chunks))
+	}
 }

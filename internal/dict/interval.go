@@ -47,7 +47,7 @@ func (d *Dict) Interval(id ID) (Interval, bool) {
 func (d *Dict) Permute(remap []ID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n := len(d.values)
+	n := len(d.kinds)
 	if len(remap) != n+1 {
 		return fmt.Errorf("dict: remap length %d, want %d", len(remap), n+1)
 	}
@@ -65,11 +65,12 @@ func (d *Dict) Permute(remap []ID) error {
 		}
 		seen[nw] = true
 	}
-	values, kinds := make([]string, n), make([]rdf.Kind, n)
+	// Spans move, and no byte of the arena does.
+	spans, kinds := make([]uint64, n), make([]rdf.Kind, n)
 	for old := 1; old <= n; old++ {
-		values[remap[old]-1], kinds[remap[old]-1] = d.values[old-1], d.kinds[old-1]
+		spans[remap[old]-1], kinds[remap[old]-1] = d.spans[old-1], d.kinds[old-1]
 	}
-	d.values, d.kinds = values, kinds
+	d.spans, d.kinds = spans, kinds
 	// A slot's probe run depends on the term, not its ID: the term keeps
 	// its slot under its new ID.
 	for i, old := range d.index {

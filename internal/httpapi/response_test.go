@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -54,15 +55,21 @@ func hostileRelation(d *dict.Dict) *exec.Relation {
 	return rel
 }
 
-// encodingJSON is what encoding/json makes of resp with rel's first n rows
-// as resp.Rows, written by writeJSON.
-func encodingJSON(resp QueryResponse, d *dict.Dict, rel *exec.Relation, n int) []byte {
+// hostileRows are the N-Triples forms of hostileRelation's rows, read off
+// the source terms, not the dictionary.
+func hostileRows() [][]string {
+	rows := make([][]string, len(hostileTerms))
+	for i, t := range hostileTerms {
+		rows[i] = []string{rdf.NewIRI("http://example.org/s").String(), t.String()}
+	}
+	return rows
+}
+
+// encodingJSON is what encoding/json makes of resp with rows as resp.Rows,
+// written by writeJSON.
+func encodingJSON(resp QueryResponse, rows [][]string) []byte {
 	resp.Rows = [][]string{}
-	for i := 0; i < n; i++ {
-		var row []string
-		for _, id := range rel.Row(i) {
-			row = append(row, d.Decode(id).String())
-		}
+	for _, row := range rows {
 		if row == nil {
 			row = []string{}
 		}
@@ -113,21 +120,38 @@ func TestQueryResponseDecodesAsEncodingJSON(t *testing.T) {
 	root.Child("scan").SetFloat("est_rows", 2.5)
 	root.End()
 	explain := &ExplainJSON{Mode: ExplainAnalyze, Text: trace.Render(root, trace.RenderOptions{Timing: true}), Tree: trace.ToJSON(root)}
+	meta := MetaJSON{Strategy: "ref-gcov", Cover: "{0}", EstimatedCost: 12.75, CachedPlan: true}
+	// full sets every field, with a cover the encoder escapes for HTML.
+	full := MetaJSON{Strategy: "ref-gcov", Cover: "{<0>&\u2028\u2029}", ReformulationCQs: 7, ParseMillis: 0.5, PrepMillis: 1e-7,
+		EvalMillis: 3, CachedPlan: true, EstimatedCost: 123456789.125, CachedFragments: 2, QueueWaitMillis: 0.25, AdmissionWeight: 3}
+	for i, f := range reflect.VisibleFields(reflect.TypeOf(full)) {
+		if reflect.ValueOf(full).Field(i).IsZero() && f.Name != "SerializeMillis" && f.Name != "TotalMillis" {
+			t.Fatalf("MetaJSON.%s is zero in the full case: the meta writer is not checked on it", f.Name)
+		}
+	}
+	tiny, huge := meta, meta
+	tiny.EstimatedCost, huge.EstimatedCost = 1e-7, 1e21
+	tiny.Cover = "{<0>&}" // HTML-escaped, with no byte from 0x80
 	cases := []struct {
 		name    string
 		rel     *exec.Relation
 		n       int
+		rows    [][]string
 		explain *ExplainJSON
+		meta    MetaJSON
 	}{
-		{"hostile", rel, rel.Len(), nil},
-		{"truncated", rel, 2, nil},
-		{"empty", exec.NewRelation([]string{"s", "o"}), 0, nil},
-		{"zero-width", zeroWidth, 1, nil},
-		{"no relation", nil, 0, nil},
-		{"explain analyze", rel, rel.Len(), explain},
+		{"hostile", rel, rel.Len(), hostileRows(), nil, meta},
+		{"truncated", rel, 2, hostileRows()[:2], nil, meta},
+		{"empty", exec.NewRelation([]string{"s", "o"}), 0, nil, nil, meta},
+		{"zero-width", zeroWidth, 1, [][]string{nil}, nil, meta},
+		{"no relation", nil, 0, nil, nil, meta},
+		{"explain analyze", rel, rel.Len(), hostileRows(), explain, meta},
+		{"every meta field", rel, 1, hostileRows()[:1], nil, full},
+		{"estimate 1e-7", rel, 1, hostileRows()[:1], nil, tiny},
+		{"estimate 1e21", rel, 1, hostileRows()[:1], nil, huge},
 	}
 	for _, c := range cases {
-		resp := QueryResponse{RequestID: "req-1", Explain: c.explain, Meta: MetaJSON{Strategy: "ref-gcov", Cover: "{0}", EstimatedCost: 12.75, CachedPlan: true}}
+		resp := QueryResponse{RequestID: "req-1", Explain: c.explain, Meta: c.meta}
 		if c.rel != nil {
 			resp.Columns, resp.Total = c.rel.Vars, c.rel.Len()
 			resp.Truncated = c.n < c.rel.Len()
@@ -135,7 +159,7 @@ func TestQueryResponseDecodesAsEncodingJSON(t *testing.T) {
 		rec := httptest.NewRecorder()
 		writeQueryResponse(rec, &resp, d, c.rel, c.n, time.Now(), time.Now())
 		got := rec.Body.Bytes()
-		want := encodingJSON(resp, d, c.rel, c.n) // resp as stamped by the writer
+		want := encodingJSON(resp, c.rows) // resp as stamped by the writer
 		if !reflect.DeepEqual(decodeAny(t, got), decodeAny(t, want)) {
 			t.Errorf("%s: decodes differently from encoding/json:\n%s\nwant\n%s", c.name, got, want)
 		}
@@ -151,6 +175,20 @@ func TestQueryResponseDecodesAsEncodingJSON(t *testing.T) {
 		}
 		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 			t.Errorf("%s: Content-Type %q", c.name, ct)
+		}
+	}
+}
+
+// An estimate no JSON number holds writes nothing, as the encoder does.
+func TestQueryResponseNaNEstimateWritesNothing(t *testing.T) {
+	d := dict.New()
+	rel := hostileRelation(d)
+	for _, cost := range []float64{math.NaN(), math.Inf(1)} {
+		resp := QueryResponse{Columns: rel.Vars, Total: rel.Len(), Meta: MetaJSON{Strategy: "ref-gcov", EstimatedCost: cost}}
+		rec := httptest.NewRecorder()
+		writeQueryResponse(rec, &resp, d, rel, rel.Len(), time.Now(), time.Now())
+		if want := encodingJSON(resp, hostileRows()); rec.Body.Len() != 0 || len(want) != 0 {
+			t.Errorf("estimate %v: wrote %q, the encoder %q", cost, rec.Body, want)
 		}
 	}
 }
