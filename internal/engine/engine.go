@@ -15,6 +15,7 @@ import (
 	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/dict"
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -148,7 +149,8 @@ type Engine struct {
 	// copy.
 	Tracer *trace.Tracer
 	// Logger, when non-nil, receives structured warnings, e.g. cost-model
-	// misestimates detected on traced queries.
+	// misestimates detected on traced queries. A warning names the request
+	// by the requestId attribute of the trace's root span, when it has one.
 	Logger *slog.Logger
 	// Admission, when non-nil, gates every evaluation: after
 	// reformulation/planning prices the query, the evaluation phase
@@ -305,7 +307,7 @@ func (e *Engine) answer(ctx context.Context, q query.CQ, s Strategy, cover query
 	defer sp.End()
 	if sp != nil {
 		sp.SetStr("strategy", string(s))
-		sp.SetStr("query", query.FormatCQ(e.d.g.Dict(), q))
+		sp.SetText("query", cqText{e.d.g.Dict(), q})
 	}
 	var ans *Answer
 	p, err := e.prepare(q, s, cover, sp)
@@ -319,11 +321,19 @@ func (e *Engine) answer(ctx context.Context, q query.CQ, s Strategy, cover query
 			sp.SetInt("rows", int64(ans.Rows.Len()))
 		}
 		sp.End()
-		e.reportMisestimates(sp, s)
+		e.reportMisestimates(ctx, sp, s, p.key == "" || !p.cachedPlan)
 	}
 	e.observe(s, start, ans, err, p.key != "")
 	return ans, err
 }
+
+// cqText is a query's text for a trace, made only when the trace is read.
+type cqText struct {
+	d *dict.Dict
+	q query.CQ
+}
+
+func (t cqText) String() string { return query.FormatCQ(t.d, t.q) }
 
 // misestimateFactor is the est-vs-actual deviation beyond which a traced
 // operator counts as a cost-model misestimate.
@@ -331,10 +341,14 @@ const misestimateFactor = 10.0
 
 // reportMisestimates walks a finished query trace and flags every operator
 // whose actual cardinality deviates from the model's estimate by more than
-// misestimateFactor: one counter increment per offending node plus a
-// single structured warning naming the worst one — the direct feedback
-// loop for the paper's cost function.
-func (e *Engine) reportMisestimates(sp *trace.Span, s Strategy) {
+// misestimateFactor: one counter increment per offending node plus, when
+// planned says the request made its plan, a single structured warning
+// naming the worst one — the direct feedback loop for the paper's cost
+// function. A plan out of the cache carries the estimates of the constants
+// it was made for, so it misses the same way on every hit: the warning is
+// given once per plan, the counter and the q-error histograms count every
+// request.
+func (e *Engine) reportMisestimates(ctx context.Context, sp *trace.Span, s Strategy, planned bool) {
 	if sp == nil || (e.Metrics == nil && e.Logger == nil) {
 		return
 	}
@@ -386,14 +400,18 @@ func (e *Engine) reportMisestimates(sp *trace.Span, s Strategy) {
 	if e.Metrics != nil {
 		e.Metrics.Counter("cost.misestimate").Add(int64(count))
 	}
-	if e.Logger != nil {
-		e.Logger.Warn("cost misestimate",
-			"strategy", string(s),
-			"nodes", count,
-			"worst_op", worst.name,
-			"est_rows", worst.est,
-			"actual_rows", worst.act,
-			"ratio", worstRatio)
+	if planned && e.Logger != nil {
+		attrs := make([]slog.Attr, 0, 7)
+		if id, ok := e.Tracer.Root().Attr("requestId"); ok {
+			attrs = append(attrs, slog.String("requestId", id.String()))
+		}
+		e.Logger.LogAttrs(ctx, slog.LevelWarn, "cost misestimate", append(attrs,
+			slog.String("strategy", string(s)),
+			slog.Int("nodes", count),
+			slog.String("worst_op", worst.name),
+			slog.Float64("est_rows", worst.est),
+			slog.Float64("actual_rows", worst.act),
+			slog.Float64("ratio", worstRatio))...)
 	}
 }
 

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"slices"
@@ -266,12 +268,12 @@ func TestMisestimateCounterAndWarning(t *testing.T) {
 	bad.SetFloat("est_rows", 5000)
 	bad.SetInt("rows", 3)
 	sp.End()
-	e.reportMisestimates(sp, RefGCov)
+	e.reportMisestimates(context.Background(), sp, RefGCov, true)
 	if got := e.Metrics.Counter("cost.misestimate").Value(); got != 1 {
 		t.Fatalf("cost.misestimate = %d, want 1", got)
 	}
 	// Under the 10x threshold nothing fires.
-	e.reportMisestimates(tr.StartSpan("noop"), RefGCov)
+	e.reportMisestimates(context.Background(), tr.StartSpan("noop"), RefGCov, true)
 	if got := e.Metrics.Counter("cost.misestimate").Value(); got != 1 {
 		t.Fatalf("cost.misestimate moved to %d on a clean trace", got)
 	}
@@ -381,6 +383,53 @@ func TestAnalyzeShowsFilteredProbes(t *testing.T) {
 				t.Errorf("%s: plain EXPLAIN shows a filter on %s", s, n.Name)
 			}
 		})
+	}
+	e.Tracer = nil
+}
+
+// A plan out of the cache misses the way it missed when it was made: the
+// warning comes with the request that plans the shape, not with the cache
+// hits after it, while cost.misestimate and the q-error histograms count
+// every request.
+func TestMisestimateWarnsOncePerPlan(t *testing.T) {
+	g, err := lubm.NewGraph(lubm.Default(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(g)
+	e.Metrics = metrics.NewRegistry()
+	var log bytes.Buffer
+	e.Logger = slog.New(slog.NewJSONHandler(&log, nil))
+	ub := map[string]string{"ub": "http://swat.cse.lehigh.edu/onto/univ-bench.owl#"}
+	var perRequest int64
+	for i, dept := range []string{"Department0.University0", "Department0.University0", "Department1.University0"} {
+		q, err := query.ParseRuleWithPrefixes(g.Dict(), ub, "q(x, n) :- x rdf:type ub:Professor, x ub:worksFor <http://www."+dept+".edu>, x ub:name n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The HTTP layer's root span names the request.
+		e.Tracer = trace.New(0)
+		root := e.Tracer.StartSpan("query")
+		root.SetStr("requestId", fmt.Sprint("r", i))
+		ans, err := e.AnswerContext(context.Background(), q, RefGCov)
+		root.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ans.CachedPlan != (i > 0) {
+			t.Fatalf("request %d: cached plan %v", i, ans.CachedPlan)
+		}
+		misses := e.Metrics.Counter("cost.misestimate").Value()
+		if i == 0 {
+			perRequest = misses
+		}
+		warnings := strings.Count(log.String(), `"msg":"cost misestimate"`)
+		if perRequest == 0 || warnings != 1 || !strings.Contains(log.String(), `"msg":"cost misestimate","requestId":"r0","strategy":"ref-gcov","nodes":`) {
+			t.Fatalf("request %d: cost.misestimate %d, %d warnings; want a miss that warns once, for r0:\n%s", i, misses, warnings, log.String())
+		}
+		if i == 1 && misses != 2*perRequest {
+			t.Fatalf("a cache hit counted %d misestimates, the planning request %d", misses-perRequest, perRequest)
+		}
 	}
 	e.Tracer = nil
 }

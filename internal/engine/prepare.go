@@ -313,7 +313,7 @@ func (e *Engine) planned(p *prepared, sp *trace.Span, span string, cover query.C
 		psp.SetStr("shape", p.shape)
 		psp.SetStr("classes", p.classes)
 		psp.SetBool("cached", cached)
-		psp.SetStr("cover", p.cover.String())
+		psp.SetText("cover", &hit.cover) // the plan's own, never written
 		psp.SetInt("cqs", int64(p.cqs))
 		psp.SetFloat("est_cost", p.est.Cost)
 		if p.explored != nil {

@@ -249,7 +249,7 @@ func (e *Evaluator) evalCQ(q query.RangeCQ, seed *Relation, m *memo, g guard, sp
 	if sp != nil {
 		csp = sp.Child("cq")
 		defer csp.End()
-		csp.SetStr("q", q.Format(e.st.Dict()))
+		csp.SetText("q", rangeCQText{e.st.Dict(), q})
 	}
 	var deadBuf [8]uint8
 	body, err := e.evalBody(q.Atoms, deadPositions(deadBuf[:0], q), seed, m, g, csp)
@@ -302,6 +302,26 @@ func seeds(q query.RangeCQ, vars, names []string) bool {
 // tracing reports whether the evaluator must record est-vs-actual operator
 // spans under sp.
 func (e *Evaluator) tracing(sp *trace.Span) bool { return sp != nil && e.Cost != nil }
+
+// The texts spans record, made only when a trace is read. What they refer
+// to is the plan's or the union's and is not written while the request
+// lasts.
+type (
+	rangeCQText struct {
+		d *dict.Dict
+		q query.RangeCQ
+	}
+	atomText struct {
+		d *dict.Dict
+		a *query.RangeAtom
+	}
+	// fragmentAtoms is a fragment's atoms as a one-fragment cover.
+	fragmentAtoms []int
+)
+
+func (t rangeCQText) String() string   { return t.q.Format(t.d) }
+func (t atomText) String() string      { return t.a.Format(t.d) }
+func (f fragmentAtoms) String() string { return query.Cover{f}.String() }
 
 // estCard returns the estimated cardinality for atom i (-1: no estimate).
 func estCard(ests []cost.Estimate, i int) float64 {
@@ -367,7 +387,7 @@ func (e *Evaluator) evalBody(atoms []query.RangeAtom, dead []uint8, seed *Relati
 		first := remaining[start]
 		remaining = append(remaining[:start], remaining[start+1:]...)
 		var err error
-		if cur, err = e.scanAtom(atoms[first], dead[first], m, g, sp, estCard(ests, first)); err != nil {
+		if cur, err = e.scanAtom(&atoms[first], dead[first], m, g, sp, estCard(ests, first)); err != nil {
 			return nil, err
 		}
 		m.begin(atoms[first], dead[first])
@@ -399,12 +419,12 @@ func (e *Evaluator) evalBody(atoms []query.RangeAtom, dead []uint8, seed *Relati
 		var err error
 		switch {
 		case isConnected && !e.ForceHashJoins && cost.PreferINLJ(float64(cur.Len()), card[ai]):
-			cur, err = e.indexJoin(cur, atom, dead[ai], g, sp, estOut)
+			cur, err = e.indexJoin(cur, &atoms[ai], dead[ai], g, sp, estOut)
 		case isConnected && e.streams(cur, atom, dead[ai], card[ai]):
-			cur, err = e.streamJoin(cur, atom, dead[ai], m, g, sp, estOut)
+			cur, err = e.streamJoin(cur, &atoms[ai], dead[ai], m, g, sp, estOut)
 		default:
 			var right *Relation
-			right, err = e.scanAtom(atom, dead[ai], m, g, sp, estCard(ests, ai))
+			right, err = e.scanAtom(&atoms[ai], dead[ai], m, g, sp, estCard(ests, ai))
 			if err != nil {
 				return nil, err
 			}
@@ -427,9 +447,9 @@ func (e *Evaluator) evalBody(atoms []query.RangeAtom, dead []uint8, seed *Relati
 // that stops at its first triple. An atom whose positions bind distinct
 // columns appends each block's columns at once; one with a repeated variable
 // keeps, triple by triple, those that agree on it.
-func (e *Evaluator) scanAtom(a query.RangeAtom, dead uint8, m *memo, g guard, sp *trace.Span, est float64) (*Relation, error) {
-	vars, col := atomVars(nil, a, dead)
-	if rel := m.scan(a, dead, vars, col); rel != nil {
+func (e *Evaluator) scanAtom(a *query.RangeAtom, dead uint8, m *memo, g guard, sp *trace.Span, est float64) (*Relation, error) {
+	vars, col := atomVars(nil, *a, dead)
+	if rel := m.scan(*a, dead, vars, col); rel != nil {
 		return rel, nil
 	}
 	repeat := repeats(col)
@@ -438,7 +458,7 @@ func (e *Evaluator) scanAtom(a query.RangeAtom, dead uint8, m *memo, g guard, sp
 	if sp != nil {
 		ssp = sp.Child(cost.OpScan)
 		defer ssp.End()
-		ssp.SetStr("atom", a.Format(e.st.Dict()))
+		ssp.SetText("atom", atomText{e.st.Dict(), a})
 		if est >= 0 {
 			ssp.SetFloat("est_rows", est)
 		}
@@ -505,12 +525,12 @@ func (e *Evaluator) scanAtom(a query.RangeAtom, dead uint8, m *memo, g guard, sp
 // once per join, whose loop over the block does the per-triple work; the
 // guard is polled every checkEvery probe rows and triples. The triples the
 // probes read are scanned rows.
-func (e *Evaluator) indexJoin(cur *Relation, a query.RangeAtom, dead uint8, g guard, sp *trace.Span, est float64) (*Relation, error) {
+func (e *Evaluator) indexJoin(cur *Relation, a *query.RangeAtom, dead uint8, g guard, sp *trace.Span, est float64) (*Relation, error) {
 	var jsp *trace.Span
 	if sp != nil {
 		jsp = sp.Child(cost.OpINLJ)
 		defer jsp.End()
-		jsp.SetStr("atom", a.Format(e.st.Dict()))
+		jsp.SetText("atom", atomText{e.st.Dict(), a})
 		jsp.SetInt("left_rows", int64(cur.Len()))
 		if est >= 0 {
 			jsp.SetFloat("est_rows", est)
@@ -695,20 +715,20 @@ func (e *Evaluator) hashJoin(l, r *Relation, g guard, sp *trace.Span, est float6
 // streamed triples are the scan's rows: charged to Budget.MaxRows and
 // counted as scanned. The guard is polled once per block and, inside the
 // probe, every checkEvery rows.
-func (e *Evaluator) streamJoin(cur *Relation, a query.RangeAtom, dead uint8, m *memo, g guard, sp *trace.Span, est float64) (*Relation, error) {
-	vars, col := atomVars(nil, a, dead)
+func (e *Evaluator) streamJoin(cur *Relation, a *query.RangeAtom, dead uint8, m *memo, g guard, sp *trace.Span, est float64) (*Relation, error) {
+	vars, col := atomVars(nil, *a, dead)
 	shared := sharedVars(cur.Vars, vars)
 	jsp := joinSpan(sp, cost.OpHashJoin, shared, cur.Len(), est)
 	if jsp != nil {
 		defer jsp.End()
-		jsp.SetStr("atom", a.Format(e.st.Dict()))
+		jsp.SetText("atom", atomText{e.st.Dict(), a})
 	}
 	t, err := e.newJoinTable(cur, vars, shared, g)
 	if err != nil {
 		return nil, err
 	}
 	streamed := 0
-	if held := m.scan(a, dead, vars, col); held != nil {
+	if held := m.scan(*a, dead, vars, col); held != nil {
 		if err := t.probeRelation(held); err != nil {
 			return nil, err
 		}
@@ -1068,12 +1088,16 @@ func (e *Evaluator) EvalUCQStreamContext(ctx context.Context, headNames []string
 		defer usp.End()
 	}
 	u := e.newUnion(headNames, nil, g)
-	var atoms []query.RangeAtom // reused: a member's atoms are not retained
+	// Reused untraced; traced, a member's spans keep its atoms.
+	var atoms []query.RangeAtom
 	var evalErr error
 	enumerate(func(cq query.CQ) bool {
 		if err := g.err(); err != nil {
 			evalErr = fmt.Errorf("%w (after %d CQs)", err, u.done)
 			return false
+		}
+		if usp != nil {
+			atoms = nil
 		}
 		atoms = query.LiftAtoms(atoms[:0], cq.Atoms)
 		evalErr = u.add(query.RangeCQ{Head: cq.Head, Atoms: atoms}, usp)
@@ -1288,7 +1312,7 @@ func (e *Evaluator) evalFragment(f query.Fragment, i int, plan *FragmentPlan, se
 		fsp = sp.Child("fragment")
 		defer fsp.End()
 		fsp.SetInt("idx", int64(i))
-		fsp.SetStr("atoms", query.Cover{f.AtomIndexes}.String())
+		fsp.SetText("atoms", fragmentAtoms(f.AtomIndexes))
 		if plan != nil {
 			fsp.SetFloat("est_rows", plan.Est.Card)
 		}

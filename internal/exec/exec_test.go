@@ -824,7 +824,7 @@ func TestPlanningStaysOnStack(t *testing.T) {
 	g := e.newGuard(context.Background())
 	dead := []uint8{0}
 	scan := testing.AllocsPerRun(100, func() {
-		if _, err := e.scanAtom(atoms[0], dead[0], nil, g, nil, -1); err != nil {
+		if _, err := e.scanAtom(&atoms[0], dead[0], nil, g, nil, -1); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -889,7 +889,7 @@ func TestOneBucketJoinAndDedup(t *testing.T) {
 			for _, src := range []Source{st, newSplitStore(st, 2), newSplitStore(st, 4)} {
 				e := New(src, nil)
 				for _, a := range scanned {
-					scan, err := e.scanAtom(a, 0, nil, guard{}, nil, -1)
+					scan, err := e.scanAtom(&a, 0, nil, guard{}, nil, -1)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -904,7 +904,7 @@ func TestOneBucketJoinAndDedup(t *testing.T) {
 					// scan as it streams, the second probes what was kept.
 					m := &memo{}
 					for k, mm := range []*memo{nil, m, m} {
-						got, err := e.streamJoin(build, a, 0, mm, guard{}, nil, -1)
+						got, err := e.streamJoin(build, &a, 0, mm, guard{}, nil, -1)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -103,7 +103,7 @@ func FuzzTermCell(f *testing.F) {
 
 		resp := QueryResponse{Columns: rel.Vars, Total: 1, Meta: MetaJSON{Strategy: "sat"}}
 		rec := httptest.NewRecorder()
-		writeQueryResponse(rec, &resp, d, rel, 1, time.Now(), time.Now())
+		(&Server{}).writeQueryResponse(rec, &resp, d, rel, 1, time.Now(), time.Now())
 		var got QueryResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || len(got.Rows) != 1 {
 			t.Fatalf("%v: %s", err, rec.Body)

@@ -52,6 +52,7 @@
 package httpapi
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -212,7 +213,7 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
 	sh := s.eng.Store()
-	writeJSON(w, http.StatusOK, map[string]any{
+	s.writeOK(w, map[string]any{
 		"shards":   sh.NumShards(),
 		"skew":     sh.Skew(),
 		"topology": sh.Topology(),
@@ -460,7 +461,7 @@ func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {
 	for i, st := range engine.Strategies {
 		strategies[i] = string(st)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	s.writeOK(w, map[string]any{
 		"service":     "repro RDF endpoint (reformulation-based query answering)",
 		"dataTriples": s.eng.Graph().DataCount(),
 		"schema":      s.eng.Graph().Schema().String(),
@@ -475,7 +476,7 @@ func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	s.writeOK(w, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -502,7 +503,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"count":    pc.Count,
 		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	s.writeOK(w, map[string]any{
 		"triples":            st.N(),
 		"distinctSubjects":   st.DistinctSubjects(),
 		"distinctProperties": st.DistinctProperties(),
@@ -521,7 +522,7 @@ func (s *Server) shardStats() map[string]any {
 	return map[string]any{"count": sh.NumShards(), "skew": sh.Skew()}
 }
 
-func (s *Server) parseRequest(r *http.Request) (QueryRequest, error) {
+func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (QueryRequest, error) {
 	var req QueryRequest
 	switch r.Method {
 	case http.MethodGet:
@@ -543,10 +544,8 @@ func (s *Server) parseRequest(r *http.Request) (QueryRequest, error) {
 		}
 		req.Explain = mode
 	case http.MethodPost:
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			return req, fmt.Errorf("bad JSON body: %v", err)
+		if err := decodeJSONBody(w, r, maxQueryBody, &req); err != nil {
+			return req, err
 		}
 	default:
 		return req, fmt.Errorf("method %s not allowed", r.Method)
@@ -597,9 +596,9 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 	// not interleave with that.
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
-	req, err := s.parseRequest(r)
+	req, err := s.parseRequest(w, r)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, CodeInvalidRequest, err.Error())
+		s.writeBodyError(w, err)
 		return
 	}
 	strategy := engine.Strategy(req.Strategy)
@@ -611,7 +610,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 	// Logger are per-request state, so shallow-copy the engine.
 	eng := *s.eng
 	eng.Budget = exec.Budget{Timeout: s.Timeout}
-	eng.Logger = s.requestLogger(id)
+	eng.Logger = s.Logger
 	// Every request is traced (bounded) so the slow-query log can keep
 	// full span trees for offending queries; EXPLAIN ANALYZE returns the
 	// same tree to the client.
@@ -666,7 +665,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	root.End()
 	if err != nil {
-		s.finishQuery(queryRecord{req: req, strategy: strategy, start: start,
+		s.finishQuery(ctx, queryRecord{req: req, strategy: strategy, start: start,
 			parseMillis: parseMillis, id: id, root: root, path: path, sig: sig, err: err})
 		s.writeAnswerError(w, err)
 		return
@@ -691,7 +690,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Queue-Wait",
 			strconv.FormatFloat(float64(ans.QueueWait)/float64(time.Millisecond), 'f', 3, 64)+"ms")
 	}
-	s.finishQuery(queryRecord{req: req, strategy: strategy, start: start,
+	s.finishQuery(ctx, queryRecord{req: req, strategy: strategy, start: start,
 		parseMillis: parseMillis, id: id, root: root, path: path, sig: sig,
 		ans: ans, rows: ans.Rows.Len()})
 	if wantsSPARQLJSON(r) {
@@ -729,7 +728,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 			Tree: trace.ToJSON(root),
 		}
 	}
-	writeQueryResponse(w, &resp, d, ans.Rows, n, start, serStart)
+	s.writeQueryResponse(w, &resp, d, ans.Rows, n, start, serStart)
 }
 
 // serveExplainPlan answers an EXPLAIN (without ANALYZE) request: the
@@ -765,20 +764,11 @@ func (s *Server) serveExplainPlan(w http.ResponseWriter, eng *engine.Engine, req
 			EstimatedCost:    plan.EstimatedCost,
 		},
 	}
-	writeQueryResponse(w, &resp, nil, nil, 0, start, time.Time{})
-}
-
-// requestLogger scopes the server's logger to one request; nil without a
-// configured logger.
-func (s *Server) requestLogger(id string) *slog.Logger {
-	if s.Logger == nil {
-		return nil
-	}
-	return s.Logger.With("requestId", id)
+	s.writeQueryResponse(w, &resp, nil, nil, 0, start, time.Time{})
 }
 
 // logQuery emits the per-query structured log line.
-func (s *Server) logQuery(id string, req QueryRequest, strategy engine.Strategy, start time.Time, rows int, err error) {
+func (s *Server) logQuery(ctx context.Context, id string, req QueryRequest, strategy engine.Strategy, start time.Time, rows int, err error) {
 	if s.Logger == nil {
 		return
 	}
@@ -786,18 +776,19 @@ func (s *Server) logQuery(id string, req QueryRequest, strategy engine.Strategy,
 	if len(q) > 256 {
 		q = q[:256] + "…"
 	}
-	attrs := []any{
-		"requestId", id,
-		"strategy", string(strategy),
-		"millis", millisSince(start),
-		"rows", rows,
-		"query", q,
+	attrs := [6]slog.Attr{
+		slog.String("requestId", id),
+		slog.String("strategy", string(strategy)),
+		slog.Float64("millis", millisSince(start)),
+		slog.Int("rows", rows),
+		slog.String("query", q),
 	}
+	level, msg, n := slog.LevelInfo, "query answered", 5
 	if err != nil {
-		s.Logger.Error("query failed", append(attrs, "error", err.Error())...)
-		return
+		attrs[5] = slog.String("error", err.Error())
+		level, msg, n = slog.LevelError, "query failed", 6
 	}
-	s.Logger.Info("query answered", attrs...)
+	s.Logger.LogAttrs(ctx, level, msg, attrs[:n]...)
 }
 
 func millisSince(t time.Time) float64 {
@@ -834,7 +825,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		if resp.SlowQueries == nil {
 			resp.SlowQueries = []metrics.SlowQuery{}
 		}
-		writeJSON(w, http.StatusOK, resp)
+		s.writeOK(w, resp)
 	default:
 		s.writeError(w, http.StatusBadRequest, CodeInvalidRequest,
 			fmt.Sprintf("bad format %q (want prometheus or json)", r.URL.Query().Get("format")))
@@ -859,16 +850,16 @@ func (s *Server) handleSlowlog(w http.ResponseWriter, _ *http.Request) {
 	if resp.Entries == nil {
 		resp.Entries = []metrics.SlowQuery{}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeOK(w, resp)
 }
 
 func (s *Server) serveExplain(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Counter("http.requests." + r.URL.Path).Inc()
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
-	req, err := s.parseRequest(r)
+	req, err := s.parseRequest(w, r)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, CodeInvalidRequest, err.Error())
+		s.writeBodyError(w, err)
 		return
 	}
 	q, err := s.parseCQ(req.Query)
@@ -901,7 +892,7 @@ func (s *Server) serveExplain(w http.ResponseWriter, r *http.Request) {
 			Adopted: e.Adopted, Pruned: e.Pruned, Reason: e.Reason,
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeOK(w, resp)
 }
 
 func coverString(c query.Cover) string {
@@ -911,10 +902,24 @@ func coverString(c query.Cover) string {
 	return c.String()
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON writes v, indented, with the given status. A value the encoder
+// refuses (a NaN or infinite number) writes nothing and returns the
+// encoder's error.
+func writeJSON(w http.ResponseWriter, status int, v any) error {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(append(b, '\n'))
+	return nil
+}
+
+// writeOK writes v with status 200, or, when the encoder refuses it, the
+// error envelope with status 500.
+func (s *Server) writeOK(w http.ResponseWriter, v any) {
+	if err := writeJSON(w, http.StatusOK, v); err != nil {
+		s.writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
+	}
 }

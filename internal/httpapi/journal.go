@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -52,7 +53,7 @@ type queryRecord struct {
 // request-latency histogram, the SLO tracker, the workload aggregator,
 // the durable journal, the slow-query ring and the structured log line
 // all observe the same record.
-func (s *Server) finishQuery(rec queryRecord) {
+func (s *Server) finishQuery(ctx context.Context, rec queryRecord) {
 	total := time.Since(rec.start)
 	totalMillis := float64(total) / float64(time.Millisecond)
 	s.metrics.Histogram("http.latency_ms." + rec.path).Observe(totalMillis)
@@ -68,7 +69,7 @@ func (s *Server) finishQuery(rec queryRecord) {
 	s.journal.Record(e)
 
 	s.recordSlow(rec, total, e.Outcome)
-	s.logQuery(rec.id, rec.req, rec.strategy, rec.start, rec.rows, rec.err)
+	s.logQuery(ctx, rec.id, rec.req, rec.strategy, rec.start, rec.rows, rec.err)
 }
 
 // outcomeFor maps an answering error onto the journal's closed outcome
@@ -308,7 +309,7 @@ func (s *Server) handleCostModel(w http.ResponseWriter, _ *http.Request) {
 	if len(resp.Operators) > 0 {
 		resp.Worst = resp.Operators[0].Op
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeOK(w, resp)
 }
 
 func round3(v float64) float64 { return math.Round(v*1000) / 1000 }

@@ -98,23 +98,27 @@ func (w *body) rows(d *dict.Dict, rel *exec.Relation, n int, open, close byte, c
 	w.b = append(w.b, "\n  "...)
 }
 
-// field appends a top-level field holding v as writeJSON's encoder renders
-// it.
-func (w *body) field(name string, v any) error {
+// field appends a top-level field holding v as writeJSON renders it;
+// nothing for a nil v.
+func (w *body) field(name string, v *ExplainJSON) error {
+	if v == nil {
+		return nil
+	}
 	m, err := json.MarshalIndent(v, "  ", "  ")
 	w.b = append(append(append(append(w.b, ",\n  \""...), name...), "\": "...), m...)
 	return err
 }
 
 // meta appends the top-level field meta holding m byte for byte as
-// writeJSON's encoder renders it, field by field in MetaJSON's order with
-// its omitempty rules, and reports true. A float field holding NaN or an
-// infinity, which the encoder refuses, writes nothing and reports false.
-func (w *body) meta(m *MetaJSON) bool {
+// writeJSON renders it, field by field in MetaJSON's order with its
+// omitempty rules. A float field holding NaN or an infinity, which the
+// encoder refuses, appends nothing and returns the encoder's error.
+func (w *body) meta(m *MetaJSON) error {
 	floats := [...]float64{m.ParseMillis, m.PrepMillis, m.EvalMillis, m.SerializeMillis, m.TotalMillis, m.EstimatedCost, m.QueueWaitMillis}
 	for _, f := range floats {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return false
+			_, err := json.Marshal(f)
+			return err
 		}
 	}
 	w.b = appendEncoderString(append(w.b, ",\n  \"meta\": {\n    \"strategy\": "...), m.Strategy)
@@ -141,7 +145,7 @@ func (w *body) meta(m *MetaJSON) bool {
 		w.b = strconv.AppendInt(w.key("admissionWeight"), int64(m.AdmissionWeight), 10)
 	}
 	w.b = append(w.b, "\n  }"...)
-	return true
+	return nil
 }
 
 // key appends the key of a field of meta after its first, and returns the
@@ -162,9 +166,10 @@ func (w *body) send(rw http.ResponseWriter, contentType string) {
 // resp.Rows but the first n rows of rel (nil: none), compact, decoded
 // through d. The request started at start, and serializing it at serStart
 // (zero: nothing was serialized): meta's totalMillis and serializeMillis
-// are stamped once the rows are in. An estimate no JSON number holds writes
-// nothing, as writeJSON does.
-func writeQueryResponse(rw http.ResponseWriter, resp *QueryResponse, d *dict.Dict, rel *exec.Relation, n int, start, serStart time.Time) {
+// are stamped once the rows are in. An explain or a meta the encoder
+// refuses (a NaN or infinite number) answers 500 with the error envelope
+// instead, as writeOK does.
+func (s *Server) writeQueryResponse(rw http.ResponseWriter, resp *QueryResponse, d *dict.Dict, rel *exec.Relation, n int, start, serStart time.Time) {
 	w := &body{b: make([]byte, 0, 1024+64*n*len(resp.Columns))}
 	w.b = append(w.b, "{\n  \"columns\": "...)
 	w.strs(resp.Columns)
@@ -178,14 +183,16 @@ func writeQueryResponse(rw http.ResponseWriter, resp *QueryResponse, d *dict.Dic
 		w.b = append(w.b, ",\n  \"requestId\": "...)
 		w.str(resp.RequestID)
 	}
-	if resp.Explain != nil && w.field("explain", resp.Explain) != nil {
-		return
+	err := w.field("explain", resp.Explain)
+	if err == nil {
+		if !serStart.IsZero() {
+			resp.Meta.SerializeMillis = millisSince(serStart)
+		}
+		resp.Meta.TotalMillis = millisSince(start)
+		err = w.meta(&resp.Meta)
 	}
-	if !serStart.IsZero() {
-		resp.Meta.SerializeMillis = millisSince(serStart)
-	}
-	resp.Meta.TotalMillis = millisSince(start)
-	if !w.meta(&resp.Meta) {
+	if err != nil {
+		s.writeError(rw, http.StatusInternalServerError, CodeInternal, err.Error())
 		return
 	}
 	w.b = append(w.b, "\n}\n"...)

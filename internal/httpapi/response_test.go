@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 	"unicode/utf8"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/graph"
+	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/rdf"
 	"repro/internal/trace"
@@ -157,7 +159,7 @@ func TestQueryResponseDecodesAsEncodingJSON(t *testing.T) {
 			resp.Truncated = c.n < c.rel.Len()
 		}
 		rec := httptest.NewRecorder()
-		writeQueryResponse(rec, &resp, d, c.rel, c.n, time.Now(), time.Now())
+		(&Server{}).writeQueryResponse(rec, &resp, d, c.rel, c.n, time.Now(), time.Now())
 		got := rec.Body.Bytes()
 		want := encodingJSON(resp, c.rows) // resp as stamped by the writer
 		if !reflect.DeepEqual(decodeAny(t, got), decodeAny(t, want)) {
@@ -180,15 +182,28 @@ func TestQueryResponseDecodesAsEncodingJSON(t *testing.T) {
 }
 
 // An estimate no JSON number holds writes nothing, as the encoder does.
-func TestQueryResponseNaNEstimateWritesNothing(t *testing.T) {
+func TestQueryResponseNaNEstimateAnswersEnvelope(t *testing.T) {
 	d := dict.New()
 	rel := hostileRelation(d)
-	for _, cost := range []float64{math.NaN(), math.Inf(1)} {
+	srv := &Server{metrics: metrics.NewRegistry()}
+	for i, cost := range []float64{math.NaN(), math.Inf(1)} {
 		resp := QueryResponse{Columns: rel.Vars, Total: rel.Len(), Meta: MetaJSON{Strategy: "ref-gcov", EstimatedCost: cost}}
 		rec := httptest.NewRecorder()
-		writeQueryResponse(rec, &resp, d, rel, rel.Len(), time.Now(), time.Now())
-		if want := encodingJSON(resp, hostileRows()); rec.Body.Len() != 0 || len(want) != 0 {
-			t.Errorf("estimate %v: wrote %q, the encoder %q", cost, rec.Body, want)
+		srv.writeQueryResponse(rec, &resp, d, rel, rel.Len(), time.Now(), time.Now())
+		enc := httptest.NewRecorder()
+		srv.writeOK(enc, resp)
+		var env v1Error
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			t.Fatalf("estimate %v: %v in %q", cost, err, rec.Body)
+		}
+		if rec.Code != http.StatusInternalServerError || env.Error.Code != CodeInternal || !strings.Contains(env.Error.Message, "unsupported value") {
+			t.Errorf("estimate %v: status %d, body %q", cost, rec.Code, rec.Body)
+		}
+		if enc.Code != rec.Code || enc.Body.String() != rec.Body.String() || rec.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("estimate %v: wrote %d %q, writeOK %d %q", cost, rec.Code, rec.Body, enc.Code, enc.Body)
+		}
+		if got := srv.metrics.Counter("http.errors").Value(); got != int64(2*(i+1)) {
+			t.Errorf("estimate %v: http.errors %d", cost, got)
 		}
 	}
 }

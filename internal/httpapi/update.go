@@ -85,8 +85,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req UpdateRequest
-	if err := decodeJSONBody(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, CodeInvalidRequest, err.Error())
+	if err := decodeJSONBody(w, r, maxUpdateBody, &req); err != nil {
+		s.writeBodyError(w, err)
 		return
 	}
 	type op struct {
@@ -172,7 +172,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			s.runCheckpoint("auto")
 		}()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeOK(w, resp)
 }
 
 // handleCheckpoint serves POST /v1/admin/checkpoint.
@@ -196,7 +196,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, CodeStorageError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "checkpointed"})
+	s.writeOK(w, map[string]string{"status": "checkpointed"})
 }
 
 // runCheckpoint snapshots the current graph under the read lock: updates
@@ -219,13 +219,21 @@ func (s *Server) runCheckpoint(reason string) error {
 // atomic regardless — this only avoids wasted work and late log lines).
 func (s *Server) WaitCheckpoints() { s.checkpointWG.Wait() }
 
-// decodeJSONBody decodes a JSON request body strictly (unknown fields
-// are errors, matching /v1/query's POST parsing).
-func decodeJSONBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// The longest request bodies read, in bytes: a query, and an update
+// batch (refload's default batch of 1 000 triples is about 0.1 MB).
+var (
+	maxQueryBody  int64 = 1 << 20
+	maxUpdateBody int64 = 32 << 20
+)
+
+// decodeJSONBody decodes a JSON request body of at most limit bytes
+// strictly (unknown fields are errors). A longer body is an error wrapping
+// *http.MaxBytesError, and is not read past its limit.
+func decodeJSONBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad JSON body: %v", err)
+		return fmt.Errorf("bad JSON body: %w", err)
 	}
 	return nil
 }
@@ -264,7 +272,7 @@ func (b *Boot) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.URL.Path {
 	case "/healthz", "/v1/healthz":
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		b.stub.writeOK(w, map[string]string{"status": "ok"})
 	default:
 		b.stub.writeError(w, http.StatusServiceUnavailable, CodeLoading,
 			"loading: recovery in progress")

@@ -57,6 +57,9 @@ const (
 	// cycle; the envelope's successor field names the /v1 replacement.
 	// HTTP 410.
 	CodeGone ErrorCode = "gone"
+	// CodeInternal: the answer could not be encoded (a NaN or infinite
+	// number no JSON holds). HTTP 500.
+	CodeInternal ErrorCode = "internal_error"
 )
 
 // v1Error is the /v1 error envelope: {"error": {"code": ..., "message": ...}}.
@@ -102,6 +105,17 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code ErrorCode, m
 		w.Header().Set("Retry-After", retryAfterSeconds)
 	}
 	writeJSON(w, status, v1Error{Error: v1ErrorBody{Code: code, Message: msg}})
+}
+
+// writeBodyError answers a request whose body could not be decoded: 413
+// when it was longer than its limit (maxQueryBody, maxUpdateBody), 400
+// otherwise.
+func (s *Server) writeBodyError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	s.writeError(w, status, CodeInvalidRequest, err.Error())
 }
 
 // writeAnswerError classifies err and emits it.
@@ -256,6 +270,6 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	case s.gate != nil && s.gate.Saturated():
 		s.writeError(w, http.StatusServiceUnavailable, CodeOverloaded, "admission queue saturated")
 	default:
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+		s.writeOK(w, map[string]string{"status": "ready"})
 	}
 }

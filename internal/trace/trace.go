@@ -10,6 +10,13 @@
 // *Spans whose methods are no-ops, so instrumented code never branches on
 // "tracing enabled" and the disabled path costs one pointer test.
 //
+// A request pays for its trace where something reads it. Spans come from
+// chunks the tracer owns and never moves, each span holds its first
+// attributes inline, and a Text attribute (SetText) is formatted only by
+// the readers that print it: Render, ToJSON, Attr.String and Attr.Value.
+// Visit hands its callback each span's own attributes, valid only during
+// the call.
+//
 // A Tracer and its spans are safe for concurrent use (parallel UCQ
 // branches record into the same tree); the span count is bounded, so a
 // 300k-CQ reformulation cannot make a trace unbounded — excess spans are
@@ -38,13 +45,21 @@ const (
 	kindInt
 	kindFloat
 	kindBool
+	kindText
 )
+
+// Text is a string attribute value formatted only when something reads it:
+// Render, ToJSON, Attr.String and Attr.Value call String, and nothing else
+// does. What a Text refers to must not change while the tracer may still be
+// read.
+type Text interface{ String() string }
 
 // Attr is one typed key/value attribute on a span.
 type Attr struct {
 	Key  string
 	kind attrKind
 	str  string
+	text Text
 	num  float64
 }
 
@@ -64,7 +79,7 @@ func (a Attr) Value() any {
 	case kindBool:
 		return a.num != 0
 	default:
-		return a.str
+		return a.String()
 	}
 }
 
@@ -81,6 +96,8 @@ func (a Attr) String() string {
 			return "true"
 		}
 		return "false"
+	case kindText:
+		return a.text.String()
 	default:
 		return a.str
 	}
@@ -93,28 +110,47 @@ func formatFloat(f float64) string {
 	return strconv.FormatFloat(f, 'g', 4, 64)
 }
 
+// inlineAttrs is how many attributes a span holds without an allocation of
+// its own.
+const inlineAttrs = 3
+
 // Span is one node of the trace tree. All methods are nil-tolerant and
 // safe for concurrent use.
 type Span struct {
-	t        *Tracer
-	id       uint64
-	name     string
-	start    time.Time
-	dur      time.Duration
-	ended    bool
-	attrs    []Attr
-	children []*Span
+	t     *Tracer
+	name  string
+	start time.Duration // since the tracer's epoch
+	dur   time.Duration
+	ended bool
+	// attrs is inline[:n] until a span outgrows inline, then a slice of
+	// its own.
+	attrs  []Attr
+	inline [inlineAttrs]Attr
+	// The children, in the order they were opened.
+	first, last, next *Span
 }
 
-// Tracer owns one bounded span tree.
+// Tracer owns one bounded span tree. Its spans come from chunks it
+// allocates and never moves: the first holds firstChunk spans, each next one
+// twice its predecessor's, up to maxChunk, and never more than the bound
+// has room for.
 type Tracer struct {
-	mu      sync.Mutex
-	root    *Span
-	nextID  uint64
-	count   int
-	max     int
-	dropped int64
+	mu       sync.Mutex
+	root     *Span
+	epoch    time.Time
+	free     []Span // what the current chunk has not handed out
+	chunk    int    // the current chunk's size
+	chunkCap int    // the largest chunk: maxChunk, smaller in tests
+	count    int
+	max      int
+	dropped  int64
 }
+
+// The chunk sizes, in spans.
+const (
+	firstChunk = 8
+	maxChunk   = 256
+)
 
 // New returns a tracer bounding its tree to maxSpans spans
 // (DefaultMaxSpans when maxSpans <= 0).
@@ -122,7 +158,7 @@ func New(maxSpans int) *Tracer {
 	if maxSpans <= 0 {
 		maxSpans = DefaultMaxSpans
 	}
-	return &Tracer{max: maxSpans}
+	return &Tracer{max: maxSpans, chunkCap: maxChunk, epoch: time.Now()}
 }
 
 // StartSpan opens a span: the tree's root if none exists yet, a child of
@@ -171,10 +207,18 @@ func (t *Tracer) SpanCount() int {
 	return t.count
 }
 
+// newSpanLocked hands out the next span of the current chunk, starting a
+// chunk when it is used up. The caller has checked the bound.
 func (t *Tracer) newSpanLocked(name string) *Span {
-	t.nextID++
+	if len(t.free) == 0 {
+		t.chunk = min(max(2*t.chunk, firstChunk), t.chunkCap, t.max-t.count)
+		t.free = make([]Span, t.chunk)
+	}
+	s := &t.free[0]
+	t.free = t.free[1:]
 	t.count++
-	return &Span{t: t, id: t.nextID, name: name, start: time.Now()}
+	s.t, s.name, s.start = t, name, time.Since(t.epoch)
+	return s
 }
 
 func (t *Tracer) childLocked(parent *Span, name string) *Span {
@@ -183,7 +227,12 @@ func (t *Tracer) childLocked(parent *Span, name string) *Span {
 		return nil
 	}
 	s := t.newSpanLocked(name)
-	parent.children = append(parent.children, s)
+	if parent.last == nil {
+		parent.first = s
+	} else {
+		parent.last.next = s
+	}
+	parent.last = s
 	return s
 }
 
@@ -206,7 +255,7 @@ func (s *Span) End() {
 	s.t.mu.Lock()
 	defer s.t.mu.Unlock()
 	if !s.ended {
-		s.dur = time.Since(s.start)
+		s.dur = time.Since(s.t.epoch) - s.start
 		s.ended = true
 	}
 }
@@ -241,11 +290,18 @@ func (s *Span) setAttr(a Attr) {
 			return
 		}
 	}
+	if s.attrs == nil {
+		s.attrs = s.inline[:0]
+	}
 	s.attrs = append(s.attrs, a)
 }
 
 // SetStr sets a string attribute.
 func (s *Span) SetStr(key, v string) { s.setAttr(Attr{Key: key, kind: kindStr, str: v}) }
+
+// SetText sets a string attribute whose value is v's String, made only
+// when something reads the attribute.
+func (s *Span) SetText(key string, v Text) { s.setAttr(Attr{Key: key, kind: kindText, text: v}) }
 
 // SetInt sets an integer attribute.
 func (s *Span) SetInt(key string, v int64) { s.setAttr(Attr{Key: key, kind: kindInt, num: float64(v)}) }
@@ -278,7 +334,8 @@ func (s *Span) Attr(key string) (Attr, bool) {
 }
 
 // Visit walks the subtree rooted at s in tree order, calling fn with each
-// span's name, recorded duration and a copy of its attributes. The walk
+// span's name, recorded duration and attributes. The attributes are the
+// span's own: valid only during the call, and not to be written. The walk
 // holds the tracer's lock: fn must not call back into the same tracer.
 func (s *Span) Visit(fn func(name string, depth int, dur time.Duration, attrs []Attr)) {
 	if s == nil {
@@ -290,8 +347,8 @@ func (s *Span) Visit(fn func(name string, depth int, dur time.Duration, attrs []
 }
 
 func (s *Span) visitLocked(depth int, fn func(string, int, time.Duration, []Attr)) {
-	fn(s.name, depth, s.dur, append([]Attr(nil), s.attrs...))
-	for _, c := range s.children {
+	fn(s.name, depth, s.dur, s.attrs[:len(s.attrs):len(s.attrs)])
+	for c := s.first; c != nil; c = c.next {
 		c.visitLocked(depth+1, fn)
 	}
 }
@@ -326,7 +383,7 @@ func renderLocked(sb *strings.Builder, s *Span, prefix, childPrefix string, opts
 		sb.WriteString(a.Key)
 		sb.WriteByte('=')
 		val := a.String()
-		if a.kind == kindStr && strings.ContainsAny(val, " \t") {
+		if (a.kind == kindStr || a.kind == kindText) && strings.ContainsAny(val, " \t") {
 			val = strconv.Quote(val)
 		}
 		sb.WriteString(val)
@@ -335,8 +392,8 @@ func renderLocked(sb *strings.Builder, s *Span, prefix, childPrefix string, opts
 		fmt.Fprintf(sb, " (%s)", formatDur(s.dur))
 	}
 	sb.WriteByte('\n')
-	for i, c := range s.children {
-		if i == len(s.children)-1 {
+	for c := s.first; c != nil; c = c.next {
+		if c.next == nil {
 			renderLocked(sb, c, childPrefix+"└─ ", childPrefix+"   ", opts)
 		} else {
 			renderLocked(sb, c, childPrefix+"├─ ", childPrefix+"│  ", opts)
@@ -386,7 +443,7 @@ func toJSONLocked(s *Span) *SpanJSON {
 			out.Attrs[a.Key] = a.Value()
 		}
 	}
-	for _, c := range s.children {
+	for c := s.first; c != nil; c = c.next {
 		out.Children = append(out.Children, toJSONLocked(c))
 	}
 	return out

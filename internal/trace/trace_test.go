@@ -2,6 +2,8 @@ package trace
 
 import (
 	"encoding/json"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -206,4 +208,137 @@ func TestConcurrentSpans(t *testing.T) {
 	}
 	_ = Render(root, RenderOptions{Timing: true})
 	_ = ToJSON(root)
+}
+
+// text is a Text that counts how often it is formatted.
+type text struct {
+	s string
+	n *int
+}
+
+func (t text) String() string { *t.n++; return t.s }
+
+// A SetText attribute reads as a SetStr of its formatted value through
+// every reader, and is formatted by the readers only.
+func TestTextReadsAsStr(t *testing.T) {
+	for _, v := range []string{"x", "x rdf:type ub:Student", "", "tab\there", `q"uote`} {
+		formatted := 0
+		lazy, eager := New(0), New(0)
+		for _, tr := range []*Tracer{lazy, eager} {
+			root := tr.StartSpan("answer")
+			root.SetInt("rows", 3)
+			c := root.Child("scan")
+			if tr == lazy {
+				c.SetText("atom", text{v, &formatted})
+			} else {
+				c.SetStr("atom", v)
+			}
+			c.SetFloat("est_rows", 2.5)
+		}
+		if formatted != 0 {
+			t.Fatalf("%q: formatted %d times before anything read it", v, formatted)
+		}
+		opts := RenderOptions{}
+		if got, want := Render(lazy.Root(), opts), Render(eager.Root(), opts); got != want {
+			t.Errorf("%q: Render %q, want %q", v, got, want)
+		}
+		got, _ := json.Marshal(ToJSON(lazy.Root()))
+		want, _ := json.Marshal(ToJSON(eager.Root()))
+		if string(got) != string(want) {
+			t.Errorf("%q: ToJSON %s, want %s", v, got, want)
+		}
+		var visited [2][]string
+		for i, tr := range []*Tracer{lazy, eager} {
+			tr.Root().Visit(func(name string, depth int, _ time.Duration, attrs []Attr) {
+				for _, a := range attrs {
+					visited[i] = append(visited[i], fmt.Sprint(name, depth, a.Key, a.IsNumber(), a.Number(), a.String(), a.Value()))
+				}
+			})
+		}
+		if !slices.Equal(visited[0], visited[1]) {
+			t.Errorf("%q: Visit %q, want %q", v, visited[0], visited[1])
+		}
+		if formatted == 0 {
+			t.Errorf("%q: the readers never formatted the text", v)
+		}
+	}
+}
+
+// Four goroutines open, annotate and end spans across many chunk
+// boundaries: the bound and the drop count stay exact, and every span
+// renders with its attributes. Run under -race.
+func TestSlabConcurrentChunks(t *testing.T) {
+	const workers, each, bound = 4, 300, 1000
+	tr := New(bound)
+	tr.chunkCap = 3
+	root := tr.StartSpan("root")
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				c := root.Child("cq")
+				c.SetInt("w", int64(w))
+				c.SetInt("i", int64(i))
+				c.SetText("q", text{fmt.Sprint("q", w, ".", i), new(int)})
+				c.SetStr("extra", "overflow")
+				if g := c.Child("scan"); g != nil {
+					g.SetInt("rows", int64(i))
+					g.End()
+				}
+				c.End()
+			}
+		}(w)
+	}
+	wg.Wait()
+	lines := strings.Split(strings.TrimSuffix(Render(root, RenderOptions{}), "\n"), "\n")
+	kept, dropped := tr.SpanCount(), int(tr.Dropped())
+	if len(lines) != kept || kept != bound {
+		t.Fatalf("rendered %d spans, kept %d under a bound of %d", len(lines), kept, bound)
+	}
+	seen := map[string]bool{}
+	for _, l := range lines[1:] {
+		f := strings.Fields(strings.TrimLeft(l, "├└│─ "))
+		switch f[0] {
+		case "cq":
+			if len(f) != 5 || !strings.HasPrefix(f[1], "w=") || !strings.HasPrefix(f[2], "i=") ||
+				f[3] != "q=q"+f[1][2:]+"."+f[2][2:] || f[4] != "extra=overflow" {
+				t.Fatalf("cq span renders %q", l)
+			}
+			if seen[f[3]] {
+				t.Fatalf("%s rendered twice", f[3])
+			}
+			seen[f[3]] = true
+		case "scan":
+			if len(f) != 2 || !strings.HasPrefix(f[1], "rows=") {
+				t.Fatalf("scan span renders %q", l)
+			}
+		default:
+			t.Fatalf("unexpected line %q", l)
+		}
+	}
+	// Every cq was asked for, and a scan under each cq kept.
+	if asked := 1 + workers*each + len(seen); kept+dropped != asked {
+		t.Fatalf("kept %d + dropped %d, %d asked for", kept, dropped, asked)
+	}
+}
+
+// Spans come from chunks: opening them costs at most one allocation per
+// eight spans.
+func TestSpansAmortized(t *testing.T) {
+	const spans = 1024
+	allocs := testing.AllocsPerRun(20, func() {
+		tr := New(spans)
+		root := tr.StartSpan("root")
+		for i := 1; i < spans; i++ {
+			c := root.Child("c")
+			c.SetInt("rows", int64(i))
+			c.End()
+		}
+	})
+	if allocs > spans/8 {
+		t.Fatalf("%v allocations for %d spans", allocs, spans)
+	}
+	t.Logf("%v allocations for %d spans", allocs, spans)
 }
