@@ -127,6 +127,9 @@ type Run struct {
 	Rows     int             `json:"rows"`
 	Prep     time.Duration   `json:"prepNanos"`
 	Eval     time.Duration   `json:"evalNanos"`
+	// EvalRuns are the evaluation times of a repeated run (E1), whose Eval
+	// is their median.
+	EvalRuns []time.Duration `json:"evalRunsNanos,omitempty"`
 	// Phases breaks the latency down by lifecycle phase (reformulate,
 	// plan, eval), in milliseconds, summed from the span trace — so
 	// reports show where time went, not just the end-to-end number.

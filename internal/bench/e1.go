@@ -3,7 +3,9 @@ package bench
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/lubm"
@@ -36,6 +38,9 @@ func E1(cfg Config) (*E1Result, error) {
 		return nil, err
 	}
 	e := engine.New(g)
+	// The engine's first use — store, statistics, G∞, reformulators — is
+	// paid here, not by whichever strategy runs first.
+	e.Warm()
 	res := &E1Result{University: univ}
 	res.Combos, res.PerAtom = e.Reformulator().CombinationCount(q)
 
@@ -53,13 +58,13 @@ func E1(cfg Config) (*E1Result, error) {
 		strategies = append([]entry{{name: "Ref-UCQ (fixed, [9])", s: engine.RefUCQ}}, strategies...)
 	}
 
-	res.Table.Header = []string{"strategy", "#CQs", "prep", "eval", "phases", "answers", "note"}
+	res.Table.Header = []string{"strategy", "#CQs", "prep", "eval (median)", "eval spread", "phases", "answers", "note"}
 	for _, st := range strategies {
 		qh := queryHolder{cq: q}
 		if st.s == engine.RefJUCQ {
 			qh.cover = lubm.ExampleOneCover()
 		}
-		run := runStrategy(e, qh, st.s, cfg.Timeout)
+		run := repeatStrategy(e, qh, st.s, cfg.Timeout)
 		run.Strategy = engine.Strategy(st.name)
 		res.Runs = append(res.Runs, run)
 		note := ""
@@ -76,12 +81,44 @@ func E1(cfg Config) (*E1Result, error) {
 			}
 		}
 		if run.Err != nil {
-			res.Table.Add(st.name, "-", "-", "-", "-", "-", "INFEASIBLE: "+truncate(run.Err.Error(), 60))
+			res.Table.Add(st.name, "-", "-", "-", "-", "-", "-", "INFEASIBLE: "+truncate(run.Err.Error(), 60))
 			continue
 		}
-		res.Table.Add(st.name, run.CQs, run.Prep, run.Eval, FormatPhases(run.Phases), run.Rows, note)
+		spread := formatDuration(slices.Min(run.EvalRuns)) + "–" + formatDuration(slices.Max(run.EvalRuns))
+		res.Table.Add(st.name, run.CQs, run.Prep, run.Eval, spread, FormatPhases(run.Phases), run.Rows, note)
 	}
 	return res, nil
+}
+
+// e1Evals is how many evaluations of a strategy E1 takes the median of: an
+// evaluation of Example 1 takes about a millisecond at LUBM(1), where one
+// sample's noise is as large as the gap between GCov and SCQ.
+const e1Evals = 7
+
+// e1Repeated bounds the evaluations E1 repeats: one that takes longer (the
+// UCQ's, seconds long) is far outside the noise, and is taken once.
+const e1Repeated = 100 * time.Millisecond
+
+// repeatStrategy answers q with s once, for the plan — the run's prep and
+// phases — and then e1Evals times more, the plan out of the cache: Eval is
+// the median evaluation time, EvalRuns every one of them.
+func repeatStrategy(e *engine.Engine, q queryHolder, s engine.Strategy, timeout time.Duration) Run {
+	run := runStrategy(e, q, s, timeout)
+	if run.Err != nil || run.Eval > e1Repeated {
+		run.EvalRuns = []time.Duration{run.Eval}
+		return run
+	}
+	for i := 0; i < e1Evals; i++ {
+		r := runStrategy(e, q, s, timeout)
+		if r.Err != nil {
+			return r
+		}
+		run.EvalRuns = append(run.EvalRuns, r.Eval)
+	}
+	sorted := slices.Clone(run.EvalRuns)
+	slices.Sort(sorted)
+	run.Eval = sorted[len(sorted)/2]
+	return run
 }
 
 func truncate(s string, n int) string {

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/engine"
 	"repro/internal/lubm"
+	"repro/internal/query"
 )
 
 // E3Result reproduces demo step 2: answering a workload through every
@@ -24,6 +26,11 @@ type E3Row struct {
 	Query    string
 	Run      Run
 	Complete bool // answers equal to Sat's
+	// PosedCQs and ReducedCQs size the query's UCQ reformulation under the
+	// strategy's rules, before and after the schema reduction drops the
+	// atoms the rest of the query implies (equal for datalog, which keeps
+	// the posed query).
+	PosedCQs, ReducedCQs int
 }
 
 // E3 runs the cross-system comparison over the LUBM queries and the three
@@ -31,7 +38,7 @@ type E3Row struct {
 func E3(cfg Config) (*E3Result, error) {
 	cfg = cfg.withDefaults()
 	res := &E3Result{}
-	res.Table.Header = []string{"scenario", "query", "strategy", "eval", "answers", "complete"}
+	res.Table.Header = []string{"scenario", "query", "strategy", "UCQ posed → reduced", "eval", "answers", "complete"}
 
 	strategies := []engine.Strategy{engine.Sat, engine.RefSCQ, engine.RefGCov, engine.RefIncomplete, engine.Dat}
 	if cfg.IncludeUCQ {
@@ -46,12 +53,15 @@ func E3(cfg Config) (*E3Result, error) {
 		for _, s := range strategies {
 			r := runStrategy(e, q, s, cfg.Timeout)
 			complete := r.Err == nil && r.Rows == sat.Rows
-			res.Rows = append(res.Rows, E3Row{Scenario: scenario, Query: name, Run: r, Complete: complete})
+			posed, reduced := ucqSizes(e, q.cq, s)
+			res.Rows = append(res.Rows, E3Row{Scenario: scenario, Query: name, Run: r, Complete: complete,
+				PosedCQs: posed, ReducedCQs: reduced})
+			size := fmt.Sprintf("%d → %d", posed, reduced)
 			if r.Err != nil {
-				res.Table.Add(scenario, name, string(s), "-", "-", "INFEASIBLE")
+				res.Table.Add(scenario, name, string(s), size, "-", "-", "INFEASIBLE")
 				continue
 			}
-			res.Table.Add(scenario, name, string(s), r.Eval, r.Rows, fmt.Sprint(complete))
+			res.Table.Add(scenario, name, string(s), size, r.Eval, r.Rows, fmt.Sprint(complete))
 		}
 		return nil
 	}
@@ -99,6 +109,23 @@ func E3(cfg Config) (*E3Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// ucqSizes returns the size of q's UCQ reformulation — per-atom
+// combinations — as posed and as the strategy reduces it: under
+// subClassOf/subPropertyOf only for ref-incomplete, not at all for datalog.
+func ucqSizes(e *engine.Engine, q query.CQ, s engine.Strategy) (posed, reduced int) {
+	r := e.Reformulator()
+	if s == engine.RefIncomplete {
+		r = core.NewIncompleteReformulator(e.Graph().Schema())
+	}
+	posed, _ = r.CombinationCount(q)
+	if s == engine.Dat {
+		return posed, posed
+	}
+	rq, _ := r.Reduce(q)
+	reduced, _ = r.CombinationCount(rq)
+	return posed, reduced
 }
 
 // IncompleteGaps returns the (scenario, query) pairs where the incomplete

@@ -17,11 +17,14 @@ import (
 // the chosen plan's operator trace, estimated vs. actual cardinalities and
 // costs of the (sub)queries, and GCov's explored cover space.
 type E4Result struct {
-	Query      string
-	Explored   []core.Explored
-	Fragments  Table // per-fragment estimated vs actual cardinality
-	Operators  Table // operator-level trace of the winning JUCQ evaluation
-	FinalCover string
+	Query string
+	// PosedCQs and ReducedCQs size the query's UCQ reformulation before and
+	// after the schema reduction; Implied counts the atoms it drops.
+	PosedCQs, ReducedCQs, Implied int
+	Explored                      []core.Explored
+	Fragments                     Table // per-fragment estimated vs actual cardinality
+	Operators                     Table // operator-level trace of the winning JUCQ evaluation
+	FinalCover                    string
 }
 
 // E4 introspects Example 1 under GCov.
@@ -43,6 +46,10 @@ func E4(cfg Config) (*E4Result, error) {
 	//reflint:ctxbg experiment driver: nothing upstream cancels it, cfg.Timeout bounds each evaluation
 	ctx := context.Background()
 	res := &E4Result{Query: query.FormatCQ(g.Dict(), q)}
+	rq, implied := e.Reformulator().Reduce(q)
+	res.PosedCQs, _ = e.Reformulator().CombinationCount(q)
+	res.ReducedCQs, _ = e.Reformulator().CombinationCount(rq)
+	res.Implied = len(implied)
 
 	gres, err := core.GCov(e.Reformulator(), e.CostModel(), q, core.GCovOptions{})
 	if err != nil {
@@ -100,6 +107,8 @@ func (r *E4Result) String() string {
 	var sb strings.Builder
 	sb.WriteString("E4 — plan and cost introspection (demo step 3)\n")
 	fmt.Fprintf(&sb, "query: %s\n", r.Query)
+	fmt.Fprintf(&sb, "UCQ reformulation size: posed %d → reduced %d (%d atoms implied by the rest of the query)\n",
+		r.PosedCQs, r.ReducedCQs, r.Implied)
 	fmt.Fprintf(&sb, "\nGCov explored cover space (%d covers):\n", len(r.Explored))
 	sb.WriteString(core.FormatExplored(r.Explored))
 	fmt.Fprintf(&sb, "final cover: %s\n", r.FinalCover)

@@ -47,6 +47,9 @@ type Reformulator struct {
 	d *dict.Dict
 
 	typeID dict.ID
+	// schemaProps are rdfs:subClassOf, rdfs:subPropertyOf, rdfs:domain and
+	// rdfs:range, in that order.
+	schemaProps [4]dict.ID
 
 	// UseDomainRange enables rules 2, 3, 6, 7, 10 and 11. Disabling it
 	// reproduces the *incomplete* reformulation of systems like Virtuoso
@@ -56,10 +59,13 @@ type Reformulator struct {
 
 // NewReformulator returns a complete reformulator for the schema.
 func NewReformulator(s *schema.Schema) *Reformulator {
+	d := s.Dict()
 	return &Reformulator{
-		s:              s,
-		d:              s.Dict(),
-		typeID:         s.Dict().EncodeIRI(rdf.TypeIRI),
+		s:      s,
+		d:      d,
+		typeID: d.EncodeIRI(rdf.TypeIRI),
+		schemaProps: [4]dict.ID{d.EncodeIRI(rdf.SubClassOfIRI), d.EncodeIRI(rdf.SubPropertyOfIRI),
+			d.EncodeIRI(rdf.DomainIRI), d.EncodeIRI(rdf.RangeIRI)},
 		UseDomainRange: true,
 	}
 }

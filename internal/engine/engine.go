@@ -312,6 +312,7 @@ func (e *Engine) answer(ctx context.Context, q query.CQ, s Strategy, cover query
 	var ans *Answer
 	p, err := e.prepare(q, s, cover, sp)
 	if err == nil {
+		e.traceImplied(sp, &p)
 		ans, err = e.execute(ctx, &p, sp)
 	}
 	if sp != nil {

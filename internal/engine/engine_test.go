@@ -175,13 +175,17 @@ func TestMaxFragmentCQs(t *testing.T) {
 }
 
 // TestStrategiesAgreeRandom is the cross-strategy integration property:
-// on random scenarios and queries, Sat, RefUCQ, RefSCQ, RefGCov and Dat
-// agree; RefIncomplete is always a subset.
+// on random scenarios and queries — half of them carrying an atom the rest
+// of the query implies, which the schema reduction drops — Sat, RefUCQ,
+// RefSCQ, RefGCov, RefRange and Dat agree with q(G∞) of the posed query, at
+// 1 and 2 shards, planned afresh and again out of the plan cache;
+// RefIncomplete is always a subset.
 func TestStrategiesAgreeRandom(t *testing.T) {
 	iters := 30
 	if testing.Short() {
 		iters = 8
 	}
+	reduced := 0
 	for seed := 0; seed < iters; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -190,33 +194,41 @@ func TestStrategiesAgreeRandom(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := New(sc.Graph)
-			for qi := 0; qi < 3; qi++ {
-				q := sc.RandomQuery(rng)
-				want, err := e.AnswerContext(context.Background(), q, Sat)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, s := range []Strategy{RefUCQ, RefSCQ, RefGCov, RefRange, Dat} {
-					got, err := e.AnswerContext(context.Background(), q, s)
+			qs := []query.CQ{sc.RandomQuery(rng), sc.RandomQuery(rng), sc.RandomQuery(rng)}
+			for _, shards := range []int{1, 2} {
+				e := New(sc.Graph)
+				e.EnableSharding(shards)
+				for _, q := range qs {
+					if _, implied := e.Reformulator().Reduce(q); len(implied) > 0 && shards == 1 {
+						reduced++
+					}
+					want := posedSat(t, e, q)
+					for _, s := range []Strategy{Sat, RefUCQ, RefSCQ, RefGCov, RefRange, Dat} {
+						for _, round := range []string{"planned", "cached"} {
+							got, err := e.AnswerContext(context.Background(), q, s)
+							if err != nil {
+								t.Fatalf("%s: %v", s, err)
+							}
+							if !got.Rows.Equal(want) {
+								t.Fatalf("query %s, %d shards, %s: %s %d rows != posed q(G∞) %d rows",
+									query.FormatCQ(sc.Graph.Dict(), q), shards, round, s, got.Rows.Len(), want.Len())
+							}
+						}
+					}
+					inc, err := e.AnswerContext(context.Background(), q, RefIncomplete)
 					if err != nil {
-						t.Fatalf("%s: %v", s, err)
+						t.Fatalf("incomplete: %v", err)
 					}
-					if !got.Rows.Equal(want.Rows) {
-						t.Fatalf("query %s: %s %d rows != sat %d rows",
-							query.FormatCQ(sc.Graph.Dict(), q), s, got.Rows.Len(), want.Rows.Len())
+					if inc.Rows.Len() > want.Len() {
+						t.Fatalf("incomplete Ref returned MORE answers (%d) than complete (%d)",
+							inc.Rows.Len(), want.Len())
 					}
-				}
-				inc, err := e.AnswerContext(context.Background(), q, RefIncomplete)
-				if err != nil {
-					t.Fatalf("incomplete: %v", err)
-				}
-				if inc.Rows.Len() > want.Rows.Len() {
-					t.Fatalf("incomplete Ref returned MORE answers (%d) than complete (%d)",
-						inc.Rows.Len(), want.Rows.Len())
 				}
 			}
 		})
+	}
+	if reduced == 0 {
+		t.Error("no generated query had an implied atom")
 	}
 }
 

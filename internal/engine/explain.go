@@ -2,8 +2,10 @@ package engine
 
 import (
 	"slices"
+	"strconv"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/dict"
 	"repro/internal/exec"
@@ -88,12 +90,13 @@ func (e *Engine) explain(p *prepared) *Plan {
 		EstimatedCost: p.est.Cost, EstimatedRows: p.est.Card, CachedPlan: p.cachedPlan,
 		root: root,
 	}
+	e.traceImplied(root, p)
 	switch {
 	case p.stream != nil:
 		u := root.Child("union")
 		u.SetInt("cqs", int64(p.cqs))
 		shown := 0
-		p.stream.EnumerateCQ(p.q, func(cq query.CQ) bool {
+		p.stream.EnumerateCQ(p.reduced, func(cq query.CQ) bool {
 			if shown >= explainMaxUCQPlans {
 				return false
 			}
@@ -150,10 +153,49 @@ func (e *Engine) explain(p *prepared) *Plan {
 		root.Child("fixpoint")
 
 	default:
-		explainCQ(root, p.model, d, p.q.Lift())
+		explainCQ(root, p.model, d, p.reduced.Lift())
 	}
 	return plan
 }
+
+// traceImplied adds under sp one "implied" node per atom the reduction
+// dropped from p's query: the atom, the atom left that implies it, and the
+// constraint through which it does, as text made only when the tree is read.
+// Atoms are numbered t1, t2, … in the posed query, as covers number them.
+//
+//reflint:nospanend an implied node is a rendered line, never timed
+func (e *Engine) traceImplied(sp *trace.Span, p *prepared) {
+	if sp == nil {
+		return
+	}
+	d := e.d.g.Dict()
+	for _, im := range p.implied {
+		n := sp.Child("implied")
+		n.SetText("atom", atomText{d, p.q, im.Atom})
+		n.SetText("by", atomText{d, p.q, im.By})
+		n.SetText("constraint", constraintText{e.Reformulator(), p.q, im})
+	}
+}
+
+// atomText is atom i of q as "t<i+1> s p o".
+type atomText struct {
+	d *dict.Dict
+	q query.CQ
+	i int
+}
+
+func (t atomText) String() string {
+	return "t" + strconv.Itoa(t.i+1) + " " + query.FormatAtom(t.d, t.q.Atoms[t.i])
+}
+
+// constraintText is the constraint through which an implied atom follows.
+type constraintText struct {
+	r  *core.Reformulator
+	q  query.CQ
+	im core.Implied
+}
+
+func (t constraintText) String() string { return t.r.Constraint(t.q, t.im) }
 
 // explainUnion adds under parent the "union" node of a JUCQ fragment's
 // members — merged, or the range reformulation's — with one "cq" node per

@@ -155,9 +155,11 @@ func TestPlanOrderIsTraceOrder(t *testing.T) {
 	for i, q := range qs {
 		for _, s := range []Strategy{Sat, RefRange} {
 			name := names[i] + "/" + string(s)
-			model, member := e.SatCostModel(), q.Lift()
+			// Both strategies plan the query without its implied atoms.
+			rq, _ := e.Reformulator().Reduce(q)
+			model, member := e.SatCostModel(), rq.Lift()
 			if s == RefRange {
-				ru := e.RangeReformulator().Reformulate(q)
+				ru := e.RangeReformulator().Reformulate(rq)
 				if len(ru.CQs) != 1 {
 					continue
 				}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -40,6 +41,13 @@ type prepared struct {
 	key      string // plan-cache key; empty for a plan that is not cached
 	strategy Strategy
 	q        query.CQ // the request's query; in the plan cache, its shape
+	// reduced is q without the atoms the rest of q implies under the
+	// schema (core.Reformulator.Reduce), listed in implied: what the
+	// strategy plans and evaluates. ref-jucq, whose cover names the posed
+	// atoms, and datalog, the oracle the reduction is checked against, keep
+	// q. On a plan out of the cache it is the shape's.
+	reduced query.CQ
+	implied []core.Implied
 	// A cached plan's identity in words: the shape as text, parameters as
 	// $1, $2, …, and the selectivity class of each atom holding one.
 	shape, classes string
@@ -92,24 +100,33 @@ type prepared struct {
 // schema and the query's shape only, so it goes through the plan cache
 // (planned); Sat has nothing to prepare, the UCQ strategies enumerate their
 // union lazily and Dat encodes the data itself — nothing schema-only to keep.
+//
+// The strategies without a cached plan reduce the query here, per request;
+// the cached ones once per shape, on a miss of the plan cache (planned).
 func (e *Engine) prepare(q query.CQ, s Strategy, cover query.Cover, sp *trace.Span) (prepared, error) {
-	p := prepared{strategy: s, q: q, cqs: 1}
+	p := prepared{strategy: s, q: q, reduced: q, cqs: 1}
 	start := time.Now()
 	var err error
 	switch s {
 	case Sat:
 		// G∞ is built once per version and shared across queries: a Sat
-		// query has no preparation of its own, so took stays zero.
+		// query has no preparation of its own, so took stays zero. Its
+		// reduction, under the rules saturation applies, allocates nothing
+		// when no atom is implied.
+		p.reduced, p.implied = e.Reformulator().Reduce(q)
 		p.src, p.stats, p.model = e.SatStore(), e.SatStats(), e.SatCostModel()
-		p.est = p.model.CQ(q)
+		p.est = p.model.CQ(p.reduced)
 		return p, nil
 	case RefUCQ:
 		e.prepareStream(&p, e.Reformulator(), sp)
 	case RefIncomplete:
+		// Reduced under its own rules, subClassOf and subPropertyOf only,
+		// the incomplete strategy misses exactly what it misses posed.
 		e.prepareStream(&p, e.d.incRef(), sp)
 	case RefSCQ:
-		// The SCQ is a fixed strategy: it is built regardless of size.
-		err = e.planned(&p, sp, "reformulate", query.SingletonCover(len(q.Atoms)), 0, planCover)
+		// The SCQ is a fixed strategy: it is built regardless of size, on
+		// the singleton cover of the reduced query (planCover).
+		err = e.planned(&p, sp, "reformulate", nil, 0, planCover)
 	case RefJUCQ:
 		if cover == nil {
 			return p, fmt.Errorf("engine: strategy %s needs a cover; use AnswerWithCoverContext or PlanWithCover", s)
@@ -135,11 +152,12 @@ func (e *Engine) prepare(q query.CQ, s Strategy, cover query.Cover, sp *trace.Sp
 func (e *Engine) prepareStream(p *prepared, r *core.Reformulator, sp *trace.Span) {
 	rsp := sp.Child("reformulate")
 	defer rsp.End()
+	p.reduced, p.implied = r.Reduce(p.q)
 	p.stream = r
-	p.cqs, _ = r.CombinationCount(p.q)
+	p.cqs, _ = r.CombinationCount(p.reduced)
 	rsp.SetInt("cqs", int64(p.cqs))
 	p.src, p.stats, p.model = e.Source(), e.Stats(), e.CostModel()
-	p.proxy = p.model.CQ(p.q).Cost * float64(p.cqs)
+	p.proxy = p.model.CQ(p.reduced).Cost * float64(p.cqs)
 }
 
 // planner plans one shape on a miss of the plan cache: it fills t — whose q
@@ -149,9 +167,13 @@ func (e *Engine) prepareStream(p *prepared, r *core.Reformulator, sp *trace.Span
 type planner func(e *Engine, t *prepared, cover query.Cover, bound int, m *cost.Model) error
 
 // planCover: the JUCQ a cover induces, each fragment reformulated into at
-// most bound CQs (0: unbounded).
+// most bound CQs (0: unbounded); without a cover, the singleton cover — the
+// SCQ.
 func planCover(e *Engine, t *prepared, cover query.Cover, bound int, m *cost.Model) error {
-	j, err := e.Reformulator().ReformulateJUCQ(t.q, cover, bound)
+	if cover == nil {
+		cover = query.SingletonCover(len(t.reduced.Atoms))
+	}
+	j, err := e.Reformulator().ReformulateJUCQ(t.reduced, cover, bound)
 	if err != nil {
 		return err
 	}
@@ -166,7 +188,7 @@ func planCover(e *Engine, t *prepared, cover query.Cover, bound int, m *cost.Mod
 // planGCov: the JUCQ of the cover the greedy cost-based search chooses —
 // tens of milliseconds on a query of Example 1's size.
 func planGCov(e *Engine, t *prepared, _ query.Cover, bound int, m *cost.Model) error {
-	res, err := core.GCov(e.Reformulator(), m, t.q, core.GCovOptions{MaxFragmentCQs: bound})
+	res, err := core.GCov(e.Reformulator(), m, t.reduced, core.GCovOptions{MaxFragmentCQs: bound})
 	if err != nil {
 		return err
 	}
@@ -182,11 +204,11 @@ func planGCov(e *Engine, t *prepared, _ query.Cover, bound int, m *cost.Model) e
 // CQs ref-ucq enumerates), evaluated with interval-constrained scans plus
 // hierarchy expansions.
 func planRange(e *Engine, t *prepared, _ query.Cover, _ int, m *cost.Model) error {
-	ru := e.RangeReformulator().Reformulate(t.q)
-	cover := query.OneBlockCover(len(t.q.Atoms))
+	ru := e.RangeReformulator().Reformulate(t.reduced)
+	cover := query.OneBlockCover(len(t.reduced.Atoms))
 	j := query.JUCQ{HeadNames: ru.HeadNames, Cover: cover, Fragments: []query.Fragment{{
 		AtomIndexes: cover[0],
-		CQ:          query.NewCQ(ru.HeadNames, t.q.Atoms),
+		CQ:          query.NewCQ(ru.HeadNames, t.reduced.Atoms),
 		UCQ:         query.UCQ{HeadNames: ru.HeadNames},
 		Members:     ru.CQs,
 	}}}
@@ -204,6 +226,43 @@ func (p *prepared) setJUCQ(j query.JUCQ, fragEsts []cost.Estimate, est cost.Esti
 		p.cqs += fragmentCQs(f)
 	}
 	p.frags = newFragmentKeyer(&j)
+}
+
+// numberPosed renumbers what p planned on its reduced query — the cover, the
+// fragments' atoms, the covers GCov explored — by the atoms of the posed
+// query, which the implied atoms, meta.cover and EXPLAIN number too.
+func (p *prepared) numberPosed() {
+	if len(p.implied) == 0 {
+		return
+	}
+	kept := make([]int, 0, len(p.reduced.Atoms))
+	for i := range p.q.Atoms {
+		if !slices.ContainsFunc(p.implied, func(im core.Implied) bool { return im.Atom == i }) {
+			kept = append(kept, i)
+		}
+	}
+	posed := func(atoms []int) []int {
+		out := make([]int, len(atoms))
+		for k, a := range atoms {
+			out[k] = kept[a]
+		}
+		return out
+	}
+	renumber := func(c query.Cover) query.Cover {
+		out := make(query.Cover, len(c))
+		for i, f := range c {
+			out[i] = posed(f)
+		}
+		return out
+	}
+	p.jucq.Cover = renumber(p.jucq.Cover)
+	p.cover = p.jucq.Cover
+	for i := range p.jucq.Fragments {
+		p.jucq.Fragments[i].AtomIndexes = posed(p.jucq.Fragments[i].AtomIndexes)
+	}
+	for i := range p.explored {
+		p.explored[i].Cover = renumber(p.explored[i].Cover)
+	}
 }
 
 // fragmentCQs is the size of a fragment's reformulation: its UCQ's, or in
@@ -282,10 +341,11 @@ func planKey(s Strategy, cover query.Cover, bound int, shape query.CQ, classes s
 // planned prepares p through the plan cache, under a span of the given name:
 // the one get and the one put. The key is p.q's shape — every constant no
 // reformulation rule reads lifted into a parameter — plus the selectivity
-// class of each parameterized atom; a miss plans the shape, pricing on the
-// request's constants, and keeps the outcome, which holds nothing of any
-// version's data; hit or miss, the request gets a copy with its own
-// constants bound in, bound to this version's data.
+// class of each parameterized atom; a miss reduces the shape (but for
+// ref-jucq), plans it, pricing on the request's constants, and keeps the
+// outcome, which holds nothing of any version's data; hit or miss, the
+// request gets a copy with its own constants bound in, bound to this
+// version's data, so a hit pays nothing for the reduction.
 func (e *Engine) planned(p *prepared, sp *trace.Span, span string, cover query.Cover, bound int, plan planner) error {
 	psp := sp.Child(span)
 	defer psp.End()
@@ -296,12 +356,16 @@ func (e *Engine) planned(p *prepared, sp *trace.Span, span string, cover query.C
 	e.observePlanCache(cached)
 	if !cached {
 		hit = &prepared{
-			key: key, strategy: p.strategy, q: shape,
+			key: key, strategy: p.strategy, q: shape, reduced: shape,
 			shape: query.FormatCQ(e.d.g.Dict(), shape), classes: classes,
+		}
+		if p.strategy != RefJUCQ {
+			hit.reduced, hit.implied = e.Reformulator().Reduce(shape)
 		}
 		if err := plan(e, hit, cover, bound, e.CostModel().Bind(params)); err != nil {
 			return err
 		}
+		hit.numberPosed()
 		e.Metrics.Counter("engine.plancache.evictions").Add(int64(e.d.plans.put(hit)))
 	}
 	q := p.q
@@ -485,12 +549,12 @@ func (e *Engine) eval(ctx context.Context, p *prepared, ev *exec.Evaluator) (*ex
 		return ev.EvalJUCQContext(ctx, *p.jucq)
 	case p.stream != nil:
 		return ev.EvalUCQStreamContext(ctx, query.HeadVarNames(p.q), func(fn func(query.CQ) bool) {
-			p.stream.EnumerateCQ(p.q, fn)
+			p.stream.EnumerateCQ(p.reduced, fn)
 		})
 	case p.program != nil:
 		return runDatalog(ctx, p.program, query.HeadVarNames(p.q), e.Budget.Timeout)
 	default:
-		return ev.EvalCQContext(ctx, query.HeadVarNames(p.q), p.q)
+		return ev.EvalCQContext(ctx, query.HeadVarNames(p.q), p.reduced)
 	}
 }
 

@@ -691,6 +691,11 @@ func (e *Evaluator) hashJoin(l, r *Relation, g guard, sp *trace.Span, est float6
 		defer jsp.End()
 		jsp.SetInt("right_rows", int64(r.Len()))
 	}
+	return e.joinRelations(l, r, shared, g, jsp)
+}
+
+// joinRelations is hashJoin's join, closing jsp (finish).
+func (e *Evaluator) joinRelations(l, r *Relation, shared []string, g guard, jsp *trace.Span) (*Relation, error) {
 	build, probe := l, r
 	if r.Len() < l.Len() {
 		build, probe = r, l
@@ -1232,7 +1237,9 @@ func (e *Evaluator) EvalJUCQContext(ctx context.Context, j query.JUCQ) (*Relatio
 // joinFragment joins a fragment into cur by op, under a span of that name
 // holding the fragment's: a semijoin evaluates the fragment from cur's
 // distinct bindings of the shared variables — the seed — any other join in
-// full. est is the running estimate after the step (-1: none).
+// full. est is the running estimate after the step (-1: none). The span
+// closes as a hash join's does, with the rows and the probe rows the join's
+// filter turned away.
 func (e *Evaluator) joinFragment(cur *Relation, op string, shared []string, fragment func(seed *Relation, sp *trace.Span) (*Relation, error), g guard, sp *trace.Span, est float64) (*Relation, error) {
 	jsp := sp.Child(op)
 	defer jsp.End()
@@ -1255,13 +1262,8 @@ func (e *Evaluator) joinFragment(cur *Relation, op string, shared []string, frag
 	if err != nil {
 		return nil, err
 	}
-	out, err := e.hashJoin(cur, right, g, nil, -1)
-	if err != nil {
-		return nil, err
-	}
 	jsp.SetInt("right_rows", int64(right.Len()))
-	jsp.SetInt("rows", int64(out.Len()))
-	return out, nil
+	return e.joinRelations(cur, right, sharedVars(cur.Vars, right.Vars), g, jsp)
 }
 
 // projectColumns projects a join of fragment results onto the named columns.

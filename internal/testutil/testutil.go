@@ -100,8 +100,9 @@ func RandomScenario(r *rand.Rand) (*Scenario, error) {
 
 // RandomQuery builds a random valid CQ over the scenario's vocabulary:
 // 1–4 atoms over a small variable pool, with occasional variable
-// properties, variable classes and constants, head = random non-empty
-// subset of the body variables (or empty for boolean queries, 1 in 8).
+// properties, variable classes and constants, and one time in two an atom
+// another atom implies under the schema; head = random non-empty subset of
+// the body variables (or empty for boolean queries, 1 in 8).
 func (s *Scenario) RandomQuery(r *rand.Rand) query.CQ {
 	d := s.Graph.Dict()
 	vars := []string{"x", "y", "z", "w"}
@@ -146,6 +147,15 @@ func (s *Scenario) RandomQuery(r *rand.Rand) query.CQ {
 			atoms = append(atoms, query.Atom{S: subj, P: pickProp(), O: obj})
 		}
 	}
+	// Half the queries carry an atom the rest of the query implies, at a
+	// random place: what the schema reduction drops (core.Reduce).
+	if r.Intn(2) == 0 {
+		t := atoms[r.Intn(len(atoms))]
+		if alts := s.implied(t); len(alts) > 0 {
+			at := r.Intn(len(atoms) + 1)
+			atoms = append(atoms[:at], append([]query.Atom{alts[r.Intn(len(alts))]}, atoms[at:]...)...)
+		}
+	}
 	q := query.CQ{Atoms: atoms}
 	bodyVars := q.Vars()
 	if len(bodyVars) == 0 || r.Intn(8) == 0 {
@@ -163,4 +173,34 @@ func (s *Scenario) RandomQuery(r *rand.Rand) query.CQ {
 	}
 	q.Head = head
 	return q
+}
+
+// implied returns the atoms t implies under the scenario's closed schema by
+// one saturation step: its subject typed by a superclass, or by a domain of
+// its property, its object by a range, or t under a superproperty.
+func (s *Scenario) implied(t query.Atom) []query.Atom {
+	if t.P.IsVar() {
+		return nil
+	}
+	sch, d := s.Graph.Schema(), s.Graph.Dict()
+	typ := query.Constant(d.Encode(rdf.Type))
+	var out []query.Atom
+	if t.P == typ {
+		if !t.O.IsVar() {
+			for _, c := range sch.SuperClasses(t.O.ID) {
+				out = append(out, query.Atom{S: t.S, P: typ, O: query.Constant(c)})
+			}
+		}
+		return out
+	}
+	for _, p := range sch.SuperProperties(t.P.ID) {
+		out = append(out, query.Atom{S: t.S, P: query.Constant(p), O: t.O})
+	}
+	for _, c := range sch.DomainClosure(t.P.ID) {
+		out = append(out, query.Atom{S: t.S, P: typ, O: query.Constant(c)})
+	}
+	for _, c := range sch.RangeClosure(t.P.ID) {
+		out = append(out, query.Atom{S: t.O, P: typ, O: query.Constant(c)})
+	}
+	return out
 }
