@@ -13,8 +13,9 @@ import (
 // only acquire locks in strictly increasing rank, so no two goroutines
 // can ever wait on each other's locks in a cycle:
 //
-//	viewcache shard / plan cache  <  journal writer  <  admission gate
-//	  <  SLO tracker / workload aggregator  <  metrics registry
+//	server writers  <  viewcache shard / plan cache  <  journal writer
+//	  <  admission gate  <  SLO tracker / workload aggregator
+//	  <  metrics registry
 //
 // Three rules, all computed per function over the CFG/dataflow layer
 // (cfg.go) — intraprocedural, with deferred unlocks modeled as "held to
@@ -54,6 +55,9 @@ var Lockorder = &Analyzer{
 // outside the hierarchy and unconstrained — add them here the moment
 // they can nest with a ranked lock.
 var lockRank = map[string]int{
+	// Level 0: the HTTP server's writers' mutex, held across a whole update
+	// or checkpoint, so below every lock those take. Readers never take it.
+	"httpapi.Server.writeMu": 5,
 	// Level 1: per-request leaves — short-hold, may be taken while
 	// answering with nothing else held, and never call out while held.
 	"viewcache.shard.mu":  10,
@@ -72,9 +76,6 @@ var lockRank = map[string]int{
 	// the reverse; neither is ever held across I/O, fsync, or a channel
 	// op — the group-commit protocol stages under mu and hands the
 	// batch to the flusher goroutine, which owns all file handles.
-	// httpapi's stateMu stays deliberately unranked (see httpapi.go):
-	// it is held across whole evaluations, which may block on the
-	// admission gate's channels.
 	"durable.Manager.mu": 31,
 	"durable.WAL.mu":     32,
 	// Level 4: per-strategy telemetry rollups.

@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/rdf"
+	"repro/internal/viewcache"
 )
 
 // Concurrent Answer calls through per-request shallow copies of one
@@ -126,21 +128,37 @@ const authoredQuery = `q(x, y) :- x rdf:type ex:Publication, x ex:hasAuthor y`
 
 // A copy taken before a write answers every complete strategy from its own
 // version — whether it built its derived state before the write (warmed) or
-// builds it after (unwarmed) — and the engine from the new one. The view
-// cache is off: nothing but the version decides.
+// builds it after (unwarmed) — and the engine from the new one. With the view
+// cache off nothing but the version decides. With it on, every fragment
+// admitted, the copy and the engine share one cache, and whichever answers
+// first fills it: each must still get its own version's rows, never a
+// fragment the other evaluated.
 func TestCopyAnswersFromItsVersion(t *testing.T) {
-	for _, warm := range []bool{false, true} {
-		e, g := mustEngine(t)
-		q := mustQuery(t, g, authoredQuery)
-		if warm {
-			completeStrategies(t, "before the write", e, q, 1)
+	for _, c := range []struct {
+		views, engineFirst bool
+	}{{false, false}, {true, false}, {true, true}} {
+		for _, warm := range []bool{false, true} {
+			name := fmt.Sprintf("views=%v/engineFirst=%v/warm=%v", c.views, c.engineFirst, warm)
+			t.Run(name, func(t *testing.T) {
+				e, g := mustEngine(t)
+				if c.views {
+					e.EnableViewCache(viewcache.Config{MinCost: -1})
+				}
+				q := mustQuery(t, g, authoredQuery)
+				if warm {
+					completeStrategies(t, "before the write", e, q, 1)
+				}
+				v1 := *e
+				if err := e.InsertData(authored("doiW1")); err != nil {
+					t.Fatal(err)
+				}
+				if c.engineFirst {
+					completeStrategies(t, "engine", e, q, 2)
+				}
+				completeStrategies(t, "copy", &v1, q, 1)
+				completeStrategies(t, "engine", e, q, 2)
+			})
 		}
-		v1 := *e
-		if err := e.InsertData(authored("doiW1")); err != nil {
-			t.Fatal(err)
-		}
-		completeStrategies(t, fmt.Sprintf("copy (warmed %v)", warm), &v1, q, 1)
-		completeStrategies(t, fmt.Sprintf("engine (warmed %v)", warm), e, q, 2)
 	}
 }
 
@@ -181,19 +199,18 @@ func TestReaderKeepsItsVersionAcrossSwap(t *testing.T) {
 	q := mustQuery(t, g, "q(x) :- x rdf:type ex:Publication")
 
 	var (
-		mu   sync.RWMutex // the caller's lock of the Engine contract
-		wg   sync.WaitGroup
-		errs = make(chan error, 8)
+		published atomic.Pointer[Engine] // the writer publishes each version here, as the Engine contract asks
+		wg        sync.WaitGroup
+		errs      = make(chan error, 8)
 	)
+	published.Store(e)
 	for r := 0; r < 8; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
 			for round := 0; round < 5; round++ {
-				mu.RLock()
-				eng := *e
+				eng := *published.Load()
 				first, err := eng.AnswerContext(context.Background(), q, RefGCov) // builds what the version has not built yet
-				mu.RUnlock()
 				if err != nil {
 					errs <- err
 					return
@@ -214,12 +231,11 @@ func TestReaderKeepsItsVersionAcrossSwap(t *testing.T) {
 		}(r)
 	}
 	for i := 0; i < 40; i++ {
-		mu.Lock()
-		err := e.InsertData([]rdf.Triple{rdf.NewTriple(ex(fmt.Sprintf("doiS%d", i)), rdf.Type, ex("Book"))})
-		mu.Unlock()
-		if err != nil {
+		next := *published.Load()
+		if err := next.InsertData([]rdf.Triple{rdf.NewTriple(ex(fmt.Sprintf("doiS%d", i)), rdf.Type, ex("Book"))}); err != nil {
 			t.Fatal(err)
 		}
+		published.Store(&next)
 	}
 	wg.Wait()
 	close(errs)

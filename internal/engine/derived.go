@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/dict"
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/rdf"
 	"repro/internal/saturation"
@@ -33,6 +34,9 @@ type derived struct {
 	shards int // what Engine.shards was when the version was made
 	// typeID is rdf:type's ID — a schema change may re-encode it.
 	typeID dict.ID
+	// views is the view cache under the generation this version's write
+	// left behind (nil: no cache).
+	views exec.FragmentCache
 
 	// Functions of the schema alone: a data change carries them over.
 	ref, incRef func() *core.Reformulator
@@ -156,10 +160,10 @@ func (e *Engine) swap(keep *derived, added, removed []dict.Triple) {
 		return d.data().stats.Plus(u, u.delta)
 	})
 	d.satModel = sync.OnceValue(func() *cost.Model { return cost.NewModel(d.satStats()) })
-	e.d = d
 	if e.views != nil {
 		// Bump the view cache's generation stamp and drop every materialized
 		// fragment: they describe the previous version's database.
-		e.views.Invalidate()
+		d.views = e.views.At(e.views.Invalidate())
 	}
+	e.d = d
 }

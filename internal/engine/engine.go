@@ -115,20 +115,17 @@ type Answer struct {
 // one version of derived state (see derived.go), built lazily and at most
 // once per version.
 //
-// Concurrency: an Engine has one writer. EnableSharding, EnableViewCache,
-// SetPlanCacheCapacity, InsertData, DeleteData and UpdateSchema, and
-// assignments to the exported fields of the shared engine, must be
-// serialized against each other and against readers by the caller's lock.
-// Readers take a shallow copy (eng := *e) under that lock's read side, set
-// their own Budget, Tracer and Logger on it, and may answer, plan and call
-// every accessor concurrently: the copies share the derived state, the view
-// cache, the admission gate and the metrics registry by pointer, and each of
-// those is safe for concurrent use. A copy answers from the graph its version
-// captured; with the view cache on, a reader still keeps the read side for
-// its whole evaluation, as the cache stamps a fill with the generation
-// current when the fragment's evaluation starts, not the copy's.
+// Concurrency: EnableSharding, EnableViewCache, SetPlanCacheCapacity and the
+// exported fields configure an engine before it is shared. The one writer,
+// serialized by the caller, copies the published engine (next := *e),
+// applies InsertData, DeleteData or UpdateSchema to the copy and publishes
+// it, e.g. through an atomic.Pointer. A reader copies the engine it loads,
+// sets its own Budget, Tracer and Logger, and answers concurrently with other
+// readers and the writer, taking no lock: copies share derived state, view
+// cache, gate and registry, each safe for concurrent use, and answer from
+// their own version — graph, store, view-cache generation.
 type Engine struct {
-	g *graph.Graph // the writer's; a version reads its capture (derived.g)
+	g *graph.Graph // the writer's, written in place; readers read derived.g
 	// d is the current version of the derived state; never nil.
 	d *derived
 
@@ -186,8 +183,8 @@ func New(g *graph.Graph) *Engine {
 	return e
 }
 
-// Graph returns the writer's graph; a version reads the one it captured.
-func (e *Engine) Graph() *graph.Graph { return e.g }
+// Graph returns the graph of the engine's version, the one its answers read.
+func (e *Engine) Graph() *graph.Graph { return &e.d.g }
 
 // Warm builds every artefact of the current derived-state version, so that
 // no request pays for one.
@@ -263,6 +260,7 @@ func (e *Engine) EnableViewCache(cfg viewcache.Config) {
 		cfg.Metrics = e.Metrics
 	}
 	e.views = viewcache.New(cfg)
+	e.d.views = e.views.At(0) // a new cache starts at generation 0
 }
 
 // ViewCache returns the attached view cache, nil when disabled.

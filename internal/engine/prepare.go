@@ -507,9 +507,9 @@ func (e *Engine) execute(ctx context.Context, p *prepared, sp *trace.Span) (*Ans
 		ev.Span, ev.Cost = es, p.model
 	}
 	var cs *exec.CacheStats
-	if e.views != nil && p.jucq != nil {
+	if e.d.views != nil && p.jucq != nil {
 		cs = &exec.CacheStats{}
-		ev.FragCache, ev.CacheStats = e.views, cs
+		ev.FragCache, ev.CacheStats = e.d.views, cs
 	}
 	if p.jucq != nil {
 		ev.Fragments = p.fragmentPlans(cs != nil)

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -348,9 +349,10 @@ func (p *prepared) fingerprint() string {
 // constants while a writer inserts and deletes data: the shared plans are
 // never written (the race detector watches; the fingerprints agree), every
 // answer after the first of a shape is a hit, and the cache stays at the
-// shape count. Readers copy the engine under the read side of the lock the
-// writer holds, and trace every answer, as the HTTP layer does — so the
-// plans' fragment estimates are read concurrently too.
+// shape count. The writer publishes each version through an atomic pointer
+// and readers copy the one they load, with no lock between them, and trace
+// every answer, as the HTTP layer does — so the plans' fragment estimates
+// are read concurrently too.
 func TestReadersBindOneSharedPlan(t *testing.T) {
 	g, err := lubm.NewGraph(lubm.Mini(), 42)
 	if err != nil {
@@ -388,10 +390,11 @@ func TestReadersBindOneSharedPlan(t *testing.T) {
 	}
 
 	var (
-		mu   sync.RWMutex
-		wg   sync.WaitGroup
-		stop = make(chan struct{})
+		published atomic.Pointer[Engine]
+		wg        sync.WaitGroup
+		stop      = make(chan struct{})
 	)
+	published.Store(e)
 	// The write leaves every parameterized atom's count, and so its class, alone.
 	extra := []rdf.Triple{rdf.NewTriple(rdf.NewIRI("http://example.org/newcomer"), lubm.Prop("name"), rdf.NewLiteral("N. N."))}
 	wg.Add(1)
@@ -403,14 +406,14 @@ func TestReadersBindOneSharedPlan(t *testing.T) {
 				return
 			default:
 			}
-			mu.Lock()
+			next := *published.Load()
 			var err error
 			if i%2 == 0 {
-				err = e.InsertData(extra)
+				err = next.InsertData(extra)
 			} else {
-				_, err = e.DeleteData(extra)
+				_, err = next.DeleteData(extra)
 			}
-			mu.Unlock()
+			published.Store(&next)
 			if err != nil {
 				t.Error(err)
 				return
@@ -424,11 +427,9 @@ func TestReadersBindOneSharedPlan(t *testing.T) {
 			defer readers.Done()
 			for i := 0; i < 40; i++ {
 				q, s := queries[(r+i)%len(queries)], strategies[i%len(strategies)]
-				mu.RLock()
-				eng := *e
+				eng := *published.Load()
 				eng.Tracer = trace.New(0)
 				a, err := eng.AnswerContext(context.Background(), q, s)
-				mu.RUnlock()
 				if err != nil {
 					t.Error(err)
 					return
@@ -442,6 +443,7 @@ func TestReadersBindOneSharedPlan(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	wg.Wait()
+	e = published.Load()
 	if n := e.d.plans.len(); n != shapes {
 		t.Errorf("%d plans after the readers, %d before", n, shapes)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -87,11 +88,12 @@ func TestUpdateSchemaInvalidatesViewCacheAndPlans(t *testing.T) {
 }
 
 // TestUpdateSchemaConcurrentNoStaleReads interleaves TBox updates and data
-// inserts with concurrent queries (run under -race). Updates hold the write
-// lock, queries the read lock — the engine's documented contract — so every
-// query observes a settled database; the assertion is that its answer counts
-// exactly the Publications present at that point, i.e. no cache layer serves
-// results from before a completed schema change.
+// inserts with concurrent queries (run under -race). Writers publish each
+// version through an atomic pointer and readers copy the one they load, with
+// no lock between them — the engine's documented contract; the assertion is
+// that a reader, parsing with its version's dictionary, counts exactly the
+// Publications of that version, i.e. no cache layer serves results of
+// another version across a schema change.
 //
 // The readers also pin how derived state is shared: every engine copy taken
 // between the same two writes must get the very same store, statistics, cost
@@ -104,10 +106,30 @@ func TestUpdateSchemaConcurrentNoStaleReads(t *testing.T) {
 	text := `q(x) :- x rdf:type ex:Publication`
 
 	const iterations = 6
+	// version is a published engine and the Publications it holds; every
+	// write publishes one more, so the count names the version.
+	type version struct {
+		e    *Engine
+		want int
+	}
 	var (
-		mu       sync.RWMutex
-		expected = 1 // ex:doi1 is a Book, hence a Publication
+		mu        sync.Mutex // serializes the writers
+		published atomic.Pointer[version]
 	)
+	published.Store(&version{e, 1}) // ex:doi1 is a Book, hence a Publication
+	// write applies one write to a copy of the published engine and
+	// publishes it.
+	write := func(apply func(next *Engine) error) error {
+		mu.Lock()
+		defer mu.Unlock()
+		cur := published.Load()
+		next := *cur.e
+		if err := apply(&next); err != nil {
+			return err
+		}
+		published.Store(&version{&next, cur.want + 1})
+		return nil
+	}
 	errs := make(chan error, 2+8+8) // each goroutine sends at most one
 	var wg sync.WaitGroup
 
@@ -141,19 +163,16 @@ func TestUpdateSchemaConcurrentNoStaleReads(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iterations; i++ {
-			mu.Lock()
-			err := e.UpdateSchema([]rdf.Triple{
-				rdf.NewTriple(ex(fmt.Sprintf("Novel%d", i)), rdf.SubClassOf, ex("Publication")),
-			})
-			if err == nil {
-				err = e.InsertData([]rdf.Triple{
+			err := write(func(next *Engine) error {
+				if err := next.UpdateSchema([]rdf.Triple{
+					rdf.NewTriple(ex(fmt.Sprintf("Novel%d", i)), rdf.SubClassOf, ex("Publication")),
+				}); err != nil {
+					return err
+				}
+				return next.InsertData([]rdf.Triple{
 					rdf.NewTriple(ex(fmt.Sprintf("nov%d", i)), rdf.Type, ex(fmt.Sprintf("Novel%d", i))),
 				})
-			}
-			if err == nil {
-				expected++
-			}
-			mu.Unlock()
+			})
 			if err != nil {
 				errs <- err
 				return
@@ -166,14 +185,11 @@ func TestUpdateSchemaConcurrentNoStaleReads(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iterations; i++ {
-			mu.Lock()
-			err := e.InsertData([]rdf.Triple{
-				rdf.NewTriple(ex(fmt.Sprintf("doiW%d", i)), rdf.Type, ex("Book")),
+			err := write(func(next *Engine) error {
+				return next.InsertData([]rdf.Triple{
+					rdf.NewTriple(ex(fmt.Sprintf("doiW%d", i)), rdf.Type, ex("Book")),
+				})
 			})
-			if err == nil {
-				expected++
-			}
-			mu.Unlock()
 			if err != nil {
 				errs <- err
 				return
@@ -189,12 +205,12 @@ func TestUpdateSchemaConcurrentNoStaleReads(t *testing.T) {
 			strategies := []Strategy{RefSCQ, RefRange}
 			for i := 0; i < iterations*2; i++ {
 				s := strategies[(r+i)%len(strategies)]
-				mu.RLock()
-				want := expected
-				eng := *e // per-request shallow copy, as httpapi does
+				v := published.Load()
+				want := v.want
+				eng := *v.e // per-request shallow copy, as httpapi does
 				eng.Budget.Timeout = 30 * time.Second
 				// Schema updates re-encode the dictionary, so the query is
-				// re-parsed against the current graph, as clients do.
+				// parsed with the version's own, as the HTTP layer does.
 				q, err := query.ParseRuleWithPrefixes(eng.Graph().Dict(),
 					map[string]string{"ex": "http://example.org/"}, text)
 				var ans *Answer
@@ -204,7 +220,6 @@ func TestUpdateSchemaConcurrentNoStaleReads(t *testing.T) {
 				if err == nil {
 					err = shared(&eng, want)
 				}
-				mu.RUnlock()
 				if err != nil {
 					errs <- err
 					return
@@ -221,6 +236,7 @@ func TestUpdateSchemaConcurrentNoStaleReads(t *testing.T) {
 
 	// One more write, then eight copies released at once onto a version
 	// with nothing built.
+	e = published.Load().e
 	if err := e.InsertData([]rdf.Triple{rdf.NewTriple(ex("doiLast"), rdf.Type, ex("Book"))}); err != nil {
 		t.Fatal(err)
 	}

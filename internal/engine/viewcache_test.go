@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -110,11 +111,12 @@ func TestViewCacheAnswersMatchUncachedRandom(t *testing.T) {
 }
 
 // TestViewCacheConcurrentUpdatesNoStaleReads interleaves InsertData /
-// DeleteData with concurrent AnswerContext calls (run under -race). Updates
-// take the write lock and queries the read lock — the engine's documented
-// contract — so each query observes a settled database state; the assertion
-// is that its answer reflects exactly that state, i.e. the view cache never
-// serves a fragment from before an already-completed update.
+// DeleteData with concurrent AnswerContext calls (run under -race). Writers
+// publish each version through an atomic pointer and readers copy the one
+// they load, with no lock between them — the engine's documented contract —
+// so readers of several versions share the cache at once; the assertion is
+// that each answer reflects exactly its version, i.e. the view cache never
+// serves a fragment of another version, older or newer.
 func TestViewCacheConcurrentUpdatesNoStaleReads(t *testing.T) {
 	e, g := mustEngine(t)
 	e.EnableViewCache(viewcache.Config{MinCost: -1})
@@ -126,10 +128,18 @@ func TestViewCacheConcurrentUpdatesNoStaleReads(t *testing.T) {
 		readers    = 6
 		iterations = 15
 	)
+	// version is a published engine and the Publications it holds:
+	// ex:doi1, always a Book, plus the extra ex:doiN inserted.
+	type version struct {
+		e    *Engine
+		want int
+	}
 	var (
-		mu      sync.RWMutex
-		present = map[int]bool{} // extra ex:doiN currently inserted
+		mu        sync.Mutex // serializes the writers
+		present   = map[int]bool{}
+		published atomic.Pointer[version]
 	)
+	published.Store(&version{e, 1})
 	errs := make(chan error, writers+readers)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -141,14 +151,18 @@ func TestViewCacheConcurrentUpdatesNoStaleReads(t *testing.T) {
 			for i := 0; i < iterations; i++ {
 				tr := rdf.NewTriple(ex(fmt.Sprintf("doi%d", n)), rdf.Type, ex("Book"))
 				mu.Lock()
+				cur := published.Load()
+				next, want := *cur.e, cur.want+1
 				var err error
 				if present[n] {
-					_, err = e.DeleteData([]rdf.Triple{tr})
+					_, err = next.DeleteData([]rdf.Triple{tr})
+					want = cur.want - 1
 				} else {
-					err = e.InsertData([]rdf.Triple{tr})
+					err = next.InsertData([]rdf.Triple{tr})
 				}
 				if err == nil {
 					present[n] = !present[n]
+					published.Store(&version{&next, want})
 				}
 				mu.Unlock()
 				if err != nil {
@@ -166,17 +180,11 @@ func TestViewCacheConcurrentUpdatesNoStaleReads(t *testing.T) {
 			strategies := []Strategy{RefSCQ, RefGCov}
 			for i := 0; i < iterations; i++ {
 				s := strategies[(r+i)%len(strategies)]
-				mu.RLock()
-				want := 1 // ex:doi1 is always a Book, hence a Publication
-				for _, in := range present {
-					if in {
-						want++
-					}
-				}
-				eng := *e // per-request shallow copy, as httpapi does
+				v := published.Load()
+				want := v.want
+				eng := *v.e // per-request shallow copy, as httpapi does
 				eng.Budget.Timeout = 30 * time.Second
 				ans, err := eng.AnswerContext(context.Background(), q, s)
-				mu.RUnlock()
 				if err != nil {
 					errs <- err
 					return

@@ -40,10 +40,10 @@
 // none) echoed on the response and attached to logs, slow-query entries
 // and traces.
 //
-// Handlers are safe for concurrent use: /v1/update is the engine's one
-// writer and takes stateMu exclusively (see update.go); every other handler
-// reads under its shared side, and what the engine derives from the graph
-// is built once per version whichever request asks first.
+// Handlers are safe for concurrent use, and no reader waits for a writer: a
+// request loads the published engine once and reads only that version (its
+// dictionary, answer, dump, statistics); /v1/update publishes a new one per
+// write (see update.go). Derived state is built once per version.
 //
 // Every evaluation runs under the request's context: a client disconnect
 // or server shutdown (via http.Server.BaseContext) cancels the in-flight
@@ -67,6 +67,7 @@ import (
 	"time"
 
 	"repro/internal/admission"
+	"repro/internal/dict"
 	"repro/internal/durable"
 	"repro/internal/engine"
 	"repro/internal/exec"
@@ -81,7 +82,8 @@ import (
 
 // Server is the HTTP endpoint over one graph.
 type Server struct {
-	eng      *engine.Engine
+	// eng is the published engine version; a request loads it once.
+	eng      atomic.Pointer[engine.Engine]
 	prefixes map[string]string
 	mux      *http.ServeMux
 	metrics  *metrics.Registry
@@ -97,12 +99,9 @@ type Server struct {
 	// /v1/readyz.
 	gate     *admission.Gate
 	draining atomic.Bool
-	// stateMu serializes updates (write lock) against everything that
-	// reads eng or its graph (read lock: queries, dumps, stats, checkpoints).
-	// Deliberately unranked in the lockorder hierarchy: evaluation
-	// legitimately blocks on the admission gate while holding the read
-	// side.
-	stateMu sync.RWMutex
+	// writeMu serializes the writers, updates and checkpoints, so that WAL
+	// order is apply order and a checkpoint's cut matches its graph.
+	writeMu sync.Mutex
 	// durable, when set (EnableDurability), WAL-logs every update before
 	// acknowledgment and drives auto-checkpoints; checkpointWG tracks
 	// in-flight auto-checkpoint goroutines for shutdown.
@@ -154,7 +153,6 @@ type Options struct {
 // NewWithOptions is NewWith with construction options.
 func NewWithOptions(g *graph.Graph, prefixes map[string]string, reg *metrics.Registry, opts Options) *Server {
 	s := &Server{
-		eng:      engine.New(g),
 		prefixes: prefixes,
 		mux:      http.NewServeMux(),
 		metrics:  reg,
@@ -163,12 +161,14 @@ func NewWithOptions(g *graph.Graph, prefixes map[string]string, reg *metrics.Reg
 		Timeout:  30 * time.Second,
 	}
 	s.slo = metrics.NewSLOTracker(metrics.DefaultSLO, s.metrics)
-	s.eng.Metrics = s.metrics
+	eng := engine.New(g)
+	eng.Metrics = s.metrics
 	// The workload aggregator (and the journal, when enabled) correlates
 	// fragment frequency with cache behavior via fragment signatures.
-	s.eng.CaptureFragmentSigs = true
-	s.eng.EnableSharding(opts.Shards)
-	s.eng.Warm()
+	eng.CaptureFragmentSigs = true
+	eng.EnableSharding(opts.Shards)
+	eng.Warm()
+	s.eng.Store(eng)
 
 	s.mux.HandleFunc("/", s.handleRoot)
 	// The /v1 surface.
@@ -210,9 +210,7 @@ func NewWithOptions(g *graph.Graph, prefixes map[string]string, reg *metrics.Reg
 // reports its one shard.
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Counter("http.requests." + r.URL.Path).Inc()
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
-	sh := s.eng.Store()
+	sh := s.eng.Load().Store()
 	s.writeOK(w, map[string]any{
 		"shards":   sh.NumShards(),
 		"skew":     sh.Skew(),
@@ -235,11 +233,12 @@ func (s *Server) EnablePprof() {
 // executor), for embedding callers that want their own exposition.
 func (s *Server) Metrics() *metrics.Registry { return s.metrics }
 
-// Engine returns the server's engine for configuration — enabling the view
-// cache, resizing the plan cache. The server's update handler is the
-// engine's writer (see engine.Engine): configure before the server handles
-// requests, or not at all. Handlers shallow-copy the engine per request.
-func (s *Server) Engine() *engine.Engine { return s.eng }
+// Engine returns the server's published engine, for configuration —
+// enabling the view cache, resizing the plan cache — before the server
+// handles requests, or not at all. Each request reads the version
+// published when it starts; /v1/update publishes a new one per write, a
+// copy of this engine carrying the same configuration (see update.go).
+func (s *Server) Engine() *engine.Engine { return s.eng.Load() }
 
 func (s *Server) slowThreshold() time.Duration {
 	switch {
@@ -261,13 +260,12 @@ func (s *Server) slowThreshold() time.Duration {
 // producing a truncated file.
 func (s *Server) handleDump(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Counter("http.requests." + r.URL.Path).Inc()
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
 	w.Header().Set("Content-Type", "application/n-triples")
-	d := s.eng.Graph().Dict()
+	g := s.eng.Load().Graph()
+	d := g.Dict()
 	ctx := r.Context()
 	sw := ntriples.NewWriter(w)
-	for i, t := range s.eng.Graph().AllTriples() {
+	for i, t := range g.AllTriples() {
 		if i&1023 == 0 && ctx.Err() != nil {
 			s.metrics.Counter("http.dump_aborted").Inc()
 			return
@@ -455,16 +453,15 @@ func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
+	g := s.eng.Load().Graph()
 	strategies := make([]string, len(engine.Strategies))
 	for i, st := range engine.Strategies {
 		strategies[i] = string(st)
 	}
 	s.writeOK(w, map[string]any{
 		"service":     "repro RDF endpoint (reformulation-based query answering)",
-		"dataTriples": s.eng.Graph().DataCount(),
-		"schema":      s.eng.Graph().Schema().String(),
+		"dataTriples": g.DataCount(),
+		"schema":      g.Schema().String(),
 		"strategies":  strategies,
 		"endpoints": []string{
 			"/v1/healthz", "/v1/readyz", "/v1/stats", "/v1/metrics",
@@ -480,10 +477,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
-	st := s.eng.Stats()
-	d := s.eng.Graph().Dict()
+	eng := s.eng.Load()
+	st := eng.Stats()
+	d := eng.Graph().Dict()
+	sh := eng.Store()
 	type valueCount struct {
 		Value string `json:"value"`
 		Count int    `json:"count"`
@@ -510,16 +507,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"distinctObjects":    st.DistinctObjects(),
 		"topProperties":      top(st.TopValues('p', 10)),
 		"topPairs":           pairs,
-		"shards":             s.shardStats(),
-		"workload":           s.workloadStats(),
+		// Full topology lives on /v1/admin/shards.
+		"shards":   map[string]any{"count": sh.NumShards(), "skew": sh.Skew()},
+		"workload": s.workloadStats(),
 	})
-}
-
-// shardStats is the /v1/stats partition section: count and skew, cheap
-// enough to compute inline (full topology lives on /v1/admin/shards).
-func (s *Server) shardStats() map[string]any {
-	sh := s.eng.Store()
-	return map[string]any{"count": sh.NumShards(), "skew": sh.Skew()}
 }
 
 func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (QueryRequest, error) {
@@ -556,17 +547,18 @@ func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (QueryRequ
 	return req, nil
 }
 
-// parseQuery parses a request's query text into the union it denotes — the
-// paper's rule notation, or SPARQL when the text starts with SELECT or
-// PREFIX; a single BGP is a union of one. Whether a SPARQL query is a union
-// is what its parse says, never what its text contains: an IRI or a literal
-// may well spell UNION.
-func (s *Server) parseQuery(text string) (query.UCQ, error) {
+// parseQuery parses a request's query text, with the dictionary of the
+// version the request reads, into the union it denotes — the paper's rule
+// notation, or SPARQL when the text starts with SELECT or PREFIX; a single
+// BGP is a union of one. Whether a SPARQL query is a union is what its parse
+// says, never what its text contains: an IRI or a literal may well spell
+// UNION.
+func (s *Server) parseQuery(d *dict.Dict, text string) (query.UCQ, error) {
 	head := strings.TrimSpace(text)
 	if len(head) >= 6 && (strings.EqualFold(head[:6], "SELECT") || strings.EqualFold(head[:6], "PREFIX")) {
-		return query.ParseSPARQLUnion(s.eng.Graph().Dict(), text)
+		return query.ParseSPARQLUnion(d, text)
 	}
-	q, err := query.ParseRuleWithPrefixes(s.eng.Graph().Dict(), s.prefixes, text)
+	q, err := query.ParseRuleWithPrefixes(d, s.prefixes, text)
 	if err != nil {
 		return query.UCQ{}, err
 	}
@@ -574,8 +566,8 @@ func (s *Server) parseQuery(text string) (query.UCQ, error) {
 }
 
 // parseCQ is parseQuery for the routes that take a single BGP.
-func (s *Server) parseCQ(text string) (query.CQ, error) {
-	u, err := s.parseQuery(text)
+func (s *Server) parseCQ(d *dict.Dict, text string) (query.CQ, error) {
+	u, err := s.parseQuery(d, text)
 	if err != nil {
 		return query.CQ{}, err
 	}
@@ -591,11 +583,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 	id := requestID(r)
 	path := r.URL.Path
 	s.metrics.Counter("http.requests." + path).Inc()
-	// Hold the read side for the whole evaluation: derived state is built
-	// lazily from the live graph, and an update's in-place mutation must
-	// not interleave with that.
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
 	req, err := s.parseRequest(w, r)
 	if err != nil {
 		s.writeBodyError(w, err)
@@ -605,10 +592,11 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Strategy == "" {
 		strategy = engine.RefGCov
 	}
-	// Each request gets its own engine view sharing the current version of
-	// the derived state (and the metrics registry); Budget, Tracer and
-	// Logger are per-request state, so shallow-copy the engine.
-	eng := *s.eng
+	// The request parses, answers and decodes with the version published
+	// now, whatever is published meanwhile; Budget, Tracer and Logger are
+	// its own, so it copies the engine.
+	eng := *s.eng.Load()
+	d := eng.Graph().Dict()
 	eng.Budget = exec.Budget{Timeout: s.Timeout}
 	eng.Logger = s.Logger
 	// Every request is traced (bounded) so the slow-query log can keep
@@ -631,7 +619,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 	parseStart := time.Now()
 	psp := root.Child("parse")
 	defer psp.End()
-	u, perr := s.parseQuery(req.Query)
+	u, perr := s.parseQuery(d, req.Query)
 	psp.End()
 	parseMillis = millisSince(parseStart)
 	if perr != nil {
@@ -677,7 +665,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 			limit = 10000
 		}
 	}
-	d := s.eng.Graph().Dict()
 	serStart := time.Now()
 	ans.Rows.SortFirst(limit)
 	n := ans.Rows.Len()
@@ -855,14 +842,14 @@ func (s *Server) handleSlowlog(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) serveExplain(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Counter("http.requests." + r.URL.Path).Inc()
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
 	req, err := s.parseRequest(w, r)
 	if err != nil {
 		s.writeBodyError(w, err)
 		return
 	}
-	q, err := s.parseCQ(req.Query)
+	eng := *s.eng.Load()
+	d := eng.Graph().Dict()
+	q, err := s.parseCQ(d, req.Query)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, CodeParseError, err.Error())
 		return
@@ -870,7 +857,6 @@ func (s *Server) serveExplain(w http.ResponseWriter, r *http.Request) {
 	// The cover search, the admission gate and the evaluation are the
 	// engine's, exactly as for a ref-gcov query: same plan and view caches,
 	// same metrics. Only the UCQ size is this route's own.
-	eng := *s.eng
 	eng.Budget = exec.Budget{Timeout: s.Timeout}
 	total, per := eng.Reformulator().CombinationCount(q)
 	ans, err := eng.AnswerContext(r.Context(), q, engine.RefGCov)
@@ -879,7 +865,7 @@ func (s *Server) serveExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := ExplainResponse{
-		Query:       query.FormatCQ(s.eng.Graph().Dict(), q),
+		Query:       query.FormatCQ(d, q),
 		UCQSize:     total,
 		PerAtom:     per,
 		GCovCover:   ans.Cover.String(),

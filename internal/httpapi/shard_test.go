@@ -56,7 +56,7 @@ func TestAdminShardsEndpoint(t *testing.T) {
 	for _, info := range resp.Topology {
 		total += info.Triples
 	}
-	if want := srv.eng.Store().Len(); total != want {
+	if want := srv.Engine().Store().Len(); total != want {
 		t.Fatalf("topology triples sum to %d, store has %d", total, want)
 	}
 
@@ -86,10 +86,11 @@ func TestAdminShardsEndpoint(t *testing.T) {
 
 // TestShardedConcurrentQueriesDuringSchemaUpdate hammers a sharded
 // server with scatter-gather queries while TBox updates rebuild the
-// dictionary and invalidate the sharded store underneath them. Run
-// under -race: every query fans out across shard goroutines, and the
-// update path swaps the store the scatters read. stateMu must keep the
-// two from ever observing a half-swapped engine.
+// dictionary and publish new stores beside them. Run under -race: every
+// query fans out across shard goroutines, and no query takes a lock
+// against the updates. Each request parses, answers and decodes with the
+// one version it loaded, so a re-encoded dictionary never meets the store
+// of another version.
 func TestShardedConcurrentQueriesDuringSchemaUpdate(t *testing.T) {
 	ts, _ := newShardedServer(t, 4)
 	q := url.QueryEscape(`q(x) :- x rdf:type ex:Publication`)
@@ -145,12 +146,13 @@ func TestShardedConcurrentQueriesDuringSchemaUpdate(t *testing.T) {
 	}
 }
 
-// TestReadersShareDerivedStateAfterUpdate is the regression test for the
-// read-lock data race: an update leaves the engine without store, shards
-// or statistics, and /v1/stats and /v1/admin/shards used to rebuild them
-// into the shared engine's fields while holding only stateMu's read side —
-// racing each other and every query's engine copy. Run under -race: one
-// update, then eight concurrent readers of each kind, sharded and not.
+// TestReadersShareDerivedStateAfterUpdate is the regression test for a
+// data race among readers: an update leaves the published version without
+// store, shards or statistics, and /v1/stats and /v1/admin/shards once
+// rebuilt them into the shared engine's fields — racing each other and
+// every query's engine copy. Now the first reader of any kind builds them
+// once, inside the version. Run under -race: one update, then eight
+// concurrent readers of each kind, sharded and not.
 func TestReadersShareDerivedStateAfterUpdate(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		_, srv := newShardedServer(t, shards)

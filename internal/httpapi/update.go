@@ -22,21 +22,16 @@ import (
 // completes (so /readyz honestly answers 503 while the snapshot loads
 // and the WAL replays — never "ready" over a half-loaded graph).
 //
-// Concurrency: Server.stateMu serializes updates (write lock) against
-// everything that reads the graph or engine (read lock — queries, dumps,
-// stats, checkpoints). A query's engine copy reads only the version it
-// captured, but queries still hold the read lock for their whole
-// evaluation: the view cache stamps a fragment it fills with the generation
-// current when the fragment's evaluation starts, not the copy's, so an
-// update landing between the copy and a fill would let the previous
-// version's fragment pass for the new one's.
+// Concurrency: readers take no lock. An update copies the published engine,
+// applies its batch to the copy and publishes it (Server.eng); a request that
+// loaded the previous version finishes on it. Server.writeMu serializes the
+// writers: updates, and checkpoints, whose WAL cut must match their graph.
 //
 // Durability ordering: an update applies in memory first, then stages its
-// WAL record, both under the write lock — so WAL order always equals
-// apply order. The handler waits for the group-commit fsync *after*
-// releasing the lock: concurrent updates stage into the same batch and
-// amortize one fsync, and queries are never blocked behind disk. A crash
-// before the fsync loses only updates that were never acknowledged.
+// WAL record, both under writeMu — so WAL order always equals apply order.
+// The handler waits for the group-commit fsync *after* releasing it:
+// concurrent updates stage into the same batch and amortize one fsync. A
+// crash before the fsync loses only updates that were never acknowledged.
 
 // UpdateRequest is the /v1/update input. Each field is an N-Triples
 // document; present fields apply in a fixed order: schemaAdd, delete,
@@ -121,37 +116,44 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp := UpdateResponse{RequestID: requestID(r)}
-	var acks []<-chan error
-	s.stateMu.Lock()
+	var (
+		acks []<-chan error
+		err  error
+	)
+	s.writeMu.Lock()
+	next := *s.eng.Load()
 	for _, o := range ops {
-		var err error
 		switch o.kind {
 		case durable.OpSchema:
-			err = s.eng.UpdateSchema(o.ts)
+			err = next.UpdateSchema(o.ts)
 			if err == nil {
 				resp.SchemaAdded += len(o.ts)
 			}
 		case durable.OpDelete:
 			var n int
-			n, err = s.eng.DeleteData(o.ts)
+			n, err = next.DeleteData(o.ts)
 			resp.Deleted += n
 		case durable.OpInsert:
-			err = s.eng.InsertData(o.ts)
+			err = next.InsertData(o.ts)
 			if err == nil {
 				resp.Inserted += len(o.ts)
 			}
 		}
 		if err != nil {
-			s.stateMu.Unlock()
-			s.metrics.Counter("http.update_errors").Inc()
-			s.writeError(w, http.StatusUnprocessableEntity, CodeUpdateError, err.Error())
-			return
+			break
 		}
 		if s.durable != nil {
 			acks = append(acks, s.durable.Stage(durable.Record{Op: o.kind, Triples: o.ts}))
 		}
 	}
-	s.stateMu.Unlock()
+	// Published on failure too: earlier operations are applied and staged.
+	s.eng.Store(&next)
+	s.writeMu.Unlock()
+	if err != nil {
+		s.metrics.Counter("http.update_errors").Inc()
+		s.writeError(w, http.StatusUnprocessableEntity, CodeUpdateError, err.Error())
+		return
+	}
 	for _, ack := range acks {
 		if err := <-ack; err != nil {
 			// The in-memory state has the update but the log does not:
@@ -199,12 +201,12 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	s.writeOK(w, map[string]string{"status": "checkpointed"})
 }
 
-// runCheckpoint snapshots the current graph under the read lock: updates
-// pause for the duration (their write lock waits), queries proceed.
+// runCheckpoint snapshots the published graph under writeMu: updates pause
+// for the duration, queries proceed.
 func (s *Server) runCheckpoint(reason string) error {
-	s.stateMu.RLock()
-	err := s.durable.Checkpoint(s.eng.Graph())
-	s.stateMu.RUnlock()
+	s.writeMu.Lock()
+	err := s.durable.Checkpoint(s.eng.Load().Graph())
+	s.writeMu.Unlock()
 	if err != nil && err != durable.ErrCheckpointBusy {
 		s.metrics.Counter("http.checkpoint_errors").Inc()
 		if s.Logger != nil {

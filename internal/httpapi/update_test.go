@@ -1,12 +1,16 @@
 package httpapi
 
 import (
+	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/admission"
 	"repro/internal/durable"
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -276,5 +280,106 @@ func TestCheckpointEndpoint(t *testing.T) {
 	}
 	if code := getJSON(t, ts3.URL+"/v1/query?q="+q, &compact); code != http.StatusOK || compact.Total != 1 {
 		t.Fatalf("recovered from snapshot: code %d count %d", code, compact.Total)
+	}
+}
+
+// No reader waits behind a writer. A query is held mid-evaluation, parked in
+// the admission gate's queue behind a held ticket; an update completes
+// meanwhile; then a query that needs no gate slot (EXPLAIN), /v1/stats and
+// /v1/dump answer from the new version while the first query is still held.
+// Released, the first query answers from the version it loaded. Nothing here
+// depends on timing: every step but the last runs while the gate is shut,
+// and the timeout only turns a wait into a failure.
+func TestNoReaderWaitsBehindAWriter(t *testing.T) {
+	_, srv := newTestServerAndAPI(t)
+	srv.EnableAdmission(admission.Config{MaxConcurrency: 1, QueueTimeout: time.Hour})
+	blocker, err := srv.Gate().Acquire(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(blocker.Release) // lets a wedged request finish once the test has failed
+	serve := func(method, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec
+	}
+	// within runs f and fails the test, naming what, if f does not return
+	// while the first query is held.
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			f()
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s did not complete while a query was parked in the admission gate: it waits behind that reader", what)
+		}
+	}
+	decode := func(what string, rec *httptest.ResponseRecorder, out any) {
+		t.Helper()
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", what, rec.Code, rec.Body)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	const pub = `{"query":"q(x) :- x rdf:type ex:Publication","strategy":"ref-ucq"`
+	explain := func() *httptest.ResponseRecorder {
+		return serve(http.MethodPost, "/v1/query", pub+`,"explain":"plan"}`)
+	}
+	stats := func() *httptest.ResponseRecorder { return serve(http.MethodGet, "/v1/stats", "") }
+	var plan QueryResponse
+	var st struct{ Triples int }
+	decode("EXPLAIN", explain(), &plan)
+	decode("/v1/stats", stats(), &st)
+	cqsBefore, triplesBefore := plan.Meta.ReformulationCQs, st.Triples
+
+	held := make(chan *httptest.ResponseRecorder, 1)
+	go func() { held <- serve(http.MethodPost, "/v1/query", pub+`}`) }()
+	within("the first query reaching the gate's queue", func() {
+		for srv.Gate().QueueLen() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+	})
+
+	// A new subclass of Publication, and an instance of it.
+	var update, afterPlan, afterStats, dump *httptest.ResponseRecorder
+	within("the update", func() {
+		update = serve(http.MethodPost, "/v1/update", `{
+			"schemaAdd": "<http://example.org/Article> <http://www.w3.org/2000/01/rdf-schema#subClassOf> <http://example.org/Publication> .",
+			"insert": "<http://example.org/doi2> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/Article> ."}`)
+	})
+	if update.Code != http.StatusOK {
+		t.Fatalf("update: status %d: %s", update.Code, update.Body)
+	}
+	within("EXPLAIN", func() { afterPlan = explain() })
+	within("/v1/stats", func() { afterStats = stats() })
+	within("/v1/dump", func() { dump = serve(http.MethodGet, "/v1/dump", "") })
+	decode("EXPLAIN after the update", afterPlan, &plan)
+	decode("/v1/stats after the update", afterStats, &st)
+	if plan.Meta.ReformulationCQs <= cqsBefore {
+		t.Errorf("EXPLAIN after the update: %d reformulation CQs, want more than the %d before it", plan.Meta.ReformulationCQs, cqsBefore)
+	}
+	if st.Triples <= triplesBefore {
+		t.Errorf("/v1/stats after the update: %d triples, want more than the %d before it", st.Triples, triplesBefore)
+	}
+	if !strings.Contains(dump.Body.String(), "<http://example.org/doi2>") {
+		t.Errorf("/v1/dump after the update lacks the inserted triple:\n%s", dump.Body)
+	}
+	if srv.Gate().QueueLen() != 1 {
+		t.Fatalf("the first query left the gate's queue before its release")
+	}
+
+	blocker.Release()
+	var rec *httptest.ResponseRecorder
+	within("the first query, released", func() { rec = <-held })
+	var first QueryResponse
+	decode("the first query", rec, &first)
+	if first.Total != 1 || first.Meta.ReformulationCQs != cqsBefore {
+		t.Fatalf("first query: %d rows from %d CQs, want the version it loaded: 1 row (doi1) from %d CQs", first.Total, first.Meta.ReformulationCQs, cqsBefore)
 	}
 }

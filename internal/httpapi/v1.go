@@ -225,7 +225,7 @@ func (s *Server) EnableAdmission(cfg admission.Config) {
 		cfg.Metrics = s.metrics
 	}
 	s.gate = admission.New(cfg)
-	s.eng.Admission = s.gate
+	s.eng.Load().Admission = s.gate
 }
 
 // Gate returns the installed admission gate (nil when admission is

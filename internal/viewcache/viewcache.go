@@ -18,12 +18,11 @@
 // admitted. Concurrent identical misses collapse into one evaluation
 // (singleflight), so a cold popular fragment evaluates once under load.
 //
-// Updates invalidate through a generation stamp: engine.InsertData /
-// DeleteData bump the generation and drop every entry, and both entries
-// and in-flight evaluations carry the generation they were computed under,
-// so a lookup that starts after an update completes can never observe a
-// pre-update result (per Ahmeti et al., update-time invalidation is a
-// first-class concern, not a cache-drop afterthought).
+// Updates invalidate through a generation stamp: every engine write bumps it
+// and drops every entry, and each engine version reads the cache under the
+// generation its write left behind (At), storing a fill only while that is
+// current — a reader never sees another version's fragment (per Ahmeti et
+// al., update-time invalidation is first-class, not an afterthought).
 package viewcache
 
 import (
@@ -183,24 +182,19 @@ func BoundSignature(sig string, params []dict.ID, slots []int) string {
 	return string(sum[:])
 }
 
-// Generation returns the current update generation.
-func (c *Cache) Generation() uint64 { return c.gen.Load() }
-
 // Len returns the number of cached entries.
 func (c *Cache) Len() int { return int(c.entries.Load()) }
 
 // Bytes returns the cached result bytes currently resident.
 func (c *Cache) Bytes() int64 { return c.bytes.Load() }
 
-// Invalidate bumps the generation stamp and drops every entry. Called by
-// the engine after InsertData/DeleteData. The generation is bumped before
-// the shards are cleared, and every lookup re-reads it under the shard
-// lock, so once Invalidate returns no pre-update entry — resident or
-// mid-store — can ever be served again. In-flight evaluations that began
-// before the bump complete for their own (concurrent, hence linearizable)
-// waiters but are not admitted to the cache.
-func (c *Cache) Invalidate() {
-	c.gen.Add(1)
+// Invalidate bumps the generation stamp, drops every entry and returns the
+// new generation; the engine calls it on every write. The bump comes before
+// the clearing, and a fill re-reads the generation under the shard lock, so
+// no pre-update entry, resident or mid-store, is ever served under the new
+// generation.
+func (c *Cache) Invalidate() uint64 {
+	gen := c.gen.Add(1)
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		for el := sh.order.Front(); el != nil; el = el.Next() {
@@ -214,6 +208,21 @@ func (c *Cache) Invalidate() {
 		sh.mu.Unlock()
 	}
 	c.gauges()
+	return gen
+}
+
+// At returns the cache as a reader of generation gen sees it: it looks up,
+// joins flights and fills only under gen. The engine keeps one per version.
+func (c *Cache) At(gen uint64) exec.FragmentCache { return &generation{c, gen} }
+
+type generation struct {
+	c   *Cache
+	gen uint64
+}
+
+func (g *generation) GetOrEval(q query.CQ, key string, estCost func() float64, stop func() error,
+	eval func() (*exec.Relation, error)) (*exec.Relation, exec.CacheOutcome, error) {
+	return g.c.getOrEval(g.gen, q, key, estCost, stop, eval)
 }
 
 func (c *Cache) shard(key string) *shard {
@@ -238,19 +247,23 @@ func (c *Cache) gauges() {
 	c.m.Gauge("viewcache.entries").Set(c.entries.Load())
 }
 
-// GetOrEval implements exec.FragmentCache: it returns q's result from the
-// cache when resident, joins an identical in-flight evaluation when one
-// exists, and otherwise runs eval and admits the result (cost and size
-// permitting). stop is polled while waiting on another flight so a
-// canceled or timed-out caller unblocks promptly.
-//
-// key, when non-empty, must be q's key derived by the caller — Signature(q),
+// GetOrEval implements exec.FragmentCache under the generation current at
+// the call; a reader that captured its version earlier goes through At.
+func (c *Cache) GetOrEval(q query.CQ, key string, estCost func() float64, stop func() error,
+	eval func() (*exec.Relation, error)) (*exec.Relation, exec.CacheOutcome, error) {
+	return c.getOrEval(c.gen.Load(), q, key, estCost, stop, eval)
+}
+
+// getOrEval returns q's result under generation gen: from an entry of gen,
+// from an identical in-flight evaluation of gen, or by running eval and
+// admitting the result (cost and size permitting, while gen is current).
+// stop is polled while waiting on another flight. key, when non-empty, must be q's key derived by the caller — Signature(q),
 // or BoundSignature for a q bound from a shape: plans are reused across
 // executions, so a caller holding one canonicalizes each fragment once per
 // plan instead of once per execution.
 // estCost is consulted lazily, on the first miss only: estimating a large
 // reformulation costs real time, and a hit must never pay it.
-func (c *Cache) GetOrEval(q query.CQ, key string, estCost func() float64, stop func() error,
+func (c *Cache) getOrEval(gen uint64, q query.CQ, key string, estCost func() float64, stop func() error,
 	eval func() (*exec.Relation, error)) (*exec.Relation, exec.CacheOutcome, error) {
 	if len(key) != sha256.Size {
 		// Absent (or malformed) precomputed key: derive it here.
@@ -260,7 +273,6 @@ func (c *Cache) GetOrEval(q query.CQ, key string, estCost func() float64, stop f
 	admissionChecked := false
 	for {
 		sh.mu.Lock()
-		gen := c.gen.Load()
 		if el, ok := sh.byKey[key]; ok {
 			ent := el.Value.(*entry)
 			if ent.gen == gen {
@@ -274,8 +286,10 @@ func (c *Cache) GetOrEval(q query.CQ, key string, estCost func() float64, stop f
 				// Arity mismatch cannot happen for equal signatures; fall
 				// through to a fresh evaluation defensively.
 				sh.mu.Lock()
+				c.removeLocked(sh, el)
+			} else if ent.gen < gen { // stale; a newer entry is not this reader's to drop
+				c.removeLocked(sh, el)
 			}
-			c.removeLocked(sh, el)
 		}
 		if f, ok := sh.flights[key]; ok && f.gen == gen {
 			sh.mu.Unlock()

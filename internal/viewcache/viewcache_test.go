@@ -241,10 +241,9 @@ func TestInvalidateDropsEntriesAndBumpsGeneration(t *testing.T) {
 	if _, out, _ := c.GetOrEval(q, "", constCost(1000), nil, evalN(&evals, "x", 3)); !out.Stored {
 		t.Fatalf("not stored: %+v", out)
 	}
-	g := c.Generation()
-	c.Invalidate()
-	if c.Generation() != g+1 {
-		t.Fatalf("generation %d, want %d", c.Generation(), g+1)
+	g := c.gen.Load()
+	if got := c.Invalidate(); got != g+1 || c.gen.Load() != g+1 {
+		t.Fatalf("generation %d (returned %d), want %d", c.gen.Load(), got, g+1)
 	}
 	if c.Len() != 0 || c.Bytes() != 0 {
 		t.Fatalf("entries survived Invalidate: len=%d bytes=%d", c.Len(), c.Bytes())
@@ -274,6 +273,48 @@ func TestMidFlightInvalidationNotStored(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Fatalf("stale entry resident after mid-flight invalidation")
+	}
+}
+
+// A reader answers only from its own generation (At): a reader of an older
+// version neither sees a newer version's entry, nor drops it, nor leaves an
+// entry of its own; the newer reader keeps its entry and never sees what the
+// older one evaluated.
+func TestReaderSeesOnlyItsGeneration(t *testing.T) {
+	c := New(Config{MinCost: -1})
+	q := typeCQ("x", 10, 20)
+	var evals atomic.Int64
+	get := func(fc exec.FragmentCache, n int) (*exec.Relation, exec.CacheOutcome) {
+		t.Helper()
+		r, out, err := fc.GetOrEval(q, "", constCost(1000), nil, evalN(&evals, "x", n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, out
+	}
+
+	older := c.At(0)
+	newer := c.At(c.Invalidate())
+	if _, out := get(newer, 2); !out.Stored {
+		t.Fatalf("newer reader's fill not stored: %+v", out)
+	}
+	if r, out := get(older, 1); out.Hit || out.Stored || r.Len() != 1 {
+		t.Fatalf("older reader got %d rows (%+v), want its own 1, evaluated and not stored", r.Len(), out)
+	}
+	if r, out := get(newer, 2); !out.Hit || r.Len() != 2 {
+		t.Fatalf("newer reader got %d rows (%+v), want its resident 2", r.Len(), out)
+	}
+
+	// The older reader first, after the newer version is published.
+	older, newer = newer, c.At(c.Invalidate())
+	if r, out := get(older, 2); out.Stored || r.Len() != 2 {
+		t.Fatalf("older reader got %d rows (%+v), want its own 2, not stored", r.Len(), out)
+	}
+	if r, out := get(newer, 3); out.Hit || r.Len() != 3 {
+		t.Fatalf("newer reader got %d rows (%+v), want its own 3", r.Len(), out)
+	}
+	if evals.Load() != 4 {
+		t.Fatalf("evals = %d, want 4", evals.Load())
 	}
 }
 
